@@ -14,8 +14,10 @@ hardware allows").  Two metrics per scenario:
   dispatch).
 
 Results go to ``BENCH_wallclock.json`` at the repo root with separate
-``before``/``after`` sections (``--record before`` is run once, on the
-pre-PR tree) so the trajectory across PRs is visible in one file.
+``before``/``after`` sections (``--record before`` is run once, with
+``PYTHONPATH`` on the pre-PR tree's ``src``, and moves the previous PR's
+finished pair into ``history``) so the trajectory across PRs is visible
+in one file.
 ``--smoke`` runs a small suite for CI and optionally enforces the
 checked-in ``tools/wallclock_baseline.json`` dispatch budget.
 
@@ -269,6 +271,12 @@ def main(argv=None) -> int:
         return 0
 
     doc = load_results()
+    if args.record == "before" and doc.get("before") and doc.get("after"):
+        # a new PR starts: keep the finished pair instead of overwriting
+        doc.setdefault("history", []).append(
+            {k: doc[k] for k in ("meta", "before", "after", "gains",
+                                 "scaling") if k in doc})
+        doc["after"] = {}
     doc["meta"] = host_metadata()
     doc[args.record] = results
     if not args.no_scaling:

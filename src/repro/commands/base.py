@@ -118,50 +118,55 @@ class LineStream:
         self.chunk = chunk
         self._buf = bytearray()
         self._eof = False
-        self._lines: list[bytes] = []  # parsed, pending delivery
+        self._lines: list[bytes] = []  # parsed; pending delivery from _pos
+        self._pos = 0
 
-    def next_line(self):
-        while not self._lines:
-            if self._eof:
-                return None
-            data = yield from self.proc.read(self.fd, self.chunk)
-            if not data:
-                self._eof = True
-                if self._buf:
-                    self._lines.append(bytes(self._buf))
-                    self._buf.clear()
-                break
+    def _fill(self):
+        """One read, parsed into the line buffer; callers fill only
+        once every buffered line has been delivered."""
+        data = yield from self.proc.read(self.fd, self.chunk)
+        if not data:
+            self._eof = True
+            if self._buf:
+                self._lines, self._pos = [bytes(self._buf)], 0
+                self._buf.clear()
+        else:
             self._buf.extend(data)
             if b"\n" in data:
                 *complete, rest = self._buf.split(b"\n")
-                self._lines.extend(line + b"\n" for line in complete)
+                self._lines = [line + b"\n" for line in complete]
+                self._pos = 0
                 self._buf = bytearray(rest)
-        if self._lines:
-            return self._lines.pop(0)
-        return None
+
+    def next_line(self):
+        while self._pos == len(self._lines):
+            if self._eof:
+                return None
+            yield from self._fill()
+        line = self._lines[self._pos]
+        self._pos += 1
+        return line
+
+    def skip_run(self, line: bytes) -> int:
+        """Consume the buffered lines that follow and are byte-identical
+        to ``line``; returns how many.  Never reads."""
+        lines, start = self._lines, self._pos
+        end, stop = start, len(lines)
+        while end < stop and lines[end] == line:
+            end += 1
+        self._pos = end
+        return end - start
 
     def next_batch(self):
         """Return all currently-buffered complete lines plus at least one
         read's worth; None at EOF.  Cheaper than line-at-a-time."""
-        if not self._lines and not self._eof:
-            data = yield from self.proc.read(self.fd, self.chunk)
-            if not data:
-                self._eof = True
-                if self._buf:
-                    self._lines.append(bytes(self._buf))
-                    self._buf.clear()
-            else:
-                self._buf.extend(data)
-                if b"\n" in self._buf:
-                    *complete, rest = self._buf.split(b"\n")
-                    self._lines.extend(line + b"\n" for line in complete)
-                    self._buf = bytearray(rest)
-        if self._lines:
-            batch, self._lines = self._lines, []
+        if self._pos == len(self._lines) and not self._eof:
+            yield from self._fill()
+        batch = self._lines[self._pos:]
+        self._lines, self._pos = [], 0
+        if batch:
             return batch
-        if self._eof:
-            return None
-        return []
+        return None if self._eof else []
 
 
 class OutBuf:

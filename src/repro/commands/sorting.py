@@ -8,9 +8,11 @@ aggregator the parallelizing compiler uses.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import re
+from collections import Counter
 from itertools import groupby
 
 from ..vos.process import CHUNK, Process
@@ -95,11 +97,17 @@ def _key_slice(body: bytes, start_field: int, end_field: int | None,
     return body[lo:hi]
 
 
+def _line_body(line: bytes) -> bytes:
+    return line.rstrip(b"\n")
+
+
 def make_sort_key(numeric: bool, key_field: int | None, delim: bytes | None,
                   fold: bool = False, key_end: int | None = None):
     """Primary comparison key: field restriction (-k/-t), then -n numeric
     value or -f case folding.  No last-resort tie-break — combine with
     :func:`make_cmp_key` for full GNU ordering."""
+    if key_field is None and not numeric and not fold:
+        return _line_body
 
     def key(line: bytes):
         body = line.rstrip(b"\n")
@@ -117,11 +125,60 @@ def make_sort_key(numeric: bool, key_field: int | None, delim: bytes | None,
 def make_cmp_key(primary):
     """Full ordering key: the primary key plus GNU sort's last-resort
     comparison on the entire line (applied unless -u is given)."""
+    if primary is _line_body:
+        return primary  # (body, body) orders exactly as body
 
     def key(line: bytes):
         return (primary(line), line.rstrip(b"\n"))
 
     return key
+
+
+def split_bodies(data: bytes) -> list[bytes]:
+    """Newline-free line bodies: a missing final newline still yields a
+    final body; a trailing newline does not yield an empty one."""
+    bodies = data.split(b"\n")
+    if bodies[-1] == b"":
+        bodies.pop()
+    return bodies
+
+
+class LineCounter:
+    """Sort by counting: tallies line bodies chunk by chunk as they
+    arrive, so a stream made of duplicate runs never becomes a list of
+    lines.  ``counts`` turns None, for good, once more than half the
+    lines seen are distinct (the caller then sorts the lines themselves)
+    — unless the table is still ``SMALL``, when finishing costs less
+    than giving up would save.
+    """
+
+    SMALL = 4096  # distinct bodies
+
+    def __init__(self):
+        self.counts: Counter | None = Counter()
+        self.lines = 0
+        self._tail = b""
+
+    def feed(self, data: bytes) -> None:
+        if self.counts is None:
+            return
+        nl = data.rfind(b"\n")
+        if nl < 0:
+            self._tail += data
+            return
+        bodies = (self._tail + data[:nl]).split(b"\n")
+        self._tail = data[nl + 1:]
+        self.counts.update(bodies)
+        self.lines += len(bodies)
+        distinct = len(self.counts)
+        if distinct > self.SMALL and 2 * distinct > self.lines:
+            self.counts = None
+
+
+def sorted_runs(counts: dict, reverse: bool, unique: bool) -> list[bytes]:
+    """The sorted stream of counted bodies, one bytes object per run."""
+    return [body + b"\n" if unique else (body + b"\n") * counts[body]
+            for body in sorted(counts, reverse=reverse)]
 
 
 @command("sort")
@@ -235,8 +292,10 @@ def _sort_plain(proc: Process, files: list[str], reverse: bool,
     comparison of line bodies (no -n/-f/-k): read chunks, charge CPU at
     exactly the LineStream batch granularity (bytes up to the last
     newline of each read; the unterminated tail is charged at EOF), then
-    sort newline-free bodies with the C sort and emit one joined write —
-    the same virtual-op sequence, orders of magnitude less Python work.
+    emit the sorted stream as one write.  Bodies are counted as the
+    chunks arrive (:class:`LineCounter`); if the counter gives up, the
+    retained chunks are split and C-sorted instead.  Either way the
+    virtual-op sequence is the same, with far less Python work.
     """
     # S21: a host-pool oracle may hold this sort's precomputed output;
     # raw chunks are still retained so a validation mismatch at any
@@ -244,6 +303,7 @@ def _sort_plain(proc: Process, files: list[str], reverse: bool,
     oracle = getattr(proc, "host_oracle", None)
     if oracle is not None and getattr(oracle, "kind", "") != "sort":
         oracle = None
+    counter = LineCounter() if oracle is None else None
     chunks: list[bytes] = []
     for path in files:
         fd, needs_close = yield from open_input(proc, path)
@@ -254,10 +314,14 @@ def _sort_plain(proc: Process, files: list[str], reverse: bool,
                 if tail_len:
                     yield from proc.cpu(tail_len * coeff)
                     chunks.append(b"\n")  # normalize missing final newline
+                    if counter is not None:
+                        counter.feed(b"\n")
                 break
             chunks.append(data)
             if oracle is not None:
                 oracle.feed(data)
+            else:
+                counter.feed(data)
             nl = data.rfind(b"\n")
             if nl < 0:
                 tail_len += len(data)
@@ -269,35 +333,25 @@ def _sort_plain(proc: Process, files: list[str], reverse: bool,
     precomputed = oracle.finish() if oracle is not None else None
     if precomputed is not None:
         stream, n = precomputed
-        if n > 1:
-            yield from proc.cpu(n * math.log2(n) * SORT_CMP_COST)
-        out_fd = 1
-        close_out = False
-        if "o" in opts:
-            out_fd = yield from proc.open(opts["o"], "w")
-            close_out = True
-        if stream:
-            yield from proc.write(out_fd, stream)
-        if close_out:
-            yield from proc.close(out_fd)
-        return 0
-    blob = b"".join(chunks)
-    bodies = blob.split(b"\n")
-    if bodies and bodies[-1] == b"":
-        bodies.pop()  # trailing newline, not an empty final line
-    n = len(bodies)
+    elif counter is not None and counter.counts is not None:
+        n = counter.lines
+        stream = b"".join(sorted_runs(counter.counts, reverse, unique))
+    else:
+        bodies = split_bodies(b"".join(chunks))
+        n = len(bodies)
+        bodies.sort(reverse=reverse)
+        if unique:
+            bodies = list(dict.fromkeys(bodies))
+        stream = b"\n".join(bodies) + b"\n" if bodies else b""
     if n > 1:
         yield from proc.cpu(n * math.log2(n) * SORT_CMP_COST)
-    bodies.sort(reverse=reverse)
-    if unique:
-        bodies = list(dict.fromkeys(bodies))
     out_fd = 1
     close_out = False
     if "o" in opts:
         out_fd = yield from proc.open(opts["o"], "w")
         close_out = True
-    if bodies:
-        yield from proc.write(out_fd, b"\n".join(bodies) + b"\n")
+    if stream:
+        yield from proc.write(out_fd, stream)
     if close_out:
         yield from proc.close(out_fd)
     return 0
@@ -320,35 +374,37 @@ def _sort_merge(proc: Process, files: list[str], key, reverse: bool,
     return status
 
 
+class _Rev:
+    """Inverts comparison for reverse merges."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k):
+        self.k = k
+
+    def __lt__(self, other):
+        return other.k < self.k
+
+    def __eq__(self, other):
+        return self.k == other.k
+
+
 def kway_merge(proc: Process, in_fds: list[int], key, reverse: bool,
                unique: bool, coeff: float, eq_key=None):
     """Streaming heap-based k-way merge of pre-sorted inputs on open fds.
     Shared by ``sort -m`` and the parallel compiler's merge node.  Each
     emitted line costs one heap sift: log2(k) comparisons.  ``eq_key``
     (default: ``key``) is the equality key -u dedups on, which may be
-    coarser than the ordering key."""
-    import heapq
+    coarser than the ordering key.
 
+    Sorted streams are made of duplicate runs, so the lines buffered
+    behind the popped one that equal it byte for byte are emitted in
+    the same inner loop: same bytes, same stream => same heap entry, and
+    each would have been the very next pop.  Charges, flushes and the
+    refill read stay one per line, in the per-line order."""
     streams = [LineStream(proc, fd) for fd in in_fds]
     heap: list = []
-
-    class _Rev:
-        """Inverts comparison for reverse merges."""
-
-        __slots__ = ("k",)
-
-        def __init__(self, k):
-            self.k = k
-
-        def __lt__(self, other):
-            return other.k < self.k
-
-        def __eq__(self, other):
-            return self.k == other.k
-
-    def wrap(k):
-        return _Rev(k) if reverse else k
-
+    wrap = _Rev if reverse else (lambda k: k)
     if eq_key is None:
         eq_key = key
     for i, stream in enumerate(streams):
@@ -360,16 +416,24 @@ def kway_merge(proc: Process, in_fds: list[int], key, reverse: bool,
     prev_key = object()
     pending_cpu = 0.0
     while heap:
-        wrapped, i, line = heapq.heappop(heap)
-        pending_cpu += len(line) * coeff + cmp_cost
-        if pending_cpu > 1e-4:
-            yield from proc.cpu(pending_cpu)
-            pending_cpu = 0.0
-        k = eq_key(line) if unique else None
-        if not (unique and k == prev_key):
-            yield from out.put(line if line.endswith(b"\n") else line + b"\n")
-        prev_key = k
-        nxt = yield from streams[i].next_line()
+        _, i, line = heapq.heappop(heap)
+        stream = streams[i]
+        cost = len(line) * coeff + cmp_cost
+        text = line if line.endswith(b"\n") else line + b"\n"
+        fresh = True
+        if unique:
+            k = eq_key(line)
+            fresh = k != prev_key
+            prev_key = k
+        for _ in range(1 + stream.skip_run(line)):
+            pending_cpu += cost
+            if pending_cpu > 1e-4:
+                yield from proc.cpu(pending_cpu)
+                pending_cpu = 0.0
+            if fresh:
+                yield from out.put(text)
+                fresh = not unique
+        nxt = yield from stream.next_line()
         if nxt is not None:
             heapq.heappush(heap, (wrap(key(nxt)), i, nxt))
     if pending_cpu:

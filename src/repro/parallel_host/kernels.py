@@ -8,8 +8,9 @@ oracles emit these streams verbatim into the simulation.  The numpy
 paths are a columnar reformulation (translation tables, boolean run
 masks) of the same function; when numpy is absent or a precondition
 fails the pure-Python fallback computes the identical stream.  Line
-counting deliberately stays on C-speed ``bytes.split`` + ``Counter``
-— faster than a vectorized gather on variable-length records.
+counting is the in-process sort's own ``bytes.split`` + ``Counter``
+kernel (``repro.commands.sorting``) — measured ~4x faster than a
+vectorized packed-key gather on variable-length records.
 
 Grid tables: a tr stage's oracle needs "output offset at input offset
 a" for arbitrary a (pipe reads land on arbitrary boundaries).  Workers
@@ -25,8 +26,10 @@ import heapq
 import os
 import re
 from array import array
-from collections import Counter
-from itertools import groupby, repeat
+from itertools import accumulate, groupby, repeat
+
+from ..commands.sorting import LineCounter, sorted_runs, split_bodies
+from ..vos.process import CHUNK
 
 try:  # the container bakes numpy in; everything degrades without it
     import numpy as _np
@@ -40,8 +43,6 @@ GRID_STEP = 4096
 #: sort parts switch to the generic sorted-spill path above this many
 #: distinct lines (the counting kernel's payoff is low cardinality)
 CARD_LIMIT = 4096
-#: lines sampled to detect high cardinality before a full count
-PROBE_LINES = 1 << 16
 
 _SQUEEZE_RE_CACHE: dict[bytes, re.Pattern] = {}
 
@@ -164,18 +165,6 @@ def tr_part(data: bytes, spec: dict) -> tuple[bytes, array]:
 # ---------------------------------------------------------------------------
 
 
-def _split_bodies(data: bytes) -> list[bytes]:
-    """Newline-free line bodies with the serial sort's normalization:
-    a missing final newline still yields a final body; a trailing
-    newline does not yield an empty one."""
-    if not data:
-        return []
-    bodies = data.split(b"\n")
-    if bodies and bodies[-1] == b"":
-        bodies.pop()
-    return bodies
-
-
 def sort_part(data: bytes, card_limit: int = CARD_LIMIT):
     """Count one line-aligned part of the pre-sort stream.
 
@@ -183,24 +172,21 @@ def sort_part(data: bytes, card_limit: int = CARD_LIMIT):
     cardinality fits the counting path, else
     ``("lines", sorted_bodies, n_lines)`` for the k-way merge path.
 
-    Counting is a C-speed ``Counter`` over the split bodies — measured
-    ~4x faster on this substrate than a vectorized packed-key kernel
-    (whose gather tripled memory traffic and whose hash-collision
-    bailout re-counted in Python anyway), and exact by construction.  A
-    64 Ki-line probe skips straight to the sorted-lines path when
-    cardinality is obviously high; a low-cardinality probe still needs
-    the full count confirmed before the counts path is trusted.
+    The count is the in-process sort's own kernel
+    (:class:`repro.commands.sorting.LineCounter`), fed in read-sized
+    slices so that it gives up early on a high-cardinality part; a count
+    it completes must still fit ``card_limit`` (counts travel pickled).
     """
-    bodies = _split_bodies(data)
-    if len(bodies) > PROBE_LINES:
-        if len(Counter(bodies[:PROBE_LINES])) > card_limit:
-            bodies.sort()
-            return ("lines", bodies, len(bodies))
-    counts = Counter(bodies)
-    if len(counts) > card_limit:
+    counter = LineCounter()
+    for a in range(0, len(data), CHUNK):
+        counter.feed(data[a : a + CHUNK])
+    if data and not data.endswith(b"\n"):
+        counter.feed(b"\n")
+    if counter.counts is None or len(counter.counts) > card_limit:
+        bodies = split_bodies(data)
         bodies.sort()
         return ("lines", bodies, len(bodies))
-    return ("counts", dict(counts), len(bodies))
+    return ("counts", dict(counter.counts), counter.lines)
 
 
 def merge_sorted_parts(parts: list, reverse: bool, unique: bool):
@@ -239,16 +225,8 @@ def assemble_counts(counts: dict, reverse: bool, unique: bool,
                     n_lines: int):
     """Build the sorted stream + run table from merged counts — the
     low-cardinality fast path (bytes-multiply runs at memcpy speed)."""
-    words = sorted(counts, reverse=reverse)
-    out: list[bytes] = []
-    run_ends = array("q")
-    total = 0
-    for word in words:
-        count = 1 if unique else counts[word]
-        total += (len(word) + 1) * count
-        out.append((word + b"\n") * count)
-        run_ends.append(total)
-    return b"".join(out), run_ends, n_lines
+    runs = sorted_runs(counts, reverse, unique)
+    return b"".join(runs), array("q", accumulate(map(len, runs))), n_lines
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +298,7 @@ def run_task(task: dict) -> dict:
         for entry in task["parts"]:
             if entry[0] == "spill":
                 data = _read_span(entry[1], 0, os.path.getsize(entry[1]))
-                parts.append(("lines", _split_bodies(data), entry[2]))
+                parts.append(("lines", split_bodies(data), entry[2]))
             else:
                 parts.append(("counts", entry[1], entry[2]))
         stream, runs, n_lines = merge_sorted_parts(

@@ -416,6 +416,11 @@ def getopts_b(interp, proc, argv):
     cache = getattr(interp, "_getopts_cache", None)
     # a script assigning OPTIND (e.g. OPTIND=1) restarts the scan
     pos = cache[1] if cache is not None and cache[0] == optind else 0
+    if optind > len(args) + 1:
+        # OPTIND left past the end by a scan of a longer list: sh
+        # restarts at the first argument (nargs + 1 still means "done")
+        optind, pos = 1, 0
+        state.set("OPTIND", "1")
 
     def finish(next_idx: int) -> int:
         """No more options: name='?', OPTIND points at the first operand."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.shell import Shell
 from repro.vos import BrokenPipe, DiskSpec, Kernel, Node, make_pipe
@@ -362,3 +363,326 @@ class TestVectorizedEquivalence:
                                         {"/in.txt": lines})
         assert status == 0
         assert out == b"".join(b"line %d\n" % i for i in range(30_000))
+
+
+# ---------------------------------------------------------------------------
+# 4. Run-aware sorting: counting sort, run-batched k-way merge
+# ---------------------------------------------------------------------------
+
+
+def _observe(script: str, files: dict[str, bytes], faults=None):
+    """(status, stdout, elapsed, dispatches, fault ops, fault trace).
+    ``jobs=1``: these tests are about the in-process kernels, also when
+    CI reruns the suite under ``JASH_JOBS=2``."""
+    shell = Shell(laptop(), faults=faults, jobs=1)
+    for path, data in files.items():
+        shell.fs.write_bytes(path, data)
+    result = shell.run(script)
+    return (result.status, result.stdout, result.elapsed,
+            shell.kernel.dispatches,
+            faults.ops if faults else 0, faults.trace() if faults else [])
+
+
+def _py_sort(data: bytes, flags: str = "") -> bytes:
+    bodies = data.split(b"\n")
+    if bodies[-1] == b"":
+        bodies.pop()
+    if "-u" in flags:
+        bodies = set(bodies)
+    return b"".join(body + b"\n"
+                    for body in sorted(bodies, reverse="-r" in flags))
+
+
+class _GaveUp(sorting.LineCounter):
+    """A counter that has given up before the first chunk: sort's
+    split + ``list.sort`` path, the reference for the counting path."""
+
+    def __init__(self):
+        super().__init__()
+        self.counts = None
+
+
+def _sort_inputs() -> dict[str, bytes]:
+    rng = random.Random(5)
+    vocab = [b"w%03d" % i * rng.randrange(1, 4) for i in range(100)]
+    distinct = [b"%06x" % i for i in range(30_000)]
+    rng.shuffle(distinct)
+    few = [rng.choice(vocab[:50]) for _ in range(20_000)]
+    return {
+        "one": b"same\n" * 30_000,
+        "hundred": b"".join(rng.choice(vocab) + b"\n"
+                            for _ in range(40_000)),
+        "distinct": b"\n".join(distinct[:12_000]) + b"\n",
+        "crossing": b"\n".join(few + distinct) + b"\n",
+        "odd-bytes": b"b\n\n\x00\n\x01a\n\n\x00\nb\n\x01\n\n" * 300
+        + b"\x00\x01 no final newline",
+    }
+
+
+SORT_INPUTS = _sort_inputs()
+SORT_FLAGS = ["", "-r", "-u", "-u -r"]
+
+
+class TestCountingSort:
+    @pytest.mark.parametrize("flags", SORT_FLAGS)
+    @pytest.mark.parametrize("name", sorted(SORT_INPUTS))
+    def test_matches_sorted_and_the_list_sort_path(self, name, flags,
+                                                   monkeypatch):
+        data = SORT_INPUTS[name]
+        made: list[sorting.LineCounter] = []
+
+        class Spy(sorting.LineCounter):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(sorting, "LineCounter", Spy)
+        counted = _observe(f"sort {flags} /in.txt", {"/in.txt": data})
+        monkeypatch.setattr(sorting, "LineCounter", _GaveUp)
+        listed = _observe(f"sort {flags} /in.txt", {"/in.txt": data})
+        assert counted[0] == 0
+        assert counted[1] == _py_sort(data, flags)
+        assert counted == listed  # bytes, virtual time, dispatches
+        (counter,) = made
+        if name in ("distinct", "crossing"):
+            # abandoned mid-stream, from what the count itself saw
+            assert counter.counts is None
+            assert 0 < counter.lines < data.count(b"\n")
+        else:
+            assert counter.lines == len(_py_sort(data).splitlines())
+
+    def test_output_file_and_several_operands(self, monkeypatch):
+        files = {"/a": SORT_INPUTS["hundred"][:-1],  # no final newline
+                 "/b": SORT_INPUTS["odd-bytes"],
+                 "/c": b"", "/d": b"\n\nzz\n"}
+        script = "sort -r -o /out.txt /a /b /c /d; cat /out.txt"
+        want = _py_sort(b"\n".join(files[p].removesuffix(b"\n")
+                                   for p in ("/a", "/b", "/d")), "-r")
+        counted = _observe(script, files)
+        monkeypatch.setattr(sorting, "LineCounter", _GaveUp)
+        assert counted == _observe(script, files)
+        assert counted[:2] == (0, want)
+
+    @settings(deadline=None, max_examples=60)
+    @given(lines=st.lists(st.binary(max_size=6).map(
+               lambda b: b.replace(b"\n", b"\x00")), max_size=40),
+           repeat=st.integers(min_value=1, max_value=400),
+           final_newline=st.booleans(),
+           flags=st.sampled_from(SORT_FLAGS))
+    def test_property_counting_equals_sorted(self, lines, repeat,
+                                             final_newline, flags):
+        data = b"\n".join(lines * repeat)
+        if final_newline and data:
+            data += b"\n"
+        status, out, *_ = _observe(f"sort {flags} /in.txt",
+                                   {"/in.txt": data})
+        assert status == 0
+        assert out == _py_sort(data, flags)
+
+
+def _kway_merge_per_line(proc, in_fds, key, reverse, unique, coeff,
+                         eq_key=None):
+    """The merge loop as it was before run batching — one heap round
+    trip per line — kept here as the reference for ``kway_merge``."""
+    import heapq
+    import math
+
+    streams = [base.LineStream(proc, fd) for fd in in_fds]
+    heap: list = []
+
+    class _Rev:
+        __slots__ = ("k",)
+
+        def __init__(self, k):
+            self.k = k
+
+        def __lt__(self, other):
+            return other.k < self.k
+
+        def __eq__(self, other):
+            return self.k == other.k
+
+    def wrap(k):
+        return _Rev(k) if reverse else k
+
+    if eq_key is None:
+        eq_key = key
+    for i, stream in enumerate(streams):
+        line = yield from stream.next_line()
+        if line is not None:
+            heapq.heappush(heap, (wrap(key(line)), i, line))
+    out = base.OutBuf(proc, 1)
+    cmp_cost = base.SORT_CMP_COST * math.log2(max(2, len(streams)))
+    prev_key = object()
+    pending_cpu = 0.0
+    while heap:
+        wrapped, i, line = heapq.heappop(heap)
+        pending_cpu += len(line) * coeff + cmp_cost
+        if pending_cpu > 1e-4:
+            yield from proc.cpu(pending_cpu)
+            pending_cpu = 0.0
+        k = eq_key(line) if unique else None
+        if not (unique and k == prev_key):
+            yield from out.put(line if line.endswith(b"\n") else line + b"\n")
+        prev_key = k
+        nxt = yield from streams[i].next_line()
+        if nxt is not None:
+            heapq.heappush(heap, (wrap(key(nxt)), i, nxt))
+    if pending_cpu:
+        yield from proc.cpu(pending_cpu)
+    yield from out.flush()
+    return 0
+
+
+def _sorted_parts(k: int, flags: str) -> dict[str, bytes]:
+    """k pre-sorted files of duplicate runs.  /p0 opens with a run that
+    ends exactly at the first 64 KiB buffer's end, /p1 (if any) with one
+    that runs on into the second buffer; the last file's last line has
+    no newline."""
+    rng = random.Random(k)
+    reverse = "-r" in flags
+    if "-k2" in flags:
+        # equal numeric keys on different bytes, and identical lines too
+        vocab = [b"%s %d" % (w, n) for w in (b"x", b"yy", b"x")
+                 for n in (3, 3, 10, 200)]
+        order = lambda l: (float(l.split()[1]), l)  # noqa: E731
+        edge = b"edge  0" if not reverse else b"edge 99"
+    else:
+        vocab = [b"w%02d" % i * rng.randrange(1, 3) for i in range(30)]
+        order = lambda l: l  # noqa: E731
+        edge = b"aaaaaaa" if not reverse else b"zzzzzzz"
+    assert len(edge) + 1 == 8
+    files = {}
+    for p in range(k):
+        lines = sorted((rng.choice(vocab) for _ in range(6000)),
+                       key=order, reverse=reverse)
+        if p < 2:
+            lines[:0] = [edge] * (CHUNK // 8 + 100 * p)
+        files[f"/p{p}"] = b"\n".join(lines) + (b"\n" if p < k - 1 else b"")
+    return files
+
+
+MERGE_CASES = [(k, flags) for k in (1, 2, 8)
+               for flags in ("", "-u", "-r", "-k2 -n", "-u -k2 -n")]
+
+
+class TestRunBatchedMerge:
+    @pytest.mark.parametrize("k,flags", MERGE_CASES)
+    def test_equals_per_line_loop(self, k, flags, monkeypatch):
+        files = _sorted_parts(k, flags)
+        script = f"sort -m {flags} {' '.join(sorted(files))}"
+        batched = _observe(script, files)
+        monkeypatch.setattr(sorting, "kway_merge", _kway_merge_per_line)
+        per_line = _observe(script, files)
+        assert batched[0] == 0
+        assert batched == per_line  # stdout, elapsed (==), dispatches
+        # and both are the serial sort of the concatenation
+        check = _observe(f"sort {flags} {' '.join(sorted(files))}", files)
+        assert batched[1] == check[1]
+
+    def test_seeded_faults_fire_on_the_same_op(self, monkeypatch):
+        from repro import FaultPlan
+
+        files = _sorted_parts(8, "")
+        script = f"sort -m {' '.join(sorted(files))} | cat"
+
+        def plan():
+            return FaultPlan(seed=21, rate=0.02,
+                             kinds=("disk-error", "pipe-break"))
+
+        batched = _observe(script, files, faults=plan())
+        monkeypatch.setattr(sorting, "kway_merge", _kway_merge_per_line)
+        per_line = _observe(script, files, faults=plan())
+        assert batched[5], "the schedule must fire at least once"
+        assert batched == per_line  # incl. FaultPlan op count and trace
+
+
+class _ScriptedReads:
+    """Stands in for a Process: ``read`` hands out ``data`` in pieces."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.reads = 0
+
+    def read(self, fd, nbytes):
+        self.reads += 1
+        piece, self.data = self.data[:nbytes], self.data[nbytes:]
+        return piece
+        yield  # a sub-generator, like Process.read
+
+
+class _PopFrontLineStream:
+    """LineStream before the cursor (``list.pop(0)`` per line): the
+    reference for what ``next_line``/``next_batch`` deliver and when
+    they read."""
+
+    def __init__(self, proc, fd, chunk):
+        self.proc, self.fd, self.chunk = proc, fd, chunk
+        self._buf = bytearray()
+        self._eof = False
+        self._lines: list[bytes] = []
+
+    def _read(self):
+        data = yield from self.proc.read(self.fd, self.chunk)
+        if not data:
+            self._eof = True
+            if self._buf:
+                self._lines.append(bytes(self._buf))
+                self._buf.clear()
+        else:
+            self._buf.extend(data)
+            if b"\n" in self._buf:
+                *complete, rest = self._buf.split(b"\n")
+                self._lines.extend(line + b"\n" for line in complete)
+                self._buf = bytearray(rest)
+
+    def next_line(self):
+        while not self._lines and not self._eof:
+            yield from self._read()
+        return self._lines.pop(0) if self._lines else None
+
+    def next_batch(self):
+        if not self._lines and not self._eof:
+            yield from self._read()
+        if self._lines:
+            batch, self._lines = self._lines, []
+            return batch
+        return None if self._eof else []
+
+
+def _drive(gen):
+    try:
+        next(gen)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("scripted reads never block")
+
+
+class TestLineStreamCursor:
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.text(alphabet="ab\n", max_size=60).map(str.encode),
+           chunk=st.integers(min_value=1, max_value=9),
+           calls=st.lists(st.sampled_from(["next_line", "next_batch"]),
+                          min_size=1, max_size=40))
+    def test_mixed_calls_deliver_and_read_as_before(self, data, chunk,
+                                                    calls):
+        new_proc, old_proc = _ScriptedReads(data), _ScriptedReads(data)
+        new = base.LineStream(new_proc, 0, chunk)
+        old = _PopFrontLineStream(old_proc, 0, chunk)
+        for call in calls:
+            assert (_drive(getattr(new, call)())
+                    == _drive(getattr(old, call)()))
+            assert new_proc.reads == old_proc.reads
+
+    def test_skip_run_takes_only_identical_buffered_lines(self):
+        proc = _ScriptedReads(b"a\na\na\nb\nb\na")
+        stream = base.LineStream(proc, 0, 9)  # "a\na\na\nb\nb" + "\na"
+        assert _drive(stream.next_line()) == b"a\n"
+        assert stream.skip_run(b"a\n") == 2
+        assert stream.skip_run(b"a\n") == 0  # next buffered line is b
+        assert _drive(stream.next_line()) == b"b\n"
+        assert stream.skip_run(b"b\n") == 0  # second b not complete yet
+        assert proc.reads == 1  # skip_run never reads
+        assert _drive(stream.next_line()) == b"b\n"
+        assert _drive(stream.next_batch()) == [b"a"]
+        assert _drive(stream.next_batch()) is None
