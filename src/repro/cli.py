@@ -37,62 +37,70 @@ def _main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="jash", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    run_p = sub.add_parser("run", help="run a script on the virtual OS")
-    run_p.add_argument("script", nargs="?", help="script file (host path)")
-    run_p.add_argument("-c", dest="inline", help="inline script text")
-    run_p.add_argument("--engine", choices=("bash", "pash", "jash"),
-                       default="jash")
-    run_p.add_argument("--machine", choices=sorted(PROFILES), default="laptop")
-    run_p.add_argument("--file", action="append", default=[],
-                       metavar="HOST:VIRT",
-                       help="copy a host file into the virtual fs")
+    # argument blocks shared between subcommands (argparse parents):
+    # script_args everywhere a script is read, machine_args where one is
+    # executed, run_args where it runs under the planes (run/stat)
+    script_args = argparse.ArgumentParser(add_help=False)
+    script_args.add_argument("script", nargs="?",
+                             help="script file (host path)")
+    script_args.add_argument("-c", dest="inline", help="inline script text")
+    machine_args = argparse.ArgumentParser(add_help=False)
+    machine_args.add_argument("--engine", choices=("bash", "pash", "jash"),
+                              default="jash")
+    machine_args.add_argument("--machine", choices=sorted(PROFILES),
+                              default="laptop")
+    machine_args.add_argument("--file", action="append", default=[],
+                              metavar="HOST:VIRT",
+                              help="copy a host file into the virtual fs")
+    run_args = argparse.ArgumentParser(add_help=False)
+    run_args.add_argument(
+        "--metrics", metavar="OUT.json",
+        help="sample the metrics plane on the virtual clock and export the "
+             "deterministic snapshot")
+    run_args.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="host worker processes for certificate-gated regions (default "
+             "$JASH_JOBS or 1; stdout and virtual times are identical at "
+             "any N; `stat` adds a pool section when N > 1)")
+    run_args.add_argument(
+        "--supervise", action="store_true",
+        help="run under the crash-consistent supervisor (journaled rounds, "
+             "durable checkpoints, resume from --checkpoint after a crash)")
+    run_args.add_argument(
+        "--checkpoint", metavar="DIR",
+        help="checkpoint directory (journal + cache snapshot); required "
+             "with --supervise")
+    run_args.add_argument(
+        "--input", metavar="VIRT", default="/stream.log",
+        help="virtual path of the growing input (default /stream.log)")
+    run_args.add_argument(
+        "--tail", metavar="HOST",
+        help="host file to tail as the growing input; default is a seeded "
+             "synthetic log stream")
+    run_args.add_argument("--rounds", type=int, default=1,
+                          help="supervised rounds to run (default 1)")
+    run_args.add_argument(
+        "--grow", type=int, default=65536, metavar="BYTES",
+        help="bytes the synthetic source grows per round")
+    run_args.add_argument("--seed", type=int, default=0,
+                          help="synthetic source seed")
+
+    run_p = sub.add_parser("run", help="run a script on the virtual OS",
+                           parents=[script_args, machine_args,
+                                    run_args])
     run_p.add_argument("--report", action="store_true",
                        help="print the optimizer's decisions afterwards")
     run_p.add_argument("--trace", metavar="OUT.json",
                        help="record a trace and export Chrome trace_event "
                             "JSON (open in ui.perfetto.dev)")
-    run_p.add_argument("--metrics", metavar="OUT.json",
-                       help="sample the metrics plane on the virtual clock "
-                            "and export the deterministic snapshot")
     run_p.add_argument("--no-splice", action="store_true",
                        help="disable the kernel splice fast path (results "
                             "are identical; this exists to prove it)")
-    run_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="host worker processes for certificate-gated "
-                            "regions (default $JASH_JOBS or 1; stdout and "
-                            "virtual times are identical at any N)")
-    run_p.add_argument("--supervise", action="store_true",
-                       help="run under the crash-consistent supervisor "
-                            "(journaled rounds, durable checkpoints, "
-                            "resume from --checkpoint after a crash)")
-    run_p.add_argument("--checkpoint", metavar="DIR",
-                       help="checkpoint directory (journal + cache "
-                            "snapshot); required with --supervise")
-    run_p.add_argument("--input", metavar="VIRT", default="/stream.log",
-                       help="virtual path of the growing input "
-                            "(default /stream.log)")
-    run_p.add_argument("--tail", metavar="HOST",
-                       help="host file to tail as the growing input; "
-                            "default is a seeded synthetic log stream")
-    run_p.add_argument("--rounds", type=int, default=1,
-                       help="supervised rounds to run (default 1)")
-    run_p.add_argument("--grow", type=int, default=65536, metavar="BYTES",
-                       help="bytes the synthetic source grows per round")
-    run_p.add_argument("--seed", type=int, default=0,
-                       help="synthetic source seed")
 
     stat_p = sub.add_parser(
         "stat", help="run a script with the metrics plane and print "
-                     "per-window telemetry tables")
-    stat_p.add_argument("script", nargs="?", help="script file (host path)")
-    stat_p.add_argument("-c", dest="inline", help="inline script text")
-    stat_p.add_argument("--engine", choices=("bash", "pash", "jash"),
-                        default="jash")
-    stat_p.add_argument("--machine", choices=sorted(PROFILES),
-                        default="laptop")
-    stat_p.add_argument("--file", action="append", default=[],
-                        metavar="HOST:VIRT",
-                        help="copy a host file into the virtual fs")
+                     "per-window telemetry tables",
+        parents=[script_args, machine_args, run_args])
     stat_p.add_argument("--interval", type=float, default=0.25,
                         metavar="VSEC",
                         help="sampling window in virtual seconds "
@@ -102,50 +110,23 @@ def _main(argv=None) -> int:
     stat_p.add_argument("--format", choices=("table", "prom"),
                         default="table",
                         help="table report or Prometheus text exposition")
-    stat_p.add_argument("--metrics", metavar="OUT.json",
-                        help="also export the deterministic snapshot")
-    stat_p.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="host worker processes; adds the pool section "
-                             "to the report when N > 1")
-    stat_p.add_argument("--supervise", action="store_true",
-                        help="drive the script under the supervisor and "
-                             "report across its rounds")
-    stat_p.add_argument("--checkpoint", metavar="DIR",
-                        help="checkpoint directory; required with "
-                             "--supervise")
-    stat_p.add_argument("--input", metavar="VIRT", default="/stream.log")
-    stat_p.add_argument("--tail", metavar="HOST",
-                        help="host file to tail as the growing input")
-    stat_p.add_argument("--rounds", type=int, default=1)
-    stat_p.add_argument("--grow", type=int, default=65536, metavar="BYTES")
-    stat_p.add_argument("--seed", type=int, default=0)
 
     prof_p = sub.add_parser(
         "profile", help="run a script with tracing and print the "
-                        "critical-path report")
-    prof_p.add_argument("script", nargs="?", help="script file (host path)")
-    prof_p.add_argument("-c", dest="inline", help="inline script text")
-    prof_p.add_argument("--engine", choices=("bash", "pash", "jash"),
-                        default="jash")
-    prof_p.add_argument("--machine", choices=sorted(PROFILES),
-                        default="laptop")
-    prof_p.add_argument("--file", action="append", default=[],
-                        metavar="HOST:VIRT",
-                        help="copy a host file into the virtual fs")
+                        "critical-path report",
+        parents=[script_args, machine_args])
     prof_p.add_argument("--trace", metavar="OUT.json",
                         help="also export the Chrome trace_event JSON")
     prof_p.add_argument("--top", type=int, default=8,
                         help="processes to show in the report table")
 
-    lint_p = sub.add_parser("lint", help="static analysis of a script")
-    lint_p.add_argument("script", nargs="?")
-    lint_p.add_argument("-c", dest="inline")
+    sub.add_parser("lint", help="static analysis of a script",
+                   parents=[script_args])
 
     check_p = sub.add_parser(
         "check", help="whole-script effect analysis: safety certificates, "
-                      "races, def-use flow, plus all lint diagnostics")
-    check_p.add_argument("script", nargs="?")
-    check_p.add_argument("-c", dest="inline")
+                      "races, def-use flow, plus all lint diagnostics",
+        parents=[script_args])
     check_p.add_argument("--format", choices=("text", "json"),
                          default="text")
     check_p.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -157,13 +138,10 @@ def _main(argv=None) -> int:
                                     "lint code")
     explain_p.add_argument("pipeline")
 
-    tutor_p = sub.add_parser("tutor", help="review a script with guidance")
-    tutor_p.add_argument("script", nargs="?")
-    tutor_p.add_argument("-c", dest="inline")
+    sub.add_parser("tutor", help="review a script with guidance",
+                   parents=[script_args])
 
-    parse_p = sub.add_parser("parse", help="dump the AST")
-    parse_p.add_argument("script", nargs="?")
-    parse_p.add_argument("-c", dest="inline")
+    sub.add_parser("parse", help="dump the AST", parents=[script_args])
 
     infer_p = sub.add_parser("infer", help="infer a command's spec")
     infer_p.add_argument("argv", nargs="+")
@@ -213,32 +191,23 @@ def _main(argv=None) -> int:
         metrics = _make_metrics(args)
         if args.supervise:
             return _supervise(args, text, machine, metrics=metrics)
-        optimizer = make_engine(args.engine)
         tracer = None
         if args.trace:
             from .obs import Tracer
 
             tracer = Tracer()
-        shell = Shell(machine, optimizer=optimizer, tracer=tracer,
-                      metrics=metrics, jobs=args.jobs)
-        for spec in args.file:
-            host, _, virt = spec.partition(":")
-            with open(host, "rb") as fh:
-                shell.fs.write_bytes(virt or "/" + host, fh.read())
+        shell = _make_shell(args, machine, tracer=tracer, metrics=metrics,
+                            jobs=args.jobs)
         _warn_jobs_idle(text, shell)
         result = shell.run(text)
         sys.stdout.write(result.out)
         sys.stderr.write(result.err)
         print(f"[virtual time: {result.elapsed:.4f}s on {machine.name}]",
               file=sys.stderr)
-        if args.report and optimizer is not None and hasattr(optimizer, "report"):
-            print(optimizer.report(), file=sys.stderr)
+        if args.report and hasattr(shell.optimizer, "report"):
+            print(shell.optimizer.report(), file=sys.stderr)
         if tracer is not None:
-            from .obs import dump_chrome
-
-            dump_chrome(tracer, args.trace)
-            print(f"[trace: {len(tracer.records)} records -> {args.trace}]",
-                  file=sys.stderr)
+            _export_trace(tracer, args.trace)
         if metrics is not None:
             _export_metrics(metrics, shell.kernel.now, args.metrics)
         return result.status
@@ -247,25 +216,19 @@ def _main(argv=None) -> int:
         return _stat(args)
 
     if args.cmd == "profile":
-        from .obs import Tracer, dump_chrome, render_report
+        from .obs import Tracer, render_report
 
         text = _script_text(args)
         machine = profile(args.machine)
-        optimizer = make_engine(args.engine)
         tracer = Tracer()
-        shell = Shell(machine, optimizer=optimizer, tracer=tracer)
-        for spec in args.file:
-            host, _, virt = spec.partition(":")
-            with open(host, "rb") as fh:
-                shell.fs.write_bytes(virt or "/" + host, fh.read())
+        shell = _make_shell(args, machine, tracer=tracer)
         result = shell.run(text)
         sys.stderr.write(result.err)
         print(f"[status {result.status}, virtual time {result.elapsed:.4f}s "
               f"on {machine.name}, engine {args.engine}]")
         print(render_report(tracer, top=args.top))
         if args.trace:
-            dump_chrome(tracer, args.trace)
-            print(f"[trace: {len(tracer.records)} records -> {args.trace}]")
+            _export_trace(tracer, args.trace, to_stdout=True)
         return result.status
 
     if args.cmd == "lint":
@@ -339,6 +302,25 @@ def _warn_jobs_idle(text: str, shell) -> None:
         print(diag, file=sys.stderr)
 
 
+def _make_shell(args, machine, **planes) -> Shell:
+    """The shell `run`/`stat`/`profile` drive: ``--engine`` installed
+    and every ``--file HOST:VIRT`` copied into the virtual fs."""
+    shell = Shell(machine, optimizer=make_engine(args.engine), **planes)
+    for spec in args.file:
+        host, _, virt = spec.partition(":")
+        with open(host, "rb") as fh:
+            shell.fs.write_bytes(virt or "/" + host, fh.read())
+    return shell
+
+
+def _export_trace(tracer, path: str, to_stdout: bool = False) -> None:
+    from .obs import dump_chrome
+
+    dump_chrome(tracer, path)
+    print(f"[trace: {len(tracer.records)} records -> {path}]",
+          file=sys.stdout if to_stdout else sys.stderr)
+
+
 def _make_metrics(args):
     if not getattr(args, "metrics", None):
         return None
@@ -396,11 +378,7 @@ def _supervise(args, text: str, machine, metrics=None,
         sys.stdout.buffer.write(supervisor.committed_output())
         sys.stdout.flush()
     if tracer is not None:
-        from .obs import dump_chrome
-
-        dump_chrome(tracer, args.trace)
-        print(f"[trace: {len(tracer.records)} records -> {args.trace}]",
-              file=sys.stderr)
+        _export_trace(tracer, args.trace)
     if metrics is not None and supervisor.shell is not None:
         metrics.finish(supervisor.shell.kernel.now)
         if getattr(args, "metrics", None):
@@ -425,13 +403,7 @@ def _stat(args) -> int:
         if status != 0:
             return status
     else:
-        optimizer = make_engine(args.engine)
-        shell = Shell(machine, optimizer=optimizer, metrics=metrics,
-                      jobs=args.jobs)
-        for spec in args.file:
-            host, _, virt = spec.partition(":")
-            with open(host, "rb") as fh:
-                shell.fs.write_bytes(virt or "/" + host, fh.read())
+        shell = _make_shell(args, machine, metrics=metrics, jobs=args.jobs)
         _warn_jobs_idle(text, shell)
         result = shell.run(text)
         sys.stderr.write(result.err)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from ..vos.process import CHUNK, Process
 from .base import (
@@ -71,11 +72,20 @@ def parse_tr_set(spec: str) -> bytes:
     return "".join(out).encode("latin-1")
 
 
+class TrPlan(NamedTuple):
+    """Precomputed translation artifacts for one tr invocation shape."""
+
+    delete: Optional[bytes]       # bytes to drop (``-d``), else None
+    table: Optional[bytes]        # 256-entry translation table, else None
+    squeeze: bytes                # bytes whose runs collapse (``-s``)
+    squeeze_re: Optional[re.Pattern]
+
+
 @lru_cache(maxsize=128)
-def _tr_plan(operands: tuple, complement: bool, squeeze: bool, delete: bool):
-    """Precomputed translation artifacts for one tr invocation shape:
-    ``(delete_chars, table, squeeze_set, squeeze_re)``.  Cached because
-    loops re-run the same tr spec thousands of times and rebuilding the
+def _tr_plan(operands: tuple, complement: bool, squeeze: bool,
+             delete: bool) -> TrPlan:
+    """The :class:`TrPlan` for one invocation.  Cached because loops
+    re-run the same tr spec thousands of times and rebuilding the
     256-entry tables dominates short invocations."""
     if delete:
         if len(operands) != (2 if squeeze else 1):
@@ -120,7 +130,30 @@ def _tr_plan(operands: tuple, complement: bool, squeeze: bool, delete: bool):
     # a run of any squeeze-set byte collapses to a single occurrence
     squeeze_re = (re.compile(b"([" + re.escape(squeeze_set) + b"])\\1+")
                   if squeeze_set else None)
-    return delete_chars, table, squeeze_set, squeeze_re
+    return TrPlan(delete_chars, table, squeeze_set, squeeze_re)
+
+
+def tr_block(data: bytes, plan: TrPlan, carry: int) -> tuple[bytes, int]:
+    """tr as a one-state transducer over one block: ``carry`` is the
+    previous *kept output* byte (-1 if none yet), returned updated.
+    The ``tr`` command's chunk loop, the host pool's pure-Python kernel
+    and its oracle's sub-block remainder resolver are all this
+    function."""
+    if plan.delete is not None:
+        data = data.translate(None, plan.delete)
+    elif plan.table is not None:
+        data = data.translate(plan.table)
+    if plan.squeeze and data:
+        # continue a squeeze run that straddled the block boundary
+        if carry >= 0 and carry in plan.squeeze:
+            i, n = 0, len(data)
+            while i < n and data[i] == carry:
+                i += 1
+            data = data[i:]
+        if data:
+            data = plan.squeeze_re.sub(b"\\1", data)
+            carry = data[-1]
+    return data, carry
 
 
 @command("tr")
@@ -134,8 +167,7 @@ def tr(proc: Process, argv: list[str]):
     squeeze = bool(opts.get("s"))
     delete = bool(opts.get("d"))
     try:
-        delete_chars, table, squeeze_set, squeeze_re = _tr_plan(
-            tuple(operands), complement, squeeze, delete)
+        plan = _tr_plan(tuple(operands), complement, squeeze, delete)
     except UsageError as err:
         yield from write_err(proc, f"tr: {err}")
         return 2
@@ -163,21 +195,7 @@ def tr(proc: Process, argv: list[str]):
             # last emitted byte
             last_byte = oracle.last_emitted_byte()
             oracle = None
-        if delete_chars is not None:
-            data = data.translate(None, delete_chars)
-        elif table is not None:
-            data = data.translate(table)
-        if squeeze_set and data:
-            # continue a squeeze run that straddled the chunk boundary
-            if last_byte >= 0 and last_byte in squeeze_set:
-                i = 0
-                n = len(data)
-                while i < n and data[i] == last_byte:
-                    i += 1
-                data = data[i:]
-            if data:
-                data = squeeze_re.sub(b"\\1", data)
-                last_byte = data[-1]
+        data, last_byte = tr_block(data, plan, last_byte)
         yield from proc.write(1, data)
     if oracle is not None:
         oracle.finish()

@@ -34,8 +34,8 @@ class DiskProbe:
     min_request_bytes: int
 
     @staticmethod
-    def from_disk(disk) -> "DiskProbe":
-        disk._refill(getattr(disk, "_now_hint", disk._last_refill))
+    def from_disk(disk, now: float) -> "DiskProbe":
+        disk._refill(now)
         spec = disk.spec
         return DiskProbe(
             throughput_bps=spec.throughput_bps,
@@ -63,16 +63,6 @@ class Probe:
     #: tokenizing stage such as ``tr -cs A-Za-z '\n'``
     avg_token_bytes: float = 8.0
     runnable_load: int = 0
-    #: measured per-command costs (repro.obs.metrics.ObservedCosts) from
-    #: the metrics plane; None ⇒ pure static estimates.  Only populated
-    #: when JashConfig.profile_feedback is on, so decisions stay
-    #: bit-identical with the flag off.
-    observed: Optional[object] = None
-    #: S20 static volume/trip bounds (:class:`StaticCosts`) from the
-    #: abstract interpreter's CostCertificates; None ⇒ dynamic probing
-    #: only.  Populated only under JashConfig.static_cost_hints, the
-    #: same ship-dark discipline as ``observed``.
-    static_hints: Optional[object] = None
 
     @property
     def input_lines(self) -> float:
@@ -81,11 +71,11 @@ class Probe:
 
 class StaticCosts:
     """The static complement of the metrics plane's ObservedCosts: per-
-    region volume and trip-count bounds from the S20 abstract
-    interpreter's signed CostCertificates (repro.analysis.absint),
-    keyed by unparsed region text so a consumer needs no AST identity.
+    region volume bounds from the S20 abstract interpreter's signed
+    CostCertificates (repro.analysis.absint), keyed by unparsed region
+    text so a consumer needs no AST identity.
 
-    ObservedCosts answers "what did this command cost last time it
+    ObservedCosts answers "how much did this command see last time it
     ran"; StaticCosts answers "how much data *can* this region see,
     proven before anything runs".  The analysis benchmark compares the
     two on constant-bound workloads (static within 2× of observed)."""
@@ -110,17 +100,6 @@ class StaticCosts:
         uncertified)."""
         cert = self.certs.get(node_text)
         return cert.bytes_hi if cert is not None else None
-
-    def trip_bounds(self, node_text: str) -> Optional[tuple]:
-        """(lo, hi) loop trip-count bounds; hi None ⇒ unbounded."""
-        cert = self.certs.get(node_text)
-        return (cert.trip_lo, cert.trip_hi) if cert is not None else None
-
-    def stage_bytes(self, node_text: str) -> tuple:
-        """Per-stage byte hints ((bytes entering each stage)), possibly
-        empty."""
-        cert = self.certs.get(node_text)
-        return cert.stage_bytes if cert is not None else ()
 
     def __len__(self) -> int:
         return len(self.certs)
@@ -170,22 +149,9 @@ def _stage_flows(region: Region, probe: Probe) -> list[tuple[float, float]]:
     return flows
 
 
-def _coeff(command: str, observed) -> float:
-    """CPU-per-byte for ``command``: the metrics plane's measurement
-    when profile feedback supplied one, the static table otherwise."""
-    if observed is not None:
-        measured = observed.coeff(command)
-        if measured is not None:
-            return measured
-    return cpu_coeff(command)
-
-
-def _stage_cpu(stage, nbytes: float, avg_line: float, observed=None) -> float:
-    cpu = _coeff(stage.argv[0], observed) * nbytes
-    if stage.argv[0] == "sort" and (
-            observed is None or observed.coeff("sort") is None):
-        # the n·log n comparison term is folded into a measured
-        # coefficient already; only add it to the static estimate
+def _stage_cpu(stage, nbytes: float, avg_line: float) -> float:
+    cpu = cpu_coeff(stage.argv[0]) * nbytes
+    if stage.argv[0] == "sort":
         lines = max(1.0, nbytes / avg_line)
         cpu += lines * math.log2(max(2.0, lines)) * SORT_CMP_COST
     return cpu
@@ -199,8 +165,7 @@ def estimate_baseline(region: Region, probe: Probe) -> CostEstimate:
     stream_peak = 0.0
     blocking_cpu = 0.0
     for stage, (nbytes, avg_line) in zip(region.stages, flows):
-        cpu = _stage_cpu(stage, nbytes, avg_line,
-                         probe.observed) / probe.cpu_speed
+        cpu = _stage_cpu(stage, nbytes, avg_line) / probe.cpu_speed
         if stage.spec.blocking:
             blocking_cpu += cpu
         else:
@@ -251,7 +216,7 @@ def estimate_parallel(region: Region, probe: Probe, width: int, mode: str,
     par = min(width, effective_cores)
     run_cpu = 0.0
     for stage, (nbytes, avg_line) in zip(run_stages, flows[run.start : run.end]):
-        run_cpu += _stage_cpu(stage, nbytes / width, avg_line, probe.observed)
+        run_cpu += _stage_cpu(stage, nbytes / width, avg_line)
     # branches beyond core count time-share
     run_cpu = run_cpu / probe.cpu_speed * (width / par)
 
@@ -269,17 +234,15 @@ def estimate_parallel(region: Region, probe: Probe, width: int, mode: str,
                      * math.log2(max(2, width)) * SORT_CMP_COST
                      + merged_bytes * CPU_PER_BYTE["sort"]) / probe.cpu_speed
     elif run.agg_kind is AggKind.RERUN:
-        merge_cpu = merged_bytes * _coeff(
-            run.agg_argv[0] if run.agg_argv else "default",
-            probe.observed) / probe.cpu_speed
+        merge_cpu = merged_bytes * cpu_coeff(
+            run.agg_argv[0] if run.agg_argv else "default") / probe.cpu_speed
     else:
         merge_cpu = merged_bytes * 1e-9 / probe.cpu_speed
 
     down_cpu = 0.0
     for stage, (nbytes, avg_line) in zip(region.stages[run.end :],
                                          flows[run.end :]):
-        down_cpu += _stage_cpu(stage, nbytes, avg_line,
-                               probe.observed) / probe.cpu_speed
+        down_cpu += _stage_cpu(stage, nbytes, avg_line) / probe.cpu_speed
 
     blocking = any(s.spec.blocking for s in run_stages)
     if blocking:
@@ -333,7 +296,6 @@ class ShipEstimate:
 def estimate_host_ship(nbytes: int, jobs: int, stages: int = 1,
                        static_hints: Optional[object] = None,
                        region_text: Optional[str] = None,
-                       observed: Optional[object] = None,
                        min_ship_bytes: int = 0) -> ShipEstimate:
     """The per-core IPC term of the cost model, applied to host shipping.
 
@@ -341,25 +303,14 @@ def estimate_host_ship(nbytes: int, jobs: int, stages: int = 1,
     when the abstract interpreter proved a smaller volume bound for the
     region than the snapshot size, the bound wins — a region whose
     certified volume cannot amortize the IPC cost is never shipped even
-    if the file on disk is large.  ``observed`` (ObservedCosts) refines
-    the serial-side per-byte cost the same way the JIT's probe does.
+    if the file on disk is large.
     """
     if static_hints is not None and region_text:
         bound = static_hints.input_bytes(region_text)
         if bound is not None:
             nbytes = min(nbytes, bound)
-    per_byte = HOST_SERIAL_COST_PER_BYTE
-    if observed is not None:
-        try:
-            coeffs = [observed.cpu_per_byte(cmd)
-                      for cmd in ("tr", "sort", "uniq")]
-            coeffs = [c for c in coeffs if c]
-            if coeffs:
-                per_byte = max(per_byte, sum(coeffs))
-        except AttributeError:
-            pass
     parts = max(1, min(jobs, 8))
-    serial_s = nbytes * per_byte * max(1, stages)
+    serial_s = nbytes * HOST_SERIAL_COST_PER_BYTE * max(1, stages)
     ship_s = (HOST_IPC_LATENCY_S * (parts * max(1, stages) + 1)
               + 2.0 * nbytes / HOST_IPC_BW)
     parallel_s = serial_s / (HOST_KERNEL_SPEEDUP * max(1, min(jobs, parts)))

@@ -6,17 +6,20 @@ from typing import Optional
 
 from ..vos.errors import VosError
 from ..vos.faults import FAULT_STATUSES
+from ..vos.fs import normalize
 from ..vos.process import Process
 from .parallel import Plan
 from .runtime import execute_graph
 
 
-def execute_plan(plan: Plan, proc: Process, cwd: str = "/"):
+def run_phases(plan: Plan, proc: Process, cwd: str, stdout_handle=None):
     """Run a plan's phases in order inside the shell process ``proc``,
-    wiring the region's stdin/stdout/stderr to the shell's fds.  Cleans
-    up temp chunk files afterwards.  Returns the plan's exit status."""
+    wiring the region's stdin/stdout/stderr to the shell's fds
+    (``stdout_handle`` overrides fd 1: the transactional staging
+    collector).  Returns the plan's exit status."""
     stdin_handle = proc.fds.get(0)
-    stdout_handle = proc.fds.get(1)
+    if stdout_handle is None:
+        stdout_handle = proc.fds.get(1)
     stderr_handle = proc.fds.get(2)
     status = 0
     for phase in plan.phases:
@@ -31,18 +34,27 @@ def execute_plan(plan: Plan, proc: Process, cwd: str = "/"):
             # a faulted phase's chunk files are incomplete; running the
             # next phase over them would "succeed" with missing data
             break
-    for path in plan.temp_files:
+    return status
+
+
+def unlink_quiet(proc: Process, paths, cwd: str) -> None:
+    for path in paths:
         try:
-            proc.fs.unlink(proc.resolve(path))
+            proc.fs.unlink(normalize(path, cwd))
         except VosError:
             pass
+
+
+def execute_plan(plan: Plan, proc: Process, cwd: str = "/"):
+    """:func:`run_phases` against the shell's own stdout, then temp
+    chunk file cleanup.  Returns the plan's exit status."""
+    status = yield from run_phases(plan, proc, cwd)
+    unlink_quiet(proc, plan.temp_files, cwd)
     return status
 
 
 def fs_file_sizes(fs, cwd: str):
     """A file_sizes callback over a virtual filesystem."""
-    from ..vos.fs import normalize
-
     def file_sizes(path: str) -> Optional[int]:
         resolved = normalize(path, cwd)
         if fs.is_file(resolved):

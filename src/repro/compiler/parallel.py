@@ -157,8 +157,8 @@ def parallelize(region: Region, width: int, mode: str,
     if width < 2 or mode not in SPLIT_MODES:
         return None
     run = find_parallel_run(region)
-    if run is None:
-        return None
+    if run is None or region.stages[-1].stdout_append:
+        return None  # a plan's sink file is opened for truncation
     stages = region.stages
     agg_commutative = run.agg_kind in (AggKind.SORT_MERGE, AggKind.SUM, AggKind.RERUN)
     if mode == "rr" and not agg_commutative:

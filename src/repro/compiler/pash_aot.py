@@ -24,13 +24,13 @@ from ..dfg.from_ast import extract_region
 from ..distributed.retry import RetryPolicy
 from ..parser.ast_nodes import Command, Pipeline, SimpleCommand
 from ..parser.unparse import unparse
-from .driver import execute_plan, fs_file_sizes
+from .driver import fs_file_sizes
 from .parallel import parallelize
-from .transactional import (
-    DEFAULT_REGION_POLICY,
-    RecoveryReport,
-    execute_plan_transactional,
-)
+from .transactional import DEFAULT_REGION_POLICY, run_region
+
+
+_NOT_EXTRACTABLE = ("region not extractable ahead-of-time (dynamic words, "
+                    "unknown commands, or unsupported redirects)")
 
 
 @dataclass
@@ -148,11 +148,8 @@ class PashOptimizer:
                     self.cert_hits += 1
                 region = extract_region(node, self.config.library)
                 if region is None:
-                    self.events.append(AotEvent(
-                        unparse(node), "skipped",
-                        "region not extractable ahead-of-time (dynamic "
-                        "words, unknown commands, or unsupported redirects)",
-                    ))
+                    self.events.append(AotEvent(unparse(node), "skipped",
+                                                _NOT_EXTRACTABLE))
                 elif not region.parallelizable:
                     self.events.append(AotEvent(unparse(node), "skipped",
                                                 "no parallelizable stage"))
@@ -167,11 +164,8 @@ class PashOptimizer:
         region = extract_region(node, self.config.library)
         if region is None:
             if not self._compiled:
-                self.events.append(AotEvent(
-                    text, "skipped",
-                    "region not extractable ahead-of-time "
-                    "(dynamic words, unknown commands, or unsupported redirects)",
-                ))
+                self.events.append(AotEvent(text, "skipped",
+                                            _NOT_EXTRACTABLE))
             return None
         if not region.parallelizable:
             return None
@@ -186,61 +180,29 @@ class PashOptimizer:
             self.events.append(AotEvent(text, "skipped",
                                         "no applicable split mode"))
             return None
-        kernel = proc.kernel
-        tracer = getattr(kernel, "tracer", None)
-        metrics = getattr(kernel, "metrics", None)
+        metrics = getattr(proc.kernel, "metrics", None)
         if metrics is not None:
             metrics.counter("aot.regions").inc()
-        exec_start = kernel.now
-        snapshot = tracer.region_begin() if tracer is not None else None
-        if not self.config.transactional:
-            status = yield from execute_plan(plan, proc, cwd=interp.state.cwd)
-            if tracer is not None:
-                tracer.region_end(
-                    "aot", "aot.region", exec_start, kernel.now, snapshot,
-                    proc, command=text, decision="optimized",
-                    width=self.config.width, mode=plan.mode, status=status)
-            self.events.append(AotEvent(text, "optimized",
-                                        f"fixed width {self.config.width}",
-                                        plan.description))
-            return status
-        report = RecoveryReport()
-        status = yield from execute_plan_transactional(
-            plan, proc, cwd=interp.state.cwd,
-            policy=self.config.retry, report=report)
-        if report.gave_up:
-            if metrics is not None:
-                metrics.counter("aot.fallbacks").inc()
-            if tracer is not None:
-                tracer.instant("aot", "aot.fallback", kernel.now, proc,
-                               command=text, attempts=report.attempts,
-                               fault_failures=report.fault_failures)
-                tracer.region_end(
-                    "aot", "aot.region", exec_start, kernel.now, snapshot,
-                    proc, command=text, decision="interpreted",
-                    width=self.config.width,
-                    fault_failures=report.fault_failures)
+        # no width ladder: the resource-oblivious compiler goes straight
+        # from its fixed width to the interpreter
+        run = yield from run_region(
+            plan, proc, interp.state.cwd, "aot", text,
+            policy=self.config.retry if self.config.transactional else None)
+        faulted = run.report.fault_failures
+        if run.status is None:
             self.events.append(AotEvent(
                 text, "interpreted",
-                f"fault fallback to interpreter after {report.attempts} "
-                "attempts", plan.description,
-                fault_failures=report.fault_failures))
+                f"fault fallback to interpreter after {run.report.attempts} "
+                "attempts", plan.description, fault_failures=faulted))
             return None
-        if tracer is not None:
-            tracer.region_end(
-                "aot", "aot.region", exec_start, kernel.now, snapshot,
-                proc, command=text,
-                decision="degraded" if report.fault_failures else "optimized",
-                width=self.config.width, mode=plan.mode, status=status,
-                fault_failures=report.fault_failures)
         self.events.append(AotEvent(
             text,
-            "degraded" if report.fault_failures else "optimized",
+            "degraded" if faulted else "optimized",
             f"fixed width {self.config.width}"
-            + (f", {report.fault_failures} fault-suspected attempts "
-               "rolled back" if report.fault_failures else ""),
-            plan.description, fault_failures=report.fault_failures))
-        return status
+            + (f", {faulted} fault-suspected attempts "
+               "rolled back" if faulted else ""),
+            plan.description, fault_failures=faulted))
+        return run.status
 
     # convenience for benchmarks
     @property

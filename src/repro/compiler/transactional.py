@@ -37,14 +37,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..distributed.retry import RetryPolicy
-from ..vos.errors import VosError
 from ..vos.faults import FAULT_STATUSES
 from ..vos.fs import normalize
 from ..vos.handles import Collector
 from ..vos.process import Process
-from .driver import execute_plan
+from .driver import execute_plan, run_phases, unlink_quiet
 from .parallel import Plan
-from .runtime import execute_graph
 
 #: default policy for region re-execution: two retries, no virtual-time
 #: backoff (the vOS clock should not drift for fault-free comparisons)
@@ -93,38 +91,10 @@ def _sink_stream(plan: Plan):
     return final.streams.get(final.sink)
 
 
-def _run_phases(plan: Plan, proc: Process, cwd: str, staging: Optional[Collector]):
-    """Run phases in order, stopping at the first fault-status phase so
-    later phases don't chew on a faulted phase's partial chunk files."""
-    stdin_handle = proc.fds.get(0)
-    stdout_handle = staging if staging is not None else proc.fds.get(1)
-    stderr_handle = proc.fds.get(2)
-    status = 0
-    for phase in plan.phases:
-        status = yield from execute_graph(
-            phase, proc,
-            stdin_handle=stdin_handle,
-            stdout_handle=stdout_handle,
-            stderr_handle=stderr_handle,
-            cwd=cwd,
-        )
-        if status in FAULT_STATUSES:
-            break
-    return status
-
-
-def _unlink_quiet(proc: Process, path: str, cwd: str) -> None:
-    try:
-        proc.fs.unlink(normalize(path, cwd))
-    except VosError:
-        pass
-
-
 def _rollback(proc: Process, plan: Plan, staged_path: Optional[str], cwd: str) -> None:
-    for path in plan.temp_files:
-        _unlink_quiet(proc, path, cwd)
+    unlink_quiet(proc, plan.temp_files, cwd)
     if staged_path is not None:
-        _unlink_quiet(proc, staged_path, cwd)
+        unlink_quiet(proc, [staged_path], cwd)
 
 
 def _commit(proc: Process, staging: Optional[Collector],
@@ -185,7 +155,7 @@ def execute_plan_transactional(plan: Plan, proc: Process, cwd: str = "/",
         else:
             staging = Collector()
         try:
-            status = yield from _run_phases(plan, proc, cwd, staging)
+            status = yield from run_phases(plan, proc, cwd, staging)
         finally:
             if sink_path is not None:
                 sink_stream.path = sink_path
@@ -201,8 +171,7 @@ def execute_plan_transactional(plan: Plan, proc: Process, cwd: str = "/",
             metrics.counter("tx.attempts").inc()
         if not suspected:
             yield from _commit(proc, staging, staged_path, sink_path, cwd)
-            for path in plan.temp_files:
-                _unlink_quiet(proc, path, cwd)
+            unlink_quiet(proc, plan.temp_files, cwd)
             if tracer is not None:
                 tracer.instant("tx", "tx.commit", kernel.now, proc,
                                attempt=report.attempts, status=status,
@@ -232,3 +201,91 @@ def execute_plan_transactional(plan: Plan, proc: Process, cwd: str = "/",
         report.retries += 1
         if delay > 0:
             yield from proc.sleep(delay)
+
+
+@dataclass
+class RegionRun:
+    """What :func:`run_region` did with one region's plan."""
+
+    #: exit status of the plan that ran last; None when retries and the
+    #: width ladder are exhausted and the caller must interpret the node
+    status: Optional[int]
+    #: the plan that ran last (a narrower one after degradation)
+    plan: Plan
+    #: recovery counters merged over every rung
+    report: RecoveryReport
+    #: the width trail under faults, e.g. ``"8 -> 4 -> interpreter"``
+    degraded: str = ""
+
+
+def run_region(plan: Plan, proc: Process, cwd: str, category: str, text: str,
+               policy: Optional[RetryPolicy] = None, narrower=None):
+    """The one "run ``plan`` for this region" routine behind both
+    engines' ``try_execute`` (a vOS sub-generator; returns a
+    :class:`RegionRun`).
+
+    ``policy`` None runs the plain :func:`execute_plan`; otherwise the
+    plan runs transactionally under ``policy`` and, each time that gives
+    up, ``narrower(plan)`` supplies the next rung of the caller's width
+    ladder (Jash halves until the width is below 2; PaSh passes None: no
+    ladder).  With the ladder exhausted the caller interprets the node —
+    sound, since the purity gate admitted the region and every failed
+    attempt was rolled back.  ``category`` (``"jit"``/``"aot"``) prefixes
+    the ``.region`` span, the ``.degrade``/``.fallback`` instants and
+    the ``.degrade_steps``/``.fallbacks`` counters."""
+    kernel = proc.kernel
+    tracer = getattr(kernel, "tracer", None)
+    metrics = getattr(kernel, "metrics", None)
+    start = kernel.now
+    snapshot = tracer.region_begin() if tracer is not None else None
+    report = RecoveryReport()
+    widths = [plan.width]
+
+    def region_end(degraded, **args):
+        if policy is not None:
+            args["fault_failures"] = report.fault_failures
+            if narrower is not None:
+                args["degraded"] = degraded
+        tracer.region_end(category, f"{category}.region", start, kernel.now,
+                          snapshot, proc, command=text, **args)
+
+    while True:
+        if policy is None:
+            status = yield from execute_plan(plan, proc, cwd=cwd)
+            break
+        rung = RecoveryReport()
+        status = yield from execute_plan_transactional(
+            plan, proc, cwd=cwd, policy=policy, report=rung)
+        report.merge(rung)
+        if not rung.gave_up:
+            break
+        if metrics is not None:
+            metrics.counter(f"{category}.fallbacks" if narrower is None
+                            else f"{category}.degrade_steps").inc()
+        next_plan = narrower(plan) if narrower is not None else None
+        if tracer is not None:
+            if narrower is None:
+                tracer.instant(category, f"{category}.fallback", kernel.now,
+                               proc, command=text, attempts=report.attempts,
+                               fault_failures=report.fault_failures)
+            else:
+                last = next_plan is None
+                tracer.instant(category, f"{category}.degrade", kernel.now,
+                               proc, command=text, from_width=plan.width,
+                               to="interpreter" if last else next_plan.width,
+                               fault_failures=(report if last
+                                               else rung).fault_failures)
+        if next_plan is None:
+            degraded = " -> ".join(map(str, widths)) + " -> interpreter"
+            if tracer is not None:
+                region_end(degraded, decision="interpreted", width=widths[0])
+            return RegionRun(None, plan, report, degraded)
+        plan = next_plan
+        widths.append(plan.width)
+
+    degraded = " -> ".join(map(str, widths)) if len(widths) > 1 else ""
+    if tracer is not None:
+        region_end(degraded, decision="degraded" if report.fault_failures
+                   else "optimized",
+                   width=plan.width, mode=plan.mode, status=status)
+    return RegionRun(status, plan, report, degraded)

@@ -2,11 +2,13 @@
 
 from .from_ast import (
     Region,
+    RegionRefusal,
     RegionStage,
     build_dfg,
     extract_region,
     literal_argv,
     make_stage,
+    read_region,
     region_from_argvs,
     to_shell,
 )
@@ -26,8 +28,9 @@ from .graph import (
 )
 
 __all__ = [
-    "Region", "RegionStage", "build_dfg", "extract_region", "literal_argv",
-    "make_stage", "region_from_argvs", "to_shell",
+    "Region", "RegionRefusal", "RegionStage", "build_dfg", "extract_region",
+    "literal_argv", "make_stage", "read_region", "region_from_argvs",
+    "to_shell",
     "CMD", "CONCAT_MERGE", "EAGER", "FILE_READ", "INTERNAL_KINDS",
     "RANGE_READ", "RR_SPLIT", "SORT_KWAY", "SUM_MERGE",
     "DataflowGraph", "DFNode", "Stream",

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..analysis.candidates import pipeline_stages
 from ..annotations.model import InstanceSpec, ParClass, SpecLibrary
-from ..parser.ast_nodes import Command, Pipeline, Redirect, SimpleCommand
+from ..parser.ast_nodes import Command, SimpleCommand
 from .graph import CMD, DataflowGraph
 
 
@@ -39,6 +40,17 @@ class Region:
         return any(s.spec.parallelizable for s in self.stages)
 
 
+class RegionRefusal(Exception):
+    """Why :func:`read_region` refused a node.  ``kind`` is ``"shape"``
+    (not a flat pipeline of plain simple commands), ``"redirect"`` (one
+    the region model lacks), ``"dynamic"`` (a word needs expansion) or
+    ``"command"`` (unknown or side-effectful; ``name`` says which)."""
+
+    def __init__(self, kind: str, name: str = ""):
+        super().__init__(kind, name)
+        self.kind, self.name = kind, name
+
+
 def literal_argv(node: SimpleCommand) -> Optional[list[str]]:
     """argv when every word is static (no expansions); else None."""
     argv: list[str] = []
@@ -49,60 +61,59 @@ def literal_argv(node: SimpleCommand) -> Optional[list[str]]:
     return argv if argv else None
 
 
-def _literal_redirects(node: SimpleCommand) -> Optional[tuple[Optional[str], Optional[str], bool]]:
+def _literal_redirects(node: SimpleCommand) -> tuple[Optional[str], Optional[str], bool]:
     """(stdin_file, stdout_file, append) when redirects are simple/static;
-    None when the stage has redirects we cannot model."""
+    refuses redirects the region model lacks — a second redirect of the
+    same fd included: the shell would still create the first target, a
+    region with one sink would not."""
     stdin_file = None
     stdout_file = None
     append = False
     for redirect in node.redirects:
         if not redirect.target.is_literal():
-            return None
+            raise RegionRefusal("redirect")
         target = redirect.target.literal_value()
         fd = redirect.default_fd()
-        if redirect.op == "<" and fd == 0:
+        if redirect.op == "<" and fd == 0 and stdin_file is None:
             stdin_file = target
-        elif redirect.op in (">", ">|") and fd == 1:
+        elif redirect.op in (">", ">>") and fd == 1 and stdout_file is None:
             stdout_file = target
-            append = False
-        elif redirect.op == ">>" and fd == 1:
-            stdout_file = target
-            append = True
+            append = redirect.op == ">>"
         else:
-            return None
+            raise RegionRefusal("redirect")
     return stdin_file, stdout_file, append
+
+
+def read_region(node: Command, library: SpecLibrary) -> Region:
+    """The one AST -> region reader: a flat pipeline
+    (:func:`~repro.analysis.candidates.pipeline_stages`) whose words and
+    ``<``/``>``/``>>`` targets are all literal and whose commands the
+    library knows.  Raises :class:`RegionRefusal` otherwise."""
+    commands = pipeline_stages(node)
+    if commands is None:
+        raise RegionRefusal("shape")
+    stages: list[RegionStage] = []
+    for i, cmd in enumerate(commands):
+        stdin_file, stdout_file, append = _literal_redirects(cmd)
+        if (stdin_file is not None and i != 0) or (
+                stdout_file is not None and i != len(commands) - 1):
+            raise RegionRefusal("redirect")
+        argv = literal_argv(cmd)
+        if argv is None:
+            raise RegionRefusal("dynamic" if cmd.words else "shape")
+        stage = make_stage(argv, library, stdin_file, stdout_file, append)
+        if stage is None:
+            raise RegionRefusal("command", argv[0])
+        stages.append(stage)
+    return Region(stages)
 
 
 def extract_region(node: Command, library: SpecLibrary) -> Optional[Region]:
     """AOT extraction: region from a literal-only pipeline/simple command."""
-    if isinstance(node, SimpleCommand):
-        commands = [node]
-    elif isinstance(node, Pipeline) and not node.negated:
-        if not all(isinstance(c, SimpleCommand) for c in node.commands):
-            return None
-        commands = list(node.commands)
-    else:
+    try:
+        return read_region(node, library)
+    except RegionRefusal:
         return None
-    stages: list[RegionStage] = []
-    for i, cmd in enumerate(commands):
-        if cmd.assigns:
-            return None
-        argv = literal_argv(cmd)
-        if argv is None:
-            return None
-        redirects = _literal_redirects(cmd)
-        if redirects is None:
-            return None
-        stdin_file, stdout_file, append = redirects
-        if stdin_file is not None and i != 0:
-            return None
-        if stdout_file is not None and i != len(commands) - 1:
-            return None
-        stage = make_stage(argv, library, stdin_file, stdout_file, append)
-        if stage is None:
-            return None
-        stages.append(stage)
-    return Region(stages)
 
 
 def make_stage(argv: list[str], library: SpecLibrary,
@@ -123,8 +134,7 @@ def make_stage(argv: list[str], library: SpecLibrary,
 
 def region_from_argvs(argvs: list[list[str]], library: SpecLibrary,
                       stdin_file: Optional[str] = None,
-                      stdout_file: Optional[str] = None,
-                      append: bool = False) -> Optional[Region]:
+                      stdout_file: Optional[str] = None) -> Optional[Region]:
     """JIT extraction: stages from already-expanded argvs."""
     stages: list[RegionStage] = []
     for i, argv in enumerate(argvs):
@@ -132,7 +142,6 @@ def region_from_argvs(argvs: list[list[str]], library: SpecLibrary,
             argv, library,
             stdin_file if i == 0 else None,
             stdout_file if i == len(argvs) - 1 else None,
-            append,
         )
         if stage is None:
             return None

@@ -22,9 +22,8 @@ from typing import Optional
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import AggKind, ParClass, SpecLibrary
 from ..commands.base import PROC_STARTUP, lookup
-from ..dfg.from_ast import make_stage
+from ..dfg.from_ast import RegionRefusal, read_region
 from ..parser import parse_one
-from ..parser.ast_nodes import Pipeline, SimpleCommand
 from ..vos.faults import FAULT_STATUSES
 from ..vos.handles import Collector, NullHandle, StringSource, make_pipe
 from ..vos.process import CHUNK, Process
@@ -51,6 +50,15 @@ class DistributedError(Exception):
     pass
 
 
+#: parse_chain's message per :class:`~repro.dfg.from_ast.RegionRefusal` kind
+_REFUSALS = {
+    "shape": "chain must be a flat pipeline of plain commands",
+    "redirect": "chain stages must be plain commands",
+    "dynamic": "chain must be static (no expansions)",
+    "command": "unknown/side-effectful command: {}",
+}
+
+
 class DistributedShell:
     def __init__(self, cluster: Cluster, head: str = "node0",
                  library: Optional[SpecLibrary] = None):
@@ -62,24 +70,14 @@ class DistributedShell:
 
     def parse_chain(self, pipeline_text: str):
         """Parse and classify a per-file chain; returns (stages, agg)."""
-        node = parse_one(pipeline_text)
-        if isinstance(node, SimpleCommand):
-            cmds = [node]
-        elif isinstance(node, Pipeline) and not node.negated:
-            cmds = list(node.commands)
-        else:
-            raise DistributedError("chain must be a flat pipeline")
-        stages = []
-        for cmd in cmds:
-            if not isinstance(cmd, SimpleCommand) or cmd.redirects or cmd.assigns:
-                raise DistributedError("chain stages must be plain commands")
-            argv = [w.literal_value() for w in cmd.words if w.is_literal()]
-            if len(argv) != len(cmd.words):
-                raise DistributedError("chain must be static (no expansions)")
-            stage = make_stage(argv, self.library)
-            if stage is None:
-                raise DistributedError(f"unknown/side-effectful command: {argv[0]}")
-            stages.append(stage)
+        try:
+            stages = read_region(parse_one(pipeline_text), self.library).stages
+        except RegionRefusal as refusal:
+            raise DistributedError(
+                _REFUSALS[refusal.kind].format(refusal.name)) from None
+        if (stages[0].stdin_file is not None
+                or stages[-1].stdout_file is not None):
+            raise DistributedError(_REFUSALS["redirect"])
         # aggregation: stateless prefix + optional parallelizable-pure cap
         agg_kind, agg_argv = AggKind.CONCAT, ()
         for i, stage in enumerate(stages):

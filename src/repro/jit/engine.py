@@ -29,14 +29,10 @@ from typing import Optional
 
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import SpecLibrary
-from ..compiler.driver import execute_plan, fs_file_sizes
+from ..compiler.driver import fs_file_sizes
 from ..compiler.optimizer import Decision, OptimizerConfig, ResourceAwareOptimizer
 from ..compiler.parallel import parallelize
-from ..compiler.transactional import (
-    DEFAULT_REGION_POLICY,
-    RecoveryReport,
-    execute_plan_transactional,
-)
+from ..compiler.transactional import DEFAULT_REGION_POLICY, run_region
 from ..distributed.retry import RetryPolicy
 from ..parser.ast_nodes import Command
 from ..parser.unparse import unparse
@@ -87,12 +83,6 @@ class JashConfig:
     transactional: bool = True
     #: per-width retry policy for transactional execution
     retry: RetryPolicy = DEFAULT_REGION_POLICY
-    #: feed measured per-command costs from the kernel's metrics
-    #: registry (repro.obs.metrics) into the cost model in place of the
-    #: static estimates.  Off by default; with the flag off — or on but
-    #: with no registry installed — every decision is bit-identical to
-    #: the estimate-only engine (test-enforced).
-    profile_feedback: bool = False
     #: run the S20 abstract interpreter (repro.analysis.absint) inside
     #: ``compile_program``: dead regions get no certificate (they never
     #: run; a wrong fact just means a cert miss and the identical
@@ -100,12 +90,6 @@ class JashConfig:
     #: Decisions are bit-identical on or off when no dead code exists
     #: (test-enforced, the same discipline as ``static_analysis``).
     value_flow: bool = True
-    #: consult static CostCertificate volume bounds (the analyzer must
-    #: have seen the filesystem) as the cost model's input-size fallback
-    #: when a region's input is not file-backed.  Off by default: any
-    #: flag that can change a decision ships dark, like
-    #: ``profile_feedback``.
-    static_cost_hints: bool = False
 
 
 class JashOptimizer:
@@ -120,10 +104,8 @@ class JashOptimizer:
         #: AST node identity, filled by :meth:`compile_program`
         self._analysis = None
         self._certs: dict[int, object] = {}
-        #: S20 facts from compile_program: provably-dead node ids and
-        #: quantitative CostCertificates, keyed like the safety certs
+        #: S20 facts from compile_program: provably-dead node ids
         self._dead: set[int] = set()
-        self._cost_certs: dict[int, object] = {}
         self._programs: list = []  # keep analyzed ASTs alive (id-keyed certs)
         self.cert_hits = 0
         self.cert_misses = 0
@@ -154,7 +136,6 @@ class JashOptimizer:
         self._certs.update(result.certificates)
         if result.absint is not None:
             self._dead |= result.absint.dead
-            self._cost_certs.update(result.absint.cost_certificates)
         self._programs.append(program)
         if tracer is not None:
             tracer.instant("analysis", "analysis.run", now,
@@ -184,8 +165,7 @@ class JashOptimizer:
         text = unparse(node)
         stages_ast = pipeline_stages(node)
         if stages_ast is None:
-            self._skip(text, "not a flat pipeline of simple commands",
-                       tracer=tracer, proc=proc)
+            self._skip(proc, text, "not a flat pipeline of simple commands")
             return None
             yield  # pragma: no cover - generator shape
 
@@ -203,9 +183,9 @@ class JashOptimizer:
                 tracer.instant("jit", "jit.cert_hit", kernel.now, proc,
                                command=text, verdict=cert.verdict)
             if not cert.safe:
-                self._skip(text, f"unsafe early expansion: {cert.reason} "
-                                 f"[static certificate {cert.digest}]",
-                           tracer=tracer, proc=proc)
+                self._skip(proc, text,
+                           f"unsafe early expansion: {cert.reason} "
+                           f"[static certificate {cert.digest}]")
                 return None
             probe_cost = self.config.cert_probe_cost_s
         else:
@@ -220,26 +200,8 @@ class JashOptimizer:
                                           self.config.allow_pure_cmdsub,
                                           self._pure_commands)
             if impure_reason is not None:
-                self._skip(text, f"unsafe early expansion: {impure_reason}",
-                           tracer=tracer, proc=proc)
-                return None
-
-        # S20 static volume hint: when the abstract interpreter bounded
-        # this region's input volume below the optimization threshold,
-        # the dynamic probe can only confirm what is already known —
-        # skip before paying for expansion.  Gated behind
-        # static_cost_hints because the bound comes from the
-        # compile-time filesystem snapshot and can go stale.
-        if self.config.static_cost_hints:
-            ccert = self._cost_certs.get(id(node))
-            if (ccert is not None and ccert.verify()
-                    and ccert.bytes_hi is not None
-                    and ccert.bytes_hi < self.config.optimizer.min_input_bytes):
-                self._skip(text,
-                           f"static volume bound {ccert.bytes_hi}B below "
-                           f"optimization threshold "
-                           f"[cost certificate {ccert.digest}]",
-                           tracer=tracer, proc=proc)
+                self._skip(proc, text,
+                           f"unsafe early expansion: {impure_reason}")
                 return None
 
         compile_start = kernel.now
@@ -251,33 +213,23 @@ class JashOptimizer:
         region = yield from expand_region(interp, proc, stages_ast,
                                           self.config.library)
         if region is None:
-            self._skip(text, "stages not classifiable as a dataflow region",
-                       tracer=tracer, proc=proc)
+            self._skip(proc, text,
+                       "stages not classifiable as a dataflow region")
             return None
         if not region.parallelizable:
-            self._skip(text, "no parallelizable stage",
-                       tracer=tracer, proc=proc)
+            self._skip(proc, text, "no parallelizable stage")
             return None
 
         # 3./4. probe the system
         input_files = region_input_files(region, proc.fs, interp.state.cwd)
         if input_files is None:
-            self._skip(text, "input is not file-backed (size unknown)",
-                       tracer=tracer, proc=proc)
+            self._skip(proc, text, "input is not file-backed (size unknown)")
             return None
         input_bytes, avg_line, avg_token = measure_input(proc.fs, input_files)
         if input_bytes < self.config.optimizer.min_input_bytes:
-            self._skip(text, "input below optimization threshold",
-                       tracer=tracer, proc=proc)
+            self._skip(proc, text, "input below optimization threshold")
             return None
-        observed = None
-        if self.config.profile_feedback:
-            from ..obs.metrics import ObservedCosts
-
-            observed = ObservedCosts.from_registry(
-                getattr(kernel, "metrics", None))
-        probe = probe_machine(proc, input_bytes, avg_line, avg_token,
-                              observed=observed)
+        probe = probe_machine(proc, input_bytes, avg_line, avg_token)
         # the pre-screen passed: pay for a full compilation
         yield from proc.cpu(self.config.compile_cost_s)
 
@@ -291,132 +243,68 @@ class JashOptimizer:
                 decision="optimized" if decision.transformed
                 else "declined").inc()
         if tracer is not None:
-            extra = {"feedback": True} if observed is not None else {}
             tracer.span("jit", "jit.compile", compile_start, kernel.now, proc,
                         command=text, transformed=decision.transformed,
                         width=decision.plan.width if decision.transformed else 1,
                         input_bytes=input_bytes, reason=decision.reason,
                         estimate_s=round(decision.estimate.seconds, 6),
-                        baseline_s=round(decision.baseline.seconds, 6),
-                        **extra)
+                        baseline_s=round(decision.baseline.seconds, 6))
         if not decision.transformed:
-            self._skip(text, decision.reason,
-                       baseline=decision.baseline.seconds,
-                       tracer=tracer, proc=proc)
+            self._skip(proc, text, decision.reason,
+                       baseline=decision.baseline.seconds)
             return None
 
-        # 6. execute the dataflow plan
-        exec_start = kernel.now
-        snapshot = tracer.region_begin() if tracer is not None else None
-        if not self.config.transactional:
-            status = yield from execute_plan(decision.plan, proc,
-                                             cwd=interp.state.cwd)
-            if tracer is not None:
-                tracer.region_end(
-                    "jit", "jit.region", exec_start, kernel.now, snapshot,
-                    proc, command=text, decision="optimized",
-                    width=decision.plan.width, mode=decision.plan.mode,
-                    status=status)
+        # 6. execute the dataflow plan; under faults, degrade gracefully:
+        # retry, then rebuild at half the width, and at width < 2 return
+        # to interpretation
+        def narrower(plan):
+            width = plan.width // 2
+            while width >= 2:
+                half = parallelize(region, width, plan.mode,
+                                   file_sizes=file_sizes, eager=plan.eager)
+                if half is not None:
+                    return half
+                width //= 2
+            return None
+
+        run = yield from run_region(
+            decision.plan, proc, interp.state.cwd, "jit", text,
+            policy=self.config.retry if self.config.transactional else None,
+            narrower=narrower)
+        faulted = run.report.fault_failures
+        if run.status is None:
             self.events.append(JitEvent(
-                text, "optimized", decision.reason,
-                decision.plan.description,
-                estimate_s=decision.estimate.seconds,
+                text, "interpreted",
+                f"degraded to interpreter after {faulted} "
+                f"fault-suspected attempts",
                 baseline_s=decision.baseline.seconds,
-                compile_overhead_s=self.config.compile_cost_s,
+                fault_failures=faulted, degraded=run.degraded,
             ))
-            return status
-
-        # transactional execution with graceful degradation: retry the
-        # plan under the retry policy; if it keeps faulting, rebuild at
-        # half the width; at width < 2, return to interpretation (sound:
-        # the purity gate admitted the region, and every failed attempt
-        # was rolled back)
-        report = RecoveryReport()
-        plan = decision.plan
-        width = plan.width
-        widths_tried = [width]
-        while True:
-            rung = RecoveryReport()
-            status = yield from execute_plan_transactional(
-                plan, proc, cwd=interp.state.cwd,
-                policy=self.config.retry, report=rung)
-            report.merge(rung)
-            if not rung.gave_up:
-                break
-            if metrics is not None:
-                metrics.counter("jit.degrade_steps").inc()
-            next_plan = None
-            next_width = width // 2
-            while next_width >= 2 and next_plan is None:
-                next_plan = parallelize(region, next_width, plan.mode,
-                                        file_sizes=file_sizes,
-                                        eager=plan.eager)
-                if next_plan is None:
-                    next_width //= 2
-            if next_plan is None:
-                trail = " -> ".join(str(w) for w in widths_tried)
-                if tracer is not None:
-                    tracer.instant("jit", "jit.degrade", kernel.now, proc,
-                                   command=text, from_width=width,
-                                   to="interpreter",
-                                   fault_failures=report.fault_failures)
-                    tracer.region_end(
-                        "jit", "jit.region", exec_start, kernel.now, snapshot,
-                        proc, command=text, decision="interpreted",
-                        width=decision.plan.width,
-                        fault_failures=report.fault_failures,
-                        degraded=f"{trail} -> interpreter")
-                self.events.append(JitEvent(
-                    text, "interpreted",
-                    f"degraded to interpreter after {report.fault_failures} "
-                    f"fault-suspected attempts",
-                    baseline_s=decision.baseline.seconds,
-                    fault_failures=report.fault_failures,
-                    degraded=f"{trail} -> interpreter",
-                ))
-                return None
-            if tracer is not None:
-                tracer.instant("jit", "jit.degrade", kernel.now, proc,
-                               command=text, from_width=width,
-                               to=next_width,
-                               fault_failures=rung.fault_failures)
-            plan = next_plan
-            width = next_width
-            widths_tried.append(width)
-
-        degraded = (" -> ".join(str(w) for w in widths_tried)
-                    if len(widths_tried) > 1 else "")
-        if tracer is not None:
-            tracer.region_end(
-                "jit", "jit.region", exec_start, kernel.now, snapshot,
-                proc, command=text,
-                decision="degraded" if report.fault_failures else "optimized",
-                width=plan.width, mode=plan.mode, status=status,
-                fault_failures=report.fault_failures, degraded=degraded)
+            return None
         self.events.append(JitEvent(
             text,
-            "degraded" if report.fault_failures else "optimized",
+            "degraded" if faulted else "optimized",
             decision.reason,
-            plan.description,
+            run.plan.description,
             estimate_s=decision.estimate.seconds,
             baseline_s=decision.baseline.seconds,
             compile_overhead_s=self.config.compile_cost_s,
-            fault_failures=report.fault_failures,
-            degraded=degraded,
+            fault_failures=faulted,
+            degraded=run.degraded,
         ))
-        return status
+        return run.status
 
     # -- helpers ------------------------------------------------------------------
 
-    def _skip(self, text: str, reason: str, baseline: float = 0.0,
-              tracer=None, proc=None) -> None:
+    def _skip(self, proc, text: str, reason: str,
+              baseline: float = 0.0) -> None:
         self.events.append(JitEvent(text, "interpreted", reason,
                                     baseline_s=baseline))
-        if proc is not None:
-            metrics = getattr(proc.kernel, "metrics", None)
-            if metrics is not None:
-                metrics.counter("jit.decisions", decision="interpreted").inc()
-        if tracer is not None and proc is not None:
+        metrics = getattr(proc.kernel, "metrics", None)
+        if metrics is not None:
+            metrics.counter("jit.decisions", decision="interpreted").inc()
+        tracer = getattr(proc.kernel, "tracer", None)
+        if tracer is not None:
             tracer.instant("jit", "jit.skip", proc.kernel.now, proc,
                            command=text, reason=reason)
 

@@ -24,30 +24,14 @@ _SAMPLE_BYTES = 64 * 1024
 
 def probe_machine(proc: Process, input_bytes: int,
                   avg_line_bytes: float = DEFAULT_AVG_LINE,
-                  avg_token_bytes: float = 8.0,
-                  observed=None) -> Probe:
-    """``observed`` is a repro.obs.metrics.ObservedCosts built from the
-    kernel's metrics registry — measured per-command CPU coefficients
-    and dispatch rates the cost model prefers over its static table.
-    None (the default, and always when ``profile_feedback`` is off)
-    keeps the estimates bit-identical to the static model."""
+                  avg_token_bytes: float = 8.0) -> Probe:
     node = proc.node
     kernel = proc.kernel
-    disk = node.disk
-    disk._refill(kernel.now)
     runnable = sum(len(n.cpu_active) for n in kernel.nodes.values())
     return Probe(
-        observed=observed,
         cores=node.cores,
         cpu_speed=node.cpu_speed,
-        disk=DiskProbe(
-            throughput_bps=disk.spec.throughput_bps,
-            base_iops=disk.spec.base_iops,
-            burst_iops=disk.spec.burst_iops,
-            credits=disk.credits,
-            request_bytes=disk.spec.request_bytes,
-            min_request_bytes=disk.spec.min_request_bytes,
-        ),
+        disk=DiskProbe.from_disk(node.disk, kernel.now),
         input_bytes=input_bytes,
         avg_line_bytes=avg_line_bytes,
         avg_token_bytes=avg_token_bytes,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..annotations.library import DEFAULT_LIBRARY
+from ..dfg.from_ast import literal_argv
 from ..parser import parse
 from ..parser.ast_nodes import (
     AndOr,
@@ -274,11 +275,7 @@ def check_var_assigned_spaces(program: Command) -> Iterator[Diagnostic]:
 
 
 def _literal_argv(node: Command) -> Optional[list[str]]:
-    if not isinstance(node, SimpleCommand) or not node.words:
-        return None
-    if not all(w.is_literal() for w in node.words):
-        return None
-    return [w.literal_value() for w in node.words]
+    return literal_argv(node) if isinstance(node, SimpleCommand) else None
 
 
 def _sets_errexit_or_pipefail(program: Command) -> bool:

@@ -25,12 +25,9 @@ Three consumers sit on top:
   commands by CPU/disk/stall, pipe backpressure, cache hit rate over
   time.
 
-:class:`ObservedCosts` closes the loop for profile-guided optimization:
-it distills the registry's per-command counters into measured
-CPU-per-byte coefficients and dispatch rates that
-:mod:`repro.compiler.cost` consumes in place of the static estimates
-(behind ``JashConfig.profile_feedback``; decisions are bit-identical
-when the flag is off).
+:class:`ObservedCosts` distills the registry's per-command counters
+(CPU seconds, bytes seen) for estimate-vs-measured checks such as
+``benchmarks/bench_analysis.py``'s static-vs-observed volume row.
 
 Determinism rules (also DESIGN.md §13):
 
@@ -420,28 +417,19 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- profile feedback into the optimizer --------------------------------------
+# -- measured per-command totals ----------------------------------------------
 
 class ObservedCosts:
-    """Measured per-command costs distilled from a registry.
-
-    The optimizer's static model guesses a CPU-per-byte coefficient for
-    every command; this object replaces the guess with the ratio the
-    metrics plane actually observed (``proc.cpu_s / bytes seen``), and
-    exposes per-command syscall dispatch *rates* for startup-cost
-    corrections.  Consumed by :func:`repro.compiler.cost._stage_cpu`
-    when ``JashConfig.profile_feedback`` is on; a command without
-    enough observed bytes falls back to the static estimate, so cold
-    starts behave exactly like the flag being off.
-    """
-
-    #: commands with fewer observed bytes than this keep the estimate
-    MIN_OBSERVED_BYTES = 4096.0
+    """Per-command totals distilled from a registry: virtual CPU
+    seconds and input bytes seen, keyed by command name.  The cost
+    model does not consume them (on the virtual clock
+    ``cpu_s / bytes_seen`` only re-derives the ``CPU_PER_BYTE`` table
+    the commands charged from); they are the *measured* side of
+    estimate-vs-measured comparisons."""
 
     def __init__(self) -> None:
         self.cpu_s: dict[str, float] = {}
         self.bytes_seen: dict[str, float] = {}
-        self.dispatches: dict[str, float] = {}
 
     @classmethod
     def from_registry(cls, registry: Optional[MetricsRegistry]
@@ -458,25 +446,4 @@ class ObservedCosts:
             elif name in ("proc.read_bytes", "proc.disk_bytes"):
                 obs.bytes_seen[proc] = (obs.bytes_seen.get(proc, 0.0)
                                         + inst.value)
-            elif name == "proc.dispatches":
-                obs.dispatches[proc] = (obs.dispatches.get(proc, 0.0)
-                                        + inst.value)
         return obs if obs.cpu_s else None
-
-    def coeff(self, command: str) -> Optional[float]:
-        """Measured CPU seconds per input byte, or None if unobserved."""
-        nbytes = self.bytes_seen.get(command, 0.0)
-        if nbytes < self.MIN_OBSERVED_BYTES:
-            return None
-        cpu = self.cpu_s.get(command)
-        if cpu is None or cpu <= 0.0:
-            return None
-        return cpu / nbytes
-
-    def dispatch_rate(self, command: str) -> Optional[float]:
-        """Observed syscall dispatches per input byte (the splice fast
-        path drives this toward zero for pass-through stages)."""
-        nbytes = self.bytes_seen.get(command, 0.0)
-        if nbytes < self.MIN_OBSERVED_BYTES:
-            return None
-        return self.dispatches.get(command, 0.0) / nbytes

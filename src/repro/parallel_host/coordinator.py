@@ -36,7 +36,8 @@ from array import array
 from bisect import bisect_right
 from typing import Optional
 
-from .kernels import GRID_STEP, assemble_counts, tr_block
+from ..commands.filters import tr_block
+from .kernels import GRID_STEP, assemble_counts
 from .pool import PoolConfig, WorkerPool, _env_int, get_global_pool
 from .regions import RegionPlan, detect_regions
 
@@ -84,6 +85,8 @@ class HostCoordinator:
         self._regions: dict[int, RegionState] = {}
         self._region_no = 0
         self._fs = None
+        #: exception type begin_run's detection guard swallowed, if any
+        self._detect_error: Optional[str] = None
         self.stats = {
             "regions_detected": 0,
             "regions_dispatched": 0,
@@ -103,22 +106,23 @@ class HostCoordinator:
     def begin_run(self, program, fs, cwd: str) -> None:
         self._fs = fs
         self._regions = {}
+        self._detect_error = None
         # marks make end_run apply per-run deltas to the metrics plane
         # while self.stats stays cumulative for ``jash stat``
         self._mark = dict(self.stats)
-        try:
-            from ..analysis import analyze_program
-            from ..compiler.cost import StaticCosts
+        from ..analysis import analyze_program
+        from ..compiler.cost import StaticCosts
 
+        try:
             analysis = analyze_program(program, fs=fs, cwd=cwd)
-            try:
-                hints = StaticCosts.from_analysis(analysis)
-            except Exception:
-                hints = None
-            plans = detect_regions(program, analysis, fs, cwd,
-                                   self.config.min_ship_bytes,
-                                   self.config.jobs, static_hints=hints)
-        except Exception:
+            plans = detect_regions(
+                program, analysis, fs, cwd, self.config.min_ship_bytes,
+                self.config.jobs,
+                static_hints=StaticCosts.from_analysis(analysis))
+        except Exception as exc:
+            # a pool that cannot analyse must never take the run down;
+            # end_run reports what was swallowed
+            self._detect_error = type(exc).__name__
             plans = []
         for plan in plans:
             state = RegionState(plan, self._region_no)
@@ -153,6 +157,10 @@ class HostCoordinator:
                         "bytes_returned"):
                 if delta[key]:
                     metrics.counter(f"pool.{key}").inc(delta[key])
+        if tracer is not None and self._detect_error is not None:
+            tracer.instant("pool", "pool.detect_error",
+                           getattr(kernel, "now", 0.0),
+                           error=self._detect_error)
         if tracer is not None and self.pool is not None:
             now = getattr(kernel, "now", 0.0)
             for state in self._regions.values():
@@ -305,7 +313,7 @@ class HostCoordinator:
             self.stats["worker_fault_ops"] += result.get("fault_ops", 0)
         for stage_i in range(n_stages):
             spec = plan.tr_chain[stage_i]
-            squeeze = spec["squeeze"]
+            squeeze = spec.squeeze
             merged: list[bytes] = []
             in_offs = array("q", [0])
             out_offs = array("q", [0])

@@ -16,18 +16,19 @@ Grid tables: a tr stage's oracle needs "output offset at input offset
 a" for arbitrary a (pipe reads land on arbitrary boundaries).  Workers
 return the kept-byte prefix count at every GRID_STEP boundary; the
 oracle resolves the sub-block remainder by transforming at most
-GRID_STEP input bytes with :func:`tr_block` — the same 1-state
-transducer — so the mapping is exact everywhere.
+GRID_STEP input bytes with ``repro.commands.filters.tr_block`` — the
+``tr`` command's own 1-state transducer — so the mapping is exact
+everywhere.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-import re
 from array import array
 from itertools import accumulate, groupby, repeat
 
+from ..commands.filters import TrPlan, tr_block
 from ..commands.sorting import LineCounter, sorted_runs, split_bodies
 from ..vos.process import CHUNK
 
@@ -44,42 +45,6 @@ GRID_STEP = 4096
 #: distinct lines (the counting kernel's payoff is low cardinality)
 CARD_LIMIT = 4096
 
-_SQUEEZE_RE_CACHE: dict[bytes, re.Pattern] = {}
-
-
-def _squeeze_re(squeeze: bytes) -> re.Pattern:
-    pat = _SQUEEZE_RE_CACHE.get(squeeze)
-    if pat is None:
-        pat = re.compile(b"([" + re.escape(squeeze) + b"])\\1+")
-        _SQUEEZE_RE_CACHE[squeeze] = pat
-    return pat
-
-
-def tr_block(data: bytes, spec: dict, carry: int) -> tuple[bytes, int]:
-    """Serial-equivalent tr transform of one block.
-
-    ``carry`` is the previous *kept output* byte (-1 if none yet); the
-    return carries the updated value.  This mirrors the chunk loop in
-    ``repro.commands.filters.tr`` exactly, which makes it both the
-    pure-Python kernel and the oracle's sub-block remainder resolver.
-    """
-    delete, table, squeeze = spec["delete"], spec["table"], spec["squeeze"]
-    if delete is not None:
-        data = data.translate(None, delete)
-    elif table is not None:
-        data = data.translate(table)
-    if squeeze and data:
-        if carry >= 0 and carry in squeeze:
-            i, n = 0, len(data)
-            while i < n and data[i] == carry:
-                i += 1
-            data = data[i:]
-        if data:
-            data = _squeeze_re(squeeze).sub(b"\\1", data)
-            carry = data[-1]
-    return data, carry
-
-
 def _identity_grid(n: int) -> array:
     grid = array("q", range(0, n + 1, GRID_STEP))
     if not grid or grid[-1] != n:
@@ -87,7 +52,7 @@ def _identity_grid(n: int) -> array:
     return grid
 
 
-def _tr_part_python(data: bytes, spec: dict) -> tuple[bytes, array]:
+def _tr_part_python(data: bytes, spec: TrPlan) -> tuple[bytes, array]:
     out_blocks: list[bytes] = []
     grid = array("q", [0])
     carry = -1
@@ -111,14 +76,14 @@ def _grid_from_kept(kept, n: int) -> array:
     return grid
 
 
-def tr_part(data: bytes, spec: dict) -> tuple[bytes, array]:
+def tr_part(data: bytes, spec: TrPlan) -> tuple[bytes, array]:
     """Transform one input part (no incoming carry: the coordinator
     resolves squeeze seams between parts).  Returns the output stream
     and the input-offset -> output-offset grid table."""
     n = len(data)
     if n == 0:
         return b"", array("q", [0])
-    delete, table, squeeze = spec["delete"], spec["table"], spec["squeeze"]
+    delete, table, squeeze, _ = spec
     if _np is None:
         return _tr_part_python(data, spec)
     if delete is None and table is not None and not squeeze:

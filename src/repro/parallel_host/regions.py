@@ -36,14 +36,11 @@ from typing import Optional
 
 from ..analysis.certificates import SAFE_PARALLEL, SAFE_REORDER
 from ..analysis.paths import literal, may_alias
+from ..annotations.library import DEFAULT_LIBRARY
 from ..commands.base import UsageError, parse_flags
-from ..commands.filters import _tr_plan
-from ..parser.ast_nodes import (
-    CommandList,
-    Pipeline,
-    SimpleCommand,
-    Word,
-)
+from ..commands.filters import TrPlan, _tr_plan
+from ..dfg.from_ast import extract_region
+from ..parser.ast_nodes import CommandList
 
 
 @dataclass
@@ -58,8 +55,9 @@ class StagePlan:
 class RegionPlan:
     node: object                  # the Pipeline / SimpleCommand AST node
     stages: list                  # StagePlan per pipeline stage
-    tr_chain: list                # tr spec dicts, pipeline order
+    tr_chain: list                # TrPlan per tr stage, pipeline order
     input_path: str               # resolved virtual path of the source
+    stdout_file: Optional[str]    # the trailing `> OUT` / `>> OUT`, if any
     text: str                     # unparsed region (cert/report key)
     sort_reverse: bool = False
     sort_unique: bool = False
@@ -79,69 +77,31 @@ class RegionPlan:
         return id(self.node)
 
 
-def _literal_argv(cmd: SimpleCommand) -> Optional[list[str]]:
-    if cmd.assigns or not cmd.words:
-        return None
-    argv = []
-    for word in cmd.words:
-        if not isinstance(word, Word) or not word.is_literal():
-            return None
-        argv.append(word.literal_value())
-    return argv
-
-
-def _tr_spec(argv: list[str]) -> Optional[dict]:
+def _tr_spec(argv: list[str]) -> Optional[TrPlan]:
     try:
         opts, operands = parse_flags(argv[1:], "cCsd")
-        delete_chars, table, squeeze_set, _ = _tr_plan(
+        return _tr_plan(
             tuple(operands),
             bool(opts.get("c") or opts.get("C")),
             bool(opts.get("s")),
             bool(opts.get("d")),
         )
-    except Exception:
+    except UsageError:
         return None
-    return {"delete": delete_chars, "table": table, "squeeze": squeeze_set}
-
-
-def _redirects_ok(cmds: list[SimpleCommand]) -> bool:
-    """Only a trailing stdout redirect on the last stage is allowed."""
-    for i, cmd in enumerate(cmds):
-        reds = cmd.redirects
-        if not reds:
-            continue
-        if i != len(cmds) - 1 or len(reds) > 1:
-            return False
-        red = reds[0]
-        if red.op not in (">", ">>") or red.default_fd() != 1:
-            return False
-        if not isinstance(red.target, Word) or not red.target.is_literal():
-            return False
-    return True
 
 
 def match_region(node) -> Optional[RegionPlan]:
-    """Match one statement node against the supported region shapes."""
-    if isinstance(node, Pipeline):
-        if node.negated:
-            return None
-        cmds = list(node.commands)
-    elif isinstance(node, SimpleCommand):
-        cmds = [node]
-    else:
+    """Match one statement node against the supported region shapes:
+    the pool's cat/tr/sort/uniq grammar over the literal region
+    :func:`~repro.dfg.from_ast.extract_region` reads."""
+    region = extract_region(node, DEFAULT_LIBRARY)
+    if (region is None or len(region.stages) > 5
+            or region.stages[0].stdin_file is not None):
         return None
-    if not 1 <= len(cmds) <= 5:
-        return None
-    if not all(isinstance(c, SimpleCommand) for c in cmds):
-        return None
-    if not _redirects_ok(cmds):
-        return None
-    argvs = [_literal_argv(c) for c in cmds]
-    if any(a is None for a in argvs):
-        return None
+    argvs = [stage.argv for stage in region.stages]
 
     stages: list[StagePlan] = []
-    tr_chain: list[dict] = []
+    tr_chain: list[TrPlan] = []
     input_path = None
     i = 0
     # -- source stage ------------------------------------------------------
@@ -155,7 +115,7 @@ def match_region(node) -> Optional[RegionPlan]:
     elif head[0] != "sort":
         return None
     # -- tr chain ----------------------------------------------------------
-    while i < len(cmds) and argvs[i][0] == "tr":
+    while i < len(argvs) and argvs[i][0] == "tr":
         if len(tr_chain) == 2:
             return None
         spec = _tr_spec(argvs[i])
@@ -167,7 +127,7 @@ def match_region(node) -> Optional[RegionPlan]:
     # -- sort [+ uniq] -----------------------------------------------------
     has_sort = has_uniq = False
     reverse = unique = False
-    if i < len(cmds) and argvs[i][0] == "sort":
+    if i < len(argvs) and argvs[i][0] == "sort":
         try:
             opts, operands = parse_flags(argvs[i][1:], "rnumcf",
                                          with_value="kto")
@@ -185,19 +145,20 @@ def match_region(node) -> Optional[RegionPlan]:
         has_sort = True
         stages.append(StagePlan("sort", reverse=reverse, unique=unique))
         i += 1
-        if i < len(cmds) and argvs[i] == ["uniq"]:
+        if i < len(argvs) and argvs[i] == ["uniq"]:
             has_uniq = True
             stages.append(StagePlan("uniq"))
             i += 1
-    if i != len(cmds):
+    if i != len(argvs):
         return None
     if input_path is None or (not tr_chain and not has_sort):
         return None
     # squeeze seams between parts are only locally repairable on the
     # last tr stage; an earlier squeezing stage forces one part
-    single_part = any(s["squeeze"] for s in tr_chain[:-1])
+    single_part = any(s.squeeze for s in tr_chain[:-1])
     return RegionPlan(node=node, stages=stages, tr_chain=tr_chain,
                       input_path=input_path, text="",
+                      stdout_file=region.stages[-1].stdout_file,
                       sort_reverse=reverse, sort_unique=unique,
                       has_sort=has_sort, has_uniq=has_uniq,
                       single_part=single_part)
@@ -206,49 +167,50 @@ def match_region(node) -> Optional[RegionPlan]:
 def _statement_nodes(program) -> list:
     """(node, is_async) for each top-level statement, in program order
     — the same walk order ``analyze_program`` reports statements in."""
-    items = []
     if isinstance(program, CommandList):
-        for item in program.items:
-            items.append((item.command, item.is_async))
-    else:
-        items.append((program, False))
-    return items
+        return [(item.command, item.is_async) for item in program.items]
+    return [(program, False)]
+
+
+def _matched_statements(program, analysis):
+    """(index, node, RegionPlan, certificate) for each synchronous
+    statement the pool's grammar matches; the certificate is None
+    unless it clears the statement for reordering."""
+    for idx, (node, is_async) in enumerate(_statement_nodes(program)):
+        plan = None if is_async else match_region(node)
+        if plan is None:
+            continue
+        cert = (analysis.certificates.get(id(node))
+                if analysis is not None else None)
+        if cert is not None and cert.verdict not in (SAFE_PARALLEL,
+                                                     SAFE_REORDER):
+            cert = None
+        yield idx, node, plan, cert
 
 
 def detect_regions(program, analysis, fs, cwd: str,
                    min_ship_bytes: int, jobs: int,
-                   static_hints=None, observed=None) -> list[RegionPlan]:
+                   static_hints=None) -> list[RegionPlan]:
     """All certificate- and volume-gated regions of ``program``."""
     from ..compiler.cost import estimate_host_ship
     from ..parser.unparse import unparse
     from ..vos.fs import normalize
 
     regions: list[RegionPlan] = []
-    statements = _statement_nodes(program)
     reports = analysis.statements if analysis is not None else []
-    aligned = len(reports) == len(statements)
-    for idx, (node, is_async) in enumerate(statements):
-        if is_async:
-            continue
-        plan = match_region(node)
-        if plan is None:
-            continue
-        cert = (analysis.certificates.get(id(node))
-                if analysis is not None else None)
-        if cert is None or cert.verdict not in (SAFE_PARALLEL, SAFE_REORDER):
-            continue
-        if not cert.verify():
+    aligned = len(reports) == len(_statement_nodes(program))
+    for idx, node, plan, cert in _matched_statements(program, analysis):
+        if cert is None or not cert.verify():
             continue
         plan.cert_verdict = cert.verdict
         plan.text = cert.node_text or unparse(node)
         # write-set validation: a trailing redirect the certificate's
         # statement effects never declared means the analysis and the
         # region disagree about the write set — do not ship
-        last = (node.commands[-1] if isinstance(node, Pipeline) else node)
-        if last.redirects:
-            target = last.redirects[0].target.literal_value()
+        if plan.stdout_file is not None:
             declared = (reports[idx].summary.writes if aligned else set())
-            if not any(may_alias(literal(target), w) for w in declared):
+            if not any(may_alias(literal(plan.stdout_file), w)
+                       for w in declared):
                 continue
         plan.input_path = normalize(plan.input_path, cwd)
         if not fs.exists(plan.input_path):
@@ -257,11 +219,9 @@ def detect_regions(program, analysis, fs, cwd: str,
         ship = estimate_host_ship(
             plan.nbytes, jobs, stages=len(plan.stages),
             static_hints=static_hints, region_text=plan.text,
-            observed=observed, min_ship_bytes=min_ship_bytes)
+            min_ship_bytes=min_ship_bytes)
         # min_ship_bytes == 0 is the explicit "always ship" override
         if not ship.worthwhile and min_ship_bytes > 0:
-            continue
-        if min_ship_bytes > 0 and plan.nbytes < min_ship_bytes:
             continue
         # prefetch timing: defer the snapshot when any earlier
         # statement may write (or has unknown effects on) the input
@@ -280,16 +240,5 @@ def detect_regions(program, analysis, fs, cwd: str,
 
 def eligible_region_count(program, analysis) -> tuple[int, int]:
     """(matched shapes, certificate-cleared shapes) — the JS2260 input."""
-    matched = cleared = 0
-    for node, is_async in _statement_nodes(program):
-        if is_async:
-            continue
-        plan = match_region(node)
-        if plan is None:
-            continue
-        matched += 1
-        cert = (analysis.certificates.get(id(node))
-                if analysis is not None else None)
-        if cert is not None and cert.verdict in (SAFE_PARALLEL, SAFE_REORDER):
-            cleared += 1
-    return matched, cleared
+    certs = [cert for _, _, _, cert in _matched_statements(program, analysis)]
+    return len(certs), sum(cert is not None for cert in certs)

@@ -299,8 +299,7 @@ DEAD_SCRIPT = (
 FILES = {"/w.txt": b"the quick brown fox jumps\n" * 200}
 
 
-def run_jash(script, value_flow=True, static_cost_hints=False,
-             min_input_bytes=1024, files=FILES, metrics=None, tracer=None):
+def run_jash(script, value_flow=True, min_input_bytes=1024, files=FILES, metrics=None, tracer=None):
     from repro.compiler import OptimizerConfig
     from repro.jit import JashConfig, JashOptimizer
     from repro.shell import Shell
@@ -309,7 +308,6 @@ def run_jash(script, value_flow=True, static_cost_hints=False,
 
     optimizer = JashOptimizer(JashConfig(
         value_flow=value_flow,
-        static_cost_hints=static_cost_hints,
         optimizer=OptimizerConfig(min_input_bytes=min_input_bytes),
     ))
     shell = Shell(fast_machine(), optimizer=optimizer, metrics=metrics,
@@ -367,26 +365,6 @@ class TestJashBitIdentity:
         assert dead
         assert not (dead & set(result.certificates)), \
             "a provably-dead node was certified"
-
-    def test_static_cost_hints_dark_by_default(self):
-        from repro.jit import JashConfig
-
-        assert JashConfig().static_cost_hints is False
-        assert JashConfig().value_flow is True
-
-    def test_static_hint_skips_small_region(self):
-        # 60 bytes of input, 1 KiB threshold: the certificate's volume
-        # bound answers before expansion is paid for
-        files = {"/w.txt": b"tiny\n" * 12}
-        _, _, opt = run_jash(LIVE_SCRIPT, static_cost_hints=True,
-                             files=files)
-        reasons = [e.reason for e in opt.events]
-        assert any("static volume bound" in r for r in reasons), reasons
-        # same decision (declined), different evidence, same output
-        _, r_off, opt_off = run_jash(LIVE_SCRIPT, static_cost_hints=False,
-                                     files=files)
-        assert [e.decision for e in opt.events] == \
-            [e.decision for e in opt_off.events]
 
 
 class TestPashConsumption:
@@ -452,8 +430,6 @@ class TestStaticCosts:
         static = StaticCosts.from_analysis(result)
         assert len(static) >= 1
         assert static.input_bytes("cat /w.txt | sort") == 500
-        assert static.trip_bounds("cat /w.txt | sort") == (1, 1)
-        assert static.stage_bytes("cat /w.txt | sort")[0] == ("cat", 500)
         assert static.input_bytes("no such region") is None
 
     def test_tampered_certs_dropped(self):

@@ -181,3 +181,44 @@ class TestOptimizer:
                               file_sizes=lambda p: int(32e6))
         times = [c.estimate.seconds for c in decision.candidates]
         assert times == sorted(times)
+
+
+class TestCalibration:
+    """The estimates against what the kernel then measures, end to end:
+    the Figure 1 script on ``laptop()`` over a 2 MiB input."""
+
+    SCRIPT = "cat /data/words.txt | tr -cs A-Za-z '\\n' | sort > /data/out.txt"
+
+    def run(self, engine, metrics=None):
+        from repro import JashOptimizer, Shell
+        from repro.bench import words_text
+        from repro.vos.machines import laptop
+
+        shell = Shell(laptop(), metrics=metrics)
+        shell.fs.write_bytes("/data/words.txt", words_text(2 << 20, seed=42))
+        if metrics is not None:
+            # an interpreted warm-up fills the registry's proc.* series
+            assert shell.run(self.SCRIPT).status == 0
+            assert metrics.value("proc.cpu_s", proc="sort") > 0
+        if engine == "jash":
+            shell.optimizer = JashOptimizer()
+        result = shell.run(self.SCRIPT)
+        assert result.status == 0
+        return result.elapsed, shell.optimizer
+
+    def test_estimates_within_five_percent_of_measured(self):
+        bash_s, _ = self.run("bash")
+        jash_s, optimizer = self.run("jash")
+        (event,) = [e for e in optimizer.events if e.decision == "optimized"]
+        assert event.estimate_s == pytest.approx(jash_s, rel=0.05)
+        assert event.baseline_s == pytest.approx(bash_s, rel=0.05)
+
+    def test_estimates_do_not_depend_on_the_metrics_plane(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        _, cold = self.run("jash")
+        _, warm = self.run("jash", metrics=MetricsRegistry())
+        assert [(e.decision, e.plan_description, e.estimate_s, e.baseline_s)
+                for e in warm.events] == \
+            [(e.decision, e.plan_description, e.estimate_s, e.baseline_s)
+             for e in cold.events]

@@ -85,6 +85,40 @@ class TestRegionExtraction:
         node = parse_one("cat /f > /x | sort")
         assert extract_region(node, DEFAULT_LIBRARY) is None
 
+    def test_second_redirect_of_a_fd_rejected(self):
+        # the shell would create /a too; a one-sink region would not
+        for text in ("sort /f > /a > /b", "sort /f > /a >> /b",
+                     "sort < /a < /b"):
+            assert extract_region(parse_one(text), DEFAULT_LIBRARY) is None
+
+    def test_append_sink_is_never_parallelized(self):
+        # a plan's sink is opened for truncation: `>>` stays interpreted
+        region = extract_region(parse_one("cat /f | sort >> /out"),
+                                DEFAULT_LIBRARY)
+        assert region.stages[-1].stdout_append
+        assert parallelize(region, 4, "rr",
+                           file_sizes=lambda path: 1 << 20) is None
+        region = extract_region(parse_one("cat /f | sort > /out"),
+                                DEFAULT_LIBRARY)
+        assert parallelize(region, 4, "rr",
+                           file_sizes=lambda path: 1 << 20) is not None
+
+    @pytest.mark.parametrize("text,kind,name", [
+        ("! cat /f | sort", "shape", ""),
+        ("cat /f | (sort)", "shape", ""),
+        ("> /out", "shape", ""),
+        ("cat /f | sort 2> /err", "redirect", ""),
+        ("cat /f | sort >| /out", "redirect", ""),
+        ("cat $FILES | sort", "dynamic", ""),
+        ("cat /f | frobnicate", "command", "frobnicate"),
+    ])
+    def test_refusal_kinds(self, text, kind, name):
+        from repro.dfg import RegionRefusal, read_region
+
+        with pytest.raises(RegionRefusal) as refusal:
+            read_region(parse_one(text), DEFAULT_LIBRARY)
+        assert (refusal.value.kind, refusal.value.name) == (kind, name)
+
     def test_jit_path_from_argvs(self):
         region = region_from_argvs(
             [["cat", "/a", "/b"], ["grep", "x"], ["sort"]], DEFAULT_LIBRARY

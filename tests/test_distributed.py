@@ -167,6 +167,23 @@ class TestExecution:
         with pytest.raises(DistributedError):
             dsh.parse_chain("grep $PAT")
 
+    @pytest.mark.parametrize("chain,message", [
+        ("! grep ERROR | wc -l",
+         "chain must be a flat pipeline of plain commands"),
+        ("X=1 grep ERROR", "chain must be a flat pipeline of plain commands"),
+        ("grep ERROR > /out", "chain stages must be plain commands"),
+        ("grep ERROR < /in | wc -l", "chain stages must be plain commands"),
+        ("grep ERROR 2> /err", "chain stages must be plain commands"),
+        ("grep $X", "chain must be static (no expansions)"),
+        ("frobnicate | wc -l", "unknown/side-effectful command: frobnicate"),
+        ("sort | head -n1", "stage sort is not distributable"),
+    ])
+    def test_rejection_messages(self, chain, message):
+        cluster, sizes, _ = make_cluster()
+        with pytest.raises(DistributedError) as err:
+            DistributedShell(cluster).parse_chain(chain)
+        assert str(err.value) == message
+
 
 class TestFaultTolerance:
     def test_recovery_from_node_failure(self):

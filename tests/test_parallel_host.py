@@ -258,6 +258,28 @@ class TestPoolUnit:
         assert coord._n_parts() == 3
 
 
+class TestDetectionGuard:
+    def test_analyzer_crash_is_survived_and_recorded(self, monkeypatch):
+        from repro.obs import Tracer
+        from repro.parallel_host import coordinator
+
+        def boom(*args, **kwargs):
+            raise KeyError("analyzer bug")
+
+        monkeypatch.setattr(coordinator, "detect_regions", boom)
+        _, serial = run_once(SPELL, jobs=1)
+        tracer = Tracer()
+        shell = Shell(laptop(), jobs=4, tracer=tracer)
+        shell.fs.write_bytes("/w.txt", WORDS)
+        pooled = shell.run(SPELL)
+        assert (pooled.stdout, pooled.elapsed) == (serial.stdout,
+                                                   serial.elapsed)
+        assert shell.host_coord.stats["regions_detected"] == 0
+        (record,) = [r for r in tracer.records
+                     if r.name == "pool.detect_error"]
+        assert record.cat == "pool" and record.args == {"error": "KeyError"}
+
+
 class TestLintJS2260:
     def _analysis(self, text, files=()):
         from repro.analysis import analyze_program
@@ -289,3 +311,67 @@ class TestLintJS2260:
 
         program, analysis = self._analysis("echo hi")
         assert check_jobs_eligibility(program, analysis, 1) is None
+
+
+#: statement -> (stage kinds, input_path, single_part), or None when the
+#: pool must refuse it.  The accept set decides what ``--jobs`` ships,
+#: so it is pinned literally.
+ACCEPT_SET = [
+    ("cat /w | tr a-z A-Z", (["cat", "tr"], "/w", False)),
+    ("cat /w | tr a-z A-Z | tr -d x", (["cat", "tr", "tr"], "/w", False)),
+    ("cat /w | tr -cs A-Za-z '\\n' | sort", (["cat", "tr", "sort"], "/w", False)),
+    ("cat /w | tr -s a | tr a-z A-Z | sort -u | uniq > /o",
+     (["cat", "tr", "tr", "sort", "uniq"], "/w", True)),
+    ("cat /w | tr a-z A-Z | sort -r >> /o", (["cat", "tr", "sort"], "/w", False)),
+    ("cat /w | sort", (["cat", "sort"], "/w", False)),
+    ("cat /w | sort -r | uniq", (["cat", "sort", "uniq"], "/w", False)),
+    ("cat /w | sort -u > /o", (["cat", "sort"], "/w", False)),
+    ("sort /w", (["sort"], "/w", False)),
+    ("sort -r -u /w | uniq >> /o", (["sort", "uniq"], "/w", False)),
+    ("sort -ru /w 1> /o", (["sort"], "/w", False)),
+    # -- refusals ----------------------------------------------------------
+    ("cat /w", None),
+    ("cat /w | sort >| /o", None),
+    ("cat < /w | sort", None),
+    ("sort /w < /x", None),
+    ("sort /w > /o > /p", None),
+    ("cat /w | sort 2> /e", None),
+    ("cat /w > /o | sort", None),
+    ("cat /w | sort > $OUT", None),
+    ("X=1 cat /w | sort", None),
+    ("cat /w | X=1 sort", None),
+    ("cat - | sort", None),
+    ("cat -n /w | sort", None),
+    ("cat /a /b | sort", None),
+    ("cat /w | tr a b | tr b c | tr c d", None),
+    ("cat /w | tr a", None),
+    ("cat /w | sort -k2", None),
+    ("cat /w | sort -n", None),
+    ("cat /w | sort /x", None),
+    ("sort -", None),
+    ("sort /a /b", None),
+    ("cat /w | tr a b | tr b c | sort | uniq | uniq", None),
+    ("cat /w | sort | uniq -c", None),
+    ("cat /w | sort | wc -l", None),
+    ("cat $F | sort", None),
+    ("cat /w | tr \"$A\" b", None),
+    ("! cat /w | sort", None),
+    ("cat /w | (sort)", None),
+    ("grep x /w | sort", None),
+]
+
+
+class TestAcceptSet:
+    @pytest.mark.parametrize("text,expected", ACCEPT_SET,
+                             ids=[t for t, _ in ACCEPT_SET])
+    def test_match_region(self, text, expected):
+        from repro.parallel_host.regions import match_region
+        from repro.parser import parse_one
+
+        plan = match_region(parse_one(text))
+        if expected is None:
+            assert plan is None
+        else:
+            assert plan is not None
+            assert ([s.kind for s in plan.stages], plan.input_path,
+                    plan.single_part) == expected
