@@ -17,7 +17,8 @@ Results go to ``BENCH_wallclock.json`` at the repo root with separate
 ``before``/``after`` sections (``--record before`` is run once, with
 ``PYTHONPATH`` on the pre-PR tree's ``src``, and moves the previous PR's
 finished pair into ``history``) so the trajectory across PRs is visible
-in one file.
+in one file; ``tools/ledger_pairs.py`` adds the PR's raw host-time ledger
+pairs beside them.
 ``--smoke`` runs a small suite for CI and optionally enforces the
 checked-in ``tools/wallclock_baseline.json`` dispatch budget.
 
@@ -58,6 +59,11 @@ SCENARIOS = (
      "/data/access.log", "log"),
     ("wc", "wc /data/words.txt > /data/counts.txt", "/data/words.txt",
      "words"),
+    # per-record charging: one CPU burst per line, drained as CpuVReqs
+    ("sed", "sed -n 's/.*resource\\/\\([0-9]*\\) HTTP.*/\\1/p' "
+     "/data/access.log > /data/ids.txt", "/data/access.log", "log"),
+    ("awk", "awk '{s+=$NF} END{print s}' /data/access.log > /data/sum.txt",
+     "/data/access.log", "log"),
 )
 
 
@@ -275,8 +281,9 @@ def main(argv=None) -> int:
         # a new PR starts: keep the finished pair instead of overwriting
         doc.setdefault("history", []).append(
             {k: doc[k] for k in ("meta", "before", "after", "gains",
-                                 "scaling") if k in doc})
+                                 "scaling", "ledger_pairs") if k in doc})
         doc["after"] = {}
+        doc.pop("ledger_pairs", None)  # tools/ledger_pairs.py, per PR
     doc["meta"] = host_metadata()
     doc[args.record] = results
     if not args.no_scaling:

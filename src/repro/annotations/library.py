@@ -141,16 +141,19 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
 
     # -- sed: stateless for the supported script subset unless it quits ------
     def sed_rule(argv):
-        flags = _flags_of(argv)
+        import re
+
+        from ..commands.base import UsageError
+        from ..commands.filters import parse_sed_args
+
         ops = _operands_of(argv, value_flags="e")
-        script = None
-        for arg in argv:
-            if arg.startswith("-"):
-                continue
-            script = arg
-            break
-        file_ops: tuple[int, ...] = tuple(ops[1:]) if script is not None and ops else ()
-        if script is None or "q" in script.split(";"):
+        try:
+            _quiet, cmds, files = parse_sed_args(list(argv))
+            quits = any(cmd.kind == "q" for cmd in cmds)
+        except (UsageError, re.error):  # sed itself will refuse to run
+            files, quits = [], True
+        file_ops = tuple(ops[len(ops) - len(files):])
+        if quits:
             return InstanceSpec("sed", ParClass.NON_PARALLELIZABLE,
                                 input_operands=file_ops,
                                 reads_stdin=not file_ops)

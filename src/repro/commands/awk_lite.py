@@ -7,7 +7,8 @@ Supported:
   action-only items (match every record)
 * statements: ``print``, ``printf``, expression statements (assignments,
   ``++``/``--``, ``+=`` family), ``if (...) ... [else ...]``,
-  ``while (...)``, ``for (k in arr)``, ``next``, ``{}`` blocks
+  ``while (...)``, ``for (k in arr)``, ``next``, ``exit [expr]``, ``{}``
+  blocks
 * expressions: numbers, string literals, fields ``$0..$n`` (computed
   ``$e`` too), variables, associative arrays ``a[expr]``, arithmetic,
   string concatenation (juxtaposition), comparisons, ``~``/``!~`` regex
@@ -44,7 +45,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 KEYWORDS = {"BEGIN", "END", "print", "printf", "if", "else", "while",
-            "for", "in", "next"}
+            "for", "in", "next", "exit"}
 
 
 class AwkSyntaxError(UsageError):
@@ -228,6 +229,11 @@ class _Parser:
             if text == "next":
                 self.take()
                 return Node("next")
+            if text == "exit":
+                self.take()
+                if self.peek()[1] in (";", "}", None):
+                    return Node("exit")
+                return Node("exit", self.parse_expr())
             if text == "if":
                 self.take()
                 self.expect("op", "(")
@@ -437,6 +443,13 @@ class _Next(Exception):
     pass
 
 
+class _Exit(Exception):
+    """``exit [expr]``: ``status`` is None when no expression was given."""
+
+    def __init__(self, status: Optional[int]):
+        self.status = status
+
+
 class AwkRuntime:
     def __init__(self, fs: str = " ", assigns: Optional[dict] = None):
         self.vars: dict[str, object] = {"FS": fs, "OFS": " ", "ORS": "\n",
@@ -520,6 +533,9 @@ class AwkRuntime:
                 self.exec_stmt(stmt.c)
         elif kind == "next":
             raise _Next()
+        elif kind == "exit":
+            raise _Exit(None if stmt.a is None
+                        else int(to_num(self.eval(stmt.a))))
         else:
             raise UsageError(f"awk: cannot execute {kind}")
 
@@ -817,8 +833,8 @@ def program_is_stateless(src: str) -> bool:
                     or target.a not in ("OFS", "ORS", "FS")
                 ):
                     return False  # cross-record state
-            if node.kind == "forin":
-                return False
+            if node.kind in ("forin", "exit"):
+                return False  # exit: later records depend on earlier ones
             if node.kind == "call":
                 if node.a == "split":
                     return False  # writes an array (cross-record state)
@@ -885,51 +901,62 @@ def awk(proc: Process, argv: list[str]):
             runtime.out.clear()
             yield from out.put(data)
 
-    # BEGIN
+    # ``exit`` from BEGIN or a record ends the input and still runs END;
+    # from END it stops END.  The last status given is the command's.
+    status = 0
     try:
-        for pattern, action in items:
-            if pattern is not None and pattern.kind == "BEGIN":
-                runtime.exec_block(action)
-        yield from flush_runtime()
+        try:
+            for pattern, action in items:
+                if pattern is not None and pattern.kind == "BEGIN":
+                    runtime.exec_block(action)
+            yield from flush_runtime()
 
-        main_items = [(p, a) for p, a in items
-                      if p is None or p.kind not in ("BEGIN", "END")]
-        has_main_or_end = bool(main_items) or any(
-            p is not None and p.kind == "END" for p, __ in items
-        )
-        if has_main_or_end:
-            for path in operands or ["-"]:
-                fd, needs_close = yield from open_input(proc, path)
-                runtime.vars["FILENAME"] = path if path != "-" else ""
-                stream = LineStream(proc, fd)
-                while True:
-                    line = yield from stream.next_line()
-                    if line is None:
-                        break
-                    yield from proc.cpu(len(line) * coeff)
-                    runtime.set_record(line.decode("utf-8", "replace")
-                                       .rstrip("\n"))
-                    try:
-                        for pattern, action in main_items:
-                            matched = (
-                                pattern is None
-                                or truthy(runtime.eval(pattern.a))
-                            )
-                            if matched:
-                                runtime.exec_block(action)
-                    except _Next:
-                        pass
-                    yield from flush_runtime()
-                if needs_close:
-                    yield from proc.close(fd)
+            main_items = [(p, a) for p, a in items
+                          if p is None or p.kind not in ("BEGIN", "END")]
+            has_main_or_end = bool(main_items) or any(
+                p is not None and p.kind == "END" for p, __ in items
+            )
+            if has_main_or_end:
+                for path in operands or ["-"]:
+                    fd, needs_close = yield from open_input(proc, path)
+                    runtime.vars["FILENAME"] = path if path != "-" else ""
+                    stream = LineStream(proc, fd)
+                    while True:
+                        batch = yield from stream.next_batch()
+                        if batch is None:
+                            break
+                        for line in batch:
+                            proc.charge(len(line) * coeff)
+                            runtime.set_record(
+                                line.decode("utf-8", "replace").rstrip("\n"))
+                            try:
+                                for pattern, action in main_items:
+                                    matched = (
+                                        pattern is None
+                                        or truthy(runtime.eval(pattern.a))
+                                    )
+                                    if matched:
+                                        runtime.exec_block(action)
+                            except _Next:
+                                pass
+                            if runtime.out:
+                                yield from flush_runtime()
+                    if needs_close:
+                        yield from proc.close(fd)
+        except _Exit as stop:
+            status = stop.status or 0
 
-        for pattern, action in items:
-            if pattern is not None and pattern.kind == "END":
-                runtime.exec_block(action)
+        try:
+            for pattern, action in items:
+                if pattern is not None and pattern.kind == "END":
+                    runtime.exec_block(action)
+        except _Exit as stop:
+            if stop.status is not None:
+                status = stop.status
         yield from flush_runtime()
     except UsageError as err:
         yield from out.flush()
         yield from write_err(proc, f"awk: {err}")
         return 2
     yield from out.flush()
-    return 0
+    return status

@@ -223,11 +223,14 @@ class UsageError(Exception):
     """Bad command-line arguments; commands exit 2."""
 
 
-def parse_flags(argv: list[str], flags: str, with_value: str = "") -> tuple[dict, list[str]]:
+def parse_flags(argv: list[str], flags: str, with_value: str = "",
+                repeat: str = "") -> tuple[dict, list[str]]:
     """Minimal POSIX-style option parser.
 
     ``flags`` are boolean single-letter options; ``with_value`` options
-    take an argument (attached or following).  Returns (options, operands).
+    take an argument (attached or following), the last occurrence
+    winning — except those also in ``repeat``, which collect every
+    occurrence into a list, in order.  Returns (options, operands).
     Combined clusters (``-rn``) and ``--`` are supported, as are the
     historical ``-NUM`` forms when 'NUM' is in with_value as '#'.
     """
@@ -257,7 +260,10 @@ def parse_flags(argv: list[str], flags: str, with_value: str = "") -> tuple[dict
                         if i >= len(argv):
                             raise UsageError(f"option -{ch} requires an argument")
                         value = argv[i]
-                    opts[ch] = value
+                    if ch in repeat:
+                        opts.setdefault(ch, []).append(value)
+                    else:
+                        opts[ch] = value
                     break
                 else:
                     raise UsageError(f"unknown option -{ch}")

@@ -495,43 +495,69 @@ def cut(proc: Process, argv: list[str]):
 
 class _SedCmd:
     def __init__(self, kind: str, regex=None, repl: bytes = b"", global_: bool = False,
-                 print_: bool = False):
+                 print_: bool = False, nth: int = 1):
         self.kind = kind  # "s" | "d" | "p" | "q"
         self.regex = regex
         self.repl = repl
         self.global_ = global_
         self.print_ = print_
+        self.nth = nth  # s///N: first match substituted; Nq: the line
+
+    def substitute(self, body: bytes) -> tuple[bytes, int]:
+        """Apply an ``s`` command: (new body, substitutions made)."""
+        if self.nth == 1:
+            return self.regex.subn(self.repl, body,
+                                   count=0 if self.global_ else 1)
+        seen = done = 0
+
+        def pick(match):
+            nonlocal seen, done
+            seen += 1
+            if seen == self.nth or (self.global_ and seen > self.nth):
+                done += 1
+                return match.expand(self.repl)
+            return match.group()
+
+        return self.regex.sub(pick, body), done
+
+
+def _parse_s_flags(flags: str) -> tuple[bool, bool, int]:
+    """``[N][g][p]`` -> (global, print, N); anything else (``w file``,
+    ``I``, a second number, zero) is refused, not ignored."""
+    match = re.fullmatch(r"[gp]*([1-9]\d*)?[gp]*", flags)
+    if match is None:
+        raise UsageError(f"unknown option to s: {flags!r}")
+    return "g" in flags, "p" in flags, int(match.group(1) or 1)
 
 
 @lru_cache(maxsize=128)
 def parse_sed_script(script: str) -> list[_SedCmd]:
-    """Supported: ``s<sep>re<sep>repl<sep>[gp]``, ``/re/d``, ``/re/p``, ``q``.
+    """Supported: ``s<sep>re<sep>repl<sep>[N][g][p]``, ``/re/d``, ``/re/p``,
+    ``[N]q``; commands separated by ``;`` or newlines.
 
     Addresses and s/// patterns are POSIX BREs (like real sed), so `+`,
     `?`, `|` and unescaped `{` are literal characters.
     """
     cmds: list[_SedCmd] = []
-    for piece in script.split(";"):
+    for piece in re.split(r"[;\n]", script):
         piece = piece.strip()
         if not piece:
             continue
-        if piece == "q":
-            cmds.append(_SedCmd("q"))
+        if re.fullmatch(r"[1-9]\d*q|q", piece):
+            cmds.append(_SedCmd("q", nth=int(piece[:-1] or 1)))
         elif piece.startswith("s") and len(piece) > 1:
             sep = piece[1]
             parts = re.split(r"(?<!\\)" + re.escape(sep), piece[2:])
             if len(parts) < 2:
                 raise UsageError(f"bad s command {piece!r}")
             pat, repl = parts[0], parts[1]
-            flags = parts[2] if len(parts) > 2 else ""
+            global_, print_, nth = _parse_s_flags("".join(parts[2:]))
             pat = pat.replace("\\" + sep, sep)
             regex = re.compile(bre_to_python(pat).encode())
             # sed's \1 and & live in the replacement; translate to re syntax
             py_repl = re.sub(r"(?<!\\)&", r"\\g<0>", repl).encode()
             py_repl = py_repl.replace(b"\\" + sep.encode(), sep.encode())
-            cmds.append(
-                _SedCmd("s", regex, py_repl, global_="g" in flags, print_="p" in flags)
-            )
+            cmds.append(_SedCmd("s", regex, py_repl, global_, print_, nth))
         elif piece.startswith("/"):
             end = piece.find("/", 1)
             if end < 0:
@@ -549,29 +575,33 @@ def parse_sed_script(script: str) -> list[_SedCmd]:
     return cmds
 
 
+def parse_sed_args(argv: list[str]) -> tuple[bool, list[_SedCmd], list[str]]:
+    """``sed [-n] [-e script]... [script] [file...]`` -> (quiet, commands,
+    files).  Every ``-e`` counts, in order; without one the first operand
+    is the script.  Raises UsageError / re.error for what sed refuses."""
+    opts, operands = parse_flags(argv, "n", with_value="e", repeat="e")
+    if "e" in opts:
+        script = "\n".join(opts["e"])
+    elif operands:
+        script = operands.pop(0)
+    else:
+        raise UsageError("missing script")
+    return bool(opts.get("n")), parse_sed_script(script), operands
+
+
 @command("sed")
 def sed(proc: Process, argv: list[str]):
     try:
-        opts, operands = parse_flags(argv, "n", with_value="e")
-    except UsageError as err:
-        yield from write_err(proc, f"sed: {err}")
-        return 2
-    script_text = opts.get("e")
-    if script_text is None:
-        if not operands:
-            yield from write_err(proc, "sed: missing script")
-            return 2
-        script_text = operands.pop(0)
-    try:
-        cmds = parse_sed_script(script_text)
+        quiet, cmds, operands = parse_sed_args(argv)
     except (UsageError, re.error) as err:
         yield from write_err(proc, f"sed: {err}")
         return 2
-    auto_print = not opts.get("n")
+    auto_print = not quiet
     coeff = cpu_coeff("sed")
 
     files = operands or ["-"]
     quit_now = False
+    lineno = 0
     for path in files:
         if quit_now:
             break
@@ -579,37 +609,41 @@ def sed(proc: Process, argv: list[str]):
         stream = LineStream(proc, fd)
         out = OutBuf(proc, 1)
         while not quit_now:
-            line = yield from stream.next_line()
-            if line is None:
+            batch = yield from stream.next_batch()
+            if batch is None:
                 break
-            yield from proc.cpu(len(line) * coeff)
-            body = line.rstrip(b"\n")
-            deleted = False
-            extra_prints: list[bytes] = []
-            for cmd in cmds:
-                if cmd.kind == "q":
-                    quit_now = True
-                elif cmd.kind == "d":
-                    if cmd.regex.search(body):
-                        deleted = True
-                        break
-                elif cmd.kind == "p":
-                    if cmd.regex.search(body):
-                        extra_prints.append(body + b"\n")
-                elif cmd.kind == "s":
-                    count = 0 if cmd.global_ else 1
-                    new_body, n = cmd.regex.subn(cmd.repl, body, count=count)
-                    if n and cmd.print_:
-                        extra_prints.append(new_body + b"\n")
-                    body = new_body
-            if not deleted:
-                if auto_print:
-                    yield from out.put(body + b"\n")
-                for extra in extra_prints:
-                    yield from out.put(extra)
-            elif not auto_print:
-                for extra in extra_prints:
-                    yield from out.put(extra)
+            for line in batch:
+                proc.charge(len(line) * coeff)
+                lineno += 1
+                body = line.rstrip(b"\n")
+                deleted = False
+                extra_prints: list[bytes] = []
+                for cmd in cmds:
+                    if cmd.kind == "q":
+                        if lineno == cmd.nth:
+                            quit_now = True
+                            break
+                    elif cmd.kind == "d":
+                        if cmd.regex.search(body):
+                            deleted = True
+                            break
+                    elif cmd.kind == "p":
+                        if cmd.regex.search(body):
+                            extra_prints.append(body + b"\n")
+                    elif cmd.kind == "s":
+                        body, n = cmd.substitute(body)
+                        if n and cmd.print_:
+                            extra_prints.append(body + b"\n")
+                if not deleted:
+                    if auto_print:
+                        yield from out.put(body + b"\n")
+                    for extra in extra_prints:
+                        yield from out.put(extra)
+                elif not auto_print:
+                    for extra in extra_prints:
+                        yield from out.put(extra)
+                if quit_now:
+                    break
         yield from out.flush()
         if needs_close:
             yield from proc.close(fd)

@@ -220,7 +220,7 @@ def sort_cmd(proc: Process, argv: list[str]):
             line = yield from stream.next_line()
             if line is None:
                 break
-            yield from proc.cpu(len(line) * coeff)
+            proc.charge(len(line) * coeff)
             k = order_key(line)
             if prev is not None:
                 in_order = k >= prev if not reverse else k <= prev
@@ -586,9 +586,9 @@ def comm(proc: Process, argv: list[str]):
 
     while l1 is not None or l2 is not None:
         if l1 is not None:
-            yield from proc.cpu(len(l1) * coeff * 0.5)
+            proc.charge(len(l1) * coeff * 0.5)
         if l2 is not None:
-            yield from proc.cpu(len(l2) * coeff * 0.5)
+            proc.charge(len(l2) * coeff * 0.5)
         if l2 is None or (l1 is not None and body(l1) < body(l2)):
             if "1" not in suppress:
                 yield from out.put(body(l1) + b"\n")
@@ -641,7 +641,7 @@ def join_cmd(proc: Process, argv: list[str]):
     l1 = yield from s1.next_line()
     l2 = yield from s2.next_line()
     while l1 is not None and l2 is not None:
-        yield from proc.cpu((len(l1) + len(l2)) * coeff * 0.5)
+        proc.charge((len(l1) + len(l2)) * coeff * 0.5)
         fld1, fld2 = fields_of(l1), fields_of(l2)
         k1, k2 = key_of(fld1, f1), key_of(fld2, f2)
         if k1 < k2:
@@ -715,7 +715,7 @@ def seq(proc: Process, argv: list[str]):
     value = start
     while (step > 0 and value <= end) or (step < 0 and value >= end):
         line = str(value).encode() + b"\n"
-        yield from proc.cpu(len(line) * coeff)
+        proc.charge(len(line) * coeff)
         yield from out.put(line)
         value += step
     yield from out.flush()

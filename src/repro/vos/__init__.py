@@ -55,6 +55,7 @@ from .process import CHUNK, Process
 from .syscalls import (
     CloseReq,
     CpuReq,
+    CpuVReq,
     DupReq,
     KillReq,
     NetSendReq,
@@ -84,7 +85,7 @@ __all__ = [
     "MachineSpec", "PROFILES", "aws_c5_2xlarge_gp2", "aws_c5_2xlarge_gp3",
     "laptop", "profile", "raspberry_pi", "supercomputer_node",
     "Pipe", "CHUNK", "Process",
-    "CloseReq", "CpuReq", "DupReq", "KillReq", "NetSendReq", "OpenReq",
-    "ReadReq", "ReadVReq", "SleepReq", "SpawnReq", "SpliceReq", "WaitReq",
-    "WriteReq", "WriteVReq",
+    "CloseReq", "CpuReq", "CpuVReq", "DupReq", "KillReq", "NetSendReq",
+    "OpenReq", "ReadReq", "ReadVReq", "SleepReq", "SpawnReq", "SpliceReq",
+    "WaitReq", "WriteReq", "WriteVReq",
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from typing import Callable, Optional
 
 from .devices import Disk, DiskSpec, _DiskRequest
@@ -56,6 +57,7 @@ from .process import DONE, NEW, RUNNING, Process
 from .syscalls import (
     CloseReq,
     CpuReq,
+    CpuVReq,
     DupReq,
     KillReq,
     NetSendReq,
@@ -94,6 +96,20 @@ class _SpliceState:
         self.chunks = 0
         self.dst_i = 0
         self.phase = "read"
+
+
+class _CpuVState:
+    """Kernel-side replay state for one in-flight :class:`CpuVReq`:
+    the bursts, the index of the next one to charge, and ``then``, called
+    in place when the last has finished — it resumes the generator,
+    dispatches the request the bursts were charged ahead of, or exits."""
+
+    __slots__ = ("bursts", "i", "then")
+
+    def __init__(self, bursts, then):
+        self.bursts = bursts
+        self.i = 0
+        self.then = then
 
 
 class Node:
@@ -317,6 +333,10 @@ class Kernel:
             # feed the kernel-side pump instead of the generator
             self._splice_step(proc, value, exc)
             return
+        if proc._cpuv is not None:
+            # suspended at a CpuVReq: a finished burst starts the next
+            self._cpuv_step(proc)
+            return
         self.steps += 1
         try:
             if exc is not None:
@@ -324,19 +344,41 @@ class Kernel:
             else:
                 request = proc.gen.send(value)
         except StopIteration as stop:
-            self._exit(proc, stop.value if stop.value is not None else 0)
+            self._body_ended(proc, stop.value if stop.value is not None else 0)
         except BrokenPipe:
-            self._exit(proc, SIGPIPE_STATUS)
+            self._body_ended(proc, SIGPIPE_STATUS)
         except InjectedFault as err:
-            self._exit(proc, EX_IOERR, error=f"{type(err).__name__}: {err}")
+            self._body_ended(proc, EX_IOERR, f"{type(err).__name__}: {err}")
         except VosError as err:
-            self._exit(proc, 1, error=f"{type(err).__name__}: {err}")
+            self._body_ended(proc, 1, f"{type(err).__name__}: {err}")
         else:
             self._dispatch(proc, request)
 
+    def _body_ended(self, proc: Process, status: int,
+                    error: Optional[str] = None) -> None:
+        """Exit — after the bursts the body charged since its last request,
+        which a per-record ``proc.cpu`` would have run before this point."""
+        if proc._charges is None:
+            self._exit(proc, status, error)
+        else:
+            self._run_charges(proc, partial(self._exit, proc, status, error))
+
+    def _run_charges(self, proc: Process, then: Callable) -> None:
+        """Replay the bursts ``proc`` deferred with ``charge``, then ``then()``."""
+        bursts, proc._charges = proc._charges, None
+        self._dispatch(proc, CpuVReq(bursts), then)
+
     # -- syscall dispatch -------------------------------------------------------------
 
-    def _dispatch(self, proc: Process, request) -> None:
+    def _dispatch(self, proc: Process, request,
+                  then: Optional[Callable] = None) -> None:
+        """Serve ``request``.  Bursts charged before it run first: the
+        request is held and dispatched when the last of them has finished,
+        which is when a body charging with ``proc.cpu`` would have yielded
+        it.  ``then`` is what follows a CpuVReq (default: resume ``proc``)."""
+        if proc._charges is not None:
+            self._run_charges(proc, partial(self._dispatch, proc, request))
+            return
         self.dispatches += 1
         tr = self.tracer
         if tr is not None and tr.syscall_events:
@@ -346,6 +388,10 @@ class Kernel:
             mx.on_dispatch(proc, request)
         if isinstance(request, CpuReq):
             self._sys_cpu(proc, request)
+        elif isinstance(request, CpuVReq):
+            proc._cpuv = _CpuVState(request.bursts,
+                                    then or partial(self._step, proc))
+            self._cpuv_step(proc)
         elif isinstance(request, ReadReq):
             self._sys_read(proc, request)
         elif isinstance(request, WriteReq):
@@ -398,6 +444,67 @@ class Kernel:
         mx = self.metrics
         if mx is not None:
             mx.on_cpu(self.now, proc, work)
+
+    def _cpuv_step(self, proc: Process) -> None:
+        """Charge the next burst of ``proc``'s vector, or — in the step
+        that would have resumed the generator after the last — go on to
+        what follows.  Each burst is one ``_charge_cpu`` and one trip
+        through ``_ready``, as a run of CpuReqs would be, minus the resume."""
+        st = proc._cpuv
+        if self._solo():
+            self._cpuv_solo(proc, st)
+        if st.i < len(st.bursts):
+            seconds = st.bursts[st.i]
+            st.i += 1
+            self._charge_cpu(proc, seconds)
+            return
+        proc._cpuv = None
+        st.then()
+
+    def _solo(self) -> bool:
+        """Can nothing but the stepping process's bursts happen until they end?
+        Nobody else runnable or on a CPU, every disk idle, no timer,
+        network or fault plan to fire, no tracer or metrics to tell."""
+        if (self._ready or self._timers or self.network is not None
+                or self._faults is not None or self.tracer is not None
+                or self.metrics is not None):
+            return False
+        for node in self.nodes.values():
+            if node.cpu_active or node.disk.busy_until is not None:
+                return False
+        return True
+
+    def _cpuv_solo(self, proc: Process, st: _CpuVState) -> None:
+        """Run bursts of ``st`` back to back while alone (``_solo``):
+        the float operations, in order, of ``_charge_cpu`` ->
+        ``_next_event_time`` -> ``_advance_to`` -> ``_advance_cpu`` for a
+        single active burst.  Stops before a burst whose arithmetic the
+        general path would not finish in one advance (clock too large to
+        resolve it), leaving that one to the general path."""
+        node = proc.node
+        speed = node.cpu_speed
+        # Node.cpu_rate() and the busy-core count with this one burst active
+        rate = min(1.0, node.cores / 1)
+        busy_cores = min(1, node.cores)
+        bursts, i, n = st.bursts, st.i, len(st.bursts)
+        now = self.now
+        busy = node.cpu_busy_time
+        while i < n:
+            work = bursts[i] / speed
+            if not work > _EPS:  # max(_EPS, work)
+                work = _EPS
+            t = now + work / rate  # >= now, so max(now, t) is t
+            elapsed = t - now
+            if elapsed <= 0 or work - elapsed * rate > _EPS:
+                break
+            busy += elapsed * busy_cores
+            now = t
+            i += 1
+        st.i = i
+        self.now = now
+        node.cpu_busy_time = busy
+        for each in self.nodes.values():
+            each.cpu_last_update = now
 
     def _advance_cpu(self, node: Node) -> None:
         """Account progress of active CPU bursts on `node` up to `self.now`."""

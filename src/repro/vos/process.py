@@ -9,6 +9,13 @@ requests.  The :class:`Process` helper methods are sub-generators used via
         yield from proc.cpu(len(data) * 1e-9)
         yield from proc.write(1, transform(data))
         return 0
+
+Per-record CPU costs are *deferred*: ``proc.charge(seconds)`` only appends
+to a list on the process.  The kernel replays that list burst by burst,
+as one :class:`CpuVReq`, ahead of the next request the body yields (or of
+its exit), so a body's burst / read / write order is what a ``proc.cpu``
+per record would have produced, at one dispatch per drain instead of one
+per record.
 """
 
 from __future__ import annotations
@@ -102,6 +109,10 @@ class Process:
         self.start_time = 0.0
         self.end_time = 0.0
         self._splice = None  # kernel-side pump state (repro.vos.kernel)
+        self._cpuv = None  # kernel-side replay state of a CpuVReq
+        #: bursts deferred by charge(), taken by the kernel at the next
+        #: dispatch or exit; None when empty
+        self._charges: Optional[list] = None
 
     def __repr__(self) -> str:
         return f"<Process {self.pid} {self.name} {self.state}>"
@@ -126,6 +137,15 @@ class Process:
         return self._fds.next_free()
 
     # -- syscall helper sub-generators ------------------------------------------
+
+    def charge(self, seconds: float) -> None:
+        """Defer one CPU burst: it runs, in order, before the next
+        request this process yields (or before it exits)."""
+        if seconds > 0:
+            if self._charges is None:
+                self._charges = [seconds]
+            else:
+                self._charges.append(seconds)
 
     def cpu(self, seconds: float):
         if seconds > 0:

@@ -14,6 +14,18 @@ class CpuReq:
 
 
 @dataclass
+class CpuVReq:
+    """Vectored CPU: ``bursts`` is a list of reference-CPU seconds the
+    kernel replays as that many individual :class:`CpuReq` bursts, in
+    order (same processor sharing, tracer spans and metrics per burst),
+    without resuming the generator in between.  The kernel issues one
+    itself for the charges a body deferred with ``proc.charge``, ahead
+    of the body's next request or its exit."""
+
+    bursts: list
+
+
+@dataclass
 class ReadReq:
     fd: int
     nbytes: int
@@ -129,7 +141,7 @@ class NetSendReq:
 
 
 Syscall = (
-    CpuReq, ReadReq, WriteReq, ReadVReq, WriteVReq, SpliceReq,
+    CpuReq, CpuVReq, ReadReq, WriteReq, ReadVReq, WriteVReq, SpliceReq,
     OpenReq, CloseReq, DupReq, SpawnReq, WaitReq, KillReq, SleepReq,
     NetSendReq,
 )

@@ -87,6 +87,18 @@ class TestLibraryClassification:
         spec2 = classify("grep", "pat")
         assert spec2.reads_stdin
 
+    def test_sed_reads_its_script_as_sed_does(self):
+        assert classify("sed", "s/a/b/").par_class is ParClass.STATELESS
+        for quitting in (["q"], ["5q"], ["-e", "s/a/b/", "-e", "3q"]):
+            assert classify("sed", *quitting).par_class is \
+                ParClass.NON_PARALLELIZABLE, quitting
+        assert classify("sed", "s/a/b/", "/f", "/g").input_operands == (1, 2)
+        spec = classify("sed", "-n", "-e", "s/a/b/p", "-e", "s/b/c/", "/f")
+        assert spec.input_operands == (5,) and not spec.reads_stdin
+        # a script sed refuses is not split either
+        assert classify("sed", "s/a/b/w out").par_class is \
+            ParClass.NON_PARALLELIZABLE
+
     def test_tr_tokenizing_detection(self):
         assert classify("tr", "-cs", "A-Za-z", "\\n").tokenizing
         assert classify("tr", "-cs", "A-Za-z", "\n").tokenizing

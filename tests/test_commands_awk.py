@@ -87,6 +87,21 @@ class TestPatterns:
         )
         assert out == b"kept:a\nkept:b\n"
 
+    def test_exit_ends_input_and_runs_end(self):
+        assert run_awk(['NR==2{exit} {print} END{print "E"}'],
+                       b"a\nb\nc\n") == (0, b"a\nE\n")
+        assert run_awk(['{print; exit 1+2}'], b"a\nb\n") == (3, b"a\n")
+        assert run_awk(['BEGIN{exit 4} {print} END{print "E"}'],
+                       b"a\n") == (4, b"E\n")
+
+    def test_exit_in_end_stops_end_and_keeps_the_status(self):
+        assert run_awk(['{exit 2} END{print "E"; exit; print "no"}'],
+                       b"a\n") == (2, b"E\n")
+        assert run_awk(['END{exit 5} END{print "no"}'], b"a\n") == (5, b"")
+
+    def test_exit_is_not_a_variable(self):
+        assert run_awk(["{exit = 1}"], b"a\n")[0] == 2  # syntax error
+
 
 class TestState:
     def test_sum(self):
@@ -204,6 +219,7 @@ class TestStatelessAnalysis:
         ("BEGIN {x=1} {print x}", False),
         ("{c[$1]++}", False),
         ("END {print NR}", False),
+        ("/stop/ {exit} {print}", False),   # drops every later record
         ("not a ( valid program", False),
     ])
     def test_classification(self, program, expected):

@@ -231,6 +231,26 @@ class TestSed:
     def test_multiple_commands(self, out_of):
         assert out_of("printf 'ab\\n' | sed 's/a/1/;s/b/2/'") == "12\n"
 
+    def test_every_e_script_runs_in_order(self, out_of):
+        assert out_of("printf 'ab\\n' | sed -e s/a/b/ -e s/b/c/g") == "cc\n"
+        assert out_of("printf 'ab\\n' | sed -n -es/a/b/p -e s/b/c/p") == \
+            "bb\ncb\n"
+
+    def test_numeric_occurrence_flag(self, out_of):
+        assert out_of("printf 'aaaa\\n' | sed s/a/b/3") == "aaba\n"
+        assert out_of("printf 'aaaa\\n' | sed s/a/b/3g") == "aabb\n"
+        assert out_of("printf 'a-a\\nb\\n' | sed -n 's/a/[&]/2p'") == "a-[a]\n"
+
+    @pytest.mark.parametrize("flags", ["x", "w out", "0", "2g3", "I"])
+    def test_unknown_s_flags_are_refused(self, sh_run, flags):
+        result = sh_run(f"printf 'aaa\\n' | sed 's/a/b/{flags}'")
+        assert result.status == 2 and result.out == ""
+        assert result.err.startswith("sed: ")
+
+    def test_quit_at_line(self, out_of):
+        assert out_of("printf '1\\n2\\n3\\n' | sed 2q") == "1\n2\n"
+        assert out_of("printf '1\\n2\\n' | sed 'q;s/1/x/'") == "1\n"
+
 
 class TestWc:
     def test_lines_words_bytes(self, out_of):

@@ -11,6 +11,10 @@ Three layers of guarantees:
    syscall sequence — the same virtual elapsed time.
 3. FdTable keeps POSIX lowest-free-fd semantics under its O(log n)
    free-list.
+4. Vectored CPU (``CpuVReq``): per-record charges deferred on the process
+   and replayed in the kernel equal one ``CpuReq`` per record — the loops
+   ``sed``, ``awk`` and ``seq`` had, kept here as the references — on
+   stdout, virtual time, busy time, fault ops and trace.
 """
 
 from __future__ import annotations
@@ -20,12 +24,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import FaultPlan, Tracer
+from repro.obs import MetricsRegistry
+from repro.obs.export import chrome_events
+from repro.obs.stat import render_stat
 from repro.shell import Shell
-from repro.vos import BrokenPipe, DiskSpec, Kernel, Node, make_pipe
-from repro.vos.machines import laptop
+from repro.vos import (BrokenPipe, CpuReq, CpuVReq, DiskSpec, Kernel, Node,
+                       SleepReq, make_pipe)
+from repro.vos.machines import MachineSpec, laptop
 from repro.vos.pipes import Pipe
 from repro.vos.process import CHUNK, FdTable
 
+import repro.commands.awk_lite as awk_lite
 import repro.commands.base as base
 import repro.commands.filters as filters
 import repro.commands.sorting as sorting
@@ -686,3 +696,423 @@ class TestLineStreamCursor:
         assert _drive(stream.next_line()) == b"b\n"
         assert _drive(stream.next_batch()) == [b"a"]
         assert _drive(stream.next_batch()) is None
+
+
+# ---------------------------------------------------------------------------
+# 7. Vectored CPU: deferred per-record charges vs one CpuReq per record
+# ---------------------------------------------------------------------------
+
+
+def _sed_per_line(proc, argv):
+    """``sed`` as it charged before CpuVReq: one ``proc.cpu`` per line
+    (argv here: ``[-n] SCRIPT [FILE]``)."""
+    auto_print = argv[0] != "-n"
+    script, *files = argv[0 if auto_print else 1:]
+    cmds = filters.parse_sed_script(script)
+    coeff = base.cpu_coeff("sed")
+    fd, _ = yield from base.open_input(proc, files[0] if files else "-")
+    stream = base.LineStream(proc, fd)
+    out = base.OutBuf(proc, 1)
+    lineno = 0
+    quit_now = False
+    while not quit_now:
+        line = yield from stream.next_line()
+        if line is None:
+            break
+        yield from proc.cpu(len(line) * coeff)
+        lineno += 1
+        body = line.rstrip(b"\n")
+        printed = []
+        for cmd in cmds:
+            if cmd.kind == "q" and lineno == cmd.nth:
+                quit_now = True
+                break
+            if cmd.kind == "s":
+                body, n = cmd.substitute(body)
+                if n and cmd.print_:
+                    printed.append(body + b"\n")
+        if auto_print:
+            yield from out.put(body + b"\n")
+        for extra in printed:
+            yield from out.put(extra)
+    yield from out.flush()
+    return 0
+
+
+def _awk_per_line(proc, argv):
+    """``awk`` as it charged before CpuVReq (argv: ``PROGRAM [FILE]``,
+    main items and END only)."""
+    items = awk_lite.parse_awk(argv[0])
+    runtime = awk_lite.AwkRuntime()
+    coeff = base.cpu_coeff("default") * 6
+    out = base.OutBuf(proc, 1)
+    status = 0
+    fd, _ = yield from base.open_input(proc, argv[1] if argv[1:] else "-")
+    stream = base.LineStream(proc, fd)
+    try:
+        while True:
+            line = yield from stream.next_line()
+            if line is None:
+                break
+            yield from proc.cpu(len(line) * coeff)
+            runtime.set_record(line.decode().rstrip("\n"))
+            try:
+                for pattern, action in items:
+                    if pattern is None or (
+                            pattern.kind == "expr_pattern"
+                            and awk_lite.truthy(runtime.eval(pattern.a))):
+                        runtime.exec_block(action)
+            except awk_lite._Next:
+                pass
+            yield from out.put(b"".join(runtime.out))
+            runtime.out.clear()
+    except awk_lite._Exit as stop:
+        status = stop.status or 0
+    for pattern, action in items:
+        if pattern is not None and pattern.kind == "END":
+            runtime.exec_block(action)
+    yield from out.put(b"".join(runtime.out))
+    yield from out.flush()
+    return status
+
+
+def _seq_per_line(proc, argv):
+    out = base.OutBuf(proc, 1)
+    coeff = base.cpu_coeff("seq")
+    for value in range(1, int(argv[0]) + 1):
+        line = b"%d\n" % value
+        yield from proc.cpu(len(line) * coeff)
+        yield from out.put(line)
+    yield from out.flush()
+    return 0
+
+
+PER_LINE = {"sed": _sed_per_line, "awk": _awk_per_line, "seq": _seq_per_line}
+
+
+def _log(lines: int = 3000) -> bytes:
+    from repro.bench import access_log
+
+    return access_log(lines, seed=3)
+
+
+def _charged(script: str, per_line: bool, monkeypatch, cores: int = 4,
+             faults=None, tracer=None, metrics=None):
+    """Run ``script`` over a 3000-line access log with the vectored
+    commands or their per-line references; everything the two must
+    agree on, plus the shell for what they must not."""
+    with monkeypatch.context() as patch:
+        if per_line:
+            for name, fn in PER_LINE.items():
+                patch.setitem(base.REGISTRY, name, fn)
+        shell = Shell(MachineSpec(name="m", cores=cores), faults=faults,
+                      tracer=tracer, metrics=metrics, jobs=1)
+        shell.fs.write_bytes("/access.log", _log())
+        result = shell.run(script)
+    same = (result.status, result.stdout, result.elapsed,
+            shell.node.cpu_busy_time, shell.kernel.now,
+            faults.ops if faults else 0, faults.trace() if faults else [])
+    return same, shell
+
+
+CHARGED_SCRIPTS = [
+    "awk '{s+=$NF} END{print s}' access.log",
+    "awk '{print $1, $NF}' access.log | wc -c",
+    "sed -n 's/.*resource\\/\\([0-9]*\\) HTTP.*/\\1/p' access.log"
+    " | sort -u | wc -l",
+    "sed 's/GET/PUT/' access.log | head -n 3",  # SIGPIPE mid-vector
+    "sed 5q access.log",
+    "awk 'NR==1700{print; exit 3} /POST/{print $7}' access.log; echo $?",
+    "awk 'NR==1700{exit 3}' access.log; echo $?",  # exits with charges pending
+    "awk '{print $7}' access.log > a.txt & awk '{n+=$NF} END{print n}'"
+    " access.log > b.txt & wait; cat a.txt b.txt | wc -c",
+    "seq 30000 | sed -n 's/7$/x/p' | awk '{n++} END{print n}'",
+]
+
+
+class TestVectoredCpu:
+    @pytest.mark.parametrize("cores", (1, 8))
+    @pytest.mark.parametrize("script", CHARGED_SCRIPTS)
+    def test_equals_per_line_charging(self, script, cores, monkeypatch):
+        vectored, shell = _charged(script, False, monkeypatch, cores)
+        per_line, ref = _charged(script, True, monkeypatch, cores)
+        assert vectored == per_line  # ==, not approx: same float ops
+        assert shell.kernel.dispatches < ref.kernel.dispatches
+
+    def test_seeded_pipe_break_fires_on_the_same_op(self, monkeypatch):
+        script = "sed 's/GET/PUT/' access.log | awk '{print $6}' | sort | uniq -c"
+
+        def plan():
+            return FaultPlan(seed=5, rate=0.08, kinds=("pipe-break",))
+
+        vectored, _ = _charged(script, False, monkeypatch, faults=plan())
+        per_line, _ = _charged(script, True, monkeypatch, faults=plan())
+        assert vectored[6], "the schedule must fire at least once"
+        assert vectored == per_line  # incl. FaultPlan op count and trace
+
+    def test_timed_crash_lands_mid_vector(self, monkeypatch):
+        from repro.vos import FaultSpec
+
+        script = "awk '{s+=$NF} END{print s}' access.log; echo $?"
+
+        def plan():
+            return FaultPlan(specs=[FaultSpec("crash", at=0.004, proc="awk")])
+
+        vectored, _ = _charged(script, False, monkeypatch, faults=plan())
+        per_line, _ = _charged(script, True, monkeypatch, faults=plan())
+        assert vectored[1] == b"137\n" and vectored[6]
+        assert vectored == per_line
+
+    def test_trace_equal_except_syscall_instants(self, monkeypatch):
+        script = "awk '/POST/{print $7}' access.log | sed 's/resource/r/' | wc -l"
+        events = []
+        for per_line in (False, True):
+            tracer = Tracer(syscall_events=True)
+            _charged(script, per_line, monkeypatch, cores=1, tracer=tracer)
+            events.append(chrome_events(tracer))
+        calls = [[e["name"] for e in run if e.get("cat") == "syscall"]
+                 for run in events]
+        assert "CpuVReq" in calls[0] and "CpuVReq" not in calls[1]
+        assert calls[0].count("CpuReq") < calls[1].count("CpuReq")
+        rest = [[e for e in run if e.get("cat") != "syscall"]
+                for run in events]
+        assert rest[0] == rest[1]  # every cpu span: same start, same width
+
+    def test_metrics_truthful(self, monkeypatch):
+        script = "sed 's/GET/PUT/' access.log | awk '{n+=$NF} END{print n}'"
+        regs = []
+        for per_line in (False, True):
+            reg = MetricsRegistry()
+            _, shell = _charged(script, per_line, monkeypatch, metrics=reg)
+            assert reg.sum_by_name("kernel.dispatches") == \
+                shell.kernel.dispatches
+            regs.append(reg)
+        new, old = regs
+        assert new.value("kernel.dispatches", req="CpuVReq") > 0
+        assert old.value("kernel.dispatches", req="CpuVReq") == 0
+        for name in ("sed", "awk"):
+            assert new.value("proc.cpu_s", proc=name) == \
+                old.value("proc.cpu_s", proc=name)
+        bursts = [reg.histogram("cpu.burst_s") for reg in regs]
+        assert bursts[0].buckets == bursts[1].buckets
+        assert bursts[0].sum == bursts[1].sum
+        # jash stat's dispatch column is the per-process split of the total
+        column = sum(inst.sample() for name, _l, inst in new.series
+                     if name == "proc.dispatches")
+        assert column == new.sum_by_name("kernel.dispatches")
+        assert "dispatch" in render_stat(new)
+
+    def test_no_records_when_tracing_is_off(self, monkeypatch):
+        before = Tracer.total_records
+        _charged(CHARGED_SCRIPTS[0], False, monkeypatch)
+        assert Tracer.total_records == before
+
+    def test_per_record_chargers_cost_few_dispatches(self):
+        shell = Shell(laptop(), jobs=1)
+        result = shell.run("seq 200000 | wc -l")
+        assert result.stdout == b"200000\n"
+        assert shell.kernel.dispatches < 150  # was one CpuReq per number
+        shell = Shell(laptop(), jobs=1)
+        result = shell.run(
+            "seq 20000 | sort > a; seq 10000 30000 | sort > b;"
+            " comm -12 a b | wc -l; join a b | wc -l; sort -c a; echo $?")
+        assert result.stdout == b"10001\n10001\n0\n"
+        assert shell.kernel.dispatches < 400
+
+
+def _kernel(cores: int = 2, cpu_speed: float = 1.5) -> Kernel:
+    return MachineSpec(name="n", cores=cores,
+                       cpu_speed=cpu_speed).make_kernel()
+
+
+def _replay(bursts, general: bool, start: float = 0.0):
+    """kernel.now / busy time after one process ran ``bursts`` as a
+    CpuVReq from clock ``start``: alone with nothing attached (the solo
+    loop), or with a tracer attached (the general path)."""
+    kernel = _kernel()
+    kernel.now = kernel.main_node.cpu_last_update = start
+    if general:
+        kernel.install_tracer(Tracer(record_events=False))
+
+    def body(proc):
+        yield CpuVReq(list(bursts))
+        return 0
+
+    kernel.create_process(body)
+    kernel.run()
+    return kernel.now, kernel.main_node.cpu_busy_time, kernel.dispatches
+
+
+def _one_by_one(bursts, start: float = 0.0):
+    kernel = _kernel()
+    kernel.now = kernel.main_node.cpu_last_update = start
+
+    def body(proc):
+        for seconds in bursts:
+            yield CpuReq(seconds)
+        return 0
+
+    kernel.create_process(body)
+    kernel.run()
+    return kernel.now, kernel.main_node.cpu_busy_time
+
+
+class TestCpuVReqKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-13, max_value=1e-2,
+                              allow_nan=False), max_size=200),
+           st.sampled_from([0.0, 0.4238, 977.5, 8000.0]))
+    def test_solo_loop_equals_general_path(self, bursts, start):
+        # (past ~1e4 s the clock cannot resolve a 1e-12 s remainder and a
+        # run of CpuReqs never ends either; the starts stay below that)
+        solo = _replay(bursts, general=False, start=start)
+        general = _replay(bursts, general=True, start=start)
+        assert solo == general
+        assert solo[:2] == _one_by_one(bursts, start)
+        assert solo[2] == 1
+
+    def test_one_summed_burst_is_not_the_same_clock(self):
+        # the mutation the identity tests must catch: float addition is
+        # not associative, so a vector is not its sum
+        bursts = [7.0e-9 * n for n in range(60, 160)] * 30
+        assert _replay(bursts, general=False)[0] != \
+            _replay([sum(bursts)], general=False)[0]
+
+    def test_transfer_landing_mid_vector_contends(self):
+        from repro.distributed.cluster import Network
+
+        ends = []
+        for vectored in (True, False):
+            kernel = _kernel(cores=1, cpu_speed=1.0)
+            kernel.network = Network(bandwidth_bps=1e6, latency_s=0.0)
+
+            def sender(proc):
+                yield from proc.net_send("n", 3000)  # lands at 3 ms
+                yield from proc.cpu(0.004)
+
+            def worker(proc):
+                if vectored:
+                    yield CpuVReq([0.002] * 5)
+                else:
+                    for _ in range(5):
+                        yield CpuReq(0.002)
+
+            procs = [kernel.create_process(sender), kernel.create_process(worker)]
+            kernel.run()
+            ends.append([p.end_time for p in procs])
+        assert ends[0] == ends[1]
+        assert ends[0][1] > 0.0101  # shared the core from 3 ms on
+
+    @pytest.mark.parametrize("general", (False, True))
+    def test_kill_mid_vector(self, general):
+        kernel = _kernel()
+        if general:
+            kernel.install_tracer(Tracer(record_events=False))
+
+        def victim(proc):
+            yield CpuVReq([0.1] * 10)
+            return 0
+
+        def killer(proc):
+            pid = yield from proc.spawn(victim, "victim")
+            yield from proc.sleep(0.35)
+            yield from proc.kill(pid, 143)
+            status = yield from proc.wait(pid)
+            return status
+
+        main = kernel.create_process(killer)
+        assert kernel.run_until_process_done(main) == 143
+        assert kernel.now == 0.35
+        # 1.5x CPU: the fifth burst was 0.35 - 4 * (0.1 / 1.5) in
+        assert kernel.main_node.cpu_busy_time == pytest.approx(0.35)
+        assert not kernel.main_node.cpu_active
+
+    def test_exit_with_pending_charges_runs_them_first(self):
+        ends = []
+        for deferred in (True, False):
+            kernel = _kernel()
+
+            def child(proc):
+                for _ in range(3):
+                    if deferred:
+                        proc.charge(0.3)
+                    else:
+                        yield from proc.cpu(0.3)
+                return 7
+                yield  # pragma: no cover - makes the deferred form a generator
+
+            def parent(proc):
+                pid = yield from proc.spawn(child, "child")
+                status = yield from proc.wait(pid)
+                return status
+
+            main = kernel.create_process(parent)
+            assert kernel.run_until_process_done(main) == 7
+            ends.append((kernel.now, kernel.main_node.cpu_busy_time))
+        assert ends[0] == ends[1]
+        assert ends[0][0] == pytest.approx(0.6)
+
+    def test_charges_run_ahead_of_the_next_request_helper_or_raw(self):
+        kernel = _kernel()
+        seen = []
+
+        def body(proc):
+            proc.charge(0.3)
+            proc.charge(0.0)  # like proc.cpu: nothing to charge
+            yield from proc.sleep(1.0)
+            seen.append(kernel.now)
+            proc.charge(0.3)
+            yield from proc.cpu(0.3)  # after the charge
+            seen.append(kernel.now)
+            proc.charge(0.3)
+            yield SleepReq(1.0)  # no helper: the kernel holds it all the same
+            seen.append(kernel.now)
+            return 0
+
+        proc = kernel.create_process(body)
+        kernel.run()
+        assert seen == [pytest.approx(1.2), pytest.approx(1.6),
+                        pytest.approx(2.8)]
+        assert proc.exit_status == 0 and proc.error is None
+        assert kernel.dispatches == 6  # three requests, three vectors
+
+    @pytest.mark.parametrize("b_sleeps", (False, True))
+    def test_vector_end_coincident_with_another_wakeup(self, b_sleeps):
+        """A's last burst and B's burst (or timer) end in the same advance,
+        A's listed first; both then write the same disk.  A must reach it
+        first however it charged: the held write is dispatched in the step
+        that ends the vector, not one trip through the ready queue later."""
+        tick = 1.0 / 1024  # exact in binary: the two ends coincide exactly
+        ends = []
+        for deferred in (True, False):
+            kernel = _kernel(cores=2, cpu_speed=1.0)
+
+            def a(proc):
+                fd = yield from proc.open("/a", "w")
+                for ticks in (1, 1, 2):  # the last one runs 2..4
+                    if deferred:
+                        proc.charge(ticks * tick)
+                    else:
+                        yield from proc.cpu(ticks * tick)
+                yield from proc.write(fd, b"a" * 300_000)
+                yield from proc.close(fd)
+                return 0
+
+            def b(proc):
+                fd = yield from proc.open("/b", "w")
+                if b_sleeps:
+                    yield from proc.sleep(4 * tick)
+                else:
+                    yield from proc.cpu(3 * tick)
+                    yield from proc.cpu(1 * tick)  # 3..4, listed after A's
+                yield from proc.write(fd, b"b" * 200_000)
+                yield from proc.close(fd)
+                return 0
+
+            procs = [kernel.create_process(a, "a"),
+                     kernel.create_process(b, "b")]
+            kernel.run()
+            assert kernel.now > 4 * tick
+            ends.append([p.end_time for p in procs] + [kernel.now])
+        assert ends[0] == ends[1]
+        assert ends[0][0] != ends[0][1]
