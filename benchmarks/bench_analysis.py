@@ -11,7 +11,12 @@ and ``False`` — and records:
 * the certificate **hit rate** (hits / (hits + misses));
 * the **virtual-time delta** (analysis on vs off): the compile-once
   dividend, visible because certificate hits charge less probe CPU;
-* the analyzer's own **wall-clock cost** per script (host seconds);
+* the analyzer's own **wall-clock cost** per script (host seconds):
+  the pass the JIT pays for (purity verdicts only) and the whole report
+  (every section read, what ``jash check`` pays);
+* the witness that the JIT pays for nothing else: a ``JashOptimizer``
+  run with no tracer or metrics makes **zero calls** into value flow,
+  race detection, use-before-def and effect summaries;
 * the invariant that stdout and produced files are **byte-identical**
   in both configurations — certificates precompute the runtime purity
   verdict, they never change a decision.
@@ -26,7 +31,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from unittest import mock
 
 try:  # script mode without an installed package
     import repro  # noqa: F401
@@ -72,6 +80,32 @@ def make_files(n_bytes: int) -> dict[str, bytes]:
     return {"/w.txt": words, "/dict": dictionary}
 
 
+@contextmanager
+def section_spies():
+    """Count calls into the routines behind ``AnalysisResult``'s lazy
+    sections (the spies of tests/test_analysis_demand.py)."""
+    import repro.analysis.absint as absint
+    import repro.analysis.certificates as certificates
+    from repro.analysis import EffectAnalyzer
+
+    calls: Counter = Counter()
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    with ExitStack() as stack:
+        for owner, name in ((absint, "analyze_value_flow"),
+                            (certificates, "detect_races"),
+                            (certificates, "use_before_def"),
+                            (EffectAnalyzer, "compute")):
+            stack.enter_context(mock.patch.object(
+                owner, name, counting(name, getattr(owner, name))))
+        yield calls
+
+
 def run_one(script: str, files: dict[str, bytes], static_analysis: bool):
     """One run; returns (virtual_s, stdout, /out.txt bytes, optimizer)."""
     optimizer = JashOptimizer(JashConfig(
@@ -93,12 +127,17 @@ def collect(n_bytes: int) -> dict:
     for name, script in SCRIPTS.items():
         t0 = time.perf_counter()
         analysis = analyze_program(parse(script))
+        jit_wall = time.perf_counter() - t0
+        stats = analysis.stats()  # reads every section
         analyze_wall = time.perf_counter() - t0
-        on_vt, on_stdout, on_file, on_opt = run_one(script, files, True)
+        with section_spies() as unread:
+            on_vt, on_stdout, on_file, on_opt = run_one(script, files, True)
         off_vt, off_stdout, off_file, off_opt = run_one(script, files, False)
         rows[name] = {
+            "jit_wall_s": jit_wall,
             "analyze_wall_s": analyze_wall,
-            "stats": analysis.stats(),
+            "unread_section_calls": dict(unread),
+            "stats": stats,
             "virtual_on_s": on_vt,
             "virtual_off_s": off_vt,
             "delta_s": off_vt - on_vt,
@@ -123,6 +162,9 @@ def check(results: dict) -> None:
         assert row["hit_rate"] == 1.0, (name, row["hit_rate"])
         # the cheaper pre-screen is visible on the virtual clock
         assert row["virtual_on_s"] <= row["virtual_off_s"], name
+        # the JIT paid for its purity verdicts and for nothing else
+        assert not row["unread_section_calls"], \
+            (name, row["unread_section_calls"])
     stats = results["scripts"]["impure-expansion"]["stats"]
     assert stats["unsafe"] >= 1, "impure expansion not certified unsafe"
 
@@ -137,12 +179,13 @@ def analysis_table(results: dict) -> tuple[str, dict]:
             f"{row['virtual_on_s']:.6f}",
             f"{row['virtual_off_s']:.6f}",
             f"{row['delta_s'] * 1e6:+.1f}us",
+            f"{row['jit_wall_s'] * 1e3:.2f}ms",
             f"{row['analyze_wall_s'] * 1e3:.2f}ms",
             "yes" if row["identical"] else "NO",
         ])
     table = format_table(
         ["script", "cert hit/total", "hit rate", "virtual on",
-         "virtual off", "delta", "analyze wall", "identical"],
+         "virtual off", "delta", "jit pass", "full report", "identical"],
         rows, title="S16: certificate hit rate and JIT delta "
                     f"({results['n_bytes'] / 1e6:.1f} MB input)",
     )
@@ -186,6 +229,7 @@ def collect_absint(n_bytes: int) -> dict:
         program = parse(script)
         t0 = time.perf_counter()
         analysis = analyze_program(program, fs=shell.fs)
+        analysis.absint  # computed on this first read
         absint_wall = time.perf_counter() - t0
         result = shell.run(script)
         assert result.status == 0, (name, result.err)

@@ -27,7 +27,9 @@ certificate applied to a node it was not computed for.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import SpecLibrary
@@ -98,21 +100,118 @@ class StatementReport:
         return d
 
 
-@dataclass
 class AnalysisResult:
-    """Everything one ``analyze_program`` pass learned."""
+    """What one ``analyze_program`` pass knows, section by section.
 
-    #: id(node) -> certificate, for every candidate region
-    certificates: dict[int, SafetyCertificate] = field(default_factory=dict)
-    #: the same certificates in walk order (stable for reports)
-    cert_list: list[SafetyCertificate] = field(default_factory=list)
-    statements: list[StatementReport] = field(default_factory=list)
-    races: list[RaceFinding] = field(default_factory=list)
-    use_before_def: list[VarUse] = field(default_factory=list)
-    #: the S20 value-flow result (AbsintResult), when the pass ran
-    absint: object = None
-    #: the analyzed program (kept so id()-keyed certificates stay valid)
-    program: object = None
+    Only :attr:`purity` — the verdict table the JIT looks candidates up
+    in — is built when the pass is made.  Every other section is
+    computed on its first read and kept, so a consumer pays for what it
+    reads: ``absint`` (S20 value flow), the effect pass behind
+    ``statements``/``cert_list``/``certificates``, ``races`` and
+    ``use_before_def``.  The values do not depend on the order of reads.
+    """
+
+    def __init__(self, program: Command, library: SpecLibrary,
+                 allow_pure_cmdsub: bool, pure_commands: frozenset,
+                 value_flow: bool, fs, cwd: str):
+        #: the analyzed program (kept so id()-keyed tables stay valid)
+        self.program = program
+        self._library = library
+        self._value_flow = value_flow
+        # absint may be read after the script ran: it must still see the
+        # files as they were when the pass was made
+        self._fs = (fs.stat_snapshot()
+                    if value_flow and fs is not None else None)
+        self._cwd = cwd
+        #: id(node) -> why early expansion is unsound, or None when it is
+        #: pure, for every candidate region (dead ones included)
+        self.purity: dict[int, Optional[str]] = {}
+        for node in walk(program):
+            stages = pipeline_stages(node)
+            if stages is not None:
+                self.purity[id(node)] = purity_reason(
+                    stages, allow_pure_cmdsub, pure_commands)
+
+    @cached_property
+    def absint(self):
+        """The S20 value-flow result (AbsintResult); None when the pass
+        was made with ``value_flow=False``."""
+        if not self._value_flow:
+            return None
+        from .absint import analyze_value_flow
+
+        return analyze_value_flow(self.program, fs=self._fs, cwd=self._cwd,
+                                  library=self._library)
+
+    @cached_property
+    def _effects(self) -> EffectAnalyzer:
+        effects = EffectAnalyzer(self._library)
+        effects.register_functions(self.program)
+        return effects
+
+    @cached_property
+    def _effect_pass(self) -> tuple[list, list, dict]:
+        """Statement reports and certificates from one walk: both read
+        the analyzer's summary cache, and a summary cut at a recursive
+        call depends on which node asked first."""
+        effects = self._effects
+        dead = self.dead_nodes()
+        statements: list[StatementReport] = []
+        cert_list: list[SafetyCertificate] = []
+        certificates: dict[int, SafetyCertificate] = {}
+        for node in walk(self.program):
+            if isinstance(node, CommandList):
+                for item in node.items:
+                    statements.append(StatementReport(
+                        unparse(item.command), effects.compute(item.command),
+                        item.is_async))
+            if id(node) not in self.purity or id(node) in dead:
+                continue  # not a candidate, or provably never executes
+            text = unparse(node)
+            impure = self.purity[id(node)]
+            if impure is not None:
+                cert = make_certificate(UNSAFE, impure, text)
+            else:
+                summary = effects.compute(node)
+                hazards = tuple(c.display() for c in self_conflicts(summary))
+                if summary.opaque:
+                    hazards += ("contains a command with unknown effects",)
+                if not summary.writes and not summary.env_defs \
+                        and not summary.opaque:
+                    cert = make_certificate(
+                        SAFE_REORDER,
+                        "expansion is pure and the region writes nothing",
+                        text, hazards)
+                else:
+                    cert = make_certificate(
+                        SAFE_PARALLEL, "expansion is side-effect free",
+                        text, hazards)
+            certificates[id(node)] = cert
+            cert_list.append(cert)
+        return statements, cert_list, certificates
+
+    @property
+    def statements(self) -> list[StatementReport]:
+        return self._effect_pass[0]
+
+    @property
+    def cert_list(self) -> list[SafetyCertificate]:
+        """The certificates in walk order (stable for reports)."""
+        return self._effect_pass[1]
+
+    @property
+    def certificates(self) -> dict[int, SafetyCertificate]:
+        """id(node) -> certificate, for every live candidate region."""
+        return self._effect_pass[2]
+
+    @cached_property
+    def races(self) -> list[RaceFinding]:
+        self._effect_pass  # its summaries are the ones detect_races reuses
+        return detect_races(self.program, self._effects)
+
+    @cached_property
+    def use_before_def(self) -> list[VarUse]:
+        return use_before_def(self.program)
 
     def stats(self) -> dict:
         by_verdict: dict[str, int] = {}
@@ -166,71 +265,20 @@ def analyze_program(program: Command,
                     pure_commands: frozenset = frozenset(),
                     value_flow: bool = True,
                     fs=None, cwd: str = "/") -> AnalysisResult:
-    """The interprocedural whole-script pass.
+    """The interprocedural whole-script pass, demand-driven: this call
+    walks the program once for the purity verdicts and every other
+    section of the :class:`AnalysisResult` is computed when first read.
 
     ``allow_pure_cmdsub``/``pure_commands`` must match the consuming
     engine's configuration — the purity verdicts are only transferable
     when both sides ask the same question.
 
-    ``value_flow`` additionally runs the S20 abstract interpreter
+    ``value_flow`` additionally offers the S20 abstract interpreter
     (:mod:`repro.analysis.absint`): provably-dead regions then get no
-    safety certificate (they can never be executed, and a wrong dead
-    fact only costs a cert miss — the runtime purity walk reaches the
-    identical decision), and loops/regions gain CostCertificates.
-    ``fs``/``cwd`` optionally ground the volume domain in a virtual
-    filesystem snapshot."""
-    library = library or DEFAULT_LIBRARY
-    effects = EffectAnalyzer(library)
-    effects.register_functions(program)
-    result = AnalysisResult(program=program)
-    dead: frozenset = frozenset()
-    if value_flow:
-        from .absint import analyze_value_flow
-
-        result.absint = analyze_value_flow(program, fs=fs, cwd=cwd,
-                                           library=library)
-        dead = frozenset(result.absint.dead)
-
-    inside_pipeline: set[int] = set()
-    for node in walk(program):
-        from ..parser.ast_nodes import Pipeline
-
-        if isinstance(node, Pipeline):
-            for stage in node.commands:
-                inside_pipeline.add(id(stage))
-
-    for node in walk(program):
-        if isinstance(node, CommandList):
-            for item in node.items:
-                result.statements.append(StatementReport(
-                    unparse(item.command), effects.compute(item.command),
-                    item.is_async))
-        stages = pipeline_stages(node)
-        if stages is None:
-            continue
-        if id(node) in dead:
-            continue  # provably never executes: nothing to certify
-        text = unparse(node)
-        impure = purity_reason(stages, allow_pure_cmdsub, pure_commands)
-        if impure is not None:
-            cert = make_certificate(UNSAFE, impure, text)
-        else:
-            summary = effects.compute(node)
-            hazards = tuple(c.display() for c in self_conflicts(summary))
-            if summary.opaque:
-                hazards += ("contains a command with unknown effects",)
-            if not summary.writes and not summary.env_defs and not summary.opaque:
-                cert = make_certificate(
-                    SAFE_REORDER,
-                    "expansion is pure and the region writes nothing",
-                    text, hazards)
-            else:
-                cert = make_certificate(
-                    SAFE_PARALLEL, "expansion is side-effect free",
-                    text, hazards)
-        result.certificates[id(node)] = cert
-        result.cert_list.append(cert)
-
-    result.races = detect_races(program, effects)
-    result.use_before_def = use_before_def(program)
-    return result
+    safety certificate (they can never be executed), and loops/regions
+    gain CostCertificates.  ``fs``/``cwd`` optionally ground the volume
+    domain in the virtual filesystem as it is at the time of this
+    call."""
+    return AnalysisResult(program, library or DEFAULT_LIBRARY,
+                          allow_pure_cmdsub, pure_commands, value_flow,
+                          fs, cwd)

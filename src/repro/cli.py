@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench.runners import make_engine
+from .bench.runners import ENGINES, make_engine
 from .shell import Shell
 from .vos.machines import PROFILES, profile
 
@@ -45,8 +45,7 @@ def _main(argv=None) -> int:
                              help="script file (host path)")
     script_args.add_argument("-c", dest="inline", help="inline script text")
     machine_args = argparse.ArgumentParser(add_help=False)
-    machine_args.add_argument("--engine", choices=("bash", "pash", "jash"),
-                              default="jash")
+    machine_args.add_argument("--engine", choices=ENGINES, default="jash")
     machine_args.add_argument("--machine", choices=sorted(PROFILES),
                               default="laptop")
     machine_args.add_argument("--file", action="append", default=[],
@@ -157,6 +156,9 @@ def _main(argv=None) -> int:
                         help="grammar profile (see `jash difftest --list-profiles`)")
     diff_p.add_argument("--list-profiles", action="store_true",
                         help="list grammar profiles and exit")
+    diff_p.add_argument("--engine", choices=ENGINES, default="bash",
+                        help="optimizer hook on the virtual side (default: "
+                             "bash, the plain interpreter)")
     diff_p.add_argument("--minimize", action="store_true",
                         help="delta-debug each divergence to a minimal script")
     diff_p.add_argument("--save-corpus", action="store_true",
@@ -457,17 +459,19 @@ def _difftest(args) -> int:
         return 0
 
     cases = dt.generate_cases(args.seed, args.count, args.grammar_profile)
-    result = dt.run_campaign(cases, sh=args.shell)
+    result = dt.run_campaign(cases, sh=args.shell, engine=args.engine)
     print(f"difftest: {result.agreed}/{result.total} agreed "
-          f"(profile={args.grammar_profile}, seed={args.seed})")
+          f"(profile={args.grammar_profile}, seed={args.seed}, "
+          f"engine={args.engine})")
 
     divergences = result.divergences
     if args.minimize and divergences:
         minimized = []
         for d in divergences:
-            reduced = dt.minimize(d.case, sh=args.shell)
+            reduced = dt.minimize(d.case, sh=args.shell, engine=args.engine)
             # re-run so the reported outcomes describe the reduced case
-            minimized.append(dt.run_case(reduced, sh=args.shell) or d)
+            minimized.append(
+                dt.run_case(reduced, sh=args.shell, engine=args.engine) or d)
         divergences = minimized
 
     baseline_path = Path(args.baseline) if args.baseline else None
@@ -584,7 +588,7 @@ def _difftest_replay(args) -> int:
             print(f"--- session-{trace.name}: {reason}")
         return 1 if failures else 0
 
-    result = dt.run_replay(traces, sh=args.shell)
+    result = dt.run_replay(traces, sh=args.shell, engine=args.engine)
     print(f"difftest: {result.agreed}/{result.total} session(s) agreed "
           f"(dir={directory})")
 
@@ -597,9 +601,11 @@ def _difftest_replay(args) -> int:
             if trace is None:
                 minimized.append(d)
                 continue
-            reduced = dt.minimize_session(trace, sh=args.shell)
+            reduced = dt.minimize_session(trace, sh=args.shell,
+                                          engine=args.engine)
             case = dt.session_case(reduced)
-            minimized.append(dt.run_case(case, sh=args.shell) or d)
+            minimized.append(
+                dt.run_case(case, sh=args.shell, engine=args.engine) or d)
         divergences = minimized
 
     baseline_path = Path(args.baseline) if args.baseline else None

@@ -298,8 +298,10 @@ def execute_graph(dfg: DataflowGraph, proc: Process,
                   cwd: str = "/"):
     """Run one dataflow graph to completion inside process ``proc``.
 
-    Yields vOS syscalls (call with ``yield from``); returns the exit
-    status of the node feeding the sink stream (or the max failure).
+    Yields vOS syscalls (call with ``yield from``); returns the status
+    of the last stage, as a pipeline does — the node feeding the sink
+    stream and, when that stage runs as parallel copies behind a merge,
+    the copies — unless some node died of a fault.
     """
     # build endpoint handles for every stream
     read_end: dict[int, Handle] = {}
@@ -378,24 +380,37 @@ def execute_graph(dfg: DataflowGraph, proc: Process,
         if group is not None:
             group_statuses.setdefault(group, []).append(st)
             continue
-        # SIGPIPE deaths (141) are benign in pipelines
-        if st not in (0, 141):
+        # an earlier stage's own failure is not the pipeline's; a fault is
+        if st in FAULT_STATUSES:
             status = st
     # parallel copies of one stage succeed if any copy succeeded — a chunk
-    # with no grep matches exits 1 without the whole stage having failed.
+    # with no grep matches exits 1 without the whole stage having failed
+    # (SIGPIPE deaths, 141, are benign in pipelines).
     # A killed/faulted copy (137/74) is different: that copy's share of the
     # data is simply missing, so the plan must fail even if siblings ran.
-    for sts in group_statuses.values():
+    last_group = _last_stage_group(dfg)
+    for group, sts in group_statuses.items():
         faulted = [s for s in sts if s in FAULT_STATUSES]
         if faulted:
             status = faulted[-1]
-            continue
-        good = [s for s in sts if s in (0, 141)]
-        if not good:
-            worst = max(sts)
-            if worst not in (0, 141):
-                status = worst
+        elif group == last_group and not any(s in (0, 141) for s in sts):
+            status = max(sts)
     return sink_status if sink_status != 0 else status
+
+
+def _last_stage_group(dfg: DataflowGraph) -> Optional[str]:
+    """The ``branch_group`` of the commands that feed the sink through
+    merge plumbing only: the parallel copies of the region's last stage.
+    None when the sink's command runs once (it is the sink node then)."""
+    frontier = [dfg.sink]
+    while frontier:
+        node = dfg.producer_of(frontier.pop())
+        if node is None:
+            continue
+        if node.kind == CMD:
+            return node.params.get("branch_group")
+        frontier.extend(node.inputs)
+    return None
 
 
 def _node_body(node, in_fds: list[int], out_fds: list[int]):

@@ -12,7 +12,8 @@ budget:
 3. **fixture shrinking** — drop unreferenced files, then halve each
    remaining file's line count while the divergence persists.
 
-Every candidate costs one virtual + one host execution, so the budget
+Every candidate costs one virtual (under the campaign's engine) + one
+host execution, so the budget
 (default 400 tests) keeps worst-case reduction time bounded.
 """
 
@@ -36,17 +37,18 @@ class _Budget:
 
 
 def _diverges(script: str, files: dict[str, bytes], budget: _Budget,
-              sh: str | None) -> bool:
+              sh: str | None, engine: str) -> bool:
     if not budget.spend():
         return False
     if not script.strip():
         return False
-    return compare(run_virtual(script, files),
+    return compare(run_virtual(script, files, engine),
                    run_host(script, files, sh=sh)) is not None
 
 
 def _ddmin_lines(lines: list[str], files: dict[str, bytes],
-                 budget: _Budget, sh: str | None) -> list[str]:
+                 budget: _Budget, sh: str | None,
+                 engine: str) -> list[str]:
     n = 2
     while len(lines) >= 2:
         chunk = max(1, len(lines) // n)
@@ -54,7 +56,7 @@ def _ddmin_lines(lines: list[str], files: dict[str, bytes],
         for start in range(0, len(lines), chunk):
             candidate = lines[:start] + lines[start + chunk:]
             if candidate and _diverges("\n".join(candidate), files,
-                                       budget, sh):
+                                       budget, sh, engine):
                 lines = candidate
                 n = max(n - 1, 2)
                 shrunk = True
@@ -69,7 +71,8 @@ def _ddmin_lines(lines: list[str], files: dict[str, bytes],
 
 
 def _drop_stages(lines: list[str], files: dict[str, bytes],
-                 budget: _Budget, sh: str | None) -> list[str]:
+                 budget: _Budget, sh: str | None,
+                 engine: str) -> list[str]:
     changed = True
     while changed and budget.remaining > 0:
         changed = False
@@ -80,7 +83,7 @@ def _drop_stages(lines: list[str], files: dict[str, bytes],
             for j in range(len(stages)):
                 candidate_line = " | ".join(stages[:j] + stages[j + 1:])
                 candidate = lines[:i] + [candidate_line] + lines[i + 1:]
-                if _diverges("\n".join(candidate), files, budget, sh):
+                if _diverges("\n".join(candidate), files, budget, sh, engine):
                     lines = candidate
                     changed = True
                     break
@@ -90,7 +93,8 @@ def _drop_stages(lines: list[str], files: dict[str, bytes],
 
 
 def _shrink_files(script: str, files: dict[str, bytes],
-                  budget: _Budget, sh: str | None) -> dict[str, bytes]:
+                  budget: _Budget, sh: str | None,
+                  engine: str) -> dict[str, bytes]:
     # drop files the script no longer mentions
     files = {name: data for name, data in files.items() if name in script}
     for name in list(files):
@@ -101,13 +105,13 @@ def _shrink_files(script: str, files: dict[str, bytes],
                 break
             half = b"".join(lines[: len(lines) // 2])
             candidate = dict(files, **{name: half})
-            if _diverges(script, candidate, budget, sh):
+            if _diverges(script, candidate, budget, sh, engine):
                 data = half
                 files = candidate
             else:
                 tail = b"".join(lines[len(lines) // 2:])
                 candidate = dict(files, **{name: tail})
-                if _diverges(script, candidate, budget, sh):
+                if _diverges(script, candidate, budget, sh, engine):
                     data = tail
                     files = candidate
                 else:
@@ -116,15 +120,15 @@ def _shrink_files(script: str, files: dict[str, bytes],
 
 
 def minimize(case: Case, sh: str | None = None,
-             max_tests: int = 400) -> Case:
+             max_tests: int = 400, engine: str = "bash") -> Case:
     """Shrink ``case`` to a smaller script/fixture set that still
     diverges.  Returns the (possibly unchanged) reduced case."""
     budget = _Budget(max_tests)
-    if not _diverges(case.script, case.files, budget, sh):
+    if not _diverges(case.script, case.files, budget, sh, engine):
         return case  # flaky or already fixed; don't touch it
     lines = [ln for ln in case.script.split("\n") if ln.strip()]
-    lines = _ddmin_lines(lines, case.files, budget, sh)
-    lines = _drop_stages(lines, case.files, budget, sh)
+    lines = _ddmin_lines(lines, case.files, budget, sh, engine)
+    lines = _drop_stages(lines, case.files, budget, sh, engine)
     script = "\n".join(lines)
-    files = _shrink_files(script, dict(case.files), budget, sh)
+    files = _shrink_files(script, dict(case.files), budget, sh, engine)
     return replace(case, script=script, files=files)

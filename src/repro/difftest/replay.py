@@ -196,15 +196,15 @@ def verify_recorded(trace: SessionTrace) -> str | None:
     return None
 
 
-def run_replay(traces: list[SessionTrace],
-               sh: str | None = None, progress=None) -> CampaignResult:
+def run_replay(traces: list[SessionTrace], sh: str | None = None,
+               progress=None, engine: str = "bash") -> CampaignResult:
     """Replay each session through the standard virtual-vs-host
     comparison."""
     result = CampaignResult()
     for index, trace in enumerate(traces):
         case = session_case(trace, index)
         result.total += 1
-        div = run_case(case, sh=sh)
+        div = run_case(case, sh=sh, engine=engine)
         if div is None:
             result.agreed += 1
         else:
@@ -215,14 +215,15 @@ def run_replay(traces: list[SessionTrace],
 
 
 def minimize_session(trace: SessionTrace, sh: str | None = None,
-                     max_tests: int = 400) -> SessionTrace:
+                     max_tests: int = 400,
+                     engine: str = "bash") -> SessionTrace:
     """Step-granular ddmin: drop whole session steps while the divergence
     persists, then shrink fixtures.  Lines inside a step are never
     touched — a step is the smallest unit that keeps here-docs, loops and
     job-control sequences syntactically intact."""
     budget = _Budget(max_tests)
     files = dict(trace.files)
-    if not _diverges(trace.script, files, budget, sh):
+    if not _diverges(trace.script, files, budget, sh, engine):
         return trace  # flaky or already fixed; don't touch it
 
     steps = list(trace.steps)
@@ -233,7 +234,7 @@ def minimize_session(trace: SessionTrace, sh: str | None = None,
         for start in range(0, len(steps), chunk):
             candidate = steps[:start] + steps[start + chunk:]
             script = "\n".join(s.text for s in candidate)
-            if candidate and _diverges(script, files, budget, sh):
+            if candidate and _diverges(script, files, budget, sh, engine):
                 steps = candidate
                 n = max(n - 1, 2)
                 shrunk = True
@@ -246,5 +247,5 @@ def minimize_session(trace: SessionTrace, sh: str | None = None,
             break
 
     script = "\n".join(s.text for s in steps)
-    files = _shrink_files(script, files, budget, sh)
+    files = _shrink_files(script, files, budget, sh, engine)
     return replace(trace, steps=tuple(steps), files=files)

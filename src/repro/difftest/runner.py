@@ -4,7 +4,8 @@ Backends
 --------
 * **virtual** — ``repro.shell.Shell`` on a free-IO machine spec, with the
   case's fixture files pre-seeded into the virtual filesystem at ``/``
-  (the shell's cwd).
+  (the shell's cwd); the plain interpreter unless an ``engine``
+  (``pash``/``jash``) installs its optimizer hook.
 * **host** — ``/bin/sh -c script`` in a fresh temporary directory holding
   the same fixtures, with a pinned environment
   (``PATH=/usr/bin:/bin``, ``HOME=<tmpdir>``, ``LC_ALL=C``) so host
@@ -32,6 +33,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..bench.runners import make_engine
 from ..shell import Shell
 from ..vos.devices import DiskSpec
 from ..vos.machines import MachineSpec
@@ -82,8 +84,11 @@ class CampaignResult:
         return not self.divergences
 
 
-def run_virtual(script: str, files: dict[str, bytes]) -> Outcome:
-    shell = Shell(fast_machine())
+def run_virtual(script: str, files: dict[str, bytes],
+                engine: str = "bash") -> Outcome:
+    """``engine`` names the optimizer hook the virtual side runs under
+    (:func:`repro.bench.make_engine`); "bash" is the plain interpreter."""
+    shell = Shell(fast_machine(), optimizer=make_engine(engine))
     for name, data in files.items():
         shell.fs.write_bytes("/" + name, data)
     try:
@@ -134,8 +139,9 @@ def compare(virtual: Outcome, host: Outcome) -> str | None:
     return None
 
 
-def run_case(case: Case, sh: str | None = None) -> Divergence | None:
-    virtual = run_virtual(case.script, case.files)
+def run_case(case: Case, sh: str | None = None,
+             engine: str = "bash") -> Divergence | None:
+    virtual = run_virtual(case.script, case.files, engine)
     host = run_host(case.script, case.files, sh=sh)
     reason = compare(virtual, host)
     if reason is None:
@@ -144,14 +150,14 @@ def run_case(case: Case, sh: str | None = None) -> Divergence | None:
 
 
 def run_campaign(cases: list[Case], sh: str | None = None,
-                 progress=None) -> CampaignResult:
+                 progress=None, engine: str = "bash") -> CampaignResult:
     result = CampaignResult()
     if (sh or HOST_SH) is None:
         result.skipped = len(cases)
         return result
     for case in cases:
         result.total += 1
-        div = run_case(case, sh=sh)
+        div = run_case(case, sh=sh, engine=engine)
         if div is None:
             result.agreed += 1
         else:

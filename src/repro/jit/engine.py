@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..analysis.certificates import UNKNOWN, UNSAFE, make_certificate
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import SpecLibrary
 from ..compiler.driver import fs_file_sizes
@@ -83,12 +84,12 @@ class JashConfig:
     transactional: bool = True
     #: per-width retry policy for transactional execution
     retry: RetryPolicy = DEFAULT_REGION_POLICY
-    #: run the S20 abstract interpreter (repro.analysis.absint) inside
-    #: ``compile_program``: dead regions get no certificate (they never
-    #: run; a wrong fact just means a cert miss and the identical
-    #: runtime decision) and loops/regions gain CostCertificates.
-    #: Decisions are bit-identical on or off when no dead code exists
-    #: (test-enforced, the same discipline as ``static_analysis``).
+    #: offer the S20 abstract interpreter (repro.analysis.absint) to
+    #: whoever reads the compile-once pass: a tracer or metrics registry
+    #: reports its dead-branch and CostCertificate counts.  The engine's
+    #: own lookups never read it — a dead region never runs, so its
+    #: verdict is never asked for — and decisions are bit-identical on
+    #: or off (test-enforced, the same discipline as ``static_analysis``).
     value_flow: bool = True
 
 
@@ -100,13 +101,11 @@ class JashOptimizer:
         self.optimizer = ResourceAwareOptimizer(self.config.optimizer)
         self.events: list[JitEvent] = []
         self._pure_commands = self.config.library.pure_read_only_commands()
-        #: static analysis state (repro.analysis): certificates keyed by
-        #: AST node identity, filled by :meth:`compile_program`
-        self._analysis = None
-        self._certs: dict[int, object] = {}
-        #: S20 facts from compile_program: provably-dead node ids
-        self._dead: set[int] = set()
-        self._programs: list = []  # keep analyzed ASTs alive (id-keyed certs)
+        #: static analysis state (repro.analysis), filled by
+        #: :meth:`compile_program`: every pass made (each keeps its AST
+        #: alive) and their purity verdicts keyed by AST node identity
+        self._analyses: list = []
+        self._purity: dict[int, Optional[str]] = {}
         self.cert_hits = 0
         self.cert_misses = 0
 
@@ -114,14 +113,15 @@ class JashOptimizer:
 
     def compile_program(self, program: Command, tracer=None, now: float = 0.0,
                         metrics=None, fs=None, cwd: str = "/"):
-        """Run the S16 whole-script analyzer and cache its certificates.
+        """Run the S16 whole-script analyzer and keep its purity verdicts.
 
         Called by :class:`repro.shell.Shell` before execution (the same
         hook the AOT compiler uses).  With ``static_analysis=False``
         this is a no-op and the engine behaves exactly as the pure JIT.
         ``metrics``/``fs`` are optional: a metrics registry receives the
         ``analysis.absint.*`` counters, and a filesystem snapshot
-        grounds the S20 volume domain.
+        grounds the S20 volume domain.  The analyzer is demand-driven:
+        what no tracer or registry asks for here is never computed.
         """
         if not self.config.static_analysis:
             return
@@ -132,11 +132,8 @@ class JashOptimizer:
             allow_pure_cmdsub=self.config.allow_pure_cmdsub,
             pure_commands=self._pure_commands,
             value_flow=self.config.value_flow, fs=fs, cwd=cwd)
-        self._analysis = result
-        self._certs.update(result.certificates)
-        if result.absint is not None:
-            self._dead |= result.absint.dead
-        self._programs.append(program)
+        self._analyses.append(result)
+        self._purity.update(result.purity)
         if tracer is not None:
             tracer.instant("analysis", "analysis.run", now,
                            **result.stats())
@@ -174,22 +171,24 @@ class JashOptimizer:
         # miss (a node the compile-once pass never saw, e.g. parsed at
         # run time by trap/eval) falls back to the purity analysis.
         probe_cost = self.config.probe_cost_s
-        cert = self._certs.get(id(node))
-        if cert is not None:
+        if id(node) in self._purity:
+            impure_reason = self._purity[id(node)]
             self.cert_hits += 1
             if metrics is not None:
                 metrics.counter("jit.cert_hits").inc()
             if tracer is not None:
                 tracer.instant("jit", "jit.cert_hit", kernel.now, proc,
-                               command=text, verdict=cert.verdict)
-            if not cert.safe:
+                               command=text, verdict=self._verdict(node))
+            if impure_reason is not None:
+                # the certificate's signature, made from the text in hand
+                cert = make_certificate(UNSAFE, impure_reason, text)
                 self._skip(proc, text,
                            f"unsafe early expansion: {cert.reason} "
                            f"[static certificate {cert.digest}]")
                 return None
             probe_cost = self.config.cert_probe_cost_s
         else:
-            if self._analysis is not None:
+            if self._analyses:
                 self.cert_misses += 1
                 if metrics is not None:
                     metrics.counter("jit.cert_misses").inc()
@@ -296,6 +295,15 @@ class JashOptimizer:
 
     # -- helpers ------------------------------------------------------------------
 
+    def _verdict(self, node: Command) -> str:
+        """The full certificate's verdict, for the trace: the one read
+        that needs the effect pass of the analysis that saw ``node``."""
+        for analysis in self._analyses:
+            cert = analysis.certificates.get(id(node))
+            if cert is not None:
+                return cert.verdict
+        return UNKNOWN
+
     def _skip(self, proc, text: str, reason: str,
               baseline: float = 0.0) -> None:
         self.events.append(JitEvent(text, "interpreted", reason,
@@ -329,7 +337,7 @@ class JashOptimizer:
 
     def report(self) -> str:
         lines = []
-        if self._analysis is not None:
+        if self._analyses:
             lines.append(
                 f"[static analysis] {self.cert_hits} certificate hits, "
                 f"{self.cert_misses} misses "

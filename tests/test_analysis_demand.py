@@ -1,0 +1,269 @@
+"""The whole-script analyzer is demand-driven (PR 15): ``analyze_program``
+walks once for the purity verdicts and every other section of the
+``AnalysisResult`` is computed when first read.  These tests pin the two
+halves of that contract — nothing the JIT does not read is computed, and
+what is read has the value the eager pass gave."""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+
+import repro.analysis
+from repro import JashOptimizer, Shell, Tracer
+from repro.analysis import EffectAnalyzer, analyze_program
+from repro.annotations import DEFAULT_LIBRARY
+from repro.difftest import generate_cases, load_sessions, profiles
+from repro.obs import MetricsRegistry
+from repro.parser import parse
+from repro.vos.fs import FileSystem
+
+from .conftest import fast_machine
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: dead branch, loop, unsafe expansion, background race: every section
+#: of the report has something to say about it
+SCRIPT = """x=1
+if [ $x -eq 2 ]; then cat /w.txt | sort > /out.txt; fi
+for f in /w.txt /d.txt; do cat $f | sort | uniq > /out.txt; done
+head -n ${n:=3} /w.txt | sort
+sort /a > /o &
+sort /b > /o
+echo $undefined
+"""
+FILES = {"/w.txt": b"b\na\nb\n" * 100, "/d.txt": b"z\n",
+         "/a": b"2\n1\n", "/b": b"4\n3\n"}
+#: what the eager pass (the parent commit) reported for SCRIPT over FILES
+ABSINT_STATS = {"absint_nodes": 22, "absint_widenings": 0,
+                "dead_branches": 1, "cost_certs": 5}
+RUN_STATS = {"statements": 10, "certificates": 11, "safe_parallel": 5,
+             "safe_reorder": 4, "unsafe": 2, "races": 1,
+             "use_before_def": 0, **ABSINT_STATS}
+VERDICTS = ["safe_parallel", "safe_parallel", "safe_reorder",
+            "safe_reorder", "safe_parallel", "safe_parallel",
+            "safe_reorder", "safe_reorder", "safe_parallel", "unsafe",
+            "unsafe", "safe_reorder", "safe_parallel", "safe_parallel",
+            "safe_reorder"]
+
+
+def run_jash(script=SCRIPT, files=FILES, optimizer=None, **planes):
+    optimizer = optimizer or JashOptimizer()
+    shell = Shell(fast_machine(), optimizer=optimizer, **planes)
+    for path, data in files.items():
+        shell.fs.write_bytes(path, data)
+    return shell.run(script), optimizer
+
+
+@pytest.fixture
+def section_calls(monkeypatch):
+    """Call counts of the four routines behind the lazy sections."""
+    import repro.analysis.absint as absint
+    import repro.analysis.certificates as certificates
+
+    calls = dict.fromkeys(("analyze_value_flow", "detect_races",
+                           "use_before_def", "EffectAnalyzer.compute"), 0)
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(absint, "analyze_value_flow", counting(
+        "analyze_value_flow", absint.analyze_value_flow))
+    monkeypatch.setattr(certificates, "detect_races", counting(
+        "detect_races", certificates.detect_races))
+    monkeypatch.setattr(certificates, "use_before_def", counting(
+        "use_before_def", certificates.use_before_def))
+    monkeypatch.setattr(EffectAnalyzer, "compute", counting(
+        "EffectAnalyzer.compute", EffectAnalyzer.compute))
+    return calls
+
+
+class TestJitPaysForWhatItReads:
+    def test_unread_sections_cost_nothing(self, section_calls):
+        result, optimizer = run_jash()
+        assert result.status == 0
+        assert optimizer.cert_hits == len(VERDICTS)
+        assert optimizer.cert_misses == 0
+        assert not any(section_calls.values()), section_calls
+
+    def test_spies_see_the_sections_when_read(self, section_calls):
+        analyze_program(parse(SCRIPT)).stats()
+        assert all(section_calls.values()), section_calls
+
+    def test_tracer_gets_the_eager_records(self):
+        tracer = Tracer()
+        run_jash(tracer=tracer)
+        records = {r.name: r.args for r in tracer.records
+                   if r.cat == "analysis"}
+        assert records == {"analysis.run": RUN_STATS,
+                           "analysis.absint": ABSINT_STATS}
+        assert [r.args["verdict"] for r in tracer.records
+                if r.name == "jit.cert_hit"] == VERDICTS
+
+    def test_metrics_get_the_eager_counters(self, section_calls):
+        metrics = MetricsRegistry()
+        run_jash(metrics=metrics)
+        assert {name: metrics.value("analysis.absint." + name)
+                for name in ("nodes", "widenings", "dead_branches",
+                             "certs")} == \
+            {"nodes": 22, "widenings": 0, "dead_branches": 1, "certs": 5}
+        # a registry reads absint's counters and nothing else
+        assert section_calls == {"analyze_value_flow": 1, "detect_races": 0,
+                                 "use_before_def": 0,
+                                 "EffectAnalyzer.compute": 0}
+
+    def test_unsafe_skip_is_signed_like_the_certificate(self):
+        _, optimizer = run_jash()
+        analysis = analyze_program(parse(SCRIPT))
+        unsafe = {c.node_text: c for c in analysis.cert_list
+                  if not c.safe}
+        skips = [e for e in optimizer.events
+                 if "static certificate" in e.reason]
+        assert len(skips) == 2
+        for event in skips:
+            cert = unsafe[event.node_text]
+            assert event.reason == (
+                f"unsafe early expansion: {cert.reason} "
+                f"[static certificate {cert.digest}]")
+
+
+# -- lazy == eager over the conformance grammar -------------------------------
+
+def force(result):
+    """Read every section, last-computed first."""
+    result.use_before_def, result.races, result.statements
+    result.certificates, result.cert_list, result.absint
+    return result
+
+
+def eager_analyze(*args, **kwargs):
+    return force(analyze_program(*args, **kwargs))
+
+
+class AskedNodes(JashOptimizer):
+    """Records which nodes the interpreter offered to the JIT."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked: set[int] = set()
+
+    def try_execute(self, interp, proc, node):
+        self.asked.add(id(node))
+        return super().try_execute(interp, proc, node)
+
+
+def observed(result, optimizer):
+    return (result.status, result.stdout, result.elapsed,
+            [dataclasses.astuple(e) for e in optimizer.events],
+            optimizer.cert_hits, optimizer.cert_misses)
+
+
+@pytest.mark.parametrize("profile", profiles())
+def test_lazy_equals_eager_reference(profile, monkeypatch):
+    cases = generate_cases(5, 25, profile)  # 225 scripts over nine profiles
+    files = [{"/" + name: data for name, data in case.files.items()}
+             for case in cases]
+    lazy = [observed(*run_jash(case.script, fs))
+            for case, fs in zip(cases, files)]
+    # the engine looks analyze_program up in the package at call time
+    monkeypatch.setattr(repro.analysis, "analyze_program", eager_analyze)
+    for case, fs, want in zip(cases, files, lazy):
+        result, optimizer = run_jash(case.script, fs, AskedNodes())
+        assert observed(result, optimizer) == want, case.ident
+        # why the verdict table need not drop dead regions: a node value
+        # flow proves dead is never offered to the JIT
+        dead = frozenset().union(*(analysis.dead_nodes()
+                                   for analysis in optimizer._analyses))
+        assert not (optimizer.asked & dead), case.ident
+
+
+# -- the report is the parent's, byte for byte --------------------------------
+
+GOLDEN = json.loads((ROOT / "tests" / "corpus"
+                     / "analysis_golden.json").read_text())
+
+
+def golden_script(name: str) -> str:
+    if name.startswith("session-"):
+        return next(t.script for t in load_sessions()
+                    if t.name == name[len("session-"):])
+    return (ROOT / "examples" / name).read_text()
+
+
+def test_golden_covers_every_example_and_session():
+    names = {p.name for p in (ROOT / "examples").glob("*.sh")}
+    names |= {f"session-{t.name}" for t in load_sessions()}
+    assert set(GOLDEN) == names
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_to_dict_matches_golden(name):
+    report = analyze_program(parse(golden_script(name))).to_dict()
+    assert json.dumps(report, sort_keys=True) == \
+        json.dumps(GOLDEN[name], sort_keys=True)
+
+
+# -- sections are values of the call, not of the moment they are read ---------
+
+class TestSections:
+    def test_read_order_does_not_matter(self):
+        program = parse(SCRIPT)
+        forwards = analyze_program(program)
+        forwards.absint, forwards.certificates, forwards.races
+        assert force(analyze_program(program)).to_dict() == \
+            forwards.to_dict()
+
+    def test_absint_sees_the_files_of_the_call(self):
+        script = "cat /w.txt | sort\nfor f in /data/*.log; do wc -l $f; done"
+        fs = FileSystem()
+        fs.write_bytes("/w.txt", b"x\n" * 10)
+        fs.write_bytes("/data/a.log", b"1\n")
+        program = parse(script)
+        before = force(analyze_program(program, fs=fs)).absint.to_dict()
+        late = analyze_program(program, fs=fs)
+        fs.write_bytes("/w.txt", b"x\n" * 10_000)
+        fs.write_bytes("/data/b.log", b"2\n")
+        fs.unlink("/data/a.log")
+        assert late.absint.to_dict() == before
+        assert analyze_program(program, fs=fs).absint.to_dict() != before
+
+    def test_sections_are_computed_once(self):
+        result = analyze_program(parse(SCRIPT))
+        assert result.absint is result.absint
+        assert result.certificates is result.certificates
+        assert result.statements is result.statements
+        assert result.races is result.races
+        assert result.use_before_def is result.use_before_def
+
+    def test_purity_table_keeps_dead_regions(self):
+        result = analyze_program(parse(SCRIPT))
+        dead = result.dead_nodes() & set(result.purity)
+        assert dead, "the dead branch holds a candidate region"
+        assert not dead & set(result.certificates)
+        assert set(result.certificates) == set(result.purity) - dead
+
+    def test_value_flow_off_offers_no_absint(self, section_calls):
+        result = force(analyze_program(parse(SCRIPT), value_flow=False))
+        assert result.absint is None and not result.dead_nodes()
+        assert section_calls["analyze_value_flow"] == 0
+        assert len(result.certificates) == len(result.purity)
+
+
+def test_pure_read_only_commands_classified_once_per_registration():
+    from repro.annotations import SpecLibrary
+    from repro.annotations.model import CommandSpec, InstanceSpec, ParClass
+
+    first = DEFAULT_LIBRARY.pure_read_only_commands()
+    assert DEFAULT_LIBRARY.pure_read_only_commands() is first
+    assert "cat" in first and "rm" not in first
+    library = SpecLibrary()
+    assert library.pure_read_only_commands() == frozenset()
+    library.register(CommandSpec("peek", [
+        lambda argv: InstanceSpec("peek", ParClass.STATELESS)]))
+    assert library.pure_read_only_commands() == {"peek"}

@@ -138,6 +138,30 @@ class TestCampaign:
                      progress=lambda case, div: seen.append(case.ident))
         assert len(seen) == 3
 
+    @pytest.mark.parametrize("engine", ["pash", "jash"])
+    def test_engine_campaign_sees_optimizer_plans(self, engine, capsys):
+        # pipeline-0-23 is the script that exposed a middle stage's
+        # status leaking out of a PaSh plan; the CLI spelling is CI's
+        from repro.cli import main
+
+        assert main(["difftest", "--engine", engine, "--profile",
+                     "pipeline", "--seed", "0", "--count", "24"]) == 0
+        assert f"24/24 agreed (profile=pipeline, seed=0, engine={engine})" \
+            in capsys.readouterr().out
+
+    def test_engine_reaches_the_virtual_side(self, monkeypatch):
+        import repro.difftest.runner as runner
+
+        asked = []
+        monkeypatch.setattr(
+            runner, "make_engine",
+            lambda engine: asked.append(engine) or None)
+        case = Case(ident="x", profile="default", seed=0, index=0,
+                    script="uname", files={})
+        run_campaign([case], engine="pash")
+        minimize(case, max_tests=3, engine="jash")
+        assert asked[0] == "pash" and set(asked[1:]) == {"jash"}
+
 
 @needs_host
 class TestReducer:

@@ -189,3 +189,31 @@ class TestComposite:
         shell = Shell(aws_c5_2xlarge_gp3(), optimizer=combo)
         shell.fs.write_bytes("/x", b"b\na\n")
         assert shell.run("sort /x").out == "a\nb\n"
+
+
+class TestPlanStatus:
+    """A plan's exit status is its last stage's, as the interpreter's
+    pipeline status is (tests/corpus/divergences/plan-status-middle-stage):
+    a middle ``grep`` with no match does not fail the region, a final one
+    whose every parallel copy fails does."""
+
+    @pytest.fixture(scope="class")
+    def entry(self):
+        from repro.difftest import load_corpus
+
+        return next(e for e in load_corpus()
+                    if e.name == "plan-status-middle-stage")
+
+    @pytest.mark.parametrize("make", [PashOptimizer, small_jit],
+                             ids=["pash", "jash"])
+    def test_status_matches_interpreter(self, entry, make):
+        # the corpus fixture, repeated until Jash's cost model plans too
+        files = {"/" + name: data * 40_000
+                 for name, data in entry.files.items()}
+        _, want = run_with(None, script=entry.script, files=files)
+        optimizer = make()
+        _, got = run_with(optimizer, script=entry.script, files=files)
+        assert optimizer.optimized_count >= 2
+        assert (got.status, got.stdout) == (want.status, want.stdout)
+        assert want.status == entry.expect_status
+        assert want.stdout.split(b"\n")[0] == b"0"

@@ -51,8 +51,9 @@ def collect() -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
     for script in scripts():
         text = script.read_text()
-        # the analyzer must at least complete on every script
-        analyze_program(parse(text))
+        # the analyzer must at least complete on every script; stats()
+        # reads every demand-driven section
+        analyze_program(parse(text)).stats()
         prints = sorted(f"{d.line}:{d.col}:{d.code}" for d in lint(text))
         out[str(script.relative_to(REPO))] = prints
     return out

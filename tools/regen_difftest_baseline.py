@@ -22,24 +22,26 @@ from repro.difftest.baseline import BASELINE_PATH
 
 # keep in lockstep with the difftest step in .github/workflows/ci.yml
 CI_CAMPAIGNS = [
-    ("default", 0, 120),
-    ("coreutils", 0, 40),
-    ("expansion", 0, 40),
-    ("jobs", 0, 40),
-    ("heredoc", 0, 40),
-    ("replay", 0, 40),
+    ("default", 0, 120, "bash"),
+    ("coreutils", 0, 40, "bash"),
+    ("expansion", 0, 40, "bash"),
+    ("jobs", 0, 40, "bash"),
+    ("heredoc", 0, 40, "bash"),
+    ("replay", 0, 40, "bash"),
+    ("pipeline", 0, 40, "pash"),
 ]
 
 
 def main() -> int:
     divergences = []
-    for profile, seed, count in CI_CAMPAIGNS:
-        result = run_campaign(generate_cases(seed, count, profile))
+    for profile, seed, count, engine in CI_CAMPAIGNS:
+        result = run_campaign(generate_cases(seed, count, profile),
+                              engine=engine)
         if result.skipped:
             print("no host shell available; refusing to write a baseline",
                   file=sys.stderr)
             return 1
-        print(f"{profile}: {result.agreed}/{result.total} agreed")
+        print(f"{profile} ({engine}): {result.agreed}/{result.total} agreed")
         divergences.extend(result.divergences)
 
     from repro.difftest import load_sessions, run_replay
