@@ -166,26 +166,28 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
 
     # -- sort: parallelizable-pure with sort -m aggregation ------------------
     def sort_rule(argv):
-        flags = _flags_of(argv)
-        if "m" in flags or "c" in flags or "o" in flags:
+        ops = tuple(_operands_of(argv, value_flags="kto"))
+        if _flags_of(argv) & set("mco"):
             # merge/check modes and -o output files: keep simple, refuse
             return InstanceSpec("sort", ParClass.NON_PARALLELIZABLE,
-                                input_operands=tuple(_operands_of(argv, "kto")),
-                                blocking=True)
-        merge_flags = [f"-{c}" for c in "rnu" if c in flags]
-        passthrough = []
-        i = 0
-        while i < len(argv):
-            if argv[i] in ("-k", "-t"):
-                passthrough.extend(argv[i : i + 2])
-                i += 2
-            else:
-                i += 1
-        ops = tuple(_operands_of(argv, value_flags="kto"))
+                                input_operands=ops, blocking=True)
+        # the merge orders as the stage does: its every option, one per
+        # word, a value (attached, clustered or detached) behind its flag
+        merge_argv = ["sort", "-m"]
+        args = iter(argv)
+        for arg in args:
+            if arg == "--":
+                break
+            if not arg.startswith("-"):
+                continue
+            for j, ch in enumerate(arg[1:], 2):  # arg[j:]: ch's value
+                merge_argv.append(f"-{ch}")
+                if ch in "kt":
+                    merge_argv.append(arg[j:] or next(args, ""))
+                    break
         return InstanceSpec(
             "sort", ParClass.PARALLELIZABLE_PURE,
-            Aggregator(AggKind.SORT_MERGE,
-                       tuple(["sort", "-m"] + merge_flags + passthrough)),
+            Aggregator(AggKind.SORT_MERGE, tuple(merge_argv)),
             input_operands=ops, reads_stdin=not ops, blocking=True,
         )
 

@@ -147,16 +147,6 @@ class LineStream:
         self._pos += 1
         return line
 
-    def skip_run(self, line: bytes) -> int:
-        """Consume the buffered lines that follow and are byte-identical
-        to ``line``; returns how many.  Never reads."""
-        lines, start = self._lines, self._pos
-        end, stop = start, len(lines)
-        while end < stop and lines[end] == line:
-            end += 1
-        self._pos = end
-        return end - start
-
     def next_batch(self):
         """Return all currently-buffered complete lines plus at least one
         read's worth; None at EOF.  Cheaper than line-at-a-time."""
@@ -186,6 +176,21 @@ class OutBuf:
         self._size += len(data)
         if self._size >= self.threshold:
             yield from self.flush()
+
+    def room_for(self, data: bytes) -> int:
+        """How many ``put(data)`` calls from now end in a flush (>= 1)."""
+        return -((self._size - self.threshold) // len(data))
+
+    def put_run(self, data: bytes, count: int):
+        """``count`` calls of ``put(data)``: the same flushes at the same
+        sizes, each stretch between two flushes held as one chunk."""
+        while count:
+            m = min(count, self.room_for(data))
+            self._chunks.append(data * m)
+            self._size += len(data) * m
+            count -= m
+            if self._size >= self.threshold:
+                yield from self.flush()
 
     def put_lines(self, lines: Iterable[bytes]):
         for line in lines:

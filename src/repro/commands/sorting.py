@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import random
 import re
+from bisect import bisect_right
 from collections import Counter
-from itertools import groupby
+from itertools import accumulate, groupby, repeat
 
+from ..vos.errors import FileNotFound, IsADirectory
 from ..vos.process import CHUNK, Process
 from .base import (
     LineStream,
@@ -181,6 +184,18 @@ def sorted_runs(counts: dict, reverse: bool, unique: bool) -> list[bytes]:
             for body in sorted(counts, reverse=reverse)]
 
 
+def _open_operand(proc: Process, path: str):
+    """``open_input`` for a sort operand; one that cannot be read is the
+    command's typed failure: diagnostic on fd 2, status 2 (all inputs
+    are read before any output, so nothing has been written)."""
+    try:
+        return (yield from open_input(proc, path))
+    except (FileNotFound, IsADirectory) as err:
+        reason = ("Is a directory" if isinstance(err, IsADirectory)
+                  else "No such file or directory")
+        raise UsageError(f"cannot read: {path}: {reason}") from err
+
+
 @command("sort")
 def sort_cmd(proc: Process, argv: list[str]):
     """sort [-rnumf] [-u] [-k N[,M]] [-t DELIM] [-o FILE] [-c] [FILE...]
@@ -190,61 +205,83 @@ def sort_cmd(proc: Process, argv: list[str]):
     at the end of field M; -f folds case; ties fall back to a whole-line
     bytewise comparison unless -u is given (with -u the sort is stable
     and keeps the first input line of each equal-key group).  Unsupported
-    key specs (char offsets, per-key modifiers) exit 2 loudly.
+    key specs (char offsets, per-key modifiers), an unreadable operand
+    and a second operand to -c exit 2 loudly.
     """
     try:
-        opts, operands = parse_flags(argv, "rnumcf", with_value="kto")
-        key_field, key_end = (parse_key_spec(opts["k"]) if "k" in opts
-                              else (None, None))
+        return (yield from _sort(proc, argv))
     except UsageError as err:
         yield from write_err(proc, f"sort: {err}")
         return 2
-    reverse = bool(opts.get("r"))
-    numeric = bool(opts.get("n"))
-    fold = bool(opts.get("f"))
-    unique = bool(opts.get("u"))
-    merge_mode = bool(opts.get("m"))
-    check_mode = bool(opts.get("c"))
+
+
+def _ordering(opts: dict):
+    """(ordering key, equality key, reverse, unique) of parsed sort flags."""
+    key_field, key_end = (parse_key_spec(opts["k"]) if "k" in opts
+                          else (None, None))
     delim = opts["t"].encode()[:1] if "t" in opts else None
-    primary = make_sort_key(numeric, key_field, delim, fold, key_end)
+    unique = bool(opts.get("u"))
+    primary = make_sort_key(bool(opts.get("n")), key_field, delim,
+                            bool(opts.get("f")), key_end)
     # -u disables the last-resort comparison (GNU): stable on primary only
-    order_key = primary if unique else make_cmp_key(primary)
+    return (primary if unique else make_cmp_key(primary), primary,
+            bool(opts.get("r")), unique)
+
+
+def _sort(proc: Process, argv: list[str]):
+    opts, operands = parse_flags(argv, "rnumcf", with_value="kto")
+    order_key, primary, reverse, unique = _ordering(opts)
     coeff = cpu_coeff("sort")
     files = operands or ["-"]
 
-    if check_mode:
-        fd, needs_close = yield from open_input(proc, files[0])
+    if opts.get("c"):
+        if len(files) > 1:
+            raise UsageError(f"extra operand '{files[1]}' not allowed with -c")
+        fd, needs_close = yield from _open_operand(proc, files[0])
         stream = LineStream(proc, fd)
+        # with -u equal neighbours are disorder too: the test is strict
+        in_order = ((operator.gt, operator.lt) if unique
+                    else (operator.ge, operator.le))[reverse]
         prev = None
-        while True:
+        lineno = 0
+        status = 0
+        while not status:
             line = yield from stream.next_line()
             if line is None:
                 break
+            lineno += 1
             proc.charge(len(line) * coeff)
             k = order_key(line)
-            if prev is not None:
-                in_order = k >= prev if not reverse else k <= prev
-                if not in_order:
-                    yield from write_err(proc, "sort: disorder")
-                    return 1
+            if prev is not None and not in_order(k, prev):
+                yield from write_err(
+                    proc, f"sort: {files[0]}:{lineno}: disorder: "
+                    + _line_body(line).decode(errors="replace"))
+                status = 1
             prev = k
         if needs_close:
             yield from proc.close(fd)
-        return 0
+        return status
 
-    if merge_mode:
-        return (yield from _sort_merge(proc, files, order_key, reverse,
-                                       unique, coeff, eq_key=primary))
+    if opts.get("m"):
+        opened = []
+        for path in files:
+            opened.append((yield from _open_operand(proc, path)))
+        status = yield from kway_merge(
+            proc, [fd for fd, _ in opened], order_key, reverse, unique,
+            coeff, eq_key=primary)
+        for fd, needs_close in opened:
+            if needs_close:
+                yield from proc.close(fd)
+        return status
 
-    if not numeric and not fold and key_field is None:
+    if primary is _line_body:
         # plain bytewise ordering: C-sort newline-free bodies directly
         return (yield from _sort_plain(proc, files, reverse, unique,
                                        coeff, opts))
 
     lines: list[bytes] = []
-    total_bytes = 0
     for path in files:
-        fd, needs_close = yield from open_input(proc, path)
+        fd, needs_close = yield from _open_operand(proc, path)
         stream = LineStream(proc, fd)
         while True:
             batch = yield from stream.next_batch()
@@ -252,9 +289,7 @@ def sort_cmd(proc: Process, argv: list[str]):
                 break
             if not batch:
                 continue
-            nbytes = sum(len(l) for l in batch)
-            total_bytes += nbytes
-            yield from proc.cpu(nbytes * coeff)
+            yield from proc.cpu(sum(len(l) for l in batch) * coeff)
             lines.extend(batch)
         if needs_close:
             yield from proc.close(fd)
@@ -264,24 +299,13 @@ def sort_cmd(proc: Process, argv: list[str]):
     if n > 1:
         yield from proc.cpu(n * math.log2(n) * SORT_CMP_COST)
     lines.sort(key=order_key, reverse=reverse)
-    if unique:
-        deduped: list[bytes] = []
-        prev_key = object()
-        for line in lines:
-            k = primary(line)
-            if k != prev_key:
-                deduped.append(line)
-                prev_key = k
-        lines = deduped
-    out_fd = 1
-    close_out = False
-    if "o" in opts:
-        out_fd = yield from proc.open(opts["o"], "w")
-        close_out = True
+    if unique:  # the sort is stable: the first input line of each key
+        lines = [next(group) for _, group in groupby(lines, key=primary)]
+    out_fd = (yield from proc.open(opts["o"], "w")) if "o" in opts else 1
     out = OutBuf(proc, out_fd)
     yield from out.put_lines(lines)
     yield from out.flush()
-    if close_out:
+    if out_fd != 1:
         yield from proc.close(out_fd)
     return 0
 
@@ -306,7 +330,7 @@ def _sort_plain(proc: Process, files: list[str], reverse: bool,
     counter = LineCounter() if oracle is None else None
     chunks: list[bytes] = []
     for path in files:
-        fd, needs_close = yield from open_input(proc, path)
+        fd, needs_close = yield from _open_operand(proc, path)
         tail_len = 0
         while True:
             data = yield from proc.read(fd, CHUNK)
@@ -345,33 +369,12 @@ def _sort_plain(proc: Process, files: list[str], reverse: bool,
         stream = b"\n".join(bodies) + b"\n" if bodies else b""
     if n > 1:
         yield from proc.cpu(n * math.log2(n) * SORT_CMP_COST)
-    out_fd = 1
-    close_out = False
-    if "o" in opts:
-        out_fd = yield from proc.open(opts["o"], "w")
-        close_out = True
+    out_fd = (yield from proc.open(opts["o"], "w")) if "o" in opts else 1
     if stream:
         yield from proc.write(out_fd, stream)
-    if close_out:
+    if out_fd != 1:
         yield from proc.close(out_fd)
     return 0
-
-
-def _sort_merge(proc: Process, files: list[str], key, reverse: bool,
-                unique: bool, coeff: float, eq_key=None):
-    """k-way streaming merge of pre-sorted input files (sort -m)."""
-    in_fds = []
-    closers = []
-    for path in files:
-        fd, needs_close = yield from open_input(proc, path)
-        in_fds.append(fd)
-        if needs_close:
-            closers.append(fd)
-    status = yield from kway_merge(proc, in_fds, key, reverse, unique, coeff,
-                                   eq_key=eq_key)
-    for fd in closers:
-        yield from proc.close(fd)
-    return status
 
 
 class _Rev:
@@ -389,57 +392,138 @@ class _Rev:
         return self.k == other.k
 
 
-def kway_merge(proc: Process, in_fds: list[int], key, reverse: bool,
-               unique: bool, coeff: float, eq_key=None):
-    """Streaming heap-based k-way merge of pre-sorted inputs on open fds.
-    Shared by ``sort -m`` and the parallel compiler's merge node.  Each
-    emitted line costs one heap sift: log2(k) comparisons.  ``eq_key``
-    (default: ``key``) is the equality key -u dedups on, which may be
-    coarser than the ordering key.
+def _runs_of(buf: bytes):
+    """The ``(line, count)`` runs of adjacent byte-identical lines in
+    ``buf`` up to its last newline, found without splitting it: a run of
+    ``n`` lines is ``line * n`` in the buffer, so its length is galloped
+    for (double the step while the next ``step`` copies match, then
+    halve it) with O(log n) C-speed compares.  Nothing is assumed about
+    the order of the lines."""
+    pos, end = 0, buf.rfind(b"\n") + 1
+    while pos < end:
+        width = buf.index(b"\n", pos) + 1 - pos
+        line = buf[pos:pos + width]
+        count = step = 1
+        while buf.startswith(line * step, pos + count * width):
+            count += step
+            step *= 2
+        while step > 1:
+            step //= 2
+            if buf.startswith(line * step, pos + count * width):
+                count += step
+        yield line, count
+        pos += count * width
 
-    Sorted streams are made of duplicate runs, so the lines buffered
-    behind the popped one that equal it byte for byte are emitted in
-    the same inner loop: same bytes, same stream => same heap entry, and
-    each would have been the very next pop.  Charges, flushes and the
-    refill read stay one per line, in the per-line order."""
-    streams = [LineStream(proc, fd) for fd in in_fds]
+
+class _RunReader:
+    """The merge's view of one input: each ``CHUNK`` read is parsed once
+    into ``(line, count)`` runs.  It reads when, and only when,
+    ``LineStream.next_line`` would; a run never extends across a read,
+    and an unterminated last line is a run of its own (delivered without
+    a newline, as ``next_line`` does)."""
+
+    def __init__(self, proc: Process, fd: int):
+        self.proc = proc
+        self.fd = fd
+        self._buf = bytearray()  # the partial line carried between reads
+        self._eof = False
+        self._runs = iter(())
+
+    def next_run(self):
+        while True:
+            run = next(self._runs, None)
+            if run is not None or self._eof:
+                return run
+            data = yield from self.proc.read(self.fd, CHUNK)
+            self._buf += data
+            if not data:
+                self._eof = True
+                if self._buf:
+                    self._runs = iter([(bytes(self._buf), 1)])
+            elif b"\n" in data:
+                buf = bytes(self._buf)
+                del self._buf[:buf.rfind(b"\n") + 1]
+                self._runs = _runs_of(buf)
+
+
+#: ``kway_merge`` issues its accumulated per-line CPU as one request
+#: each time the sum passes this many virtual seconds.
+_CHARGE_TRIP = 1e-4
+
+
+def kway_merge(proc: Process, in_fds: list[int], key, reverse: bool,
+               unique: bool, coeff: float, eq_key):
+    """Streaming heap-based k-way merge of pre-sorted inputs on open fds:
+    the one sorted-run aggregator (``sort -m``, the plan's merge node,
+    dshell).  Each emitted line costs one heap sift: log2(k) comparisons.
+    ``eq_key`` is the equality key -u dedups on, which may be coarser
+    than the ordering key.
+
+    The heap holds ``(line, count)`` runs: a run's lines have the same
+    bytes and stream => the same heap entry, and each would have been
+    the very next pop.  The lines behind its first are replayed in bulk
+    as the virtual ops a line-at-a-time loop issues, in its order
+    (DESIGN.md §11): ``pending`` advances by the same float adds (never
+    ``cost * m``); on one line the charge comes before the put and its
+    flush; the refill read follows the run's last line."""
+    readers = [_RunReader(proc, fd) for fd in in_fds]
     heap: list = []
     wrap = _Rev if reverse else (lambda k: k)
-    if eq_key is None:
-        eq_key = key
-    for i, stream in enumerate(streams):
-        line = yield from stream.next_line()
-        if line is not None:
-            heapq.heappush(heap, (wrap(key(line)), i, line))
+    for i, reader in enumerate(readers):
+        run = yield from reader.next_run()
+        if run is not None:
+            heapq.heappush(heap, (wrap(key(run[0])), i, run))
     out = OutBuf(proc, 1)
-    cmp_cost = SORT_CMP_COST * math.log2(max(2, len(streams)))
+    cmp_cost = SORT_CMP_COST * math.log2(max(2, len(readers)))
     prev_key = object()
-    pending_cpu = 0.0
+    pending = 0.0
     while heap:
-        _, i, line = heapq.heappop(heap)
-        stream = streams[i]
+        _, i, (line, n) = heapq.heappop(heap)
         cost = len(line) * coeff + cmp_cost
         text = line if line.endswith(b"\n") else line + b"\n"
-        fresh = True
-        if unique:
-            k = eq_key(line)
-            fresh = k != prev_key
-            prev_key = k
-        for _ in range(1 + stream.skip_run(line)):
-            pending_cpu += cost
-            if pending_cpu > 1e-4:
-                yield from proc.cpu(pending_cpu)
-                pending_cpu = 0.0
-            if fresh:
-                yield from out.put(text)
-                fresh = not unique
-        nxt = yield from stream.next_line()
+        # a run's first line, inline: all a distinct-heavy input is made of
+        pending += cost
+        if pending > _CHARGE_TRIP:
+            yield from proc.cpu(pending)
+            pending = 0.0
+        k = eq_key(line) if unique else None
+        if not (unique and k == prev_key):
+            yield from out.put(text)
+        prev_key = k
+        n -= 1  # the lines behind it: all written, or with -u none
+        while n:
+            # m lines, ending on the first that charges, flushes or ends
+            # the run; the estimate only bounds how far ahead to add
+            m = min(n, int((_CHARGE_TRIP - pending) / cost) + 2)
+            if not unique:
+                m = min(m, out.room_for(text))
+            sums = list(accumulate(repeat(cost, m), initial=pending))
+            trip = bisect_right(sums, _CHARGE_TRIP)
+            if trip <= m:
+                m = trip
+                yield from proc.cpu(sums[m])
+                pending = 0.0
+            else:
+                pending = sums[m]
+            if not unique:
+                yield from out.put_run(text, m)
+            n -= m
+        nxt = yield from readers[i].next_run()
         if nxt is not None:
-            heapq.heappush(heap, (wrap(key(nxt)), i, nxt))
-    if pending_cpu:
-        yield from proc.cpu(pending_cpu)
+            heapq.heappush(heap, (wrap(key(nxt[0])), i, nxt))
+    if pending:
+        yield from proc.cpu(pending)
     yield from out.flush()
     return 0
+
+
+def merge_fds(proc: Process, in_fds: list[int], flags: list[str]):
+    """The SORT_MERGE aggregator over open fds: ``kway_merge`` under
+    ``sort``'s own reading of ``flags`` (-m itself is accepted)."""
+    opts, _ = parse_flags(list(flags), "rnumcf", with_value="kto")
+    order_key, primary, reverse, unique = _ordering(opts)
+    return (yield from kway_merge(proc, in_fds, order_key, reverse, unique,
+                                  cpu_coeff("sort"), eq_key=primary))
 
 
 @command("uniq")
@@ -580,9 +664,7 @@ def comm(proc: Process, argv: list[str]):
     l2 = yield from s2.next_line()
     indent2 = b"" if "1" in suppress else b"\t"
     indent3 = indent2 + (b"" if "2" in suppress else b"\t")
-
-    def body(line: bytes) -> bytes:
-        return line.rstrip(b"\n")
+    body = _line_body
 
     while l1 is not None or l2 is not None:
         if l1 is not None:

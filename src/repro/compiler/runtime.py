@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from ..commands.base import PROC_STARTUP, LineStream, OutBuf, lookup
+from ..commands.base import PROC_STARTUP, LineStream, lookup
+from ..commands.sorting import merge_fds
 from ..dfg.graph import (
     CMD,
     CONCAT_MERGE,
@@ -108,6 +109,18 @@ def range_read_body(segments: list[tuple[str, int, int]]):
     return body
 
 
+def relay(proc: Process, src_fd: int, dst_fd: int,
+          coeff: float = RUNTIME_COEFF):
+    """Copy ``src_fd`` to ``dst_fd`` until EOF: one ``CHUNK`` read, one
+    charge of ``coeff`` per byte and one write at a time."""
+    while True:
+        data = yield from proc.read(src_fd, CHUNK)
+        if not data:
+            return
+        yield from proc.cpu(len(data) * coeff)
+        yield from proc.write(dst_fd, data)
+
+
 def file_read_body(paths: list[str]):
     """cat-like source reading files sequentially (charged disk IO)."""
 
@@ -119,12 +132,7 @@ def file_read_body(paths: list[str]):
             except VosError:
                 yield from proc.write(2, f"jash-runtime: {path}: no such file\n".encode())
                 return 1
-            while True:
-                data = yield from proc.read(fd, CHUNK)
-                if not data:
-                    break
-                yield from proc.cpu(len(data) * RUNTIME_COEFF)
-                yield from proc.write(1, data)
+            yield from relay(proc, fd, 1)
             yield from proc.close(fd)
         return 0
 
@@ -138,27 +146,25 @@ def rr_split_body(out_fds: list[int], block_lines: int = 2000):
     def body(proc: Process):
         yield from proc.cpu(PROC_STARTUP * 0.25)
         stream = LineStream(proc, 0)
-        target = 0
-        block: list[bytes] = []
-        block_size = 0
+        targets = itertools.cycle(out_fds)
+        block: list[bytes] = []  # lines not yet dealt: under one block
+
+        def deal(lines):
+            data = b"".join(lines)
+            yield from proc.cpu(len(data) * RUNTIME_COEFF)
+            yield from proc.write(next(targets), data)
+
         while True:
             batch = yield from stream.next_batch()
             if batch is None:
                 break
-            for line in batch:
-                block.append(line)
-                block_size += len(line)
-                if len(block) >= block_lines:
-                    data = b"".join(block)
-                    yield from proc.cpu(len(data) * RUNTIME_COEFF)
-                    yield from proc.write(out_fds[target], data)
-                    target = (target + 1) % len(out_fds)
-                    block = []
-                    block_size = 0
+            block += batch
+            full = len(block) - len(block) % block_lines
+            for start in range(0, full, block_lines):
+                yield from deal(block[start:start + block_lines])
+            block = block[full:]
         if block:
-            data = b"".join(block)
-            yield from proc.cpu(len(data) * RUNTIME_COEFF)
-            yield from proc.write(out_fds[target], data)
+            yield from deal(block)
         return 0
 
     return body
@@ -170,12 +176,7 @@ def concat_merge_body(in_fds: list[int]):
     def body(proc: Process):
         yield from proc.cpu(PROC_STARTUP * 0.25)
         for fd in in_fds:
-            while True:
-                data = yield from proc.read(fd, CHUNK)
-                if not data:
-                    break
-                yield from proc.cpu(len(data) * RUNTIME_COEFF)
-                yield from proc.write(1, data)
+            yield from relay(proc, fd, 1)
         return 0
 
     return body
@@ -212,30 +213,8 @@ def sort_kway_body(in_fds: list[int], argv: list[str]):
     """Streaming k-way sorted merge (the SORT_MERGE aggregator)."""
 
     def body(proc: Process):
-        from ..commands.base import cpu_coeff, parse_flags
-        from ..commands.sorting import (
-            kway_merge,
-            make_cmp_key,
-            make_sort_key,
-            parse_key_spec,
-        )
-
         yield from proc.cpu(PROC_STARTUP * 0.25)
-        opts, _operands = parse_flags(list(argv[1:]), "rnumcf",
-                                      with_value="kto")
-        key_field, key_end = (parse_key_spec(opts["k"]) if "k" in opts
-                              else (None, None))
-        delim = opts["t"].encode()[:1] if "t" in opts else None
-        unique = bool(opts.get("u"))
-        primary = make_sort_key(bool(opts.get("n")), key_field, delim,
-                                bool(opts.get("f")), key_end)
-        # mirror sort_cmd: last-resort tie-break unless -u
-        key = primary if unique else make_cmp_key(primary)
-        status = yield from kway_merge(
-            proc, in_fds, key, bool(opts.get("r")), unique,
-            cpu_coeff("sort"), eq_key=primary,
-        )
-        return status
+        return (yield from merge_fds(proc, in_fds, argv[1:]))
 
     return body
 
@@ -250,21 +229,10 @@ def eager_body(mode: str, tmp_path: str):
         yield from proc.cpu(PROC_STARTUP * 0.25)
         if mode == "disk":
             out_fd = yield from proc.open(tmp_path, "w")
-            total = 0
-            while True:
-                data = yield from proc.read(0, CHUNK)
-                if not data:
-                    break
-                total += len(data)
-                yield from proc.cpu(len(data) * RUNTIME_COEFF)
-                yield from proc.write(out_fd, data)
+            yield from relay(proc, 0, out_fd)
             yield from proc.close(out_fd)
             in_fd = yield from proc.open(tmp_path, "r")
-            while True:
-                data = yield from proc.read(in_fd, CHUNK)
-                if not data:
-                    break
-                yield from proc.write(1, data)
+            yield from relay(proc, in_fd, 1, coeff=0.0)
             yield from proc.close(in_fd)
             proc.fs.unlink(proc.resolve(tmp_path))
         else:

@@ -310,9 +310,8 @@ class DistributedShell:
 
     def _merge(self, proc: Process, staged: dict, paths: list[str],
                agg_kind: AggKind, agg_argv, out: Collector):
-        from ..commands.base import cpu_coeff
-        from ..commands.sorting import kway_merge, make_sort_key
-        from ..compiler.runtime import sum_merge_body
+        from ..commands.sorting import merge_fds
+        from ..compiler.runtime import relay, sum_merge_body
 
         sources = [StringSource(staged[p].getvalue()) for p in paths]
         fds = {i + 3: src for i, src in enumerate(sources)}
@@ -322,29 +321,13 @@ class DistributedShell:
         if agg_kind is AggKind.CONCAT:
             def body(mproc: Process):
                 for fd in in_fds:
-                    while True:
-                        data = yield from mproc.read(fd, CHUNK)
-                        if not data:
-                            break
-                        yield from mproc.write(1, data)
+                    yield from relay(mproc, fd, 1, coeff=0.0)
                 return 0
         elif agg_kind is AggKind.SUM:
             body = sum_merge_body(in_fds)
         elif agg_kind is AggKind.SORT_MERGE:
-            flags = [a for a in agg_argv if a.startswith("-") and a != "-m"]
-
-            def body(mproc: Process, flags=flags):
-                from ..commands.sorting import make_cmp_key
-
-                numeric = any("n" in f for f in flags)
-                reverse = any("r" in f for f in flags)
-                unique = any("u" in f for f in flags)
-                primary = make_sort_key(numeric, None, None)
-                key = primary if unique else make_cmp_key(primary)
-                st = yield from kway_merge(mproc, in_fds, key, reverse,
-                                           unique, cpu_coeff("sort"),
-                                           eq_key=primary)
-                return st
+            def body(mproc: Process):
+                return (yield from merge_fds(mproc, in_fds, agg_argv[1:]))
         elif agg_kind is AggKind.RERUN:
             rerun_argv = list(agg_argv)
             fn = lookup(rerun_argv[0])

@@ -37,7 +37,7 @@ from bisect import bisect_right
 from typing import Optional
 
 from ..commands.filters import tr_block
-from .kernels import GRID_STEP, assemble_counts
+from .kernels import GRID_STEP, merge_sorted_parts
 from .pool import PoolConfig, WorkerPool, _env_int, get_global_pool
 from .regions import RegionPlan, detect_regions
 
@@ -397,7 +397,6 @@ class HostCoordinator:
                 return False
             parts = []
             all_counts = True
-            total_lines = 0
             for result in results:
                 if not fused:  # fused results were accounted in _merge_tr
                     state.host_s += result.get("host_s", 0.0)
@@ -405,8 +404,7 @@ class HostCoordinator:
                         "vt_delta", 0.0)
                     self.stats["worker_fault_ops"] += result.get(
                         "fault_ops", 0)
-                kind, payload, m = result["part"]
-                total_lines += m
+                kind, payload, _m = result["part"]
                 if kind == "spill":
                     if not pool.owns(payload):
                         self._fail(state)
@@ -414,13 +412,8 @@ class HostCoordinator:
                     all_counts = False
                 parts.append(result["part"])
             if all_counts:
-                counts: dict[bytes, int] = {}
-                for _, payload, _m in parts:
-                    for word, count in payload.items():
-                        counts[word] = counts.get(word, 0) + count
-                stream, runs, n_lines = assemble_counts(
-                    counts, plan.sort_reverse, plan.sort_unique,
-                    total_lines)
+                stream, runs, n_lines = merge_sorted_parts(
+                    parts, plan.sort_reverse, plan.sort_unique)
                 state.sorted_stream = stream
                 state.run_ends = runs
                 state.n_lines = n_lines

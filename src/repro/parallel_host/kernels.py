@@ -23,10 +23,10 @@ everywhere.
 
 from __future__ import annotations
 
-import heapq
 import os
 from array import array
-from itertools import accumulate, groupby, repeat
+from collections import Counter
+from itertools import accumulate
 
 from ..commands.filters import TrPlan, tr_block
 from ..commands.sorting import LineCounter, sorted_runs, split_bodies
@@ -155,43 +155,17 @@ def sort_part(data: bytes, card_limit: int = CARD_LIMIT):
 
 
 def merge_sorted_parts(parts: list, reverse: bool, unique: bool):
-    """K-way merge of part results into (stream, run_ends, n_lines).
-
-    This is the dshell ``kway_merge`` discipline applied host-side:
-    each part contributes an already-ordered iterator (counting parts
-    expand lazily), heapq.merge interleaves them, and runs of equal
-    bodies collapse into the run table the uniq oracle replays.
-    """
-    def expand(counts: dict):
-        for word in sorted(counts, reverse=reverse):
-            yield from repeat(word, 1 if unique else counts[word])
-
-    iters = []
-    n_lines = 0
-    for kind, payload, m in parts:
-        n_lines += m
-        if kind == "counts":
-            iters.append(expand(payload))
-        else:
-            iters.append(iter(payload if not reverse else payload[::-1]))
-    merged = heapq.merge(*iters, reverse=reverse)
-    out: list[bytes] = []
-    run_ends = array("q")
-    total = 0
-    for body, group in groupby(merged):
-        count = 1 if unique else sum(1 for _ in group)
-        total += (len(body) + 1) * count
-        out.append((body + b"\n") * count)
-        run_ends.append(total)
-    return b"".join(out), run_ends, n_lines
-
-
-def assemble_counts(counts: dict, reverse: bool, unique: bool,
-                    n_lines: int):
-    """Build the sorted stream + run table from merged counts — the
-    low-cardinality fast path (bytes-multiply runs at memcpy speed)."""
+    """Merge part results into (stream, run_ends, n_lines) at run level:
+    a count table adds to the running table and a ``lines`` part is
+    counted into it, so the stream is assembled from one table with the
+    in-process sort's own kernel (bytes-multiplied runs at memcpy
+    speed), whatever the mix of parts."""
+    counts: Counter = Counter()
+    for _, payload, _ in parts:
+        counts.update(payload)
     runs = sorted_runs(counts, reverse, unique)
-    return b"".join(runs), array("q", accumulate(map(len, runs))), n_lines
+    return (b"".join(runs), array("q", accumulate(map(len, runs))),
+            sum(m for _, _, m in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +177,18 @@ def _read_span(path: str, a: int, b: int) -> bytes:
     with open(path, "rb") as fh:
         fh.seek(a)
         return fh.read(b - a)
+
+
+def _sort_part_shipped(data: bytes, task: dict) -> tuple:
+    """``sort_part`` as it travels back: count tables pickled, sorted
+    lines as a ``("spill", path, n_lines)`` file."""
+    kind, payload, m = sort_part(data, task.get("card_limit", CARD_LIMIT))
+    if kind == "lines":
+        spill = f"{task['out_prefix']}.lines"
+        with open(spill, "wb") as fh:
+            fh.write(b"".join(body + b"\n" for body in payload))
+        return "spill", spill, m
+    return kind, payload, m
 
 
 def run_task(task: dict) -> dict:
@@ -232,32 +218,13 @@ def run_task(task: dict) -> dict:
             # single-part fusion: the sort wave's input is exactly this
             # part's final stage output, already in memory — counting it
             # here saves a task round trip and a spill re-read
-            kind_, payload, m = sort_part(data,
-                                          task.get("card_limit", CARD_LIMIT))
-            if kind_ == "lines":
-                spill = f"{task['out_prefix']}.lines"
-                with open(spill, "wb") as fh:
-                    for body in payload:
-                        fh.write(body)
-                        fh.write(b"\n")
-                result["part"] = ("spill", spill, m)
-            else:
-                result["part"] = ("counts", payload, m)
+            result["part"] = _sort_part_shipped(data, task)
         return result
     if kind == "sort_part":
         chunks = [_read_span(path, a, b) for path, a, b in task["segments"]]
         data = chunks[0] if len(chunks) == 1 else b"".join(chunks)
-        kind_, payload, m = sort_part(data, task.get("card_limit", CARD_LIMIT))
-        if kind_ == "lines":
-            spill = f"{task['out_prefix']}.lines"
-            with open(spill, "wb") as fh:
-                for body in payload:
-                    fh.write(body)
-                    fh.write(b"\n")
-            return {"part": ("spill", spill, m), "bytes_in": len(data),
-                    "bytes_out": 0}
-        return {"part": ("counts", payload, m), "bytes_in": len(data),
-                "bytes_out": 0}
+        return {"part": _sort_part_shipped(data, task),
+                "bytes_in": len(data), "bytes_out": 0}
     if kind == "sort_merge":
         parts = []
         for entry in task["parts"]:

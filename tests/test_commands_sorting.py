@@ -46,6 +46,34 @@ class TestSort:
         assert sh_run("printf 'a\\nb\\n' | sort -c").status == 0
         assert sh_run("printf 'b\\na\\n' | sort -c").status == 1
 
+    @pytest.mark.parametrize("flags", ["", "-m", "-k1", "-c", "-u -n"])
+    def test_unreadable_operand_is_a_typed_failure(self, sh_run, flags):
+        """Diagnostic on fd 2, status 2, nothing on stdout, no -o FILE."""
+        for operand, why in (("/nosuch", "No such file or directory"),
+                             ("/tmp", "Is a directory")):
+            result = sh_run(f"sort {flags} -o /out {operand}",
+                            files={"/1": b"b\na\n"})
+            assert (result.status, result.stdout) == (2, b"")
+            assert result.err == f"sort: cannot read: {operand}: {why}\n"
+            assert not sh_run.shell.fs.exists("/out")
+        if "-c" not in flags:  # a later operand fails after /1 was read
+            result = sh_run(f"sort {flags} /1 /nosuch")
+            assert (result.status, result.stdout) == (2, b"")
+
+    def test_check_closes_its_input_on_disorder(self):
+        from repro import Shell, Tracer
+        from repro.obs.export import chrome_events
+        from repro.vos.machines import laptop
+
+        tracer = Tracer(syscall_events=True)
+        shell = Shell(laptop(), tracer=tracer)
+        shell.fs.write_bytes("/1", b"b\nb\na\nz\n")
+        result = shell.run("sort -c /1")
+        assert (result.status, result.err) == (1, "sort: /1:3: disorder: a\n")
+        calls = [e["name"] for e in chrome_events(tracer)
+                 if e.get("cat") == "syscall"]
+        assert calls[-2:] == ["WriteReq", "CloseReq"]
+
     def test_merge_mode(self, out_of):
         files = {"/1": b"a\nc\ne\n", "/2": b"b\nd\n"}
         assert out_of("sort -m /1 /2", files=files) == "a\nb\nc\nd\ne\n"

@@ -63,3 +63,36 @@ def test_pash_used_materialize(small_figure1):
     optimized = [e for e in pash.events if e.decision == "optimized"]
     assert optimized
     assert "materialize" in optimized[0].plan_description
+
+
+# the ledger's engine_matrix script and machines (benchmarks/ledger/
+# workloads.py) at its --quick size; literals taken at commit 318c0c3
+PLAN_CELLS = {
+    ("pash", "gp2"): ("0.11186549871266392", 346, 20),
+    ("jash", "gp2"): ("0.0544762327858239", 256, 12),
+    ("pash", "gp3"): ("0.05950006585798544", 346, 20),
+    ("jash", "gp3"): ("0.04964966575798548", 256, 12),
+}
+
+
+@pytest.mark.parametrize("engine,mname", sorted(PLAN_CELLS))
+def test_plan_cells_issue_exactly_the_pinned_virtual_ops(engine, mname):
+    """A plan's merge, split and relay nodes replay line-at-a-time costs
+    in bulk; moving one virtual op moves these, here rather than in the
+    ledger.  Jash's size gate is lowered so that its cell runs a plan."""
+    from repro import JashConfig, JashOptimizer, PashOptimizer, Shell
+    from repro.compiler.optimizer import OptimizerConfig
+
+    words = words_text(250_000, seed=1)
+    disk = (gp2_spec(burst_credit_ops=3.0 * len(words) / (128 * 1024))
+            if mname == "gp2" else gp3_spec())
+    optimizer = (PashOptimizer() if engine == "pash" else JashOptimizer(
+        JashConfig(optimizer=OptimizerConfig(min_input_bytes=0))))
+    shell = Shell(MachineSpec(f"c5.2xlarge-{mname}", cores=8, disk=disk),
+                  optimizer=optimizer)
+    shell.fs.write_bytes("/words.txt", words)
+    result = shell.run("cat words.txt | tr -cs A-Za-z '\\n' | sort > out.txt")
+    assert result.status == 0
+    assert [e.decision for e in optimizer.events] == ["optimized"]
+    assert (repr(result.elapsed), shell.kernel.dispatches,
+            len(shell.kernel.processes)) == PLAN_CELLS[engine, mname]

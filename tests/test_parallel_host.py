@@ -258,6 +258,50 @@ class TestPoolUnit:
         assert coord._n_parts() == 3
 
 
+class TestMergeSortedParts:
+    """The pool's merge is the in-process counting kernel over whatever
+    mix of parts the workers returned."""
+
+    COUNTS = {b"pear": 3, b"apple": 2, b"": 1, b"fig": 1}
+    LINES = sorted([b"apple", b"apple", b"kiwi", b"a\rb", b"zoo", b"zoo",
+                    b"zoo", b""])
+    MORE = sorted(b"%04d" % (i * 7919 % 500) for i in range(900))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("unique", [False, True])
+    @pytest.mark.parametrize("shape", ["counts", "lines", "mixed", "empty"])
+    def test_equals_sorted_of_the_expanded_parts(self, shape, reverse,
+                                                 unique):
+        from repro.parallel_host.kernels import merge_sorted_parts
+
+        parts = {
+            "counts": [("counts", self.COUNTS, 7),
+                       ("counts", {b"fig": 4, b"zz": 1}, 5)],
+            "lines": [("lines", self.LINES, 8), ("lines", self.MORE, 900)],
+            "mixed": [("counts", self.COUNTS, 7), ("lines", self.LINES, 8),
+                      ("lines", [], 0), ("lines", self.MORE, 900)],
+            "empty": [],
+        }[shape]
+        expanded = [body for kind, payload, _ in parts
+                    for body in (payload if kind == "lines" else
+                                 [b for b, n in payload.items()
+                                  for _ in range(n)])]
+        want = sorted(set(expanded) if unique else expanded, reverse=reverse)
+        stream, run_ends, n_lines = merge_sorted_parts(parts, reverse, unique)
+        assert stream == b"".join(body + b"\n" for body in want)
+        assert n_lines == len(expanded) == sum(m for _, _, m in parts)
+        # run_ends: the end offset of every run of equal lines, in order
+        ends, total, prev = [], 0, None
+        for body in want:
+            if body != prev and prev is not None:
+                ends.append(total)
+            total += len(body) + 1
+            prev = body
+        if want:
+            ends.append(total)
+        assert list(run_ends) == ends
+
+
 class TestDetectionGuard:
     def test_analyzer_crash_is_survived_and_recorded(self, monkeypatch):
         from repro.obs import Tracer

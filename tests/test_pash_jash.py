@@ -217,3 +217,25 @@ class TestPlanStatus:
         assert (got.status, got.stdout) == (want.status, want.stdout)
         assert want.status == entry.expect_status
         assert want.stdout.split(b"\n")[0] == b"0"
+
+
+class TestMergeFlags:
+    """The plan's merge reads the stage's own ordering flags through
+    ``sort``'s parser: a folded, keyed or numeric sort split k ways
+    comes back in the order the interpreter gives."""
+
+    MIXED = b"".join(b"%s %d\n" % (word, i * 7919 % 101)
+                     for i in range(60_000)
+                     for word in (b"Apple", b"apple", b"BANANA", b"cherry"))
+
+    @pytest.mark.parametrize("flags", ["-f", "-fu", "-rf", "-k2 -n",
+                                       "-u -k2 -n", "-f -k1,1"])
+    def test_split_sort_matches_interpreter(self, flags):
+        script = f"cat /data/in.txt | sort {flags} > /data/out.txt"
+        files = {"/data/in.txt": self.MIXED}
+        plain, _ = run_with(None, script=script, files=files)
+        pash = PashOptimizer()
+        planned, result = run_with(pash, script=script, files=files)
+        assert (result.status, pash.optimized_count) == (0, 1)
+        assert (planned.fs.read_bytes("/data/out.txt")
+                == plain.fs.read_bytes("/data/out.txt"))

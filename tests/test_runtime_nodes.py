@@ -100,6 +100,86 @@ def test_range_reader_partition_property(cuts, lines):
     assert b"".join(pieces) == data
 
 
+class _RecordingProc:
+    """Stands in for a Process under a node body: ``read`` hands out
+    ``data`` in ``piece``-byte reads; reads, cpu charges and writes are
+    logged (a full block is written before the next read)."""
+
+    def __init__(self, data: bytes, piece: int):
+        self.data, self.piece = data, piece
+        self.ops: list[tuple] = []
+
+    def read(self, fd, nbytes):
+        out, self.data = self.data[:self.piece], self.data[self.piece:]
+        self.ops.append(("read", len(out)))
+        return out
+        yield  # a sub-generator, like Process.read
+
+    def cpu(self, seconds):
+        self.ops.append(("cpu", seconds))
+        yield from ()
+
+    def write(self, fd, data):
+        self.ops.append((fd, bytes(data)))
+        yield from ()
+
+
+def _rr_split_per_line(out_fds, block_lines):
+    """rr_split_body as it was: one append and one test per line."""
+    from repro.commands.base import LineStream
+    from repro.compiler.runtime import RUNTIME_COEFF
+
+    def body(proc):
+        yield from proc.cpu(0.0005)
+        stream = LineStream(proc, 0)
+        target = 0
+        block = []
+        while True:
+            batch = yield from stream.next_batch()
+            if batch is None:
+                break
+            for line in batch:
+                block.append(line)
+                if len(block) >= block_lines:
+                    data = b"".join(block)
+                    yield from proc.cpu(len(data) * RUNTIME_COEFF)
+                    yield from proc.write(out_fds[target], data)
+                    target = (target + 1) % len(out_fds)
+                    block = []
+        if block:
+            data = b"".join(block)
+            yield from proc.cpu(len(data) * RUNTIME_COEFF)
+            yield from proc.write(out_fds[target], data)
+        return 0
+
+    return body
+
+
+class TestRrSplitDealsBySlicing:
+    DATA = b"".join(b"w%d\n" % (i * i) for i in range(4500)) + b"tail"
+
+    @pytest.mark.parametrize("block_lines", [1, 7, 2000])
+    @pytest.mark.parametrize("piece", [5, 64, 4096, 1 << 16])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_same_cpu_and_write_sequence_as_per_line(self, block_lines,
+                                                     piece, k):
+        """Reads of ``piece`` bytes end batches mid-block (and mid-line);
+        the blocks, their targets and their charges must not move."""
+        logs = []
+        for make in (rr_split_body, _rr_split_per_line):
+            proc = _RecordingProc(self.DATA, piece)
+            body = make(list(range(3, 3 + k)), block_lines)(proc)
+            with pytest.raises(StopIteration) as done:
+                next(body)  # recorded ops never block
+            assert done.value.value == 0
+            logs.append(proc.ops)
+        assert logs[0] == logs[1]
+        writes = [op for op in logs[0] if op[0] not in ("cpu", "read")]
+        assert b"".join(data for _, data in writes) == self.DATA
+        assert [fd for fd, _ in writes] == [3 + i % k
+                                            for i in range(len(writes))]
+
+
 class TestSplitsAndMerges:
     def run_split_merge(self, data, k, block_lines=2):
         """rr_split into k pipes, then sort_kway after per-branch sort —

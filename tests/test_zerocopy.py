@@ -19,7 +19,10 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -607,6 +610,97 @@ class TestRunBatchedMerge:
         assert batched == per_line  # incl. FaultPlan op count and trace
 
 
+MERGE_FLAGS = ("", "-u", "-r", "-ru", "-k2 -n", "-u -k2 -n", "-f")
+
+
+@st.composite
+def _threshold_straddling_parts(draw):
+    """(flags, files): k pre-sorted inputs made of duplicate runs whose
+    lengths sit on, one short of and one past the merge's two
+    thresholds (the ``1e-4`` s charge trip and the ``CHUNK`` flush),
+    fill a whole read, or are split by one."""
+    flags = draw(st.sampled_from(MERGE_FLAGS))
+    k = draw(st.integers(min_value=1, max_value=8))
+    keyed = "-k2" in flags
+    widths = st.one_of(st.sampled_from([0, 7, 15, 63, 127, 199]),
+                       st.integers(min_value=0, max_value=199))
+    if keyed:
+        bodies = draw(st.lists(
+            st.tuples(st.sampled_from([b"x", b"X", b"yy"]),
+                      st.sampled_from([3, 3.0, 10, 200])).map(
+                          lambda t: b"%s %s" % (t[0], str(t[1]).encode())),
+            min_size=1, max_size=5, unique=True))
+    else:
+        bodies = draw(st.lists(
+            st.tuples(st.sampled_from([b"a", b"A", b"b"]), widths).map(
+                lambda t: (t[0] * t[1])[:199]),
+            min_size=1, max_size=5, unique=True))
+    primary = sorting.make_sort_key("-n" in flags, 2 if keyed else None, None,
+                                    "-f" in flags)
+    order = primary if "u" in flags else sorting.make_cmp_key(primary)
+    bodies.sort(key=order, reverse="r" in flags)
+    cmp_cost = base.SORT_CMP_COST * math.log2(max(2, k))
+    files = {}
+    empty = draw(st.integers(min_value=0, max_value=k)) if k > 1 else k
+    for p in range(k):
+        lines: list[bytes] = []
+        for body in bodies if p != empty else ():
+            width = len(body) + 1
+            trip = int(1e-4 / (width * base.cpu_coeff("sort") + cmp_cost))
+            flush = -(-CHUNK // width)
+            n = draw(st.sampled_from(
+                [0, 1, 2, trip - 1, trip, trip + 1, trip + 2,
+                 flush - 1, flush, flush + 1, CHUNK // width,
+                 2 * (CHUNK // width) + 3]))
+            lines += [body] * n
+        files[f"/p{p}"] = b"".join(line + b"\n" for line in lines)
+    files[f"/p{k - 1}"] = files[f"/p{k - 1}"][:-1]  # last one unterminated
+    return flags, files
+
+
+class TestMergeAgainstReference:
+    @settings(deadline=None, max_examples=40)
+    @given(case=_threshold_straddling_parts())
+    def test_same_ops_as_the_per_line_loop(self, case):
+        flags, files = case
+        script = f"sort -m {flags} {' '.join(sorted(files))} | cat"
+
+        def plan():
+            return FaultPlan(seed=7, rate=0.0, kinds=("pipe-break",))
+
+        batched = _observe(script, files, faults=plan())
+        with mock.patch.object(sorting, "kway_merge", _kway_merge_per_line):
+            per_line = _observe(script, files, faults=plan())
+        assert batched[0] == 0
+        # status, stdout, elapsed (==), dispatches, fault-plan op count
+        assert batched == per_line
+
+    @pytest.mark.parametrize("k,width", [(1, 71), (4, 132), (8, 57)])
+    def test_charge_and_flush_falling_on_one_line(self, k, width):
+        """Widths at which the flush line (every ``ceil(CHUNK / width)``
+        lines) is also a charge line: the charge is issued first."""
+        cost = width * base.cpu_coeff("sort") + (
+            base.SORT_CMP_COST * math.log2(max(2, k)))
+        trip = len(list(itertools.takewhile(
+            lambda s: s <= 1e-4, itertools.accumulate(
+                itertools.repeat(cost), initial=0.0))))
+        assert -(-CHUNK // width) % trip == 0
+        files = {f"/p{p}": b"" for p in range(k)}
+        files["/p0"] = (b"a" * (width - 1) + b"\n") * (3 * CHUNK // width)
+        events = []
+        for merge in (sorting.kway_merge, _kway_merge_per_line):
+            tracer = Tracer(syscall_events=True)
+            shell = Shell(laptop(), tracer=tracer, jobs=1)
+            for path, data in files.items():
+                shell.fs.write_bytes(path, data)
+            with mock.patch.object(sorting, "kway_merge", merge):
+                result = shell.run(f"sort -m {' '.join(sorted(files))} | cat")
+            assert result.status == 0
+            events.append(chrome_events(tracer))
+        # every syscall instant and cpu span: same order, start and width
+        assert events[0] == events[1]
+
+
 class _ScriptedReads:
     """Stands in for a Process: ``read`` hands out ``data`` in pieces."""
 
@@ -684,18 +778,53 @@ class TestLineStreamCursor:
                     == _drive(getattr(old, call)()))
             assert new_proc.reads == old_proc.reads
 
-    def test_skip_run_takes_only_identical_buffered_lines(self):
+    def test_run_reader_never_extends_a_run_across_a_read(self, monkeypatch):
+        monkeypatch.setattr(sorting, "CHUNK", 9)  # "a\na\na\nb\nb" + "\na"
         proc = _ScriptedReads(b"a\na\na\nb\nb\na")
-        stream = base.LineStream(proc, 0, 9)  # "a\na\na\nb\nb" + "\na"
-        assert _drive(stream.next_line()) == b"a\n"
-        assert stream.skip_run(b"a\n") == 2
-        assert stream.skip_run(b"a\n") == 0  # next buffered line is b
-        assert _drive(stream.next_line()) == b"b\n"
-        assert stream.skip_run(b"b\n") == 0  # second b not complete yet
-        assert proc.reads == 1  # skip_run never reads
-        assert _drive(stream.next_line()) == b"b\n"
-        assert _drive(stream.next_batch()) == [b"a"]
-        assert _drive(stream.next_batch()) is None
+        reader = sorting._RunReader(proc, 0)
+        assert _drive(reader.next_run()) == (b"a\n", 3)
+        assert _drive(reader.next_run()) == (b"b\n", 1)  # 2nd b incomplete
+        assert proc.reads == 1
+        assert _drive(reader.next_run()) == (b"b\n", 1)
+        assert _drive(reader.next_run()) == (b"a", 1)  # unterminated tail
+        assert _drive(reader.next_run()) is None
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.text(alphabet="ab\r\n", max_size=80).map(str.encode),
+           chunk=st.integers(min_value=1, max_value=12))
+    def test_run_reader_is_next_line_run_length_encoded(self, data, chunk):
+        """Same lines, and a read exactly where ``next_line`` reads: only
+        ahead of a run's first line."""
+        run_proc, line_proc = _ScriptedReads(data), _ScriptedReads(data)
+        lines = base.LineStream(line_proc, 0, chunk)
+        with mock.patch.object(sorting, "CHUNK", chunk):
+            reader = sorting._RunReader(run_proc, 0)
+            while True:
+                run = _drive(reader.next_run())
+                first = _drive(lines.next_line())
+                assert run_proc.reads == line_proc.reads
+                if run is None:
+                    assert first is None
+                    break
+                line, count = run
+                assert count >= 1 and first == line
+                for _ in range(count - 1):
+                    assert _drive(lines.next_line()) == line
+                assert run_proc.reads == line_proc.reads
+
+    @settings(deadline=None, max_examples=100)
+    @given(lines=st.lists(st.sampled_from([b"", b"a", b"ab", b"a\ra"]),
+                          max_size=12),
+           repeats=st.lists(st.integers(min_value=1, max_value=70),
+                            min_size=12, max_size=12),
+           tail=st.sampled_from([b"", b"a", b"zz"]))
+    def test_runs_of_is_groupby(self, lines, repeats, tail):
+        from itertools import groupby
+
+        bodies = [body for body, n in zip(lines, repeats) for _ in range(n)]
+        buf = b"".join(body + b"\n" for body in bodies) + tail
+        assert list(sorting._runs_of(buf)) == [
+            (body + b"\n", len(list(group))) for body, group in groupby(bodies)]
 
 
 # ---------------------------------------------------------------------------
