@@ -15,19 +15,31 @@ Supported:
   match, ``&&``/``||``/``!``, ternary ``?:``, parentheses
 * built-ins: NR, NF, FS, OFS, ORS, FILENAME; functions length, substr,
   index, toupper, tolower, int, split, sprintf
-* options: ``-F sep``, ``-v name=value``
+* options: ``-F sep``, ``-v name=value``; ``name=value`` operands
 
-The numeric/string coercion rules follow POSIX awk: numeric strings
-compare numerically, uninitialized values are "" / 0.
+Refused at parse time (``awk: unsupported: ...``, status 2, nothing
+run) rather than answered wrongly: ``function`` definitions, ``getline``,
+``delete``, ``do``, ``for (;;)``, ``print > file`` / ``>>`` / ``| cmd``,
+``^`` and ``**``, ``k in arr`` and ``(i,j) in arr`` outside ``for``.
+
+Coercion follows POSIX awk: fields and ``-v`` values that look numeric
+compare numerically, string constants as strings, uninitialized values
+are "" / 0.  The program is parsed to a small AST and lowered once to
+closures (:class:`AwkRuntime`); per record, awk only calls them.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
+from functools import lru_cache
 from typing import Optional
 
 from ..vos.process import Process
-from .base import LineStream, OutBuf, UsageError, command, cpu_coeff, open_input, write_err
+from .base import (LineStream, OutBuf, UsageError, command, cpu_coeff,
+                   open_operand, parse_flags, write_err)
+from .bre import posix_sub
 
 # ---------------------------------------------------------------------------
 # lexer
@@ -39,13 +51,14 @@ _TOKEN_RE = re.compile(r"""
   | (?P<newline>\n)
   | (?P<number>\d+(\.\d+)?([eE][-+]?\d+)?)
   | (?P<string>"(\\.|[^"\\])*")
-  | (?P<regex_placeholder>\x00)                   # never matches input
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>\+\+|--|\+=|-=|\*=|/=|%=|==|!=|<=|>=|&&|\|\||!~|[-+*/%<>=!~?:;{}()\[\],$])
+  | (?P<op>\+\+|--|\+=|-=|\*\*|\*=|/=|%=|==|!=|<=|>>|>=|&&|\|\||!~|[-+*/%<>=!~?:;{}()\[\],$^|])
 """, re.VERBOSE)
 
 KEYWORDS = {"BEGIN", "END", "print", "printf", "if", "else", "while",
             "for", "in", "next", "exit"}
+#: words and operators of awk this subset refuses by name
+UNSUPPORTED = {"function", "getline", "delete", "do", "^", "**", "|", ">>"}
 
 
 class AwkSyntaxError(UsageError):
@@ -79,45 +92,32 @@ def tokenize(src: str) -> list[tuple[str, str]]:
         pos = m.end()
         if kind in ("ws", "comment"):
             continue
+        if text in UNSUPPORTED:
+            raise AwkSyntaxError(f"unsupported: {text}")
         if kind == "newline":
             tokens.append(("op", ";"))
-        elif kind == "number":
-            tokens.append(("number", text))
         elif kind == "string":
             tokens.append(("string", _unescape(text[1:-1])))
         elif kind == "name":
             tokens.append(("keyword" if text in KEYWORDS else "name", text))
         else:
-            tokens.append(("op", text))
+            tokens.append((kind, text))  # number, op
     return tokens
 
 
 def _regex_position(tokens: list) -> bool:
     """Is a '/' here a regex literal (operand position) or division?"""
-    if not tokens:
-        return True
-    kind, text = tokens[-1]
-    if kind in ("number", "string", "regex", "name"):
-        return False
-    if kind == "op" and text in (")", "]", "++", "--", "$"):
-        return False
-    return True
+    kind, text = tokens[-1] if tokens else ("op", ";")
+    return kind not in ("number", "string", "regex", "name") and not (
+        kind == "op" and text in (")", "]", "++", "--", "$"))
+
+
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "r": "\r", "/": "/"}
 
 
 def _unescape(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"',
-                        "r": "\r", "/": "/"}.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m[1], m[0]), text)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +142,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.parenthesised = None  # the node the last ( ... ) held
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -211,62 +212,49 @@ class _Parser:
         kind, text = self.peek()
         if kind == "op" and text == "{":
             return self.parse_block()
-        if kind == "keyword":
-            if text == "print":
-                self.take()
-                args = []
-                if self.peek()[1] not in (";", "}", None):
-                    args.append(self.parse_expr())
-                    while self.accept("op", ","):
-                        args.append(self.parse_expr())
-                return Node("print", args)
-            if text == "printf":
-                self.take()
-                args = [self.parse_expr()]
+        if kind != "keyword" or text not in ("print", "printf", "next", "exit",
+                                             "if", "while", "for"):
+            return Node("exprstmt", self.parse_expr())
+        self.take()
+        if text in ("print", "printf"):
+            args = []
+            if text == "printf" or self.peek()[1] not in (";", "}", ">", None):
+                args.append(self.parse_expr())
                 while self.accept("op", ","):
                     args.append(self.parse_expr())
-                return Node("printf", args)
-            if text == "next":
-                self.take()
-                return Node("next")
-            if text == "exit":
-                self.take()
-                if self.peek()[1] in (";", "}", None):
-                    return Node("exit")
-                return Node("exit", self.parse_expr())
-            if text == "if":
-                self.take()
-                self.expect("op", "(")
-                cond = self.parse_expr()
-                self.expect("op", ")")
-                self.skip_seps()
-                then = self.parse_statement()
-                other = None
-                save = self.pos
-                self.skip_seps()
-                if self.accept("keyword", "else"):
-                    self.skip_seps()
-                    other = self.parse_statement()
-                else:
-                    self.pos = save
-                return Node("if", cond, then, other)
-            if text == "while":
-                self.take()
-                self.expect("op", "(")
-                cond = self.parse_expr()
-                self.expect("op", ")")
-                self.skip_seps()
-                return Node("while", cond, self.parse_statement())
-            if text == "for":
-                self.take()
-                self.expect("op", "(")
-                name = self.expect("name")[1]
-                self.expect("keyword", "in")
-                arr = self.expect("name")[1]
-                self.expect("op", ")")
-                self.skip_seps()
-                return Node("forin", name, arr, self.parse_statement())
-        return Node("exprstmt", self.parse_expr())
+            # a bare > closing the list is a redirection, not a test
+            if self.peek() == ("op", ">") or (
+                    args and args[-1].kind == "cmp" and args[-1].a == ">"
+                    and args[-1] is not self.parenthesised):
+                raise AwkSyntaxError(f"unsupported: {text} > file")
+            return Node(text, args)
+        if text in ("next", "exit"):
+            if text == "next" or self.peek()[1] in (";", "}", None):
+                return Node(text)
+            return Node("exit", self.parse_expr())
+        self.expect("op", "(")
+        if text == "for":
+            if self.tokens[self.pos + 1 : self.pos + 2] != [("keyword", "in")]:
+                raise AwkSyntaxError("unsupported: for (;;)")
+            name = self.expect("name")[1]
+            self.expect("keyword", "in")
+            head = self.expect("name")[1]  # the array
+        else:
+            head = self.parse_expr()  # the condition
+        self.expect("op", ")")
+        self.skip_seps()
+        body = self.parse_statement()
+        if text == "for":
+            return Node("forin", name, head, body)
+        if text == "while":
+            return Node("while", head, body)
+        save = self.pos
+        self.skip_seps()
+        if self.accept("keyword", "else"):
+            self.skip_seps()
+            return Node("if", head, body, self.parse_statement())
+        self.pos = save
+        return Node("if", head, body)
 
     # -- expressions (precedence climbing) ----------------------------------------
 
@@ -282,30 +270,33 @@ class _Parser:
             return Node("ternary", cond, then, other)
         return cond
 
-    def parse_or(self):
-        node = self.parse_and()
-        while self.accept("op", "||"):
-            node = Node("or", node, self.parse_and())
+    def _left_assoc(self, ops: dict, operand):
+        """``operand (op operand)*`` as a left-leaning tree; ``ops`` maps a
+        token to its node kind (an arith node keeps the token)."""
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            op = self.take()[1]
+            children = (node, operand())
+            node = Node(ops[op], *((op,) + children if ops[op] == "arith"
+                                   else children))
         return node
+
+    _MATCH = {"~": "match", "!~": "nomatch"}
+    _ADD, _MUL = dict.fromkeys("+-", "arith"), dict.fromkeys("*/%", "arith")
+
+    def parse_or(self):
+        return self._left_assoc({"||": "or"}, self.parse_and)
 
     def parse_and(self):
-        node = self.parse_match()
-        while self.accept("op", "&&"):
-            node = Node("and", node, self.parse_match())
-        return node
+        return self._left_assoc({"&&": "and"}, self.parse_match)
 
     def parse_match(self):
-        node = self.parse_compare()
-        while True:
-            if self.accept("op", "~"):
-                node = Node("match", node, self.parse_compare())
-            elif self.accept("op", "!~"):
-                node = Node("nomatch", node, self.parse_compare())
-            else:
-                return node
+        return self._left_assoc(self._MATCH, self.parse_compare)
 
     def parse_compare(self):
         node = self.parse_concat()
+        if self.peek() == ("keyword", "in"):
+            raise AwkSyntaxError("unsupported: in outside for (k in arr)")
         for op in ("==", "!=", "<=", ">=", "<", ">"):
             if self.accept("op", op):
                 return Node("cmp", op, node, self.parse_concat())
@@ -321,33 +312,15 @@ class _Parser:
             kind, text = self.peek()
             if kind is None or (kind == "op" and text in self._CONCAT_STOP):
                 return node
-            if kind == "keyword" and text != "in":
-                return node
-            if kind == "keyword" and text == "in":
+            if kind == "keyword":
                 return node
             node = Node("concat", node, self.parse_additive())
 
     def parse_additive(self):
-        node = self.parse_term()
-        while True:
-            if self.accept("op", "+"):
-                node = Node("arith", "+", node, self.parse_term())
-            elif self.accept("op", "-"):
-                node = Node("arith", "-", node, self.parse_term())
-            else:
-                return node
+        return self._left_assoc(self._ADD, self.parse_term)
 
     def parse_term(self):
-        node = self.parse_unary()
-        while True:
-            if self.accept("op", "*"):
-                node = Node("arith", "*", node, self.parse_unary())
-            elif self.accept("op", "/"):
-                node = Node("arith", "/", node, self.parse_unary())
-            elif self.accept("op", "%"):
-                node = Node("arith", "%", node, self.parse_unary())
-            else:
-                return node
+        return self._left_assoc(self._MUL, self.parse_unary)
 
     def parse_unary(self):
         if self.accept("op", "-"):
@@ -357,11 +330,9 @@ class _Parser:
         if self.accept("op", "!"):
             return Node("not", self.parse_unary())
         if self.accept("op", "++"):
-            target = self.parse_postfix()
-            return Node("preincr", target, 1)
+            return Node("preincr", self.parse_postfix(), 1)
         if self.accept("op", "--"):
-            target = self.parse_postfix()
-            return Node("preincr", target, -1)
+            return Node("preincr", self.parse_postfix(), -1)
         return self.parse_assignment_or_postfix()
 
     def parse_assignment_or_postfix(self):
@@ -383,8 +354,11 @@ class _Parser:
             else:
                 return node
 
-    FUNCTIONS = {"length", "substr", "index", "toupper", "tolower", "int",
-                 "split", "sprintf", "sub", "gsub", "match"}
+    #: the built-in functions: name -> (fewest, most) arguments
+    FUNCTIONS = {"length": (0, 1), "substr": (2, 3), "index": (2, 2),
+                 "toupper": (1, 1), "tolower": (1, 1), "int": (1, 1),
+                 "split": (2, 3), "sprintf": (1, 99), "sub": (2, 3),
+                 "gsub": (2, 3), "match": (2, 2)}
 
     def parse_primary(self):
         kind, text = self.peek()
@@ -400,7 +374,10 @@ class _Parser:
         if kind == "op" and text == "(":
             self.take()
             node = self.parse_expr()
+            if self.peek() == ("op", ","):
+                raise AwkSyntaxError("unsupported: a parenthesised (a, b) list")
             self.expect("op", ")")
+            self.parenthesised = node
             return node
         if kind == "op" and text == "$":
             self.take()
@@ -415,7 +392,12 @@ class _Parser:
                     while self.accept("op", ","):
                         args.append(self.parse_expr())
                 self.expect("op", ")")
+                low, high = self.FUNCTIONS[text]
+                if not low <= len(args) <= high:
+                    raise AwkSyntaxError(f"{text}: wrong number of arguments")
                 return Node("call", text, args)
+            if text == "length":  # without parentheses: length($0)
+                return Node("call", text, [])
             if self.peek() == ("op", "["):
                 self.take()
                 subscript = self.parse_expr()
@@ -435,7 +417,7 @@ def parse_awk(src: str):
 
 
 # ---------------------------------------------------------------------------
-# evaluator
+# evaluator: the AST lowered, once per program, to plain Python closures
 # ---------------------------------------------------------------------------
 
 
@@ -450,347 +432,400 @@ class _Exit(Exception):
         self.status = status
 
 
+class _Table(dict):
+    """Variables, or an array: an unassigned name reads as "", unborn."""
+
+    def __missing__(self, key):
+        return ""
+
+
+_FALSE = (0.0, "")  # ``value not in _FALSE`` is awk truth, without a call
+
+
+def _raise(exc: Exception):
+    raise exc
+
+
 class AwkRuntime:
+    """Interpreter state plus the lowering pass: ``compile(node)`` turns
+    an expression or statement node into a zero-argument closure over
+    this runtime, once per node, deciding there what is static (constant
+    field numbers, regex literals, operators, the kind of an lvalue)."""
+
     def __init__(self, fs: str = " ", assigns: Optional[dict] = None):
-        self.vars: dict[str, object] = {"FS": fs, "OFS": " ", "ORS": "\n",
-                                        "NR": 0.0, "NF": 0.0, "FILENAME": ""}
+        self.vars = _Table({"FS": fs, "OFS": " ", "ORS": "\n", "NR": 0.0,
+                            "NF": 0.0, "FILENAME": "", "SUBSEP": "\x1c"})
         self.vars.update(assigns or {})
-        self.arrays: dict[str, dict] = {}
-        self.fields: list[str] = [""]
+        self.arrays: dict[str, _Table] = {}
+        self.fields: list[str] = [""]  # always NF + 1 long
         self.out: list[bytes] = []
+        self._fs = None  # the FS value ``_split`` was built for
+        self._memo: dict[int, object] = {}
 
     # -- records -------------------------------------------------------------
 
     def set_record(self, line: str) -> None:
-        self.vars["NR"] = float(self.vars.get("NR", 0)) + 1
+        nr = self.vars["NR"]
+        self.vars["NR"] = (nr if nr.__class__ is float else to_num(nr)) + 1.0
         self._split_record(line)
 
     def _split_record(self, line: str) -> None:
-        fs = to_str(self.vars.get("FS", " "))
-        if fs == " ":
-            parts = line.split()
-        elif len(fs) == 1:
-            parts = line.split(fs)
+        fs = self.vars["FS"]
+        if fs is not self._fs:  # assigned since the last record
+            self._fs, sep = fs, to_str(fs)
+            self._split = (str.split if sep == " "
+                           else (lambda text: text.split(sep)) if len(sep) == 1
+                           else re.compile(sep).split)
+        parts = self._split(line)
+        self.fields = [line, *parts]
+        self.vars["NF"] = len(parts) + 0.0
+
+    def __getitem__(self, n):  # the runtime is the box of $n and NF lvalues
+        if n == "NF":
+            return self.vars["NF"]
+        return self.fields[n] if 0 <= n < len(self.fields) else ""
+
+    def __setitem__(self, n, value) -> None:
+        """``$n = value``, or ``NF = value`` for n "NF": $0 is rebuilt."""
+        fields = self.fields
+        if n == "NF":
+            nf = max(0, int(to_num(value)))
+            self.fields = fields = (fields + [""] * nf)[: nf + 1]
+        elif n < 0:
+            raise UsageError(f"attempt to access field {n}")
         else:
-            parts = re.split(fs, line)
-        self.fields = [line] + parts
-        self.vars["NF"] = float(len(parts))
+            fields.extend([""] * (n + 1 - len(fields)))
+            fields[n] = to_str(value)
+            if n == 0:
+                return self._split_record(fields[0])
+        self.vars["NF"] = len(fields) - 1.0
+        fields[0] = to_str(self.vars["OFS"]).join(fields[1:])
 
-    def get_field(self, n: int) -> str:
-        if 0 <= n < len(self.fields):
-            return self.fields[n]
-        return ""
+    # -- entry points ----------------------------------------------------------
 
-    def set_field(self, n: int, value: str) -> None:
-        while len(self.fields) <= n:
-            self.fields.append("")
-        self.fields[n] = value
-        if n > 0:
-            nf = max(int(self.vars["NF"]), n)
-            self.vars["NF"] = float(nf)
-            ofs = to_str(self.vars["OFS"])
-            self.fields[0] = ofs.join(self.fields[1 : nf + 1])
-        else:
-            self._split_record(value)
-
-    # -- statements -----------------------------------------------------------
-
-    def exec_block(self, block: Node) -> None:
-        for stmt in block.a:
-            self.exec_stmt(stmt)
-
-    def exec_stmt(self, stmt: Node) -> None:
-        kind = stmt.kind
-        if kind == "block":
-            self.exec_block(stmt)
-        elif kind == "print":
-            if stmt.a:
-                ofs = to_str(self.vars["OFS"])
-                text = ofs.join(to_str(self.eval(e)) for e in stmt.a)
-            else:
-                text = self.get_field(0)
-            self.out.append((text + to_str(self.vars["ORS"])).encode())
-        elif kind == "printf":
-            values = [self.eval(e) for e in stmt.a]
-            self.out.append(_sprintf(values).encode())
-        elif kind == "exprstmt":
-            self.eval(stmt.a)
-        elif kind == "if":
-            if truthy(self.eval(stmt.a)):
-                self.exec_stmt(stmt.b)
-            elif stmt.c is not None:
-                self.exec_stmt(stmt.c)
-        elif kind == "while":
-            guard = 0
-            while truthy(self.eval(stmt.a)):
-                self.exec_stmt(stmt.b)
-                guard += 1
-                if guard > 10_000_000:  # runaway protection
-                    raise UsageError("awk: while loop exceeded limit")
-        elif kind == "forin":
-            for key in list(self.arrays.get(stmt.b, {})):
-                self.vars[stmt.a] = key
-                self.exec_stmt(stmt.c)
-        elif kind == "next":
-            raise _Next()
-        elif kind == "exit":
-            raise _Exit(None if stmt.a is None
-                        else int(to_num(self.eval(stmt.a))))
-        else:
-            raise UsageError(f"awk: cannot execute {kind}")
-
-    # -- expressions --------------------------------------------------------------
+    def compile(self, node: Node):
+        fn = self._memo.get(id(node))
+        if fn is None:
+            fn = self._memo[id(node)] = self._lower(node)
+        return fn
 
     def eval(self, node: Node):
-        kind = node.kind
-        if kind == "num":
-            return node.a
-        if kind == "str":
-            return node.a
-        if kind == "regex":
-            # a bare /re/ means $0 ~ /re/
-            return 1.0 if re.search(node.a, self.get_field(0)) else 0.0
+        return self.compile(node)()
+
+    exec_block = eval
+
+    def rules(self, items) -> tuple[list, list, list]:
+        """(BEGIN actions, main rules, END actions) as closures; a main
+        rule tests its own pattern."""
+        begin, main, end = [], [], []
+        for pattern, action in items:
+            run = self.compile(action)
+            if pattern is None:
+                main.append(run)
+            elif pattern.kind == "expr_pattern":
+                main.append(self._lower(Node("if", pattern.a, action)))
+            else:
+                (begin if pattern.kind == "BEGIN" else end).append(run)
+        return begin, main, end
+
+    # -- the lowering pass --------------------------------------------------------
+
+    def _lvalue(self, node: Node):
+        """``(box, key, name)`` of an assignable node: the value lives at
+        ``box[key()]``, or at ``box[name]`` when ``key`` is None — a
+        subscript is evaluated once per assignment."""
+        if node.kind == "var":
+            return (self if node.a == "NF" else self.vars), None, node.a
+        index = self.compile(node.a if node.kind == "field" else node.b)
+        if node.kind == "field":
+            return self, (lambda: int(to_num(index()))), None
+        return (self.arrays.setdefault(node.a, _Table()),
+                (lambda: to_str(index())), None)
+
+    def _pattern(self, node: Node):
+        """``() -> compiled regex``: a literal here, dynamic text cached."""
+        if node.kind == "regex":
+            pattern = re.compile(node.a)
+            return lambda: pattern
+        text = self.compile(node)
+        return lambda: _regex(to_str(text()))
+
+    def _lower(self, node: Node):
+        rt, vars, emit, kind = self, self.vars, self.out.append, node.kind
+        # child nodes lowered (an lvalue or regex operand: never called)
+        a, b, c = (self.compile(x) if isinstance(x, Node) else x
+                   for x in (node.a, node.b, node.c))
+        if kind in ("num", "str"):
+            return lambda: a
+        if kind == "regex":  # a bare /re/ means $0 ~ /re/
+            search = re.compile(a).search
+            return lambda: 1.0 if search(rt.fields[0]) else 0.0
         if kind == "var":
-            return self.vars.get(node.a, "")
+            return lambda: vars[a]
         if kind == "field":
-            return self.get_field(int(to_num(self.eval(node.a))))
+            if node.a.kind == "var" and node.a.a == "NF":
+                return lambda: rt.fields[-1]  # fields is NF + 1 long
+            if node.a.kind != "num":
+                return lambda: rt[int(to_num(a()))]
+            n = int(node.a.a)
+            if n == 0:
+                return lambda: rt.fields[0]
+            return lambda: rt.fields[n] if n < len(rt.fields) else ""
         if kind == "index":
-            arr = self.arrays.setdefault(node.a, {})
-            return arr.get(to_str(self.eval(node.b)), "")
-        if kind == "assign":
-            return self._assign(node)
-        if kind in ("preincr", "postincr"):
-            old = to_num(self._read_lvalue(node.a))
-            new = old + node.b
-            self._write_lvalue(node.a, new)
-            return new if kind == "preincr" else old
+            arr = self.arrays.setdefault(a, _Table())
+            return lambda: arr[to_str(b())]
+        if kind in ("assign", "preincr", "postincr"):
+            box, key, name = self._lvalue(
+                node.b if kind == "assign" else node.a)
+            op = _ARITH.get(a[0]) if kind == "assign" else None
+
+            def assign():  # the value first, then the subscript, as awk
+                value = c()
+                k = key() if key else name
+                if op:
+                    old = box[k]
+                    value = op(old if old.__class__ is float else to_num(old),
+                               to_num(value))
+                box[k] = value
+                return value
+
+            pre = kind == "preincr"
+
+            def incr():  # node.b is +1 or -1
+                k = key() if key else name
+                old = to_num(box[k])
+                box[k] = new = old + b
+                return new if pre else old
+            return assign if kind == "assign" else incr
         if kind == "neg":
-            return -to_num(self.eval(node.a))
+            return lambda: -to_num(a())
         if kind == "not":
-            return 0.0 if truthy(self.eval(node.a)) else 1.0
+            return lambda: 1.0 if a() in _FALSE else 0.0
         if kind == "arith":
-            left = to_num(self.eval(node.b))
-            right = to_num(self.eval(node.c))
-            return _arith(node.a, left, right)
+            op = _ARITH[a]
+            return lambda: op(to_num(b()), to_num(c()))
         if kind == "concat":
-            return to_str(self.eval(node.a)) + to_str(self.eval(node.b))
+            return lambda: to_str(a()) + to_str(b())
         if kind == "cmp":
-            return 1.0 if _compare(node.a, self.eval(node.b),
-                                   self.eval(node.c)) else 0.0
-        if kind == "match":
-            return 1.0 if re.search(_regex_of(node.b, self),
-                                    to_str(self.eval(node.a))) else 0.0
-        if kind == "nomatch":
-            return 0.0 if re.search(_regex_of(node.b, self),
-                                    to_str(self.eval(node.a))) else 1.0
+            op = _COMPARE[a]
+            # a string constant or concatenation never compares as a number
+            stringy = any(n.kind in ("str", "concat") for n in (node.b, node.c))
+
+            def cmp():
+                left, right = b(), c()
+                if not stringy:
+                    x = _strnum(left)
+                    y = _strnum(right) if x is not None else None
+                    if y is not None:
+                        return 1.0 if op(x, y) else 0.0
+                return 1.0 if op(to_str(left), to_str(right)) else 0.0
+            return cmp
+        if kind in ("match", "nomatch"):
+            pattern = self._pattern(node.b)
+            hit, miss = (1.0, 0.0) if kind == "match" else (0.0, 1.0)
+            return lambda: hit if pattern().search(to_str(a())) else miss
         if kind == "and":
-            return 1.0 if (truthy(self.eval(node.a))
-                           and truthy(self.eval(node.b))) else 0.0
+            return lambda: 1.0 if (a() not in _FALSE
+                                   and b() not in _FALSE) else 0.0
         if kind == "or":
-            return 1.0 if (truthy(self.eval(node.a))
-                           or truthy(self.eval(node.b))) else 0.0
+            return lambda: 0.0 if a() in _FALSE and b() in _FALSE else 1.0
         if kind == "ternary":
-            return (self.eval(node.b) if truthy(self.eval(node.a))
-                    else self.eval(node.c))
+            return lambda: b() if a() not in _FALSE else c()
         if kind == "call":
-            if node.a in ("sub", "gsub"):
-                return self._sub_call(node)
-            return self._call(node.a, [self.eval(arg) for arg in node.b],
-                              node.b)
-        raise UsageError(f"awk: cannot evaluate {kind}")
+            return self._builtin(a, b)
+        # -- statements
+        if kind in ("block", "print", "printf"):
+            parts = [self.compile(part) for part in a]
+        if kind == "block" and len(parts) != 1:
+            def block():
+                for stmt in parts:
+                    stmt()
+            return block
+        if kind == "block":
+            return parts[0]
+        if kind == "print" and not parts:
+            return lambda: emit((rt.fields[0] + to_str(vars["ORS"])).encode())
+        if kind == "print":
+            return lambda: emit(
+                (to_str(vars["OFS"]).join([to_str(arg()) for arg in parts])
+                 + to_str(vars["ORS"])).encode())
+        if kind == "printf":
+            return lambda: emit(_sprintf([arg() for arg in parts]).encode())
+        if kind == "exprstmt":
+            return a
+        if kind == "if":
+            def if_():
+                if a() not in _FALSE:
+                    b()
+                elif c is not None:
+                    c()
+            return if_
+        if kind == "while":
+            def while_():
+                guard = 0
+                while a() not in _FALSE:
+                    b()
+                    guard += 1
+                    if guard > 10_000_000:  # runaway protection
+                        raise UsageError("while loop exceeded limit")
+            return while_
+        if kind == "forin":
+            arr = self.arrays.setdefault(b, _Table())
 
-    def _sub_call(self, node: Node):
-        """sub(re, repl [, target]) / gsub: in-place substitution on the
-        target lvalue (default $0); returns the substitution count."""
-        args = node.b
-        if len(args) < 2:
-            raise UsageError(f"awk: {node.a} needs 2 or 3 arguments")
-        pattern = (args[0].a if args[0].kind == "regex"
-                   else to_str(self.eval(args[0])))
-        repl = to_str(self.eval(args[1])).replace("\\&", "\x01")
-        repl = repl.replace("&", "\\g<0>").replace("\x01", "&")
-        target = args[2] if len(args) > 2 else Node("field", Node("num", 0.0))
-        current = to_str(self._read_lvalue(target))
-        count = 0 if node.a == "gsub" else 1
-        new, n = re.subn(pattern, repl, current, count=count)
-        if n:
-            self._write_lvalue(target, new)
-        return float(n)
+            def forin():
+                for key in list(arr):
+                    vars[a] = key
+                    c()
+            return forin
+        if kind == "next":
+            return lambda: _raise(_Next())
+        if kind == "exit":
+            return lambda: _raise(
+                _Exit(None if a is None else int(to_num(a()))))
+        raise UsageError(f"cannot compile {kind}")
 
-    def _assign(self, node: Node):
-        op, target = node.a, node.b
-        value = self.eval(node.c)
-        if op != "=":
-            current = to_num(self._read_lvalue(target))
-            value = _arith(op[0], current, to_num(value))
-        self._write_lvalue(target, value)
-        return value
-
-    def _read_lvalue(self, target: Node):
-        if target.kind == "var":
-            return self.vars.get(target.a, "")
-        if target.kind == "field":
-            return self.get_field(int(to_num(self.eval(target.a))))
-        if target.kind == "index":
-            return self.arrays.setdefault(target.a, {}).get(
-                to_str(self.eval(target.b)), "")
-        raise UsageError("awk: bad lvalue")
-
-    def _write_lvalue(self, target: Node, value) -> None:
-        if target.kind == "var":
-            self.vars[target.a] = value
-        elif target.kind == "field":
-            self.set_field(int(to_num(self.eval(target.a))), to_str(value))
-        elif target.kind == "index":
-            self.arrays.setdefault(target.a, {})[
-                to_str(self.eval(target.b))] = value
-        else:
-            raise UsageError("awk: bad lvalue")
-
-    def _call(self, name: str, args: list, raw_args):
-        if name == "length":
-            if not args:
-                return float(len(self.get_field(0)))
-            if raw_args and raw_args[0].kind == "var" and raw_args[0].a in self.arrays:
-                return float(len(self.arrays[raw_args[0].a]))
-            return float(len(to_str(args[0])))
-        if name == "substr":
-            text = to_str(args[0])
-            start = max(1, int(to_num(args[1])))
-            if len(args) > 2:
-                return text[start - 1 : start - 1 + int(to_num(args[2]))]
-            return text[start - 1 :]
-        if name == "index":
-            return float(to_str(args[0]).find(to_str(args[1])) + 1)
-        if name == "toupper":
-            return to_str(args[0]).upper()
-        if name == "tolower":
-            return to_str(args[0]).lower()
-        if name == "int":
-            return float(int(to_num(args[0])))
+    def _builtin(self, name: str, raw: list):
+        rt, vars, arrays = self, self.vars, self.arrays
+        args = [self.compile(arg) for arg in raw]
+        if name in _PURE:
+            fn = _PURE[name]
+            return lambda: fn([arg() for arg in args])
+        if name == "length" and not raw:
+            return lambda: len(rt.fields[0]) + 0.0
+        if name == "length":  # of an array, when the name is one by then
+            array = raw[0].a if raw[0].kind == "var" else None
+            return lambda: len(arrays[array] if array in arrays
+                               else to_str(args[0]())) + 0.0
         if name == "split":
-            text = to_str(args[0])
-            if raw_args[1].kind != "var":
-                raise UsageError("awk: split needs an array name")
-            sep = to_str(args[2]) if len(args) > 2 else to_str(self.vars["FS"])
-            parts = text.split() if sep == " " else text.split(sep)
-            self.arrays[raw_args[1].a] = {
-                str(i + 1): part for i, part in enumerate(parts)
-            }
-            return float(len(parts))
-        if name == "sprintf":
-            return _sprintf(args)
+            if raw[1].kind != "var":
+                raise AwkSyntaxError("split needs an array name")
+            arr = arrays.setdefault(raw[1].a, _Table())
+
+            def split():
+                text = to_str(args[0]())
+                sep = to_str(args[2]() if len(args) > 2 else vars["FS"])
+                parts = text.split() if sep == " " else text.split(sep)
+                arr.clear()
+                arr.update((str(i), part) for i, part in enumerate(parts, 1))
+                return len(parts) + 0.0
+            return split
+        pattern = self._pattern(raw[0 if name != "match" else 1])
         if name == "match":
-            m = re.search(to_str(args[1]) if raw_args[1].kind != "regex"
-                          else raw_args[1].a, to_str(args[0]))
-            self.vars["RSTART"] = float(m.start() + 1) if m else 0.0
-            self.vars["RLENGTH"] = float(m.end() - m.start()) if m else -1.0
-            return self.vars["RSTART"]
-        raise UsageError(f"awk: unknown function {name}")
+            def match():
+                text = to_str(args[0]())
+                m = pattern().search(text)
+                vars["RSTART"] = m.start() + 1.0 if m else 0.0
+                vars["RLENGTH"] = m.end() - m.start() + 0.0 if m else -1.0
+                return vars["RSTART"]
+            return match
+        # sub(re, repl [, target]) / gsub: in-place substitution on the
+        # target lvalue (default $0); returns the substitution count
+        box, key, lname = self._lvalue(
+            raw[2] if len(raw) > 2 else Node("field", Node("num", 0.0)))
+
+        def sub():
+            regex, pieces = pattern(), _sub_pieces(to_str(args[1]()))
+            k = key() if key else lname
+            # the matched text joins the literals around each &
+            new, n = posix_sub(regex, lambda m: m[0].join(pieces),
+                               to_str(box[k]), every=name == "gsub")
+            if n:
+                box[k] = new
+            return n + 0.0
+        return sub
 
 
-def _regex_of(node: Node, runtime: AwkRuntime) -> str:
-    if node.kind == "regex":
-        return node.a
-    return to_str(runtime.eval(node))
+_regex = lru_cache(maxsize=64)(re.compile)
 
 
-def to_num(value) -> float:
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        m = re.match(r"\s*[-+]?(\d+\.?\d*([eE][-+]?\d+)?|\.\d+)", value)
-        return float(m.group()) if m else 0.0
-    return 0.0
+@lru_cache(maxsize=64)
+def _sub_pieces(repl: str) -> tuple[str, ...]:
+    """A sub/gsub replacement split at each ``&``; ``\\&`` is a literal
+    ampersand."""
+    return tuple(piece.replace("\x01", "&")
+                 for piece in repl.replace("\\&", "\x01").split("&"))
 
 
+_NUM_PREFIX = re.compile(r"\s*[-+]?(\d+\.?\d*([eE][-+]?\d+)?|\.\d+)")
 _NUMERIC_RE = re.compile(r"^\s*[-+]?(\d+\.?\d*([eE][-+]?\d+)?|\.\d+)\s*$")
 
 
-def to_str(value) -> str:
-    if isinstance(value, str):
+def to_num(value) -> float:
+    if value.__class__ is float:
         return value
-    if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e16:
-            return str(int(value))
-        return f"{value:.6g}"
-    return str(value)
+    if value.isdecimal():  # digits only; float() takes any other string
+        return float(value)  # too readily: 1_0, inf, nan
+    m = _NUM_PREFIX.match(value)
+    return float(m.group()) if m else 0.0
+
+
+def _strnum(value) -> Optional[float]:
+    """The number a value compares as — a float, or a string that looks
+    like one from end to end — else None."""
+    if value.__class__ is float:
+        return value
+    if value.isdecimal() or _NUMERIC_RE.match(value):
+        return float(value)
+    return None
+
+
+def to_str(value) -> str:
+    if value.__class__ is str:
+        return value
+    if abs(value) < 1e16 and value == int(value):
+        return str(int(value))
+    return f"{value:.6g}"
 
 
 def truthy(value) -> bool:
-    if isinstance(value, float):
-        return value != 0.0
-    return value != ""
+    return value not in _FALSE
 
 
-def _compare(op: str, left, right) -> bool:
-    # numeric comparison when both are numbers or numeric strings
-    both_numeric = (
-        (isinstance(left, float) or _NUMERIC_RE.match(left or ""))
-        and (isinstance(right, float) or _NUMERIC_RE.match(right or ""))
-    )
-    if both_numeric:
-        a, b = to_num(left), to_num(right)
-    else:
-        a, b = to_str(left), to_str(right)
-    return {
-        "==": a == b, "!=": a != b, "<": a < b,
-        "<=": a <= b, ">": a > b, ">=": a >= b,
-    }[op]
+def _div(a: float, b: float, op=operator.truediv) -> float:
+    if b == 0:
+        raise UsageError("division by zero")
+    return op(a, b)
 
 
-def _arith(op: str, a: float, b: float) -> float:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise UsageError("awk: division by zero")
-        return a / b
-    if op == "%":
-        if b == 0:
-            raise UsageError("awk: division by zero")
-        return float(int(a) % int(b)) if a >= 0 else -float(int(-a) % int(b))
-    raise UsageError(f"awk: bad operator {op}")
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": _div, "%": lambda a, b: _div(a, b, math.fmod)}
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+_SPEC_RE = re.compile(r"%[-+ 0#]*\d*(\.\d+)?[diouxXeEfgGcs%]")
 
 
 def _sprintf(values: list) -> str:
-    fmt = to_str(values[0])
-    args = values[1:]
-    out: list[str] = []
-    i = 0
-    ai = 0
-    while i < len(fmt):
-        c = fmt[i]
-        if c == "%" and i + 1 < len(fmt):
-            m = re.match(r"%[-+ 0#]*\d*(\.\d+)?[diouxXeEfgGcs%]", fmt[i:])
-            if m:
-                spec = m.group()
-                i += len(spec)
-                if spec == "%%":
-                    out.append("%")
-                    continue
-                arg = args[ai] if ai < len(args) else ""
-                ai += 1
-                conv = spec[-1]
-                if conv in "diouxX":
-                    out.append(spec[:-1].replace("i", "d") % int(to_num(arg))
-                               if conv == "i" else spec % int(to_num(arg)))
-                elif conv in "eEfgG":
-                    out.append(spec % to_num(arg))
-                elif conv == "c":
-                    text = to_str(arg)
-                    out.append(text[:1] if text else "")
-                else:
-                    out.append(spec % to_str(arg))
-                continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    args = iter(values[1:])
 
+    def convert(m) -> str:  # a missing argument formats as ""
+        spec, conv = m[0], m[0][-1]
+        if conv == "%":
+            return "%"
+        arg = next(args, "")
+        if conv in "diouxX":
+            return (spec[:-1] + "d" if conv == "i" else spec) % int(to_num(arg))
+        if conv in "eEfgG":
+            return spec % to_num(arg)
+        return to_str(arg)[:1] if conv == "c" else spec % to_str(arg)
+    return _SPEC_RE.sub(convert, to_str(values[0]))
+
+
+def _substr(args: list) -> str:
+    start = max(1, int(to_num(args[1]))) - 1
+    stop = start + int(to_num(args[2])) if len(args) > 2 else None
+    return to_str(args[0])[start:stop]
+
+
+#: built-ins that are functions of their argument values alone
+_PURE = {
+    "substr": _substr,
+    "index": lambda args: to_str(args[0]).find(to_str(args[1])) + 1.0,
+    "toupper": lambda args: to_str(args[0]).upper(),
+    "tolower": lambda args: to_str(args[0]).lower(),
+    "int": lambda args: float(int(to_num(args[0]))),
+    "sprintf": _sprintf,
+}
 
 # ---------------------------------------------------------------------------
 # program analysis (for the annotation library)
@@ -802,10 +837,7 @@ def _walk_nodes(node):
         yield node
         for child in (node.a, node.b, node.c):
             yield from _walk_nodes(child)
-    elif isinstance(node, list):
-        for item in node:
-            yield from _walk_nodes(item)
-    elif isinstance(node, tuple):
+    elif isinstance(node, (list, tuple)):
         for item in node:
             yield from _walk_nodes(item)
 
@@ -817,7 +849,6 @@ def program_is_stateless(src: str) -> bool:
         items = parse_awk(src)
     except UsageError:
         return False
-    per_record_ok = True
     for pattern, action in items:
         if pattern is not None and pattern.kind in ("BEGIN", "END"):
             return False
@@ -843,7 +874,7 @@ def program_is_stateless(src: str) -> bool:
                     return False  # substitutes into a variable
                 if node.a == "match":
                     return False  # sets RSTART/RLENGTH
-    return per_record_ok
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -851,110 +882,85 @@ def program_is_stateless(src: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_ASSIGN_RE = re.compile(r"([A-Za-z_]\w*)=(.*)", re.DOTALL)
+
+
 @command("awk")
 def awk(proc: Process, argv: list[str]):
-    fs = " "
-    assigns: dict[str, object] = {}
-    operands: list[str] = []
-    program_text: Optional[str] = None
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "-F":
-            i += 1
-            if i >= len(argv):
-                yield from write_err(proc, "awk: -F requires an argument")
-                return 2
-            fs = argv[i]
-        elif arg.startswith("-F") and len(arg) > 2:
-            fs = arg[2:]
-        elif arg == "-v":
-            i += 1
-            if i >= len(argv) or "=" not in argv[i]:
-                yield from write_err(proc, "awk: -v requires name=value")
-                return 2
-            name, __, value = argv[i].partition("=")
-            assigns[name] = value
-        elif program_text is None:
-            program_text = arg
-        else:
-            operands.append(arg)
-        i += 1
-    if program_text is None:
-        yield from write_err(proc, "awk: missing program")
-        return 2
-    if fs == "\\t":
-        fs = "\t"
     try:
-        items = parse_awk(program_text)
-    except UsageError as err:
+        opts, operands = parse_flags(argv, "", with_value="Fv", repeat="v")
+        assigns = [assign.partition("=") for assign in opts.get("v", ())]
+        if not operands or not all(eq for _, eq, _ in assigns):
+            raise UsageError("-v requires name=value" if operands
+                             else "missing program")
+        fs = opts.get("F", " ")
+        runtime = AwkRuntime("\t" if fs == "\\t" else fs,
+                             {name: value for name, _, value in assigns})
+        begin, main, end = runtime.rules(parse_awk(operands.pop(0)))
+    except (UsageError, re.error) as err:
         yield from write_err(proc, f"awk: {err}")
         return 2
 
-    runtime = AwkRuntime(fs, assigns)
     coeff = cpu_coeff("default") * 6  # awk interprets: slower per byte
     out = OutBuf(proc, 1)
+    charge, set_record, printed = proc.charge, runtime.set_record, runtime.out
 
-    def flush_runtime():
-        if runtime.out:
-            data = b"".join(runtime.out)
-            runtime.out.clear()
-            yield from out.put(data)
-
+    # a ``name=value`` operand is an assignment made when it is reached;
+    # with no file among the operands the input is stdin
+    if all(_ASSIGN_RE.match(operand) for operand in operands):
+        operands.append("-")
     # ``exit`` from BEGIN or a record ends the input and still runs END;
     # from END it stops END.  The last status given is the command's.
     status = 0
     try:
         try:
-            for pattern, action in items:
-                if pattern is not None and pattern.kind == "BEGIN":
-                    runtime.exec_block(action)
-            yield from flush_runtime()
+            for action in begin:
+                action()
+            yield from out.put(b"".join(printed))
+            printed.clear()
 
-            main_items = [(p, a) for p, a in items
-                          if p is None or p.kind not in ("BEGIN", "END")]
-            has_main_or_end = bool(main_items) or any(
-                p is not None and p.kind == "END" for p, __ in items
-            )
-            if has_main_or_end:
-                for path in operands or ["-"]:
-                    fd, needs_close = yield from open_input(proc, path)
-                    runtime.vars["FILENAME"] = path if path != "-" else ""
-                    stream = LineStream(proc, fd)
-                    while True:
-                        batch = yield from stream.next_batch()
-                        if batch is None:
-                            break
-                        for line in batch:
-                            proc.charge(len(line) * coeff)
-                            runtime.set_record(
-                                line.decode("utf-8", "replace").rstrip("\n"))
-                            try:
-                                for pattern, action in main_items:
-                                    matched = (
-                                        pattern is None
-                                        or truthy(runtime.eval(pattern.a))
-                                    )
-                                    if matched:
-                                        runtime.exec_block(action)
-                            except _Next:
-                                pass
-                            if runtime.out:
-                                yield from flush_runtime()
-                    if needs_close:
-                        yield from proc.close(fd)
+            for path in operands if main or end else ():
+                assign = _ASSIGN_RE.match(path)
+                if assign:
+                    runtime.vars[assign[1]] = assign[2]
+                    continue
+                fd, needs_close = yield from open_operand(proc, "awk", path)
+                if fd is None:
+                    status = 2
+                    continue
+                runtime.vars["FILENAME"] = path if path != "-" else ""
+                stream = LineStream(proc, fd)
+                while True:
+                    batch = yield from stream.next_batch()
+                    if batch is None:
+                        break
+                    for line in batch:
+                        charge(len(line) * coeff)
+                        text = line.decode("utf-8", "replace")
+                        set_record(text[:-1] if text[-1] == "\n" else text)
+                        try:
+                            for rule in main:
+                                rule()
+                        except _Next:
+                            pass
+                        if printed:
+                            data = b"".join(printed)
+                            printed.clear()
+                            if out.add(data):  # flush on this record
+                                yield from out.flush()
+                if needs_close:
+                    yield from proc.close(fd)
         except _Exit as stop:
             status = stop.status or 0
 
         try:
-            for pattern, action in items:
-                if pattern is not None and pattern.kind == "END":
-                    runtime.exec_block(action)
+            for action in end:
+                action()
         except _Exit as stop:
             if stop.status is not None:
                 status = stop.status
-        yield from flush_runtime()
-    except UsageError as err:
+        yield from out.put(b"".join(printed))
+    except (UsageError, re.error) as err:  # re.error: a dynamic regex
         yield from out.flush()
         yield from write_err(proc, f"awk: {err}")
         return 2

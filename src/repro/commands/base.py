@@ -10,8 +10,9 @@ properties the paper's G2 ("stream processing") celebrates.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
+from ..vos.errors import FileNotFound, IsADirectory
 from ..vos.process import CHUNK, Process
 
 # ---------------------------------------------------------------------------
@@ -109,14 +110,14 @@ class LineStream:
     """Incremental line reader over an fd.
 
     ``line = yield from stream.next_line()`` returns one line (with its
-    newline, except possibly the last) or None at EOF.
+    newline, except possibly the stream's last) as ``bytes``, None at EOF.
     """
 
     def __init__(self, proc: Process, fd: int, chunk: int = CHUNK):
         self.proc = proc
         self.fd = fd
         self.chunk = chunk
-        self._buf = bytearray()
+        self._buf = bytearray()  # the partial line carried between reads
         self._eof = False
         self._lines: list[bytes] = []  # parsed; pending delivery from _pos
         self._pos = 0
@@ -130,13 +131,17 @@ class LineStream:
             if self._buf:
                 self._lines, self._pos = [bytes(self._buf)], 0
                 self._buf.clear()
+        elif b"\n" not in data:
+            self._buf += data
         else:
-            self._buf.extend(data)
-            if b"\n" in data:
-                *complete, rest = self._buf.split(b"\n")
+            buf = b"".join((self._buf, data)) if self._buf else data
+            if b"\r" in buf:  # bytes.splitlines would split there too
+                *complete, rest = buf.split(b"\n")
                 self._lines = [line + b"\n" for line in complete]
-                self._pos = 0
-                self._buf = bytearray(rest)
+            else:  # one C call, the newlines kept
+                self._lines = buf.splitlines(True)
+                rest = b"" if buf.endswith(b"\n") else self._lines.pop()
+            self._pos, self._buf = 0, bytearray(rest)
 
     def next_line(self):
         while self._pos == len(self._lines):
@@ -169,12 +174,16 @@ class OutBuf:
         self._chunks: list[bytes] = []
         self._size = 0
 
-    def put(self, data: bytes):
-        if not data:
-            return
+    def add(self, data: bytes) -> bool:
+        """``put`` for a per-record loop: True when a flush is now due —
+        the caller yields from ``flush()`` on that very record, so only
+        the record that trips the threshold pays for a generator."""
         self._chunks.append(data)
         self._size += len(data)
-        if self._size >= self.threshold:
+        return self._size >= self.threshold
+
+    def put(self, data: bytes):
+        if data and self.add(data):
             yield from self.flush()
 
     def room_for(self, data: bytes) -> int:
@@ -192,10 +201,9 @@ class OutBuf:
             if self._size >= self.threshold:
                 yield from self.flush()
 
-    def put_lines(self, lines: Iterable[bytes]):
-        for line in lines:
-            self._chunks.append(line)
-            self._size += len(line)
+    def put_lines(self, lines: list[bytes]):
+        self._chunks.extend(lines)
+        self._size += sum(map(len, lines))
         if self._size >= self.threshold:
             yield from self.flush()
 
@@ -204,8 +212,12 @@ class OutBuf:
             chunks = self._chunks
             self._chunks = []
             self._size = 0
-            # vectored write: same logical write (one dispatch, one disk
-            # request / pipe transfer) without joining the chunks first
+            # vectored write: one logical write (one dispatch, one disk
+            # request / pipe transfer) whatever the vector's shape, so
+            # many small parts are joined once here instead of walked in
+            # every handle downstream; a few large chunks stay zero-copy
+            if len(chunks) > 16:
+                chunks = [b"".join(chunks)]
             yield from self.proc.writev(self.fd, chunks)
 
 
@@ -222,6 +234,17 @@ def open_input(proc: Process, path: str):
         return 0, False
     fd = yield from proc.open(path, "r")
     return fd, True
+
+
+def open_operand(proc: Process, name: str, path: str):
+    """``open_input`` for a command that goes on past an operand it cannot
+    read: ``NAME: PATH: reason`` on fd 2 and ``(None, False)`` — the
+    caller skips to its next operand and exits 2."""
+    try:
+        return (yield from open_input(proc, path))
+    except (FileNotFound, IsADirectory) as err:
+        yield from write_err(proc, f"{name}: {path}: {err.strerror}")
+        return None, False
 
 
 class UsageError(Exception):

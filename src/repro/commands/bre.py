@@ -206,3 +206,27 @@ def compile_posix(pattern: str, *, ere: bool = False, fixed: bool = False,
         src = bre_to_python(pattern)
     flags = re.IGNORECASE if ignorecase else 0
     return re.compile(src.encode("utf-8", "surrogateescape"), flags)
+
+
+def posix_sub(regex: re.Pattern, expand, text, nth: int = 1,
+              every: bool = False):
+    """``(new text, substitutions made)``: matches of ``regex`` replaced by
+    ``expand(match)`` as sed and awk count them — the ``nth`` match, with
+    ``every`` all later ones too, and an empty match at the end of the
+    previous match is none (``re.sub`` takes it: ``s/b*/X/g`` on ``abc``
+    gave ``XaXXcX`` for sed's ``XaXcX``).  bytes or str alike."""
+    out, pos, seen, last = [], 0, 0, -1
+    for match in regex.finditer(text):
+        start, end = match.span()
+        if start == end == last:
+            continue
+        last = end
+        seen += 1
+        if seen >= nth:
+            out += (text[pos:start], expand(match))
+            pos = end
+            if not every:
+                break
+    if not out:
+        return text, 0
+    return text[:0].join(out) + text[pos:], len(out) // 2

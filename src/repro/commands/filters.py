@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
 from ..vos.process import CHUNK, Process
@@ -14,10 +14,11 @@ from .base import (
     command,
     cpu_coeff,
     open_input,
+    open_operand,
     parse_flags,
     write_err,
 )
-from .bre import RegexTranslationError, bre_to_python, compile_posix
+from .bre import RegexTranslationError, bre_to_python, compile_posix, posix_sub
 
 # ---------------------------------------------------------------------------
 # tr
@@ -311,10 +312,8 @@ def grep(proc: Process, argv: list[str]):
                  and "^" not in pattern and "$" not in pattern)
     overall_match = False
     for path in files:
-        try:
-            fd, needs_close = yield from open_input(proc, path)
-        except Exception:
-            yield from write_err(proc, f"grep: {path}: No such file or directory")
+        fd, needs_close = yield from open_operand(proc, "grep", path)
+        if fd is None:
             continue
         out = OutBuf(proc, 1)
         lineno = 0
@@ -405,7 +404,9 @@ def grep(proc: Process, argv: list[str]):
 
 
 def parse_cut_list(spec: str) -> list[tuple[int, int]]:
-    """Parse a cut LIST: 1, 1-3, -3, 5- (1-based, inclusive)."""
+    """Parse a cut LIST: 1, 1-3, -3, 5- (1-based, inclusive).  LIST is a
+    set, not a sequence: the ranges come back sorted and merged, so each
+    selected position is written once, in input order."""
     ranges: list[tuple[int, int]] = []
     for piece in spec.split(","):
         piece = piece.strip()
@@ -422,32 +423,53 @@ def parse_cut_list(spec: str) -> list[tuple[int, int]]:
         ranges.append((lo, hi))
     if not ranges:
         raise UsageError("empty list")
-    return ranges
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(ranges):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
-@command("cut")
-def cut(proc: Process, argv: list[str]):
-    try:
-        opts, operands = parse_flags(argv, "s", with_value="cfd")
-    except UsageError as err:
-        yield from write_err(proc, f"cut: {err}")
-        return 2
-    if ("c" in opts) == ("f" in opts):
-        yield from write_err(proc, "cut: specify exactly one of -c or -f")
-        return 2
-    try:
-        ranges = parse_cut_list(opts.get("c") or opts.get("f"))
-    except (UsageError, ValueError) as err:
-        yield from write_err(proc, f"cut: {err}")
-        return 2
-    by_chars = "c" in opts
-    delim = opts.get("d", "\t").encode()[:1] or b"\t"
-    only_delimited = bool(opts.get("s"))
-    coeff = cpu_coeff("cut")
+def _cut_picker(ranges: list[tuple[int, int]], delim: Optional[bytes],
+                only_delimited: bool):
+    """LIST compiled once into a function on a batch of newline-ended
+    lines; a single range is one comprehension.  ``-c``: no ``delim``."""
+    slices = [slice(lo - 1, hi) for lo, hi in ranges]
+    one, last = slices[0], ranges[-1][1]
+    if delim is None:
+        if len(slices) == 1:
+            return lambda batch: [line[:-1][one] + b"\n" for line in batch]
+        return lambda batch: [
+            b"".join([line[:-1][s] for s in slices]) + b"\n" for line in batch]
 
-    files = operands or ["-"]
-    for path in files:
-        fd, needs_close = yield from open_input(proc, path)
+    def fields_of(line: bytes) -> bytes:  # any LIST, any line
+        fields = line[:-1].split(delim, last)
+        if len(fields) == 1:  # no delimiter: the whole line, unless -s
+            return b"" if only_delimited else line
+        return delim.join([f for s in slices for f in fields[s]]) + b"\n"
+
+    if len(slices) > 1:
+        return lambda batch: [fields_of(line) for line in batch]
+    # one range: a line with fields left over keeps its newline in them
+    return lambda batch: [
+        delim.join(parts[one]) + b"\n"
+        if len(parts := line.split(delim, last)) > last else fields_of(line)
+        for line in batch]
+
+
+def _map_batches(proc: Process, name: str, operands: list[str], fn):
+    """A line command that is a function on batches, ``f(x·y) = f(x)·f(y)``:
+    over each operand, one charge per batch of newline-ended lines and
+    ``fn(batch)`` written.  Status 2 if an operand could not be read."""
+    coeff = cpu_coeff(name)
+    status = 0
+    for path in operands or ["-"]:
+        fd, needs_close = yield from open_operand(proc, name, path)
+        if fd is None:
+            status = 2
+            continue
         stream = LineStream(proc, fd)
         out = OutBuf(proc, 1)
         while True:
@@ -456,69 +478,127 @@ def cut(proc: Process, argv: list[str]):
                 break
             if not batch:
                 continue
-            yield from proc.cpu(sum(len(l) for l in batch) * coeff)
-            if by_chars and len(ranges) == 1:
-                # single -c range: one slice per line, no join
-                lo, hi = ranges[0]
-                results = [line.rstrip(b"\n")[lo - 1 : hi] + b"\n"
-                           for line in batch]
-                yield from out.put_lines(results)
-                continue
-            results = []
-            for line in batch:
-                body = line.rstrip(b"\n")
-                if by_chars:
-                    picked = b"".join(body[lo - 1 : hi] for lo, hi in ranges)
-                else:
-                    if delim not in body:
-                        if only_delimited:
-                            continue
-                        picked = body
-                    else:
-                        fields = body.split(delim)
-                        picked_fields: list[bytes] = []
-                        for lo, hi in ranges:
-                            picked_fields.extend(fields[lo - 1 : hi])
-                        picked = delim.join(picked_fields)
-                results.append(picked + b"\n")
-            yield from out.put_lines(results)
+            yield from proc.cpu(sum(map(len, batch)) * coeff)
+            if batch[-1][-1] != 10:  # the stream's unterminated last line
+                batch[-1] += b"\n"
+            yield from out.put_lines(fn(batch))
         yield from out.flush()
         if needs_close:
             yield from proc.close(fd)
-    return 0
+    return status
+
+
+@command("cut")
+def cut(proc: Process, argv: list[str]):
+    try:
+        opts, operands = parse_flags(argv, "s", with_value="cfd")
+        if ("c" in opts) == ("f" in opts):
+            raise UsageError("specify exactly one of -c or -f")
+        delim = opts.get("d", "\t").encode()
+        if len(delim) != 1:
+            raise UsageError("the delimiter must be a single character")
+        ranges = parse_cut_list(opts.get("c") or opts.get("f"))
+    except (UsageError, ValueError) as err:
+        yield from write_err(proc, f"cut: {err}")
+        return 2
+    pick = _cut_picker(ranges, None if "c" in opts else delim,
+                       bool(opts.get("s")))
+    return (yield from _map_batches(proc, "cut", operands, pick))
 
 
 # ---------------------------------------------------------------------------
 # sed (restricted)
 # ---------------------------------------------------------------------------
 
+_SED_ESCAPES = {"n": "\n", "t": "\t"}
+_SED_PIECE = re.compile(r"\\([1-9])|(&)|\\(.)|([^\\&]+|\\)", re.DOTALL)
+
+
+def _sed_template(repl: str, groups: int):
+    """An ``s`` replacement parsed once, by our own rules (``re``'s
+    template parser is private and reads ``\\&`` and ``\\\\`` differently),
+    into ``match -> replacement bytes`` (and those bytes, if constant):
+    ``&`` and ``\\1``-``\\9`` are the match and its groups, ``\\n`` a newline,
+    any other escaped character (``\\&``, ``\\\\``, the separator) itself."""
+    pieces: list = []
+    for group, whole, escaped, text in _SED_PIECE.findall(repl):
+        if int(group or 0) > groups:
+            raise UsageError(f"invalid reference \\{group} on s command's RHS")
+        pieces.append(int(group or 0) if group or whole else
+                      (_SED_ESCAPES.get(escaped, escaped) or text).encode())
+    if not any(isinstance(piece, int) for piece in pieces):
+        literal = b"".join(pieces)
+        return (lambda match: literal), literal
+    if len(pieces) == 1:  # an unmatched group is empty
+        return (lambda match: match[pieces[0]] or b""), None
+    return (lambda match: b"".join([piece if piece.__class__ is bytes
+                                    else match[piece] or b""
+                                    for piece in pieces])), None
+
+
+class _SedQuit(Exception):
+    """``Nq`` reached line N; ``args[0]`` is the body left to autoprint."""
+
 
 class _SedCmd:
-    def __init__(self, kind: str, regex=None, repl: bytes = b"", global_: bool = False,
-                 print_: bool = False, nth: int = 1):
+    def __init__(self, kind: str, regex=None, expand=None, literal=None,
+                 global_: bool = False, print_: bool = False, nth: int = 1):
         self.kind = kind  # "s" | "d" | "p" | "q"
         self.regex = regex
-        self.repl = repl
+        self.expand = expand  # s: match -> replacement
         self.global_ = global_
         self.print_ = print_
         self.nth = nth  # s///N: first match substituted; Nq: the line
+        if literal is not None and global_ and nth == 1:
+            # s/re/literal/g where re cannot match empty (the parser
+            # vouches): re.subn agrees with sed, and stays in C
+            self.substitute = partial(regex.subn, literal)
 
     def substitute(self, body: bytes) -> tuple[bytes, int]:
         """Apply an ``s`` command: (new body, substitutions made)."""
-        if self.nth == 1:
-            return self.regex.subn(self.repl, body,
-                                   count=0 if self.global_ else 1)
-        seen = done = 0
+        return posix_sub(self.regex, self.expand, body, self.nth, self.global_)
 
-        def pick(match):
-            nonlocal seen, done
-            seen += 1
-            if seen == self.nth or (self.global_ and seen > self.nth):
-                done += 1
-                return match.expand(self.repl)
-            return match.group()
+    def before(self, rest):
+        """This command in front of ``rest``, the script's later commands
+        (None at its end): a step ``(body, lineno, outs) -> body`` returns
+        what is left to autoprint — None once deleted — and appends what
+        the line prints on the way to ``outs``; ``q`` raises _SedQuit."""
+        kind, nth, print_, expand = self.kind, self.nth, self.print_, self.expand
+        search = self.regex.search if self.regex else None
+        substitute = self.substitute
 
-        return self.regex.sub(pick, body), done
+        def quit_(body, lineno, outs):
+            if lineno == nth:
+                raise _SedQuit(body)
+            return rest(body, lineno, outs) if rest else body
+
+        def delete(body, lineno, outs):
+            if not search(body):
+                return rest(body, lineno, outs) if rest else body
+
+        def print_if(body, lineno, outs):
+            if search(body):
+                outs.append(body + b"\n")
+            return rest(body, lineno, outs) if rest else body
+
+        def first(body, lineno, outs):  # s/re/repl/: search and splice
+            match = search(body)
+            if match:
+                start, end = match.span()
+                body = body[:start] + expand(match) + body[end:]
+                if print_:
+                    outs.append(body + b"\n")
+            return rest(body, lineno, outs) if rest else body
+
+        def general(body, lineno, outs):  # s///g, s///N
+            body, n = substitute(body)
+            if n and print_:
+                outs.append(body + b"\n")
+            return rest(body, lineno, outs) if rest else body
+
+        if kind == "s":
+            return first if nth == 1 and not self.global_ else general
+        return {"q": quit_, "d": delete, "p": print_if}[kind]
 
 
 def _parse_s_flags(flags: str) -> tuple[bool, bool, int]:
@@ -530,52 +610,59 @@ def _parse_s_flags(flags: str) -> tuple[bool, bool, int]:
     return "g" in flags, "p" in flags, int(match.group(1) or 1)
 
 
+def _sed_field(script: str, i: int, stops: str, must: bool = True):
+    """(the text from ``i`` to the next unescaped character of ``stops``,
+    the index past it); without ``must`` the script's end stops it too."""
+    start = i
+    while i < len(script) and script[i] not in stops:
+        i += 2 if script[i] == "\\" else 1
+    if must and i >= len(script):
+        raise UsageError(f"unterminated command in {script!r}")
+    return script[start:i], i + 1
+
+
 @lru_cache(maxsize=128)
-def parse_sed_script(script: str) -> list[_SedCmd]:
+def parse_sed_script(script: str) -> tuple[_SedCmd, ...]:
     """Supported: ``s<sep>re<sep>repl<sep>[N][g][p]``, ``/re/d``, ``/re/p``,
-    ``[N]q``; commands separated by ``;`` or newlines.
+    ``[N]q``; commands separated by ``;`` or newlines.  The script is read
+    left to right, so a ``;`` inside an ``s`` command is text.
 
     Addresses and s/// patterns are POSIX BREs (like real sed), so `+`,
     `?`, `|` and unescaped `{` are literal characters.
     """
     cmds: list[_SedCmd] = []
-    for piece in re.split(r"[;\n]", script):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if re.fullmatch(r"[1-9]\d*q|q", piece):
-            cmds.append(_SedCmd("q", nth=int(piece[:-1] or 1)))
-        elif piece.startswith("s") and len(piece) > 1:
-            sep = piece[1]
-            parts = re.split(r"(?<!\\)" + re.escape(sep), piece[2:])
-            if len(parts) < 2:
-                raise UsageError(f"bad s command {piece!r}")
-            pat, repl = parts[0], parts[1]
-            global_, print_, nth = _parse_s_flags("".join(parts[2:]))
-            pat = pat.replace("\\" + sep, sep)
-            regex = re.compile(bre_to_python(pat).encode())
-            # sed's \1 and & live in the replacement; translate to re syntax
-            py_repl = re.sub(r"(?<!\\)&", r"\\g<0>", repl).encode()
-            py_repl = py_repl.replace(b"\\" + sep.encode(), sep.encode())
-            cmds.append(_SedCmd("s", regex, py_repl, global_, print_, nth))
-        elif piece.startswith("/"):
-            end = piece.find("/", 1)
-            if end < 0:
-                raise UsageError(f"bad address {piece!r}")
-            regex = re.compile(bre_to_python(piece[1:end]).encode())
-            action = piece[end + 1 :].strip()
-            if action == "d":
-                cmds.append(_SedCmd("d", regex))
-            elif action == "p":
-                cmds.append(_SedCmd("p", regex))
-            else:
+    i = 0
+    while i < len(script):
+        c, sep = script[i], script[i + 1 : i + 2]
+        if c in " \t;\n":
+            i += 1
+        elif c == "s" and sep not in ("", "\n", "\\"):
+            pat, i = _sed_field(script, i + 2, sep)
+            repl, i = _sed_field(script, i, sep)
+            flags, i = _sed_field(script, i, ";\n", False)
+            regex = re.compile(
+                bre_to_python(pat.replace("\\" + sep, sep)).encode())
+            expand, literal = _sed_template(repl, regex.groups)
+            if not pat or set(pat) & set("*^$\\") or b"\\" in (literal or b""):
+                literal = None  # re may match empty, or re.subn would read \\
+            cmds.append(_SedCmd("s", regex, expand, literal,
+                                *_parse_s_flags(flags.strip())))
+        elif c == "/":
+            pat, i = _sed_field(script, i + 1, "/")
+            action, i = _sed_field(script, i, ";\n", False)
+            if action.strip() not in ("d", "p"):
                 raise UsageError(f"unsupported sed action {action!r}")
+            cmds.append(_SedCmd(action.strip(),
+                                re.compile(bre_to_python(pat).encode())))
         else:
-            raise UsageError(f"unsupported sed command {piece!r}")
-    return cmds
+            text, i = _sed_field(script, i, ";\n", False)
+            if not re.fullmatch(r"([1-9]\d*)?q", text.strip()):
+                raise UsageError(f"unsupported sed command {text!r}")
+            cmds.append(_SedCmd("q", nth=int(text.strip()[:-1] or 1)))
+    return tuple(cmds)
 
 
-def parse_sed_args(argv: list[str]) -> tuple[bool, list[_SedCmd], list[str]]:
+def parse_sed_args(argv: list[str]) -> tuple[bool, tuple, list[str]]:
     """``sed [-n] [-e script]... [script] [file...]`` -> (quiet, commands,
     files).  Every ``-e`` counts, in order; without one the first operand
     is the script.  Raises UsageError / re.error for what sed refuses."""
@@ -593,61 +680,58 @@ def parse_sed_args(argv: list[str]) -> tuple[bool, list[_SedCmd], list[str]]:
 def sed(proc: Process, argv: list[str]):
     try:
         quiet, cmds, operands = parse_sed_args(argv)
-    except (UsageError, re.error) as err:
+    except (UsageError, RegexTranslationError, re.error) as err:
         yield from write_err(proc, f"sed: {err}")
         return 2
-    auto_print = not quiet
-    coeff = cpu_coeff("sed")
 
-    files = operands or ["-"]
+    # the script as one function of a line, last command first
+    run = None
+    for cmd in reversed(cmds):
+        run = cmd.before(run)
+    run = run or (lambda body, lineno, outs: body)
+    coeff = cpu_coeff("sed")
+    charge = proc.charge
+
+    status = 0
     quit_now = False
     lineno = 0
-    for path in files:
+    outs: list[bytes] = []  # what p and s///p print, ahead of the autoprint
+    for path in operands or ["-"]:
         if quit_now:
             break
-        fd, needs_close = yield from open_input(proc, path)
+        fd, needs_close = yield from open_operand(proc, "sed", path)
+        if fd is None:
+            status = 2
+            continue
         stream = LineStream(proc, fd)
         out = OutBuf(proc, 1)
+        add = out.add
         while not quit_now:
             batch = yield from stream.next_batch()
             if batch is None:
                 break
             for line in batch:
-                proc.charge(len(line) * coeff)
+                charge(len(line) * coeff)
                 lineno += 1
-                body = line.rstrip(b"\n")
-                deleted = False
-                extra_prints: list[bytes] = []
-                for cmd in cmds:
-                    if cmd.kind == "q":
-                        if lineno == cmd.nth:
-                            quit_now = True
-                            break
-                    elif cmd.kind == "d":
-                        if cmd.regex.search(body):
-                            deleted = True
-                            break
-                    elif cmd.kind == "p":
-                        if cmd.regex.search(body):
-                            extra_prints.append(body + b"\n")
-                    elif cmd.kind == "s":
-                        body, n = cmd.substitute(body)
-                        if n and cmd.print_:
-                            extra_prints.append(body + b"\n")
-                if not deleted:
-                    if auto_print:
-                        yield from out.put(body + b"\n")
-                    for extra in extra_prints:
-                        yield from out.put(extra)
-                elif not auto_print:
-                    for extra in extra_prints:
-                        yield from out.put(extra)
+                try:
+                    body = run(line[:-1] if line[-1] == 10 else line,
+                               lineno, outs)
+                except _SedQuit as stop:
+                    body, quit_now = stop.args[0], True
+                if outs:
+                    for text in outs:
+                        if add(text):
+                            yield from out.flush()
+                    outs.clear()
+                # the flush falls on the line that trips it, not the batch's end
+                if body is not None and not quiet and add(body + b"\n"):
+                    yield from out.flush()
                 if quit_now:
                     break
         yield from out.flush()
         if needs_close:
             yield from proc.close(fd)
-    return 0
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -701,26 +785,9 @@ def wc(proc: Process, argv: list[str]):
 
 @command("rev")
 def rev(proc: Process, argv: list[str]):
-    files = argv or ["-"]
-    coeff = cpu_coeff("rev")
-    for path in files:
-        fd, needs_close = yield from open_input(proc, path)
-        stream = LineStream(proc, fd)
-        out = OutBuf(proc, 1)
-        while True:
-            batch = yield from stream.next_batch()
-            if batch is None:
-                break
-            if not batch:
-                continue
-            yield from proc.cpu(sum(len(l) for l in batch) * coeff)
-            yield from out.put_lines(
-                line.rstrip(b"\n")[::-1] + b"\n" for line in batch
-            )
-        yield from out.flush()
-        if needs_close:
-            yield from proc.close(fd)
-    return 0
+    return (yield from _map_batches(
+        proc, "rev", argv,
+        lambda batch: [line[-2::-1] + b"\n" for line in batch]))
 
 
 @command("tac")

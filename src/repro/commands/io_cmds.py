@@ -14,6 +14,7 @@ from .base import (
     command,
     cpu_coeff,
     open_input,
+    open_operand,
     parse_flags,
     splice_enabled,
     write_err,
@@ -31,10 +32,8 @@ def cat(proc: Process, argv: list[str]):
     coeff = cpu_coeff("cat")
     status = 0
     for path in files:
-        try:
-            fd, needs_close = yield from open_input(proc, path)
-        except Exception:
-            yield from write_err(proc, f"cat: {path}: No such file or directory")
+        fd, needs_close = yield from open_operand(proc, "cat", path)
+        if fd is None:
             status = 1
             continue
         if splice_enabled():
@@ -146,7 +145,7 @@ def head(proc: Process, argv: list[str]):
                     take, pending = pending, []
                 else:
                     continue
-                yield from proc.cpu(sum(len(l) for l in take) * coeff)
+                yield from proc.cpu(sum(map(len, take)) * coeff)
                 for line in take:
                     yield from proc.write(1, line)
         elif unit == "bytes":
@@ -168,7 +167,7 @@ def head(proc: Process, argv: list[str]):
                 if not batch:
                     continue
                 take = batch[: count - emitted]
-                yield from proc.cpu(sum(len(l) for l in take) * coeff)
+                yield from proc.cpu(sum(map(len, take)) * coeff)
                 for line in take:
                     yield from proc.write(1, line)
                 emitted += len(take)

@@ -191,9 +191,7 @@ def _open_operand(proc: Process, path: str):
     try:
         return (yield from open_input(proc, path))
     except (FileNotFound, IsADirectory) as err:
-        reason = ("Is a directory" if isinstance(err, IsADirectory)
-                  else "No such file or directory")
-        raise UsageError(f"cannot read: {path}: {reason}") from err
+        raise UsageError(f"cannot read: {path}: {err.strerror}") from err
 
 
 @command("sort")
@@ -289,7 +287,7 @@ def _sort(proc: Process, argv: list[str]):
                 break
             if not batch:
                 continue
-            yield from proc.cpu(sum(len(l) for l in batch) * coeff)
+            yield from proc.cpu(sum(map(len, batch)) * coeff)
             lines.extend(batch)
         if needs_close:
             yield from proc.close(fd)
@@ -571,7 +569,7 @@ def _uniq_lines(proc: Process, fd: int, count: bool, dup_only: bool, uniq_only: 
             break
         if not batch:
             continue
-        yield from proc.cpu(sum(len(l) for l in batch) * coeff)
+        yield from proc.cpu(sum(map(len, batch)) * coeff)
         for line in batch:
             body = line.rstrip(b"\n") + b"\n"
             if prev is not None and body == prev:

@@ -8,11 +8,11 @@ class VosError(Exception):
 
 
 class FileNotFound(VosError):
-    pass
+    strerror = "No such file or directory"
 
 
 class IsADirectory(VosError):
-    pass
+    strerror = "Is a directory"
 
 
 class NotADirectory(VosError):

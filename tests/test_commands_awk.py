@@ -2,8 +2,10 @@
 statelessness analysis, annotation integration, and differential
 conformance against the host's real awk when present."""
 
+import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,3 +346,148 @@ class TestSubGsub:
 
     def test_split_stateful(self):
         assert not program_is_stateless('{split($0, parts, ":")}')
+
+
+# ---------------------------------------------------------------------------
+# The compiled closures against the tree walker they replaced
+# ---------------------------------------------------------------------------
+
+GOLDEN = json.loads((Path(__file__).parent / "corpus"
+                     / "awk_golden.json").read_text())
+
+
+class TestGoldenTable:
+    """``tests/corpus/awk_golden.json`` holds ``(status, stdout)`` of the
+    tree-walking evaluator, recorded by ``tools/regen_awk_golden.py`` the
+    commit before it was replaced by closures."""
+
+    def test_table_covers_the_language(self):
+        assert len(GOLDEN) >= 300
+        programs = " ".join(" ".join(row["args"]) for row in GOLDEN)
+        for needle in ("BEGIN", "END", "next", "exit", "while", "for (k in",
+                       "printf", "sprintf", "substr", "index(", "toupper",
+                       "tolower", "int(", "split(", "length(", "match(",
+                       "sub(", "gsub(", "$0 =", "$(i++)", "x = y = 3", "&&",
+                       "||", "?", "!~", "-F", "-v", "ORS", "OFS", "%5.2f"):
+            assert needle in programs, needle
+        assert any(not row["stdin"].endswith("\n") and row["stdin"]
+                   for row in GOLDEN)  # an unterminated last record
+
+    @pytest.mark.parametrize("row", GOLDEN,
+                             ids=lambda row: " ".join(row["args"])[:40])
+    def test_closures_reproduce_the_walker(self, row):
+        got = run_awk(row["args"], row["stdin"].encode("latin-1"))
+        assert got == (row["status"], row["stdout"].encode("latin-1"))
+
+    def test_a_subscript_is_evaluated_once_per_assignment(self):
+        # the walker evaluated it for the read and again for the write
+        assert run_awk(["BEGIN{a[i++]++; a[j++] += 2; print i, j, a[0]}"]) \
+            == (0, b"1 1 3\n")
+
+    def test_one_compile_per_node(self):
+        from repro.commands.awk_lite import AwkRuntime
+
+        items = parse_awk("$1 > 1 {n += $1} END{print n}")
+        runtime = AwkRuntime()
+        pattern, action = items[0]
+        assert runtime.compile(action) is runtime.compile(action)
+        for line in ("1", "2", "3"):
+            runtime.set_record(line)
+            if runtime.eval(pattern.a):
+                runtime.exec_block(action)
+        runtime.exec_block(items[1][1])
+        assert runtime.out == [b"5\n"]
+
+
+class TestRefusals:
+    """What the subset does not implement is refused at parse time —
+    ``awk: unsupported: ...`` on fd 2, status 2, nothing on stdout — not
+    answered wrongly with status 0.  (Host awk supports all of these, so
+    they cannot be corpus entries.)"""
+
+    @pytest.mark.parametrize("program", [
+        "function f(x){return x+1} {print f(1)}",
+        "{ getline x; print x }",
+        '{ print "x" > "out" }',
+        '{ print "x" >> "out" }',
+        '{ print > "out" }',
+        '{ printf "%s\\n", $1 > "out" }',
+        '{ print "x" | "sort" }',
+        "{ for (i = 0; i < 3; i++) print i }",
+        "{ do print; while (0) }",
+        "BEGIN { print 2 ^ 3 }",
+        "BEGIN { print 2 ** 3 }",
+        "{ if ((1, 2) in a) print }",
+        "{ if ($1 in a) print }",
+        "{ delete a[1] }",
+    ])
+    def test_unsupported_is_a_parse_time_error(self, sh_run, program):
+        result = sh_run(f"printf 'a\\nb\\n' | awk '{program}'")
+        assert (result.status, result.stdout) == (2, b"")
+        assert result.err.startswith("awk: unsupported: ")
+        assert not sh_run.shell.fs.exists("/out")
+
+    def test_comparisons_in_print_still_work(self):
+        assert run_awk(["{print ($1 > 1), $1 > 1 ? \"y\" : \"n\"}"],
+                       b"2\n") == (0, b"1 y\n")
+
+    @pytest.mark.parametrize("program", ["{print substr($0)}", "{print int()}",
+                                         "{split($0)}", "/[/", '$1 ~ "("'])
+    def test_bad_arity_and_bad_regex_are_typed_failures(self, sh_run, program):
+        result = sh_run(f"echo a | awk '{program}'")
+        assert (result.status, result.stdout) == (2, b"")
+        assert result.err.startswith("awk: ")
+
+
+class TestSmallFixes:
+    def test_length_without_parentheses(self):
+        assert run_awk(["{print length}"], b"abc\n") == (0, b"3\n")
+        assert run_awk(["length > 2"], b"ab\nabc\n") == (0, b"abc\n")
+
+    def test_string_constants_compare_as_strings(self):
+        assert run_awk(['BEGIN{print ("2" < "10"), (2 < 10), ("a" "1" < 5)}']) \
+            == (0, b"0 1 0\n")
+        # fields stay strnum, a constant on one side makes it a string test
+        assert run_awk(['{print ($1 < $2), ($1 < "10")}'], b"2 10\n") \
+            == (0, b"1 0\n")
+
+    def test_assigning_nf_rebuilds_the_record(self):
+        assert run_awk(["{NF = 2; print; print NF}"], b"a b c\n") \
+            == (0, b"a b\n2\n")
+        assert run_awk(["{NF = 4; $1 = $1; print; print $NF \"|\"}"],
+                       b"a b\n", ) == (0, b"a b  \n|\n")
+        assert run_awk(["{NF++; print NF; NF -= 2; print}"], b"a b c\n") \
+            == (0, b"4\na b\n")
+
+    def test_assignment_operands(self, sh_run):
+        files = {"/f": b"a b\n"}
+        assert sh_run("awk '{$1 = $1; print}' OFS=: /f OFS=- /f",
+                      files=files).stdout == b"a:b\na-b\n"
+        assert sh_run("echo a b | awk '{$1 = $1; print}' OFS=-").stdout \
+            == b"a-b\n"
+
+    def test_modulo_is_fmod(self):
+        assert run_awk(["BEGIN{print 7.9 % 3, 7 % -3, -7 % 3, 5 % 0.5}"]) \
+            == (0, b"1.9 1 -1 0\n")
+
+    def test_printf_i_and_padded_percent(self):
+        assert run_awk(['BEGIN{printf "%i|%5%|%d%%\\n", 42.9, 7}']) \
+            == (0, b"42|%|7%\n")
+
+    def test_gsub_skips_the_empty_match_after_a_match(self):
+        assert run_awk(['{gsub(/b*/, "X"); print}'], b"abc\n") \
+            == (0, b"XaXcX\n")
+
+    def test_backslashes_in_a_sub_replacement_are_text(self):
+        assert run_awk(['{sub(/b/, "\\\\1[&]\\\\&"); print}'], b"abc\n") \
+            == (0, b"a\\1[b]&c\n")
+
+    def test_missing_operand(self, sh_run):
+        result = sh_run("awk '{print}' /nosuch /f; echo $?",
+                        files={"/f": b"x\n"})
+        assert result.stdout == b"x\n2\n"
+        assert result.err == "awk: /nosuch: No such file or directory\n"
+
+    def test_huge_and_nan_values_print(self):
+        assert run_awk(["BEGIN{x = 1e308 * 10; print x, -x}"]) \
+            == (0, b"inf -inf\n")

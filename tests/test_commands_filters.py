@@ -379,3 +379,129 @@ def test_cut_chars_matches_python(data, lo, width):
 def test_wc_l_matches_python(data):
     _status, out = run_filter(["wc", "-l"], data)
     assert int(out.split()[0]) == data.count(b"\n")
+
+
+# ---------------------------------------------------------------------------
+# Compile-once record kernels: sed's template and script parsers, cut's LIST
+# ---------------------------------------------------------------------------
+
+
+def run_sed(script, data, *flags):
+    return run_filter(["sed", *flags, script], data)
+
+
+class TestSedCompiled:
+    def test_global_skips_the_empty_match_after_a_match(self):
+        assert run_sed("s/b*/X/g", b"abc\n") == (0, b"XaXcX\n")
+        assert run_sed("s/[^ ]*/X/g", b"a b\n") == (0, b"X X\n")
+        assert run_sed("s/b*/X/2", b"abc\n") == (0, b"aXc\n")
+        assert run_sed("s/x*/-/g", b"ab\n") == (0, b"-a-b-\n")
+
+    def test_template_escapes(self):
+        assert run_sed("s/h/\\&/", b"hello\n") == (0, b"&ello\n")
+        assert run_sed("s/h/\\\\/", b"hello\n") == (0, b"\\ello\n")
+        assert run_sed("s/l/[&&]/", b"hello\n") == (0, b"he[ll]lo\n")
+        assert run_sed("s/h/a\\nb/", b"hello\n") == (0, b"a\nbello\n")
+        assert run_sed("s|l|\\||g", b"hello\n") == (0, b"he||o\n")
+        assert run_sed("s/\\(h\\)\\(z\\)*/[\\2\\1]/", b"hello\n") \
+            == (0, b"[h]ello\n")  # an unmatched group is empty
+
+    def test_script_is_read_left_to_right(self):
+        assert run_sed("s/;/x/", b"a;b\n") == (0, b"axb\n")
+        assert run_sed("s/a/;/;s/b/;/", b"ab\n") == (0, b";;\n")
+        assert run_sed(" s/a/b/ ;\n /c/ d ; 3q", b"a\nc\nd\ne\n") \
+            == (0, b"b\nd\n")
+
+    @pytest.mark.parametrize("script", ["s/a/b", "s/a", "s", "s/a/\\2/",
+                                        "s/a/b/x", "/a/x", "/a", "3", "p"])
+    def test_what_sed_refuses(self, sh_run, script):
+        result = sh_run(f"echo abc | sed '{script}'")
+        assert (result.status, result.stdout) == (2, b"")
+        assert result.err.startswith("sed: ")
+
+    def test_prints_happen_at_the_command(self):
+        assert run_sed("s/a/b/p;s/b/c/", b"a\n") == (0, b"b\nc\n")
+        assert run_sed("/a/p;/a/d", b"a\nx\n") == (0, b"a\nx\n")
+        assert run_sed("s/a/b/p;/b/d", b"a\n", "-n") == (0, b"b\n")
+
+    def test_q_stops_the_script_on_its_line(self):
+        assert run_sed("2q;s/b/X/", b"a\nb\nc\n") == (0, b"a\nb\n")
+        assert run_sed("s/b/X/;2q", b"a\nb\nc\n") == (0, b"a\nX\n")
+        assert run_sed("/a/d;1q", b"a\nb\n") == (0, b"b\n")  # d ends the cycle
+        assert run_sed("", b"a\nb") == (0, b"a\nb\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(pattern=st.text(alphabet="ab.", min_size=1, max_size=3),
+           repl=st.lists(st.sampled_from(["x", "b", "&", "\\&", "\\\\", "\\/"]),
+                         max_size=3).map("".join),
+           line=st.text(alphabet="abc", max_size=12),
+           flags=st.sampled_from(["", "g", "2", "2g", "p", "gp"]))
+    def test_substitute_matches_a_match_by_match_model(self, pattern, repl,
+                                                       line, flags):
+        """Every ``s`` path (search + splice, ``re.subn`` of a literal,
+        ``posix_sub``) against sed's rule applied match by match."""
+        status, out = run_sed(f"s/{pattern}/{repl}/{flags}", line.encode() + b"\n",
+                              "-n" if "p" in flags else "--")
+        nth = 2 if "2" in flags else 1
+        matches = [m for m in re.finditer(pattern, line)][nth - 1:]
+        if "g" not in flags:
+            matches = matches[:1]
+        text = re.sub(r"\\(.)|&", lambda m: m[1] or "\0", repl)
+        expected, pos = [], 0
+        for m in matches:
+            expected += [line[pos:m.start()], text.replace("\0", m[0])]
+            pos = m.end()
+        expected = "".join(expected) + line[pos:] + "\n"
+        if "p" in flags:
+            expected = expected if matches else ""
+        assert (status, out) == (0, expected.encode())
+
+    def test_missing_operand(self, sh_run):
+        result = sh_run("sed s/a/b/ /nosuch /f; echo $?", files={"/f": b"a\n"})
+        assert result.stdout == b"b\n2\n"
+        assert result.err == "sed: /nosuch: No such file or directory\n"
+
+
+class TestCutCompiled:
+    def test_list_is_a_set(self):
+        assert parse_cut_list("3,1") == [(1, 1), (3, 3)]
+        assert parse_cut_list("1,1,2") == [(1, 2)]
+        assert parse_cut_list("5,2-3,3-4") == [(2, 5)]
+        assert parse_cut_list("4-,2") == [(2, 2), (4, 10**9)]
+        data = b"a:b:c:d:e\n"
+        assert run_filter(["cut", "-d:", "-f3,1"], data) == (0, b"a:c\n")
+        assert run_filter(["cut", "-d:", "-f1,1,2"], data) == (0, b"a:b\n")
+        assert run_filter(["cut", "-c5,2-3"], b"abcdef\n") == (0, b"bce\n")
+
+    def test_every_picker_shape(self):
+        data = b"a:b:c:d\nplain\n:x\nq:r"
+        assert run_filter(["cut", "-d:", "-f2"], data) \
+            == (0, b"b\nplain\nx\nr\n")
+        assert run_filter(["cut", "-d:", "-f2-"], data) \
+            == (0, b"b:c:d\nplain\nx\nr\n")
+        assert run_filter(["cut", "-d:", "-f1,3-"], data) \
+            == (0, b"a:c:d\nplain\n\nq\n")
+        assert run_filter(["cut", "-s", "-d:", "-f1,3"], data) \
+            == (0, b"a:c\n\nq\n")
+        assert run_filter(["cut", "-s", "-d:", "-f9"], data) == (0, b"\n\n\n")
+        assert run_filter(["cut", "-c2-3"], data) == (0, b":b\nla\nx\n:r\n")
+        assert run_filter(["cut", "-c1,3-"], data) \
+            == (0, b"ab:c:d\npain\n:\nqr\n")
+
+    @pytest.mark.parametrize("argv", [["-d::", "-f1"], ["-d", "", "-f1"],
+                                      ["-f0"], ["-c3-1"], ["-f", ","]])
+    def test_what_cut_refuses(self, sh_run, argv):
+        flags = " ".join(f"'{arg}'" for arg in argv)
+        result = sh_run(f"echo a:b | cut {flags}")
+        assert (result.status, result.stdout) == (2, b"")
+        assert result.err.startswith("cut: ")
+
+    def test_missing_operand(self, sh_run):
+        for name, flags in (("cut", "-c1"), ("rev", "")):
+            result = sh_run(f"{name} {flags} /nosuch /f; echo $?",
+                            files={"/f": b"ab\n"})
+            assert result.stdout.endswith(b"\n2\n") and len(result.stdout) > 3
+            assert result.err == f"{name}: /nosuch: No such file or directory\n"
+
+    def test_rev_reverses_each_line(self):
+        assert run_filter(["rev"], b"abc\n\nxy") == (0, b"cba\n\nyx\n")

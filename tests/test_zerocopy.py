@@ -15,6 +15,11 @@ Three layers of guarantees:
    and replayed in the kernel equal one ``CpuReq`` per record — the loops
    ``sed``, ``awk`` and ``seq`` had, kept here as the references — on
    stdout, virtual time, busy time, fault ops and trace.
+5. Record kernels: ``awk``, ``sed`` and ``cut`` compile their program once
+   and run ``LineStream`` batches through it; the same references (plus
+   the loops ``cut`` and sed's address commands had) must see no
+   difference, ``LineStream`` hands out ``bytes`` lines split on ``\n``
+   only, and ``OutBuf``'s bulk entry points write what ``put`` writes.
 """
 
 from __future__ import annotations
@@ -956,6 +961,14 @@ CHARGED_SCRIPTS = [
     "awk '{print $7}' access.log > a.txt & awk '{n+=$NF} END{print n}'"
     " access.log > b.txt & wait; cat a.txt b.txt | wc -c",
     "seq 30000 | sed -n 's/7$/x/p' | awk '{n++} END{print n}'",
+    # the compiled record kernels (PR 18): a cut -f and a cut -c stage,
+    # a two-command script, Nq and awk output across the 64 KiB flush
+    "cut -d' ' -f6 access.log | sed 's/resource/r/' | sort | uniq -c",
+    "awk '{print $6}' access.log | cut -c1-12 | sort -u | wc -l",
+    "sed 's/GET/PUT/;s/HTTP/http/g' access.log | wc -c",
+    "sed 1700q access.log | wc -l",
+    "awk '$9 == 500 {print $1, $NF}' access.log",
+    "awk '{print}' access.log | wc -c",  # the flush falls mid-batch
 ]
 
 
@@ -1245,3 +1258,252 @@ class TestCpuVReqKernel:
             ends.append([p.end_time for p in procs] + [kernel.now])
         assert ends[0] == ends[1]
         assert ends[0][0] != ends[0][1]
+
+
+# ---------------------------------------------------------------------------
+# 8. Record kernels: compiled awk / sed / cut vs the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _sed_address_per_line(proc, argv):
+    """``sed`` with ``/re/d``, ``/re/p`` and ``Nq`` as its per-line
+    ``cmds`` loop ran them, one ``proc.cpu`` per line (``_sed_per_line``
+    above, kept unmodified, only knows ``s`` and ``q``)."""
+    auto_print = argv[0] != "-n"
+    script, *files = argv[0 if auto_print else 1:]
+    cmds = filters.parse_sed_script(script)
+    coeff = base.cpu_coeff("sed")
+    fd, _ = yield from base.open_input(proc, files[0] if files else "-")
+    stream = base.LineStream(proc, fd)
+    out = base.OutBuf(proc, 1)
+    lineno = 0
+    quit_now = False
+    while not quit_now:
+        line = yield from stream.next_line()
+        if line is None:
+            break
+        yield from proc.cpu(len(line) * coeff)
+        lineno += 1
+        body = line.rstrip(b"\n")
+        deleted = False
+        for cmd in cmds:
+            if cmd.kind == "q" and lineno == cmd.nth:
+                quit_now = True
+                break
+            if cmd.kind == "d" and cmd.regex.search(body):
+                deleted = True
+                break
+            if cmd.kind == "p" and cmd.regex.search(body):
+                yield from out.put(body + b"\n")
+            if cmd.kind == "s":
+                body, n = cmd.substitute(body)
+                if n and cmd.print_:
+                    yield from out.put(body + b"\n")
+        if auto_print and not deleted:
+            yield from out.put(body + b"\n")
+    yield from out.flush()
+    return 0
+
+
+def _cut_per_batch(proc, argv):
+    """``cut`` as it ran before LIST was compiled: range, extend and join
+    rebuilt for every line (argv: ``-c LIST`` or ``-d D -f LIST``, then
+    ``[FILE]``; cut always charged per batch)."""
+    opts, operands = base.parse_flags(argv, "s", with_value="cfd")
+    ranges = filters.parse_cut_list(opts.get("c") or opts.get("f"))
+    delim = opts.get("d", "\t").encode()
+    coeff = base.cpu_coeff("cut")
+    fd, _ = yield from base.open_input(proc, operands[0] if operands else "-")
+    stream = base.LineStream(proc, fd)
+    out = base.OutBuf(proc, 1)
+    while True:
+        batch = yield from stream.next_batch()
+        if batch is None:
+            break
+        if not batch:
+            continue
+        yield from proc.cpu(sum(len(line) for line in batch) * coeff)
+        results = []
+        for line in batch:
+            body = line.rstrip(b"\n")
+            if "c" in opts:
+                picked = b"".join(body[lo - 1 : hi] for lo, hi in ranges)
+            elif delim not in body:
+                picked = body
+            else:
+                fields = body.split(delim)
+                picked_fields = []
+                for lo, hi in ranges:
+                    picked_fields.extend(fields[lo - 1 : hi])
+                picked = delim.join(picked_fields)
+            results.append(picked + b"\n")
+        for line in results:  # put_lines: one flush test per batch
+            out._chunks.append(line)
+            out._size += len(line)
+        if out._size >= out.threshold:
+            yield from out.flush()
+    yield from out.flush()
+    return 0
+
+
+RECORD_KERNEL_SCRIPTS = [
+    "sed -n '/ 500 /p' access.log | wc -l",
+    "sed '/ 404 /d' access.log | head -n 3",  # SIGPIPE mid-batch
+    "sed '/ 404 /d;s/GET/PUT/p;2500q' access.log | wc -c",
+    "sed -n '/POST/p;/ 500 /p' access.log | sort | uniq -c | wc -l",
+    "cut -d' ' -f6 access.log | sort | uniq -c | sort -rn | head -n 3",
+    "cut -d' ' -f1,6-7 access.log | wc -c",
+    "cut -c1-20 access.log | sort -u | wc -l",
+    "cut -c1-3,9- access.log | sed 's/GET/PUT/' | head -n 700 | wc -c",
+    "grep ' 500 ' access.log | cut -d' ' -f1 | sort | uniq -c | wc -l",
+]
+
+
+class TestRecordKernels:
+    @pytest.mark.parametrize("cores", (1, 8))
+    @pytest.mark.parametrize("script", RECORD_KERNEL_SCRIPTS)
+    def test_equals_the_loops_they_replaced(self, script, cores, monkeypatch):
+        monkeypatch.setitem(PER_LINE, "sed", _sed_address_per_line)
+        monkeypatch.setitem(PER_LINE, "cut", _cut_per_batch)
+        compiled, _ = _charged(script, False, monkeypatch, cores)
+        looped, _ = _charged(script, True, monkeypatch, cores)
+        assert compiled[1]
+        assert compiled == looped  # ==: same charges, same write sizes
+
+    def test_seeded_pipe_break_fires_on_the_same_op(self, monkeypatch):
+        monkeypatch.setitem(PER_LINE, "sed", _sed_address_per_line)
+        monkeypatch.setitem(PER_LINE, "cut", _cut_per_batch)
+        script = ("sed '/ 404 /d' access.log | cut -d' ' -f1,6 |"
+                  " awk '{print $2}' | sort | uniq -c")
+
+        def plan():
+            return FaultPlan(seed=5, rate=0.08, kinds=("pipe-break",))
+
+        compiled, _ = _charged(script, False, monkeypatch, faults=plan())
+        looped, _ = _charged(script, True, monkeypatch, faults=plan())
+        assert compiled[6], "the schedule must fire at least once"
+        assert compiled == looped
+
+    def test_the_flush_stays_on_the_line_that_trips_it(self, monkeypatch):
+        """Every write of ``sed`` and ``awk`` lands when, and with the
+        size, the per-line ``put`` gave it (the pipe-depth counter moves
+        by the threshold line's buffer, not by the batch's)."""
+        depths = []
+        for per_line in (False, True):
+            tracer = Tracer(syscall_events=True)
+            _charged("sed 's/GET/PUT/' access.log | awk '{print}' | wc -c",
+                     per_line, monkeypatch, cores=1, tracer=tracer)
+            depths.append([(e["name"], e["ts"], e["args"])
+                           for e in chrome_events(tracer)
+                           if e.get("cat") == "pipe" and "args" in e])
+        assert depths[0] == depths[1] and len(depths[0]) > 16
+
+    def test_sed_compiles_its_script_once(self):
+        first = filters.parse_sed_script("s/a/b/;/x/d;3q")
+        assert filters.parse_sed_script("s/a/b/;/x/d;3q") is first
+        assert [cmd.kind for cmd in first] == ["s", "d", "q"]
+        assert first[0].substitute(b"banana") == (b"bbnana", 1)
+
+
+class TestLineStreamBytes:
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.lists(st.sampled_from([b"a", b"bc", b"\r", b"\r\n", b"\n",
+                                          b"\n\n", b"\x0b", b"\x0c",
+                                          b"\x1c", b"\x85", b"\xff"]),
+                         max_size=40).map(b"".join),
+           cuts=st.lists(st.integers(min_value=1, max_value=17), min_size=1,
+                         max_size=8),
+           call=st.sampled_from(["next_line", "next_batch"]))
+    def test_lines_are_bytes_split_on_newline_only(self, data, cuts, call):
+        """Any byte string, cut into arbitrary reads, comes out as
+        ``data.split(b"\\n")`` re-terminated; every line is ``bytes``."""
+        *complete, tail = data.split(b"\n")
+        expected = [line + b"\n" for line in complete] + ([tail] if tail else [])
+
+        class Reads(_ScriptedReads):
+            def read(self, fd, nbytes):
+                size = cuts[self.reads % len(cuts)]
+                return super().read(fd, size)
+
+        stream = base.LineStream(Reads(data), 0)
+        got = []
+        while True:
+            item = _drive(getattr(stream, call)())
+            if item is None:
+                break
+            got.extend(item if call == "next_batch" else [item])
+        assert got == expected
+        assert all(type(line) is bytes for line in got)
+
+    def test_the_carried_tail_is_not_reparsed_per_read(self):
+        # a long newline-free stream: the carry is extended, not rebuilt
+        stream = base.LineStream(_ScriptedReads(b"x" * 4000 + b"\nend"), 0, 7)
+        assert _drive(stream.next_line()) == b"x" * 4000 + b"\n"
+        assert _drive(stream.next_line()) == b"end"
+        assert _drive(stream.next_line()) is None
+
+
+class _RecordedWrites:
+    """Stands in for a Process under an OutBuf: records (fd, bytes)."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writev(self, fd, parts):
+        self.writes.append((fd, b"".join(parts)))
+        return len(self.writes[-1][1])
+        yield  # a sub-generator, like Process.writev
+
+
+class TestOutBufEntryPoints:
+    @settings(deadline=None, max_examples=200)
+    @given(ops=st.lists(st.tuples(
+               st.sampled_from(["add", "put", "put_lines", "put_run"]),
+               st.sampled_from([b"a", b"bcd", b"0123456789", b"x" * 37]),
+               st.integers(min_value=1, max_value=9)), max_size=60),
+           threshold=st.integers(min_value=1, max_value=64))
+    def test_same_writes_as_put_alone(self, ops, threshold):
+        """``add`` / ``put`` / ``put_lines`` / ``put_run`` interleaved
+        write what the equivalent ``put`` calls write: the same
+        ``(fd, total bytes)`` sequence, flush for flush — given that
+        ``put_lines`` tests the threshold once, after its last line."""
+        mixed, plain = _RecordedWrites(), _RecordedWrites()
+        out = base.OutBuf(mixed, 1, threshold)
+        ref = base.OutBuf(plain, 1, threshold)
+        for op, data, count in ops:
+            if op == "add":
+                if out.add(data):
+                    _drive_all(out.flush())
+                _drive_all(ref.put(data))
+            elif op == "put":
+                _drive_all(out.put(data))
+                _drive_all(ref.put(data))
+            elif op == "put_run":
+                _drive_all(out.put_run(data, count))
+                for _ in range(count):
+                    _drive_all(ref.put(data))
+            else:
+                _drive_all(out.put_lines([data] * count))
+                ref._chunks.extend([data] * (count - 1))  # no flush test
+                ref._size += len(data) * (count - 1)
+                _drive_all(ref.put(data))
+        _drive_all(out.flush())
+        _drive_all(ref.flush())
+        assert mixed.writes == plain.writes
+
+    def test_flush_joins_many_small_parts_only(self):
+        proc = mock.Mock()
+        proc.writev = mock.Mock(return_value=iter(()))
+        out = base.OutBuf(proc, 1)
+        big = [b"x" * 30000, b"y" * 30000]
+        _drive_all(out.put_lines(list(big)))
+        _drive_all(out.flush())
+        assert proc.writev.call_args[0][1] == big  # zero-copy: as given
+        _drive_all(out.put_lines([b"line\n"] * 500))
+        _drive_all(out.flush())
+        assert proc.writev.call_args[0][1] == [b"line\n" * 500]  # one memcpy
+
+
+def _drive_all(gen):
+    for _ in gen:
+        raise AssertionError("recorded writes never block")
