@@ -292,14 +292,14 @@ def _warn_jobs_idle(text: str, shell) -> None:
         return
     from .analysis import analyze_program
     from .lint import check_jobs_eligibility
-    from .parser import parse
+    from .parser import ShellSyntaxError, parse
 
     try:
         program = parse(text)
-        diag = check_jobs_eligibility(
-            program, analyze_program(program, fs=shell.fs), shell.jobs)
-    except Exception:
-        return
+    except ShellSyntaxError:
+        return  # the run itself reports it
+    diag = check_jobs_eligibility(
+        program, analyze_program(program, fs=shell.fs), shell.jobs)
     if diag is not None:
         print(diag, file=sys.stderr)
 
@@ -422,9 +422,8 @@ def _stat(args) -> int:
             from .parallel_host import render_pool_stats
 
             coord = shell.host_coord
-            worker_stats = (coord.pool.worker_stats
-                            if coord.pool is not None else {})
-            sys.stdout.write(render_pool_stats(coord.stats, worker_stats))
+            sys.stdout.write(render_pool_stats(
+                coord.stats, coord.pool.crashes if coord.pool else 0))
     return 0
 
 

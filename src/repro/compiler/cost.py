@@ -261,60 +261,3 @@ def estimate_parallel(region: Region, probe: Probe, width: int, mode: str,
     breakdown.update({"io": io_time, "run_cpu": run_cpu, "merge": merge_cpu,
                       "down": down_cpu})
     return CostEstimate(total, breakdown)
-
-
-# ---------------------------------------------------------------------------
-# S21 host-pool ship model: is a region worth sending to real cores?
-# ---------------------------------------------------------------------------
-
-#: host-side IPC fixed cost per shipped task (pipe round-trip + pickling)
-HOST_IPC_LATENCY_S = 2e-3
-#: host-side bytes/s a snapshot/spill copy sustains (page-cache memcpy)
-HOST_IPC_BW = 1.5e9
-#: how much cheaper the columnar worker kernels are per byte than the
-#: in-simulation per-object command path (measured on the spell stages)
-HOST_KERNEL_SPEEDUP = 3.0
-#: effective host seconds/byte of the in-process command data plane
-HOST_SERIAL_COST_PER_BYTE = 2.2e-7
-
-
-@dataclass
-class ShipEstimate:
-    """Outcome of the per-core IPC gate for one candidate region."""
-
-    nbytes: int
-    ship_s: float       # snapshot + spill + result IPC cost
-    serial_s: float     # host cost of crunching in-process
-    parallel_s: float   # host cost on the pool (kernels + merge)
-    worthwhile: bool
-
-    @property
-    def gain_s(self) -> float:
-        return self.serial_s - (self.parallel_s + self.ship_s)
-
-
-def estimate_host_ship(nbytes: int, jobs: int, stages: int = 1,
-                       static_hints: Optional[object] = None,
-                       region_text: Optional[str] = None,
-                       min_ship_bytes: int = 0) -> ShipEstimate:
-    """The per-core IPC term of the cost model, applied to host shipping.
-
-    ``static_hints`` (S20 :class:`StaticCosts`) can tighten ``nbytes``:
-    when the abstract interpreter proved a smaller volume bound for the
-    region than the snapshot size, the bound wins — a region whose
-    certified volume cannot amortize the IPC cost is never shipped even
-    if the file on disk is large.
-    """
-    if static_hints is not None and region_text:
-        bound = static_hints.input_bytes(region_text)
-        if bound is not None:
-            nbytes = min(nbytes, bound)
-    parts = max(1, min(jobs, 8))
-    serial_s = nbytes * HOST_SERIAL_COST_PER_BYTE * max(1, stages)
-    ship_s = (HOST_IPC_LATENCY_S * (parts * max(1, stages) + 1)
-              + 2.0 * nbytes / HOST_IPC_BW)
-    parallel_s = serial_s / (HOST_KERNEL_SPEEDUP * max(1, min(jobs, parts)))
-    worthwhile = (nbytes >= min_ship_bytes
-                  and serial_s > parallel_s + ship_s)
-    return ShipEstimate(nbytes=nbytes, ship_s=ship_s, serial_s=serial_s,
-                        parallel_s=parallel_s, worthwhile=worthwhile)

@@ -9,38 +9,33 @@ byte-identical in *virtual* time.  What a worker pool can buy is the
 buffers.
 
 ``repro.parallel_host`` ships certificate-gated dataflow regions to a
-persistent pool of forked workers.  Workers compute the byte streams a
-region's stages *will* produce from a snapshot of the input subtree;
-back in the simulation, per-stage oracles validate every chunk the
-stage actually sees against the precomputed stream (an incremental
-memcmp) and emit precomputed output slices instead of recomputing
-them.  A mismatch at any point — the file changed between snapshot and
-use, a fault corrupted a buffer, a worker crashed or timed out —
-disarms the oracle mid-stream and the stage falls back to its ordinary
-in-process code with reconstructed carry state.  Because the stream
-mapping is prefix-stable, every byte emitted before the mismatch is
-exactly what the serial path would have emitted, so the fallback is
-seamless and ``--jobs`` can never change observable behaviour.
+persistent pool of forked workers, one wave of part tasks per region.
+Workers compute the byte streams a region's stages *will* produce from
+a snapshot of the input file; back in the simulation, per-stage oracles
+validate every chunk the stage actually sees against the precomputed
+stream (an incremental memcmp) and emit precomputed output slices
+instead of recomputing them.  A mismatch at any point — the file changed
+between snapshot and use, a fault corrupted a buffer, a worker crashed
+or timed out — disarms the oracle mid-stream and the stage falls back to
+its ordinary in-process code with reconstructed carry state.  Because
+the stream mapping is prefix-stable, every byte emitted before the
+mismatch is exactly what the serial path would have emitted, so the
+fallback is seamless and ``--jobs`` can never change observable
+behaviour.
 
 Layering:
 
-* :mod:`.kernels`     — worker-side columnar compute (numpy-gated with
-                        pure-Python fallbacks)
-* :mod:`.pool`        — forked worker processes, pipes, watchdog,
-                        crash retry, per-worker accounting
+* :mod:`.kernels`     — the one part task and its columnar compute
+                        (numpy-gated with pure-Python fallbacks)
+* :mod:`.pool`        — a ``ProcessPoolExecutor`` on the fork context,
+                        the scratch directory, watchdog, crash retry
 * :mod:`.regions`     — static region detection + S16/S20 gating
-* :mod:`.coordinator` — dispatch, deterministic merge, stage oracles
+* :mod:`.coordinator` — dispatch, merge by part index, stage oracles
 """
 
 from .coordinator import HostCoordinator, render_pool_stats
-from .pool import PoolConfig, shutdown_global_pool
+from .pool import shutdown_global_pool
 from .regions import detect_regions, eligible_region_count
 
-__all__ = [
-    "HostCoordinator",
-    "PoolConfig",
-    "detect_regions",
-    "eligible_region_count",
-    "render_pool_stats",
-    "shutdown_global_pool",
-]
+__all__ = ["HostCoordinator", "detect_regions", "eligible_region_count",
+           "render_pool_stats", "shutdown_global_pool"]

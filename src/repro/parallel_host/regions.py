@@ -15,9 +15,8 @@ Three gates stand between a matched shape and a dispatch:
   never shipped, which is what the JS2260 lint surfaces.
 * **S20 volume** — the certified byte volume (the snapshot size,
   tightened by the abstract interpreter's static bound when one exists)
-  must amortize the per-core IPC cost (:func:`estimate_host_ship`).
-  ``min_ship_bytes == 0`` forces shipping — the difftest/CI override
-  that exercises the machinery on tiny corpora.
+  must reach ``min_ship_bytes``; 0 always ships — the difftest/CI
+  override that exercises the machinery on tiny corpora.
 * **write set** — a trailing ``> OUT`` redirect must be covered by the
   statement's declared write set; any statement effect the certificate
   did not declare vetoes the dispatch.
@@ -31,7 +30,7 @@ statement start instead of at run start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis.certificates import SAFE_PARALLEL, SAFE_REORDER
@@ -47,8 +46,6 @@ from ..parser.ast_nodes import CommandList
 class StagePlan:
     kind: str                     # "cat" | "tr" | "sort" | "uniq"
     tr_index: int = -1            # index into the region's tr chain
-    reverse: bool = False
-    unique: bool = False
 
 
 @dataclass
@@ -58,34 +55,23 @@ class RegionPlan:
     tr_chain: list                # TrPlan per tr stage, pipeline order
     input_path: str               # resolved virtual path of the source
     stdout_file: Optional[str]    # the trailing `> OUT` / `>> OUT`, if any
-    text: str                     # unparsed region (cert/report key)
     sort_reverse: bool = False
     sort_unique: bool = False
     has_sort: bool = False
-    has_uniq: bool = False
     #: an early tr stage squeezes: seams between parts are not locally
     #: repairable, so the region ships as a single part
     single_part: bool = False
     #: snapshot at statement start instead of run start (an earlier
     #: statement may write the input)
     deferred: bool = False
-    cert_verdict: str = ""
-    nbytes: int = 0
-
-    @property
-    def key(self) -> int:
-        return id(self.node)
 
 
 def _tr_spec(argv: list[str]) -> Optional[TrPlan]:
     try:
         opts, operands = parse_flags(argv[1:], "cCsd")
-        return _tr_plan(
-            tuple(operands),
-            bool(opts.get("c") or opts.get("C")),
-            bool(opts.get("s")),
-            bool(opts.get("d")),
-        )
+        return _tr_plan(tuple(operands),
+                        bool(opts.get("c") or opts.get("C")),
+                        bool(opts.get("s")), bool(opts.get("d")))
     except UsageError:
         return None
 
@@ -107,7 +93,7 @@ def match_region(node) -> Optional[RegionPlan]:
     # -- source stage ------------------------------------------------------
     head = argvs[0]
     if head[0] == "cat":
-        if len(head) != 2 or head[1] == "-" or head[1].startswith("-"):
+        if len(head) != 2 or head[1].startswith("-"):
             return None
         input_path = head[1]
         stages.append(StagePlan("cat"))
@@ -125,8 +111,7 @@ def match_region(node) -> Optional[RegionPlan]:
         stages.append(StagePlan("tr", tr_index=len(tr_chain) - 1))
         i += 1
     # -- sort [+ uniq] -----------------------------------------------------
-    has_sort = has_uniq = False
-    reverse = unique = False
+    has_sort = reverse = unique = False
     if i < len(argvs) and argvs[i][0] == "sort":
         try:
             opts, operands = parse_flags(argvs[i][1:], "rnumcf",
@@ -136,17 +121,16 @@ def match_region(node) -> Optional[RegionPlan]:
         if set(opts) - {"r", "u"}:
             return None
         if i == 0:
-            if len(operands) != 1 or operands[0] == "-" :
+            if len(operands) != 1 or operands[0] == "-":
                 return None
             input_path = operands[0]
         elif operands:
             return None
         reverse, unique = bool(opts.get("r")), bool(opts.get("u"))
         has_sort = True
-        stages.append(StagePlan("sort", reverse=reverse, unique=unique))
+        stages.append(StagePlan("sort"))
         i += 1
         if i < len(argvs) and argvs[i] == ["uniq"]:
-            has_uniq = True
             stages.append(StagePlan("uniq"))
             i += 1
     if i != len(argvs):
@@ -157,11 +141,10 @@ def match_region(node) -> Optional[RegionPlan]:
     # last tr stage; an earlier squeezing stage forces one part
     single_part = any(s.squeeze for s in tr_chain[:-1])
     return RegionPlan(node=node, stages=stages, tr_chain=tr_chain,
-                      input_path=input_path, text="",
+                      input_path=input_path,
                       stdout_file=region.stages[-1].stdout_file,
                       sort_reverse=reverse, sort_unique=unique,
-                      has_sort=has_sort, has_uniq=has_uniq,
-                      single_part=single_part)
+                      has_sort=has_sort, single_part=single_part)
 
 
 def _statement_nodes(program) -> list:
@@ -180,30 +163,27 @@ def _matched_statements(program, analysis):
         plan = None if is_async else match_region(node)
         if plan is None:
             continue
-        cert = (analysis.certificates.get(id(node))
-                if analysis is not None else None)
+        cert = analysis.certificates.get(id(node))
         if cert is not None and cert.verdict not in (SAFE_PARALLEL,
                                                      SAFE_REORDER):
             cert = None
         yield idx, node, plan, cert
 
 
-def detect_regions(program, analysis, fs, cwd: str,
-                   min_ship_bytes: int, jobs: int,
+def detect_regions(program, analysis, fs, cwd: str, min_ship_bytes: int,
                    static_hints=None) -> list[RegionPlan]:
-    """All certificate- and volume-gated regions of ``program``."""
-    from ..compiler.cost import estimate_host_ship
+    """All certificate- and volume-gated regions of ``program``;
+    ``static_hints`` is the S20 :class:`~repro.compiler.cost.StaticCosts`
+    whose proven volume bound can tighten a snapshot's size."""
     from ..parser.unparse import unparse
     from ..vos.fs import normalize
 
     regions: list[RegionPlan] = []
-    reports = analysis.statements if analysis is not None else []
+    reports = analysis.statements
     aligned = len(reports) == len(_statement_nodes(program))
     for idx, node, plan, cert in _matched_statements(program, analysis):
         if cert is None or not cert.verify():
             continue
-        plan.cert_verdict = cert.verdict
-        plan.text = cert.node_text or unparse(node)
         # write-set validation: a trailing redirect the certificate's
         # statement effects never declared means the analysis and the
         # region disagree about the write set — do not ship
@@ -215,25 +195,20 @@ def detect_regions(program, analysis, fs, cwd: str,
         plan.input_path = normalize(plan.input_path, cwd)
         if not fs.exists(plan.input_path):
             continue
-        plan.nbytes = fs.size(plan.input_path)
-        ship = estimate_host_ship(
-            plan.nbytes, jobs, stages=len(plan.stages),
-            static_hints=static_hints, region_text=plan.text,
-            min_ship_bytes=min_ship_bytes)
-        # min_ship_bytes == 0 is the explicit "always ship" override
-        if not ship.worthwhile and min_ship_bytes > 0:
+        nbytes = fs.size(plan.input_path)
+        if static_hints is not None:
+            bound = static_hints.input_bytes(cert.node_text or unparse(node))
+            if bound is not None:
+                nbytes = min(nbytes, bound)
+        if nbytes < min_ship_bytes:
             continue
         # prefetch timing: defer the snapshot when any earlier
         # statement may write (or has unknown effects on) the input
         input_ap = literal(plan.input_path)
-        for report in (reports[:idx] if aligned else reports):
-            summary = report.summary
-            if summary.opaque or any(may_alias(input_ap, w)
-                                     for w in summary.writes):
-                plan.deferred = True
-                break
-        if not aligned:
-            plan.deferred = True
+        plan.deferred = not aligned or any(
+            report.summary.opaque
+            or any(may_alias(input_ap, w) for w in report.summary.writes)
+            for report in reports[:idx])
         regions.append(plan)
     return regions
 

@@ -86,9 +86,9 @@ class Shell:
         self.jobs = max(1, jobs)
         self.host_coord = None
         if self.jobs > 1:
-            from .parallel_host import HostCoordinator, PoolConfig
+            from .parallel_host import HostCoordinator
 
-            self.host_coord = HostCoordinator(PoolConfig(jobs=self.jobs))
+            self.host_coord = HostCoordinator(self.jobs)
 
     @property
     def tracer(self):

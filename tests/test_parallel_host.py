@@ -1,8 +1,8 @@
 """S21 multi-core execution plane: the --jobs N equality gate.
 
 The worker pool is an *execution* detail, never an observable one:
-every test here pins some adversarial condition (completion order,
-worker crashes, fault injection) and then asserts the strongest
+every test here pins some adversarial condition (part seams, worker
+crashes, fault injection, uncountable input) and then asserts the strongest
 possible property — stdout bytes, stderr bytes, exit status AND the
 virtual clock are exactly equal to the serial run.  ``oracle_hits``
 assertions prove the pool actually executed the region (a silently
@@ -12,14 +12,22 @@ idle pool would pass any equality gate).
 from __future__ import annotations
 
 import os
+from array import array
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro import FaultPlan, RetryPolicy, Shell
+from repro import FaultPlan, Shell
 from repro.bench.workloads import access_log, words_text
+from repro.commands.filters import tr_block
+from repro.commands.sorting import split_bodies
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel_host import shutdown_global_pool
-from repro.parallel_host.pool import PoolConfig, WorkerPool
+from repro.parallel_host import kernels, shutdown_global_pool
+from repro.parallel_host.coordinator import (HostCoordinator, RegionState,
+                                             merge_counts, sorted_table)
+from repro.parallel_host.pool import WorkerPool
 from repro.vos.machines import laptop
 
 WORDS = words_text(300_000, seed=3)
@@ -43,13 +51,12 @@ def pool_env(monkeypatch):
     here are far below the production 4 MiB floor) and multi-part
     splitting forced (the host cap would otherwise collapse to one part
     per wave on single-core CI machines, leaving the merge discipline
-    untested).  The global pool is torn down around each test so
-    env-sensitive pool state (shuffle hooks, retry budgets) never leaks
-    between tests."""
+    untested).  The global pool is torn down around each test so pool
+    state (a wave's width, a crashed executor) never leaks between
+    tests."""
     monkeypatch.setenv("JASH_POOL_MIN_BYTES", "0")
     monkeypatch.setenv("JASH_POOL_PARTS", "4")
     monkeypatch.delenv("JASH_JOBS", raising=False)
-    monkeypatch.delenv("JASH_POOL_SHUFFLE", raising=False)
     shutdown_global_pool()
     yield
     shutdown_global_pool()
@@ -109,25 +116,93 @@ class TestEqualityGate:
         assert shell.host_coord.stats["regions_dispatched"] == 0
 
 
-class TestAdversarialMerge:
-    def test_shuffled_completion_order(self, monkeypatch):
-        """Results arriving in any order must merge by part index."""
-        for seed in ("1", "7", "1234"):
-            shutdown_global_pool()
-            monkeypatch.setenv("JASH_POOL_SHUFFLE", seed)
-            assert_identical(SPELL)
-            assert_identical("cat /w.txt | tr -d aeiou | tr -s ' ' | sort")
+    @pytest.mark.parametrize("bound,ships", [(999, False), (1000, True)])
+    def test_s20_bound_not_file_size_decides(self, bound, ships):
+        """The volume the gate compares with the floor is the smaller of
+        the snapshot and the S20 bound proven for the region."""
+        from repro.analysis import analyze_program
+        from repro.analysis.absint import make_cost_certificate
+        from repro.compiler.cost import StaticCosts
+        from repro.parallel_host import detect_regions
+        from repro.parser import parse
 
-    def test_reorder_hook_reverses_batches(self):
-        _, serial = run_once(SPELL, jobs=1)
-        shell = Shell(laptop(), jobs=4)
-        shell.fs.write_bytes("/w.txt", WORDS)
-        pool = shell.host_coord._ensure_pool()
-        pool.reorder_hook = lambda batch: list(reversed(batch))
-        pooled = shell.run(SPELL)
-        assert pooled.stdout == serial.stdout
-        assert pooled.elapsed == serial.elapsed
-        assert shell.host_coord.stats["oracle_hits"] > 0
+        text = "cat /w.txt | tr a-z A-Z | sort"
+        shell = Shell(laptop())
+        shell.fs.write_bytes("/w.txt", WORDS[:5000])
+        program = parse(text)
+        analysis = analyze_program(program, fs=shell.fs)
+        hints = StaticCosts({text: make_cost_certificate(
+            text, "region", bytes_hi=bound)})
+        plans = detect_regions(program, analysis, shell.fs, "/", 1000,
+                               static_hints=hints)
+        assert len(plans) == ships
+        # the file alone clears the floor; at floor 0 everything ships
+        assert len(detect_regions(program, analysis, shell.fs, "/", 1000)) == 1
+        assert len(detect_regions(program, analysis, shell.fs, "/", 0,
+                                  static_hints=hints)) == 1
+
+
+#: 20 000 distinct lines: no part's count table is worth finishing
+DISTINCT = b"".join(b"%016x\n" % (i * 0x9E3779B97F4A7C15 % (1 << 64))
+                    for i in range(20_000))
+
+
+HIGH_CARD_SCRIPTS = ("sort /w.txt | uniq", "cat /w.txt | tr a-z A-Z | sort")
+
+
+class TestHighCardinality:
+    """Input the line counter gives up on runs in-process, decided
+    before anything ships or, where the ship gate is open or the head
+    looked countable, in the one wave — pinned by counts, not by clock."""
+
+    @staticmethod
+    def assert_wave_failed(shell, oracled=2):
+        stats = shell.host_coord.stats
+        assert stats["regions_dispatched"] == stats["regions_failed"] == 1
+        assert stats["regions_validated"] == 0
+        # no second wave, no merge task, no spill detour
+        assert stats["tasks"] == shell.host_coord._n_parts()
+        # every oracled stage fell back and ran in-process
+        assert stats["oracle_hits"] == 0
+        assert stats["oracle_fallbacks"] == oracled
+
+    @pytest.mark.parametrize("script", HIGH_CARD_SCRIPTS)
+    def test_part_giving_up_fails_region_in_one_wave(self, script):
+        self.assert_wave_failed(assert_identical(
+            script, jobs=2, data=DISTINCT, require_hits=False))
+
+    @pytest.mark.parametrize("script", HIGH_CARD_SCRIPTS)
+    def test_probe_fails_region_before_shipping(self, script, monkeypatch):
+        monkeypatch.setenv("JASH_POOL_MIN_BYTES", "1")  # the gate is armed
+        shell = assert_identical(script, jobs=2, data=DISTINCT,
+                                 require_hits=False)
+        stats = shell.host_coord.stats
+        assert stats["regions_detected"] == stats["regions_failed"] == 1
+        # nothing forked, spilled or handed an oracle
+        assert stats["tasks"] == stats["bytes_shipped"] == 0
+        assert stats["oracle_hits"] == stats["oracle_fallbacks"] == 0
+        assert shell.host_coord.pool is None
+
+    @pytest.mark.parametrize("script", HIGH_CARD_SCRIPTS)
+    def test_countable_head_passes_probe_then_parts_give_up(
+            self, script, monkeypatch):
+        monkeypatch.setenv("JASH_POOL_MIN_BYTES", "1")
+        data = b"dup\n" * (kernels.PROBE // 4 + 1) + DISTINCT
+        self.assert_wave_failed(assert_identical(
+            script, jobs=2, data=data, require_hits=False))
+
+    def test_duplicate_heavy_large_table_still_ships(self):
+        """The give-up rule is LineCounter's own (over half the lines
+        distinct), not a table-size cap: 10 000 distinct words per part,
+        each three times, are counted and shipped."""
+        data = b"".join(b"w%05d\n" % (i // 3) for i in range(120_000))
+        shell = assert_identical("sort /w.txt | uniq", jobs=2, data=data)
+        assert shell.host_coord.stats["regions_validated"] == 1
+
+
+class TestAdversarialMerge:
+    """Workers dying under a region (completion *order* is no longer an
+    adversary: results are keyed by future)."""
 
     def test_worker_crash_mid_region_retries(self):
         _, serial = run_once(SPELL, jobs=1)
@@ -139,9 +214,8 @@ class TestAdversarialMerge:
         assert pooled.elapsed == serial.elapsed
         stats = shell.host_coord.stats
         assert stats["regions_validated"] == 1, "retry should recover"
-        crashes = sum(w["crashes"]
-                      for w in shell.host_coord.pool.worker_stats.values())
-        assert crashes >= 1, "chaos crash must actually have fired"
+        assert shell.host_coord.pool.crashes >= 1, \
+            "chaos crash must actually have fired"
 
     def test_retry_exhausted_degrades_in_process(self):
         """With a zero retry budget a crashed worker fails the region;
@@ -149,8 +223,7 @@ class TestAdversarialMerge:
         observable behavior (the prefix-stable oracle contract)."""
         _, serial = run_once(SPELL, jobs=1)
         shell = Shell(laptop(), jobs=2)
-        shell.host_coord.config.policy = RetryPolicy(max_retries=0,
-                                                     timeout_s=60.0)
+        shell.host_coord.retries = 0
         shell.fs.write_bytes("/w.txt", WORDS)
         shell.host_coord.chaos = "crash"
         pooled = shell.run(SPELL)
@@ -158,6 +231,7 @@ class TestAdversarialMerge:
         assert pooled.stderr == serial.stderr
         assert pooled.elapsed == serial.elapsed
         assert shell.host_coord.stats["regions_failed"] == 1
+        assert shell.host_coord.pool.crashes == 1
 
 
 class TestFaultAndMetricsWitnesses:
@@ -199,7 +273,7 @@ class TestFaultAndMetricsWitnesses:
 
 class TestPoolUnit:
     def test_owns_rejects_paths_outside_scratch(self, tmp_path):
-        pool = WorkerPool(PoolConfig(jobs=1))
+        pool = WorkerPool()
         try:
             assert pool.owns(pool.spill_path("x.bin"))
             assert not pool.owns(str(tmp_path / "evil.bin"))
@@ -209,42 +283,65 @@ class TestPoolUnit:
         finally:
             pool.close()
 
-    def test_task_round_trip_and_crash_retry(self):
-        pool = WorkerPool(PoolConfig(jobs=2))
-        try:
-            import time as _time
+    @staticmethod
+    def _wave(pool, data, **extra):
+        """One sort-only part task over ``data``, submitted."""
+        spill = pool.spill_path("in.bin")
+        with open(spill, "wb") as fh:
+            fh.write(data)
+        return pool.submit([{"in_path": spill, "a": 0, "b": len(data),
+                             "chain": [], "sort": True,
+                             "out_prefix": pool.spill_path("p0"), **extra}])
 
-            spill = pool.spill_path("in.bin")
-            with open(spill, "wb") as fh:
-                fh.write(b"b\na\nb\n")
-            task = {"kind": "sort_part", "segments": [(spill, 0, 6)],
-                    "out_prefix": pool.spill_path("s0"), "chaos": "crash"}
-            tid = pool.submit(task)
-            results, failed = pool.wait_for([tid],
-                                            _time.monotonic() + 30.0)
-            assert not failed
-            kind, payload, m = results[0]["part"]
-            assert kind == "counts" and payload == {b"a": 1, b"b": 2}
-            assert m == 3
+    def test_task_round_trip_and_crash_retry(self):
+        pool = WorkerPool()
+        try:
+            wave = self._wave(pool, b"b\na\nb\n", chaos="crash")
+            results = pool.collect(wave, retries=1)
+            assert results is not None and pool.crashes == 1
+            (result,) = results
+            assert result["streams"] == [] and result["count"] == (
+                {b"a": 1, b"b": 1}, b"b\n", b"")
+            table = merge_counts([result["count"]], [0])
+            assert table == {b"a": 1, b"b": 2}
+            assert sum(table.values()) == 3
         finally:
             pool.close()
 
     def test_zero_retry_budget_fails_task(self):
-        pool = WorkerPool(PoolConfig(
-            jobs=1, policy=RetryPolicy(max_retries=0, timeout_s=30.0)))
+        pool = WorkerPool()
         try:
-            import time as _time
+            wave = self._wave(pool, b"a\n", chaos="crash")
+            assert pool.collect(wave, retries=0) is None
+            assert pool.crashes == 1
+        finally:
+            pool.close()
 
-            spill = pool.spill_path("in.bin")
-            with open(spill, "wb") as fh:
-                fh.write(b"a\n")
-            tid = pool.submit({"kind": "sort_part",
-                               "segments": [(spill, 0, 2)],
-                               "out_prefix": pool.spill_path("s0"),
-                               "chaos": "crash"})
-            results, failed = pool.wait_for([tid],
-                                            _time.monotonic() + 30.0)
-            assert results is None and tid in failed
+    def test_raising_task_fails_wave_without_retry(self):
+        pool = WorkerPool()
+        try:
+            wave = self._wave(pool, b"a\n",
+                              in_path=pool.spill_path("missing.bin"))
+            assert pool.collect(wave, retries=1) is None
+            assert pool.crashes == 0
+        finally:
+            pool.close()
+
+    def test_watchdog_expiry_fails_wave_and_abandons_the_task(
+            self, monkeypatch):
+        from repro.parallel_host import pool as pool_module
+
+        pool = WorkerPool()
+        try:
+            wave = self._wave(pool, b"to\nbe\nor\nnot\n" * 50_000)
+            monkeypatch.setattr(pool_module, "WATCHDOG_S", 0.0)
+            assert pool.collect(wave, retries=1) is None
+            assert pool.crashes == 0
+            # not killed: the task runs on, and its future still answers
+            monkeypatch.setattr(pool_module, "WATCHDOG_S", 30.0)
+            (result,) = pool.collect(wave, retries=0)
+            assert merge_counts([result["count"]], [0]) == dict.fromkeys(
+                (b"to", b"be", b"or", b"not"), 50_000)
         finally:
             pool.close()
 
@@ -259,37 +356,30 @@ class TestPoolUnit:
 
 
 class TestMergeSortedParts:
-    """The pool's merge is the in-process counting kernel over whatever
-    mix of parts the workers returned."""
+    """The pool's merge is the in-process counting kernel over the
+    parts' count tables, seam lines stitched in."""
 
     COUNTS = {b"pear": 3, b"apple": 2, b"": 1, b"fig": 1}
-    LINES = sorted([b"apple", b"apple", b"kiwi", b"a\rb", b"zoo", b"zoo",
-                    b"zoo", b""])
-    MORE = sorted(b"%04d" % (i * 7919 % 500) for i in range(900))
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("unique", [False, True])
-    @pytest.mark.parametrize("shape", ["counts", "lines", "mixed", "empty"])
+    @pytest.mark.parametrize("shape", ["counts", "empty"])
     def test_equals_sorted_of_the_expanded_parts(self, shape, reverse,
                                                  unique):
-        from repro.parallel_host.kernels import merge_sorted_parts
-
         parts = {
-            "counts": [("counts", self.COUNTS, 7),
-                       ("counts", {b"fig": 4, b"zz": 1}, 5)],
-            "lines": [("lines", self.LINES, 8), ("lines", self.MORE, 900)],
-            "mixed": [("counts", self.COUNTS, 7), ("lines", self.LINES, 8),
-                      ("lines", [], 0), ("lines", self.MORE, 900)],
+            "counts": [(self.COUNTS, b"zoo\n", b"fi"),
+                       ({b"fig": 4, b"zz": 1}, b"g\n", b"")],
             "empty": [],
         }[shape]
-        expanded = [body for kind, payload, _ in parts
-                    for body in (payload if kind == "lines" else
-                                 [b for b, n in payload.items()
-                                  for _ in range(n)])]
+        expanded = [body for table, _, _ in parts
+                    for body, n in table.items() for _ in range(n)]
+        if parts:
+            expanded += [b"zoo", b"fig"]  # the first head, the seam line
         want = sorted(set(expanded) if unique else expanded, reverse=reverse)
-        stream, run_ends, n_lines = merge_sorted_parts(parts, reverse, unique)
+        stream, run_ends, n_lines = sorted_table(
+            merge_counts(parts, [0] * len(parts)), reverse, unique)
         assert stream == b"".join(body + b"\n" for body in want)
-        assert n_lines == len(expanded) == sum(m for _, _, m in parts)
+        assert n_lines == len(expanded)
         # run_ends: the end offset of every run of equal lines, in order
         ends, total, prev = [], 0, None
         for body in want:
@@ -300,6 +390,132 @@ class TestMergeSortedParts:
         if want:
             ends.append(total)
         assert list(run_ends) == ends
+
+
+#: tr chains the part merge must stitch; only a final stage may squeeze
+#: when there is more than one part (detection's ``single_part``)
+CHAINS = (
+    ("tr ab AB",),
+    ("tr -d a",),
+    ("tr -s 'a\\n'",),
+    ("tr -cs ab '\\n'",),
+    ("tr -d a", "tr -s 'b\\n'"),
+)
+STEP = 8  # GRID_STEP for the merge tests: a seam every few bytes
+
+
+def merge_in_parts(data: bytes, chain: tuple, cuts: list[int]):
+    """``kernels.run_task`` per part (in this process) and the
+    coordinator's own ``_merge``: the merged RegionState."""
+    from repro.parallel_host.regions import match_region
+    from repro.parser import parse_one
+
+    plan = match_region(parse_one(f"cat /w | {' | '.join(chain)} | sort"))
+    coord = HostCoordinator(jobs=2)
+    pool = coord.pool = WorkerPool()
+    try:
+        with open(pool.spill_path("in.bin"), "wb") as fh:
+            fh.write(data)
+        state = RegionState(plan, 0)
+        state.snapshot = data
+        bounds = [0] + sorted({c * STEP for c in cuts if c * STEP < len(data)})
+        state.ranges = list(zip(bounds, bounds[1:] + [len(data)]))
+        with mock.patch.object(kernels, "GRID_STEP", STEP):
+            results = [kernels.run_task(
+                {"in_path": pool.spill_path("in.bin"), "a": a, "b": b,
+                 "chain": plan.tr_chain, "sort": True,
+                 "out_prefix": pool.spill_path(f"p{k}")})
+                for k, (a, b) in enumerate(state.ranges)]
+            assert coord._merge(state, results)
+    finally:
+        pool.close()
+    return state
+
+
+def check_merge(data: bytes, chain: tuple, cuts: list[int]) -> None:
+    state = merge_in_parts(data, chain, cuts)
+    stream = data
+    for spec, merged, (in_offs, out_offs) in zip(
+            state.plan.tr_chain, state.streams, state.grids):
+        serial, _ = tr_block(stream, spec, -1)
+        assert merged == serial
+        # the numpy path and its pure-Python fallback are one function
+        with mock.patch.object(kernels, "GRID_STEP", STEP):
+            assert kernels.tr_part(stream, spec) == \
+                kernels._tr_part_python(stream, spec)
+        # every table entry maps an input prefix to its serial output
+        assert in_offs[-1] == len(stream) and out_offs[-1] == len(serial)
+        for a, b in zip(in_offs, out_offs):
+            assert len(tr_block(stream[:a], spec, -1)[0]) == b
+        stream = serial
+    lines = split_bodies(stream)
+    assert state.n_lines == len(lines)
+    assert state.sorted_stream == b"".join(
+        body + b"\n" for body in sorted(lines))
+    # the table itself, straight from the parts of the final stage
+    assert Counter(split_bodies(state.sorted_stream)) == Counter(lines)
+
+
+class TestPartMerge:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.binary(max_size=120).map(
+               lambda raw: bytes(b"ab \n"[c % 4] for c in raw)),
+           chain=st.sampled_from(CHAINS),
+           cuts=st.lists(st.integers(1, 14), min_size=1, max_size=5))
+    # a part with no newline carries through two seams
+    @example(data=b"aa\nbbbbbbbbbbbbbbbbbbbbbbbbbb\nab\n",
+             chain=CHAINS[0], cuts=[1, 2, 3])
+    # a squeezed newline lands on the seam: part 2 starts with the run
+    @example(data=b"ab ab a\n\n\nb a\n", chain=CHAINS[2], cuts=[1])
+    @example(data=b"ab ab  \n  \nb a\n", chain=CHAINS[3], cuts=[1])
+    # an empty part: everything in [8, 16) is deleted
+    @example(data=b"b\nb b b\naaaaaaaab\nb\n", chain=CHAINS[1], cuts=[1, 2])
+    @example(data=b"b\nb b bbaaaaaaaabbb\n", chain=CHAINS[4], cuts=[1, 2])
+    # no trailing newline, and no newline at all
+    @example(data=b"a b\nb a\nab ab ab ab", chain=CHAINS[0], cuts=[1, 2])
+    @example(data=b"abababababababababab", chain=CHAINS[1], cuts=[1, 2])
+    @example(data=b"", chain=CHAINS[0], cuts=[1])
+    def test_parts_merge_to_the_serial_streams(self, data, chain, cuts):
+        check_merge(data, chain, cuts)
+
+    def test_merge_counts_seams(self):
+        # tail + head make the seam line; a newline-free part extends it
+        assert merge_counts([({b"x": 2}, b"he\n", b"wo"),
+                             ({}, b"rl", None),
+                             ({b"y": 1}, b"d\n", b"end")], [0, 0, 0]) == {
+            b"x": 2, b"he": 1, b"world": 1, b"y": 1, b"end": 1}
+        # the second part's leading newline was squeezed into the first
+        # part's last byte: it ends no line
+        assert merge_counts([({}, b"a\n", b""), ({b"b": 1}, b"\n", b"")],
+                            [0, 1]) == {b"a": 1, b"b": 1}
+        # untrimmed, the same head is an empty line
+        assert merge_counts([({}, b"a\n", b""), ({b"b": 1}, b"\n", b"")],
+                            [0, 0]) == {b"a": 1, b"": 1, b"b": 1}
+        assert merge_counts([], []) == {}
+
+    def test_rejects_path_outside_scratch_and_short_spill(self, tmp_path):
+        state = merge_in_parts(b"ab\nab\n", CHAINS[0], [])
+        coord = HostCoordinator(jobs=2)
+        pool = coord.pool = WorkerPool()
+        try:
+            outside = tmp_path / "p0.s0"
+            outside.write_bytes(b"AB\nAB\n")
+            result = {"streams": [str(outside)], "lens": [6],
+                      "grids": [array("q", [0, 6]).tobytes()],
+                      "count": ({b"AB": 1}, b"AB\n", b"")}
+            fresh = RegionState(state.plan, 1)
+            fresh.ranges = [(0, 6)]
+            assert not coord._merge(fresh, [result])
+            inside = pool.spill_path("p0.s0")
+            with open(inside, "wb") as fh:
+                fh.write(b"AB\nA")  # shorter than the worker reported
+            assert not coord._merge(fresh, [dict(result, streams=[inside])])
+            with open(inside, "wb") as fh:
+                fh.write(b"AB\nAB\n")
+            assert coord._merge(fresh, [dict(result, streams=[inside])])
+            assert fresh.sorted_stream == b"AB\nAB\n"
+        finally:
+            pool.close()
 
 
 class TestDetectionGuard:
