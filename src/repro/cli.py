@@ -22,7 +22,9 @@ import argparse
 import sys
 
 from .bench.runners import ENGINES, make_engine
+from .parser import ShellSyntaxError
 from .shell import Shell
+from .vos.errors import KernelStall
 from .vos.machines import PROFILES, profile
 
 
@@ -31,6 +33,12 @@ def main(argv=None) -> int:
         return _main(argv)
     except BrokenPipeError:
         return 141  # stdout consumer went away (e.g. `jash ... | head`)
+    except ShellSyntaxError as err:
+        print(f"jash: {err}", file=sys.stderr)
+        return 2
+    except KernelStall as err:
+        print(f"jash: {err}", file=sys.stderr)
+        return 70  # EX_SOFTWARE
 
 
 def _main(argv=None) -> int:
@@ -92,9 +100,6 @@ def _main(argv=None) -> int:
     run_p.add_argument("--trace", metavar="OUT.json",
                        help="record a trace and export Chrome trace_event "
                             "JSON (open in ui.perfetto.dev)")
-    run_p.add_argument("--no-splice", action="store_true",
-                       help="disable the kernel splice fast path (results "
-                            "are identical; this exists to prove it)")
 
     stat_p = sub.add_parser(
         "stat", help="run a script with the metrics plane and print "
@@ -184,10 +189,6 @@ def _main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.cmd == "run":
-        if args.no_splice:
-            from .commands.base import set_splice_enabled
-
-            set_splice_enabled(False)
         text = _script_text(args)
         machine = profile(args.machine)
         metrics = _make_metrics(args)
@@ -292,12 +293,9 @@ def _warn_jobs_idle(text: str, shell) -> None:
         return
     from .analysis import analyze_program
     from .lint import check_jobs_eligibility
-    from .parser import ShellSyntaxError, parse
+    from .parser import parse
 
-    try:
-        program = parse(text)
-    except ShellSyntaxError:
-        return  # the run itself reports it
+    program = parse(text)  # a syntax error is main()'s to report
     diag = check_jobs_eligibility(
         program, analyze_program(program, fs=shell.fs), shell.jobs)
     if diag is not None:

@@ -9,7 +9,6 @@ properties the paper's G2 ("stream processing") celebrates.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional
 
 from ..vos.errors import FileNotFound, IsADirectory
@@ -54,27 +53,6 @@ PROC_STARTUP = 0.002
 
 def cpu_coeff(name: str) -> float:
     return CPU_PER_BYTE.get(name, CPU_PER_BYTE["default"])
-
-
-# ---------------------------------------------------------------------------
-# Splice fast-path toggle
-# ---------------------------------------------------------------------------
-
-#: Pure pass-through stages (cat, tee) issue a single SpliceReq and let
-#: the kernel pump bytes src->dst, replaying the exact read/cpu/write
-#: virtual-op sequence of the Python loop in one dispatch (DESIGN.md
-#: §11).  Results are bit-identical either way; the toggle exists so
-#: tests and `jash run --no-splice` can prove it.
-_SPLICE_ENABLED = not os.environ.get("JASH_NO_SPLICE")
-
-
-def splice_enabled() -> bool:
-    return _SPLICE_ENABLED
-
-
-def set_splice_enabled(enabled: bool) -> None:
-    global _SPLICE_ENABLED
-    _SPLICE_ENABLED = bool(enabled)
 
 
 # ---------------------------------------------------------------------------

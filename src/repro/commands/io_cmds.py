@@ -16,7 +16,6 @@ from .base import (
     open_input,
     open_operand,
     parse_flags,
-    splice_enabled,
     write_err,
 )
 
@@ -36,17 +35,9 @@ def cat(proc: Process, argv: list[str]):
         if fd is None:
             status = 1
             continue
-        if splice_enabled():
-            # kernel pass-through pump: one dispatch for the whole file,
-            # replaying the same read/cpu/write virtual-op sequence
-            yield SpliceReq(fd, (1,), coeff, CHUNK)
-        else:
-            while True:
-                data = yield from proc.read(fd, CHUNK)
-                if not data:
-                    break
-                yield from proc.cpu(len(data) * coeff)
-                yield from proc.write(1, data)
+        # kernel pass-through pump: one dispatch for the whole file, the
+        # read/cpu/write virtual-op sequence of a CHUNK copy loop
+        yield SpliceReq(fd, (1,), coeff, CHUNK)
         if needs_close:
             yield from proc.close(fd)
     return status
@@ -64,18 +55,7 @@ def tee(proc: Process, argv: list[str]):
     for path in operands:
         fd = yield from proc.open(path, mode)
         out_fds.append(fd)
-    coeff = cpu_coeff("tee")
-    if splice_enabled():
-        yield SpliceReq(0, tuple([1] + out_fds), coeff, CHUNK)
-        return 0
-    while True:
-        data = yield from proc.read(0, CHUNK)
-        if not data:
-            break
-        yield from proc.cpu(len(data) * coeff)
-        yield from proc.write(1, data)
-        for fd in out_fds:
-            yield from proc.write(fd, data)
+    yield SpliceReq(0, (1, *out_fds), cpu_coeff("tee"), CHUNK)
     return 0
 
 

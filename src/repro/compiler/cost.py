@@ -64,10 +64,6 @@ class Probe:
     avg_token_bytes: float = 8.0
     runnable_load: int = 0
 
-    @property
-    def input_lines(self) -> float:
-        return max(1.0, self.input_bytes / max(1.0, self.avg_line_bytes))
-
 
 class StaticCosts:
     """The static complement of the metrics plane's ObservedCosts: per-

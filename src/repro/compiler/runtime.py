@@ -28,6 +28,7 @@ from ..vos.errors import VosError
 from ..vos.faults import FAULT_STATUSES
 from ..vos.handles import Handle, NullHandle, make_pipe
 from ..vos.process import CHUNK, Process
+from ..vos.syscalls import SpliceReq
 
 #: CPU cost per byte moved by runtime helper nodes (they are thin).
 RUNTIME_COEFF = 0.8e-9
@@ -111,14 +112,10 @@ def range_read_body(segments: list[tuple[str, int, int]]):
 
 def relay(proc: Process, src_fd: int, dst_fd: int,
           coeff: float = RUNTIME_COEFF):
-    """Copy ``src_fd`` to ``dst_fd`` until EOF: one ``CHUNK`` read, one
-    charge of ``coeff`` per byte and one write at a time."""
-    while True:
-        data = yield from proc.read(src_fd, CHUNK)
-        if not data:
-            return
-        yield from proc.cpu(len(data) * coeff)
-        yield from proc.write(dst_fd, data)
+    """Copy ``src_fd`` to ``dst_fd`` until EOF — an identity node on a
+    stream edge, which is one kernel pump: per ``CHUNK``, one read, one
+    charge of ``coeff`` per byte and one write."""
+    yield SpliceReq(src_fd, (dst_fd,), coeff, CHUNK)
 
 
 def file_read_body(paths: list[str]):
@@ -221,30 +218,19 @@ def sort_kway_body(in_fds: list[int], argv: list[str]):
 
 def eager_body(mode: str, tmp_path: str):
     """Decoupling buffer: absorb input at full speed so the producer never
-    blocks, then emit.  ``disk`` mode spools through a temp file (PaSh's
-    'lots of available storage space for buffering'); ``mem`` buffers in
-    memory (charged as CPU copying only)."""
+    blocks, then emit.  ``disk``, the only mode, spools through a temp
+    file (PaSh's 'lots of available storage space for buffering')."""
+    assert mode == "disk", mode
 
     def body(proc: Process):
         yield from proc.cpu(PROC_STARTUP * 0.25)
-        if mode == "disk":
-            out_fd = yield from proc.open(tmp_path, "w")
-            yield from relay(proc, 0, out_fd)
-            yield from proc.close(out_fd)
-            in_fd = yield from proc.open(tmp_path, "r")
-            yield from relay(proc, in_fd, 1, coeff=0.0)
-            yield from proc.close(in_fd)
-            proc.fs.unlink(proc.resolve(tmp_path))
-        else:
-            chunks: list[bytes] = []
-            while True:
-                data = yield from proc.read(0, CHUNK)
-                if not data:
-                    break
-                yield from proc.cpu(len(data) * RUNTIME_COEFF * 2)
-                chunks.append(data)
-            for data in chunks:
-                yield from proc.write(1, data)
+        out_fd = yield from proc.open(tmp_path, "w")
+        yield from relay(proc, 0, out_fd)
+        yield from proc.close(out_fd)
+        in_fd = yield from proc.open(tmp_path, "r")
+        yield from relay(proc, in_fd, 1, coeff=0.0)
+        yield from proc.close(in_fd)
+        proc.fs.unlink(proc.resolve(tmp_path))
         return 0
 
     return body

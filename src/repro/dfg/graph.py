@@ -28,7 +28,7 @@ RR_SPLIT = "rr_split"        # params: block_lines; one input, k outputs
 CONCAT_MERGE = "concat_merge"  # k inputs read to EOF in order
 SUM_MERGE = "sum_merge"      # numeric column-wise sum of k inputs
 SORT_KWAY = "sort_kway"      # params: argv of the original sort; k inputs
-EAGER = "eager"              # params: mode ("disk"|"mem"), tmp_path
+EAGER = "eager"              # params: mode ("disk"), tmp_path
 INTERNAL_KINDS = (RANGE_READ, FILE_READ, RR_SPLIT, CONCAT_MERGE, SUM_MERGE,
                   SORT_KWAY, EAGER)
 
@@ -100,9 +100,6 @@ class DataflowGraph:
                       tuple(outputs), spec)
         self.nodes[nid] = node
         return node
-
-    def remove_node(self, nid: int) -> None:
-        del self.nodes[nid]
 
     # -- queries -------------------------------------------------------------------
 

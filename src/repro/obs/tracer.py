@@ -70,7 +70,6 @@ class Tracer:
         self.syscall_events = syscall_events
         self.records: list[TraceRecord] = []
         self.accounting = ResourceAccounting()
-        self.subscribers: list = []
         # open-span state, keyed by pid
         self._cpu: dict[int, tuple[float, float]] = {}    # start, work
         self._stall: dict[int, tuple[float, str, int]] = {}  # start, kind, pipe
@@ -87,12 +86,6 @@ class Tracer:
         Tracer.total_records += 1
         if self.record_events:
             self.records.append(record)
-        for fn in self.subscribers:
-            fn(record)
-
-    def subscribe(self, fn) -> None:
-        """Call ``fn(record)`` for every record as it is emitted."""
-        self.subscribers.append(fn)
 
     def attach(self, kernel) -> None:
         """Bind to the kernel being traced (called by install_tracer) so
@@ -375,8 +368,7 @@ class Tracer:
 
 
 def format_record(record: TraceRecord) -> str:
-    """Render a record as a one-line text string (debug printing and
-    ad-hoc subscriber callbacks)."""
+    """Render a record as a one-line text string (debug printing)."""
     extra = ""
     if record.args:
         extra = " " + " ".join(f"{k}={v}" for k, v in sorted(record.args.items()))

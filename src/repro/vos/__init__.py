@@ -17,6 +17,7 @@ from .errors import (
     InjectedPartialWrite,
     InjectedPipeBreak,
     IsADirectory,
+    KernelStall,
     NotADirectory,
     VosError,
 )
@@ -74,7 +75,7 @@ __all__ = [
     "Disk", "DiskSpec", "gp2_spec", "gp3_spec",
     "BadFileDescriptor", "BrokenPipe", "FileNotFound", "InjectedDiskError",
     "InjectedFault", "InjectedNetError", "InjectedPartialWrite",
-    "InjectedPipeBreak", "IsADirectory",
+    "InjectedPipeBreak", "IsADirectory", "KernelStall",
     "NotADirectory", "VosError",
     "CRASH_STATUS", "EX_IOERR", "FAULT_STATUSES", "FaultEvent", "FaultPlan",
     "FaultSpec",

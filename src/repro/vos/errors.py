@@ -31,6 +31,11 @@ class NoSuchProcess(VosError):
     pass
 
 
+class KernelStall(VosError):
+    """The kernel's main loop stopped making progress: iteration after
+    iteration moved neither the virtual clock nor any process."""
+
+
 class InjectedFault(VosError):
     """Base class for failures injected by :mod:`repro.vos.faults`.
 

@@ -78,8 +78,6 @@ KINDS = (DISK_ERROR, DISK_SLOW, PIPE_BREAK, CRASH,
 
 _DISK_READ_KINDS = (DISK_ERROR, DISK_SLOW, CRASH)
 _DISK_WRITE_KINDS = (DISK_ERROR, DISK_SLOW, CRASH, PARTIAL_WRITE)
-#: back-compat alias (reads)
-_DISK_KINDS = _DISK_READ_KINDS
 _PIPE_KINDS = (PIPE_BREAK, CRASH, PARTIAL_WRITE)
 _NET_KINDS = (NET_ERROR,)
 #: fault-path tags accepted by FaultSpec.via

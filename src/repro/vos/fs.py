@@ -168,9 +168,3 @@ class FileSystem:
         del self.files[src]
         self._ensure_parent(dst)
         self.files[dst] = node
-
-    def copy_from(self, other: "FileSystem") -> None:
-        """Deep-copy another filesystem's contents into this one."""
-        for path, node in other.files.items():
-            self.files[path] = FileNode(bytearray(node.data), node.mtime)
-        self.dirs |= set(other.dirs)

@@ -29,6 +29,7 @@ from .errors import (
     InjectedNetError,
     InjectedPartialWrite,
     InjectedPipeBreak,
+    KernelStall,
     NoSuchProcess,
     VosError,
 )
@@ -76,6 +77,10 @@ from .syscalls import (
 SIGPIPE_STATUS = 141
 
 _EPS = 1e-12
+
+#: main-loop iterations in a row that may move neither the clock nor a
+#: process before the loop is declared stalled (a live run has none)
+_STALL_LIMIT = 1000
 
 
 class _SpliceState:
@@ -146,7 +151,6 @@ class Kernel:
         self._timers: list = []  # heap of (time, seq, process, value)
         self._timer_seq = 0
         self.network = None  # installed by repro.distributed for clusters
-        self._net_queue: list = []
         #: structured tracer (repro.obs.Tracer) or None; every emission
         #: site is guarded so an untraced kernel pays one None-check
         self.tracer = None
@@ -252,8 +256,6 @@ class Kernel:
                 tr.on_splice_end(self.now, proc, st.total, st.chunks,
                                  error=error or "killed")
         proc.exit_status = int(status) & 0xFF if status is not None else 0
-        if status is not None and not (0 <= int(status) <= 255):
-            proc.exit_status = int(status) & 0xFF
         proc.error = error
         proc.end_time = self.now
         node = proc.node
@@ -296,18 +298,22 @@ class Kernel:
 
     def run(self) -> float:
         """Run until quiescent; returns the final virtual time."""
+        idle = 0
         while True:
+            before = (self.now, self.steps)
             self._drain_ready()
             t = self._next_event_time()
             if t is None:
                 break
             self._advance_to(t)
+            idle = 0 if self._ready else self._idle_count(before, idle)
         return self.now
 
     def run_until_process_done(self, proc: Process) -> int:
         """Convenience: run until a given process exits."""
+        idle = 0
         while proc.state != DONE:
-            before = (len(self._ready), self.now, self.steps)
+            before = (self.now, self.steps)
             self._drain_ready()
             if proc.state == DONE:
                 break
@@ -315,10 +321,27 @@ class Kernel:
             if t is None:
                 raise RuntimeError(
                     f"deadlock: {proc} cannot make progress "
-                    f"(blocked processes: {[p for p in self.processes.values() if p.state != DONE]})"
+                    f"(blocked processes: {self._live()})"
                 )
             self._advance_to(t)
+            idle = 0 if self._ready else self._idle_count(before, idle)
         return proc.exit_status or 0
+
+    def _live(self) -> list[Process]:
+        return [p for p in self.processes.values() if p.state != DONE]
+
+    def _idle_count(self, before: tuple, idle: int) -> int:
+        """No-progress watchdog, asked when an iteration leaves nothing
+        runnable: ``idle + 1`` if it also left ``(now, steps)`` at
+        ``before``, else 0.  An event the clock cannot resolve any more is
+        rescheduled at ``now`` for ever; the limit makes that a failure."""
+        if (self.now, self.steps) != before:
+            return 0
+        if idle + 1 >= _STALL_LIMIT:
+            raise KernelStall(
+                f"kernel stalled at virtual time {self.now!r} "
+                f"(blocked processes: {self._live()})")
+        return idle + 1
 
     def _drain_ready(self) -> None:
         while self._ready:
@@ -392,14 +415,12 @@ class Kernel:
             proc._cpuv = _CpuVState(request.bursts,
                                     then or partial(self._step, proc))
             self._cpuv_step(proc)
-        elif isinstance(request, ReadReq):
+        elif isinstance(request, (ReadReq, ReadVReq)):
             self._sys_read(proc, request)
         elif isinstance(request, WriteReq):
-            self._sys_write(proc, request)
-        elif isinstance(request, ReadVReq):
-            self._sys_read(proc, request, vector=True)
+            self._sys_writev(proc, request.fd, [request.data], None)
         elif isinstance(request, WriteVReq):
-            self._sys_writev(proc, request)
+            self._sys_writev(proc, request.fd, request.parts, "writev")
         elif isinstance(request, SpliceReq):
             self._sys_splice(proc, request)
         elif isinstance(request, OpenReq):
@@ -528,66 +549,42 @@ class Kernel:
 
     # IO -----------------------------------------------------------------------------
 
-    def _sys_read(self, proc: Process, request, vector: bool = False) -> None:
+    def _sys_read(self, proc: Process, request) -> None:
         try:
             handle = proc.handle(request.fd)
         except VosError as err:
             self._ready.append((proc, None, err))
             return
-        self._handle_read(proc, handle, request.fd, request.nbytes, vector)
+        self._handle_read(proc, handle, request.fd, request.nbytes)
 
     def _handle_read(self, proc: Process, handle: Handle, fd: int,
-                     nbytes: int, vector: bool,
-                     via: Optional[str] = None) -> None:
-        """Read from a resolved handle; with ``vector`` the completion
-        value is a list of zero-copy chunks instead of one bytes object
-        (same total length either way)."""
+                     nbytes: int, via: Optional[str] = None) -> None:
+        """Read from a resolved handle; the completion value is a list of
+        zero-copy chunks, empty at EOF (``Process.read`` joins them)."""
         if isinstance(handle, NullHandle):
-            self._ready.append((proc, [] if vector else b"", None))
+            self._ready.append((proc, [], None))
         elif isinstance(handle, StringSource):
             data = handle.read_now(nbytes)
-            if vector:
-                data = [data] if data else []
-            self._ready.append((proc, data, None))
+            self._ready.append((proc, [data] if data else [], None))
         elif isinstance(handle, FileHandle):
-            self._file_read(proc, handle, nbytes, vector, via)
+            self._file_read(proc, handle, nbytes, via)
         elif isinstance(handle, PipeReader):
-            self._pipe_read(proc, handle.pipe, nbytes, vector)
+            self._pipe_read(proc, handle.pipe, nbytes)
         else:
             self._ready.append(
                 (proc, None, VosError(f"fd {fd} not readable"))
             )
 
-    def _sys_write(self, proc: Process, request: WriteReq) -> None:
+    def _sys_writev(self, proc: Process, fd: int, parts: list,
+                    via: Optional[str]) -> None:
+        """``via`` is what the body asked for — None for a WriteReq,
+        "writev" for a WriteVReq — and what ``FaultSpec(via=...)`` aims at."""
         try:
-            handle = proc.handle(request.fd)
+            handle = proc.handle(fd)
         except VosError as err:
             self._ready.append((proc, None, err))
             return
-        self._handle_write(proc, handle, request.fd, request.data)
-
-    def _handle_write(self, proc: Process, handle: Handle, fd: int, data) -> None:
-        if isinstance(handle, (NullHandle,)):
-            self._ready.append((proc, len(data), None))
-        elif isinstance(handle, Collector):
-            self._ready.append((proc, handle.write_now(data), None))
-        elif isinstance(handle, FileHandle):
-            self._file_write(proc, handle, data)
-        elif isinstance(handle, PipeWriter):
-            self._pipe_write(proc, handle.pipe, data)
-        else:
-            self._ready.append(
-                (proc, None, VosError(f"fd {fd} not writable"))
-            )
-
-    def _sys_writev(self, proc: Process, request: WriteVReq) -> None:
-        try:
-            handle = proc.handle(request.fd)
-        except VosError as err:
-            self._ready.append((proc, None, err))
-            return
-        self._handle_writev(proc, handle, request.fd, request.parts,
-                            via="writev")
+        self._handle_writev(proc, handle, fd, parts, via)
 
     def _handle_writev(self, proc: Process, handle: Handle, fd: int,
                        parts: list, via: Optional[str] = None) -> None:
@@ -640,44 +637,23 @@ class Kernel:
         return False, 1.0, None  # pragma: no cover - defensive
 
     def _file_read(self, proc: Process, handle: FileHandle, nbytes: int,
-                   vector: bool = False, via: Optional[str] = None) -> None:
+                   via: Optional[str] = None) -> None:
         if handle.eof():
-            self._ready.append((proc, [] if vector else b"", None))
+            self._ready.append((proc, [], None))
             return
         aborted, slow, _torn = self._disk_fault(proc, handle, via=via)
         if aborted:
             return
         handle.note_io()
         data = handle.read_now(nbytes)
-        result = [data] if vector else data
         disk = handle.disk
         if disk is None:
-            self._ready.append((proc, result, None))
+            self._ready.append((proc, [data], None))
             return
         self._disk_submit(
             disk,
-            _DiskRequest(len(data), disk.ops_for(len(data)), proc, result, slow=slow),
+            _DiskRequest(len(data), disk.ops_for(len(data)), proc, [data], slow=slow),
         )
-
-    def _file_write(self, proc: Process, handle: FileHandle, data,
-                    via: Optional[str] = None) -> None:
-        aborted, slow, torn = self._disk_fault(proc, handle, write=True, via=via)
-        if aborted:
-            return
-        if torn is not None:
-            self._torn_file_write(proc, handle, [data], torn)
-            return
-        handle.note_io()
-        try:
-            n = handle.write_now(data, self.now)
-        except VosError as err:
-            self._ready.append((proc, None, err))
-            return
-        disk = handle.disk
-        if disk is None:
-            self._ready.append((proc, n, None))
-            return
-        self._disk_submit(disk, _DiskRequest(n, disk.ops_for(n), proc, n, slow=slow))
 
     def _file_writev(self, proc: Process, handle: FileHandle, parts: list,
                      via: Optional[str] = None) -> None:
@@ -701,21 +677,30 @@ class Kernel:
             return
         self._disk_submit(disk, _DiskRequest(n, disk.ops_for(n), proc, n, slow=slow))
 
-    def _torn_file_write(self, proc: Process, handle: FileHandle,
-                         parts: list, fraction: float) -> None:
-        """Injected partial write: commit a deterministic prefix of the
-        payload to the file, then fail the writer.  The torn bytes stay
-        on 'disk' — recovery layers must roll them back or overwrite."""
+    @staticmethod
+    def _torn_prefix(parts: list, fraction: float) -> tuple[int, list]:
+        """An injected partial write keeps a deterministic prefix of its
+        payload: (payload bytes, the kept prefix as zero-copy views)."""
         total = sum(len(part) for part in parts)
         keep = int(total * fraction)
+        prefix = []
+        for part in parts:
+            if keep <= 0:
+                break
+            prefix.append(memoryview(part)[:keep])
+            keep -= len(prefix[-1])
+        return total, prefix
+
+    def _torn_file_write(self, proc: Process, handle: FileHandle,
+                         parts: list, fraction: float) -> None:
+        """Injected partial write: commit the prefix to the file, then
+        fail the writer.  The torn bytes stay on 'disk' — recovery layers
+        must roll them back or overwrite."""
+        total, prefix = self._torn_prefix(parts, fraction)
         handle.note_io()
         try:
-            for part in parts:
-                if keep <= 0:
-                    break
-                view = part if isinstance(part, memoryview) else memoryview(part)
-                handle.write_now(view[:keep], self.now)
-                keep -= min(keep, len(part))
+            for view in prefix:
+                handle.write_now(view, self.now)
         except VosError:  # pragma: no cover - torn target vanished
             pass
         self._ready.append(
@@ -761,17 +746,12 @@ class Kernel:
 
     # pipes --------------------------------------------------------------------------------
 
-    def _pipe_read(self, proc: Process, pipe: Pipe, nbytes: int,
-                   vector: bool = False) -> None:
+    def _pipe_read(self, proc: Process, pipe: Pipe, nbytes: int) -> None:
         tr = self.tracer
         mx = self.metrics
         if pipe.size:
-            if vector:
-                data = pipe.pull_chunks(nbytes)
-                n = sum(len(part) for part in data)
-            else:
-                data = pipe.pull(nbytes)
-                n = len(data)
+            data = pipe.pull_chunks(nbytes)
+            n = sum(len(part) for part in data)
             if tr is not None:
                 tr.on_pipe_read(self.now, proc, pipe, n)
             if mx is not None:
@@ -779,17 +759,16 @@ class Kernel:
             self._ready.append((proc, data, None))
             self._service_pipe_writers(pipe)
         elif pipe.writers == 0:
-            self._ready.append((proc, [] if vector else b"", None))
+            self._ready.append((proc, [], None))
         else:
             if tr is not None:
                 tr.on_pipe_stall_begin(self.now, proc, pipe, "read")
             if mx is not None:
                 mx.on_pipe_stall_begin(self.now, proc, pipe, "read")
-            pipe.read_waiters.append((proc, nbytes, vector))
+            pipe.read_waiters.append((proc, nbytes))
 
-    def _pipe_fault(self, proc: Process, pipe: Pipe,
-                    via: Optional[str] = None,
-                    parts: Optional[list] = None) -> bool:
+    def _pipe_fault(self, proc: Process, pipe: Pipe, via: Optional[str],
+                    parts: list) -> bool:
         """Consult the fault plan before a pipe write; True = aborted.
         A ``partial-write`` pushes a torn prefix of ``parts`` into the
         pipe (visible to the reader!) before failing the writer."""
@@ -800,7 +779,7 @@ class Kernel:
             return False
         if isinstance(action, tuple):  # (partial-write, fraction)
             _kind, fraction = action
-            self._torn_pipe_write(proc, pipe, parts or [], fraction)
+            self._torn_pipe_write(proc, pipe, parts, fraction)
             return True
         if action == PIPE_BREAK:
             self._ready.append(
@@ -814,17 +793,10 @@ class Kernel:
 
     def _torn_pipe_write(self, proc: Process, pipe: Pipe, parts: list,
                          fraction: float) -> None:
-        """Push a deterministic prefix of the payload, wake readers (the
-        torn bytes ARE delivered downstream), then fail the writer."""
-        total = sum(len(part) for part in parts)
-        keep = int(total * fraction)
-        pushed = 0
-        for part in parts:
-            if keep <= 0:
-                break
-            view = part if isinstance(part, memoryview) else memoryview(part)
-            pushed += pipe.push(view[:keep])
-            keep -= min(keep, len(part))
+        """Push the prefix of the payload, wake readers (the torn bytes
+        ARE delivered downstream), then fail the writer."""
+        total, prefix = self._torn_prefix(parts, fraction)
+        pushed, _rest = pipe.push_vector(prefix)
         tr = self.tracer
         if tr is not None and pushed:
             tr.on_pipe_write(self.now, proc, pipe, pushed)
@@ -840,32 +812,6 @@ class Kernel:
                  f"({pushed}/{total} bytes)"))
         )
 
-    def _pipe_write(self, proc: Process, pipe: Pipe, data,
-                    via: Optional[str] = None) -> None:
-        if pipe.readers == 0:
-            self._ready.append((proc, None, BrokenPipe(f"pipe {pipe.id}")))
-            return
-        if self._pipe_fault(proc, pipe, via, [data]):
-            return
-        accepted = pipe.push(data)
-        tr = self.tracer
-        if tr is not None:
-            tr.on_pipe_write(self.now, proc, pipe, accepted)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_pipe_write(self.now, proc, pipe, accepted)
-        if accepted:
-            self._wake_pipe_readers(pipe)
-        if accepted == len(data):
-            self._ready.append((proc, accepted, None))
-        else:
-            if tr is not None:
-                tr.on_pipe_stall_begin(self.now, proc, pipe, "write")
-            if mx is not None:
-                mx.on_pipe_stall_begin(self.now, proc, pipe, "write")
-            view = data if isinstance(data, memoryview) else memoryview(data)
-            pipe.write_waiters.append((proc, [view[accepted:]], accepted))
-
     def _pipe_writev(self, proc: Process, pipe: Pipe, parts: list,
                      via: Optional[str] = None) -> None:
         if pipe.readers == 0:
@@ -880,30 +826,28 @@ class Kernel:
         mx = self.metrics
         if mx is not None:
             mx.on_pipe_write(self.now, proc, pipe, accepted)
-        if accepted:
-            self._wake_pipe_readers(pipe)
-        if not remaining:
-            self._ready.append((proc, accepted, None))
-        else:
+        if remaining:
+            # queued before the wake: a blocked reader that empties the
+            # pipe (a write larger than it) comes back for the remainder
             if tr is not None:
                 tr.on_pipe_stall_begin(self.now, proc, pipe, "write")
             if mx is not None:
                 mx.on_pipe_stall_begin(self.now, proc, pipe, "write")
             pipe.write_waiters.append((proc, remaining, accepted))
+        if accepted:
+            self._wake_pipe_readers(pipe)
+        if not remaining:
+            self._ready.append((proc, accepted, None))
 
     def _wake_pipe_readers(self, pipe: Pipe) -> None:
         tr = self.tracer
         mx = self.metrics
         while pipe.read_waiters and (pipe.size or pipe.writers == 0):
-            proc, nbytes, vector = pipe.read_waiters.pop(0)
+            proc, nbytes = pipe.read_waiters.pop(0)
             if proc.state == DONE:
                 continue
-            if vector:
-                data = pipe.pull_chunks(nbytes)
-                n = sum(len(part) for part in data)
-            else:
-                data = pipe.pull(nbytes)
-                n = len(data)
+            data = pipe.pull_chunks(nbytes)
+            n = sum(len(part) for part in data)
             if tr is not None:
                 tr.on_pipe_stall_end(self.now, proc, n)
                 tr.on_pipe_read(self.now, proc, pipe, n)
@@ -980,8 +924,7 @@ class Kernel:
 
     def _splice_read(self, proc: Process, st: "_SpliceState") -> None:
         st.phase = "read"
-        self._handle_read(proc, st.src, st.src_fd, st.chunk, vector=True,
-                          via="splice")
+        self._handle_read(proc, st.src, st.src_fd, st.chunk, via="splice")
 
     def _splice_write(self, proc: Process, st: "_SpliceState") -> None:
         st.phase = "write"

@@ -5,15 +5,12 @@ overlap, fast producers block on slow consumers, and ``head``-style early
 exit propagates upstream as :class:`~repro.vos.errors.BrokenPipe`.
 
 The buffer is a **deque of producer chunks**, not one flat ``bytearray``:
-``push`` keeps whole chunks by reference (``bytes`` or ``memoryview``,
-no slicing copies except when a chunk straddles the capacity limit, where
-a zero-copy ``memoryview`` split is taken) and ``pull_chunks`` hands the
-same objects back to the reader.  This removes the two per-hop copies of
-the old design (``buffer.extend`` on push, ``bytes(buffer[:n])`` +
-``del buffer[:n]`` compaction on pull) while preserving the exact byte
-granularity of the old API: ``pull(nbytes)`` always returns
-``min(nbytes, size)`` bytes, so blocking/wake order — and therefore
-virtual time — is unchanged (DESIGN.md §11).
+``push_vector`` keeps whole chunks by reference (``bytes`` or
+``memoryview``; a zero-copy ``memoryview`` split is taken only where a
+chunk straddles the capacity limit) and ``pull_chunks`` hands the same
+objects back to the reader, at byte granularity: a pull of ``nbytes``
+always removes ``min(nbytes, size)`` bytes, so blocking/wake order — and
+therefore virtual time — is that of a flat buffer (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -50,18 +47,8 @@ class Pipe:
     def at_eof(self) -> bool:
         return self.writers == 0 and not self.size
 
-    @property
-    def broken(self) -> bool:
-        return self.readers == 0
-
     def space(self) -> int:
         return self.capacity - self.size
-
-    def can_read(self) -> bool:
-        return self.size > 0 or self.writers == 0
-
-    def can_write(self) -> bool:
-        return self.space() > 0 or self.readers == 0
 
     # -- data movement (kernel performs blocking around these) ----------------
 
@@ -71,21 +58,6 @@ class Pipe:
         if self.size > self.peak_bytes:
             self.peak_bytes = self.size
 
-    def push(self, data) -> int:
-        """Accept up to ``space()`` bytes of one chunk; returns count
-        accepted.  ``data`` may be ``bytes`` or a ``memoryview``; the
-        accepted prefix is kept by reference (a view is taken only when
-        the chunk must be split at the capacity boundary)."""
-        if self.readers == 0:
-            raise BrokenPipe(f"pipe {self.id}")
-        n = min(len(data), self.space())
-        if n:
-            if n < len(data):
-                data = memoryview(data)[:n]
-            self.chunks.append(data)
-            self._accept(n)
-        return n
-
     def push_vector(self, parts: list) -> tuple[int, list]:
         """Accept a vector of chunks; returns ``(accepted_bytes,
         remaining_parts)`` where ``remaining_parts`` references the
@@ -94,12 +66,12 @@ class Pipe:
             raise BrokenPipe(f"pipe {self.id}")
         accepted = 0
         for i, part in enumerate(parts):
+            n = len(part)
+            if n == 0:  # nothing to wait for, even when full
+                continue
             space = self.space()
             if space <= 0:
                 return accepted, parts[i:]
-            n = len(part)
-            if n == 0:
-                continue
             if n <= space:
                 self.chunks.append(part)
                 self._accept(n)
@@ -136,22 +108,3 @@ class Pipe:
                 taken += keep
         self.size -= taken
         return out
-
-    def pull(self, nbytes: int) -> bytes:
-        """Legacy byte-granularity read: exactly ``min(nbytes, size)``
-        bytes, as one ``bytes`` object (zero-copy when a single whole
-        ``bytes`` chunk satisfies the request)."""
-        chunks = self.chunks
-        if chunks and len(chunks[0]) <= nbytes:
-            first = chunks[0]
-            if type(first) is bytes and (len(chunks) == 1 or len(first) == nbytes):
-                chunks.popleft()
-                self.size -= len(first)
-                return first
-        parts = self.pull_chunks(nbytes)
-        if not parts:
-            return b""
-        if len(parts) == 1:
-            part = parts[0]
-            return part if type(part) is bytes else bytes(part)
-        return b"".join(parts)

@@ -152,8 +152,10 @@ class Process:
             yield CpuReq(seconds)
 
     def read(self, fd: int, nbytes: int = CHUNK):
-        data = yield ReadReq(fd, nbytes)
-        return data
+        parts = yield ReadReq(fd, nbytes)
+        if len(parts) == 1 and type(parts[0]) is bytes:
+            return parts[0]  # one whole producer chunk: no copy
+        return b"".join(parts)
 
     def write(self, fd: int, data: bytes):
         size = len(data)
@@ -193,13 +195,6 @@ class Process:
             if not parts:
                 return b"".join(chunks)
             chunks.extend(parts)
-
-    def read_lines(self, fd: int):
-        """Not a plain generator-of-lines: yields syscalls, accumulating
-        lines; use ``LineStream`` from repro.commands.base instead for
-        incremental processing."""
-        data = yield from self.read_all(fd)
-        return data.splitlines(keepends=True)
 
     def open(self, path: str, mode: str = "r"):
         fd = yield OpenReq(path, mode)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 
+from repro.commands.base import REGISTRY
 from repro.shell import Shell
+from repro.vos import SpliceReq, VosError
 from repro.vos.devices import DiskSpec
 from repro.vos.machines import MachineSpec
 
@@ -50,3 +56,58 @@ def out_of(sh_run):
         return result.out
 
     return run
+
+
+# -- the reference a SpliceReq is held to (DESIGN.md §11) ---------------------
+
+
+def copy_loop(proc, request: SpliceReq):
+    """What the kernel pump must be indistinguishable from: per chunk one
+    ReadReq, one CpuReq of ``cpu_coeff`` per byte, one WriteReq per
+    destination in order, until EOF.  Returns the bytes moved."""
+    total = 0
+    while True:
+        data = yield from proc.read(request.src_fd, request.chunk)
+        if not data:
+            return total
+        total += len(data)
+        yield from proc.cpu(len(data) * request.cpu_coeff)
+        for fd in request.dst_fds:
+            yield from proc.write(fd, data)
+
+
+def with_copy_loop(body):
+    """``body`` with every SpliceReq it yields served by :func:`copy_loop`
+    inside the process; every other request, and every error the kernel
+    throws back, passes through.  The body differs from the one under
+    test in nothing but who copies."""
+
+    @functools.wraps(body)
+    def looped(proc, *args):
+        gen = body(proc, *args)
+        step, arg = gen.send, None
+        while True:
+            try:
+                request = step(arg)
+            except StopIteration as stop:
+                return stop.value
+            step = gen.send
+            try:
+                if isinstance(request, SpliceReq):
+                    arg = yield from copy_loop(proc, request)
+                else:
+                    arg = yield request
+            except VosError as err:
+                step, arg = gen.throw, err
+
+    return looped
+
+
+@contextmanager
+def reference_copy():
+    """``cat`` and ``tee`` copy with :func:`copy_loop` until the block
+    ends (plan-runtime bodies are wrapped directly, they are not looked
+    up by name)."""
+    looped = {name: with_copy_loop(REGISTRY[name]) for name in ("cat", "tee")}
+    with mock.patch.dict(REGISTRY, looped):
+        yield

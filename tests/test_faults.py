@@ -4,6 +4,8 @@ retry-policy objects shared by the recovery layers."""
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro import FaultPlan, FaultSpec, RetryPolicy, Shell, run_script
@@ -17,7 +19,7 @@ from repro.vos.faults import (
 )
 from repro.vos.machines import laptop
 
-from .conftest import fast_machine
+from .conftest import fast_machine, reference_copy
 
 
 class _Node:
@@ -397,20 +399,14 @@ class TestNetFaults:
 
 class TestViaTargeting:
     """FaultSpec(via=...) aims at the zero-copy fast paths, and the
-    Bernoulli schedule is identical with the fast path on or off."""
+    Bernoulli schedule is identical with the kernel pump or the
+    reference copy loop (``conftest.reference_copy``) doing the copying."""
 
-    def _run(self, plan, enabled):
-        from repro.commands import base
-
-        prev = base.splice_enabled()
-        base.set_splice_enabled(enabled)
-        try:
+    def _run(self, plan, pump):
+        with nullcontext() if pump else reference_copy():
             shell = Shell(fast_machine(), faults=plan)
             shell.fs.write_bytes("/f", b"q" * 200_000)
-            result = shell.run("set -o pipefail\ncat /f | tr a-z A-Z | wc -c")
-            return result
-        finally:
-            base.set_splice_enabled(prev)
+            return shell.run("set -o pipefail\ncat /f | tr a-z A-Z | wc -c")
 
     def test_via_validation(self):
         with pytest.raises(ValueError, match="via"):
@@ -419,18 +415,18 @@ class TestViaTargeting:
     def test_via_splice_fires_only_on_the_splice_path(self):
         plan_on = FaultPlan(specs=(FaultSpec("disk-error", at=0.0,
                                              proc="cat", via="splice"),))
-        assert self._run(plan_on, enabled=True).status == EX_IOERR
+        assert self._run(plan_on, pump=True).status == EX_IOERR
         assert plan_on.fired == 1
         plan_off = FaultPlan(specs=(FaultSpec("disk-error", at=0.0,
                                               proc="cat", via="splice"),))
-        result = self._run(plan_off, enabled=False)
+        result = self._run(plan_off, pump=False)
         assert result.status == 0 and plan_off.fired == 0
 
     def test_mid_splice_partial_write_is_torn(self):
         plan = FaultPlan(specs=(FaultSpec("partial-write", at=0.0,
                                           proc="cat", via="splice",
                                           fraction=0.5),))
-        result = self._run(plan, enabled=True)
+        result = self._run(plan, pump=True)
         assert result.status == EX_IOERR
         assert 0 < int(result.stdout.split()[0]) < 200_000
 
@@ -440,16 +436,10 @@ class TestViaTargeting:
         plan = FaultPlan(specs=(FaultSpec("partial-write", at=0.0,
                                           proc="grep", via="writev",
                                           fraction=0.5),))
-        from repro.commands import base
-
-        prev = base.splice_enabled()
-        base.set_splice_enabled(False)
-        try:
+        with reference_copy():
             shell = Shell(fast_machine(), faults=plan)
             shell.fs.write_bytes("/f", b"hello world\n" * 5000)
             result = shell.run("set -o pipefail\ncat /f | grep hello | wc -c")
-        finally:
-            base.set_splice_enabled(prev)
         assert result.status == EX_IOERR and plan.fired == 1
         assert 0 < int(result.stdout.split()[0]) < 60_000
 
@@ -457,29 +447,24 @@ class TestViaTargeting:
         plan = FaultPlan(specs=(FaultSpec("partial-write", at=0.0,
                                           proc="cat", via="writev",
                                           fraction=0.5),))
-        from repro.commands import base
-
-        prev = base.splice_enabled()
-        base.set_splice_enabled(False)
-        try:
+        with reference_copy():
             shell = Shell(fast_machine(), faults=plan)
             shell.fs.write_bytes("/f", b"hello\n" * 100)
-            # cat copies with plain writes: a writev-only spec never fires
+            # the loop copies with plain writes, which the one write
+            # handler serves too: a writev-only spec still never fires
             result = shell.run("cat /f > /out")
-        finally:
-            base.set_splice_enabled(prev)
         assert result.status == 0 and plan.fired == 0
         assert shell.fs.read_bytes("/out") == b"hello\n" * 100
 
     @pytest.mark.parametrize("seed", [3, 17, 99])
     def test_rate_schedule_parity_splice_vs_no_splice(self, seed):
-        """Regression: for the same seed, the splice fast path and the
-        chunk-copy slow path observe the *same* fault schedule."""
+        """Regression: for the same seed, the kernel pump and the
+        chunk-copy reference loop observe the *same* fault schedule."""
         traces = []
-        for enabled in (True, False):
+        for pump in (True, False):
             plan = FaultPlan(seed=seed, rate=0.02,
                              kinds=("disk-error", "pipe-break", "crash"),
                              max_faults=2)
-            result = self._run(plan, enabled)
+            result = self._run(plan, pump)
             traces.append((plan.trace(), result.status, result.stdout))
         assert traces[0] == traces[1]

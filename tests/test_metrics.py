@@ -30,7 +30,7 @@ from repro.supervise import (
 )
 from repro.vos.machines import laptop
 
-from .conftest import fast_machine
+from .conftest import fast_machine, reference_copy
 
 PIPELINE = "cat /in.txt | tr -cs A-Za-z '\\n' | sort > /out.txt"
 SUP_SCRIPT = "cat /stream.log | tr a-z A-Z | grep -v ERROR"
@@ -350,20 +350,12 @@ class TestStat:
 
 
 class TestSpliceObservability:
-    def run_traced(self, no_splice=False):
-        from repro.commands.base import set_splice_enabled
-
+    def run_traced(self):
         tracer = Tracer()
         reg = MetricsRegistry()
         shell = Shell(laptop(), tracer=tracer, metrics=reg)
         shell.fs.write_bytes("/in.txt", words())
-        if no_splice:
-            set_splice_enabled(False)
-        try:
-            result = shell.run("cat /in.txt | tr -cs A-Za-z '\\n' "
-                               "| wc -l")
-        finally:
-            set_splice_enabled(True)
+        result = shell.run("cat /in.txt | tr -cs A-Za-z '\\n' | wc -l")
         return result, tracer, reg
 
     def test_splice_spans_and_accounting(self):
@@ -390,7 +382,8 @@ class TestSpliceObservability:
         assert "[splice]" in report
 
     def test_no_splice_no_spans(self):
-        result, tracer, reg = self.run_traced(no_splice=True)
+        with reference_copy():
+            result, tracer, reg = self.run_traced()
         assert result.status == 0
         assert not [r for r in tracer.records if r.cat == "splice"]
         assert reg.value("kernel.splice_bytes") == 0

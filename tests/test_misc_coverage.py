@@ -77,20 +77,6 @@ class TestKernelPublicApi:
         final = kernel.run()
         assert final == pytest.approx(1.5)
 
-    def test_read_lines_helper(self):
-        kernel = Kernel(Node("n", 2, 1.0, DiskSpec()))
-        got = {}
-
-        def body(proc):
-            lines = yield from proc.read_lines(0)
-            got["lines"] = lines
-            return 0
-
-        proc = kernel.create_process(
-            body, fds={0: StringSource(b"a\nb\nc")})
-        kernel.run_until_process_done(proc)
-        assert got["lines"] == [b"a\n", b"b\n", b"c"]
-
     def test_net_send_without_network_is_noop(self):
         kernel = Kernel(Node("n", 2, 1.0, DiskSpec()))
 

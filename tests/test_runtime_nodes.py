@@ -14,9 +14,12 @@ from repro.compiler.runtime import (
     sort_kway_body,
     sum_merge_body,
 )
+from repro import FaultPlan, Tracer
 from repro.vos.devices import DiskSpec
 from repro.vos.handles import Collector, StringSource, make_pipe
 from repro.vos.kernel import Kernel, Node
+
+from .conftest import with_copy_loop
 
 
 def fast_kernel():
@@ -249,14 +252,6 @@ class TestSplitsAndMerges:
         )
         assert out == data
 
-    def test_eager_mem_round_trip(self):
-        data = b"payload\n" * 100
-        out = run_source_node(
-            eager_body("mem", "/tmp/eg.2"),
-            extra_fds={0: StringSource(data)},
-        )
-        assert out == data
-
     def test_eager_disk_cleans_temp(self):
         kernel = fast_kernel()
         out = Collector()
@@ -276,6 +271,75 @@ class TestSplitsAndMerges:
         status = kernel.run_until_process_done(proc)
         assert status == 1
         assert b"no such file" in err.getvalue()
+
+
+def run_copy_node(body, files=None, sources=None):
+    """A relay-built node writing through a 4 KiB pipe to a slow reader,
+    on a machine whose CPU and disk cost time, under a tracer and an
+    (empty) fault plan; returns all that the kernel pump behind ``relay``
+    and the reference copy loop must agree on."""
+    kernel = Kernel(Node("t", 2, 1.0, DiskSpec(
+        throughput_bps=100e6, base_iops=1000, burst_iops=1000)))
+    tracer, plan = Tracer(), FaultPlan()
+    kernel.install_tracer(tracer)
+    kernel.faults = plan
+    for path, data in (files or {}).items():
+        kernel.main_node.fs.write_bytes(path, data)
+    reader, writer = make_pipe(capacity=4096)
+    got = []
+
+    def sink(proc):
+        while True:
+            data = yield from proc.read(0, 1000)
+            if not data:
+                return 0
+            yield from proc.cpu(len(data) * 5e-9)
+            got.append(data)
+
+    def main(proc):
+        fds = {fd: StringSource(data) for fd, data in (sources or {}).items()}
+        node = yield from proc.spawn(body, name="node",
+                                     fds={1: writer, **fds})
+        yield from proc.spawn(sink, name="sink", fds={0: reader})
+        return (yield from proc.wait(node))
+
+    root = kernel.create_process(main)
+    status = kernel.run_until_process_done(root)
+    kernel.run()  # let the sink drain
+    records = [(r.cat, r.name, r.ph, r.ts, r.dur, r.pid, r.args)
+               for r in tracer.records if r.cat in ("pipe", "disk", "cpu")]
+    return status, b"".join(got), repr(kernel.now), plan.ops, records
+
+
+BIG, SMALL = bytes(range(256)) * 600, b"tail without newline"  # 150 KB, 20 B
+
+
+class TestRelayIsOnePump:
+    """``relay`` is one SpliceReq; the nodes built on it must be what they
+    were when it was a Python loop: same bytes, same virtual time, same
+    fault-plan op count, same pipe, disk and CPU trace records."""
+
+    CASES = {
+        "file_read": (lambda: file_read_body(["/a", "/b", "/a"]),
+                      dict(files={"/a": BIG, "/b": SMALL})),
+        "concat_merge": (lambda: concat_merge_body([3, 4, 5]),
+                         dict(sources={3: BIG, 4: b"", 5: SMALL})),
+        "eager_disk": (lambda: eager_body("disk", "/tmp/eg.4"),
+                       dict(sources={0: BIG + SMALL})),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_node_equals_reference_loop(self, case):
+        make_body, inputs = self.CASES[case]
+        pump = run_copy_node(make_body(), **inputs)
+        loop = run_copy_node(with_copy_loop(make_body()), **inputs)
+        status, out, _now, ops, records = pump
+        assert status == 0
+        assert out == {"file_read": BIG + SMALL + BIG,
+                       "concat_merge": BIG + SMALL,
+                       "eager_disk": BIG + SMALL}[case]
+        assert ops > 0 and records
+        assert pump == loop
 
 
 @given(st.lists(st.sampled_from(["aa", "bb", "cc", "dd"]),

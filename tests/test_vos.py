@@ -11,10 +11,12 @@ from repro.vos import (
     FileNotFound,
     FileSystem,
     Kernel,
+    KernelStall,
     Node,
     NullHandle,
     SIGPIPE_STATUS,
     StringSource,
+    VosError,
     gp2_spec,
     gp3_spec,
     make_pipe,
@@ -391,6 +393,26 @@ class TestProcessLifecycle:
         root = kernel.create_process(stuck, fds={0: reader, 1: writer})
         with pytest.raises(RuntimeError, match="deadlock"):
             kernel.run_until_process_done(root)
+
+    @pytest.mark.parametrize("loop", ["run", "run_until_process_done"])
+    def test_unresolvable_burst_is_a_typed_stall(self, loop):
+        """At 20000 s the float clock's ulp is 3.6e-12 s: a 1e-12 s burst
+        leaves ``now`` where it was and is rescheduled for ever.  Both
+        main loops must notice and raise, naming the time and who is
+        blocked (ROADMAP: 'a virtual clock that cannot stall')."""
+        kernel = _kernel()
+
+        def body(proc):
+            yield from proc.sleep(20000.0)
+            yield from proc.cpu(1e-13)
+            return 0
+
+        root = kernel.create_process(body, name="late")
+        with pytest.raises(KernelStall, match=r"20000\.0 .*late") as info:
+            kernel.run() if loop == "run" else \
+                kernel.run_until_process_done(root)
+        assert isinstance(info.value, VosError)
+        assert kernel.now == 20000.0
 
 
 class TestMachineProfiles:

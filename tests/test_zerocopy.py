@@ -2,13 +2,15 @@
 
 Three layers of guarantees:
 
-1. The chunk-deque pipe buffer preserves the byte granularity of the old
-   flat-bytearray API exactly (``pull`` returns ``min(nbytes, size)``),
+1. The chunk-deque pipe buffer preserves the byte granularity of a flat
+   buffer exactly (``pull_chunks`` removes ``min(nbytes, size)`` bytes),
    while moving whole producer chunks by reference.
-2. The kernel splice fast path and the vectorized coreutils kernels are
-   *observably identical* to the legacy per-chunk/per-line loops: same
-   bytes, same exit status, and — because they replay the same virtual
-   syscall sequence — the same virtual elapsed time.
+2. The kernel pump and the vectorized coreutils kernels are *observably
+   identical* to per-chunk/per-line loops (``conftest.copy_loop`` is the
+   pump's reference): same bytes, same exit status, and — because they
+   replay the same virtual syscall sequence — the same virtual elapsed
+   time.  One handler per direction: ``write(join(parts))`` and
+   ``writev(parts)``, ``read`` and ``read_all`` are the same virtual ops.
 3. FdTable keeps POSIX lowest-free-fd semantics under its O(log n)
    free-list.
 4. Vectored CPU (``CpuVReq``): per-record charges deferred on the process
@@ -30,18 +32,20 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import FaultPlan, Tracer
 from repro.obs import MetricsRegistry
 from repro.obs.export import chrome_events
 from repro.obs.stat import render_stat
 from repro.shell import Shell
-from repro.vos import (BrokenPipe, CpuReq, CpuVReq, DiskSpec, Kernel, Node,
-                       SleepReq, make_pipe)
+from repro.vos import (SIGPIPE_STATUS, BrokenPipe, CpuReq, CpuVReq, DiskSpec,
+                       Kernel, Node, SleepReq, make_pipe)
 from repro.vos.machines import MachineSpec, laptop
 from repro.vos.pipes import Pipe
 from repro.vos.process import CHUNK, FdTable
+
+from .conftest import reference_copy
 
 import repro.commands.awk_lite as awk_lite
 import repro.commands.base as base
@@ -54,39 +58,47 @@ import repro.commands.sorting as sorting
 # ---------------------------------------------------------------------------
 
 
+def _pull(pipe: Pipe, nbytes: int) -> bytes:
+    return b"".join(pipe.pull_chunks(nbytes))
+
+
+def _push(pipe: Pipe, data) -> int:
+    return pipe.push_vector([data])[0]
+
+
 class TestPipeChunkBuffer:
     def test_pull_exact_granularity(self):
         pipe = Pipe(capacity=1 << 20)
         pipe.readers = pipe.writers = 1
         for chunk in (b"aaaa", b"bb", b"cccccc"):
-            assert pipe.push(chunk) == len(chunk)
+            assert _push(pipe, chunk) == len(chunk)
         assert pipe.size == 12
         # a pull may span chunk boundaries but returns exactly min(n, size)
-        assert pipe.pull(5) == b"aaaab"
-        assert pipe.pull(100) == b"bcccccc"
-        assert pipe.pull(10) == b""
+        assert _pull(pipe, 5) == b"aaaab"
+        assert _pull(pipe, 100) == b"bcccccc"
+        assert _pull(pipe, 10) == b""
         assert pipe.size == 0
 
     def test_push_splits_at_capacity_with_memoryview(self):
         pipe = Pipe(capacity=10)
         pipe.readers = pipe.writers = 1
-        assert pipe.push(b"0123456789abcdef") == 10  # only space() accepted
+        assert _push(pipe, b"0123456789abcdef") == 10  # only space() accepted
         assert pipe.size == 10
-        assert pipe.push(b"x") == 0  # full
-        assert pipe.pull(16) == b"0123456789"
+        assert _push(pipe, b"x") == 0  # full
+        assert _pull(pipe, 16) == b"0123456789"
 
     def test_pull_chunks_returns_whole_chunks_by_reference(self):
         pipe = Pipe(capacity=1 << 20)
         pipe.readers = pipe.writers = 1
         first, second = b"hello", b"world!"
-        pipe.push(first)
-        pipe.push(second)
+        _push(pipe, first)
+        _push(pipe, second)
         out = pipe.pull_chunks(5)
         assert len(out) == 1 and out[0] is first  # zero-copy: same object
         # straddling pull: whole chunk impossible, final chunk is a view
         out = pipe.pull_chunks(3)
         assert bytes(out[0]) == b"wor" and isinstance(out[0], memoryview)
-        assert pipe.pull(10) == b"ld!"
+        assert _pull(pipe, 10) == b"ld!"
 
     def test_push_vector_remainder_is_not_copied(self):
         pipe = Pipe(capacity=8)
@@ -94,23 +106,23 @@ class TestPipeChunkBuffer:
         accepted, rest = pipe.push_vector([b"abcd", b"efgh", b"ijkl"])
         assert accepted == 8
         assert [bytes(r) for r in rest] == [b"ijkl"]
-        assert pipe.pull(8) == b"abcdefgh"
+        assert _pull(pipe, 8) == b"abcdefgh"
 
     def test_eof_short_final_chunk(self):
         pipe = Pipe(capacity=1 << 20)
         pipe.readers = pipe.writers = 1
-        pipe.push(b"tail")
+        _push(pipe, b"tail")
         pipe.writers = 0
         assert pipe.at_eof is False  # data still buffered
-        assert pipe.pull(CHUNK) == b"tail"  # short read, not an error
+        assert _pull(pipe, CHUNK) == b"tail"  # short read, not an error
         assert pipe.at_eof is True
 
     def test_accounting_peak_and_total(self):
         pipe = Pipe(capacity=1 << 20)
         pipe.readers = pipe.writers = 1
-        pipe.push(b"x" * 100)
-        pipe.pull(60)
-        pipe.push(b"y" * 30)
+        _push(pipe, b"x" * 100)
+        _pull(pipe, 60)
+        _push(pipe, b"y" * 30)
         assert pipe.total_bytes == 130  # every byte ever pushed
         assert pipe.peak_bytes == 100  # high-water mark, not current size
         assert pipe.size == 70
@@ -119,9 +131,15 @@ class TestPipeChunkBuffer:
         pipe = Pipe(capacity=64)
         pipe.writers = 1
         with pytest.raises(BrokenPipe):
-            pipe.push(b"data")
-        with pytest.raises(BrokenPipe):
             pipe.push_vector([b"data"])
+
+    def test_empty_part_never_waits_for_space(self):
+        pipe = Pipe(capacity=4)
+        pipe.readers = pipe.writers = 1
+        # the pipe is full after the first part; the empty ones have
+        # nothing left to deliver, so nothing remains to block on
+        assert pipe.push_vector([b"abcd", b"", b""]) == (4, [])
+        assert pipe.push_vector([b"", b"e"]) == (0, [b"e"])
 
 
 # ---------------------------------------------------------------------------
@@ -184,42 +202,28 @@ SPLICE_SCRIPTS = (
 )
 
 
-def _run_with_splice(script: str, enabled: bool):
+def _run_copy(script: str):
     data = bytes(random.Random(5).randbytes(300_000))
-    prev = base.splice_enabled()
-    base.set_splice_enabled(enabled)
-    try:
-        shell = Shell(laptop())
-        shell.fs.write_bytes("/data/in.bin", data)
-        result = shell.run(script)
-        files = {}
-        for path in ("/data/out.bin", "/data/copy.bin"):
-            try:
-                files[path] = shell.fs.read_bytes(path)
-            except Exception:
-                files[path] = None
-        return (result.status, result.stdout, result.stderr,
-                shell.kernel.now, files)
-    finally:
-        base.set_splice_enabled(prev)
+    shell = Shell(laptop())
+    shell.fs.write_bytes("/data/in.bin", data)
+    result = shell.run(script)
+    files = {}
+    for path in ("/data/out.bin", "/data/copy.bin"):
+        try:
+            files[path] = shell.fs.read_bytes(path)
+        except Exception:
+            files[path] = None
+    return (result.status, result.stdout, result.stderr,
+            shell.kernel.now, files)
 
 
 class TestSpliceEquivalence:
     @pytest.mark.parametrize("script", SPLICE_SCRIPTS)
     def test_identical_bytes_and_virtual_time(self, script):
-        fast = _run_with_splice(script, True)
-        slow = _run_with_splice(script, False)
+        fast = _run_copy(script)
+        with reference_copy():
+            slow = _run_copy(script)
         assert fast == slow  # status, stdout, stderr, kernel.now, files
-
-    def test_toggle_roundtrip(self):
-        prev = base.splice_enabled()
-        try:
-            base.set_splice_enabled(False)
-            assert not base.splice_enabled()
-            base.set_splice_enabled(True)
-            assert base.splice_enabled()
-        finally:
-            base.set_splice_enabled(prev)
 
     def test_sigpipe_terminates_splice_cleanly(self):
         shell = Shell(laptop())
@@ -229,6 +233,136 @@ class TestSpliceEquivalence:
         result = shell.run("cat /data/in.bin | head -c 10 | wc -c")
         assert result.status == 0
         assert result.stdout.strip() == b"10"
+
+
+# ---------------------------------------------------------------------------
+# 3b. One handler per direction: scalar and vectored requests are the
+#     same virtual ops
+# ---------------------------------------------------------------------------
+
+
+def _pipe_run(writer, make_reader, capacity):
+    """``writer`` -> pipe of ``capacity`` bytes -> reader, traced and
+    metered; returns all that two equivalent bodies must agree on: the
+    writer's status, the bytes delivered, the final clock, (write, read)
+    stall counts, dispatches, and every pipe trace record (each carries
+    the virtual instant of one transfer or stall)."""
+    kernel = Kernel(Node("n0", 2, 1.0, DiskSpec()))
+    tracer, reg = Tracer(), MetricsRegistry()
+    kernel.install_tracer(tracer)
+    kernel.install_metrics(reg)
+    rd, wr = make_pipe(capacity=capacity)
+    got: list[bytes] = []
+
+    def main(proc):
+        w = yield from proc.spawn(writer, name="w", fds={1: wr})
+        r = yield from proc.spawn(make_reader(got), name="r", fds={0: rd})
+        status = yield from proc.wait(w)
+        yield from proc.wait(r)
+        return status
+
+    root = kernel.create_process(main)
+    status = kernel.run_until_process_done(root)
+    stalls = tuple(reg.value("pipe.stalls", pipe=1, kind=kind)
+                   for kind in ("write", "read"))
+    pipe_records = [(r.name, r.ts, r.dur, r.pid, r.args)
+                    for r in tracer.records if r.cat == "pipe"]
+    return (status, b"".join(got), repr(kernel.now), stalls,
+            kernel.dispatches, pipe_records)
+
+
+def _slow_reader(limit=None):
+    """1000-byte reads with a burst after each; exits after ``limit``."""
+    def make(got):
+        def body(proc):
+            while limit is None or len(got) < limit:
+                data = yield from proc.read(0, 1000)
+                if not data:
+                    break
+                got.append(data)
+                yield from proc.cpu(len(data) * 20e-9)
+            return 0
+        return body
+    return make
+
+
+def _write_joined(parts):
+    def body(proc):
+        yield from proc.write(1, b"".join(parts))
+        return 0
+    return body
+
+
+def _write_vector(parts):
+    def body(proc):
+        yield from proc.writev(1, parts)
+        return 0
+    return body
+
+
+@st.composite
+def _cut_parts(draw):
+    """Random bytes cut into 1-8 parts (coinciding cuts: empty parts)."""
+    size = draw(st.integers(0, CHUNK + 4096))
+    data = random.Random(draw(st.integers(0, 1 << 16))).randbytes(size)
+    cuts = sorted(draw(st.lists(st.integers(0, size), max_size=7)))
+    return [data[a:b] for a, b in zip([0] + cuts, cuts + [size])]
+
+
+_CAPACITIES = st.sampled_from([64, 4096, 65536])
+
+
+class TestOneHandlerPerDirection:
+    @given(parts=_cut_parts(), capacity=_CAPACITIES)
+    @example(parts=[b"a" * 40, b"b" * 40], capacity=64)  # straddles the limit
+    @example(parts=[b"a" * 64, b""], capacity=64)  # nothing left to wait for
+    @example(parts=[b"", b"a" * 64, b"", b"b"], capacity=64)
+    @example(parts=[memoryview(b"abc" * 50), b"tail"], capacity=64)
+    @settings(deadline=None, max_examples=60)
+    def test_write_of_join_equals_writev(self, parts, capacity):
+        joined = _pipe_run(_write_joined(parts), _slow_reader(), capacity)
+        vector = _pipe_run(_write_vector(parts), _slow_reader(), capacity)
+        assert joined[:2] == (0, b"".join(parts))
+        assert joined == vector
+
+    @given(parts=_cut_parts(), capacity=_CAPACITIES)
+    # a write larger than the pipe, its reader already blocked: the woken
+    # reader empties the pipe before the writer's remainder is queued
+    @example(parts=[b"z" * 65], capacity=64)
+    @settings(deadline=None, max_examples=40)
+    def test_read_loop_equals_read_all(self, parts, capacity):
+        def paced_writer(proc):
+            for part in parts:
+                yield from proc.write(1, part)
+                yield from proc.cpu(2e-6)
+            return 0
+
+        def read_loop(got):
+            def body(proc):
+                while True:
+                    data = yield from proc.read(0, CHUNK)
+                    if not data:
+                        return 0
+                    got.append(data)
+            return body
+
+        def read_all(got):
+            def body(proc):
+                got.append((yield from proc.read_all(0)))
+                return 0
+            return body
+
+        scalar = _pipe_run(paced_writer, read_loop, capacity)
+        vector = _pipe_run(paced_writer, read_all, capacity)
+        assert scalar[:2] == (0, b"".join(parts))
+        assert scalar == vector
+
+    def test_reader_exit_mid_write_is_sigpipe_on_both(self):
+        parts = [b"x" * 3000, b"y" * 3000]
+        joined = _pipe_run(_write_joined(parts), _slow_reader(limit=1), 4096)
+        vector = _pipe_run(_write_vector(parts), _slow_reader(limit=1), 4096)
+        assert joined[:2] == (SIGPIPE_STATUS, b"x" * 1000)
+        assert joined == vector
 
 
 # ---------------------------------------------------------------------------
