@@ -13,6 +13,12 @@ phases — that computes the same output with data parallelism:
 * ``materialize`` PaSh-batch style: phase 1 splits the input into chunk
                   files on disk, phase 2 processes chunks in parallel.
                   Works for any input but pays 2x extra disk IO.
+
+This is the only module that builds transformed graphs.  The pieces a
+plan is made of — a range reader, one copy of a run's stages, the merge
+matched to the run's aggregator — are shared with the two partial-result
+plans the incremental engine runs: :func:`range_plan` (the region over
+given byte ranges) and :func:`merge_plan` (fold ordered partial outputs).
 """
 
 from __future__ import annotations
@@ -92,29 +98,27 @@ def find_parallel_run(region: Region) -> Optional[RunChoice]:
     return best
 
 
+def whole_region_run(region: Region) -> Optional[RunChoice]:
+    """:func:`find_parallel_run` when the run is the region: a stateless
+    chain, optionally capped by one aggregated stage, and nothing else.
+    Such a region can be computed over any contiguous piece of its input
+    (an appended suffix, one file of many) and the pieces folded back
+    together by the run's aggregator."""
+    run = find_parallel_run(region)
+    if run is not None and (run.start, run.end) == (0, len(region.stages)):
+        return run
+    return None
+
+
 def _input_files_of_run(region: Region, run: RunChoice,
                         file_sizes) -> Optional[list[tuple[str, int]]]:
     """When the run starts the region and its input is file-backed,
     return [(path, size)] — the precondition for range splitting."""
-    if run.start != 0:
+    paths = region.input_paths() if run.start == 0 else None
+    if paths is None:
         return None
-    first = region.stages[0]
-    if first.stdin_file is not None:
-        size = file_sizes(first.stdin_file)
-        return [(first.stdin_file, size)] if size is not None else None
-    spec = first.spec
-    if spec.input_operands:
-        args = first.argv[1:]
-        out = []
-        for idx in spec.input_operands:
-            if idx >= len(args) or args[idx] == "-":
-                return None
-            size = file_sizes(args[idx])
-            if size is None:
-                return None
-            out.append((args[idx], size))
-        return out
-    return None
+    sized = [(path, file_sizes(path)) for path in paths]
+    return sized if all(size is not None for _p, size in sized) else None
 
 
 def _segments_for_branch(files: list[tuple[str, int]], branch: int,
@@ -148,6 +152,95 @@ def _head_feed_ok(stage: RegionStage) -> bool:
     return len(stage.spec.input_operands) == 1
 
 
+# ---- the pieces every partial-result plan is made of ---------------------------------
+
+
+def _refed(run_stages: list[RegionStage]) -> list[RegionStage]:
+    """The run's stages once a reader node feeds them the head's file
+    operands: a pure reader (cat) is dropped — the reader replaces it."""
+    if _first_stage_is_pure_reader(run_stages[0]):
+        return run_stages[1:]
+    return run_stages
+
+
+def _add_reader(dfg: DataflowGraph,
+                segments: list[tuple[str, int, int]]) -> int:
+    """A ``RANGE_READ`` over byte segments (whole lines only, see
+    :func:`~repro.compiler.runtime.range_read_body`); returns its
+    output stream."""
+    path, start, end = segments[0] if segments else ("", 0, 0)
+    sid = dfg.new_stream()
+    dfg.add_node(RANGE_READ, params={"segments": segments, "path": path,
+                                     "start": start, "end": end},
+                 outputs=(sid,))
+    return sid
+
+
+def _add_branch(dfg: DataflowGraph, run_stages: list[RegionStage], src: int,
+                grouped: bool) -> int:
+    """One copy of the run's stages reading stream ``src`` on stdin, so
+    file operands are dropped (the copy runs plain ``grep pat``, not
+    ``grep pat f``); returns the copy's output stream.  ``grouped``
+    marks the copy as one of several: :func:`execute_graph` then takes
+    the stage's status over all of them."""
+    for si, stage in enumerate(run_stages):
+        drop = set(stage.spec.input_operands)
+        argv = [a for i, a in enumerate(stage.argv) if i - 1 not in drop]
+        out = dfg.new_stream()
+        dfg.add_node(CMD, tuple(argv), inputs=(src,), outputs=(out,),
+                     params={"branch_group": f"stage{si}"} if grouped else None,
+                     spec=stage.spec)
+        src = out
+    return src
+
+
+def _add_merge(dfg: DataflowGraph, run: RunChoice, parts: list[int]) -> int:
+    """The merge matched to the run's aggregator over the ordered
+    partial outputs ``parts``; returns the merged stream."""
+    merged = dfg.new_stream()
+    if run.agg_kind is AggKind.SORT_MERGE:
+        # streaming k-way merge honouring the original sort's flags
+        dfg.add_node(SORT_KWAY, params={"argv": list(run.agg_argv)},
+                     inputs=tuple(parts), outputs=(merged,))
+    elif run.agg_kind is AggKind.SUM:
+        dfg.add_node(SUM_MERGE, inputs=tuple(parts), outputs=(merged,))
+    elif run.agg_kind is AggKind.RERUN:
+        concat_out = dfg.new_stream()
+        dfg.add_node(CONCAT_MERGE, inputs=tuple(parts), outputs=(concat_out,))
+        dfg.add_node(CMD, tuple(run.agg_argv), inputs=(concat_out,),
+                     outputs=(merged,))
+    else:  # CONCAT
+        dfg.add_node(CONCAT_MERGE, inputs=tuple(parts), outputs=(merged,))
+    return merged
+
+
+def range_plan(region: Region,
+               segments: list[tuple[str, int, int]]) -> Plan:
+    """The whole region over byte ranges of its input: one reader
+    feeding one copy of the stages, writing where the region writes.
+    Partial by construction — only for a :func:`whole_region_run`
+    region whose head can be fed on stdin (it reads one file), and only
+    meaningful next to the outputs over the remaining ranges
+    (:func:`merge_plan`)."""
+    dfg = DataflowGraph()
+    dfg.sink = _add_branch(dfg, _refed(region.stages),
+                           _add_reader(dfg, segments), grouped=False)
+    dfg.streams[dfg.sink].path = region.stages[-1].stdout_file
+    return Plan([dfg], mode="range", description=f"range {segments}")
+
+
+def merge_plan(run: RunChoice, parts: list[tuple[str, int]]) -> Plan:
+    """Merge ordered partial outputs — ``(path, size)`` files, each the
+    run's output over one contiguous piece of the input — with the
+    run's aggregator.  The files are the plan's temp files."""
+    dfg = DataflowGraph()
+    dfg.sink = _add_merge(dfg, run, [_add_reader(dfg, [(path, 0, size)])
+                                     for path, size in parts])
+    return Plan([dfg], width=len(parts), mode="range",
+                description=f"merge agg={run.agg_kind.value}",
+                temp_files=[path for path, _size in parts])
+
+
 def parallelize(region: Region, width: int, mode: str,
                 file_sizes=lambda path: None,
                 eager: bool = False,
@@ -165,95 +258,55 @@ def parallelize(region: Region, width: int, mode: str,
         return None  # round-robin split breaks output order
 
     input_files = _input_files_of_run(region, run, file_sizes)
-    if mode == "range" and input_files is None:
-        return None
+    run_stages = list(stages[run.start : run.end])
+    head = run_stages[0]
+    feed_paths: Optional[list[str]] = None
+    if mode == "range" or head.spec.input_operands:
+        # the head's file operands are re-fed by a reader node
+        if input_files is None or not _head_feed_ok(head):
+            return None  # nothing to stat, or unsafe to feed on stdin
+        run_stages = _refed(run_stages)
+        if not run_stages:
+            return None
+        feed_paths = [path for path, _size in input_files]
+    elif mode == "materialize" and run.start == 0 and head.stdin_file is not None:
+        feed_paths = [head.stdin_file]
 
     plan = Plan(width=width, mode=mode, eager=eager)
     dfg = DataflowGraph()
-    phase1: Optional[DataflowGraph] = None
-    chunk_paths: list[str] = []
+    # materialize spools chunk files in a first phase; rr splits in the
+    # plan's own graph
+    phase1 = DataflowGraph() if mode == "materialize" else None
 
     # ---- feed: produce the w branch input streams ---------------------------------
-    run_stages = list(stages[run.start : run.end])
-    branch_inputs: list[int] = []
     if mode == "range":
-        if not _head_feed_ok(run_stages[0]):
-            return None
-        # drop a pure reader stage (cat) — the range readers replace it
-        if _first_stage_is_pure_reader(run_stages[0]):
-            run_stages = run_stages[1:]
-            if not run_stages:
-                return None
-        for b in range(width):
-            sid = dfg.new_stream()
-            segments = _segments_for_branch(input_files, b, width)
-            dfg.add_node(RANGE_READ, params={"segments": segments,
-                                             "path": segments[0][0] if segments else "",
-                                             "start": 0, "end": 0},
-                         outputs=(sid,))
-            branch_inputs.append(sid)
-    elif mode == "materialize":
-        head = run_stages[0]
-        if head.spec.input_operands and (input_files is None
-                                         or not _head_feed_ok(head)):
-            return None  # file operands we cannot stat or safely re-feed
-        # phase 1: spool input into chunk files on disk
-        phase1 = DataflowGraph()
-        if input_files is not None and head.spec.input_operands:
-            src = phase1.new_stream()
-            phase1.add_node(FILE_READ,
-                            params={"paths": [p for p, _s in input_files]},
-                            outputs=(src,))
-            if _first_stage_is_pure_reader(head):
-                run_stages = run_stages[1:]
-                if not run_stages:
-                    return None
-        elif stages[0].stdin_file is not None and run.start == 0:
-            src = phase1.new_stream()
-            phase1.add_node(FILE_READ, params={"paths": [stages[0].stdin_file]},
-                            outputs=(src,))
+        branch_inputs = [
+            _add_reader(dfg, _segments_for_branch(input_files, b, width))
+            for b in range(width)]
+    else:
+        feed = dfg if phase1 is None else phase1
+        if feed_paths is not None:
+            src = feed.new_stream()
+            feed.add_node(FILE_READ, params={"paths": feed_paths},
+                          outputs=(src,))
         else:
-            # upstream stages (or region stdin) must run in phase 1 too
-            src = _build_upstream(phase1, stages[: run.start])
-        chunk_streams = []
-        for b in range(width):
-            path = fresh_tmp_path(tmp_prefix + ".chunk")
-            chunk_paths.append(path)
-            chunk_streams.append(phase1.new_stream(path=path))
-        phase1.add_node(RR_SPLIT, inputs=(src,), outputs=tuple(chunk_streams))
-        plan.temp_files.extend(chunk_paths)
-        for path in chunk_paths:
-            branch_inputs.append(dfg.new_stream(path=path))
-    else:  # rr: streaming split
-        head = run_stages[0]
-        if head.spec.input_operands:
-            if input_files is None or not _head_feed_ok(head):
-                return None
-            src = dfg.new_stream()
-            dfg.add_node(FILE_READ,
-                         params={"paths": [p for p, _s in input_files]},
-                         outputs=(src,))
-            if _first_stage_is_pure_reader(head):
-                run_stages = run_stages[1:]
-                if not run_stages:
-                    return None
+            # upstream stages (or region stdin) run ahead of the split
+            src = _build_upstream(feed, region, run.start)
+        if phase1 is None:
+            branch_inputs = [dfg.new_stream() for _ in range(width)]
+            dfg.add_node(RR_SPLIT, inputs=(src,), outputs=tuple(branch_inputs))
         else:
-            src = _build_upstream(dfg, stages[: run.start], region)
-        branch_streams = tuple(dfg.new_stream() for _ in range(width))
-        dfg.add_node(RR_SPLIT, inputs=(src,), outputs=branch_streams)
-        branch_inputs = list(branch_streams)
+            chunk_paths = [fresh_tmp_path(tmp_prefix + ".chunk")
+                           for _ in range(width)]
+            phase1.add_node(RR_SPLIT, inputs=(src,), outputs=tuple(
+                phase1.new_stream(path=path) for path in chunk_paths))
+            plan.temp_files.extend(chunk_paths)
+            branch_inputs = [dfg.new_stream(path=path) for path in chunk_paths]
 
     # ---- branches: copy of the run's stages per branch -----------------------------
     branch_outputs: list[int] = []
-    for b in range(width):
-        prev = branch_inputs[b]
-        for si, stage in enumerate(run_stages):
-            out = dfg.new_stream()
-            argv = _strip_file_operands(stage)
-            dfg.add_node(CMD, tuple(argv), inputs=(prev,), outputs=(out,),
-                         params={"branch_group": f"stage{si}"},
-                         spec=stage.spec)
-            prev = out
+    for src in branch_inputs:
+        prev = _add_branch(dfg, run_stages, src, grouped=True)
         if eager:
             buffered = dfg.new_stream()
             eager_tmp = fresh_tmp_path(tmp_prefix + ".eager")
@@ -266,38 +319,18 @@ def parallelize(region: Region, width: int, mode: str,
             prev = buffered
         branch_outputs.append(prev)
 
-    # ---- merge ----------------------------------------------------------------------
-    merged = dfg.new_stream()
-    if run.agg_kind is AggKind.SORT_MERGE:
-        # streaming k-way merge honouring the original sort's flags
-        dfg.add_node(SORT_KWAY, params={"argv": list(run.agg_argv)},
-                     inputs=tuple(branch_outputs), outputs=(merged,))
-    elif run.agg_kind is AggKind.SUM:
-        dfg.add_node(SUM_MERGE, inputs=tuple(branch_outputs), outputs=(merged,))
-    elif run.agg_kind is AggKind.RERUN:
-        concat_out = dfg.new_stream()
-        dfg.add_node(CONCAT_MERGE, inputs=tuple(branch_outputs),
-                     outputs=(concat_out,))
-        dfg.add_node(CMD, tuple(run.agg_argv), inputs=(concat_out,),
-                     outputs=(merged,))
-    else:  # CONCAT
-        dfg.add_node(CONCAT_MERGE, inputs=tuple(branch_outputs),
-                     outputs=(merged,))
-
-    # ---- downstream stages run sequentially -------------------------------------------
-    prev = merged
+    # ---- merge, then downstream stages run sequentially -------------------------------
+    prev = _add_merge(dfg, run, branch_outputs)
     for stage in stages[run.end :]:
         out = dfg.new_stream(path=stage.stdout_file)
         dfg.add_node(CMD, tuple(stage.argv), inputs=(prev,), outputs=(out,),
                      spec=stage.spec)
         prev = out
-    last_stage = stages[-1]
-    if run.end == len(stages) and last_stage.stdout_file is not None:
-        dfg.streams[prev].path = last_stage.stdout_file
+    if run.end == len(stages):
+        dfg.streams[prev].path = stages[-1].stdout_file
     dfg.sink = prev
 
-    phases = [phase1, dfg] if phase1 is not None else [dfg]
-    plan.phases = phases
+    plan.phases = [phase1, dfg] if phase1 is not None else [dfg]
     plan.description = (
         f"width={width} mode={mode}{' eager' if eager else ''} "
         f"run=[{run.start}:{run.end}] agg={run.agg_kind.value}"
@@ -305,37 +338,17 @@ def parallelize(region: Region, width: int, mode: str,
     return plan
 
 
-def _build_upstream(dfg: DataflowGraph, upstream_stages: list[RegionStage],
-                    region: Optional[Region] = None) -> int:
-    """Emit the sequential stages before the parallel run; returns the
-    stream id feeding the splitter."""
-    first_stage = None
-    if region is not None and region.stages:
-        first_stage = region.stages[0]
-    prev: Optional[int] = None
-    if upstream_stages:
-        head = upstream_stages[0]
-        if head.stdin_file is not None:
-            prev = dfg.new_stream(path=head.stdin_file)
-    elif first_stage is not None and first_stage.stdin_file is not None:
-        prev = dfg.new_stream(path=first_stage.stdin_file)
-    if prev is None:
-        prev = dfg.new_stream()
+def _build_upstream(dfg: DataflowGraph, region: Region, end: int) -> int:
+    """Emit the sequential stages before the parallel run
+    (``region.stages[:end]``), reading the region's ``< file`` or its
+    stdin; returns the stream id feeding the splitter."""
+    stdin_file = region.stages[0].stdin_file
+    prev = dfg.new_stream(path=stdin_file)
+    if stdin_file is None:
         dfg.source = prev
-    for stage in upstream_stages:
+    for stage in region.stages[:end]:
         out = dfg.new_stream()
         dfg.add_node(CMD, tuple(stage.argv), inputs=(prev,), outputs=(out,),
                      spec=stage.spec)
         prev = out
     return prev
-
-
-def _strip_file_operands(stage: RegionStage) -> list[str]:
-    """Branch copies read from stdin, so file operands must be dropped
-    (e.g. the branch runs plain ``grep pat`` instead of ``grep pat f``)."""
-    if not stage.spec.input_operands:
-        return list(stage.argv)
-    args = stage.argv[1:]
-    drop = {idx for idx in stage.spec.input_operands}
-    kept = [a for i, a in enumerate(args) if i not in drop]
-    return [stage.argv[0]] + kept

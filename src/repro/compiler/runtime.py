@@ -337,19 +337,26 @@ def execute_graph(dfg: DataflowGraph, proc: Process,
         # an earlier stage's own failure is not the pipeline's; a fault is
         if st in FAULT_STATUSES:
             status = st
-    # parallel copies of one stage succeed if any copy succeeded — a chunk
-    # with no grep matches exits 1 without the whole stage having failed
-    # (SIGPIPE deaths, 141, are benign in pipelines).
-    # A killed/faulted copy (137/74) is different: that copy's share of the
-    # data is simply missing, so the plan must fail even if siblings ran.
     last_group = _last_stage_group(dfg)
     for group, sts in group_statuses.items():
-        faulted = [s for s in sts if s in FAULT_STATUSES]
-        if faulted:
-            status = faulted[-1]
-        elif group == last_group and not any(s in (0, 141) for s in sts):
-            status = max(sts)
+        st = copies_status(sts)
+        if st in FAULT_STATUSES or (st != 0 and group == last_group):
+            status = st
     return sink_status if sink_status != 0 else status
+
+
+def copies_status(statuses: list[int]) -> int:
+    """Exit status of one stage that ran as several copies, each over
+    its own share of the input.  The copies succeed if any copy
+    succeeded — a share with no grep matches exits 1 without the whole
+    stage having failed (SIGPIPE deaths, 141, are benign in pipelines).
+    A killed/faulted copy (137/74) is different: that copy's share of
+    the data is simply missing, so the stage must fail even if siblings
+    ran."""
+    faulted = [s for s in statuses if s in FAULT_STATUSES]
+    if faulted:
+        return faulted[-1]
+    return 0 if any(s in (0, 141) for s in statuses) else max(statuses)
 
 
 def _last_stage_group(dfg: DataflowGraph) -> Optional[str]:

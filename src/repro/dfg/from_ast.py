@@ -39,6 +39,18 @@ class Region:
     def parallelizable(self) -> bool:
         return any(s.spec.parallelizable for s in self.stages)
 
+    def input_paths(self) -> Optional[list[str]]:
+        """The paths the region reads, as written, when its input is
+        file-backed: the first stage's ``< file`` redirect, else its
+        file operands.  None for a pipe, a tty or a ``-`` operand."""
+        first = self.stages[0]
+        if first.stdin_file is not None:
+            return [first.stdin_file]
+        args = first.argv[1:]
+        paths = [args[idx] if idx < len(args) else "-"
+                 for idx in first.spec.input_operands]
+        return paths if paths and "-" not in paths else None
+
 
 class RegionRefusal(Exception):
     """Why :func:`read_region` refused a node.  ``kind`` is ``"shape"``

@@ -22,6 +22,7 @@ from typing import Optional
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import AggKind, ParClass, SpecLibrary
 from ..commands.base import PROC_STARTUP, lookup
+from ..compiler.parallel import whole_region_run
 from ..dfg.from_ast import RegionRefusal, read_region
 from ..parser import parse_one
 from ..vos.faults import FAULT_STATUSES
@@ -71,27 +72,22 @@ class DistributedShell:
     def parse_chain(self, pipeline_text: str):
         """Parse and classify a per-file chain; returns (stages, agg)."""
         try:
-            stages = read_region(parse_one(pipeline_text), self.library).stages
+            region = read_region(parse_one(pipeline_text), self.library)
         except RegionRefusal as refusal:
             raise DistributedError(
                 _REFUSALS[refusal.kind].format(refusal.name)) from None
+        stages = region.stages
         if (stages[0].stdin_file is not None
                 or stages[-1].stdout_file is not None):
             raise DistributedError(_REFUSALS["redirect"])
         # aggregation: stateless prefix + optional parallelizable-pure cap
-        agg_kind, agg_argv = AggKind.CONCAT, ()
-        for i, stage in enumerate(stages):
-            if stage.spec.par_class is ParClass.STATELESS:
-                continue
-            if (stage.spec.par_class is ParClass.PARALLELIZABLE_PURE
-                    and i == len(stages) - 1):
-                agg_kind = stage.spec.aggregator.kind
-                agg_argv = stage.spec.aggregator.argv
-            else:
-                raise DistributedError(
-                    f"stage {' '.join(stage.argv)} is not distributable"
-                )
-        return stages, (agg_kind, agg_argv)
+        run = whole_region_run(region)
+        if run is None:
+            bad = next(s for s in stages
+                       if s.spec.par_class is not ParClass.STATELESS)
+            raise DistributedError(
+                f"stage {' '.join(bad.argv)} is not distributable")
+        return stages, (run.agg_kind, run.agg_argv)
 
     def run(self, pipeline_text: str, paths: list[str],
             strategy: str = "data-aware",

@@ -27,16 +27,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..annotations.library import DEFAULT_LIBRARY
-from ..annotations.model import AggKind, Aggregator, ParClass, SpecLibrary
-from ..dfg.from_ast import Region, build_dfg, region_from_argvs
-from ..dfg.graph import (
-    CMD,
-    CONCAT_MERGE,
-    RANGE_READ,
-    SORT_KWAY,
-    SUM_MERGE,
-    DataflowGraph,
+from ..annotations.model import AggKind, SpecLibrary
+from ..compiler.driver import run_phases, unlink_quiet
+from ..compiler.parallel import (
+    Plan,
+    RunChoice,
+    baseline_plan,
+    merge_plan,
+    range_plan,
+    whole_region_run,
 )
+from ..compiler.runtime import copies_status
+from ..dfg.from_ast import Region
 from ..jit.frontend import expand_region, pipeline_stages, purity_reason
 from ..jit.runtime_info import region_input_files
 from ..parser.ast_nodes import Command
@@ -87,6 +89,8 @@ class IncrementalOptimizer:
         #: the metrics registry of the kernel currently executing us
         #: (refreshed at every try_execute; _note folds decisions in)
         self._metrics = None
+        #: numbers the temp files of aggregator merges
+        self._merge_seq = 0
 
     # -- the hook ---------------------------------------------------------------
 
@@ -170,52 +174,35 @@ class IncrementalOptimizer:
         # would be digest-replayed on the very retry meant to fix it.
         fired_before = self._fired(proc)
 
-        # append-only delta path
+        # append-only delta: the region is one stateless chain, optionally
+        # capped by a parallelizable-pure stage (sort, wc, uniq), and its
+        # one input grew at the end.  The region runs over only the
+        # appended suffix; a stateless region's output is the cached
+        # output plus that, and a capped one's is the two folded together
+        # by the final stage's PaSh aggregator — sort never re-sorts the
+        # committed prefix, wc never re-counts it.  This is what keeps
+        # continuous ingestion cheap.
+        run = whole_region_run(region) if prev is not None else None
         if (
-            prev is not None
+            run is not None
             and len(input_files) == 1
-            and all(s.spec.par_class is ParClass.STATELESS
-                    for s in region.stages)
+            and (run.agg_kind is AggKind.CONCAT or prev.status == 0)
             and self._grew_append_only(fs, input_files[0], prev)
         ):
             old_size = prev.input_sizes[0]
-            delta_out, status = yield from self._run_suffix(
-                region, proc, input_files[0], old_size, interp.state.cwd
-            )
-            output = prev.output + delta_out
-            st2 = yield from self._replay(region, proc, output,
-                                          interp.state.cwd)
-            self.cache.delta_hits += 1
-            if self._fired(proc) == fired_before:
-                self._store(key, argv_sig, output, status, input_files, fs,
-                            appended_from=old_size)
-            self._note(text, "extended",
-                       f"append-only delta: reused {old_size} bytes",
-                       saved_bytes=old_size)
-            return status if st2 == 0 else st2
-
-        # aggregator-merge delta: a stateless prefix feeding one
-        # parallelizable-pure final stage (sort, wc, uniq).  The region
-        # runs over only the appended suffix and the final stage's PaSh
-        # aggregator folds that partial result into the cached output —
-        # sort never re-sorts the committed prefix, wc never re-counts
-        # it.  This is what keeps continuous ingestion cheap for
-        # pipelines the plain append path cannot touch.
-        agg = self._delta_aggregator(region)
-        if (
-            prev is not None
-            and prev.status == 0
-            and agg is not None
-            and len(input_files) == 1
-            and self._grew_append_only(fs, input_files[0], prev)
-        ):
-            old_size = prev.input_sizes[0]
-            delta_out, status = yield from self._run_suffix(
-                region, proc, input_files[0], old_size, interp.state.cwd
-            )
-            if status == 0:
+            suffix = range_plan(
+                region, [(input_files[0], old_size, fs.size(input_files[0]))])
+            delta_out, status = yield from self._capture(
+                suffix, proc, interp.state.cwd)
+            if run.agg_kind is AggKind.CONCAT:
+                # prefix and suffix are two copies of the last stage
+                output = prev.output + delta_out
+                status = copies_status([prev.status, status])
+                reason = "append-only delta"
+            elif status == 0:
                 output = yield from self._merge_outputs(
-                    agg, prev.output, delta_out, proc, interp.state.cwd)
+                    run, prev.output, delta_out, proc, interp.state.cwd)
+                reason = f"aggregator merge ({run.agg_kind.value})"
             else:
                 output = None
             if output is not None:
@@ -223,20 +210,17 @@ class IncrementalOptimizer:
                                               interp.state.cwd)
                 self.cache.delta_hits += 1
                 if self._fired(proc) == fired_before:
-                    self._store(key, argv_sig, output, 0, input_files, fs,
-                                appended_from=old_size)
+                    self._store(key, argv_sig, output, status, input_files,
+                                fs, appended_from=old_size)
                 self._note(text, "extended",
-                           f"aggregator merge ({agg.kind.value}): "
-                           f"reused {old_size} bytes",
+                           f"{reason}: reused {old_size} bytes",
                            saved_bytes=old_size)
-                return st2
+                return status if st2 == 0 else st2
             # a fault killed the suffix run or the merge: recompute
 
         # full compute with capture
-        collector = Collector()
-        status = yield from self._execute_region(region, proc, collector,
-                                                 interp.state.cwd)
-        output = collector.getvalue()
+        output, status = yield from self._capture(
+            baseline_plan(region), proc, interp.state.cwd)
         st2 = yield from self._replay(region, proc, output, interp.state.cwd)
         if self._fired(proc) == fired_before:
             self._store(key, argv_sig, output, status, input_files, fs)
@@ -316,84 +300,49 @@ class IncrementalOptimizer:
         self.cache.hashers[path] = hasher
         return hasher.hexdigest()
 
-    #: aggregator kinds whose merge of a contiguous (prefix, suffix)
-    #: split is byte-faithful to a from-scratch run
-    _AGG_DELTA_KINDS = (AggKind.CONCAT, AggKind.SUM, AggKind.SORT_MERGE,
-                        AggKind.RERUN)
-
-    def _delta_aggregator(self, region: Region) -> Optional[Aggregator]:
-        """The aggregator that can fold ``region(delta)`` into the
-        cached ``region(prefix)``, or None.  Requires every stage but
-        the last to be stateless (all-stateless regions belong to the
-        plain append path) and the last to carry a mergeable PaSh
-        aggregator."""
-        last = region.stages[-1].spec
-        if any(s.spec.par_class is not ParClass.STATELESS
-               for s in region.stages[:-1]):
-            return None
-        if (last.par_class is ParClass.PARALLELIZABLE_PURE
-                and last.aggregator is not None
-                and last.aggregator.kind in self._AGG_DELTA_KINDS):
-            return last.aggregator
-        return None
-
-    def _merge_outputs(self, agg: Aggregator, old: bytes, delta: bytes,
-                       proc, cwd: str):
-        """Merge two partial region outputs with the runtime's own
-        aggregator bodies (the same nodes the parallel compiler plants),
-        so the merged bytes match a from-scratch run exactly.  Returns
-        None if a fault kills the merge."""
-        if agg.kind is AggKind.CONCAT:
-            return old + delta
-        from ..compiler.runtime import execute_graph
-
-        fs = proc.fs
-        self._merge_seq = getattr(self, "_merge_seq", 0) + 1
-        parts = [f"/.inc-merge-{self._merge_seq}{tag}" for tag in "ab"]
-        dfg = DataflowGraph()
-        ins = []
-        for path, blob in zip(parts, (old, delta)):
-            fs.write_bytes(path, blob)
-            stream = dfg.new_stream()
-            dfg.add_node(RANGE_READ,
-                         params={"segments": [(path, 0, len(blob))],
-                                 "path": path, "start": 0,
-                                 "end": len(blob)},
-                         outputs=(stream,))
-            ins.append(stream)
-        merged = dfg.new_stream()
-        if agg.kind is AggKind.SORT_MERGE:
-            dfg.add_node(SORT_KWAY, params={"argv": list(agg.argv)},
-                         inputs=tuple(ins), outputs=(merged,))
-        elif agg.kind is AggKind.SUM:
-            dfg.add_node(SUM_MERGE, inputs=tuple(ins), outputs=(merged,))
-        else:  # RERUN: re-apply the command to the concatenation
-            concat = dfg.new_stream()
-            dfg.add_node(CONCAT_MERGE, inputs=tuple(ins),
-                         outputs=(concat,))
-            dfg.add_node(CMD, tuple(agg.argv), inputs=(concat,),
-                         outputs=(merged,))
-        dfg.sink = merged
+    def _capture(self, plan: Plan, proc, cwd: str):
+        """Run ``plan`` with its output captured rather than delivered
+        (a file sink is detached: :meth:`_replay` writes it, from the
+        bytes the cache keeps).  Returns ``(output, status)``."""
+        dfg = plan.phases[-1]
+        dfg.streams[dfg.sink].path = None
         collector = Collector()
-        status = yield from execute_graph(
-            dfg, proc, stdout_handle=collector,
-            stderr_handle=proc.fds.get(2), cwd=cwd,
-        )
-        for path in parts:
-            fs.unlink(path)
-        return collector.getvalue() if status == 0 else None
+        status = yield from run_phases(plan, proc, cwd,
+                                       stdout_handle=collector)
+        unlink_quiet(proc, plan.temp_files, cwd)
+        return collector.getvalue(), status
+
+    def _merge_outputs(self, run: RunChoice, old: bytes, delta: bytes,
+                       proc, cwd: str):
+        """Merge two partial region outputs with the run's aggregator —
+        the node the parallel compiler plants behind its branches, so
+        the merged bytes match a from-scratch run exactly.  Returns None
+        if a fault kills the merge."""
+        self._merge_seq += 1
+        parts = []
+        for tag, blob in zip("ab", (old, delta)):
+            path = f"/.inc-merge-{self._merge_seq}{tag}"
+            proc.fs.write_bytes(path, blob)
+            parts.append((path, len(blob)))
+        output, status = yield from self._capture(merge_plan(run, parts),
+                                                  proc, cwd)
+        return output if status == 0 else None
 
     def _grew_append_only(self, fs, path: str, prev: CacheEntry) -> bool:
-        """Did ``path`` grow by appending?  "full" mode re-hashes the
-        whole old prefix; "sampled" mode checks only the head and the
-        bytes at the append boundary (O(delta) per round — in-place
-        edits far from both are traded away for throughput, which is
-        why "full" stays the default)."""
+        """Did ``path`` grow by appending whole lines to whole lines?
+        "full" mode re-hashes the whole old prefix; "sampled" mode
+        checks only the head and the bytes at the append boundary
+        (O(delta) per round — in-place edits far from both are traded
+        away for throughput, which is why "full" stays the default)."""
         old_size = prev.input_sizes[0]
         new_size = fs.size(path)
         if new_size <= old_size:
             return False
         data = fs.read_bytes(path)
+        if old_size > 0 and data[old_size - 1] != 0x0A:
+            # the cached run saw a torn last line; the append completes
+            # it, so the prefix's output is no prefix of the new output
+            return False
         if (self.config.delta_verify == "sampled"
                 and prev.input_head_fps and prev.input_tail_fps):
             k = self.config.spot_check_bytes
@@ -403,54 +352,6 @@ class IncrementalOptimizer:
                        == prev.input_tail_fps[0])
             return head_ok and tail_ok
         return digest(data[:old_size]) == prev.input_prefix_fps[0]
-
-    def _execute_region(self, region: Region, proc, sink, cwd: str):
-        from ..compiler.runtime import execute_graph
-
-        dfg = build_dfg(region)
-        if dfg.streams[dfg.sink].path is not None:
-            # detach the file sink: we capture and replay instead
-            dfg.streams[dfg.sink].path = None
-        status = yield from execute_graph(
-            dfg, proc,
-            stdin_handle=proc.fds.get(0),
-            stdout_handle=sink,
-            stderr_handle=proc.fds.get(2),
-            cwd=cwd,
-        )
-        return status
-
-    def _run_suffix(self, region: Region, proc, path: str, offset: int,
-                    cwd: str):
-        """Run the stateless region over only the appended suffix."""
-        from ..compiler.runtime import execute_graph
-
-        fs = proc.fs
-        size = fs.size(path)
-        dfg = DataflowGraph()
-        prev = dfg.new_stream()
-        dfg.add_node(RANGE_READ,
-                     params={"segments": [(path, offset, size)],
-                             "path": path, "start": offset, "end": size},
-                     outputs=(prev,))
-        stages = region.stages
-        # drop a pure reader (cat) stage: the range reader replaces it
-        if stages and stages[0].argv[0] == "cat" and stages[0].spec.input_operands:
-            stages = stages[1:]
-        for stage in stages:
-            out = dfg.new_stream()
-            argv = [a for i, a in enumerate(stage.argv)
-                    if i == 0 or (i - 1) not in set(stage.spec.input_operands)]
-            dfg.add_node(CMD, tuple(argv), inputs=(prev,), outputs=(out,),
-                         spec=stage.spec)
-            prev = out
-        dfg.sink = prev
-        collector = Collector()
-        status = yield from execute_graph(
-            dfg, proc, stdout_handle=collector,
-            stderr_handle=proc.fds.get(2), cwd=cwd,
-        )
-        return collector.getvalue(), status
 
     def _replay(self, region: Region, proc, output: bytes, cwd: str):
         """Deliver (cached) output to the region's sink, charging the

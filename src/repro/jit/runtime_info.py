@@ -40,24 +40,13 @@ def probe_machine(proc: Process, input_bytes: int,
 
 
 def region_input_files(region: Region, fs, cwd: str) -> Optional[list[str]]:
-    """The region's input files, when its input is file-backed: the first
-    stage's ``< file`` redirect or its file operands."""
-    first = region.stages[0]
-    paths: list[str] = []
-    if first.stdin_file is not None:
-        paths.append(first.stdin_file)
-    elif first.spec.input_operands:
-        args = first.argv[1:]
-        for idx in first.spec.input_operands:
-            if idx >= len(args) or args[idx] == "-":
-                return None
-            paths.append(args[idx])
-    else:
+    """The region's input files, resolved, when every path it reads
+    (:meth:`Region.input_paths`) is a regular file."""
+    paths = region.input_paths()
+    if paths is None:
         return None
     resolved = [normalize(p, cwd) for p in paths]
-    if not all(fs.is_file(p) for p in resolved):
-        return None
-    return resolved
+    return resolved if all(fs.is_file(p) for p in resolved) else None
 
 
 def measure_input(fs, paths: list[str]) -> tuple[int, float, float]:

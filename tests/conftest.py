@@ -111,3 +111,31 @@ def reference_copy():
     looped = {name: with_copy_loop(REGISTRY[name]) for name in ("cat", "tee")}
     with mock.patch.dict(REGISTRY, looped):
         yield
+
+
+# -- inputs that cross a split on purpose (ROADMAP "right across a seam") -----
+
+
+def seam_lines(count: int = 60, block: int = 7) -> list[bytes]:
+    """``count`` lines that make a cut visible wherever it falls.  Every
+    line is empty or opens with a separator byte (what a squeezing
+    ``tr`` must not see first, so any byte-range cut qualifies); the two
+    lines around every multiple of ``block`` are equal and differ from
+    every other such pair (an adjacent duplicate straddles each
+    round-robin block edge); in between come runs of equal lines."""
+    fill = [b"", b"  led by spaces l%d", b"\techo %d", b"\techo %d",
+            b"-- dashes, x and l %d", b".lima x%d"]
+    lines = []
+    for i in range(count):
+        edge = (i + 1) // block
+        if i % block in (0, block - 1) and 0 < edge * block < count:
+            lines.append(b" .straddle l%d" % edge)
+        else:
+            text = fill[i % len(fill)]
+            lines.append(text % (i // 2) if b"%" in text else text)
+    return lines
+
+
+def seam_input(count: int = 60, block: int = 7) -> bytes:
+    """:func:`seam_lines` joined, the last line left unterminated."""
+    return b"\n".join(seam_lines(count, block))

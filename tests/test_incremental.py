@@ -3,6 +3,7 @@ invalidation, purity/region gating, cache mechanics."""
 
 import pytest
 
+from repro.bench import access_log
 from repro.incremental import (
     IncrementalCache,
     IncrementalConfig,
@@ -12,6 +13,7 @@ from repro.incremental import (
 )
 from repro.incremental.cache import CacheEntry
 from repro.shell import Shell
+from repro.vos.machines import aws_c5_2xlarge_gp3
 
 from .conftest import fast_machine
 
@@ -30,6 +32,18 @@ LOG = b"".join(
     b"host%d %s request%d\n" % (i % 5, b"ERROR" if i % 9 == 0 else b"INFO", i)
     for i in range(2000)
 )
+
+
+def _grow(shell, extra, path="/log"):
+    node = shell.fs.files[path]
+    node.data.extend(extra)
+    node.mtime = shell.kernel.now + 5
+
+
+def _fresh(shell, script, path="/log"):
+    fresh = Shell(fast_machine())
+    fresh.fs.write_bytes(path, bytes(shell.fs.files[path].data))
+    return fresh.run(script)
 
 
 class TestReplay:
@@ -346,25 +360,15 @@ class TestAggregatorDelta:
     parallelizable-pure final stage extends via the stage's PaSh
     aggregator instead of recomputing the whole region."""
 
-    def _grow(self, shell, extra):
-        node = shell.fs.files["/log"]
-        node.data.extend(extra)
-        node.mtime = shell.kernel.now + 5
-
-    def _reference(self, shell, script):
-        fresh = Shell(fast_machine())
-        fresh.fs.write_bytes("/log", bytes(shell.fs.files["/log"].data))
-        return fresh.run(script)
-
     def test_wc_sum_merge(self, inc_shell):
         script = "cat /log | grep INFO | wc -l"
         inc_shell.fs.write_bytes("/log", LOG)
         inc_shell.run(script)
-        self._grow(inc_shell, b"late INFO line\nlate ERROR line\n" * 40)
+        _grow(inc_shell, b"late INFO line\nlate ERROR line\n" * 40)
         got = inc_shell.run(script)
         ev = inc_shell.optimizer_hook.events[-1]
         assert ev.decision == "extended" and "sum" in ev.reason
-        assert got.stdout == self._reference(inc_shell, script).stdout
+        assert got.stdout == _fresh(inc_shell, script).stdout
 
     def test_uniq_rerun_merge_handles_boundary_dupes(self, inc_shell):
         script = "grep host0 /log | uniq"
@@ -372,21 +376,21 @@ class TestAggregatorDelta:
         inc_shell.run(script)
         # the appended suffix starts with the line the prefix ended on:
         # the rerun aggregator must deduplicate across the seam
-        self._grow(inc_shell, b"host0 x\nhost0 z\n" * 10)
+        _grow(inc_shell, b"host0 x\nhost0 z\n" * 10)
         got = inc_shell.run(script)
         ev = inc_shell.optimizer_hook.events[-1]
         assert ev.decision == "extended" and "rerun" in ev.reason
-        assert got.stdout == self._reference(inc_shell, script).stdout
+        assert got.stdout == _fresh(inc_shell, script).stdout
 
     def test_non_mergeable_final_stage_recomputed(self, inc_shell):
         # uniq -c needs cross-chunk state: no aggregator, full recompute
         script = "cat /log | uniq -c"
         inc_shell.fs.write_bytes("/log", LOG)
         inc_shell.run(script)
-        self._grow(inc_shell, b"tail line\n" * 20)
+        _grow(inc_shell, b"tail line\n" * 20)
         got = inc_shell.run(script)
         assert inc_shell.optimizer_hook.events[-1].decision == "computed"
-        assert got.stdout == self._reference(inc_shell, script).stdout
+        assert got.stdout == _fresh(inc_shell, script).stdout
 
     def test_non_stateless_prefix_recomputed(self, inc_shell):
         # the merge is only sound when everything before the final
@@ -394,16 +398,16 @@ class TestAggregatorDelta:
         script = "cat /log | sort | grep host1"
         inc_shell.fs.write_bytes("/log", LOG)
         inc_shell.run(script)
-        self._grow(inc_shell, b"host1 straggler\n" * 20)
+        _grow(inc_shell, b"host1 straggler\n" * 20)
         got = inc_shell.run(script)
         assert inc_shell.optimizer_hook.events[-1].decision == "computed"
-        assert got.stdout == self._reference(inc_shell, script).stdout
+        assert got.stdout == _fresh(inc_shell, script).stdout
 
     def test_merge_temp_files_cleaned_up(self, inc_shell):
         script = "cat /log | sort > /out"
         inc_shell.fs.write_bytes("/log", LOG)
         inc_shell.run(script)
-        self._grow(inc_shell, b"zzz\n" * 10)
+        _grow(inc_shell, b"zzz\n" * 10)
         inc_shell.run(script)
         assert inc_shell.optimizer_hook.events[-1].decision == "extended"
         assert not [p for p in inc_shell.fs.files if ".inc-merge" in p]
@@ -435,3 +439,156 @@ class TestFaultTaintedResults:
         fresh.fs.write_bytes("/log", LOG)
         assert second.stdout == fresh.run(script).stdout
         assert len(second.stdout) > len(first.stdout)
+
+
+class TestExtendedStatus:
+    """An extended region's exit status is the region's, not the
+    suffix's: the cached prefix and the suffix are two copies of the
+    last stage (``compiler.runtime.copies_status``)."""
+
+    SCRIPT = "grep ERROR /log"
+
+    def test_no_match_in_the_append_keeps_status_0(self, inc_shell):
+        inc_shell.fs.write_bytes("/log", LOG)
+        assert inc_shell.run(self.SCRIPT).status == 0
+        _grow(inc_shell, b"hostX INFO late\n" * 10)
+        got = inc_shell.run(self.SCRIPT)
+        inc = inc_shell.optimizer_hook
+        assert inc.events[-1].decision == "extended"
+        assert got.status == 0
+        want = _fresh(inc_shell, self.SCRIPT)
+        assert (got.status, got.stdout) == (want.status, want.stdout)
+        # and 0 is what was stored: a replay returns it
+        assert inc_shell.run(self.SCRIPT).status == 0
+        assert inc.events[-1].decision == "replayed"
+
+    def test_match_only_in_the_append_turns_status_0(self, inc_shell):
+        inc_shell.fs.write_bytes("/log", LOG.replace(b"ERROR", b"INFO"))
+        assert inc_shell.run(self.SCRIPT).status == 1
+        _grow(inc_shell, b"hostX ERROR late\n")
+        got = inc_shell.run(self.SCRIPT)
+        assert inc_shell.optimizer_hook.events[-1].decision == "extended"
+        want = _fresh(inc_shell, self.SCRIPT)
+        assert (got.status, got.stdout) == (want.status, want.stdout) \
+            == (0, b"hostX ERROR late\n")
+        assert inc_shell.run(self.SCRIPT).status == 0
+        assert inc_shell.optimizer_hook.events[-1].decision == "replayed"
+
+    def test_fault_in_the_suffix_propagates_and_is_not_stored(self):
+        from repro import FaultPlan, FaultSpec
+
+        # only the suffix plan has a range reader, and in `cat /log` it
+        # is the last stage: its death is the suffix's status
+        inc = IncrementalOptimizer(IncrementalConfig(min_input_bytes=16))
+        shell = Shell(fast_machine(), optimizer=inc, faults=FaultPlan(
+            specs=[FaultSpec("disk-error", at=0.0, proc="dfg:range_read")]))
+        shell.fs.write_bytes("/log", LOG)
+        assert shell.run("cat /log").status == 0
+        stored = dict(inc.cache.entries)
+        _grow(shell, b"hostX ERROR late\n" * 10)
+        got = shell.run("cat /log")
+        assert inc.events[-1].decision == "extended"
+        assert shell.kernel.faults.fired == 1
+        assert got.status == 74
+        assert inc.cache.entries == stored
+
+
+#: one region per aggregator kind; each reads the field the torn line tears
+KIND_REGIONS = ["grep ERROR /log", "cut -d' ' -f3 /log | sort",
+                "cat /log | wc -l", "cat /log | cut -d' ' -f3 | uniq"]
+
+
+@pytest.mark.parametrize("delta_verify", ["full", "sampled"])
+@pytest.mark.parametrize("script", KIND_REGIONS)
+class TestTornPrefix:
+    """A cached input whose last line had no newline is not a prefix of
+    what the append makes of it: the region recomputes."""
+
+    BODY = b"".join(b"h%d %s r%d\n" % (i, b"ERROR" if i % 3 else b"INFO", i)
+                    for i in range(20))
+
+    def _run(self, script, delta_verify, tail, extra):
+        inc = IncrementalOptimizer(IncrementalConfig(
+            min_input_bytes=16, delta_verify=delta_verify,
+            spot_check_bytes=64))
+        shell = Shell(fast_machine(), optimizer=inc)
+        shell.fs.write_bytes("/log", self.BODY + tail)
+        shell.run(script)
+        _grow(shell, extra)
+        got = shell.run(script)
+        want = _fresh(shell, script)
+        assert (got.status, got.stdout) == (want.status, want.stdout)
+        return inc.events[-1].decision
+
+    def test_unterminated_prefix_recomputes(self, script, delta_verify):
+        assert self._run(script, delta_verify, b"y ERROR part",
+                         b"ial\nz INFO\n") == "computed"
+
+    def test_terminated_prefix_extends(self, script, delta_verify):
+        assert self._run(script, delta_verify, b"y ERROR part\n",
+                         b"ial\nz INFO\n") == "extended"
+
+
+#: Recorded at the parent of the PR that made the engine a client of
+#: ``compiler/parallel`` (as ``PLAN_CELLS`` is for plans): per region, the
+#: ``(decision, repr(elapsed), status, len(output))`` of a cold, an
+#: unchanged and an appended run, then ``(kernel dispatches, processes)``
+#: of the appended run.  A refactor may not edit a literal.
+INC_CELLS = {
+    "grep ' 500 ' /l | cut -d ' ' -f 1 > /o": (
+        ("computed", "0.015543067000000006", 0, 19708),
+        ("replayed", "7.883199999999917e-05", 0, 19708),
+        ("extended", "0.0021914219999999984", 0, 20028),
+        (26, 4)),
+    "cat /l | cut -d ' ' -f 1 | sort > /o": (
+        ("computed", "0.04630133971091867", 0, 239459),
+        ("replayed", "0.0009578359999999966", 0, 239459),
+        ("extended", "0.008880417739524513", 0, 243026),
+        (119, 7)),
+    "cat /l | grep ' 500 ' | wc -l": (
+        ("computed", "0.010632723499999998", 0, 5),
+        ("replayed", "0.0", 0, 5),
+        ("extended", "0.002739023133333336", 0, 5),
+        (50, 7)),
+    "cut -d ' ' -f 1 /l | uniq": (
+        ("computed", "0.01714981400000001", 0, 235850),
+        ("replayed", "0.0", 0, 235850),
+        ("extended", "0.004853885999999998", 0, 239370),
+        (76, 8)),
+    "tr a-z A-Z < /l > /o": (
+        ("computed", "0.02620476299999998", 0, 1669294),
+        ("replayed", "0.006677175999999976", 0, 1669294),
+        ("extended", "0.008939833499999973", 0, 1694309),
+        (44, 3)),
+    "cat /l > /o": (
+        ("computed", "0.017023646000000007", 0, 1669294),
+        ("replayed", "0.006677175999999972", 0, 1669294),
+        ("extended", "0.007463974666666637", 0, 1694309),
+        (37, 2)),
+    "cut -d ' ' -f 1 /l | sort | uniq -c": (
+        ("computed", "0.052411036710918686", 0, 1278),
+        ("replayed", "0.0", 0, 1278),
+        ("computed", "0.05324565797255438", 0, 2532),
+        (102, 4)),
+}
+
+
+@pytest.mark.parametrize("script", INC_CELLS)
+def test_inc_cells_bit_identical(script):
+    inc = IncrementalOptimizer(IncrementalConfig(min_input_bytes=1024))
+    shell = Shell(aws_c5_2xlarge_gp3(), optimizer=inc)
+    shell.fs.write_bytes("/l", access_log(20000, seed=11))
+    rows = []
+    for step in ("cold", "unchanged", "appended"):
+        if step == "appended":
+            _grow(shell, access_log(300, seed=77), "/l")
+        before = shell.kernel.dispatches, len(shell.kernel.processes)
+        result = shell.run(script)
+        out = result.stdout
+        if shell.fs.is_file("/o"):
+            out += shell.fs.read_bytes("/o")
+        rows.append((inc.events[-1].decision, repr(result.elapsed),
+                     result.status, len(out)))
+    rows.append((shell.kernel.dispatches - before[0],
+                 len(shell.kernel.processes) - before[1]))
+    assert tuple(rows) == INC_CELLS[script]

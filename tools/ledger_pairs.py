@@ -10,8 +10,10 @@ change tree (default: this checkout), alternating which goes first.
 Every run's end-to-end metrics go, unsummarised, into
 ``BENCH_wallclock.json`` under ``ledger_pairs[label][workload]`` next to
 a per-metric summary (medians, quartiles, wins of n), so a claimed gain
-can be checked pair by pair.  ``bench_wallclock.py --record before``
-archives the section with the finished pair it belongs to.
+can be checked pair by pair.  Writing a label drops the raw ``runs`` of
+every other (older) label and keeps its summary.  ``bench_wallclock.py
+--record before`` archives the section with the finished pair it
+belongs to.
 """
 
 from __future__ import annotations
@@ -83,8 +85,15 @@ def main(argv=None) -> int:
                 pair["parent"]["wall_s"], pair["change"]["wall_s"]),
                 flush=True)
         doc = json.loads(RESULT_PATH.read_text())
-        doc.setdefault("ledger_pairs", {}).setdefault(args.label, {})[
-            workload] = {"summary": summarise(pairs), "runs": pairs}
+        sections = doc.setdefault("ledger_pairs", {})
+        for label, section in sections.items():
+            # an older label's parent has been measured afresh by now:
+            # its medians, quartiles and wins stay, its raw runs go
+            if label != args.label and isinstance(section, dict):
+                for cell in section.values():
+                    cell.pop("runs", None)
+        sections.setdefault(args.label, {})[workload] = {
+            "summary": summarise(pairs), "runs": pairs}
         RESULT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
