@@ -14,8 +14,8 @@ compiler (S7) consult instead of re-deriving safety per run:
 * :mod:`repro.analysis.certificates` — signed SafetyCertificates
   (``safe_parallel`` / ``safe_reorder`` / ``unsafe``) keyed by AST node;
 * :mod:`repro.analysis.absint`       — the S20 abstract interpreter
-  (value / exit-status / cardinality domains) producing dead-branch
-  facts, JS4xxx findings, and quantitative CostCertificates.
+  (value / exit-status / trip-count domains) producing dead-branch
+  facts and JS4xxx findings.
 
 Entry point: :func:`analyze_program`; CLI: ``jash check``.
 """
@@ -25,10 +25,8 @@ from .absint import (
     AbsintResult,
     AbsStatus,
     AbsValue,
-    CostCertificate,
     Finding,
     analyze_value_flow,
-    make_cost_certificate,
 )
 from .candidates import pipeline_stages, purity_reason
 from .certificates import (
@@ -57,6 +55,5 @@ __all__ = [
     "RaceFinding", "detect_races",
     "pipeline_stages", "purity_reason",
     "ABSINT_VERSION", "AbsintResult", "AbsStatus", "AbsValue",
-    "CostCertificate", "Finding", "analyze_value_flow",
-    "make_cost_certificate",
+    "Finding", "analyze_value_flow",
 ]

@@ -5,33 +5,29 @@ the same structured CFG discipline as :mod:`repro.analysis.envflow`
 (branch unions, two-pass loop fixpoints, function inlining with a
 recursion guard).  Three cooperating domains:
 
-* a **value domain** for variables — ``unset`` / constant string /
-  string prefix / integer interval / ⊤ — flowing through assignments,
-  parameter expansions (``${x:-d}``, ``${x#p}``, quoting) and
-  ``$((...))`` arithmetic;
+* a **value domain** for variables — ``unset`` / constant string / ⊤ —
+  flowing through assignments, parameter expansions (``${x:-d}``,
+  ``${x#p}``, quoting) and ``$((...))`` arithmetic;
 * an **exit-status domain** — an integer interval over 0..255 — flowing
   through pipelines, ``&&``/``||``, ``!``, ``if``/``while`` guards and
   ``set -e`` implications;
-* a **cardinality/volume domain** — loop trip counts from constant
-  ranges and ``seq``/glob cardinality, plus per-stage byte-volume hints
-  for candidate dataflow regions when a virtual filesystem is supplied.
+* a **trip-count domain** — ``for`` loop cardinalities from literal and
+  constant word lists and constant ``seq`` ranges.
+
+The analysis sees no file system: a glob's cardinality is unknown (at
+least one field — an unmatched POSIX glob stays literal), and a file
+test's status is ⊤.  The files when the script runs need not be the
+files at analysis time, so nothing it proves may depend on them.
 
 Outputs (see :class:`AbsintResult`):
 
-* **dead facts** — AST nodes that provably never execute.  The dead set
-  is restricted to *runtime-state-independent* facts: constant guards,
-  statements following an unconditional ``exit``/``return``/``break``,
-  ``set -e`` after a provably non-zero constant status, and loops over
-  constant-empty word lists.  Filesystem-dependent facts (glob
-  emptiness, file tests) yield diagnostics and cost certificates only —
-  the filesystem at analysis time need not match the filesystem at run
-  time, and an unmatched POSIX glob stays literal (the loop still runs
-  once).  The engines' correctness never *depends* on the dead set: a
-  wrongly-dead node that does execute simply misses its certificate and
-  takes the runtime purity walk, reaching the identical decision.
-* **cost certificates** — signed quantitative bounds (loop trip counts,
-  region byte volumes) extending the S16 safety certificates; the
-  static complement of the S19 ``ObservedCosts`` measured totals.
+* **dead facts** — AST nodes that provably never execute: constant
+  guards, statements following an unconditional
+  ``exit``/``return``/``break``, ``set -e`` after a provably non-zero
+  constant status, and loops over constant-empty word lists.  The
+  engines' correctness never *depends* on the dead set: a wrongly-dead
+  node that does execute simply misses its certificate and takes the
+  runtime purity walk, reaching the identical decision.
 * **findings** — the JS4xxx ``jash check`` diagnostics (unreachable
   code, constant guards, infinite loops, provably-unset reads under
   ``set -u``, dead ``&&``/``||`` arms, empty loop word lists).
@@ -45,7 +41,6 @@ only screened syntactically for the infinite-loop fact.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -96,22 +91,14 @@ _ONLY_NORMAL = frozenset((NORMAL,))
 
 @dataclass(frozen=True)
 class AbsValue:
-    """unset | const(text) | prefix(text) | int[lo,hi] | top."""
+    """unset | const(text) | top."""
 
     kind: str
     text: str = ""
-    lo: Optional[int] = None  # "int" bounds; None = unbounded
-    hi: Optional[int] = None
 
     def __repr__(self) -> str:  # compact, for reports/tests
         if self.kind == "const":
             return f"const({self.text!r})"
-        if self.kind == "prefix":
-            return f"prefix({self.text!r})"
-        if self.kind == "int":
-            lo = "-inf" if self.lo is None else self.lo
-            hi = "+inf" if self.hi is None else self.hi
-            return f"int[{lo},{hi}]"
         return self.kind
 
 
@@ -123,67 +110,10 @@ def vconst(text: str) -> AbsValue:
     return AbsValue("const", text)
 
 
-def vint(lo: Optional[int], hi: Optional[int]) -> AbsValue:
-    return AbsValue("int", "", lo, hi)
-
-
-def as_interval(v: AbsValue) -> Optional[tuple[Optional[int], Optional[int]]]:
-    """The integer interval a value denotes, or None when not integral."""
-    if v.kind == "int":
-        return (v.lo, v.hi)
-    if v.kind == "const":
-        try:
-            n = int(v.text.strip() or "0") if v.text.strip() else None
-        except ValueError:
-            return None
-        if n is None:
-            return None
-        return (n, n)
-    return None
-
-
-def _hull(a: Optional[int], b: Optional[int], pick) -> Optional[int]:
-    if a is None or b is None:
-        return None
-    return pick(a, b)
-
-
 def join_value(a: AbsValue, b: AbsValue) -> AbsValue:
-    if a == b:
-        return a
-    if a.kind == "top" or b.kind == "top":
-        return TOP
-    if a.kind == "unset" or b.kind == "unset":
-        # maybe-unset is indistinguishable from unknown for our consumers
-        return TOP
-    ia, ib = as_interval(a), as_interval(b)
-    if ia is not None and ib is not None:
-        return vint(_hull(ia[0], ib[0], min), _hull(ia[1], ib[1], max))
-    pa = a.text if a.kind in ("const", "prefix") else None
-    pb = b.text if b.kind in ("const", "prefix") else None
-    if pa is not None and pb is not None:
-        n = 0
-        for ca, cb in zip(pa, pb):
-            if ca != cb:
-                break
-            n += 1
-        if n:
-            return AbsValue("prefix", pa[:n])
-    return TOP
-
-
-def widen_value(old: AbsValue, new: AbsValue) -> AbsValue:
-    """Widening for loop back-edges: unstable bounds go to infinity."""
-    if old == new:
-        return new
-    io, in_ = as_interval(old), as_interval(new)
-    if io is not None and in_ is not None:
-        lo = io[0] if (io[0] is not None and in_[0] is not None
-                       and in_[0] >= io[0]) else None
-        hi = io[1] if (io[1] is not None and in_[1] is not None
-                       and in_[1] <= io[1]) else None
-        return vint(lo, hi)
-    return TOP
+    """Equal values join to themselves, anything else to ⊤ (maybe-unset
+    is indistinguishable from unknown for every consumer)."""
+    return a if a == b else TOP
 
 
 # ---------------------------------------------------------------------------
@@ -229,66 +159,6 @@ def snot(a: AbsStatus) -> AbsStatus:
 
 
 # ---------------------------------------------------------------------------
-# Cost certificates (the quantitative extension of SafetyCertificate)
-# ---------------------------------------------------------------------------
-
-
-def _sign_cost(node_text: str, kind: str, trip_lo: int,
-               trip_hi: Optional[int], bytes_lo: int,
-               bytes_hi: Optional[int]) -> str:
-    payload = "\x00".join((
-        ABSINT_VERSION, node_text, kind,
-        repr((trip_lo, trip_hi, bytes_lo, bytes_hi)),
-    ))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class CostCertificate:
-    """Signed quantitative bounds for one AST node.
-
-    ``kind`` is ``"loop"`` (trip-count bounds for a ``for``/``while``)
-    or ``"region"`` (byte-volume bounds for a candidate dataflow
-    region).  ``None`` bounds mean unbounded/unknown above.
-    """
-
-    node_text: str
-    kind: str  # "loop" | "region"
-    trip_lo: int = 0
-    trip_hi: Optional[int] = None
-    bytes_lo: int = 0
-    bytes_hi: Optional[int] = None
-    #: per-stage (command, estimated input bytes) hints for regions
-    stage_bytes: tuple = ()
-    digest: str = ""
-
-    def verify(self) -> bool:
-        return self.digest == _sign_cost(
-            self.node_text, self.kind, self.trip_lo, self.trip_hi,
-            self.bytes_lo, self.bytes_hi)
-
-    def to_dict(self) -> dict:
-        return {
-            "analyzer": ABSINT_VERSION,
-            "node": self.node_text,
-            "kind": self.kind,
-            "trips": [self.trip_lo, self.trip_hi],
-            "bytes": [self.bytes_lo, self.bytes_hi],
-            "stage_bytes": [list(s) for s in self.stage_bytes],
-            "digest": self.digest,
-        }
-
-
-def make_cost_certificate(node_text: str, kind: str, trip_lo: int = 0,
-                          trip_hi: Optional[int] = None, bytes_lo: int = 0,
-                          bytes_hi: Optional[int] = None,
-                          stage_bytes: tuple = ()) -> CostCertificate:
-    return CostCertificate(
-        node_text, kind, trip_lo, trip_hi, bytes_lo, bytes_hi, stage_bytes,
-        _sign_cost(node_text, kind, trip_lo, trip_hi, bytes_lo, bytes_hi))
-
-
-# ---------------------------------------------------------------------------
 # Findings and dead facts
 # ---------------------------------------------------------------------------
 
@@ -320,9 +190,6 @@ class AbsintResult:
     #: dead-region roots in visit order (stable for reports)
     dead_list: list[DeadFact] = field(default_factory=list)
     findings: list[Finding] = field(default_factory=list)
-    #: id(node) -> certificate for loops and candidate regions
-    cost_certificates: dict[int, CostCertificate] = field(default_factory=dict)
-    cost_list: list[CostCertificate] = field(default_factory=list)
     nodes: int = 0
     widenings: int = 0
     #: the analyzed program (keeps id()-keyed maps valid)
@@ -333,7 +200,6 @@ class AbsintResult:
             "absint_nodes": self.nodes,
             "absint_widenings": self.widenings,
             "dead_branches": len(self.dead_list),
-            "cost_certs": len(self.cost_list),
         }
 
     def to_dict(self) -> dict:
@@ -344,7 +210,6 @@ class AbsintResult:
                      for d in self.dead_list],
             "findings": [{"code": f.code, "message": f.message,
                           "node": unparse(f.node)} for f in self.findings],
-            "cost_certificates": [c.to_dict() for c in self.cost_list],
         }
 
 
@@ -397,12 +262,9 @@ _LOOP_ESCAPES = frozenset(("kill", "exec", "trap", "eval", "."))
 
 
 class ValueFlow:
-    """One-shot analysis: ``ValueFlow(fs=...).run(program)``."""
+    """One-shot analysis: ``ValueFlow().run(program)``."""
 
-    def __init__(self, fs=None, cwd: str = "/", library=None):
-        self.fs = fs
-        self.cwd = cwd
-        self.library = library
+    def __init__(self):
         self.functions: dict[str, Command] = {}
         self._stack: list[str] = []
         self.findings: list[Finding] = []
@@ -410,8 +272,6 @@ class ValueFlow:
         self.dead_list: list[DeadFact] = []
         self._dead_roots: set[int] = set()
         self._finding_keys: set[tuple[str, int]] = set()
-        self.cost_certificates: dict[int, CostCertificate] = {}
-        self.cost_list: list[CostCertificate] = []
         self.nodes = 0
         self.widenings = 0
         self.all_defs: set[str] = set()
@@ -425,12 +285,9 @@ class ValueFlow:
         self.all_defs = flow.all_defs
         st = _State()
         self._visit(program, st, emit=True, guard=False)
-        self._region_costs(program)
         return AbsintResult(
             dead=self.dead, dead_list=self.dead_list,
-            findings=self.findings,
-            cost_certificates=self.cost_certificates,
-            cost_list=self.cost_list, nodes=self.nodes,
+            findings=self.findings, nodes=self.nodes,
             widenings=self.widenings, program=program)
 
     # -- bookkeeping ---------------------------------------------------------------
@@ -655,14 +512,10 @@ class ValueFlow:
     # -- loops ---------------------------------------------------------------------
 
     def _widen(self, st: _State, snap: _State) -> None:
+        """A variable the loop body changed (or defined) becomes ⊤."""
         for name in list(st.vars):
-            old = snap.vars.get(name)
-            new = st.vars[name]
-            if old is None:
+            if snap.vars.get(name) != st.vars[name]:
                 st.vars[name] = TOP
-                self.widenings += 1
-            elif old != new:
-                st.vars[name] = widen_value(old, new)
                 self.widenings += 1
         for opt in st.options:
             if st.options[opt] != snap.options.get(opt):
@@ -700,7 +553,6 @@ class ValueFlow:
                              else "false; `while` body never runs"),
                           node.cond, emit, context=unparse(node.cond))
             self._mark_dead(node.body, "loop guard is constant", emit)
-            self._loop_cert(node, 0, 0, emit)
             return S_ZERO, _ONLY_NORMAL
         snap = st.copy()
         # pass 1 (silent): saturate values around the back edge, then widen
@@ -725,17 +577,14 @@ class ValueFlow:
                 + ("false" if node.until else "true")
                 + " and the body has no break/exit/return",
                 node, emit, context=unparse(node.cond))
-            self._loop_cert(node, 0, None, emit)
             # the loop never completes: everything after is unreachable
             return S_TOP, frozenset(escapes & {EXIT, RETURN})
-        self._loop_cert(node, 0, None, emit)
         return S_TOP, frozenset({NORMAL} | (escapes & {EXIT, RETURN}))
 
     def _for(self, node: For, st: _State, emit: bool,
              guard: bool) -> tuple[AbsStatus, frozenset]:
         self._redirects(node.redirects, node, st, emit)
-        trip_lo, trip_hi, values, glob_nomatch = self._for_fields(node, st,
-                                                                  emit)
+        trip_lo, trip_hi, values = self._for_fields(node, st, emit)
         if trip_hi == 0:
             self._finding(
                 "JS4006",
@@ -743,15 +592,8 @@ class ValueFlow:
                 node, emit)
             self._mark_dead(node.body, "loop word list is provably empty",
                             emit)
-            self._loop_cert(node, 0, 0, emit)
             st.vars.setdefault(node.var, st.vars.get(node.var, TOP))
             return S_ZERO, _ONLY_NORMAL
-        if glob_nomatch:
-            self._finding(
-                "JS4006",
-                "glob matches nothing here: the loop runs once over the "
-                "literal pattern", node, emit)
-        self._loop_cert(node, trip_lo, trip_hi, emit)
         var_value = TOP
         if values is not None and values:
             var_value = values[0]
@@ -772,105 +614,79 @@ class ValueFlow:
         escapes = set(body_flows) & {EXIT, RETURN}
         return S_TOP, frozenset({NORMAL} | escapes)
 
-    def _loop_cert(self, node, trip_lo: int, trip_hi: Optional[int],
-                   emit: bool) -> None:
-        if not emit or id(node) in self.cost_certificates:
-            return
-        cert = make_cost_certificate(unparse(node), "loop", trip_lo, trip_hi)
-        self.cost_certificates[id(node)] = cert
-        self.cost_list.append(cert)
-
     # -- for-loop word-list cardinality ---------------------------------------------
 
     def _for_fields(self, node: For, st: _State, emit: bool):
-        """(trip_lo, trip_hi, per-field values or None, glob_nomatch)."""
+        """(trip_lo, trip_hi, per-field values or None)."""
         if node.words is None:  # implicit `in "$@"`
-            return 0, None, None, False
+            return 0, None, None
         lo = 0
         hi: Optional[int] = 0
         values: Optional[list[AbsValue]] = []
-        glob_nomatch = False
         for word in node.words:
-            n_lo, n_hi, vals, nomatch = self._word_fields(word, st, emit,
-                                                          node)
+            n_lo, n_hi, vals = self._word_fields(word, st, emit, node)
             lo += n_lo
             hi = None if hi is None or n_hi is None else hi + n_hi
-            glob_nomatch = glob_nomatch or nomatch
             if values is not None and vals is not None:
                 values.extend(vals)
             else:
                 values = None
-        return lo, hi, values, glob_nomatch
+        return lo, hi, values
 
     def _word_fields(self, word: Word, st: _State, emit: bool, stmt):
-        """Field cardinality of one word: (lo, hi, values|None, nomatch)."""
+        """Field cardinality of one word: (lo, hi, values|None)."""
         from ..semantics.expansion import has_glob_chars
 
         if not word.parts:
-            return 1, 1, [vconst("")], False  # explicit null word
+            return 1, 1, [vconst("")]  # explicit null word
         if word.is_literal():
-            text = word.literal_value()
             unquoted = "".join(p.text for p in word.parts
                                if isinstance(p, Lit))
             if has_glob_chars(unquoted):
-                if self.fs is not None:
-                    matches = self._glob(text)
-                    if matches is not None:
-                        if not matches:
-                            return 1, 1, [vconst(text)], True
-                        return (len(matches), len(matches),
-                                [vconst(m) for m in matches], False)
-                return 1, None, None, False  # ≥1: no match stays literal
-            return 1, 1, [vconst(text)], False
+                return 1, None, None  # ≥1: no match stays literal
+            return 1, 1, [vconst(word.literal_value())]
         if len(word.parts) == 1:
             part = word.parts[0]
             if isinstance(part, Param) and part.op == "":
                 value = self._param_value(part, st, emit, stmt)
                 if value.kind == "const":
                     fields = value.text.split()
-                    return (len(fields), len(fields),
-                            [vconst(f) for f in fields], False)
+                    return len(fields), len(fields), [vconst(f) for f in fields]
                 if value.kind == "unset":
-                    return 0, 0, [], False
-                return 0, None, None, False
+                    return 0, 0, []
+                return 0, None, None
             if isinstance(part, CmdSub):
-                return self._cmdsub_fields(part, st, emit, stmt)
+                return self._cmdsub_fields(part, st, emit)
             if isinstance(part, DoubleQuoted):
                 value = self._abs_word(word, st, emit, stmt)
                 if value.kind == "const":
-                    return 1, 1, [value], False
-                return 1, 1, None, False  # quoted: exactly one field
+                    return 1, 1, [value]
+                return 1, 1, None  # quoted: exactly one field
         # general case: evaluate for uses/effects, cardinality unknown
         value = self._abs_word(word, st, emit, stmt)
         if value.kind == "const":
             fields = value.text.split()
-            return len(fields), len(fields), [vconst(f) for f in fields], False
-        return 0, None, None, False
+            return len(fields), len(fields), [vconst(f) for f in fields]
+        return 0, None, None
 
-    def _cmdsub_fields(self, part: CmdSub, st: _State, emit: bool, stmt):
+    def _cmdsub_fields(self, part: CmdSub, st: _State, emit: bool):
         """Static cardinality for ``$(seq ...)`` / ``$(echo ...)``."""
         argv = self._cmdsub_literal_argv(part.command)
         self._visit(part.command, st.copy(), emit, True)
         if argv is None:
-            return 0, None, None, False
+            return 0, None, None
         name, args = argv[0], argv[1:]
         if name == "seq":
-            bounds = self._seq_bounds(args)
-            if bounds is None:
-                return 0, None, None, False
-            first, incr, count = bounds
-            if count == 0:
-                return 0, 0, [], False
-            last = first + (count - 1) * incr
-            iv = vint(min(first, last), max(first, last))
-            return count, count, [iv] * count, False
+            count = self._seq_count(args)
+            if count is None:
+                return 0, None, None
+            return count, count, [] if count == 0 else None
         if name == "echo":
             operands = [a for a in args if not (a.startswith("-")
                                                 and set(a[1:]) <= set("neE")
                                                 and len(a) > 1)]
-            return (len(operands), len(operands),
-                    [vconst(op) for op in operands], False)
-        return 0, None, None, False
+            return len(operands), len(operands), [vconst(op) for op in operands]
+        return 0, None, None
 
     @staticmethod
     def _cmdsub_literal_argv(command: Command) -> Optional[list[str]]:
@@ -893,8 +709,8 @@ class ValueFlow:
         return [w.literal_value() for w in node.words]
 
     @staticmethod
-    def _seq_bounds(args: list[str]) -> Optional[tuple[int, int, int]]:
-        """(first, incr, count) for constant ``seq`` arguments."""
+    def _seq_count(args: list[str]) -> Optional[int]:
+        """How many numbers ``seq`` prints for constant arguments."""
         try:
             nums = [int(a) for a in args]
         except ValueError:
@@ -909,27 +725,7 @@ class ValueFlow:
             return None
         if incr == 0:
             return None
-        count = max(0, (last - first) // incr + 1)
-        return first, incr, count
-
-    def _glob(self, pattern: str) -> Optional[list[str]]:
-        """Filesystem matches for a literal glob; None when unevaluable."""
-        from ..semantics.expansion import expand_pathnames
-        try:
-            out = expand_pathnames(pattern, self.fs, self.cwd)
-        except Exception:
-            return None
-        if out == [pattern] and not self._fs_exists(pattern):
-            return []
-        return out
-
-    def _fs_exists(self, path: str) -> bool:
-        try:
-            full = path if path.startswith("/") else \
-                self.cwd.rstrip("/") + "/" + path
-            return self.fs.exists(full)
-        except Exception:
-            return False
+        return max(0, (last - first) // incr + 1)
 
     # -- case ----------------------------------------------------------------------
 
@@ -1175,21 +971,8 @@ class ValueFlow:
 
     @staticmethod
     def _concat(left: AbsValue, right: AbsValue) -> AbsValue:
-        if left.kind == "const" and left.text == "":
-            return right
-        lt = left.text if left.kind == "const" else None
-        rt = right.text if right.kind == "const" else None
-        ri = as_interval(right)
-        if lt is not None and rt is not None:
-            return vconst(lt + rt)
-        if lt is not None and ri is not None and right.kind == "int":
-            return AbsValue("prefix", lt) if lt else TOP
-        if lt is not None:
-            return AbsValue("prefix", lt)
-        if left.kind == "prefix":
-            return left
-        if left.kind == "int" and rt is not None:
-            return TOP
+        if left.kind == "const" and right.kind == "const":
+            return vconst(left.text + right.text)
         return TOP
 
     def _part_value(self, part, st: _State, emit: bool, stmt) -> AbsValue:
@@ -1249,7 +1032,7 @@ class ValueFlow:
             self._use(name, st, emit, stmt)
             if base is not None and base.kind == "const":
                 return vconst(str(len(base.text)))
-            return vint(0, None)
+            return TOP
         default = (self._abs_word(part.word, st, emit, stmt)
                    if part.word is not None else vconst(""))
         if opn == "-":
@@ -1330,7 +1113,7 @@ class ValueFlow:
         expr = "".join(pieces)
         if not resolvable:
             self._invalidate_arith_names(expr, st)
-            return vint(None, None)
+            return TOP
 
         def get(name: str) -> str:
             value = st.vars.get(name)
@@ -1348,7 +1131,7 @@ class ValueFlow:
             n = arith.evaluate(expr, get, set_)
         except (_Unknown, arith.ArithError):
             self._invalidate_arith_names(expr, st)
-            return vint(None, None)
+            return TOP
         return vconst(str(n))
 
     def _invalidate_arith_names(self, expr: str, st: _State) -> None:
@@ -1365,74 +1148,7 @@ class ValueFlow:
                     tok.isidentifier():
                 st.vars[tok] = TOP
 
-    # -- region byte-volume certificates --------------------------------------------
 
-    def _region_costs(self, program: Command) -> None:
-        """Post-pass: byte-volume bounds for candidate dataflow regions
-        (flat pipelines over literal files), when a filesystem is given."""
-        if self.fs is None:
-            return
-        from .candidates import pipeline_stages
-        library = self.library
-        if library is None:
-            from ..annotations.library import DEFAULT_LIBRARY
-            library = DEFAULT_LIBRARY
-        for node in walk(program):
-            if id(node) in self.dead or id(node) in self.cost_certificates:
-                continue
-            stages = pipeline_stages(node)
-            if stages is None:
-                continue
-            volume = self._region_input_bytes(stages[0])
-            if volume is None:
-                continue
-            stage_bytes = []
-            current = float(volume)
-            for stage in stages:
-                if not stage.words or not stage.words[0].is_literal():
-                    stage_bytes = []
-                    break
-                cmd = stage.words[0].literal_value()
-                stage_bytes.append((cmd, int(current)))
-                argv = [w.literal_value() for w in stage.words
-                        if w.is_literal()]
-                spec = library.classify(argv[0], argv[1:]) if argv else None
-                if spec is not None:
-                    current *= spec.selectivity
-            cert = make_cost_certificate(
-                unparse(node), "region", 1, 1, volume, volume,
-                tuple(stage_bytes))
-            self.cost_certificates[id(node)] = cert
-            self.cost_list.append(cert)
-
-    def _region_input_bytes(self, first_stage: SimpleCommand) -> Optional[int]:
-        """Total bytes the first stage reads, from literal redirects or
-        literal file operands that exist in the supplied filesystem."""
-        paths: list[str] = []
-        for redirect in first_stage.redirects:
-            if redirect.op == "<" and redirect.default_fd() == 0 and \
-                    redirect.target.is_literal():
-                paths.append(redirect.target.literal_value())
-        if not paths:
-            for word in first_stage.words[1:]:
-                if word.is_literal():
-                    text = word.literal_value()
-                    if not text.startswith("-") and self._fs_exists(text):
-                        paths.append(text)
-        if not paths:
-            return None
-        total = 0
-        for path in paths:
-            try:
-                full = path if path.startswith("/") else \
-                    self.cwd.rstrip("/") + "/" + path
-                total += self.fs.size(full)
-            except Exception:
-                return None
-        return total
-
-
-def analyze_value_flow(program: Command, fs=None, cwd: str = "/",
-                       library=None) -> AbsintResult:
+def analyze_value_flow(program: Command) -> AbsintResult:
     """Run the S20 abstract interpreter over a parsed program."""
-    return ValueFlow(fs=fs, cwd=cwd, library=library).run(program)
+    return ValueFlow().run(program)

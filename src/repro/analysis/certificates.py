@@ -112,17 +112,10 @@ class AnalysisResult:
     """
 
     def __init__(self, program: Command, library: SpecLibrary,
-                 allow_pure_cmdsub: bool, pure_commands: frozenset,
-                 value_flow: bool, fs, cwd: str):
+                 allow_pure_cmdsub: bool, pure_commands: frozenset):
         #: the analyzed program (kept so id()-keyed tables stay valid)
         self.program = program
         self._library = library
-        self._value_flow = value_flow
-        # absint may be read after the script ran: it must still see the
-        # files as they were when the pass was made
-        self._fs = (fs.stat_snapshot()
-                    if value_flow and fs is not None else None)
-        self._cwd = cwd
         #: id(node) -> why early expansion is unsound, or None when it is
         #: pure, for every candidate region (dead ones included)
         self.purity: dict[int, Optional[str]] = {}
@@ -134,14 +127,10 @@ class AnalysisResult:
 
     @cached_property
     def absint(self):
-        """The S20 value-flow result (AbsintResult); None when the pass
-        was made with ``value_flow=False``."""
-        if not self._value_flow:
-            return None
+        """The S20 value-flow result (AbsintResult)."""
         from .absint import analyze_value_flow
 
-        return analyze_value_flow(self.program, fs=self._fs, cwd=self._cwd,
-                                  library=self._library)
+        return analyze_value_flow(self.program)
 
     @cached_property
     def _effects(self) -> EffectAnalyzer:
@@ -217,7 +206,7 @@ class AnalysisResult:
         by_verdict: dict[str, int] = {}
         for cert in self.cert_list:
             by_verdict[cert.verdict] = by_verdict.get(cert.verdict, 0) + 1
-        out = {
+        return {
             "statements": len(self.statements),
             "certificates": len(self.cert_list),
             "safe_parallel": by_verdict.get(SAFE_PARALLEL, 0),
@@ -225,25 +214,15 @@ class AnalysisResult:
             "unsafe": by_verdict.get(UNSAFE, 0),
             "races": len(self.races),
             "use_before_def": len(self.use_before_def),
+            **self.absint.stats(),
         }
-        if self.absint is not None:
-            out.update(self.absint.stats())
-        return out
 
     def dead_nodes(self) -> frozenset:
-        """ids of provably-dead nodes (empty when value flow was off)."""
-        if self.absint is None:
-            return frozenset()
+        """ids of provably-dead nodes."""
         return frozenset(self.absint.dead)
 
-    def cost_certificate(self, node) -> object:
-        """The CostCertificate covering ``node``, or None."""
-        if self.absint is None:
-            return None
-        return self.absint.cost_certificates.get(id(node))
-
     def to_dict(self) -> dict:
-        out = {
+        return {
             "analyzer": ANALYZER_VERSION,
             "summary": self.stats(),
             "statements": [s.to_dict() for s in self.statements],
@@ -253,18 +232,14 @@ class AnalysisResult:
                 {"name": u.name, "statement": unparse(u.node)}
                 for u in self.use_before_def
             ],
+            "value_flow": self.absint.to_dict(),
         }
-        if self.absint is not None:
-            out["value_flow"] = self.absint.to_dict()
-        return out
 
 
 def analyze_program(program: Command,
                     library: SpecLibrary | None = None,
                     allow_pure_cmdsub: bool = False,
-                    pure_commands: frozenset = frozenset(),
-                    value_flow: bool = True,
-                    fs=None, cwd: str = "/") -> AnalysisResult:
+                    pure_commands: frozenset = frozenset()) -> AnalysisResult:
     """The interprocedural whole-script pass, demand-driven: this call
     walks the program once for the purity verdicts and every other
     section of the :class:`AnalysisResult` is computed when first read.
@@ -273,12 +248,9 @@ def analyze_program(program: Command,
     engine's configuration — the purity verdicts are only transferable
     when both sides ask the same question.
 
-    ``value_flow`` additionally offers the S20 abstract interpreter
-    (:mod:`repro.analysis.absint`): provably-dead regions then get no
-    safety certificate (they can never be executed), and loops/regions
-    gain CostCertificates.  ``fs``/``cwd`` optionally ground the volume
-    domain in the virtual filesystem as it is at the time of this
-    call."""
+    The S20 abstract interpreter (:mod:`repro.analysis.absint`) is
+    always offered: provably-dead regions get no safety certificate
+    (they can never be executed).  It sees no file system, so its facts
+    hold whatever the files are when the script runs."""
     return AnalysisResult(program, library or DEFAULT_LIBRARY,
-                          allow_pure_cmdsub, pure_commands, value_flow,
-                          fs, cwd)
+                          allow_pure_cmdsub, pure_commands)

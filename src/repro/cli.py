@@ -297,7 +297,7 @@ def _warn_jobs_idle(text: str, shell) -> None:
 
     program = parse(text)  # a syntax error is main()'s to report
     diag = check_jobs_eligibility(
-        program, analyze_program(program, fs=shell.fs), shell.jobs)
+        program, analyze_program(program), shell.jobs)
     if diag is not None:
         print(diag, file=sys.stderr)
 

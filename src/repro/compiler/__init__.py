@@ -6,7 +6,6 @@ from .cost import (
     CostEstimate,
     DiskProbe,
     Probe,
-    StaticCosts,
     estimate_baseline,
     estimate_parallel,
 )
@@ -22,8 +21,7 @@ from .transactional import (
 )
 
 __all__ = [
-    "CostEstimate", "DiskProbe", "Probe", "StaticCosts",
-    "estimate_baseline",
+    "CostEstimate", "DiskProbe", "Probe", "estimate_baseline",
     "estimate_parallel", "execute_plan", "fs_file_sizes", "Decision",
     "OptimizerConfig", "ResourceAwareOptimizer", "Plan", "baseline_plan",
     "find_parallel_run", "parallelize", "AotEvent", "PashConfig",

@@ -65,42 +65,6 @@ class Probe:
     runnable_load: int = 0
 
 
-class StaticCosts:
-    """The static complement of the metrics plane's ObservedCosts: per-
-    region volume bounds from the S20 abstract interpreter's signed
-    CostCertificates (repro.analysis.absint), keyed by unparsed region
-    text so a consumer needs no AST identity.
-
-    ObservedCosts answers "how much did this command see last time it
-    ran"; StaticCosts answers "how much data *can* this region see,
-    proven before anything runs".  The analysis benchmark compares the
-    two on constant-bound workloads (static within 2× of observed)."""
-
-    def __init__(self, certs: Optional[dict] = None):
-        #: node_text -> CostCertificate (verified on insert)
-        self.certs: dict = certs or {}
-
-    @staticmethod
-    def from_analysis(result) -> "StaticCosts":
-        """Build from an AnalysisResult (or AbsintResult) — tampered
-        certificates (signature mismatch) are dropped."""
-        absint = getattr(result, "absint", result)
-        out = StaticCosts()
-        for cert in getattr(absint, "cost_list", ()) or ():
-            if cert.verify():
-                out.certs[cert.node_text] = cert
-        return out
-
-    def input_bytes(self, node_text: str) -> Optional[int]:
-        """Upper volume bound for the region, or None (unbounded or
-        uncertified)."""
-        cert = self.certs.get(node_text)
-        return cert.bytes_hi if cert is not None else None
-
-    def __len__(self) -> int:
-        return len(self.certs)
-
-
 def disk_time(nbytes: float, streams: int, disk: DiskProbe,
               credits_used_before: float = 0.0) -> tuple[float, float]:
     """(seconds, ops) to move ``nbytes`` with ``streams`` concurrent

@@ -62,13 +62,6 @@ class PashConfig:
     #: rejects too — so decisions are unchanged; the certificate just
     #: answers first and records why)
     static_analysis: bool = True
-    #: additionally run the S20 abstract interpreter during the AOT
-    #: pass: provably-dead nodes are rejected before region extraction
-    #: ("skipped — provably unreachable").  Decisions are identical on
-    #: or off when the script has no dead code (test-enforced); with
-    #: dead code, only the dead regions change — they would never have
-    #: executed, so output bytes are unchanged either way.
-    value_flow: bool = True
 
 
 class PashOptimizer:
@@ -90,16 +83,17 @@ class PashOptimizer:
         self.cert_hits = 0
 
     def compile_program(self, program: Command, tracer=None,
-                        now: float = 0.0, metrics=None, fs=None,
-                        cwd: str = "/") -> None:
+                        now: float = 0.0, metrics=None) -> None:
         """The ahead-of-time pass: walk the static AST and mark the
         statement-level pipelines/commands whose regions extract.
         Static SafetyCertificates (S16) are checked first; only nodes
-        they do not cover go through region extraction.  With
-        ``value_flow`` the S20 dead-branch facts reject provably
-        unreachable nodes — a dead node carries *no* safety certificate,
-        so without the explicit check it would fall through to region
-        extraction and could be approved."""
+        they do not cover go through region extraction.  The S20
+        dead-branch facts reject provably unreachable nodes — a dead
+        node carries *no* safety certificate, so without the explicit
+        check it would fall through to region extraction and could be
+        approved.  The facts hold for any file system: the pass sees
+        none ("an ahead-of-time compiler has no knowledge of the input
+        files")."""
         from ..parser.ast_nodes import walk
 
         self._compiled = True
@@ -108,18 +102,14 @@ class PashOptimizer:
         if self.config.static_analysis:
             from ..analysis import analyze_program
 
-            self._analysis = analyze_program(
-                program, self.config.library,
-                value_flow=self.config.value_flow, fs=fs, cwd=cwd)
+            self._analysis = analyze_program(program, self.config.library)
             certs = self._analysis.certificates
             dead = self._analysis.dead_nodes()
             if tracer is not None:
                 tracer.instant("analysis", "analysis.run", now,
                                engine="pash", **self._analysis.stats())
-                if self._analysis.absint is not None:
-                    tracer.span("analysis", "analysis.absint", now, now,
-                                engine="pash",
-                                **self._analysis.absint.stats())
+                tracer.span("analysis", "analysis.absint", now, now,
+                            engine="pash", **self._analysis.absint.stats())
         inside_pipeline: set[int] = set()
         for node in walk(program):
             if isinstance(node, Pipeline):

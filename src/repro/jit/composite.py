@@ -9,12 +9,12 @@ class CompositeOptimizer:
         self.hooks = [h for h in hooks if h is not None]
 
     def compile_program(self, program, tracer=None, now: float = 0.0,
-                        metrics=None, fs=None, cwd: str = "/") -> None:
+                        metrics=None) -> None:
         """Forward the compile-once pass to hooks that preprocess."""
         for hook in self.hooks:
             if hasattr(hook, "compile_program"):
                 hook.compile_program(program, tracer=tracer, now=now,
-                                     metrics=metrics, fs=fs, cwd=cwd)
+                                     metrics=metrics)
 
     def try_execute(self, interp, proc, node):
         for hook in self.hooks:

@@ -84,13 +84,6 @@ class JashConfig:
     transactional: bool = True
     #: per-width retry policy for transactional execution
     retry: RetryPolicy = DEFAULT_REGION_POLICY
-    #: offer the S20 abstract interpreter (repro.analysis.absint) to
-    #: whoever reads the compile-once pass: a tracer or metrics registry
-    #: reports its dead-branch and CostCertificate counts.  The engine's
-    #: own lookups never read it — a dead region never runs, so its
-    #: verdict is never asked for — and decisions are bit-identical on
-    #: or off (test-enforced, the same discipline as ``static_analysis``).
-    value_flow: bool = True
 
 
 class JashOptimizer:
@@ -112,16 +105,18 @@ class JashOptimizer:
     # -- the compile-once pass ------------------------------------------------
 
     def compile_program(self, program: Command, tracer=None, now: float = 0.0,
-                        metrics=None, fs=None, cwd: str = "/"):
+                        metrics=None):
         """Run the S16 whole-script analyzer and keep its purity verdicts.
 
         Called by :class:`repro.shell.Shell` before execution (the same
         hook the AOT compiler uses).  With ``static_analysis=False``
         this is a no-op and the engine behaves exactly as the pure JIT.
-        ``metrics``/``fs`` are optional: a metrics registry receives the
-        ``analysis.absint.*`` counters, and a filesystem snapshot
-        grounds the S20 volume domain.  The analyzer is demand-driven:
-        what no tracer or registry asks for here is never computed.
+        A tracer receives the pass's stats and a metrics registry the
+        ``analysis.absint.*`` counters of the S20 abstract interpreter.
+        The engine's own lookups never read absint — a dead region never
+        runs, so its verdict is never asked for — and the analyzer is
+        demand-driven: what no tracer or registry asks for here is never
+        computed.
         """
         if not self.config.static_analysis:
             return
@@ -130,17 +125,15 @@ class JashOptimizer:
         result = analyze_program(
             program, self.config.library,
             allow_pure_cmdsub=self.config.allow_pure_cmdsub,
-            pure_commands=self._pure_commands,
-            value_flow=self.config.value_flow, fs=fs, cwd=cwd)
+            pure_commands=self._pure_commands)
         self._analyses.append(result)
         self._purity.update(result.purity)
         if tracer is not None:
             tracer.instant("analysis", "analysis.run", now,
                            **result.stats())
-            if result.absint is not None:
-                tracer.span("analysis", "analysis.absint", now, now,
-                            **result.absint.stats())
-        if metrics is not None and result.absint is not None:
+            tracer.span("analysis", "analysis.absint", now, now,
+                        **result.absint.stats())
+        if metrics is not None:
             stats = result.absint.stats()
             metrics.counter("analysis.absint.nodes").inc(
                 stats["absint_nodes"])
@@ -148,8 +141,6 @@ class JashOptimizer:
                 stats["absint_widenings"])
             metrics.counter("analysis.absint.dead_branches").inc(
                 stats["dead_branches"])
-            metrics.counter("analysis.absint.certs").inc(
-                stats["cost_certs"])
 
     # -- the hook -------------------------------------------------------------
 

@@ -117,13 +117,10 @@ CHECK_EXPLANATIONS = {
         "`;`."
     ),
     "JS4006": (
-        "JS4006 empty loop word list.  The cardinality domain computed "
+        "JS4006 empty loop word list.  The trip-count domain computed "
         "this `for` loop's word list statically: a constant-empty "
         "expansion (e.g. `$(seq 5 1)`, an empty variable) means the "
-        "body never runs, and a glob with no match means POSIX keeps "
-        "the pattern *literally* — the body runs once with e.g. "
-        "`*.txt` as the value, which is almost never intended.  Guard "
-        "with `[ -e \"$f\" ] || continue` or fix the range."
+        "body never runs.  Fix the range or drop the loop."
     ),
 }
 

@@ -16,8 +16,7 @@ propagation, abstract exit statuses, and loop cardinalities:
 * **JS4005** — a constant exit status short-circuits ``&&``/``||``:
   the right-hand side never runs;
 * **JS4006** — a ``for`` loop over a provably-empty word list (e.g.
-  ``$(seq 5 1)``), or over a glob with no match (the body then runs
-  once over the literal pattern — almost never what was meant).
+  ``$(seq 5 1)``).
 
 Severity: JS4004 is an error (the script provably aborts); the rest are
 warnings.  They register through the same ``@check`` hook as every

@@ -30,7 +30,6 @@ from .export import (
 )
 from .metrics import (
     MetricsRegistry,
-    ObservedCosts,
     dump_snapshot,
     dumps_snapshot,
     render_prometheus,
@@ -43,6 +42,5 @@ __all__ = [
     "ProcStats", "PipeStats", "RegionStats", "Hop", "critical_path",
     "render_report", "chrome_events", "chrome_trace", "dump_chrome",
     "dumps_chrome", "validate_chrome_trace", "MetricsRegistry",
-    "ObservedCosts", "dump_snapshot", "dumps_snapshot",
-    "render_prometheus", "render_stat",
+    "dump_snapshot", "dumps_snapshot", "render_prometheus", "render_stat",
 ]

@@ -25,10 +25,6 @@ Three consumers sit on top:
   commands by CPU/disk/stall, pipe backpressure, cache hit rate over
   time.
 
-:class:`ObservedCosts` distills the registry's per-command counters
-(CPU seconds, bytes seen) for estimate-vs-measured checks such as
-``benchmarks/bench_analysis.py``'s static-vs-observed volume row.
-
 Determinism rules (also DESIGN.md §13):
 
 * samples happen only when *virtual* time crosses a window boundary —
@@ -46,7 +42,6 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Optional
 
 #: histogram bucket exponents are clamped to this range (2^-30 .. 2^40)
 _MIN_EXP = -30
@@ -415,35 +410,3 @@ def render_prometheus(registry: MetricsRegistry) -> str:
                 lines.append(f"{pname}{label_s} "
                              f"{_prom_value(round(inst.value, 9))}")
     return "\n".join(lines) + "\n"
-
-
-# -- measured per-command totals ----------------------------------------------
-
-class ObservedCosts:
-    """Per-command totals distilled from a registry: virtual CPU
-    seconds and input bytes seen, keyed by command name.  The cost
-    model does not consume them (on the virtual clock
-    ``cpu_s / bytes_seen`` only re-derives the ``CPU_PER_BYTE`` table
-    the commands charged from); they are the *measured* side of
-    estimate-vs-measured comparisons."""
-
-    def __init__(self) -> None:
-        self.cpu_s: dict[str, float] = {}
-        self.bytes_seen: dict[str, float] = {}
-
-    @classmethod
-    def from_registry(cls, registry: Optional[MetricsRegistry]
-                      ) -> Optional["ObservedCosts"]:
-        if registry is None:
-            return None
-        obs = cls()
-        for name, labels, inst in registry.series:
-            proc = dict(labels).get("proc")
-            if proc is None:
-                continue
-            if name == "proc.cpu_s":
-                obs.cpu_s[proc] = obs.cpu_s.get(proc, 0.0) + inst.value
-            elif name in ("proc.read_bytes", "proc.disk_bytes"):
-                obs.bytes_seen[proc] = (obs.bytes_seen.get(proc, 0.0)
-                                        + inst.value)
-        return obs if obs.cpu_s else None

@@ -168,13 +168,10 @@ class HostCoordinator:
         # while self.stats stays cumulative for ``jash stat``
         self._mark = dict(self.stats)
         from ..analysis import analyze_program
-        from ..compiler.cost import StaticCosts
 
         try:
-            analysis = analyze_program(program, fs=fs, cwd=cwd)
-            plans = detect_regions(
-                program, analysis, fs, cwd, self.min_ship_bytes,
-                static_hints=StaticCosts.from_analysis(analysis))
+            plans = detect_regions(program, analyze_program(program), fs, cwd,
+                                   self.min_ship_bytes)
         except Exception as exc:
             # a pool that cannot analyse must never take the run down;
             # end_run reports what was swallowed

@@ -12,11 +12,11 @@ Three gates stand between a matched shape and a dispatch:
 
 * **S16 certificate** — the statement must carry a verified
   ``safe_parallel`` (or stronger) certificate; an uncertified region is
-  never shipped, which is what the JS2260 lint surfaces.
-* **S20 volume** — the certified byte volume (the snapshot size,
-  tightened by the abstract interpreter's static bound when one exists)
-  must reach ``min_ship_bytes``; 0 always ships — the difftest/CI
-  override that exercises the machinery on tiny corpora.
+  never shipped, which is what the JS2260 lint surfaces (a region S20
+  proves dead carries none).
+* **volume** — the input file's size when the run begins must reach
+  ``min_ship_bytes``; 0 always ships — the difftest/CI override that
+  exercises the machinery on tiny corpora.
 * **write set** — a trailing ``> OUT`` redirect must be covered by the
   statement's declared write set; any statement effect the certificate
   did not declare vetoes the dispatch.
@@ -170,18 +170,15 @@ def _matched_statements(program, analysis):
         yield idx, node, plan, cert
 
 
-def detect_regions(program, analysis, fs, cwd: str, min_ship_bytes: int,
-                   static_hints=None) -> list[RegionPlan]:
-    """All certificate- and volume-gated regions of ``program``;
-    ``static_hints`` is the S20 :class:`~repro.compiler.cost.StaticCosts`
-    whose proven volume bound can tighten a snapshot's size."""
-    from ..parser.unparse import unparse
+def detect_regions(program, analysis, fs, cwd: str,
+                   min_ship_bytes: int) -> list[RegionPlan]:
+    """All certificate- and volume-gated regions of ``program``."""
     from ..vos.fs import normalize
 
     regions: list[RegionPlan] = []
     reports = analysis.statements
     aligned = len(reports) == len(_statement_nodes(program))
-    for idx, node, plan, cert in _matched_statements(program, analysis):
+    for idx, _, plan, cert in _matched_statements(program, analysis):
         if cert is None or not cert.verify():
             continue
         # write-set validation: a trailing redirect the certificate's
@@ -193,14 +190,8 @@ def detect_regions(program, analysis, fs, cwd: str, min_ship_bytes: int,
                        for w in declared):
                 continue
         plan.input_path = normalize(plan.input_path, cwd)
-        if not fs.exists(plan.input_path):
-            continue
-        nbytes = fs.size(plan.input_path)
-        if static_hints is not None:
-            bound = static_hints.input_bytes(cert.node_text or unparse(node))
-            if bound is not None:
-                nbytes = min(nbytes, bound)
-        if nbytes < min_ship_bytes:
+        if not fs.exists(plan.input_path) or \
+                fs.size(plan.input_path) < min_ship_bytes:
             continue
         # prefetch timing: defer the snapshot when any earlier
         # statement may write (or has unknown effects on) the input

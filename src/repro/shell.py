@@ -124,8 +124,7 @@ class Shell:
             # preprocess the script before it runs
             self.optimizer.compile_program(program, tracer=self.kernel.tracer,
                                            now=self.kernel.now,
-                                           metrics=self.kernel.metrics,
-                                           fs=self.fs)
+                                           metrics=self.kernel.metrics)
         if self.persist_state and self._state is not None:
             state = self._state
             if args is not None:

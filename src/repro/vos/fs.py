@@ -8,7 +8,7 @@ POSIX-style; each :class:`FileSystem` belongs to one node/machine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator
 
 from .errors import FileNotFound, IsADirectory, NotADirectory
 
@@ -37,13 +37,6 @@ class FileNode:
     @property
     def size(self) -> int:
         return len(self.data)
-
-
-class FileStat(NamedTuple):
-    """What :meth:`FileSystem.stat_snapshot` keeps of a file."""
-
-    size: int
-    mtime: float
 
 
 class FileSystem:
@@ -96,16 +89,6 @@ class FileSystem:
 
     def walk(self) -> Iterator[str]:
         yield from sorted(self.files)
-
-    def stat_snapshot(self) -> "FileSystem":
-        """The namespace as it is now — names, sizes, mtimes, no bytes —
-        answering every query above; for a static analysis that is asked
-        later and must not see what was written in between."""
-        snapshot = FileSystem()
-        snapshot.files = {path: FileStat(node.size, node.mtime)
-                          for path, node in self.files.items()}
-        snapshot.dirs = set(self.dirs)
-        return snapshot
 
     # -- mutation -----------------------------------------------------------------
 

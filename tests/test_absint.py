@@ -1,44 +1,43 @@
 """S20 — the abstract-interpretation value-flow analyzer: domains,
-dead-branch facts, JS4xxx diagnostics, signed CostCertificates, and
-the bit-identity discipline of their consumption by both optimizers."""
+dead-branch facts, JS4xxx diagnostics, and how both optimizers consume
+the dead set."""
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.absint import (
     ABSINT_VERSION,
     AbsStatus,
-    AbsValue,
-    CostCertificate,
     S_ONE,
     S_TOP,
     S_ZERO,
     TOP,
     UNSET,
     analyze_value_flow,
-    as_interval,
     join_value,
-    make_cost_certificate,
     sjoin,
     snot,
     vconst,
-    vint,
-    widen_value,
 )
+from repro.compiler import PashOptimizer
+from repro.difftest import generate_cases, profiles
 from repro.parser import parse
 
 
-def flow(src: str, **kw):
-    return analyze_value_flow(parse(src), **kw)
+def flow(src: str):
+    return analyze_value_flow(parse(src))
 
 
-def codes(src: str, **kw) -> list:
-    return [f.code for f in flow(src, **kw).findings]
+def codes(src: str) -> list:
+    return [f.code for f in flow(src).findings]
 
 
-def dead_texts(src: str, **kw) -> set:
+def dead_texts(src: str) -> set:
     from repro.parser.unparse import unparse
 
-    return {unparse(d.node) for d in flow(src, **kw).dead_list}
+    return {unparse(d.node) for d in flow(src).dead_list}
 
 
 # ---------------------------------------------------------------------------
@@ -50,33 +49,36 @@ class TestValueDomain:
     def test_join_equal_consts(self):
         assert join_value(vconst("a"), vconst("a")) == vconst("a")
 
-    def test_join_unequal_consts_common_prefix(self):
-        v = join_value(vconst("file1"), vconst("file2"))
-        assert v.kind == "prefix" and v.text == "file"
-
     def test_join_disjoint_consts_top(self):
         assert join_value(vconst("abc"), vconst("xyz")) == TOP
 
-    def test_join_int_hull(self):
-        assert as_interval(join_value(vint(1, 3), vint(5, 9))) == (1, 9)
-
-    def test_join_const_int_mixes_as_interval(self):
-        assert as_interval(join_value(vconst("4"), vint(1, 2))) == (1, 4)
+    def test_join_unequal_consts_common_prefix(self):
+        # no prefix is kept: a shared head is still ⊤
+        assert join_value(vconst("file1"), vconst("file2")) == TOP
 
     def test_join_unset_is_top(self):
         # maybe-unset must not masquerade as a known value
         assert join_value(UNSET, vconst("x")) == TOP
 
-    def test_widen_drops_unstable_bounds(self):
-        # lower bound stable, upper grew: only the upper goes to +inf
-        w = widen_value(vint(0, 0), vint(0, 1))
-        assert as_interval(w) == (0, None)
+    def guard_after(self, init: str, head: str, body: str,
+                    guard: str) -> list:
+        src = f"{init}\n{head} {body}; done\nif {guard}; then echo y; fi"
+        return [f.message for f in flow(src).findings]
 
     def test_widen_stable_value_unchanged(self):
-        assert widen_value(vconst("a"), vconst("a")) == vconst("a")
+        assert self.guard_after("x=a", "while read l; do", "x=a",
+                                '[ "$x" = a ]') == ["guard is always true"]
 
     def test_widen_incomparable_is_top(self):
-        assert widen_value(vconst("a"), vconst("b")) == TOP
+        assert self.guard_after("x=a", "while read l; do", "x=b",
+                                '[ "$x" = a ]') == []
+
+    def test_widen_drops_unstable_bounds(self):
+        # a counter changes every trip: it widens to ⊤, no bound is kept
+        result = flow("n=0\nwhile [ $n -lt 3 ]; do n=$((n + 1)); done\n"
+                      "if [ $n -ge 0 ]; then echo y; fi")
+        assert result.widenings >= 1
+        assert not result.findings and not result.dead
 
 
 class TestStatusDomain:
@@ -90,26 +92,6 @@ class TestStatusDomain:
         assert snot(S_ZERO) == S_ONE
         assert snot(S_ONE) == S_ZERO
         assert snot(S_TOP) == S_TOP
-
-
-class TestCostCertificates:
-    def test_signature_roundtrip(self):
-        cert = make_cost_certificate("while :; do :; done", "loop", 0, 3)
-        assert cert.verify()
-
-    def test_tampered_certificate_fails(self):
-        cert = make_cost_certificate("cat /f | sort", "region", 1, 1,
-                                     100, 100)
-        forged = CostCertificate(cert.node_text, cert.kind, 1, 999,
-                                 cert.bytes_lo, cert.bytes_hi,
-                                 cert.stage_bytes, cert.digest)
-        assert not forged.verify()
-
-    def test_to_dict_carries_version(self):
-        cert = make_cost_certificate("seq 1 3", "region", 1, 1)
-        d = cert.to_dict()
-        assert d["analyzer"] == ABSINT_VERSION
-        assert d["digest"] == cert.digest
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +132,11 @@ class TestDeadBranches:
         assert "echo two" not in dead
 
     def test_unmatched_glob_is_never_a_dead_fact(self):
-        # POSIX keeps an unmatched pattern literally: the body runs once
-        from repro.vos.fs import FileSystem
-
-        fs = FileSystem()
-        result = flow("for f in /nosuch/*.txt; do echo $f; done", fs=fs)
+        # POSIX keeps an unmatched pattern literally: the body runs once;
+        # and the analysis sees no file system, so a glob is never empty
+        result = flow("for f in /nosuch/*.txt; do echo $f; done")
         assert not result.dead
-        assert "JS4006" in [f.code for f in result.findings]
+        assert "JS4006" not in [f.code for f in result.findings]
 
     def test_dead_set_covers_descendants(self):
         result = flow("exit 0\nif true; then echo a; fi")
@@ -240,49 +220,92 @@ class TestLintPositions:
 
 
 # ---------------------------------------------------------------------------
-# Cardinality / volume
+# Trip counts
 # ---------------------------------------------------------------------------
 
 
 class TestCardinality:
-    def loop_cert(self, src, **kw):
-        result = flow(src, **kw)
-        assert result.cost_list, "no certificate issued"
-        return result.cost_list[0]
+    """A loop that provably runs at least once keeps its body's values:
+    a guard after it reads the constant the body assigned."""
+
+    def after_loop(self, head: str) -> list:
+        src = (f'x=a\n{head} x=b; done\n'
+               'if [ "$x" = b ]; then echo y; fi')
+        return [f.message for f in flow(src).findings]
 
     def test_seq_trip_count(self):
-        cert = self.loop_cert("for i in $(seq 1 5); do echo $i; done")
-        assert (cert.trip_lo, cert.trip_hi) == (5, 5)
+        assert "guard is always true" in self.after_loop(
+            "for i in $(seq 1 5); do")
+        assert "JS4006" in codes("for i in $(seq 1 0); do echo $i; done")
 
     def test_seq_with_increment(self):
-        cert = self.loop_cert("for i in $(seq 1 2 10); do echo $i; done")
-        assert (cert.trip_lo, cert.trip_hi) == (5, 5)
+        assert "guard is always true" in self.after_loop(
+            "for i in $(seq 1 2 10); do")
+        assert "JS4006" in codes("for i in $(seq 10 2 1); do echo $i; done")
 
     def test_literal_words(self):
-        cert = self.loop_cert("for f in a b c; do echo $f; done")
-        assert (cert.trip_lo, cert.trip_hi) == (3, 3)
+        assert "guard is always true" in self.after_loop(
+            "for f in a b c; do")
 
     def test_const_var_split(self):
-        cert = self.loop_cert('v="a b c d"\nfor f in $v; do echo $f; done')
-        assert (cert.trip_lo, cert.trip_hi) == (4, 4)
+        assert "guard is always true" in self.after_loop(
+            'v="a b c d"\nfor f in $v; do')
+        assert "JS4006" in codes('v=""\nfor f in $v; do echo $f; done')
 
     def test_unbounded_loop(self):
-        cert = self.loop_cert("while read line; do echo $line; done")
-        assert cert.trip_hi is None
+        # may run zero times: the value before the loop joins in
+        assert self.after_loop("while read line; do") == []
+        assert self.after_loop("for f in $FILES; do") == []
+        # an unmatched glob stays literal: at least one trip
+        assert "guard is always true" in self.after_loop(
+            "for f in /d/*.txt; do")
 
-    def test_region_volume_from_fs(self):
-        from repro.vos.fs import FileSystem
 
-        fs = FileSystem()
-        fs.write_bytes("/w.txt", b"x" * 1000)
-        result = flow("cat /w.txt | sort | uniq", fs=fs)
-        regions = [c for c in result.cost_list if c.kind == "region"]
-        assert regions and regions[0].bytes_hi == 1000
-        assert regions[0].stage_bytes[0] == ("cat", 1000)
+# ---------------------------------------------------------------------------
+# What value flow decides is pinned, byte for byte
+# ---------------------------------------------------------------------------
 
-    def test_no_fs_no_region_cert(self):
-        result = flow("cat /w.txt | sort")
-        assert not [c for c in result.cost_list if c.kind == "region"]
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "tests" / "corpus"
+#: written by ``tools/regen_analysis_golden.py --absint``
+ABSINT_GOLDEN = json.loads((CORPUS / "absint_golden.json").read_text())
+GOLDEN_GROUPS = [*profiles(), "examples", "corpus"]
+
+
+def golden_group(group: str) -> dict[str, str]:
+    """name -> script text of one group of the golden file."""
+    if group == "examples":
+        return {f"examples/{p.name}": p.read_text()
+                for p in sorted((ROOT / "examples").glob("*.sh"))}
+    if group == "corpus":
+        return {str(p.relative_to(CORPUS)): p.read_text()
+                for p in sorted(CORPUS.rglob("*.sh"))}
+    return {f"grammar-{case.ident}": case.script
+            for case in generate_cases(0, 40, group)}
+
+
+def test_absint_golden_covers_every_script():
+    names = set()
+    for group in GOLDEN_GROUPS:
+        names |= set(golden_group(group))
+    assert set(ABSINT_GOLDEN) == names
+
+
+@pytest.mark.parametrize("group", GOLDEN_GROUPS)
+def test_value_flow_matches_golden(group):
+    from repro.parser.unparse import unparse
+
+    for name, text in golden_group(group).items():
+        result = flow(text)
+        outcome = {
+            "dead": [[unparse(d.node), d.reason] for d in result.dead_list],
+            "findings": [[f.code, f.message, unparse(f.node), f.context]
+                         for f in result.findings],
+            "nodes": result.nodes,
+            "widenings": result.widenings,
+        }
+        assert json.loads(json.dumps(outcome)) == ABSINT_GOLDEN[name], name
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +322,7 @@ DEAD_SCRIPT = (
 FILES = {"/w.txt": b"the quick brown fox jumps\n" * 200}
 
 
-def run_jash(script, value_flow=True, min_input_bytes=1024, files=FILES, metrics=None, tracer=None):
+def run_jash(script, min_input_bytes=1024, files=FILES, metrics=None, tracer=None):
     from repro.compiler import OptimizerConfig
     from repro.jit import JashConfig, JashOptimizer
     from repro.shell import Shell
@@ -307,7 +330,6 @@ def run_jash(script, value_flow=True, min_input_bytes=1024, files=FILES, metrics
     from .conftest import fast_machine
 
     optimizer = JashOptimizer(JashConfig(
-        value_flow=value_flow,
         optimizer=OptimizerConfig(min_input_bytes=min_input_bytes),
     ))
     shell = Shell(fast_machine(), optimizer=optimizer, metrics=metrics,
@@ -318,49 +340,20 @@ def run_jash(script, value_flow=True, min_input_bytes=1024, files=FILES, metrics
     return shell, result, optimizer
 
 
-def run_pash(script, value_flow=True, files=FILES):
-    from repro.compiler import PashConfig, PashOptimizer
+def run_pash(script, files=FILES, machine=None, optimizer=None):
     from repro.shell import Shell
 
     from .conftest import fast_machine
 
-    optimizer = PashOptimizer(PashConfig(value_flow=value_flow))
-    shell = Shell(fast_machine(), optimizer=optimizer)
+    optimizer = optimizer or PashOptimizer()
+    shell = Shell(machine or fast_machine(), optimizer=optimizer)
     for path, data in files.items():
         shell.fs.write_bytes(path, data)
     result = shell.run(script)
     return shell, result, optimizer
 
 
-def jit_decisions(optimizer):
-    return [(e.node_text, e.decision, e.reason) for e in optimizer.events]
-
-
 class TestJashBitIdentity:
-    def test_no_dead_code_decisions_identical(self):
-        shell_on, r_on, opt_on = run_jash(LIVE_SCRIPT, value_flow=True)
-        shell_off, r_off, opt_off = run_jash(LIVE_SCRIPT, value_flow=False)
-        assert jit_decisions(opt_on) == jit_decisions(opt_off)
-        assert r_on.stdout == r_off.stdout
-        assert shell_on.fs.read_bytes("/out.txt") == \
-            shell_off.fs.read_bytes("/out.txt")
-        assert r_on.elapsed == r_off.elapsed
-
-    def test_dead_code_output_bytes_unchanged(self):
-        shell_on, r_on, opt_on = run_jash(DEAD_SCRIPT, value_flow=True)
-        shell_off, r_off, opt_off = run_jash(DEAD_SCRIPT, value_flow=False)
-        # the dead region never executes, so runtime decisions coincide
-        assert jit_decisions(opt_on) == jit_decisions(opt_off)
-        assert r_on.stdout == r_off.stdout
-        assert shell_on.fs.read_bytes("/out.txt") == \
-            shell_off.fs.read_bytes("/out.txt")
-        # but the pass did find the dead region
-        from repro.analysis import analyze_program
-
-        program = parse(DEAD_SCRIPT)
-        assert analyze_program(program, value_flow=True).dead_nodes()
-        assert not analyze_program(program, value_flow=False).dead_nodes()
-
     def test_dead_region_has_no_safety_certificate(self):
         from repro.analysis import analyze_program
 
@@ -371,27 +364,77 @@ class TestJashBitIdentity:
             "a provably-dead node was certified"
 
 
-class TestPashConsumption:
-    def test_no_dead_code_decisions_identical(self):
-        _, r_on, opt_on = run_pash(LIVE_SCRIPT, value_flow=True)
-        _, r_off, opt_off = run_pash(LIVE_SCRIPT, value_flow=False)
-        assert [(e.node_text, e.decision) for e in opt_on.events] == \
-            [(e.node_text, e.decision) for e in opt_off.events]
-        assert r_on.stdout == r_off.stdout
+#: the guard is true only for a file the script itself creates: a pass
+#: that globbed the files as they were before the run would see one
+#: match, a constant ``f`` and an "always false" guard
+GLOB_PROBE = (
+    "touch /d/b.txt\n"
+    "for f in /d/*.txt; do\n"
+    '  if [ "$f" = /d/b.txt ]; then cat /w.txt | sort > /out.txt; fi\n'
+    "done\n"
+)
+GLOB_FILES = {"/d/a.txt": b"a\n", "/w.txt": b"b\na\n" * 50_000}
 
+
+class OfferedNodes(PashOptimizer):
+    """Records every node the interpreter offered to the AOT hook."""
+
+    def __init__(self):
+        super().__init__()
+        self.offered: set[int] = set()
+
+    def try_execute(self, interp, proc, node):
+        self.offered.add(id(node))
+        return super().try_execute(interp, proc, node)
+
+
+def offered_dead(script, files, machine=None) -> set:
+    """Nodes PaSh rejected as unreachable that the script then ran."""
+    _, _, pash = run_pash(script, files, machine, OfferedNodes())
+    return pash.offered & pash._analysis.dead_nodes()
+
+
+class TestPashConsumption:
     def test_dead_region_rejected_from_approval(self):
-        shell_on, r_on, opt_on = run_pash(DEAD_SCRIPT, value_flow=True)
-        shell_off, r_off, opt_off = run_pash(DEAD_SCRIPT, value_flow=False)
-        assert any("provably unreachable" in e.reason
-                   for e in opt_on.events if e.decision == "skipped")
-        assert not any("provably unreachable" in e.reason
-                       for e in opt_off.events)
-        # the AOT ablation approves the dead region; value_flow prunes it
-        assert len(opt_off._approved) == len(opt_on._approved) + 1
-        # either way it never runs: output bytes unchanged
-        assert r_on.stdout == r_off.stdout
-        assert shell_on.fs.read_bytes("/out.txt") == \
-            shell_off.fs.read_bytes("/out.txt")
+        from repro.shell import Shell
+
+        from .conftest import fast_machine
+
+        shell, result, pash = run_pash(DEAD_SCRIPT)
+        assert [e.node_text for e in pash.events
+                if e.reason == "provably unreachable (S20 dead-branch fact)"
+                ] == ["cat /w.txt | sort >/dead.txt"]
+        # it never runs: the output bytes are the interpreter's
+        plain = Shell(fast_machine())
+        for path, data in FILES.items():
+            plain.fs.write_bytes(path, data)
+        assert plain.run(DEAD_SCRIPT).stdout == result.stdout
+        assert plain.fs.read_bytes("/out.txt") == \
+            shell.fs.read_bytes("/out.txt")
+
+    def test_live_region_behind_a_glob_runs_as_a_plan(self):
+        from repro import laptop
+
+        shell, result, pash = run_pash(GLOB_PROBE, GLOB_FILES, laptop())
+        assert (pash.events[-1].node_text, pash.events[-1].decision) == \
+            ("cat /w.txt | sort >/out.txt", "optimized")
+        assert repr(result.elapsed) == "0.0842032565022958"
+        assert shell.fs.size("/out.txt") == 200_000
+
+    def test_probe_runs_no_node_called_dead(self):
+        from repro import laptop
+
+        assert not offered_dead(GLOB_PROBE, GLOB_FILES, laptop())
+
+    @pytest.mark.parametrize("profile", profiles())
+    def test_grammar_runs_no_node_called_dead(self, profile):
+        # the PaSh twin of test_analysis_demand's JIT witness: a node the
+        # AOT pass rejects as unreachable is never offered at run time
+        for seed in (0, 1):
+            for case in generate_cases(seed, 40, profile):
+                files = {"/" + name: data
+                         for name, data in case.files.items()}
+                assert not offered_dead(case.script, files), case.ident
 
 
 class TestObservability:
@@ -401,7 +444,6 @@ class TestObservability:
         metrics = MetricsRegistry()
         run_jash(LIVE_SCRIPT, metrics=metrics)
         assert metrics.sum_by_name("analysis.absint.nodes") > 0
-        assert metrics.sum_by_name("analysis.absint.certs") > 0
 
     def test_tracer_span(self):
         from repro.obs import Tracer
@@ -420,30 +462,6 @@ class TestObservability:
         run_jash(LIVE_SCRIPT)
         assert Tracer.total_records == before_r
         assert MetricsRegistry.total_updates == before_u
-
-
-class TestStaticCosts:
-    def test_from_analysis_and_lookups(self):
-        from repro.analysis import analyze_program
-        from repro.compiler.cost import StaticCosts
-        from repro.vos.fs import FileSystem
-
-        fs = FileSystem()
-        fs.write_bytes("/w.txt", b"x" * 500)
-        result = analyze_program(parse("cat /w.txt | sort"), fs=fs)
-        static = StaticCosts.from_analysis(result)
-        assert len(static) >= 1
-        assert static.input_bytes("cat /w.txt | sort") == 500
-        assert static.input_bytes("no such region") is None
-
-    def test_tampered_certs_dropped(self):
-        from repro.compiler.cost import StaticCosts
-
-        bad = CostCertificate("cat /f", "region", 1, 1, 5, 5, (),
-                              "0" * 16)
-        static = StaticCosts.from_analysis(
-            type("R", (), {"cost_list": [bad]})())
-        assert len(static) == 0
 
 
 # ---------------------------------------------------------------------------

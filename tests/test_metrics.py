@@ -11,7 +11,6 @@ from repro import FaultPlan, JashConfig, JashOptimizer, Shell
 from repro.compiler import OptimizerConfig
 from repro.obs import (
     MetricsRegistry,
-    ObservedCosts,
     Tracer,
     dumps_chrome,
     dumps_snapshot,
@@ -451,22 +450,6 @@ class TestSupervisedTracing:
 
 
 # -- profile feedback --------------------------------------------------------------
-
-
-class TestObservedCosts:
-    def test_from_registry_math(self):
-        reg = MetricsRegistry()
-        reg.counter("proc.cpu_s", proc="sort").inc(2.0)
-        reg.counter("proc.read_bytes", proc="sort").inc(8192.0)
-        reg.counter("proc.disk_bytes", proc="sort").inc(808.0)
-        obs = ObservedCosts.from_registry(reg)
-        assert obs is not None
-        assert obs.cpu_s == {"sort": 2.0}
-        assert obs.bytes_seen == {"sort": 9000.0}
-
-    def test_empty_registry_gives_none(self):
-        assert ObservedCosts.from_registry(None) is None
-        assert ObservedCosts.from_registry(MetricsRegistry()) is None
 
 
 class TestProfileFeedback:

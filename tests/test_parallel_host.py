@@ -115,31 +115,21 @@ class TestEqualityGate:
         assert pooled.elapsed == serial.elapsed
         assert shell.host_coord.stats["regions_dispatched"] == 0
 
-
-    @pytest.mark.parametrize("bound,ships", [(999, False), (1000, True)])
-    def test_s20_bound_not_file_size_decides(self, bound, ships):
-        """The volume the gate compares with the floor is the smaller of
-        the snapshot and the S20 bound proven for the region."""
+    @pytest.mark.parametrize("floor,ships", [(5000, True), (5001, False)])
+    def test_file_size_decides_at_the_floor(self, floor, ships):
+        """The gate compares the input's size when the run begins with
+        the floor; at floor 0 everything ships."""
         from repro.analysis import analyze_program
-        from repro.analysis.absint import make_cost_certificate
-        from repro.compiler.cost import StaticCosts
         from repro.parallel_host import detect_regions
         from repro.parser import parse
 
-        text = "cat /w.txt | tr a-z A-Z | sort"
         shell = Shell(laptop())
         shell.fs.write_bytes("/w.txt", WORDS[:5000])
-        program = parse(text)
-        analysis = analyze_program(program, fs=shell.fs)
-        hints = StaticCosts({text: make_cost_certificate(
-            text, "region", bytes_hi=bound)})
-        plans = detect_regions(program, analysis, shell.fs, "/", 1000,
-                               static_hints=hints)
-        assert len(plans) == ships
-        # the file alone clears the floor; at floor 0 everything ships
-        assert len(detect_regions(program, analysis, shell.fs, "/", 1000)) == 1
-        assert len(detect_regions(program, analysis, shell.fs, "/", 0,
-                                  static_hints=hints)) == 1
+        program = parse("cat /w.txt | tr a-z A-Z | sort")
+        analysis = analyze_program(program)
+        assert len(detect_regions(program, analysis, shell.fs, "/",
+                                  floor)) == ships
+        assert len(detect_regions(program, analysis, shell.fs, "/", 0)) == 1
 
 
 #: 20 000 distinct lines: no part's count table is worth finishing
@@ -541,15 +531,12 @@ class TestDetectionGuard:
 
 
 class TestLintJS2260:
-    def _analysis(self, text, files=()):
+    def _analysis(self, text):
         from repro.analysis import analyze_program
         from repro.parser import parse
 
-        shell = Shell(laptop())
-        for path, data in files:
-            shell.fs.write_bytes(path, data)
         program = parse(text)
-        return program, analyze_program(program, fs=shell.fs)
+        return program, analyze_program(program)
 
     def test_warns_when_no_region_is_eligible(self):
         from repro.lint import check_jobs_eligibility
@@ -562,8 +549,7 @@ class TestLintJS2260:
     def test_silent_when_a_region_clears(self):
         from repro.lint import check_jobs_eligibility
 
-        program, analysis = self._analysis(
-            "cat /w.txt | tr a-z A-Z | sort", files=[("/w.txt", WORDS)])
+        program, analysis = self._analysis("cat /w.txt | tr a-z A-Z | sort")
         assert check_jobs_eligibility(program, analysis, 4) is None
 
     def test_silent_at_jobs_one(self):
