@@ -1,16 +1,13 @@
-"""S16 — static-analysis dividend: certificate hit rate and the JIT
-compile-time delta with the analyzer on vs off.
+"""S16 — static-analysis dividend: certificate hit rate and the
+analyzer's own cost.
 
 The whole-script analyzer (``repro.analysis``) runs once per program
-and hands the JIT signed SafetyCertificates; at run time a certificate
-hit replaces the per-node purity walk with a cheaper pre-screen
-(``cert_probe_cost_s`` vs ``probe_cost_s``).  This benchmark runs a
-workload family under ``JashOptimizer`` twice — ``static_analysis=True``
-and ``False`` — and records:
+and hands the JIT its verdict table; at run time a certificate hit
+replaces the per-node purity walk with a cheaper pre-screen
+(``cert_probe_cost_s`` vs ``probe_cost_s``, a constant ratio).  This
+benchmark runs a workload family under ``JashOptimizer`` and records:
 
 * the certificate **hit rate** (hits / (hits + misses));
-* the **virtual-time delta** (analysis on vs off): the compile-once
-  dividend, visible because certificate hits charge less probe CPU;
 * the analyzer's own **wall-clock cost** per script (host seconds):
   the pass the JIT pays for (purity verdicts only) and the whole report
   (every section read, what ``jash check`` pays);
@@ -18,8 +15,8 @@ and ``False`` — and records:
   run with no tracer or metrics makes **zero calls** into value flow,
   race detection, use-before-def and effect summaries;
 * the invariant that stdout and produced files are **byte-identical**
-  in both configurations — certificates precompute the runtime purity
-  verdict, they never change a decision.
+  to the plain interpreter's — certificates precompute the runtime
+  purity verdict, they never change a result.
 
 Run standalone: ``PYTHONPATH=src python benchmarks/bench_analysis.py
 [--smoke]``; or under pytest-benchmark:
@@ -106,19 +103,15 @@ def section_spies():
         yield calls
 
 
-def run_one(script: str, files: dict[str, bytes], static_analysis: bool):
-    """One run; returns (virtual_s, stdout, /out.txt bytes, optimizer)."""
-    optimizer = JashOptimizer(JashConfig(
-        static_analysis=static_analysis,
-        optimizer=OptimizerConfig(min_input_bytes=4096),
-    ))
-    shell = Shell(laptop(), optimizer=optimizer)
+def run_one(script: str, files: dict[str, bytes], optimizer=None):
+    """One run (the plain interpreter when ``optimizer`` is None);
+    returns (virtual_s, stdout, /out.txt bytes)."""
+    shell = Shell(laptop(), optimizer=optimizer, jobs=1)
     for path, data in files.items():
         shell.fs.write_bytes(path, data)
     result = shell.run(script)
     assert result.status == 0, (script, result.err)
-    out = shell.fs.read_bytes("/out.txt")
-    return result.elapsed, result.stdout, out, optimizer
+    return result.elapsed, result.stdout, shell.fs.read_bytes("/out.txt")
 
 
 def collect(n_bytes: int) -> dict:
@@ -130,22 +123,21 @@ def collect(n_bytes: int) -> dict:
         jit_wall = time.perf_counter() - t0
         stats = analysis.stats()  # reads every section
         analyze_wall = time.perf_counter() - t0
+        optimizer = JashOptimizer(JashConfig(
+            optimizer=OptimizerConfig(min_input_bytes=4096)))
         with section_spies() as unread:
-            on_vt, on_stdout, on_file, on_opt = run_one(script, files, True)
-        off_vt, off_stdout, off_file, off_opt = run_one(script, files, False)
+            virtual_s, *jash = run_one(script, files, optimizer)
+        _, *interpreted = run_one(script, files)
         rows[name] = {
             "jit_wall_s": jit_wall,
             "analyze_wall_s": analyze_wall,
             "unread_section_calls": dict(unread),
             "stats": stats,
-            "virtual_on_s": on_vt,
-            "virtual_off_s": off_vt,
-            "delta_s": off_vt - on_vt,
-            "cert_hits": on_opt.cert_hits,
-            "cert_misses": on_opt.cert_misses,
-            "hit_rate": on_opt.cert_hit_rate,
-            "identical": (on_stdout == off_stdout and on_file == off_file),
-            "off_used_certs": off_opt.cert_hits,
+            "virtual_s": virtual_s,
+            "cert_hits": optimizer.cert_hits,
+            "cert_misses": optimizer.cert_misses,
+            "hit_rate": optimizer.cert_hit_rate,
+            "identical": jash == interpreted,
         }
     return {"scripts": rows, "n_bytes": n_bytes}
 
@@ -153,15 +145,11 @@ def collect(n_bytes: int) -> dict:
 def check(results: dict) -> None:
     """The acceptance assertions (shared by pytest and --smoke)."""
     for name, row in results["scripts"].items():
-        # certificates precompute, never change, the engine's decisions
-        assert row["identical"], f"{name}: output differs analyzer on/off"
-        # the ablation config really is the pure JIT
-        assert row["off_used_certs"] == 0, name
+        # certificates precompute the runtime verdict, never a result
+        assert row["identical"], f"{name}: output differs from sh"
         # every candidate the compile-once pass saw produces a hit
         assert row["cert_hits"] > 0, f"{name}: no certificate consulted"
         assert row["hit_rate"] == 1.0, (name, row["hit_rate"])
-        # the cheaper pre-screen is visible on the virtual clock
-        assert row["virtual_on_s"] <= row["virtual_off_s"], name
         # the JIT paid for its purity verdicts and for nothing else
         assert not row["unread_section_calls"], \
             (name, row["unread_section_calls"])
@@ -176,17 +164,15 @@ def analysis_table(results: dict) -> tuple[str, dict]:
             name,
             f"{row['cert_hits']}/{row['cert_hits'] + row['cert_misses']}",
             f"{row['hit_rate']:.0%}",
-            f"{row['virtual_on_s']:.6f}",
-            f"{row['virtual_off_s']:.6f}",
-            f"{row['delta_s'] * 1e6:+.1f}us",
+            f"{row['virtual_s']:.6f}",
             f"{row['jit_wall_s'] * 1e3:.2f}ms",
             f"{row['analyze_wall_s'] * 1e3:.2f}ms",
             "yes" if row["identical"] else "NO",
         ])
     table = format_table(
-        ["script", "cert hit/total", "hit rate", "virtual on",
-         "virtual off", "delta", "jit pass", "full report", "identical"],
-        rows, title="S16: certificate hit rate and JIT delta "
+        ["script", "cert hit/total", "hit rate", "virtual s", "jit pass",
+         "full report", "identical"],
+        rows, title="S16: certificate hit rate and analyzer cost "
                     f"({results['n_bytes'] / 1e6:.1f} MB input)",
     )
     return table, results["scripts"]

@@ -6,13 +6,13 @@ compiler (S7) consult instead of re-deriving safety per run:
 * :mod:`repro.analysis.paths`        — the abstract-path lattice
   (literal / glob-prefix / expansion-prefix / ⊤);
 * :mod:`repro.analysis.effects`      — per-node effect summaries
-  (abstract file read/write sets, variable def/use sets);
+  (abstract file read/write sets);
 * :mod:`repro.analysis.envflow`      — reaching definitions over the
   structured CFG; use-before-def detection;
 * :mod:`repro.analysis.races`        — write-write / read-before-seal /
   write-under-read conflicts between concurrent statements;
-* :mod:`repro.analysis.certificates` — signed SafetyCertificates
-  (``safe_parallel`` / ``safe_reorder`` / ``unsafe``) keyed by AST node;
+* :mod:`repro.analysis.certificates` — the verdict table
+  (``safe_parallel`` / ``unsafe``) keyed by AST node, and the report;
 * :mod:`repro.analysis.absint`       — the S20 abstract interpreter
   (value / exit-status / trip-count domains) producing dead-branch
   facts and JS4xxx findings.
@@ -30,15 +30,11 @@ from .absint import (
 )
 from .candidates import pipeline_stages, purity_reason
 from .certificates import (
-    ANALYZER_VERSION,
     SAFE_PARALLEL,
-    SAFE_REORDER,
     UNKNOWN,
     UNSAFE,
     AnalysisResult,
-    SafetyCertificate,
     analyze_program,
-    make_certificate,
 )
 from .effects import Conflict, EffectAnalyzer, EffectSummary, conflicts
 from .envflow import VarUse, use_before_def
@@ -46,9 +42,8 @@ from .paths import AbstractPath, TOP, may_alias, word_to_path
 from .races import RaceFinding, detect_races
 
 __all__ = [
-    "ANALYZER_VERSION", "SAFE_PARALLEL", "SAFE_REORDER", "UNKNOWN", "UNSAFE",
-    "AnalysisResult", "SafetyCertificate", "analyze_program",
-    "make_certificate",
+    "SAFE_PARALLEL", "UNKNOWN", "UNSAFE",
+    "AnalysisResult", "analyze_program",
     "Conflict", "EffectAnalyzer", "EffectSummary", "conflicts",
     "VarUse", "use_before_def",
     "AbstractPath", "TOP", "may_alias", "word_to_path",

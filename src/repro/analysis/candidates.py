@@ -36,16 +36,14 @@ def pipeline_stages(node: Command) -> Optional[list[SimpleCommand]]:
     return stages
 
 
-def purity_reason(stages: list[SimpleCommand], allow_pure_cmdsub: bool = False,
-                  pure_commands: frozenset = frozenset()) -> Optional[str]:
+def purity_reason(stages: list[SimpleCommand]) -> Optional[str]:
     """Why early expansion would be unsound, or None when it is safe."""
     for stage in stages:
-        report = check_words(stage.words, allow_pure_cmdsub, pure_commands)
+        report = check_words(stage.words)
         if not report.pure:
             return "; ".join(report.reasons)
         for redirect in stage.redirects:
-            report = check_word(redirect.target, allow_pure_cmdsub,
-                                pure_commands)
+            report = check_word(redirect.target)
             if not report.pure:
                 return "; ".join(report.reasons)
     return None

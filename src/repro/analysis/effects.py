@@ -1,20 +1,17 @@
-"""Effect summaries: abstract read/write file sets and environment
-def/use sets, per AST node (S16).
+"""Effect summaries: abstract read/write file sets per AST node (S16).
 
-A summary answers two questions the certificate layer and the race
-detector need:
-
-* which files *may* this statement read or write (as
-  :class:`~repro.analysis.paths.AbstractPath` sets)?
-* which shell variables does it define and use?
+A summary answers the question the race detector, the host pool's
+prefetch timing and ``jash check`` ask: which files *may* this statement
+read or write (as :class:`~repro.analysis.paths.AbstractPath` sets)?
 
 File effects come from three sources: redirections, the annotation
 library's per-invocation specs (``input_operands`` name the read files,
 ``output_files`` the written ones), and hard-wired rules for the
 filesystem-mutating commands the library only marks SIDE_EFFECTFUL
 (``rm``/``mv``/``cp``/``touch``/``mkdir``/``tee``).  Unknown commands
-make a summary *opaque* — the analyzer then refuses to certify or to
-report races involving it, rather than guessing.
+make a summary *opaque*: its effects are unknown, so the pool defers a
+region behind it and races through it can be missed, rather than
+guessed.
 
 Function definitions are summarized once and inlined at call sites
 (the interprocedural half of the analysis), with a recursion guard.
@@ -63,20 +60,13 @@ class EffectSummary:
 
     reads: set[AbstractPath] = field(default_factory=set)
     writes: set[AbstractPath] = field(default_factory=set)
-    env_uses: set[str] = field(default_factory=set)
-    env_defs: set[str] = field(default_factory=set)
     #: contains a command the library cannot classify: effects unknown
     opaque: bool = False
-    #: contains a background job (``&``) somewhere inside
-    spawns: bool = False
 
     def merge(self, other: "EffectSummary") -> None:
         self.reads |= other.reads
         self.writes |= other.writes
-        self.env_uses |= other.env_uses
-        self.env_defs |= other.env_defs
         self.opaque = self.opaque or other.opaque
-        self.spawns = self.spawns or other.spawns
 
     def to_dict(self) -> dict:
         def paths(ps):
@@ -85,10 +75,7 @@ class EffectSummary:
         return {
             "reads": paths(self.reads),
             "writes": paths(self.writes),
-            "env_uses": sorted(self.env_uses),
-            "env_defs": sorted(self.env_defs),
             "opaque": self.opaque,
-            "spawns": self.spawns,
         }
 
 
@@ -127,17 +114,6 @@ def conflicts(a: EffectSummary, b: EffectSummary,
     scan("write-write", a.writes, b.writes)
     scan("write-read", a.writes, b.reads)
     scan("read-write", a.reads, b.writes)
-    return out
-
-
-def self_conflicts(s: EffectSummary) -> list[Conflict]:
-    """Paths a single region both writes and reads (the ``sort f > f``
-    shape): its own parallelization hazard list."""
-    out: list[Conflict] = []
-    for w in sorted(s.writes, key=lambda x: (x.kind, x.text)):
-        for r in sorted(s.reads, key=lambda x: (x.kind, x.text)):
-            if not w.is_top and not r.is_top and may_alias(w, r):
-                out.append(Conflict("write-read", w, r))
     return out
 
 
@@ -183,8 +159,6 @@ class EffectAnalyzer:
         elif isinstance(node, CommandList):
             for item in node.items:
                 s.merge(self.compute(item.command))
-                if item.is_async:
-                    s.spawns = True
         elif isinstance(node, (Subshell, BraceGroup)):
             s.merge(self.compute(node.body))
             self._redirects(node.redirects, s)
@@ -202,16 +176,15 @@ class EffectAnalyzer:
             s.merge(self.compute(node.body))
             self._redirects(node.redirects, s)
         elif isinstance(node, For):
-            s.env_defs.add(node.var)
             for word in node.words or ():
-                self._word_uses(word, s)
+                self._word_effects(word, s)
             s.merge(self.compute(node.body))
             self._redirects(node.redirects, s)
         elif isinstance(node, Case):
-            self._word_uses(node.word, s)
+            self._word_effects(node.word, s)
             for item in node.items:
                 for pat in item.patterns:
-                    self._word_uses(pat, s)
+                    self._word_effects(pat, s)
                 if item.body is not None:
                     s.merge(self.compute(item.body))
             self._redirects(node.redirects, s)
@@ -223,10 +196,9 @@ class EffectAnalyzer:
 
     def _simple(self, node: SimpleCommand, s: EffectSummary) -> None:
         for assign in node.assigns:
-            self._word_uses(assign.word, s)
-            s.env_defs.add(assign.name)
+            self._word_effects(assign.word, s)
         for word in node.words:
-            self._word_uses(word, s)
+            self._word_effects(word, s)
         self._redirects(node.redirects, s)
         if not node.words:
             return
@@ -258,11 +230,6 @@ class EffectAnalyzer:
             return
         if name == "tee":
             s.writes.update(word_to_path(w) for w in operands)
-            return
-        if name in ("read", "export", "readonly", "unset", "local"):
-            for w in operands:
-                if w.is_literal():
-                    s.env_defs.add(w.literal_value().partition("=")[0])
             return
         if name in SPECIAL_BUILTINS or name in REGULAR_BUILTINS:
             return  # no file effects beyond redirects
@@ -304,32 +271,26 @@ class EffectAnalyzer:
         for redirect in redirects:
             if redirect.op in ("<<", "<<-", "<&", ">&"):
                 continue  # heredocs and fd-dups touch no named file
-            self._word_uses(redirect.target, s)
+            self._word_effects(redirect.target, s)
             path = word_to_path(redirect.target)
             if redirect.op in READ_REDIRECTS:
                 s.reads.add(path)
             elif redirect.op in WRITE_REDIRECTS:
                 s.writes.add(path)
 
-    def _word_uses(self, word: Word, s: EffectSummary) -> None:
-        """Variable uses inside a word (including nested expansions); a
-        command substitution contributes its command's reads and uses
+    def _word_effects(self, word: Word, s: EffectSummary) -> None:
+        """File effects inside a word (including nested expansions): a
+        command substitution contributes its command's reads and writes
         (its writes happen in a subshell but still touch the fs)."""
         for part in word.parts:
-            self._part_uses(part, s)
+            self._part_effects(part, s)
 
-    def _part_uses(self, part, s: EffectSummary) -> None:
+    def _part_effects(self, part, s: EffectSummary) -> None:
         if isinstance(part, Param):
-            s.env_uses.add(part.name)
-            if part.op.lstrip(":") in ("=",):
-                s.env_defs.add(part.name)
             if part.word is not None:
-                self._word_uses(part.word, s)
-        elif isinstance(part, DoubleQuoted):
+                self._word_effects(part.word, s)
+        elif isinstance(part, (DoubleQuoted, ArithSub)):
             for sub in part.parts:
-                self._part_uses(sub, s)
-        elif isinstance(part, ArithSub):
-            for sub in part.parts:
-                self._part_uses(sub, s)
+                self._part_effects(sub, s)
         elif isinstance(part, CmdSub):
             s.merge(self.compute(part.command))

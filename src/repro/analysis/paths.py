@@ -13,7 +13,7 @@ file-naming word into one of three shapes, ordered by precision:
 
 ``literal ⊑ glob ⊑ prefix`` in the sense that each shape denotes a
 superset of concrete paths.  :func:`may_alias` is the conservative
-overlap test the race detector and the certificate hazard check use:
+overlap test the race detector and the host pool's prefetch timing use:
 it answers "could these two abstract paths denote the same file?" and
 errs toward *yes* (soundness for conflict detection).
 """

@@ -117,11 +117,9 @@ class SpecLibrary:
 
     def __init__(self) -> None:
         self._specs: dict[str, CommandSpec] = {}
-        self._pure_read_only: Optional[frozenset[str]] = None
 
     def register(self, spec: CommandSpec) -> None:
         self._specs[spec.name] = spec
-        self._pure_read_only = None
 
     def get(self, name: str) -> Optional[CommandSpec]:
         return self._specs.get(name)
@@ -136,20 +134,6 @@ class SpecLibrary:
 
     def known_commands(self) -> list[str]:
         return sorted(self._specs)
-
-    def pure_read_only_commands(self) -> frozenset[str]:
-        """Commands that never write anything (usable in pure command
-        substitutions, see repro.semantics.purity).  Classified once
-        per set of registered specs: every ``JashOptimizer`` asks."""
-        if self._pure_read_only is None:
-            out = set()
-            for name, spec in self._specs.items():
-                probe = spec.classify([])
-                if probe is not None and probe.pure \
-                        and not probe.output_files:
-                    out.add(name)
-            self._pure_read_only = frozenset(out)
-        return self._pure_read_only
 
     def __contains__(self, name: str) -> bool:
         return name in self._specs

@@ -673,13 +673,9 @@ def _check(args) -> int:
     print(f"statements analyzed: {stats['statements']}")
     print(f"certificates: {stats['certificates']} "
           f"(safe_parallel {stats['safe_parallel']}, "
-          f"safe_reorder {stats['safe_reorder']}, "
           f"unsafe {stats['unsafe']})")
     for cert in result.cert_list:
-        print(f"  [{cert.verdict}] `{cert.node_text}` — {cert.reason} "
-              f"({cert.digest})")
-        for hazard in cert.hazards:
-            print(f"      hazard: {hazard}")
+        print(f"  [{cert['verdict']}] `{cert['node']}` — {cert['reason']}")
     if result.statements:
         print("effects:")
         for stmt in result.statements:

@@ -55,13 +55,6 @@ class PashConfig:
     #: straight from its fixed width to the interpreter.
     transactional: bool = False
     retry: RetryPolicy = DEFAULT_REGION_POLICY
-    #: consult the whole-script analyzer (repro.analysis, S16) during the
-    #: AOT pass: ``unsafe`` certificates reject a node before region
-    #: extraction is even attempted (the verdicts coincide — an impure
-    #: expansion always involves dynamic words, which AOT extraction
-    #: rejects too — so decisions are unchanged; the certificate just
-    #: answers first and records why)
-    static_analysis: bool = True
 
 
 class PashOptimizer:
@@ -86,30 +79,29 @@ class PashOptimizer:
                         now: float = 0.0, metrics=None) -> None:
         """The ahead-of-time pass: walk the static AST and mark the
         statement-level pipelines/commands whose regions extract.
-        Static SafetyCertificates (S16) are checked first; only nodes
-        they do not cover go through region extraction.  The S20
+        The S16 certificates are checked first: an ``unsafe`` one rejects
+        a node before region extraction is even attempted (the verdicts
+        coincide — an impure expansion always involves dynamic words,
+        which AOT extraction rejects too — so the certificate just
+        answers first and records why).  The S20
         dead-branch facts reject provably unreachable nodes — a dead
-        node carries *no* safety certificate, so without the explicit
+        node carries *no* certificate, so without the explicit
         check it would fall through to region extraction and could be
         approved.  The facts hold for any file system: the pass sees
         none ("an ahead-of-time compiler has no knowledge of the input
         files")."""
+        from ..analysis import analyze_program
         from ..parser.ast_nodes import walk
 
         self._compiled = True
-        certs: dict[int, object] = {}
-        dead: frozenset = frozenset()
-        if self.config.static_analysis:
-            from ..analysis import analyze_program
-
-            self._analysis = analyze_program(program, self.config.library)
-            certs = self._analysis.certificates
-            dead = self._analysis.dead_nodes()
-            if tracer is not None:
-                tracer.instant("analysis", "analysis.run", now,
-                               engine="pash", **self._analysis.stats())
-                tracer.span("analysis", "analysis.absint", now, now,
-                            engine="pash", **self._analysis.absint.stats())
+        self._analysis = analyze_program(program, self.config.library)
+        certs = self._analysis.certificates
+        dead = self._analysis.dead_nodes()
+        if tracer is not None:
+            tracer.instant("analysis", "analysis.run", now,
+                           engine="pash", **self._analysis.stats())
+            tracer.span("analysis", "analysis.absint", now, now,
+                        engine="pash", **self._analysis.absint.stats())
         inside_pipeline: set[int] = set()
         for node in walk(program):
             if isinstance(node, Pipeline):
@@ -126,16 +118,14 @@ class PashOptimizer:
                         "provably unreachable (S20 dead-branch fact)",
                     ))
                     continue
-                cert = certs.get(id(node))
-                if cert is not None and not cert.safe:
+                if id(node) in certs:
                     self.cert_hits += 1
-                    self.events.append(AotEvent(
-                        unparse(node), "skipped",
-                        f"static certificate: {cert.reason} [{cert.digest}]",
-                    ))
-                    continue
-                if cert is not None:
-                    self.cert_hits += 1
+                    if certs[id(node)] is not None:
+                        self.events.append(AotEvent(
+                            unparse(node), "skipped",
+                            f"static certificate: {certs[id(node)]}",
+                        ))
+                        continue
                 region = extract_region(node, self.config.library)
                 if region is None:
                     self.events.append(AotEvent(unparse(node), "skipped",

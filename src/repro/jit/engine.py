@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..analysis.certificates import UNKNOWN, UNSAFE, make_certificate
+from ..analysis.certificates import UNKNOWN, verdict
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import SpecLibrary
 from ..compiler.driver import fs_file_sizes
@@ -62,22 +62,15 @@ class JashConfig:
     #: CPU seconds for the cheap pre-screen (purity walk + expansion +
     #: stat): charged on every candidate node
     probe_cost_s: float = 2e-5
-    #: reduced pre-screen cost when a static SafetyCertificate already
-    #: answered the purity question at compile time (expansion + stat
-    #: remain; the walk is gone) — the compile-once dividend
+    #: reduced pre-screen cost when the compile-once pass already
+    #: answered the purity question (expansion + stat remain; the walk
+    #: is gone) — the compile-once dividend
     cert_probe_cost_s: float = 4e-6
-    #: run the whole-script static analyzer (repro.analysis, S16) in
-    #: ``compile_program`` and consult its certificates before the
-    #: runtime purity walk; ``False`` restores pure-JIT behaviour
-    #: (the ablation the analysis benchmark measures)
-    static_analysis: bool = True
     #: CPU seconds for a full compilation (region lowering + cost-model
     #: search): charged only once the pre-screen says it may pay off —
     #: "Jash can determine in the moment whether it is even worth trying
     #: to optimize on small inputs" (§3.2)
     compile_cost_s: float = 0.0008
-    #: trust read-only command substitutions during purity analysis
-    allow_pure_cmdsub: bool = False
     #: execute plans transactionally (staged output, rollback + retry on
     #: injected faults, width degradation).  A no-op unless a FaultPlan
     #: is installed on the kernel.
@@ -93,7 +86,6 @@ class JashOptimizer:
         self.config = config or JashConfig()
         self.optimizer = ResourceAwareOptimizer(self.config.optimizer)
         self.events: list[JitEvent] = []
-        self._pure_commands = self.config.library.pure_read_only_commands()
         #: static analysis state (repro.analysis), filled by
         #: :meth:`compile_program`: every pass made (each keeps its AST
         #: alive) and their purity verdicts keyed by AST node identity
@@ -109,23 +101,17 @@ class JashOptimizer:
         """Run the S16 whole-script analyzer and keep its purity verdicts.
 
         Called by :class:`repro.shell.Shell` before execution (the same
-        hook the AOT compiler uses).  With ``static_analysis=False``
-        this is a no-op and the engine behaves exactly as the pure JIT.
-        A tracer receives the pass's stats and a metrics registry the
-        ``analysis.absint.*`` counters of the S20 abstract interpreter.
+        hook the AOT compiler uses).  A tracer receives the pass's stats
+        and a metrics registry the ``analysis.absint.*`` counters of the
+        S20 abstract interpreter.
         The engine's own lookups never read absint — a dead region never
         runs, so its verdict is never asked for — and the analyzer is
         demand-driven: what no tracer or registry asks for here is never
         computed.
         """
-        if not self.config.static_analysis:
-            return
         from ..analysis import analyze_program
 
-        result = analyze_program(
-            program, self.config.library,
-            allow_pure_cmdsub=self.config.allow_pure_cmdsub,
-            pure_commands=self._pure_commands)
+        result = analyze_program(program, self.config.library)
         self._analyses.append(result)
         self._purity.update(result.purity)
         if tracer is not None:
@@ -171,11 +157,9 @@ class JashOptimizer:
                 tracer.instant("jit", "jit.cert_hit", kernel.now, proc,
                                command=text, verdict=self._verdict(node))
             if impure_reason is not None:
-                # the certificate's signature, made from the text in hand
-                cert = make_certificate(UNSAFE, impure_reason, text)
                 self._skip(proc, text,
-                           f"unsafe early expansion: {cert.reason} "
-                           f"[static certificate {cert.digest}]")
+                           f"unsafe early expansion: {impure_reason} "
+                           "[static certificate]")
                 return None
             probe_cost = self.config.cert_probe_cost_s
         else:
@@ -186,9 +170,7 @@ class JashOptimizer:
                 if tracer is not None:
                     tracer.instant("jit", "jit.cert_miss", kernel.now, proc,
                                    command=text)
-            impure_reason = purity_reason(stages_ast,
-                                          self.config.allow_pure_cmdsub,
-                                          self._pure_commands)
+            impure_reason = purity_reason(stages_ast)
             if impure_reason is not None:
                 self._skip(proc, text,
                            f"unsafe early expansion: {impure_reason}")
@@ -287,12 +269,11 @@ class JashOptimizer:
     # -- helpers ------------------------------------------------------------------
 
     def _verdict(self, node: Command) -> str:
-        """The full certificate's verdict, for the trace: the one read
-        that needs the effect pass of the analysis that saw ``node``."""
+        """The certificate's verdict, for the trace: the one read that
+        needs value flow of the analysis that saw ``node``."""
         for analysis in self._analyses:
-            cert = analysis.certificates.get(id(node))
-            if cert is not None:
-                return cert.verdict
+            if id(node) in analysis.certificates:
+                return verdict(analysis.certificates[id(node)])
         return UNKNOWN
 
     def _skip(self, proc, text: str, reason: str,

@@ -396,10 +396,10 @@ def lint(source: str) -> list[Diagnostic]:
 
 def check_jobs_eligibility(program, analysis, jobs: int):
     """JS2260: ``--jobs N`` (N > 1) was requested but no statement both
-    matches a poolable region shape and carries a ``safe_parallel`` (or
-    stronger) certificate — the S21 worker pool would stay idle for the
-    whole run.  Not a registered check: it needs the requested job
-    count, so the CLI invokes it directly when ``--jobs`` is given."""
+    matches a poolable region shape and carries a ``safe_parallel``
+    certificate — the S21 worker pool would stay idle for the whole run.
+    Not a registered check: it needs the requested job count, so the
+    CLI invokes it directly when ``--jobs`` is given."""
     if jobs <= 1:
         return None
     from ..parallel_host.regions import eligible_region_count

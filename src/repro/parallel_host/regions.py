@@ -8,18 +8,18 @@ fully determined by a snapshot of that file —
     cat FILE | sort [-r|-u] [| uniq] [> OUT]
     sort [-r|-u] FILE [| uniq] [> OUT]
 
-Three gates stand between a matched shape and a dispatch:
+Two gates stand between a matched shape and a dispatch:
 
-* **S16 certificate** — the statement must carry a verified
-  ``safe_parallel`` (or stronger) certificate; an uncertified region is
-  never shipped, which is what the JS2260 lint surfaces (a region S20
-  proves dead carries none).
+* **S16 certificate** — the statement must carry a ``safe_parallel``
+  certificate; an uncertified region is never shipped, which is what
+  the JS2260 lint surfaces (a region S20 proves dead carries none).
 * **volume** — the input file's size when the run begins must reach
   ``min_ship_bytes``; 0 always ships — the difftest/CI override that
   exercises the machinery on tiny corpora.
-* **write set** — a trailing ``> OUT`` redirect must be covered by the
-  statement's declared write set; any statement effect the certificate
-  did not declare vetoes the dispatch.
+
+A trailing ``> OUT`` needs no gate of its own: the effect analyzer
+records every literal redirect target as a write, so the statement's
+write set always covers it.
 
 Detection never decides correctness — the oracles' chunk validation
 does — so a too-eager match costs wasted worker time, never wrong
@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis.certificates import SAFE_PARALLEL, SAFE_REORDER
 from ..analysis.paths import literal, may_alias
 from ..annotations.library import DEFAULT_LIBRARY
 from ..commands.base import UsageError, parse_flags
@@ -148,26 +147,22 @@ def match_region(node) -> Optional[RegionPlan]:
 
 
 def _statement_nodes(program) -> list:
-    """(node, is_async) for each top-level statement, in program order
-    — the same walk order ``analyze_program`` reports statements in."""
+    """(node, is_async) for each top-level statement, in program order."""
     if isinstance(program, CommandList):
         return [(item.command, item.is_async) for item in program.items]
     return [(program, False)]
 
 
 def _matched_statements(program, analysis):
-    """(index, node, RegionPlan, certificate) for each synchronous
-    statement the pool's grammar matches; the certificate is None
-    unless it clears the statement for reordering."""
+    """(index, RegionPlan, cleared) for each synchronous statement the
+    pool's grammar matches; ``cleared`` when its certificate says early
+    expansion is side-effect free."""
+    certificates = analysis.certificates
     for idx, (node, is_async) in enumerate(_statement_nodes(program)):
         plan = None if is_async else match_region(node)
-        if plan is None:
-            continue
-        cert = analysis.certificates.get(id(node))
-        if cert is not None and cert.verdict not in (SAFE_PARALLEL,
-                                                     SAFE_REORDER):
-            cert = None
-        yield idx, node, plan, cert
+        if plan is not None:
+            yield idx, plan, (id(node) in certificates
+                              and certificates[id(node)] is None)
 
 
 def detect_regions(program, analysis, fs, cwd: str,
@@ -176,35 +171,27 @@ def detect_regions(program, analysis, fs, cwd: str,
     from ..vos.fs import normalize
 
     regions: list[RegionPlan] = []
-    reports = analysis.statements
-    aligned = len(reports) == len(_statement_nodes(program))
-    for idx, _, plan, cert in _matched_statements(program, analysis):
-        if cert is None or not cert.verify():
+    statements = [node for node, _ in _statement_nodes(program)]
+    for idx, plan, cleared in _matched_statements(program, analysis):
+        if not cleared:
             continue
-        # write-set validation: a trailing redirect the certificate's
-        # statement effects never declared means the analysis and the
-        # region disagree about the write set — do not ship
-        if plan.stdout_file is not None:
-            declared = (reports[idx].summary.writes if aligned else set())
-            if not any(may_alias(literal(plan.stdout_file), w)
-                       for w in declared):
-                continue
         plan.input_path = normalize(plan.input_path, cwd)
         if not fs.exists(plan.input_path) or \
                 fs.size(plan.input_path) < min_ship_bytes:
             continue
         # prefetch timing: defer the snapshot when any earlier
-        # statement may write (or has unknown effects on) the input
+        # statement may write (or has unknown effects on) the input;
+        # asked in program order, as the summary cache needs
         input_ap = literal(plan.input_path)
-        plan.deferred = not aligned or any(
-            report.summary.opaque
-            or any(may_alias(input_ap, w) for w in report.summary.writes)
-            for report in reports[:idx])
+        plan.deferred = any(
+            summary.opaque
+            or any(may_alias(input_ap, w) for w in summary.writes)
+            for summary in map(analysis.effects.compute, statements[:idx]))
         regions.append(plan)
     return regions
 
 
 def eligible_region_count(program, analysis) -> tuple[int, int]:
     """(matched shapes, certificate-cleared shapes) — the JS2260 input."""
-    certs = [cert for _, _, _, cert in _matched_statements(program, analysis)]
-    return len(certs), sum(cert is not None for cert in certs)
+    cleared = [ok for _, _, ok in _matched_statements(program, analysis)]
+    return len(cleared), sum(cleared)

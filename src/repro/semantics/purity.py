@@ -12,12 +12,9 @@ state and cannot abort the shell:
 * ``${x=w}`` / ``${x:=w}`` assign — impure.
 * ``${x?w}`` / ``${x:?w}`` may exit the shell — impure.
 * ``$((x=1))`` and friends assign — impure.
-* ``$(cmd)`` runs arbitrary commands — impure unless every command in the
-  substitution is a *known pure producer* (a read-only command from the
-  annotation library, e.g. ``$(wc -l f)``); by default we do not even
-  trust those, because they consume input (cat a pipe twice and the
-  second read sees nothing).  The ``allow_pure_cmdsub`` flag relaxes this
-  for substitutions whose commands are annotated read-only.
+* ``$(cmd)`` runs arbitrary commands — impure, even for a read-only
+  command such as ``$(wc -l f)``: commands consume input (cat a pipe
+  twice and the second read sees nothing).
 """
 
 from __future__ import annotations
@@ -31,11 +28,8 @@ from ..parser.ast_nodes import (
     Escaped,
     Lit,
     Param,
-    SimpleCommand,
     SingleQuoted,
     Word,
-    WordPart,
-    walk,
 )
 from .arith import has_side_effects
 from .patterns import strip_quote_marks
@@ -50,29 +44,26 @@ class PurityReport:
         return self.pure
 
 
-def check_word(word: Word, allow_pure_cmdsub: bool = False,
-               pure_commands: frozenset[str] = frozenset()) -> PurityReport:
+def check_word(word: Word) -> PurityReport:
     """Is expanding ``word`` side-effect free?"""
     reasons: list[str] = []
-    _check_parts(word.parts, reasons, allow_pure_cmdsub, pure_commands)
+    _check_parts(word.parts, reasons)
     return PurityReport(not reasons, reasons)
 
 
-def check_words(words, allow_pure_cmdsub: bool = False,
-                pure_commands: frozenset[str] = frozenset()) -> PurityReport:
+def check_words(words) -> PurityReport:
     reasons: list[str] = []
     for word in words:
-        _check_parts(word.parts, reasons, allow_pure_cmdsub, pure_commands)
+        _check_parts(word.parts, reasons)
     return PurityReport(not reasons, reasons)
 
 
-def _check_parts(parts, reasons: list[str], allow_pure_cmdsub: bool,
-                 pure_commands: frozenset[str]) -> None:
+def _check_parts(parts, reasons: list[str]) -> None:
     for part in parts:
         if isinstance(part, (Lit, SingleQuoted, Escaped)):
             continue
         if isinstance(part, DoubleQuoted):
-            _check_parts(part.parts, reasons, allow_pure_cmdsub, pure_commands)
+            _check_parts(part.parts, reasons)
         elif isinstance(part, Param):
             base_op = part.op.lstrip(":")
             if base_op == "=":
@@ -80,21 +71,15 @@ def _check_parts(parts, reasons: list[str], allow_pure_cmdsub: bool,
             elif base_op == "?":
                 reasons.append(f"${{{part.name}{part.op}...}} may abort the shell")
             if part.word is not None:
-                _check_parts(part.word.parts, reasons, allow_pure_cmdsub,
-                             pure_commands)
+                _check_parts(part.word.parts, reasons)
         elif isinstance(part, ArithSub):
             expr = _static_text(part.parts)
             if expr is None or has_side_effects(expr):
                 reasons.append("arithmetic expansion may assign")
             else:
-                _check_parts(part.parts, reasons, allow_pure_cmdsub, pure_commands)
+                _check_parts(part.parts, reasons)
         elif isinstance(part, CmdSub):
-            if not allow_pure_cmdsub:
-                reasons.append("command substitution runs commands")
-            elif not _cmdsub_is_pure(part, pure_commands):
-                reasons.append(
-                    "command substitution contains non-read-only commands"
-                )
+            reasons.append("command substitution runs commands")
         else:
             reasons.append(f"unknown word part {type(part).__name__}")
 
@@ -115,16 +100,3 @@ def _static_text(parts) -> str | None:
             return None
     return "".join(out)
 
-
-def _cmdsub_is_pure(part: CmdSub, pure_commands: frozenset[str]) -> bool:
-    """Every simple command inside is a registered read-only producer with
-    purely-literal words, and there are no redirections."""
-    for node in walk(part.command):
-        if isinstance(node, SimpleCommand):
-            if node.assigns or node.redirects:
-                return False
-            if not node.words or not node.words[0].is_literal():
-                return False
-            if node.words[0].literal_value() not in pure_commands:
-                return False
-    return True

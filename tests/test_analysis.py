@@ -6,18 +6,15 @@ import pytest
 
 from repro.analysis import (
     SAFE_PARALLEL,
-    SAFE_REORDER,
     TOP,
     UNSAFE,
     EffectAnalyzer,
-    SafetyCertificate,
     analyze_program,
     detect_races,
     may_alias,
     use_before_def,
     word_to_path,
 )
-from repro.analysis.certificates import make_certificate
 from repro.analysis.paths import glob_prefix, literal, prefix
 from repro.parser import parse, parse_one
 
@@ -110,10 +107,9 @@ class TestEffectSummaries:
         assert s.opaque
         assert paths(s.writes) == {"/out"}
 
-    def test_env_defs_and_uses(self):
+    def test_assignments_touch_no_files(self):
         s = summary_of("x=$y\nexport z=1")
-        assert "y" in s.env_uses
-        assert {"x", "z"} <= s.env_defs
+        assert not (s.reads or s.writes or s.opaque)
 
     def test_function_inlined_at_call_site(self):
         s = summary_of("f() { sort /data > /sorted; }\nf")
@@ -123,8 +119,10 @@ class TestEffectSummaries:
         s = summary_of("f() { f; }\nf")
         assert s.opaque
 
-    def test_background_job_spawns(self):
-        assert summary_of("sleep 1 &").spawns
+    def test_background_job_effects_surface(self):
+        s = summary_of("sort /a > /out &")
+        assert paths(s.reads) == {"/a"}
+        assert paths(s.writes) == {"/out"}
 
 
 class TestEnvFlow:
@@ -231,20 +229,14 @@ class TestRaceDetection:
 class TestCertificates:
     def test_pure_pipeline_safe_parallel(self):
         result = analyze_program(parse("cat /f | sort > /g"))
-        top = result.cert_list[0]
-        assert top.verdict == SAFE_PARALLEL
-        assert top.verify()
-
-    def test_read_only_safe_reorder(self):
-        result = analyze_program(parse("grep -c x /log"))
-        assert result.cert_list[0].verdict == SAFE_REORDER
+        assert result.cert_list[0]["verdict"] == SAFE_PARALLEL
 
     def test_impure_expansion_unsafe_matches_runtime_verdict(self):
         from repro.analysis import pipeline_stages, purity_reason
 
         program = parse("head -n ${n:=3} /f | sort")
         result = analyze_program(program)
-        unsafe = [c for c in result.cert_list if c.verdict == UNSAFE]
+        unsafe = [c for c in result.cert_list if c["verdict"] == UNSAFE]
         assert unsafe
         # the certificate's reason is exactly the runtime purity verdict
         from repro.parser.ast_nodes import walk
@@ -253,38 +245,20 @@ class TestCertificates:
             stages = pipeline_stages(n)
             if stages is None:
                 continue
-            runtime = purity_reason(stages, False, frozenset())
-            cert = result.certificates[id(n)]
-            if runtime is None:
-                assert cert.safe
-            else:
-                assert cert.verdict == UNSAFE and cert.reason == runtime
-
-    def test_signature_tamper_detected(self):
-        cert = make_certificate(SAFE_PARALLEL, "ok", "sort /f")
-        assert cert.verify()
-        forged = SafetyCertificate(SAFE_PARALLEL, "ok", "rm -rf /",
-                                   cert.digest)
-        assert not forged.verify()
-
-    def test_self_clobber_is_hazard_not_veto(self):
-        result = analyze_program(parse("sort /f > /f"))
-        cert = result.cert_list[0]
-        assert cert.safe  # parity: the JIT's purity verdict is unchanged
-        assert any("/f" in h for h in cert.hazards)
+            assert result.certificates[id(n)] == purity_reason(stages)
 
     def test_stats_and_to_dict(self):
         result = analyze_program(parse("sort /a > /out &\nwc -l /out"))
         stats = result.stats()
         assert stats["races"] == 1
         d = result.to_dict()
-        assert d["analyzer"] and d["certificates"] and d["races"]
+        assert d["certificates"] and d["races"]
 
 
 SORT_SCRIPT = "cat /w.txt | tr -cs A-Za-z '\\n' | sort > /out.txt"
 
 
-def run_jit(script, files, static_analysis=True, tracer=None):
+def run_jit(script, files, tracer=None):
     from repro.compiler import OptimizerConfig
     from repro.jit import JashConfig, JashOptimizer
     from repro.shell import Shell
@@ -292,7 +266,6 @@ def run_jit(script, files, static_analysis=True, tracer=None):
     from .conftest import fast_machine
 
     optimizer = JashOptimizer(JashConfig(
-        static_analysis=static_analysis,
         optimizer=OptimizerConfig(min_input_bytes=1024),
     ))
     shell = Shell(fast_machine(), optimizer=optimizer, tracer=tracer)
@@ -318,18 +291,24 @@ class TestJitIntegration:
         runs = [r for r in tracer.records if r.name == "analysis.run"]
         assert len(runs) == 1
 
-    def test_outputs_byte_identical_analyzer_on_off(self):
-        for script, files in [
-            (SORT_SCRIPT, self.FILES),
-            ("head -n ${n:=3} /w.txt | sort > /out.txt", self.FILES),
-            ("FILES=/w.txt\ncat $FILES | sort -u > /out.txt", self.FILES),
-        ]:
-            shell_on, r_on, _ = run_jit(script, files, True)
-            shell_off, r_off, _ = run_jit(script, files, False)
-            assert r_on.stdout == r_off.stdout
-            assert shell_on.fs.read_bytes("/out.txt") == \
-                shell_off.fs.read_bytes("/out.txt")
-            assert r_on.elapsed <= r_off.elapsed
+    def test_eval_region_misses_and_decides_alike(self):
+        # a node parsed at run time has no verdict in the table: the
+        # runtime purity walk must reach the direct run's decision
+        shell_direct, direct, hit = run_jit(SORT_SCRIPT, self.FILES)
+        shell_eval, via_eval, miss = run_jit(f'eval "{SORT_SCRIPT}"',
+                                             self.FILES)
+        assert (hit.cert_misses, miss.cert_misses) == (0, hit.cert_hits)
+
+        def decisions(events):
+            return [(e.node_text, e.decision, e.reason, e.plan_description)
+                    for e in events]
+
+        # the eval builtin itself is the one extra (certified) candidate
+        assert decisions(miss.events[1:]) == decisions(hit.events)
+        assert (via_eval.status, via_eval.stdout) == \
+            (direct.status, direct.stdout)
+        assert shell_eval.fs.read_bytes("/out.txt") == \
+            shell_direct.fs.read_bytes("/out.txt")
 
     def test_unsafe_cert_skip_names_certificate(self):
         _, result, optimizer = run_jit(
@@ -337,10 +316,6 @@ class TestJitIntegration:
         assert result.status == 0
         reasons = [e.reason for e in optimizer.events]
         assert any("static certificate" in r for r in reasons), reasons
-
-    def test_analysis_off_never_consults_certs(self):
-        _, _, optimizer = run_jit(SORT_SCRIPT, self.FILES, False)
-        assert optimizer.cert_hits == 0 and optimizer.cert_misses == 0
 
     def test_report_mentions_certificates(self):
         _, _, optimizer = run_jit(SORT_SCRIPT, self.FILES)
@@ -354,28 +329,18 @@ class TestJitIntegration:
 class TestAotIntegration:
     FILES = {"/w.txt": b"b\na\nc\n" * 200}
 
-    def run_aot(self, script, static_analysis=True):
-        from repro.compiler import PashConfig, PashOptimizer
+    def run_aot(self, script):
+        from repro.compiler import PashOptimizer
         from repro.shell import Shell
 
         from .conftest import fast_machine
 
-        optimizer = PashOptimizer(PashConfig(
-            static_analysis=static_analysis))
+        optimizer = PashOptimizer()
         shell = Shell(fast_machine(), optimizer=optimizer)
         for path, data in self.FILES.items():
             shell.fs.write_bytes(path, data)
         result = shell.run(script)
         return shell, result, optimizer
-
-    def test_decisions_identical_analyzer_on_off(self):
-        script = "cat /w.txt | sort > /out.txt\nhead -n ${n:=2} /w.txt"
-        shell_on, r_on, opt_on = self.run_aot(script, True)
-        shell_off, r_off, opt_off = self.run_aot(script, False)
-        assert r_on.stdout == r_off.stdout
-        assert shell_on.fs.read_bytes("/out.txt") == \
-            shell_off.fs.read_bytes("/out.txt")
-        assert opt_on.optimized_count == opt_off.optimized_count
 
     def test_unsafe_node_skipped_by_certificate(self):
         _, result, optimizer = self.run_aot(
@@ -397,8 +362,6 @@ class TestExamplesSweep:
             result = analyze_program(parse(script.read_text()))
             assert result.statements, script.name
             assert result.cert_list, script.name
-            for cert in result.cert_list:
-                assert cert.verify(), (script.name, cert)
 
     def test_racy_example_is_the_negative_case(self):
         from pathlib import Path
@@ -428,6 +391,6 @@ class TestCheckCLI:
         assert main(["check", "--format", "json", "-c",
                      "cat /f | sort > /g"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["analyzer"]
+        assert payload["summary"]["unsafe"] == 0
         assert payload["certificates"]
         assert isinstance(payload["diagnostics"], list)

@@ -13,9 +13,8 @@ from pathlib import Path
 import pytest
 
 import repro.analysis
-from repro import JashOptimizer, Shell, Tracer
+from repro import JashOptimizer, PashOptimizer, Shell, Tracer
 from repro.analysis import EffectAnalyzer, analyze_program
-from repro.annotations import DEFAULT_LIBRARY
 from repro.difftest import generate_cases, load_sessions, profiles
 from repro.obs import MetricsRegistry
 from repro.parser import parse
@@ -39,14 +38,13 @@ FILES = {"/w.txt": b"b\na\nb\n" * 100, "/d.txt": b"z\n",
 #: what the eager pass (the parent commit) reported for SCRIPT over FILES
 ABSINT_STATS = {"absint_nodes": 22, "absint_widenings": 0,
                 "dead_branches": 1}
-RUN_STATS = {"statements": 10, "certificates": 11, "safe_parallel": 5,
-             "safe_reorder": 4, "unsafe": 2, "races": 1,
-             "use_before_def": 0, **ABSINT_STATS}
-VERDICTS = ["safe_parallel", "safe_parallel", "safe_reorder",
-            "safe_reorder", "safe_parallel", "safe_parallel",
-            "safe_reorder", "safe_reorder", "safe_parallel", "unsafe",
-            "unsafe", "safe_reorder", "safe_parallel", "safe_parallel",
-            "safe_reorder"]
+RUN_STATS = {"statements": 10, "certificates": 11, "safe_parallel": 9,
+             "unsafe": 2, "races": 1, "use_before_def": 0, **ABSINT_STATS}
+VERDICTS = ["safe_parallel", "safe_parallel", "safe_parallel",
+            "safe_parallel", "safe_parallel", "safe_parallel",
+            "safe_parallel", "safe_parallel", "safe_parallel", "unsafe",
+            "unsafe", "safe_parallel", "safe_parallel", "safe_parallel",
+            "safe_parallel"]
 
 
 def run_jash(script=SCRIPT, files=FILES, optimizer=None, **planes):
@@ -118,27 +116,26 @@ class TestJitPaysForWhatItReads:
                                  "use_before_def": 0,
                                  "EffectAnalyzer.compute": 0}
 
-    def test_unsafe_skip_is_signed_like_the_certificate(self):
-        _, optimizer = run_jash()
-        analysis = analyze_program(parse(SCRIPT))
-        unsafe = {c.node_text: c for c in analysis.cert_list
-                  if not c.safe}
-        skips = [e for e in optimizer.events
-                 if "static certificate" in e.reason]
-        assert len(skips) == 2
-        for event in skips:
-            cert = unsafe[event.node_text]
-            assert event.reason == (
-                f"unsafe early expansion: {cert.reason} "
-                f"[static certificate {cert.digest}]")
+
+class TestPashPaysForWhatItReads:
+    def test_aot_pass_makes_no_effect_summaries(self, section_calls):
+        # PaSh reads the certificate table and the dead set: value flow,
+        # and nothing of the effect pass, races or use-before-def
+        shell = Shell(fast_machine(), optimizer=PashOptimizer(), jobs=1)
+        for path, data in FILES.items():
+            shell.fs.write_bytes(path, data)
+        assert shell.run(SCRIPT).status == 0
+        assert section_calls == {"analyze_value_flow": 1, "detect_races": 0,
+                                 "use_before_def": 0,
+                                 "EffectAnalyzer.compute": 0}
 
 
 # -- lazy == eager over the conformance grammar -------------------------------
 
 def force(result):
     """Read every section, last-computed first."""
-    result.use_before_def, result.races, result.statements
-    result.certificates, result.cert_list, result.absint
+    result.use_before_def, result.races, result.statements, result.effects
+    result.certificates, result.absint
     return result
 
 
@@ -215,7 +212,11 @@ class TestSections:
     def test_read_order_does_not_matter(self):
         program = parse(SCRIPT)
         forwards = analyze_program(program)
-        forwards.absint, forwards.certificates, forwards.races
+        forwards.absint, forwards.certificates
+        # the host pool asks for top-level summaries before any report
+        for item in program.items:
+            forwards.effects.compute(item.command)
+        forwards.races
         assert force(analyze_program(program)).to_dict() == \
             forwards.to_dict()
 
@@ -223,6 +224,7 @@ class TestSections:
         result = analyze_program(parse(SCRIPT))
         assert result.absint is result.absint
         assert result.certificates is result.certificates
+        assert result.effects is result.effects
         assert result.statements is result.statements
         assert result.races is result.races
         assert result.use_before_def is result.use_before_def
@@ -233,17 +235,3 @@ class TestSections:
         assert dead, "the dead branch holds a candidate region"
         assert not dead & set(result.certificates)
         assert set(result.certificates) == set(result.purity) - dead
-
-
-def test_pure_read_only_commands_classified_once_per_registration():
-    from repro.annotations import SpecLibrary
-    from repro.annotations.model import CommandSpec, InstanceSpec, ParClass
-
-    first = DEFAULT_LIBRARY.pure_read_only_commands()
-    assert DEFAULT_LIBRARY.pure_read_only_commands() is first
-    assert "cat" in first and "rm" not in first
-    library = SpecLibrary()
-    assert library.pure_read_only_commands() == frozenset()
-    library.register(CommandSpec("peek", [
-        lambda argv: InstanceSpec("peek", ParClass.STATELESS)]))
-    assert library.pure_read_only_commands() == {"peek"}

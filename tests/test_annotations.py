@@ -135,13 +135,6 @@ class TestSpecModel:
         assert InstanceSpec("x", ParClass.PARALLELIZABLE_PURE).parallelizable
         assert not InstanceSpec("x", ParClass.NON_PARALLELIZABLE).parallelizable
 
-    def test_pure_read_only_commands(self):
-        pure = DEFAULT_LIBRARY.pure_read_only_commands()
-        assert "grep" in pure
-        assert "sort" in pure
-        assert "tee" not in pure
-        assert "rm" not in pure
-
 
 class TestInference:
     @pytest.mark.parametrize("argv,expected", [

@@ -621,3 +621,50 @@ class TestAcceptSet:
             assert plan is not None
             assert ([s.kind for s in plan.stages], plan.input_path,
                     plan.single_part) == expected
+
+
+#: a nested command list ahead of the region: the statement report then
+#: has more entries than the script has top-level statements
+NESTED_LIST = "if true; then echo a; echo b; fi\n"
+ACCEPTED = [text for text, expected in ACCEPT_SET if expected is not None]
+
+
+class TestDetection:
+    @pytest.mark.parametrize("prefix", ["", NESTED_LIST],
+                             ids=["alone", "behind-if"])
+    @pytest.mark.parametrize("text", ACCEPTED, ids=ACCEPTED)
+    def test_accepted_statement_ships_at_floor_zero(self, text, prefix):
+        from repro.analysis import analyze_program
+        from repro.parallel_host import detect_regions
+        from repro.parser import parse
+
+        shell = Shell(laptop())
+        shell.fs.write_bytes("/w", b"b\na\n")
+        program = parse(prefix + text)
+        (plan,) = detect_regions(program, analyze_program(program),
+                                 shell.fs, "/", 0)
+        assert plan.input_path == "/w"
+
+    @pytest.mark.parametrize("text", [t for t in ACCEPTED if ">" in t])
+    def test_redirect_target_is_a_declared_write(self, text):
+        """Why ``detect_regions`` has no write-set gate: every redirect
+        form the grammar accepts (``>``, ``>>``, ``1>``) is already in
+        the statement's write set."""
+        from repro.analysis import EffectAnalyzer
+        from repro.analysis.paths import literal
+        from repro.parallel_host.regions import match_region
+        from repro.parser import parse_one
+
+        node = parse_one(text)
+        plan = match_region(node)
+        assert literal(plan.stdout_file) in \
+            EffectAnalyzer().compute(node).writes
+
+    def test_region_behind_nested_list_runs_on_the_pool(self):
+        script = NESTED_LIST + "cat /w.txt | tr a-z A-Z | sort > /out.txt"
+        serial_shell, _ = run_once(script, jobs=1)
+        shell = assert_identical(script, jobs=2)
+        assert shell.fs.read_bytes("/out.txt") == \
+            serial_shell.fs.read_bytes("/out.txt")
+        stats = shell.host_coord.stats
+        assert stats["regions_detected"] == stats["regions_dispatched"] == 1

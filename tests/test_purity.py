@@ -3,7 +3,6 @@ expansion (the Smoosh-backed reasoning of §3.2)."""
 
 import pytest
 
-from repro.annotations import DEFAULT_LIBRARY
 from repro.parser import parse_one
 from repro.semantics.purity import check_word, check_words
 
@@ -70,55 +69,8 @@ class TestNesting:
         assert len(report.reasons) == 1
 
 
-class TestPureCmdsubAllowance:
-    PURE = DEFAULT_LIBRARY.pure_read_only_commands()
-
-    def test_read_only_cmdsub_allowed_when_enabled(self):
-        word = first_arg("x $(wc -l f)")
-        assert not check_word(word).pure
-        assert check_word(word, allow_pure_cmdsub=True,
-                          pure_commands=self.PURE).pure
-
-    def test_side_effecting_cmdsub_still_rejected(self):
-        word = first_arg("x $(rm -rf /)")
-        assert not check_word(word, allow_pure_cmdsub=True,
-                              pure_commands=self.PURE).pure
-
-    def test_cmdsub_with_redirect_rejected(self):
-        word = first_arg("x $(sort f > g)")
-        assert not check_word(word, allow_pure_cmdsub=True,
-                              pure_commands=self.PURE).pure
-
-    def test_cmdsub_with_dynamic_command_rejected(self):
-        word = first_arg("x $($cmd f)")
-        assert not check_word(word, allow_pure_cmdsub=True,
-                              pure_commands=self.PURE).pure
-
-    def test_nested_pure_cmdsub(self):
-        word = first_arg("x $(grep -c a f)")
-        assert check_word(word, allow_pure_cmdsub=True,
-                          pure_commands=self.PURE).pure
-
-
 class TestEdgeCases:
     """Corners where a shallow walk would get the verdict wrong."""
-
-    PURE = DEFAULT_LIBRARY.pure_read_only_commands()
-
-    def test_cmdsub_nested_inside_pure_cmdsub(self):
-        # the outer $(wc ...) is read-only, but its operand hides an
-        # inner substitution running a non-read-only command: the walk
-        # must recurse into words, not stop at the outer command name
-        word = first_arg("x $(wc -l $(rm -rf /data))")
-        assert not check_word(word, allow_pure_cmdsub=True,
-                              pure_commands=self.PURE).pure
-
-    def test_pure_cmdsub_nested_in_pure_cmdsub(self):
-        # both the outer and the inner command are registered read-only:
-        # the whole nested substitution is side-effect free
-        word = first_arg("x $(wc -l $(grep -c a f))")
-        assert check_word(word, allow_pure_cmdsub=True,
-                          pure_commands=self.PURE).pure
 
     def test_augmented_assignment_in_arith(self):
         report = check_word(first_arg("x $(( x += 1 ))"))
