@@ -1,7 +1,7 @@
 """T-obs — tracing/metrics overhead and trace determinism.
 
 The observability layer must be free when it is off and cheap when it
-is on.  This benchmark runs the Figure-1 word-sort under Jash in six
+is on.  This benchmark runs the Figure-1 word-sort under Jash in seven
 configurations:
 
 * ``baseline``   — no tracer or metrics installed (reference clock).
@@ -23,6 +23,8 @@ configurations:
                    serialization.
 * ``metrics``    — ``MetricsRegistry()`` only (S19): typed instruments
                    sampled on the virtual clock, no tracer.
+* ``full+metrics``— ``Tracer()`` and ``MetricsRegistry()`` together: the
+                   kernel's observer forwards each event to both.
 
 Wall-clock is the min over interleaved rounds (robust to host jitter);
 overheads of the enabled configs are *recorded*, not gated — they buy
@@ -59,7 +61,7 @@ from common import bench_mb, once, record
 
 SCRIPT = "cat /w.txt | tr -cs A-Za-z '\\n' | sort > /out.txt"
 CONFIGS = ("baseline", "disabled", "accounting", "full", "full+export",
-           "metrics")
+           "metrics", "full+metrics")
 #: host-noise bound for the disabled-tracing gate (the two compared
 #: configs are identical, so this only needs to absorb timer jitter)
 DISABLED_OVERHEAD_MAX = 0.02
@@ -77,7 +79,7 @@ def make_tracer(config: str):
 def run_one(config: str, data: bytes):
     """One timed run; returns (wall_s, virtual_s, stdout, tracer)."""
     tracer = make_tracer(config)
-    metrics = MetricsRegistry() if config == "metrics" else None
+    metrics = MetricsRegistry() if "metrics" in config else None
     shell = Shell(laptop(), optimizer=JashOptimizer(), tracer=tracer,
                   metrics=metrics)
     shell.fs.write_bytes("/w.txt", data)

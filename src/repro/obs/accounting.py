@@ -17,6 +17,9 @@ from typing import Optional
 
 #: The resource components a process's wall time decomposes into.
 COMPONENTS = ("cpu", "disk", "backpressure", "input-wait", "child-wait")
+#: The ProcStats fields ResourceAccounting.totals() sums over processes.
+_SUMMED = ("cpu_s", "disk_bytes", "disk_ops", "disk_time_s", "disk_wait_s",
+           "stall_read_s", "stall_write_s", "wait_s", "net_bytes")
 
 
 @dataclass
@@ -132,31 +135,13 @@ class ResourceAccounting:
     # -- aggregation -----------------------------------------------------------
 
     def totals(self) -> dict[str, float]:
-        t = {
-            "processes": float(len(self.per_process)),
-            "cpu_s": 0.0,
-            "disk_bytes": 0.0,
-            "disk_ops": 0.0,
-            "disk_time_s": 0.0,
-            "disk_wait_s": 0.0,
-            "stall_read_s": 0.0,
-            "stall_write_s": 0.0,
-            "wait_s": 0.0,
-            "net_bytes": 0.0,
-            "dispatches": float(self.dispatch_base) + (
-                float(self.kernel.dispatches)
-                if self.kernel is not None else 0.0),
-        }
+        t = {"processes": float(len(self.per_process)),
+             **dict.fromkeys(_SUMMED, 0.0)}
         for st in self.per_process.values():
-            t["cpu_s"] += st.cpu_s
-            t["disk_bytes"] += st.disk_bytes
-            t["disk_ops"] += st.disk_ops
-            t["disk_time_s"] += st.disk_time_s
-            t["disk_wait_s"] += st.disk_wait_s
-            t["stall_read_s"] += st.stall_read_s
-            t["stall_write_s"] += st.stall_write_s
-            t["wait_s"] += st.wait_s
-            t["net_bytes"] += st.net_bytes
+            for k in _SUMMED:
+                t[k] += getattr(st, k)
+        t["dispatches"] = float(self.dispatch_base) + (
+            float(self.kernel.dispatches) if self.kernel is not None else 0.0)
         return t
 
     def to_dict(self) -> dict:

@@ -43,6 +43,8 @@ from __future__ import annotations
 import json
 import math
 
+from .observer import CanonNames
+
 #: histogram bucket exponents are clamped to this range (2^-30 .. 2^40)
 _MIN_EXP = -30
 _MAX_EXP = 40
@@ -118,12 +120,12 @@ class Histogram:
         return float(self.count)
 
 
-class MetricsRegistry:
+class MetricsRegistry(CanonNames):
     """Typed, labelled instruments sampled on the virtual clock.
 
     ``interval`` is the sampling window in virtual seconds.  The kernel
-    calls :meth:`maybe_sample` as the clock advances (one guarded call
-    per event-loop step); engines and the supervisor update instruments
+    calls :meth:`on_tick` as the clock advances (one guarded call per
+    event-loop step); engines and the supervisor update instruments
     through the same get-or-create accessors user code uses.
     """
 
@@ -134,6 +136,7 @@ class MetricsRegistry:
     def __init__(self, interval: float = 0.25):
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
+        super().__init__()
         self.interval = float(interval)
         #: (name, labels-tuple) -> instrument
         self._instruments: dict[tuple, object] = {}
@@ -142,9 +145,6 @@ class MetricsRegistry:
         #: window rows: (t_first, t_last, [value per series at sample])
         self.windows: list[list] = []
         self._next_sample: float = self.interval
-        # canonical renumbering for determinism (mirrors the tracer)
-        self._pipe_keys: dict[int, int] = {}
-        self._tmp_names: dict[str, str] = {}
         # open pipe-stall state, keyed by pid
         self._stall: dict[int, tuple[float, str, int]] = {}
         self._live_procs = 0
@@ -170,28 +170,11 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels) -> Histogram:
         return self._get(Histogram, name, tuple(sorted(labels.items())))
 
-    # -- canonical names -----------------------------------------------------
-
-    def pipe_key(self, pipe) -> int:
-        key = self._pipe_keys.get(pipe.id)
-        if key is None:
-            key = len(self._pipe_keys) + 1
-            self._pipe_keys[pipe.id] = key
-        return key
-
-    def canon_path(self, path: str) -> str:
-        if not path.startswith("/tmp/"):
-            return path
-        canon = self._tmp_names.get(path)
-        if canon is None:
-            canon = f"/tmp/scratch.{len(self._tmp_names) + 1}"
-            self._tmp_names[path] = canon
-        return canon
-
     # -- virtual-clock sampling ----------------------------------------------
 
-    def maybe_sample(self, now: float) -> None:
-        """Record a window row for every boundary the clock crossed.
+    def on_tick(self, now: float, *_sched) -> None:
+        """Record a window row for every boundary the clock crossed
+        (the kernel also passes its ready/running counts, unread here).
 
         Between two boundaries crossed by one jump no instrument can
         have changed (updates only happen while time stands still), so
@@ -199,35 +182,32 @@ class MetricsRegistry:
         [t_first, t_last]."""
         if now < self._next_sample:
             return
-        values = [inst.sample() for _name, _labels, inst in self.series]
-        first = self._next_sample
-        last = first
+        first = last = self._next_sample
         while self._next_sample <= now:
             last = self._next_sample
             self._next_sample += self.interval
-        if self.windows:
-            prev = self.windows[-1]
-            if prev[2] == values and len(prev[2]) == len(values):
-                prev[1] = last
-                return
-        self.windows.append([first, last, values])
+        self._window(first, last)
 
     def finish(self, now: float) -> None:
         """Close the trailing partial window (call once, at run end)."""
         if not self.windows or self.windows[-1][1] < now:
-            values = [inst.sample() for _n, _l, inst in self.series]
-            if self.windows and self.windows[-1][2] == values:
-                self.windows[-1][1] = now
-            else:
-                self.windows.append([now, now, values])
+            self._window(now, now)
 
-    # -- kernel hooks (single-guard sites, mirroring the Tracer) -------------
+    def _window(self, first: float, last: float) -> None:
+        """Sample every series; an unchanged row extends the last one."""
+        values = [inst.sample() for _name, _labels, inst in self.series]
+        if self.windows and self.windows[-1][2] == values:
+            self.windows[-1][1] = last
+        else:
+            self.windows.append([first, last, values])
 
-    def on_dispatch(self, proc, request) -> None:
+    # -- kernel hooks (read through the kernel's one observer) ---------------
+
+    def on_dispatch(self, now: float, proc, request) -> None:
         self.counter("kernel.dispatches", req=type(request).__name__).inc()
         self.counter("proc.dispatches", proc=proc.name).inc()
 
-    def on_spawn(self, now: float, proc) -> None:
+    def on_spawn(self, now: float, proc, parent=None) -> None:
         self.counter("proc.spawns", proc=proc.name).inc()
         self._live_procs += 1
         self.gauge("procs.live").set(float(self._live_procs))
@@ -238,7 +218,7 @@ class MetricsRegistry:
         if proc.pid in self._stall:
             self.on_pipe_stall_end(now, proc)
 
-    def on_cpu(self, now: float, proc, work: float) -> None:
+    def on_cpu_begin(self, now: float, proc, work: float) -> None:
         """CPU core-seconds, counted at burst submission."""
         self.counter("proc.cpu_s", proc=proc.name).inc(work)
         self.histogram("cpu.burst_s").observe(work)
@@ -274,7 +254,8 @@ class MetricsRegistry:
     def on_pipe_stall_begin(self, now: float, proc, pipe, kind: str) -> None:
         self._stall[proc.pid] = (now, kind, self.pipe_key(pipe))
 
-    def on_pipe_stall_end(self, now: float, proc) -> None:
+    def on_pipe_stall_end(self, now: float, proc, nbytes: int = 0,
+                          broken: bool = False) -> None:
         entry = self._stall.pop(proc.pid, None)
         if entry is None:
             return
@@ -284,14 +265,15 @@ class MetricsRegistry:
         self.counter("proc.stall_s", kind=kind, proc=proc.name).inc(
             now - start)
 
-    def on_splice(self, proc, nbytes: int, nparts: int) -> None:
+    def on_splice_chunk(self, now: float, proc, nbytes: int,
+                        nparts: int) -> None:
         self.counter("kernel.splice_bytes").inc(float(nbytes))
         self.counter("kernel.splice_chunks").inc(float(nparts))
 
     def on_net(self, now: float, proc, dst: str, nbytes: int) -> None:
         self.counter("net.bytes", node=proc.node.name).inc(float(nbytes))
 
-    def on_fault(self, now: float, event) -> None:
+    def on_fault(self, now: float, event, op: int) -> None:
         self.counter("faults.fired", kind=event.kind).inc()
 
     # -- snapshot / export ---------------------------------------------------

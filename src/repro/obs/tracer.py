@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .accounting import ResourceAccounting
+from .accounting import RegionStats, ResourceAccounting
+from .observer import CanonNames
 
 #: Record phases, mirroring the Chrome trace_event vocabulary.
 SPAN = "X"
@@ -52,7 +53,7 @@ class TraceRecord:
     args: dict = field(default_factory=dict)
 
 
-class Tracer:
+class Tracer(CanonNames):
     """Collects typed records and folds them into ResourceAccounting.
 
     ``record_events=False`` keeps the accounting but drops the event
@@ -66,8 +67,10 @@ class Tracer:
 
     def __init__(self, record_events: bool = True,
                  syscall_events: bool = False):
+        super().__init__()
         self.record_events = record_events
-        self.syscall_events = syscall_events
+        if not syscall_events:
+            self.on_dispatch = None  # unread: the observer binds no call
         self.records: list[TraceRecord] = []
         self.accounting = ResourceAccounting()
         # open-span state, keyed by pid
@@ -75,9 +78,6 @@ class Tracer:
         self._stall: dict[int, tuple[float, str, int]] = {}  # start, kind, pipe
         self._wait: dict[int, tuple[float, int]] = {}     # start, child pid
         self._splice: dict[int, tuple[float, str, list]] = {}  # start, src, dsts
-        # canonical renumbering for determinism
-        self._pipe_keys: dict[int, int] = {}
-        self._tmp_names: dict[str, str] = {}
         self._credits_exhausted: set[str] = set()
 
     # -- emission ------------------------------------------------------------------
@@ -91,26 +91,6 @@ class Tracer:
         """Bind to the kernel being traced (called by install_tracer) so
         accounting can surface kernel-level counters like dispatches."""
         self.accounting.attach(kernel)
-
-    # -- canonical names -----------------------------------------------------------
-
-    def pipe_key(self, pipe) -> int:
-        key = self._pipe_keys.get(pipe.id)
-        if key is None:
-            key = len(self._pipe_keys) + 1
-            self._pipe_keys[pipe.id] = key
-        return key
-
-    def canon_path(self, path: str) -> str:
-        """Stable names for /tmp scratch files (their real names embed
-        process-global counters and would break trace determinism)."""
-        if not path.startswith("/tmp/"):
-            return path
-        canon = self._tmp_names.get(path)
-        if canon is None:
-            canon = f"/tmp/scratch.{len(self._tmp_names) + 1}"
-            self._tmp_names[path] = canon
-        return canon
 
     # -- generic hooks for engine layers ---------------------------------------------
 
@@ -143,8 +123,6 @@ class Tracer:
                    snapshot: dict[str, float], proc=None, **args) -> None:
         """Close a region: emit a span whose args carry the resource
         delta consumed while the region ran."""
-        from .accounting import RegionStats
-
         totals = self.accounting.totals()
         delta = {k: totals[k] - snapshot.get(k, 0.0) for k in totals}
         self.accounting.regions.append(
@@ -159,11 +137,8 @@ class Tracer:
         st = self.accounting.proc(proc)
         if parent is not None:
             st.parent = parent.pid
-        self._emit(TraceRecord(
-            f"spawn:{proc.name}", "process", INSTANT, now, pid=proc.pid,
-            node=proc.node.name,
-            args={"parent": parent.pid if parent is not None else 0},
-        ))
+        self.instant("process", f"spawn:{proc.name}", now, proc,
+                     parent=parent.pid if parent is not None else 0)
 
     def on_exit(self, now: float, proc) -> None:
         # close any span left open by a kill while blocked
@@ -172,31 +147,18 @@ class Tracer:
             self.span("cpu", "cpu", start, now, proc, killed=True)
         if proc.pid in self._stall:
             self.on_pipe_stall_end(now, proc, 0, killed=True)
-        if proc.pid in self._splice:  # pragma: no cover - kernel closes first
-            self.on_splice_end(now, proc, 0, 0, error="killed")
         if proc.pid in self._wait:
-            start, child = self._wait.pop(proc.pid)
-            st = self.accounting.proc(proc)
-            st.wait_s += now - start
-            self.span("wait", "wait", start, now, proc, child=child,
-                      killed=True)
+            self.on_wait_end(now, proc, None, killed=True)
         st = self.accounting.proc(proc)
         st.end = now
         st.exit_status = proc.exit_status
         args = {"status": proc.exit_status}
         if proc.error:
             args["error"] = proc.error
-        self._emit(TraceRecord(
-            f"{proc.name}", "process", SPAN, proc.start_time,
-            max(0.0, now - proc.start_time), pid=proc.pid,
-            node=proc.node.name, args=args,
-        ))
+        self.span("process", proc.name, proc.start_time, now, proc, **args)
 
-    def on_syscall(self, now: float, proc, request) -> None:
-        self._emit(TraceRecord(
-            type(request).__name__, "syscall", INSTANT, now, pid=proc.pid,
-            node=proc.node.name,
-        ))
+    def on_dispatch(self, now: float, proc, request) -> None:
+        self.instant("syscall", type(request).__name__, now, proc)
 
     # -- kernel hooks: CPU ---------------------------------------------------------------
 
@@ -336,19 +298,21 @@ class Tracer:
 
     # -- kernel hooks: wait / net / scheduler ------------------------------------------------
 
-    def on_wait_edge(self, proc, child) -> None:
+    def on_wait_edge(self, now: float, proc, child) -> None:
         self.accounting.proc(proc).waited_on.add(child.pid)
 
     def on_wait_begin(self, now: float, proc, child) -> None:
         self._wait[proc.pid] = (now, child.pid)
 
-    def on_wait_end(self, now: float, proc, child) -> None:
+    def on_wait_end(self, now: float, proc, child,
+                    killed: bool = False) -> None:
         entry = self._wait.pop(proc.pid, None)
         if entry is None:
             return
         start, child_pid = entry
         self.accounting.proc(proc).wait_s += now - start
-        self.span("wait", "wait", start, now, proc, child=child_pid)
+        args = {"killed": True} if killed else {}
+        self.span("wait", "wait", start, now, proc, child=child_pid, **args)
 
     def on_net(self, now: float, proc, dst: str, nbytes: int) -> None:
         self.accounting.proc(proc).net_bytes += nbytes
@@ -360,11 +324,9 @@ class Tracer:
     # -- fault hook (repro.vos.faults) ---------------------------------------------------------
 
     def on_fault(self, now: float, event, op: int) -> None:
-        self._emit(TraceRecord(
-            f"fault.{event.kind}", "fault", INSTANT, now,
-            args={"target": self.canon_path(event.target),
-                  "source": event.source, "op": op},
-        ))
+        self.instant("fault", f"fault.{event.kind}", now,
+                     target=self.canon_path(event.target),
+                     source=event.source, op=op)
 
 
 def format_record(record: TraceRecord) -> str:

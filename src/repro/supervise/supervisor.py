@@ -253,7 +253,7 @@ class Supervisor:
         if metrics is not None:
             metrics.counter("supervise.rounds", engine=report.engine).inc()
             metrics.counter("supervise.attempts").inc(report.attempts)
-            metrics.maybe_sample(shell.kernel.now)
+            metrics.on_tick(shell.kernel.now)
         self.reports.append(report)
         self.round += 1
         return report

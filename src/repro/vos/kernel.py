@@ -151,12 +151,12 @@ class Kernel:
         self._timers: list = []  # heap of (time, seq, process, value)
         self._timer_seq = 0
         self.network = None  # installed by repro.distributed for clusters
-        #: structured tracer (repro.obs.Tracer) or None; every emission
-        #: site is guarded so an untraced kernel pays one None-check
-        self.tracer = None
-        #: metrics registry (repro.obs.MetricsRegistry) or None — same
-        #: single-guard discipline as the tracer
-        self.metrics = None
+        #: the installed repro.obs.Tracer and MetricsRegistry, or None
+        self._tracer = self._metrics = None
+        #: the one thing every emission site tells (repro.obs.observer):
+        #: None when no consumer is installed, so an unobserved kernel
+        #: pays one None-check per site
+        self.observer = None
         self.steps = 0
         #: syscall dispatches (one per request crossing the process →
         #: kernel boundary; splice pumps move data without re-dispatching)
@@ -166,21 +166,25 @@ class Kernel:
 
     # -- observability -----------------------------------------------------------
 
+    @property
+    def tracer(self):
+        return self._tracer
+
+    @property
+    def metrics(self):
+        return self._metrics
+
     def install_tracer(self, tracer) -> None:
-        """Attach a repro.obs.Tracer; fault plans installed before or
-        after are wired into the same stream."""
-        self.tracer = tracer
+        """Attach a repro.obs.Tracer (None detaches it)."""
+        self._tracer = tracer
         if tracer is not None:
             tracer.attach(self)
-        if self._faults is not None and tracer is not None:
-            self._faults.tracer = tracer
+        self._observe()
 
     def install_metrics(self, registry) -> None:
-        """Attach a repro.obs.MetricsRegistry; like the tracer, fault
-        plans installed before or after report into it too."""
-        self.metrics = registry
-        if self._faults is not None and registry is not None:
-            self._faults.metrics = registry
+        """Attach a repro.obs.MetricsRegistry (None detaches it)."""
+        self._metrics = registry
+        self._observe()
 
     @property
     def faults(self):
@@ -189,10 +193,16 @@ class Kernel:
     @faults.setter
     def faults(self, plan) -> None:
         self._faults = plan
-        if plan is not None and self.tracer is not None:
-            plan.tracer = self.tracer
-        if plan is not None and self.metrics is not None:
-            plan.metrics = self.metrics
+        self._observe()
+
+    def _observe(self) -> None:
+        """Re-derive the observer from the installed consumers, and hand
+        it to the fault plan, whose firings are kernel events too."""
+        from ..obs.observer import observer  # repro.obs imports the engines
+
+        self.observer = observer(self._tracer, self._metrics)
+        if self._faults is not None:
+            self._faults.observer = self.observer
 
     # -- topology ----------------------------------------------------------------
 
@@ -222,12 +232,9 @@ class Kernel:
         proc.start_time = self.now
         self.processes[proc.pid] = proc
         self._ready.append((proc, None, None))
-        tr = self.tracer
-        if tr is not None:
-            tr.on_spawn(self.now, proc, parent)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_spawn(self.now, proc)
+        ob = self.observer
+        if ob is not None:
+            ob.on_spawn(self.now, proc, parent)
         return proc
 
     def kill_process(self, proc: Process, status: int = 137) -> None:
@@ -237,9 +244,9 @@ class Kernel:
             return
         self._advance_cpu(proc.node)
         remaining = proc.node.cpu_active.pop(proc, None)
-        tr = self.tracer
-        if tr is not None and remaining is not None:
-            tr.on_cpu_killed(self.now, proc, remaining)
+        ob = self.observer
+        if ob is not None and remaining is not None:
+            ob.on_cpu_killed(self.now, proc, remaining)
         self._exit(proc, status, error="killed")
 
     def processes_on(self, node: Node) -> list[Process]:
@@ -251,9 +258,9 @@ class Kernel:
         if proc._splice is not None:
             st = proc._splice
             proc._splice = None
-            tr = self.tracer
-            if tr is not None:
-                tr.on_splice_end(self.now, proc, st.total, st.chunks,
+            ob = self.observer
+            if ob is not None:
+                ob.on_splice_end(self.now, proc, st.total, st.chunks,
                                  error=error or "killed")
         proc.exit_status = int(status) & 0xFF if status is not None else 0
         proc.error = error
@@ -264,17 +271,14 @@ class Kernel:
             del node.cpu_active[proc]
         for fd in list(proc.fds):
             self._close_fd(proc, fd)
-        tr = self.tracer
+        ob = self.observer
         for waiter in proc.waiters:
-            if tr is not None:
-                tr.on_wait_end(self.now, waiter, proc)
+            if ob is not None:
+                ob.on_wait_end(self.now, waiter, proc)
             self._ready.append((waiter, proc.exit_status, None))
         proc.waiters.clear()
-        if tr is not None:
-            tr.on_exit(self.now, proc)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_exit(self.now, proc)
+        if ob is not None:
+            ob.on_exit(self.now, proc)
 
     def _close_fd(self, proc: Process, fd: int) -> None:
         handle = proc.fds.pop(fd, None)
@@ -403,12 +407,9 @@ class Kernel:
             self._run_charges(proc, partial(self._dispatch, proc, request))
             return
         self.dispatches += 1
-        tr = self.tracer
-        if tr is not None and tr.syscall_events:
-            tr.on_syscall(self.now, proc, request)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_dispatch(proc, request)
+        ob = self.observer
+        if ob is not None and ob.watches_dispatch:
+            ob.on_dispatch(self.now, proc, request)
         if isinstance(request, CpuReq):
             self._sys_cpu(proc, request)
         elif isinstance(request, CpuVReq):
@@ -459,12 +460,9 @@ class Kernel:
         work = max(_EPS, seconds / node.cpu_speed)
         self._advance_cpu(node)
         node.cpu_active[proc] = work
-        tr = self.tracer
-        if tr is not None:
-            tr.on_cpu_begin(self.now, proc, work)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_cpu(self.now, proc, work)
+        ob = self.observer
+        if ob is not None:
+            ob.on_cpu_begin(self.now, proc, work)
 
     def _cpuv_step(self, proc: Process) -> None:
         """Charge the next burst of ``proc``'s vector, or — in the step
@@ -485,10 +483,9 @@ class Kernel:
     def _solo(self) -> bool:
         """Can nothing but the stepping process's bursts happen until they end?
         Nobody else runnable or on a CPU, every disk idle, no timer,
-        network or fault plan to fire, no tracer or metrics to tell."""
+        network or fault plan to fire, no observer to tell."""
         if (self._ready or self._timers or self.network is not None
-                or self._faults is not None or self.tracer is not None
-                or self.metrics is not None):
+                or self._faults is not None or self.observer is not None):
             return False
         for node in self.nodes.values():
             if node.cpu_active or node.disk.busy_until is not None:
@@ -540,11 +537,11 @@ class Kernel:
             node.cpu_active[p] -= elapsed * rate
             if node.cpu_active[p] <= _EPS:
                 finished.append(p)
-        tr = self.tracer
+        ob = self.observer
         for p in finished:
             del node.cpu_active[p]
-            if tr is not None:
-                tr.on_cpu_end(self.now, p)
+            if ob is not None:
+                ob.on_cpu_end(self.now, p)
             self._ready.append((p, None, None))
 
     # IO -----------------------------------------------------------------------------
@@ -712,12 +709,9 @@ class Kernel:
 
     def _disk_submit(self, disk: Disk, request: _DiskRequest) -> None:
         request.start = self.now
-        tr = self.tracer
-        if tr is not None:
-            tr.on_disk_submit(self.now, disk, request)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_disk_submit(self.now, disk, request)
+        ob = self.observer
+        if ob is not None:
+            ob.on_disk_submit(self.now, disk, request)
         if disk.current is None:
             self._disk_start(disk, request)
         else:
@@ -734,12 +728,9 @@ class Kernel:
         disk.current = None
         disk.busy_until = None
         if request is not None:
-            tr = self.tracer
-            if tr is not None:
-                tr.on_disk_complete(self.now, disk, request)
-            mx = self.metrics
-            if mx is not None:
-                mx.on_disk_complete(self.now, disk, request)
+            ob = self.observer
+            if ob is not None:
+                ob.on_disk_complete(self.now, disk, request)
             self._ready.append((request.process, request.result, None))
         if disk.queue:
             self._disk_start(disk, disk.queue.pop(0))
@@ -747,24 +738,19 @@ class Kernel:
     # pipes --------------------------------------------------------------------------------
 
     def _pipe_read(self, proc: Process, pipe: Pipe, nbytes: int) -> None:
-        tr = self.tracer
-        mx = self.metrics
+        ob = self.observer
         if pipe.size:
             data = pipe.pull_chunks(nbytes)
             n = sum(len(part) for part in data)
-            if tr is not None:
-                tr.on_pipe_read(self.now, proc, pipe, n)
-            if mx is not None:
-                mx.on_pipe_read(self.now, proc, pipe, n)
+            if ob is not None:
+                ob.on_pipe_read(self.now, proc, pipe, n)
             self._ready.append((proc, data, None))
             self._service_pipe_writers(pipe)
         elif pipe.writers == 0:
             self._ready.append((proc, [], None))
         else:
-            if tr is not None:
-                tr.on_pipe_stall_begin(self.now, proc, pipe, "read")
-            if mx is not None:
-                mx.on_pipe_stall_begin(self.now, proc, pipe, "read")
+            if ob is not None:
+                ob.on_pipe_stall_begin(self.now, proc, pipe, "read")
             pipe.read_waiters.append((proc, nbytes))
 
     def _pipe_fault(self, proc: Process, pipe: Pipe, via: Optional[str],
@@ -797,12 +783,9 @@ class Kernel:
         ARE delivered downstream), then fail the writer."""
         total, prefix = self._torn_prefix(parts, fraction)
         pushed, _rest = pipe.push_vector(prefix)
-        tr = self.tracer
-        if tr is not None and pushed:
-            tr.on_pipe_write(self.now, proc, pipe, pushed)
-        mx = self.metrics
-        if mx is not None and pushed:
-            mx.on_pipe_write(self.now, proc, pipe, pushed)
+        ob = self.observer
+        if ob is not None and pushed:
+            ob.on_pipe_write(self.now, proc, pipe, pushed)
         if pushed:
             self._wake_pipe_readers(pipe)
         self._ready.append(
@@ -820,19 +803,14 @@ class Kernel:
         if self._pipe_fault(proc, pipe, via, parts):
             return
         accepted, remaining = pipe.push_vector(parts)
-        tr = self.tracer
-        if tr is not None:
-            tr.on_pipe_write(self.now, proc, pipe, accepted)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_pipe_write(self.now, proc, pipe, accepted)
+        ob = self.observer
+        if ob is not None:
+            ob.on_pipe_write(self.now, proc, pipe, accepted)
         if remaining:
             # queued before the wake: a blocked reader that empties the
             # pipe (a write larger than it) comes back for the remainder
-            if tr is not None:
-                tr.on_pipe_stall_begin(self.now, proc, pipe, "write")
-            if mx is not None:
-                mx.on_pipe_stall_begin(self.now, proc, pipe, "write")
+            if ob is not None:
+                ob.on_pipe_stall_begin(self.now, proc, pipe, "write")
             pipe.write_waiters.append((proc, remaining, accepted))
         if accepted:
             self._wake_pipe_readers(pipe)
@@ -840,28 +818,23 @@ class Kernel:
             self._ready.append((proc, accepted, None))
 
     def _wake_pipe_readers(self, pipe: Pipe) -> None:
-        tr = self.tracer
-        mx = self.metrics
+        ob = self.observer
         while pipe.read_waiters and (pipe.size or pipe.writers == 0):
             proc, nbytes = pipe.read_waiters.pop(0)
             if proc.state == DONE:
                 continue
             data = pipe.pull_chunks(nbytes)
             n = sum(len(part) for part in data)
-            if tr is not None:
-                tr.on_pipe_stall_end(self.now, proc, n)
-                tr.on_pipe_read(self.now, proc, pipe, n)
-            if mx is not None:
-                mx.on_pipe_stall_end(self.now, proc)
-                mx.on_pipe_read(self.now, proc, pipe, n)
+            if ob is not None:
+                ob.on_pipe_stall_end(self.now, proc, n)
+                ob.on_pipe_read(self.now, proc, pipe, n)
             self._ready.append((proc, data, None))
         if pipe.read_waiters or not pipe.write_waiters:
             return
         self._service_pipe_writers(pipe)
 
     def _service_pipe_writers(self, pipe: Pipe) -> None:
-        tr = self.tracer
-        mx = self.metrics
+        ob = self.observer
         progressed = False
         while pipe.write_waiters and pipe.space() > 0:
             proc, parts, done = pipe.write_waiters.pop(0)
@@ -870,15 +843,11 @@ class Kernel:
             accepted, remaining = pipe.push_vector(parts)
             progressed = progressed or accepted > 0
             done += accepted
-            if tr is not None and accepted:
-                tr.on_pipe_write(self.now, proc, pipe, accepted)
-            if mx is not None and accepted:
-                mx.on_pipe_write(self.now, proc, pipe, accepted)
+            if ob is not None and accepted:
+                ob.on_pipe_write(self.now, proc, pipe, accepted)
             if not remaining:
-                if tr is not None:
-                    tr.on_pipe_stall_end(self.now, proc, done)
-                if mx is not None:
-                    mx.on_pipe_stall_end(self.now, proc)
+                if ob is not None:
+                    ob.on_pipe_stall_end(self.now, proc, done)
                 self._ready.append((proc, done, None))
             else:
                 pipe.write_waiters.insert(0, (proc, remaining, done))
@@ -887,15 +856,12 @@ class Kernel:
             self._wake_pipe_readers(pipe)
 
     def _break_pipe_writers(self, pipe: Pipe) -> None:
-        tr = self.tracer
-        mx = self.metrics
+        ob = self.observer
         waiters, pipe.write_waiters = pipe.write_waiters, []
-        for proc, _remaining, _done in waiters:
+        for proc, _remaining, done in waiters:
             if proc.state != DONE:
-                if tr is not None:
-                    tr.on_pipe_stall_end(self.now, proc, _done, broken=True)
-                if mx is not None:
-                    mx.on_pipe_stall_end(self.now, proc)
+                if ob is not None:
+                    ob.on_pipe_stall_end(self.now, proc, done, broken=True)
                 self._ready.append((proc, None, BrokenPipe(f"pipe {pipe.id}")))
 
     # splice fast path -----------------------------------------------------------------
@@ -917,9 +883,9 @@ class Kernel:
         proc._splice = _SpliceState(src, request.src_fd, dsts,
                                     request.dst_fds, request.cpu_coeff,
                                     request.chunk)
-        tr = self.tracer
-        if tr is not None:
-            tr.on_splice_begin(self.now, proc, src, dsts)
+        ob = self.observer
+        if ob is not None:
+            ob.on_splice_begin(self.now, proc, src, dsts)
         self._splice_read(proc, proc._splice)
 
     def _splice_read(self, proc: Process, st: "_SpliceState") -> None:
@@ -938,9 +904,9 @@ class Kernel:
         st = proc._splice
         if exc is not None:
             proc._splice = None
-            tr = self.tracer
-            if tr is not None:
-                tr.on_splice_end(self.now, proc, st.total, st.chunks,
+            ob = self.observer
+            if ob is not None:
+                ob.on_splice_end(self.now, proc, st.total, st.chunks,
                                  error=type(exc).__name__)
             self._step(proc, None, exc)
             return
@@ -949,9 +915,9 @@ class Kernel:
             if not parts:  # EOF: resume the generator with the byte total
                 total = st.total
                 proc._splice = None
-                tr = self.tracer
-                if tr is not None:
-                    tr.on_splice_end(self.now, proc, total, st.chunks)
+                ob = self.observer
+                if ob is not None:
+                    ob.on_splice_end(self.now, proc, total, st.chunks)
                 self._step(proc, total, None)
                 return
             st.parts = parts
@@ -960,9 +926,9 @@ class Kernel:
                 nbytes += len(part)
             st.total += nbytes
             st.chunks += 1
-            mx = self.metrics
-            if mx is not None:
-                mx.on_splice(proc, nbytes, len(parts))
+            ob = self.observer
+            if ob is not None:
+                ob.on_splice_chunk(self.now, proc, nbytes, len(parts))
             seconds = nbytes * st.coeff
             if seconds > 0:
                 st.phase = "cpu"
@@ -1047,14 +1013,14 @@ class Kernel:
         if child is None:
             self._ready.append((proc, None, NoSuchProcess(str(request.pid))))
             return
-        tr = self.tracer
-        if tr is not None:
-            tr.on_wait_edge(proc, child)
+        ob = self.observer
+        if ob is not None:
+            ob.on_wait_edge(self.now, proc, child)
         if child.state == DONE:
             self._ready.append((proc, child.exit_status, None))
         else:
-            if tr is not None:
-                tr.on_wait_begin(self.now, proc, child)
+            if ob is not None:
+                ob.on_wait_begin(self.now, proc, child)
             child.waiters.append(proc)
 
     def _sys_kill(self, proc: Process, request: KillReq) -> None:
@@ -1078,12 +1044,9 @@ class Kernel:
     # network ----------------------------------------------------------------------------------
 
     def _sys_net_send(self, proc: Process, request: NetSendReq) -> None:
-        tr = self.tracer
-        if tr is not None:
-            tr.on_net(self.now, proc, request.dst_node, request.nbytes)
-        mx = self.metrics
-        if mx is not None:
-            mx.on_net(self.now, proc, request.dst_node, request.nbytes)
+        ob = self.observer
+        if ob is not None:
+            ob.on_net(self.now, proc, request.dst_node, request.nbytes)
         if self.faults is not None:
             kind = self.faults.on_net_send(self.now, proc, request.dst_node)
             if kind == NET_ERROR:
@@ -1152,10 +1115,7 @@ class Kernel:
                     self.kill_process(victim)
         if self.network is not None:
             self.network.advance_to(self, self.now)
-        tr = self.tracer
-        if tr is not None:
-            tr.on_tick(self.now, len(self._ready),
+        ob = self.observer
+        if ob is not None:
+            ob.on_tick(self.now, len(self._ready),
                        sum(len(n.cpu_active) for n in self.nodes.values()))
-        mx = self.metrics
-        if mx is not None:
-            mx.maybe_sample(self.now)

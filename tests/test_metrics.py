@@ -157,15 +157,15 @@ class TestWindows:
     def test_identical_samples_collapse(self):
         reg = MetricsRegistry(interval=0.25)
         reg.counter("c").inc()
-        reg.maybe_sample(1.0)   # crosses 0.25..1.0 in one jump => one row
+        reg.on_tick(1.0)   # crosses 0.25..1.0 in one jump => one row
         assert len(reg.windows) == 1
         assert reg.windows[0][0] == 0.25
         assert reg.windows[0][1] == 1.0
-        reg.maybe_sample(1.5)   # unchanged value extends the row
+        reg.on_tick(1.5)   # unchanged value extends the row
         assert len(reg.windows) == 1
         assert reg.windows[0][1] == 1.5
         reg.counter("c").inc()
-        reg.maybe_sample(2.0)   # changed value starts a new row
+        reg.on_tick(2.0)   # changed value starts a new row
         assert len(reg.windows) == 2
 
     def test_finish_closes_partial_window(self):

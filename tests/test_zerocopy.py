@@ -1201,14 +1201,28 @@ def _kernel(cores: int = 2, cpu_speed: float = 1.5) -> Kernel:
                        cpu_speed=cpu_speed).make_kernel()
 
 
-def _replay(bursts, general: bool, start: float = 0.0):
+#: consumers a general-path run installs; each alone must make ``_solo``
+#: refuse, since the solo loop tells no observer about its bursts
+OBSERVED = ("tracer", "metrics", "tracer+metrics")
+
+
+def _install(kernel: Kernel, observed: str) -> None:
+    if "tracer" in observed:
+        kernel.install_tracer(Tracer(record_events=False))
+    if "metrics" in observed:
+        kernel.install_metrics(MetricsRegistry())
+    if observed:
+        kernel._cpuv_solo = mock.Mock(
+            side_effect=AssertionError("solo loop ran under an observer"))
+
+
+def _replay(bursts, observed: str = "", start: float = 0.0):
     """kernel.now / busy time after one process ran ``bursts`` as a
     CpuVReq from clock ``start``: alone with nothing attached (the solo
-    loop), or with a tracer attached (the general path)."""
+    loop), or with the ``observed`` consumers attached (the general path)."""
     kernel = _kernel()
     kernel.now = kernel.main_node.cpu_last_update = start
-    if general:
-        kernel.install_tracer(Tracer(record_events=False))
+    _install(kernel, observed)
 
     def body(proc):
         yield CpuVReq(list(bursts))
@@ -1234,15 +1248,16 @@ def _one_by_one(bursts, start: float = 0.0):
 
 
 class TestCpuVReqKernel:
+    @pytest.mark.parametrize("observed", OBSERVED)
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=1e-13, max_value=1e-2,
                               allow_nan=False), max_size=200),
            st.sampled_from([0.0, 0.4238, 977.5, 8000.0]))
-    def test_solo_loop_equals_general_path(self, bursts, start):
+    def test_solo_loop_equals_general_path(self, observed, bursts, start):
         # (past ~1e4 s the clock cannot resolve a 1e-12 s remainder and a
         # run of CpuReqs never ends either; the starts stay below that)
-        solo = _replay(bursts, general=False, start=start)
-        general = _replay(bursts, general=True, start=start)
+        solo = _replay(bursts, start=start)
+        general = _replay(bursts, observed, start=start)
         assert solo == general
         assert solo[:2] == _one_by_one(bursts, start)
         assert solo[2] == 1
@@ -1251,8 +1266,7 @@ class TestCpuVReqKernel:
         # the mutation the identity tests must catch: float addition is
         # not associative, so a vector is not its sum
         bursts = [7.0e-9 * n for n in range(60, 160)] * 30
-        assert _replay(bursts, general=False)[0] != \
-            _replay([sum(bursts)], general=False)[0]
+        assert _replay(bursts)[0] != _replay([sum(bursts)])[0]
 
     def test_transfer_landing_mid_vector_contends(self):
         from repro.distributed.cluster import Network
@@ -1279,11 +1293,11 @@ class TestCpuVReqKernel:
         assert ends[0] == ends[1]
         assert ends[0][1] > 0.0101  # shared the core from 3 ms on
 
-    @pytest.mark.parametrize("general", (False, True))
-    def test_kill_mid_vector(self, general):
+    @pytest.mark.parametrize("observed", ("",) + OBSERVED,
+                             ids=("alone",) + OBSERVED)
+    def test_kill_mid_vector(self, observed):
         kernel = _kernel()
-        if general:
-            kernel.install_tracer(Tracer(record_events=False))
+        _install(kernel, observed)
 
         def victim(proc):
             yield CpuVReq([0.1] * 10)
