@@ -20,7 +20,7 @@ from typing import Optional
 
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import SpecLibrary
-from ..dfg.from_ast import extract_region
+from ..dfg.from_ast import Region, extract_region
 from ..distributed.retry import RetryPolicy
 from ..parser.ast_nodes import Command, Pipeline, SimpleCommand
 from ..parser.unparse import unparse
@@ -70,7 +70,8 @@ class PashOptimizer:
     def __init__(self, config: Optional[PashConfig] = None):
         self.config = config or PashConfig()
         self.events: list[AotEvent] = []
-        self._approved: set[int] = set()
+        #: id -> (node, its region); holding the node keeps its id unique
+        self._approved: dict[int, tuple[Command, Region]] = {}
         self._compiled = False
         self._analysis = None
         self.cert_hits = 0
@@ -102,11 +103,9 @@ class PashOptimizer:
                            engine="pash", **self._analysis.stats())
             tracer.span("analysis", "analysis.absint", now, now,
                         engine="pash", **self._analysis.absint.stats())
-        inside_pipeline: set[int] = set()
-        for node in walk(program):
-            if isinstance(node, Pipeline):
-                for stage in node.commands:
-                    inside_pipeline.add(id(stage))
+        inside_pipeline = {id(stage) for node in walk(program)
+                           if isinstance(node, Pipeline)
+                           for stage in node.commands}
         for node in walk(program):
             if isinstance(node, Pipeline) or (
                 isinstance(node, SimpleCommand)
@@ -134,20 +133,23 @@ class PashOptimizer:
                     self.events.append(AotEvent(unparse(node), "skipped",
                                                 "no parallelizable stage"))
                 else:
-                    self._approved.add(id(node))
+                    self._approved[id(node)] = (node, region)
 
     def try_execute(self, interp, proc, node: Command):
-        if self._compiled and id(node) not in self._approved:
+        region = self._approved.get(id(node), (node, None))[1]
+        if region is None and not self._compiled:
+            # no compile pass ran: read the node now
+            region = extract_region(node, self.config.library)
+            if region is None:
+                self.events.append(AotEvent(unparse(node), "skipped",
+                                            _NOT_EXTRACTABLE))
+        if region is None or not region.parallelizable:
             return None
             yield  # pragma: no cover - keep generator shape
         text = unparse(node)
-        region = extract_region(node, self.config.library)
-        if region is None:
-            if not self._compiled:
-                self.events.append(AotEvent(text, "skipped",
-                                            _NOT_EXTRACTABLE))
-            return None
-        if not region.parallelizable:
+        if region.clobbered_input(interp.state.cwd) is not None:
+            self.events.append(AotEvent(text, "skipped",
+                                        "output sink is also an input"))
             return None
         file_sizes = fs_file_sizes(proc.fs, interp.state.cwd)
         plan = None

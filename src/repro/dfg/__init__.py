@@ -7,9 +7,9 @@ from .from_ast import (
     build_dfg,
     extract_region,
     literal_argv,
-    make_stage,
     read_region,
     region_from_argvs,
+    region_from_words,
     to_shell,
 )
 from .graph import (
@@ -29,7 +29,7 @@ from .graph import (
 
 __all__ = [
     "Region", "RegionRefusal", "RegionStage", "build_dfg", "extract_region",
-    "literal_argv", "make_stage", "read_region", "region_from_argvs",
+    "literal_argv", "read_region", "region_from_argvs", "region_from_words",
     "to_shell",
     "CMD", "CONCAT_MERGE", "EAGER", "FILE_READ", "INTERNAL_KINDS",
     "RANGE_READ", "RR_SPLIT", "SORT_KWAY", "SUM_MERGE",

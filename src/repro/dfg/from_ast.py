@@ -1,12 +1,13 @@
 """Shell AST -> dataflow-graph region extraction.
 
-Two consumers with different knowledge:
-
-* the **AOT compiler** (PaSh role) sees the unexpanded AST — it can only
-  extract regions whose words are fully literal.  ``cat $FILES | ...``
-  is *not* extractable, which is the paper's spell-script argument.
-* the **JIT** (Jash role) expands words first (soundly, via the purity
-  analysis) and hands concrete argvs to :func:`build_dfg`.
+One rule set, :func:`region_from_words`, turns a pipeline's words and
+redirect targets, as strings, into a :class:`Region`.  Two word sources
+feed it: :func:`read_region` passes literal words only — the AOT
+compiler (PaSh role) cannot extract ``cat $FILES | ...``, the paper's
+spell-script argument — and :func:`repro.jit.frontend.expand_region`
+passes words the JIT (Jash role) expanded early, soundly, via the purity
+analysis.  Each engine then adds only its own rule (no appending sink,
+no ``< file`` source, no redirect at all).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Optional
 
 from ..analysis.candidates import pipeline_stages
 from ..annotations.model import InstanceSpec, ParClass, SpecLibrary
-from ..parser.ast_nodes import Command, SimpleCommand
+from ..parser.ast_nodes import Command, Redirect, SimpleCommand
+from ..vos.fs import normalize
 from .graph import CMD, DataflowGraph
 
 
@@ -25,7 +27,7 @@ class RegionStage:
     argv: list[str]
     spec: InstanceSpec
     stdin_file: Optional[str] = None   # from `< file`
-    stdout_file: Optional[str] = None  # from `> file` / `>> file`
+    stdout_file: Optional[str] = None  # from `> file` / `>| file` / `>> file`
     stdout_append: bool = False
 
 
@@ -34,6 +36,8 @@ class Region:
     """A candidate dataflow region: a pipeline of known, pure commands."""
 
     stages: list[RegionStage] = field(default_factory=list)
+    #: the words and redirect targets it was read from
+    words: list[StageWords] = field(default_factory=list)
 
     @property
     def parallelizable(self) -> bool:
@@ -46,17 +50,26 @@ class Region:
         first = self.stages[0]
         if first.stdin_file is not None:
             return [first.stdin_file]
-        args = first.argv[1:]
-        paths = [args[idx] if idx < len(args) else "-"
-                 for idx in first.spec.input_operands]
+        paths = operands(first.argv, first.spec)
         return paths if paths and "-" not in paths else None
+
+    def clobbered_input(self, cwd: str) -> Optional[str]:
+        """:func:`clobbered_sink` of the words the region was read from."""
+        return clobbered_sink(self.words, [s.spec for s in self.stages], cwd)
+
+
+def operands(argv: list[str], spec: InstanceSpec) -> list[str]:
+    """The file operands ``argv`` reads by ``spec``; ``-`` is stdin."""
+    args = argv[1:]
+    return [args[idx] if idx < len(args) else "-"
+            for idx in spec.input_operands]
 
 
 class RegionRefusal(Exception):
-    """Why :func:`read_region` refused a node.  ``kind`` is ``"shape"``
-    (not a flat pipeline of plain simple commands), ``"redirect"`` (one
-    the region model lacks), ``"dynamic"`` (a word needs expansion) or
-    ``"command"`` (unknown or side-effectful; ``name`` says which)."""
+    """Why a node is not a region.  ``kind`` is ``"shape"`` (not a flat
+    pipeline of plain simple commands), ``"redirect"`` (one the region
+    model lacks), ``"dynamic"`` (a word needs expansion) or ``"command"``
+    (unknown or side-effectful; ``name`` says which)."""
 
     def __init__(self, kind: str, name: str = ""):
         super().__init__(kind, name)
@@ -73,51 +86,82 @@ def literal_argv(node: SimpleCommand) -> Optional[list[str]]:
     return argv if argv else None
 
 
-def _literal_redirects(node: SimpleCommand) -> tuple[Optional[str], Optional[str], bool]:
-    """(stdin_file, stdout_file, append) when redirects are simple/static;
-    refuses redirects the region model lacks — a second redirect of the
-    same fd included: the shell would still create the first target, a
-    region with one sink would not."""
-    stdin_file = None
-    stdout_file = None
-    append = False
-    for redirect in node.redirects:
-        if not redirect.target.is_literal():
+#: one stage as strings: its argv, and each redirect with its target
+StageWords = tuple[list[str], list[tuple[Redirect, str]]]
+
+
+def region_from_words(words: list[StageWords],
+                      library: SpecLibrary) -> Region:
+    """The one rule set between a pipeline's words, literal or expanded,
+    and a :class:`Region`.  A redirect is read only when it is its fd's
+    one redirect (the shell would still open, or fail on, the first of
+    two) and it is ``<`` on the first stage, which then names no file
+    operand but ``-``, or ``>``, ``>|`` (no noclobber: the same as
+    ``>``) or ``>>`` on the last stage.  Raises :class:`RegionRefusal`."""
+    stages: list[RegionStage] = []
+    last = len(words) - 1
+    for i, (argv, redirects) in enumerate(words):
+        stdin_file = stdout_file = None
+        append = False
+        for redirect, target in redirects:
+            fd = redirect.default_fd()
+            if (redirect.op == "<" and fd == 0 and i == 0
+                    and stdin_file is None):
+                stdin_file = target
+            elif (redirect.op in (">", ">|", ">>") and fd == 1 and i == last
+                  and stdout_file is None):
+                stdout_file, append = target, redirect.op == ">>"
+            else:
+                raise RegionRefusal("redirect")
+        if not argv:
+            raise RegionRefusal("shape")
+        spec = library.classify(argv[0], argv[1:])
+        if spec is None or spec.par_class is ParClass.SIDE_EFFECTFUL:
+            raise RegionRefusal("command", argv[0])
+        stage = RegionStage(list(argv), spec, stdin_file, stdout_file, append)
+        if stdin_file is not None and set(operands(argv, spec)) - {"-"}:
             raise RegionRefusal("redirect")
-        target = redirect.target.literal_value()
-        fd = redirect.default_fd()
-        if redirect.op == "<" and fd == 0 and stdin_file is None:
-            stdin_file = target
-        elif redirect.op in (">", ">>") and fd == 1 and stdout_file is None:
-            stdout_file = target
-            append = redirect.op == ">>"
-        else:
-            raise RegionRefusal("redirect")
-    return stdin_file, stdout_file, append
+        stages.append(stage)
+    return Region(stages, words)
+
+
+def clobbered_sink(words: list[StageWords],
+                   specs: list[Optional[InstanceSpec]],
+                   cwd: str) -> Optional[str]:
+    """The first ``>``/``>|`` target (any stage, any fd) that the shell
+    truncates before it is read: a ``<`` target, or a file operand of a
+    stage whose spec (``specs``, one per stage) is known, under ``cwd``."""
+    reads, sinks = set(), []
+    for (argv, redirects), spec in zip(words, specs):
+        if spec is not None:
+            reads.update(operands(argv, spec))
+        for redirect, target in redirects:
+            if redirect.op == "<":
+                reads.add(target)
+            elif redirect.op in (">", ">|"):
+                sinks.append(target)
+    paths = {normalize(path, cwd) for path in reads - {"-"}}
+    return next((s for s in sinks if normalize(s, cwd) in paths), None)
 
 
 def read_region(node: Command, library: SpecLibrary) -> Region:
-    """The one AST -> region reader: a flat pipeline
+    """The AST -> region reader for literal words: a flat pipeline
     (:func:`~repro.analysis.candidates.pipeline_stages`) whose words and
-    ``<``/``>``/``>>`` targets are all literal and whose commands the
-    library knows.  Raises :class:`RegionRefusal` otherwise."""
+    redirect targets are all literal, read by :func:`region_from_words`.
+    Raises :class:`RegionRefusal` otherwise."""
     commands = pipeline_stages(node)
     if commands is None:
         raise RegionRefusal("shape")
-    stages: list[RegionStage] = []
-    for i, cmd in enumerate(commands):
-        stdin_file, stdout_file, append = _literal_redirects(cmd)
-        if (stdin_file is not None and i != 0) or (
-                stdout_file is not None and i != len(commands) - 1):
+    words: list[StageWords] = []
+    for cmd in commands:
+        if not all(r.target.is_literal() for r in cmd.redirects):
             raise RegionRefusal("redirect")
         argv = literal_argv(cmd)
         if argv is None:
             raise RegionRefusal("dynamic" if cmd.words else "shape")
-        stage = make_stage(argv, library, stdin_file, stdout_file, append)
-        if stage is None:
-            raise RegionRefusal("command", argv[0])
-        stages.append(stage)
-    return Region(stages)
+        words.append((argv, [(r, r.target.literal_value())
+                             for r in cmd.redirects]))
+    return region_from_words(words, library)
 
 
 def extract_region(node: Command, library: SpecLibrary) -> Optional[Region]:
@@ -128,37 +172,13 @@ def extract_region(node: Command, library: SpecLibrary) -> Optional[Region]:
         return None
 
 
-def make_stage(argv: list[str], library: SpecLibrary,
-               stdin_file: Optional[str] = None,
-               stdout_file: Optional[str] = None,
-               append: bool = False) -> Optional[RegionStage]:
-    """Classify one expanded argv into a region stage; None when the
-    command is unknown or side-effectful (B1 strikes)."""
-    if not argv:
+def region_from_argvs(argvs: list[list[str]],
+                      library: SpecLibrary) -> Optional[Region]:
+    """Region from already-expanded, redirect-free argvs."""
+    try:
+        return region_from_words([(argv, []) for argv in argvs], library)
+    except RegionRefusal:
         return None
-    spec = library.classify(argv[0], argv[1:])
-    if spec is None:
-        return None
-    if spec.par_class is ParClass.SIDE_EFFECTFUL:
-        return None
-    return RegionStage(list(argv), spec, stdin_file, stdout_file, append)
-
-
-def region_from_argvs(argvs: list[list[str]], library: SpecLibrary,
-                      stdin_file: Optional[str] = None,
-                      stdout_file: Optional[str] = None) -> Optional[Region]:
-    """JIT extraction: stages from already-expanded argvs."""
-    stages: list[RegionStage] = []
-    for i, argv in enumerate(argvs):
-        stage = make_stage(
-            argv, library,
-            stdin_file if i == 0 else None,
-            stdout_file if i == len(argvs) - 1 else None,
-        )
-        if stage is None:
-            return None
-        stages.append(stage)
-    return Region(stages)
 
 
 def build_dfg(region: Region) -> DataflowGraph:
@@ -169,16 +189,14 @@ def build_dfg(region: Region) -> DataflowGraph:
     if first.stdin_file is not None:
         prev_stream = dfg.new_stream(path=first.stdin_file)
         dfg.source = prev_stream
-    for i, stage in enumerate(region.stages):
+    for stage in region.stages:
         inputs: tuple[int, ...] = ()
         if stage.spec.reads_stdin or prev_stream is not None:
             if prev_stream is None:
                 prev_stream = dfg.new_stream()  # empty stdin
                 dfg.source = prev_stream
             inputs = (prev_stream,)
-        out_stream = dfg.new_stream(
-            path=stage.stdout_file if i == len(region.stages) - 1 else None
-        )
+        out_stream = dfg.new_stream(path=stage.stdout_file)
         dfg.add_node(CMD, tuple(stage.argv), inputs=inputs,
                      outputs=(out_stream,), spec=stage.spec)
         prev_stream = out_stream

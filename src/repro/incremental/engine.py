@@ -96,7 +96,7 @@ class IncrementalOptimizer:
 
     def try_execute(self, interp, proc, node: Command):
         self._metrics = getattr(proc.kernel, "metrics", None)
-        text = unparse(node)
+        text, cwd = unparse(node), interp.state.cwd
         stages = pipeline_stages(node)
         if stages is None:
             return None
@@ -106,13 +106,17 @@ class IncrementalOptimizer:
             return None
         region = yield from expand_region(interp, proc, stages,
                                           self.config.library)
-        if region is None:
+        # the engine's own rule: a replay opens its sink for truncation
+        if region is None or region.stages[-1].stdout_append:
             self._note(text, "interpreted", "not a dataflow region")
+            return None
+        if region.clobbered_input(cwd) is not None:
+            self._note(text, "interpreted", "output sink is also an input")
             return None
         if not all(s.spec.pure for s in region.stages):
             self._note(text, "interpreted", "region not pure")
             return None
-        input_files = region_input_files(region, proc.fs, interp.state.cwd)
+        input_files = region_input_files(region, proc.fs, cwd)
         if input_files is None:
             self._note(text, "interpreted", "input not file-backed")
             return None
@@ -138,11 +142,10 @@ class IncrementalOptimizer:
             self._invalid(proc, key, "output digest mismatch")
             entry = None
         if entry is not None:
-            status = yield from self._replay(region, proc, entry.output,
-                                             interp.state.cwd)
+            yield from self._replay(region, proc, entry.output, cwd)
             self._note(text, "replayed", "inputs unchanged",
                        saved_bytes=total)
-            return entry.status if status == 0 else status
+            return entry.status
 
         prev = self.cache.latest(argv_sig, input_files)
         if prev is not None and (prev.status in FAULT_STATUSES
@@ -159,13 +162,12 @@ class IncrementalOptimizer:
             and all(digest(fs.read_bytes(p)) == fp
                     for p, fp in zip(input_files, prev.input_prefix_fps))
         ):
-            status = yield from self._replay(region, proc, prev.output,
-                                             interp.state.cwd)
+            yield from self._replay(region, proc, prev.output, cwd)
             self._store(key, argv_sig, prev.output, prev.status,
                         input_files, fs)
             self._note(text, "replayed", "content unchanged (digest)",
                        saved_bytes=total)
-            return prev.status if status == 0 else status
+            return prev.status
 
         # Snapshot the fault counter: POSIX pipeline status can mask an
         # upstream fault death (a torn write in a stage whose consumers
@@ -192,8 +194,7 @@ class IncrementalOptimizer:
             old_size = prev.input_sizes[0]
             suffix = range_plan(
                 region, [(input_files[0], old_size, fs.size(input_files[0]))])
-            delta_out, status = yield from self._capture(
-                suffix, proc, interp.state.cwd)
+            delta_out, status = yield from self._capture(suffix, proc, cwd)
             if run.agg_kind is AggKind.CONCAT:
                 # prefix and suffix are two copies of the last stage
                 output = prev.output + delta_out
@@ -201,13 +202,12 @@ class IncrementalOptimizer:
                 reason = "append-only delta"
             elif status == 0:
                 output = yield from self._merge_outputs(
-                    run, prev.output, delta_out, proc, interp.state.cwd)
+                    run, prev.output, delta_out, proc, cwd)
                 reason = f"aggregator merge ({run.agg_kind.value})"
             else:
                 output = None
             if output is not None:
-                st2 = yield from self._replay(region, proc, output,
-                                              interp.state.cwd)
+                yield from self._replay(region, proc, output, cwd)
                 self.cache.delta_hits += 1
                 if self._fired(proc) == fired_before:
                     self._store(key, argv_sig, output, status, input_files,
@@ -215,20 +215,20 @@ class IncrementalOptimizer:
                 self._note(text, "extended",
                            f"{reason}: reused {old_size} bytes",
                            saved_bytes=old_size)
-                return status if st2 == 0 else st2
+                return status
             # a fault killed the suffix run or the merge: recompute
 
         # full compute with capture
-        output, status = yield from self._capture(
-            baseline_plan(region), proc, interp.state.cwd)
-        st2 = yield from self._replay(region, proc, output, interp.state.cwd)
+        output, status = yield from self._capture(baseline_plan(region),
+                                                  proc, cwd)
+        yield from self._replay(region, proc, output, cwd)
         if self._fired(proc) == fired_before:
             self._store(key, argv_sig, output, status, input_files, fs)
             self._note(text, "computed", "cache miss; result stored")
         else:
             self._note(text, "computed", "fault fired mid-region; "
                                          "result not cached")
-        return status if st2 == 0 else st2
+        return status
 
     # -- helpers -------------------------------------------------------------------
 
@@ -254,9 +254,8 @@ class IncrementalOptimizer:
         if tracer is not None:
             tracer.instant("inc", "inc.cache_invalid", proc.kernel.now, proc,
                            key=key[:16], reason=reason)
-        metrics = getattr(proc.kernel, "metrics", None)
-        if metrics is not None:
-            metrics.counter("inc.cache_invalid", reason=reason).inc()
+        if self._metrics is not None:
+            self._metrics.counter("inc.cache_invalid", reason=reason).inc()
 
     def _store(self, key: str, argv_sig: str, output: bytes, status: int,
                input_files, fs, appended_from: Optional[int] = None) -> None:
@@ -363,7 +362,6 @@ class IncrementalOptimizer:
             yield from proc.close(fd)
         else:
             yield from proc.write(1, output)
-        return 0
 
     # -- reporting ----------------------------------------------------------------------
 

@@ -184,9 +184,13 @@ class JashOptimizer:
         # 2. early expansion with full runtime information
         region = yield from expand_region(interp, proc, stages_ast,
                                           self.config.library)
-        if region is None:
+        # Jash's own rule: a plan's sink is opened for truncation
+        if region is None or region.stages[-1].stdout_append:
             self._skip(proc, text,
                        "stages not classifiable as a dataflow region")
+            return None
+        if region.clobbered_input(interp.state.cwd) is not None:
+            self._skip(proc, text, "output sink is also an input")
             return None
         if not region.parallelizable:
             self._skip(proc, text, "no parallelizable stage")

@@ -20,7 +20,8 @@ from typing import Optional
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import SpecLibrary
 from ..commands.base import REGISTRY
-from ..jit.frontend import expand_region, pipeline_stages, purity_reason
+from ..dfg.from_ast import clobbered_sink, operands
+from ..jit.frontend import expand_stage_words, pipeline_stages, purity_reason
 from ..parser.ast_nodes import Command
 from ..parser.unparse import unparse
 from ..vos.fs import normalize
@@ -70,50 +71,27 @@ class MisuseGuard:
 
     def try_execute(self, interp, proc, node: Command):
         stages = pipeline_stages(node)
-        if stages is None:
-            return None
-            yield  # pragma: no cover - generator shape
-        if purity_reason(stages) is not None:
+        if stages is None or purity_reason(stages) is not None:
             return None  # cannot expand soundly; stay out of the way
-        region = yield from expand_region(interp, proc, stages,
-                                          self.config.library)
-        argvs: list[list[str]]
-        stdin_file = stdout_file = None
-        if region is not None:
-            argvs = [s.argv for s in region.stages]
-            stdin_file = region.stages[0].stdin_file
-            stdout_file = region.stages[-1].stdout_file
-        else:
-            # unknown/side-effectful commands have no region, but their
-            # expanded argvs can still be checked
-            from ..semantics.expansion import expand_words
-
-            argvs = []
-            for stage in stages:
-                argv = yield from expand_words(interp, proc, stage.words)
-                if argv:
-                    argvs.append(argv)
-        text = unparse(node)
+            yield  # pragma: no cover - generator shape
+        words = yield from expand_stage_words(interp, proc, stages)
+        text, cwd = unparse(node), interp.state.cwd
+        specs = [self.config.library.classify(argv[0], argv[1:])
+                 if argv else None for argv, _redirects in words]
         blocking = False
-        for argv in argvs:
-            blocking |= self._check_argv(argv, proc, interp, text)
-        # pipeline-level: output clobbers an input that is still unread
-        if stdout_file is not None:
-            inputs = set()
-            if stdin_file is not None:
-                inputs.add(normalize(stdin_file, interp.state.cwd))
-            for stage in region.stages:
-                args = stage.argv[1:]
-                for idx in stage.spec.input_operands:
-                    if idx < len(args):
-                        inputs.add(normalize(args[idx], interp.state.cwd))
-            if normalize(stdout_file, interp.state.cwd) in inputs:
-                self.findings.append(Finding(
-                    "JM001", "error",
-                    f"output redirection truncates input file "
-                    f"{stdout_file!r} before it is read", text,
-                ))
-                blocking = True
+        for (argv, _redirects), spec in zip(words, specs):
+            if argv:
+                blocking |= self._check_argv(argv, spec, proc, cwd, text)
+        # pipeline-level: an output redirection truncates an input that
+        # is still unread — whether or not the pipeline is a region
+        sink = clobbered_sink(words, specs, cwd)
+        if sink is not None:
+            self.findings.append(Finding(
+                "JM001", "error",
+                f"output redirection truncates input file "
+                f"{sink!r} before it is read", text,
+            ))
+            blocking = True
         if blocking and self.config.enforce:
             yield from interp.write_err(
                 proc, f"jash-guard: blocked: {self.findings[-1].message}"
@@ -121,14 +99,14 @@ class MisuseGuard:
             return 125
         return None
 
-    def _check_argv(self, argv: list[str], proc, interp, text: str) -> bool:
-        """Record findings for one expanded argv; returns True when an
-        error-severity finding should block."""
+    def _check_argv(self, argv: list[str], spec, proc, cwd: str,
+                    text: str) -> bool:
+        """Record findings for one expanded argv and its spec (or None);
+        returns True when an error-severity finding should block."""
         name = argv[0]
         blocking = False
         if name not in REGISTRY and name not in ("cd", "read", "echo"):
-            spec = self.config.library.get(name)
-            if spec is None:
+            if self.config.library.get(name) is None:
                 self.findings.append(Finding(
                     "JM404", "warning",
                     f"{name!r}: unknown command (no spec, not installed)",
@@ -136,12 +114,10 @@ class MisuseGuard:
                 ))
                 return False
         known = KNOWN_FLAGS.get(name)
-        spec = self.config.library.classify(name, argv[1:])
         if known is not None:
             for arg in argv[1:]:
-                if arg.startswith("--") or arg == "-":
-                    continue
-                if arg.startswith("-") and not arg[1:].isdigit():
+                if (arg.startswith("-") and not arg.startswith("--")
+                        and not arg[1:].isdigit()):
                     bad = set(arg[1:]) - known - set("0123456789")
                     if bad:
                         self.findings.append(Finding(
@@ -150,18 +126,13 @@ class MisuseGuard:
                             f"{''.join(sorted(bad))!r}", text,
                         ))
         # missing input files: fail before spawning the pipeline
-        if spec is not None and spec.input_operands:
-            args = argv[1:]
-            for idx in spec.input_operands:
-                if idx >= len(args) or args[idx] == "-":
-                    continue
-                path = normalize(args[idx], interp.state.cwd)
-                if not proc.fs.exists(path):
-                    self.findings.append(Finding(
-                        "JM003", "warning",
-                        f"{name}: input file {args[idx]!r} does not exist "
-                        f"(detected before execution)", text,
-                    ))
+        for path in operands(argv, spec) if spec is not None else ():
+            if path != "-" and not proc.fs.exists(normalize(path, cwd)):
+                self.findings.append(Finding(
+                    "JM003", "warning",
+                    f"{name}: input file {path!r} does not exist "
+                    f"(detected before execution)", text,
+                ))
         # rm with glob-expanded everything
         if name == "rm":
             targets = [a for a in argv[1:] if not a.startswith("-")]

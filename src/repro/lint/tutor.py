@@ -117,7 +117,12 @@ def _advise_statement(node: Command, library: SpecLibrary) -> StatementAdvice:
     purity = check_words(
         [w for cmd in commands for w in cmd.words]
     )
-    if region is not None and region.parallelizable:
+    clobbered = region and region.clobbered_input("/")  # no cwd known
+    if clobbered:
+        advice.optimization = (
+            f"the output file {clobbered!r} is also an input: the shell "
+            "truncates it before it is read, so no optimizer runs this")
+    elif region is not None and region.parallelizable:
         advice.optimization = (
             f"{parallel_stages}/{len(commands)} stages parallelizable: "
             "an optimizer (PaSh ahead-of-time, or Jash at run time) can "

@@ -16,12 +16,17 @@ from repro.dfg import (
     RANGE_READ,
     RR_SPLIT,
     SORT_KWAY,
+    RegionRefusal,
     build_dfg,
     extract_region,
+    read_region,
     region_from_argvs,
+    region_from_words,
     to_shell,
 )
+from repro.jit.frontend import expand_stage_words, pipeline_stages
 from repro.parser import parse_one
+from repro.shell import Shell
 from repro.vos.devices import DiskSpec
 from repro.vos.handles import Collector
 from repro.vos.kernel import Kernel, Node
@@ -31,6 +36,22 @@ def fast_kernel():
     return Kernel(Node("t", 8, 1e5,
                        DiskSpec(throughput_bps=1e12, base_iops=1e9,
                                 burst_iops=1e9)))
+
+
+def expanded_words(text):
+    """``text``'s stages as the JIT front end hands them to the region
+    rules: expanded by a running interpreter, which then skips the
+    node."""
+    words = []
+
+    class Expand:
+        def try_execute(self, interp, proc, node):
+            words.extend((yield from expand_stage_words(
+                interp, proc, pipeline_stages(node))))
+            return 0
+
+    Shell(optimizer=Expand()).run(text)
+    return words
 
 
 def run_plan(plan, files):
@@ -86,10 +107,25 @@ class TestRegionExtraction:
         assert extract_region(node, DEFAULT_LIBRARY) is None
 
     def test_second_redirect_of_a_fd_rejected(self):
-        # the shell would create /a too; a one-sink region would not
+        # the shell would create /a too; a one-sink region would not.
+        # `< /g` beside an operand: sort reads /f, never stdin
         for text in ("sort /f > /a > /b", "sort /f > /a >> /b",
-                     "sort < /a < /b"):
+                     "sort < /a < /b", "sort /f < /g"):
             assert extract_region(parse_one(text), DEFAULT_LIBRARY) is None
+            with pytest.raises(RegionRefusal):
+                region_from_words(expanded_words(text), DEFAULT_LIBRARY)
+
+    @pytest.mark.parametrize("text,cwd,sink", [
+        ("sort f > /d/f", "/d", "/d/f"),
+        ("cat /d/./f | tr a b > ../d/f", "/d", "../d/f"),
+        ("sort < /d/f > /d/f", "/", "/d/f"),
+        ("sort /d/f >> /d/f", "/", None),
+        ("sort - > -", "/", None),
+        ("sort /d/f > /d/g", "/", None),
+    ])
+    def test_clobbered_input(self, text, cwd, sink):
+        region = extract_region(parse_one(text), DEFAULT_LIBRARY)
+        assert region.clobbered_input(cwd) == sink
 
     def test_append_sink_is_never_parallelized(self):
         # a plan's sink is opened for truncation: `>>` stays interpreted
@@ -108,16 +144,19 @@ class TestRegionExtraction:
         ("cat /f | (sort)", "shape", ""),
         ("> /out", "shape", ""),
         ("cat /f | sort 2> /err", "redirect", ""),
-        ("cat /f | sort >| /out", "redirect", ""),
+        ("sort /f < /g", "redirect", ""),
         ("cat $FILES | sort", "dynamic", ""),
         ("cat /f | frobnicate", "command", "frobnicate"),
     ])
     def test_refusal_kinds(self, text, kind, name):
-        from repro.dfg import RegionRefusal, read_region
-
         with pytest.raises(RegionRefusal) as refusal:
             read_region(parse_one(text), DEFAULT_LIBRARY)
         assert (refusal.value.kind, refusal.value.name) == (kind, name)
+        if kind in ("redirect", "command"):
+            # the same rules refuse the early-expanded words alike
+            with pytest.raises(RegionRefusal) as refusal:
+                region_from_words(expanded_words(text), DEFAULT_LIBRARY)
+            assert (refusal.value.kind, refusal.value.name) == (kind, name)
 
     def test_jit_path_from_argvs(self):
         region = region_from_argvs(
@@ -287,8 +326,7 @@ class TestPlanCorrectness:
 
     def test_stdin_redirect_input(self):
         data = word_data(200, seed=10)
-        region = region_from_argvs([["sort"]], DEFAULT_LIBRARY,
-                                   stdin_file="/in")
+        region = extract_region(parse_one("sort < /in"), DEFAULT_LIBRARY)
         plan = parallelize(region, 4, "range", file_sizes=lambda p: len(data))
         assert plan is not None
         status, out = run_plan(plan, {"/in": data})
@@ -296,8 +334,8 @@ class TestPlanCorrectness:
 
     def test_output_redirect_sink(self):
         data = word_data(100, seed=11)
-        region = region_from_argvs([["cat", "/in"], ["sort"]],
-                                   DEFAULT_LIBRARY, stdout_file="/out")
+        region = extract_region(parse_one("cat /in | sort > /out"),
+                                DEFAULT_LIBRARY)
         plan = parallelize(region, 2, "rr", file_sizes=lambda p: len(data))
         kernel = fast_kernel()
         kernel.main_node.fs.write_bytes("/in", data)

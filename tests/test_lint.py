@@ -75,10 +75,21 @@ class TestMisuseGuard:
         shell = Shell(fast_machine(), optimizer=guard)
         return shell, guard
 
-    def test_blocks_self_clobber(self):
+    # the check does not need the pipeline to be a region: a second
+    # `>`, `<` beside an operand, a `2>` or an unknown stage is still a
+    # truncated input
+    @pytest.mark.parametrize("script", [
+        "sort /data/f > /data/f",
+        "sort /data/f > /a > /data/f",
+        "sort /data/f < /g > /data/f",
+        "sort /data/f 2> /data/f",
+        "cat /data/f | no_such_tool > /data/f",
+    ])
+    def test_blocks_self_clobber(self, script):
         shell, guard = self.make_shell()
         shell.fs.write_bytes("/data/f", b"b\na\n")
-        result = shell.run("sort /data/f > /data/f")
+        shell.fs.write_bytes("/g", b"g\n")
+        result = shell.run(script)
         assert result.status == 125
         assert shell.fs.read_bytes("/data/f") == b"b\na\n"  # preserved!
         assert any(f.code == "JM001" for f in guard.findings)
@@ -90,6 +101,15 @@ class TestMisuseGuard:
         assert any(f.code == "JM001" for f in guard.findings)
         # not blocked: the file is now clobbered (the classic accident)
         assert shell.fs.read_bytes("/data/f") in (b"", b"a\nb\n")
+
+    def test_append_to_an_input_is_no_clobber(self):
+        # `>>` truncates nothing: sort reads /data/f whole, then appends
+        shell, guard = self.make_shell()
+        shell.fs.write_bytes("/data/f", b"b\na\n")
+        result = shell.run("sort /data/f >> /data/f")
+        assert result.status == 0
+        assert shell.fs.read_bytes("/data/f") == b"b\na\na\nb\n"
+        assert not any(f.code == "JM001" for f in guard.findings)
 
     def test_missing_input_detected_before_execution(self):
         shell, guard = self.make_shell(enforce=False)

@@ -575,9 +575,9 @@ ACCEPT_SET = [
     ("sort /w", (["sort"], "/w", False)),
     ("sort -r -u /w | uniq >> /o", (["sort", "uniq"], "/w", False)),
     ("sort -ru /w 1> /o", (["sort"], "/w", False)),
+    ("cat /w | sort >| /o", (["cat", "sort"], "/w", False)),
     # -- refusals ----------------------------------------------------------
     ("cat /w", None),
-    ("cat /w | sort >| /o", None),
     ("cat < /w | sort", None),
     ("sort /w < /x", None),
     ("sort /w > /o > /p", None),

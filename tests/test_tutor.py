@@ -20,6 +20,13 @@ class TestTutorGuidance:
         assert "parallelizable" in stmt.optimization
         assert "data-parallelize" in stmt.optimization
 
+    @pytest.mark.parametrize("script", ["sort f > f",
+                                        "cat f | tr a-z A-Z >| ./f"])
+    def test_clobbered_sink_promises_no_optimization(self, script):
+        (stmt,) = advice_for(script)
+        assert "truncates it before it is read" in stmt.optimization
+        assert "data-parallelize" not in stmt.optimization
+
     def test_dynamic_but_pure_mentions_jit(self):
         (stmt,) = advice_for("cat $FILES | sort")
         assert "ahead-of-time optimizer must skip" in stmt.optimization
