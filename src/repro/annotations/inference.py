@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..commands.base import lookup
+from ..commands.base import UsageError, lookup, parse_args
 from ..vos.handles import Collector, StringSource
 from ..vos.kernel import Kernel, Node
 from ..vos.devices import DiskSpec
@@ -109,10 +109,12 @@ class InferenceResult:
 #: candidate aggregators tried, most-specific first
 def _candidate_aggregators(argv: list[str]) -> list[Aggregator]:
     name = argv[0]
-    merge_flags = [a for a in argv[1:] if a.startswith("-")
-                   and set(a[1:]) <= set("rnu")]
+    try:  # the invocation's options, as sort itself reads them
+        merge_flags = parse_args("sort", argv[1:]).words
+    except UsageError:
+        merge_flags = ()
     candidates = [
-        Aggregator(AggKind.SORT_MERGE, tuple(["sort", "-m"] + merge_flags)),
+        Aggregator(AggKind.SORT_MERGE, ("sort", "-m", *merge_flags)),
         Aggregator(AggKind.SUM),
         Aggregator(AggKind.RERUN, (name, *argv[1:])),
     ]

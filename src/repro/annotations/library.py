@@ -1,15 +1,23 @@
 """The shipped specification library for the coreutils in repro.commands.
 
 These are the hand-written annotations the paper describes ("written once
-for each command ... similarly to manpages").  The inference engine
-(:mod:`repro.annotations.inference`) can re-derive the parallelizability
-classes by black-box testing.
+for each command ... similarly to manpages").  A rule reads an invocation
+through the parse :meth:`SpecLibrary.classify` made with the command's
+own registered grammar (:class:`repro.commands.base.Args`): the options
+the body will see, its operands, and each operand's argv index — so a
+rule classifies only what the body accepts, and reads it as the body
+does.  The inference engine (:mod:`repro.annotations.inference`) can
+re-derive the parallelizability classes by black-box testing.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import re
 
+from ..commands.awk_lite import program_is_stateless
+from ..commands.base import Args, UsageError
+from ..commands.bre import RegexTranslationError
+from ..commands.filters import parse_sed_args
 from .model import (
     AggKind,
     Aggregator,
@@ -18,37 +26,6 @@ from .model import (
     ParClass,
     SpecLibrary,
 )
-
-
-def _flags_of(argv: list[str]) -> set[str]:
-    """Single-letter flags present (clustered or not), stopping at '--'."""
-    flags: set[str] = set()
-    for arg in argv:
-        if arg == "--":
-            break
-        if arg.startswith("-") and arg != "-" and len(arg) > 1 and not arg[1].isdigit():
-            flags.update(arg[1:])
-    return flags
-
-
-def _operands_of(argv: list[str], value_flags: str = "") -> list[int]:
-    """Indices of non-flag operands (skipping detached flag values)."""
-    out: list[int] = []
-    skip_next = False
-    for i, arg in enumerate(argv):
-        if skip_next:
-            skip_next = False
-            continue
-        if arg == "--":
-            out.extend(range(i + 1, len(argv)))
-            break
-        if arg.startswith("-") and arg != "-" and len(arg) > 1:
-            body = arg[1:]
-            if body and body[-1] in value_flags and len(body) == 1:
-                skip_next = True
-            continue
-        out.append(i)
-    return out
 
 
 def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
@@ -68,8 +45,8 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
     lib = SpecLibrary()
 
     # -- cat: stateless, inputs are its operands -----------------------------
-    def cat_rule(argv):
-        ops = tuple(_operands_of(argv))
+    def cat_rule(args: Args):
+        ops = args.at
         return InstanceSpec(
             "cat", ParClass.STATELESS, Aggregator.concat(),
             input_operands=ops, reads_stdin=not ops, selectivity=1.0,
@@ -78,16 +55,16 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
     lib.register(CommandSpec("cat", [cat_rule]))
 
     # -- tr: stateless pure filter on stdin ----------------------------------
-    def tr_rule(argv):
-        operands = [argv[i] for i in _operands_of(argv)]
+    def tr_rule(args: Args):
+        operands = args.operands
         # tr receives the two characters backslash-n and interprets the
         # escape itself, so check both spellings
         tokenizing = bool(operands) and ("\n" in operands[-1]
                                          or "\\n" in operands[-1])
-        if strict_tr_squeeze and "s" in _flags_of(argv):
+        if strict_tr_squeeze and "s" in args.opts:
             return InstanceSpec(
                 "tr", ParClass.PARALLELIZABLE_PURE,
-                Aggregator(AggKind.RERUN, tuple(["tr"] + list(argv))),
+                Aggregator(AggKind.RERUN, ("tr", *args.argv)),
                 input_operands=(), selectivity=1.0, tokenizing=tokenizing,
             )
         return InstanceSpec(
@@ -98,11 +75,12 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
     lib.register(CommandSpec("tr", [tr_rule]))
 
     # -- grep -------------------------------------------------------------------
-    def grep_rule(argv):
-        flags = _flags_of(argv)
-        ops = _operands_of(argv, value_flags="em")
-        # first operand is the pattern unless -e was used
-        file_ops = tuple(ops[1:]) if "e" not in flags and ops else tuple(ops)
+    def grep_rule(args: Args):
+        flags = args.opts
+        # the pattern is -e's, else the first operand (none: grep refuses)
+        if "e" not in flags and not args.operands:
+            return None
+        file_ops = args.at if "e" in flags else args.at[1:]
         if "m" in flags or "q" in flags or "l" in flags:
             return InstanceSpec("grep", ParClass.NON_PARALLELIZABLE,
                                 input_operands=file_ops,
@@ -129,8 +107,8 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
     lib.register(CommandSpec("grep", [grep_rule]))
 
     # -- cut: stateless --------------------------------------------------------
-    def cut_rule(argv):
-        ops = tuple(_operands_of(argv, value_flags="cfd"))
+    def cut_rule(args: Args):
+        ops = args.at
         return InstanceSpec(
             "cut", ParClass.STATELESS, Aggregator.concat(),
             input_operands=ops, reads_stdin=not ops, selectivity=0.3,
@@ -140,20 +118,13 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
     lib.register(CommandSpec("cut", [cut_rule]))
 
     # -- sed: stateless for the supported script subset unless it quits ------
-    def sed_rule(argv):
-        import re
-
-        from ..commands.base import UsageError
-        from ..commands.filters import parse_sed_args
-
-        ops = _operands_of(argv, value_flags="e")
+    def sed_rule(args: Args):
         try:
-            _quiet, cmds, files = parse_sed_args(list(argv))
-            quits = any(cmd.kind == "q" for cmd in cmds)
-        except (UsageError, re.error):  # sed itself will refuse to run
-            files, quits = [], True
-        file_ops = tuple(ops[len(ops) - len(files):])
-        if quits:
+            _quiet, cmds, files = parse_sed_args(args.opts, args.operands)
+        except (UsageError, RegexTranslationError, re.error):
+            return None  # sed itself will refuse to run
+        file_ops = args.at[len(args.at) - len(files):]
+        if any(cmd.kind == "q" for cmd in cmds):
             return InstanceSpec("sed", ParClass.NON_PARALLELIZABLE,
                                 input_operands=file_ops,
                                 reads_stdin=not file_ops)
@@ -165,39 +136,25 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
     lib.register(CommandSpec("sed", [sed_rule]))
 
     # -- sort: parallelizable-pure with sort -m aggregation ------------------
-    def sort_rule(argv):
-        ops = tuple(_operands_of(argv, value_flags="kto"))
-        if _flags_of(argv) & set("mco"):
+    def sort_rule(args: Args):
+        ops = args.at
+        if args.opts.keys() & set("mco"):
             # merge/check modes and -o output files: keep simple, refuse
             return InstanceSpec("sort", ParClass.NON_PARALLELIZABLE,
                                 input_operands=ops, blocking=True)
-        # the merge orders as the stage does: its every option, one per
-        # word, a value (attached, clustered or detached) behind its flag
-        merge_argv = ["sort", "-m"]
-        args = iter(argv)
-        for arg in args:
-            if arg == "--":
-                break
-            if not arg.startswith("-"):
-                continue
-            for j, ch in enumerate(arg[1:], 2):  # arg[j:]: ch's value
-                merge_argv.append(f"-{ch}")
-                if ch in "kt":
-                    merge_argv.append(arg[j:] or next(args, ""))
-                    break
+        # the merge orders as the stage does: its every option, in order
         return InstanceSpec(
             "sort", ParClass.PARALLELIZABLE_PURE,
-            Aggregator(AggKind.SORT_MERGE, tuple(merge_argv)),
+            Aggregator(AggKind.SORT_MERGE, ("sort", "-m", *args.words)),
             input_operands=ops, reads_stdin=not ops, blocking=True,
         )
 
     lib.register(CommandSpec("sort", [sort_rule]))
 
     # -- uniq --------------------------------------------------------------------
-    def uniq_rule(argv):
-        flags = _flags_of(argv)
-        ops = tuple(_operands_of(argv))
-        if flags & set("cdu"):
+    def uniq_rule(args: Args):
+        ops = args.at[:1]  # uniq reads its first operand only
+        if args.opts.keys() & set("cdu"):
             # counting / filtering needs cross-chunk state at boundaries
             return InstanceSpec("uniq", ParClass.NON_PARALLELIZABLE,
                                 input_operands=ops, reads_stdin=not ops)
@@ -210,8 +167,8 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
     lib.register(CommandSpec("uniq", [uniq_rule]))
 
     # -- wc ---------------------------------------------------------------------------
-    def wc_rule(argv):
-        ops = tuple(_operands_of(argv))
+    def wc_rule(args: Args):
+        ops = args.at
         if ops:
             # per-file labelled output: merging labels is not concat
             return InstanceSpec("wc", ParClass.NON_PARALLELIZABLE,
@@ -228,8 +185,9 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
     for name, blocking in (("head", False), ("tail", True), ("tac", True),
                            ("nl", False), ("paste", False), ("shuf", True)):
         def make_rule(name=name, blocking=blocking):
-            def rule(argv):
-                ops = tuple(_operands_of(argv, value_flags="ncd"))
+            def rule(args: Args):
+                # shuf, like uniq, reads its first operand only
+                ops = args.at[:1] if name == "shuf" else args.at
                 return InstanceSpec(name, ParClass.NON_PARALLELIZABLE,
                                     input_operands=ops, reads_stdin=not ops,
                                     blocking=blocking,
@@ -238,49 +196,32 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
         lib.register(CommandSpec(name, [make_rule()]))
 
     # -- rev: stateless -------------------------------------------------------------
-    def rev_rule(argv):
-        ops = tuple(_operands_of(argv))
+    def rev_rule(args: Args):
+        ops = args.at
         return InstanceSpec("rev", ParClass.STATELESS, Aggregator.concat(),
                             input_operands=ops, reads_stdin=not ops)
 
     lib.register(CommandSpec("rev", [rev_rule]))
 
     # -- two-input set/relational commands -------------------------------------------
-    def comm_rule(argv):
-        ops = tuple(_operands_of(argv))
+    def comm_rule(args: Args):
         return InstanceSpec("comm", ParClass.NON_PARALLELIZABLE,
-                            input_operands=ops, reads_stdin=False)
+                            input_operands=args.at, reads_stdin=False)
 
     lib.register(CommandSpec("comm", [comm_rule]))
 
-    def join_rule(argv):
-        ops = tuple(_operands_of(argv, value_flags="t12"))
+    def join_rule(args: Args):
         return InstanceSpec("join", ParClass.NON_PARALLELIZABLE,
-                            input_operands=ops, reads_stdin=False)
+                            input_operands=args.at, reads_stdin=False)
 
     lib.register(CommandSpec("join", [join_rule]))
 
     # -- awk: stateless iff the program is a pure per-record map -------------------
-    def awk_rule(argv):
-        from ..commands.awk_lite import program_is_stateless
-
-        program = None
-        i = 0
-        while i < len(argv):
-            arg = argv[i]
-            if arg in ("-F", "-v"):
-                i += 2
-                continue
-            if arg.startswith("-F") and len(arg) > 2:
-                i += 1
-                continue
-            program = arg
-            break
-        operand_indices = tuple(
-            j for j in _operands_of(argv, value_flags="Fv")
-            if argv[j] != program
-        )
-        if program is not None and program_is_stateless(program):
+    def awk_rule(args: Args):
+        if not args.operands:
+            return None  # no program: awk refuses
+        operand_indices = args.at[1:]
+        if program_is_stateless(args.operands[0]):
             return InstanceSpec(
                 "awk", ParClass.STATELESS, Aggregator.concat(),
                 input_operands=operand_indices,
@@ -293,29 +234,28 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
     lib.register(CommandSpec("awk", [awk_rule]))
 
     # -- sources -----------------------------------------------------------------------
-    def seq_rule(argv):
+    def seq_rule(args: Args):
         return InstanceSpec("seq", ParClass.NON_PARALLELIZABLE,
                             reads_stdin=False)
 
     lib.register(CommandSpec("seq", [seq_rule]))
 
-    def echo_rule(argv):
+    def echo_rule(args: Args):
         return InstanceSpec("echo", ParClass.NON_PARALLELIZABLE,
                             reads_stdin=False, selectivity=0.0)
 
     lib.register(CommandSpec("echo", [echo_rule]))
 
     # -- side-effectful commands: excluded from dataflow ---------------------------------
-    def tee_rule(argv):
-        files = tuple(argv[i] for i in _operands_of(argv))
+    def tee_rule(args: Args):
         return InstanceSpec("tee", ParClass.SIDE_EFFECTFUL,
-                            output_files=files, pure=False)
+                            output_files=tuple(args.operands), pure=False)
 
     lib.register(CommandSpec("tee", [tee_rule]))
 
     for name in ("rm", "mv", "cp", "mkdir", "touch", "split", "xargs"):
         def make_se_rule(name=name):
-            def rule(argv):
+            def rule(args: Args):
                 return InstanceSpec(name, ParClass.SIDE_EFFECTFUL, pure=False)
             return rule
         lib.register(CommandSpec(name, [make_se_rule()]))

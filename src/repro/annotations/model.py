@@ -8,7 +8,11 @@ between users."
 
 A :class:`CommandSpec` classifies every *invocation* (name + argv) of a
 command, because flags change behaviour: ``grep -c`` aggregates with SUM
-where plain ``grep`` is stateless; ``head`` is never parallelizable.
+where plain ``grep`` is stateless; ``head`` is never parallelizable.  The
+flags are the ones the command reads: :meth:`SpecLibrary.classify`
+parses the argv once, with the grammar the command registered
+(:func:`repro.commands.base.parse_args`), and hands that parse to the
+rules; an argv the command rejects classifies as None.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+from ..commands.base import Args, UsageError, parse_args
 
 
 class ParClass(enum.Enum):
@@ -90,23 +96,24 @@ class InstanceSpec:
         return self.par_class in (ParClass.STATELESS, ParClass.PARALLELIZABLE_PURE)
 
 
-ClassifyFn = Callable[[list[str]], Optional[InstanceSpec]]
+ClassifyFn = Callable[[Args], Optional[InstanceSpec]]
 
 
 @dataclass
 class CommandSpec:
-    """A command's full annotation: classify(argv) -> InstanceSpec.
+    """A command's full annotation: classify(args) -> InstanceSpec.
 
-    ``rules`` are tried in order; the first one returning an InstanceSpec
-    wins.  A final default rule should always match.
+    ``rules`` are tried in order on the parsed argv; the first one
+    returning an InstanceSpec wins.  A final default rule should always
+    match.
     """
 
     name: str
     rules: list[ClassifyFn] = field(default_factory=list)
 
-    def classify(self, argv: list[str]) -> Optional[InstanceSpec]:
+    def classify(self, args: Args) -> Optional[InstanceSpec]:
         for rule in self.rules:
-            spec = rule(list(argv))
+            spec = rule(args)
             if spec is not None:
                 return spec
         return None
@@ -126,11 +133,16 @@ class SpecLibrary:
 
     def classify(self, name: str, argv: list[str]) -> Optional[InstanceSpec]:
         """Spec for an invocation; None when the command is unknown —
-        unknown commands make a region non-transformable (B1)."""
+        unknown commands make a region non-transformable (B1) — or would
+        reject ``argv``: the interpreter runs it and reports the error."""
         spec = self._specs.get(name)
         if spec is None:
             return None
-        return spec.classify(argv)
+        try:
+            args = parse_args(name, argv)
+        except UsageError:
+            return None
+        return spec.classify(args)
 
     def known_commands(self) -> list[str]:
         return sorted(self._specs)

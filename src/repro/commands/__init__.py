@@ -11,18 +11,20 @@ from .base import (
     PROC_STARTUP,
     REGISTRY,
     SORT_CMP_COST,
+    Args,
+    Grammar,
     LineStream,
     OutBuf,
     UsageError,
     command,
     cpu_coeff,
     lookup,
-    parse_flags,
+    parse_args,
 )
 from . import awk_lite, filters, fs_cmds, io_cmds, sorting, xargs  # noqa: F401 - registration
 
 __all__ = [
-    "CPU_PER_BYTE", "PROC_STARTUP", "REGISTRY", "SORT_CMP_COST",
-    "LineStream", "OutBuf", "UsageError", "command", "cpu_coeff",
-    "lookup", "parse_flags",
+    "CPU_PER_BYTE", "PROC_STARTUP", "REGISTRY", "SORT_CMP_COST", "Args",
+    "Grammar", "LineStream", "OutBuf", "UsageError", "command", "cpu_coeff",
+    "lookup", "parse_args",
 ]

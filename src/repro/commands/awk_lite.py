@@ -37,8 +37,8 @@ from functools import lru_cache
 from typing import Optional
 
 from ..vos.process import Process
-from .base import (LineStream, OutBuf, UsageError, command, cpu_coeff,
-                   open_operand, parse_flags, write_err)
+from .base import (Grammar, LineStream, OutBuf, UsageError, command,
+                   cpu_coeff, open_operand, usage_error)
 from .bre import posix_sub
 
 # ---------------------------------------------------------------------------
@@ -885,10 +885,9 @@ def program_is_stateless(src: str) -> bool:
 _ASSIGN_RE = re.compile(r"([A-Za-z_]\w*)=(.*)", re.DOTALL)
 
 
-@command("awk")
-def awk(proc: Process, argv: list[str]):
+@command("awk", Grammar(valued="Fv", repeat="v"))
+def awk(proc: Process, opts: dict, operands: list[str]):
     try:
-        opts, operands = parse_flags(argv, "", with_value="Fv", repeat="v")
         assigns = [assign.partition("=") for assign in opts.get("v", ())]
         if not operands or not all(eq for _, eq, _ in assigns):
             raise UsageError("-v requires name=value" if operands
@@ -898,8 +897,7 @@ def awk(proc: Process, argv: list[str]):
                              {name: value for name, _, value in assigns})
         begin, main, end = runtime.rules(parse_awk(operands.pop(0)))
     except (UsageError, re.error) as err:
-        yield from write_err(proc, f"awk: {err}")
-        return 2
+        return (yield from usage_error(proc, "awk", err))
 
     coeff = cpu_coeff("default") * 6  # awk interprets: slower per byte
     out = OutBuf(proc, 1)
@@ -962,7 +960,6 @@ def awk(proc: Process, argv: list[str]):
         yield from out.put(b"".join(printed))
     except (UsageError, re.error) as err:  # re.error: a dynamic regex
         yield from out.flush()
-        yield from write_err(proc, f"awk: {err}")
-        return 2
+        return (yield from usage_error(proc, "awk", err))
     yield from out.flush()
     return status

@@ -1,15 +1,27 @@
-"""Command infrastructure: registry, streaming helpers, CPU cost table.
+"""Command infrastructure: registry, option grammars, streaming helpers,
+CPU cost table.
 
-A command is a generator function ``run(proc, argv) -> int`` executed as a
-vOS process body.  Commands stream: they read chunks, charge CPU work
-proportional to bytes/lines handled (coefficients below), and write
-incrementally, so pipeline stages overlap and backpressure applies — the
-properties the paper's G2 ("stream processing") celebrates.
+A command is a generator function executed as a vOS process body.
+Commands stream: they read chunks, charge CPU work proportional to
+bytes/lines handled (coefficients below), and write incrementally, so
+pipeline stages overlap and backpressure applies — the properties the
+paper's G2 ("stream processing") celebrates.
+
+Each command's option grammar is declared once, on its ``@command``
+registration: ``@command("sort", Grammar("rnumcf", valued="kto"))``.
+The registered ``run(proc, argv)`` parses the argv with it — a usage
+error is the body's ``NAME: ERR`` on fd 2 and status 2 — and calls the
+body as ``body(proc, opts, operands)``.  Everything else that reads an
+argv reads it through :func:`parse_args`, the same grammar: the
+annotation rules (:mod:`repro.annotations.library`), the pool matcher,
+the sort merge, the misuse guard and ``explain``.  A command registered
+without a grammar reads its argv itself, and every word of it counts
+as an operand.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..vos.errors import FileNotFound, IsADirectory
 from ..vos.process import CHUNK, Process
@@ -63,14 +75,33 @@ CommandFn = Callable  # (proc, argv) -> generator returning int
 
 REGISTRY: dict[str, CommandFn] = {}
 
+#: each registered command's argv reader: ``grammar(argv) -> Args``
+GRAMMARS: dict[str, Callable[[list[str]], "Args"]] = {}
 
-def command(name: str):
-    """Decorator registering a command implementation under ``name``."""
+
+def command(name: str, grammar: Optional[Callable] = None):
+    """Decorator registering a command implementation under ``name``.
+
+    With a ``grammar`` (a :class:`Grammar`, or a function ``argv ->
+    Args`` raising :class:`UsageError`) the body is ``fn(proc, opts,
+    operands)`` and the registered ``run(proc, argv)`` parses first;
+    without one the body is ``fn(proc, argv)`` itself."""
 
     def wrap(fn: CommandFn) -> CommandFn:
-        REGISTRY[name] = fn
-        fn.command_name = name
-        return fn
+        if grammar is None:
+            run = fn
+        else:
+            def run(proc, argv):
+                try:
+                    args = grammar(argv)
+                except UsageError as err:
+                    return usage_error(proc, name, err)
+                return fn(proc, args.opts, args.operands)
+
+            GRAMMARS[name] = grammar
+        REGISTRY[name] = run
+        run.command_name = name
+        return run
 
     return wrap
 
@@ -229,52 +260,90 @@ class UsageError(Exception):
     """Bad command-line arguments; commands exit 2."""
 
 
-def parse_flags(argv: list[str], flags: str, with_value: str = "",
-                repeat: str = "") -> tuple[dict, list[str]]:
-    """Minimal POSIX-style option parser.
+def usage_error(proc: Process, name: str, err: Exception):
+    """A command's usage-error reply: ``NAME: ERR`` on fd 2, status 2."""
+    yield from write_err(proc, f"{name}: {err}")
+    return 2
 
-    ``flags`` are boolean single-letter options; ``with_value`` options
-    take an argument (attached or following), the last occurrence
-    winning — except those also in ``repeat``, which collect every
-    occurrence into a list, in order.  Returns (options, operands).
-    Combined clusters (``-rn``) and ``--`` are supported, as are the
-    historical ``-NUM`` forms when 'NUM' is in with_value as '#'.
-    """
-    opts: dict = {}
-    operands: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--":
-            operands.extend(argv[i + 1 :])
-            break
-        if arg.startswith("-") and arg != "-" and len(arg) > 1:
-            if "#" in with_value and arg[1:].isdigit():
-                opts["#"] = arg[1:]
-                i += 1
-                continue
-            j = 1
-            while j < len(arg):
-                ch = arg[j]
-                if ch in flags:
-                    opts[ch] = True
-                    j += 1
-                elif ch in with_value:
-                    value = arg[j + 1 :]
-                    if not value:
-                        i += 1
-                        if i >= len(argv):
-                            raise UsageError(f"option -{ch} requires an argument")
-                        value = argv[i]
-                    if ch in repeat:
-                        opts.setdefault(ch, []).append(value)
+
+class Args(NamedTuple):
+    """An argv as its command reads it."""
+
+    argv: list[str]
+    #: each flag True, each valued option its value (the last one wins),
+    #: a repeatable option the list of its values; first-seen order
+    opts: dict
+    operands: list[str]
+    #: each operand's index in ``argv``
+    at: tuple[int, ...]
+    #: the options one word each, value detached, in argv order and
+    #: repeats kept: ``-rk2 -r`` -> ``-r -k 2 -r``
+    words: tuple[str, ...] = ()
+
+
+class Grammar(NamedTuple):
+    """A command's option grammar: boolean ``flags``, ``valued`` options
+    (argument attached or following, the last occurrence winning) and
+    the valued options in ``repeat``, which collect every occurrence
+    into a list, in order.  A ``#`` in ``valued`` admits the historical
+    ``-NUM`` form.  Calling it parses an argv POSIX-style: clusters
+    (``-rn``) and ``--`` are supported."""
+
+    flags: str = ""
+    valued: str = ""
+    repeat: str = ""
+
+    def __call__(self, argv: list[str]) -> Args:
+        opts: dict = {}
+        at: list[int] = []
+        words: list[str] = []
+        i = 0
+        while i < len(argv):
+            arg = argv[i]
+            if arg == "--":
+                at.extend(range(i + 1, len(argv)))
+                break
+            if arg.startswith("-") and arg != "-" and len(arg) > 1:
+                if "#" in self.valued and arg[1:].isdigit():
+                    opts["#"] = arg[1:]
+                    words.append(arg)
+                    i += 1
+                    continue
+                j = 1
+                while j < len(arg):
+                    ch = arg[j]
+                    if ch in self.flags:
+                        opts[ch] = True
+                        words.append("-" + ch)
+                        j += 1
+                    elif ch in self.valued:
+                        value = arg[j + 1 :]
+                        if not value:
+                            i += 1
+                            if i >= len(argv):
+                                raise UsageError(f"option -{ch} requires an argument")
+                            value = argv[i]
+                        if ch in self.repeat:
+                            opts.setdefault(ch, []).append(value)
+                        else:
+                            opts[ch] = value
+                        words += ("-" + ch, value)
+                        break
                     else:
-                        opts[ch] = value
-                    break
-                else:
-                    raise UsageError(f"unknown option -{ch}")
-            i += 1
-        else:
-            operands.append(arg)
-            i += 1
-    return opts, operands
+                        raise UsageError(f"unknown option -{ch}")
+                i += 1
+            else:
+                at.append(i)
+                i += 1
+        return Args(list(argv), opts, [argv[k] for k in at], tuple(at),
+                    tuple(words))
+
+
+def parse_args(name: str, argv: list[str]) -> Args:
+    """``argv`` read by command ``name``'s registered grammar; every word
+    an operand for a command registered without one (or not at all).
+    Raises :class:`UsageError` where the command would."""
+    grammar = GRAMMARS.get(name)
+    if grammar is None:
+        return Args(list(argv), {}, list(argv), tuple(range(len(argv))))
+    return grammar(argv)

@@ -8,6 +8,7 @@ from typing import NamedTuple, Optional
 
 from ..vos.process import CHUNK, Process
 from .base import (
+    Grammar,
     LineStream,
     OutBuf,
     UsageError,
@@ -15,7 +16,7 @@ from .base import (
     cpu_coeff,
     open_input,
     open_operand,
-    parse_flags,
+    usage_error,
     write_err,
 )
 from .bre import RegexTranslationError, bre_to_python, compile_posix, posix_sub
@@ -157,21 +158,18 @@ def tr_block(data: bytes, plan: TrPlan, carry: int) -> tuple[bytes, int]:
     return data, carry
 
 
-@command("tr")
-def tr(proc: Process, argv: list[str]):
+def tr_plan(opts: dict, operands: list[str]) -> TrPlan:
+    """The plan of a parsed ``tr`` argv; raises UsageError."""
+    return _tr_plan(tuple(operands), bool(opts.get("c") or opts.get("C")),
+                    bool(opts.get("s")), bool(opts.get("d")))
+
+
+@command("tr", Grammar("cCsd"))
+def tr(proc: Process, opts: dict, operands: list[str]):
     try:
-        opts, operands = parse_flags(argv, "cCsd")
+        plan = tr_plan(opts, operands)
     except UsageError as err:
-        yield from write_err(proc, f"tr: {err}")
-        return 2
-    complement = bool(opts.get("c") or opts.get("C"))
-    squeeze = bool(opts.get("s"))
-    delete = bool(opts.get("d"))
-    try:
-        plan = _tr_plan(tuple(operands), complement, squeeze, delete)
-    except UsageError as err:
-        yield from write_err(proc, f"tr: {err}")
-        return 2
+        return (yield from usage_error(proc, "tr", err))
 
     coeff = cpu_coeff("tr")
     # S21: a host-pool oracle may hold this stage's precomputed output;
@@ -263,19 +261,14 @@ def _literal_needle(pattern: str, ere: bool, fixed: bool,
     return best.encode("utf-8", "surrogateescape")
 
 
-@command("grep")
-def grep(proc: Process, argv: list[str]):
+@command("grep", Grammar("vicnqFlxE", valued="em"))
+def grep(proc: Process, opts: dict, operands: list[str]):
     """grep [-vicnqFEx] [-m NUM] [-e PATTERN] [PATTERN] [FILE...].
 
     Patterns are POSIX BREs by default (`+ ? |` and unescaped `{` are
     literal), EREs with -E, fixed strings with -F; see
     :mod:`repro.commands.bre` for the translation to Python `re`.
     """
-    try:
-        opts, operands = parse_flags(argv, "vicnqFlxE", with_value="em")
-    except UsageError as err:
-        yield from write_err(proc, f"grep: {err}")
-        return 2
     if "e" in opts:
         pattern = opts["e"]
     elif operands:
@@ -488,10 +481,9 @@ def _map_batches(proc: Process, name: str, operands: list[str], fn):
     return status
 
 
-@command("cut")
-def cut(proc: Process, argv: list[str]):
+@command("cut", Grammar("s", valued="cfd"))
+def cut(proc: Process, opts: dict, operands: list[str]):
     try:
-        opts, operands = parse_flags(argv, "s", with_value="cfd")
         if ("c" in opts) == ("f" in opts):
             raise UsageError("specify exactly one of -c or -f")
         delim = opts.get("d", "\t").encode()
@@ -499,8 +491,7 @@ def cut(proc: Process, argv: list[str]):
             raise UsageError("the delimiter must be a single character")
         ranges = parse_cut_list(opts.get("c") or opts.get("f"))
     except (UsageError, ValueError) as err:
-        yield from write_err(proc, f"cut: {err}")
-        return 2
+        return (yield from usage_error(proc, "cut", err))
     pick = _cut_picker(ranges, None if "c" in opts else delim,
                        bool(opts.get("s")))
     return (yield from _map_batches(proc, "cut", operands, pick))
@@ -662,27 +653,26 @@ def parse_sed_script(script: str) -> tuple[_SedCmd, ...]:
     return tuple(cmds)
 
 
-def parse_sed_args(argv: list[str]) -> tuple[bool, tuple, list[str]]:
-    """``sed [-n] [-e script]... [script] [file...]`` -> (quiet, commands,
-    files).  Every ``-e`` counts, in order; without one the first operand
-    is the script.  Raises UsageError / re.error for what sed refuses."""
-    opts, operands = parse_flags(argv, "n", with_value="e", repeat="e")
+def parse_sed_args(opts: dict, operands: list[str]) -> tuple[bool, tuple, list[str]]:
+    """A parsed ``sed [-n] [-e script]... [script] [file...]`` ->
+    (quiet, commands, files).  Every ``-e`` counts, in order; without
+    one the first operand is the script.  Raises UsageError / re.error
+    for what sed refuses."""
     if "e" in opts:
-        script = "\n".join(opts["e"])
+        script, files = "\n".join(opts["e"]), operands
     elif operands:
-        script = operands.pop(0)
+        script, files = operands[0], operands[1:]
     else:
         raise UsageError("missing script")
-    return bool(opts.get("n")), parse_sed_script(script), operands
+    return bool(opts.get("n")), parse_sed_script(script), files
 
 
-@command("sed")
-def sed(proc: Process, argv: list[str]):
+@command("sed", Grammar("n", valued="e", repeat="e"))
+def sed(proc: Process, opts: dict, operands: list[str]):
     try:
-        quiet, cmds, operands = parse_sed_args(argv)
+        quiet, cmds, operands = parse_sed_args(opts, operands)
     except (UsageError, RegexTranslationError, re.error) as err:
-        yield from write_err(proc, f"sed: {err}")
-        return 2
+        return (yield from usage_error(proc, "sed", err))
 
     # the script as one function of a line, last command first
     run = None
@@ -739,13 +729,8 @@ def sed(proc: Process, argv: list[str]):
 # ---------------------------------------------------------------------------
 
 
-@command("wc")
-def wc(proc: Process, argv: list[str]):
-    try:
-        opts, operands = parse_flags(argv, "lwc")
-    except UsageError as err:
-        yield from write_err(proc, f"wc: {err}")
-        return 2
+@command("wc", Grammar("lwc"))
+def wc(proc: Process, opts: dict, operands: list[str]):
     show = [k for k in "lwc" if opts.get(k)] or ["l", "w", "c"]
     need_words = "w" in show
     coeff = cpu_coeff("wc")
@@ -827,16 +812,14 @@ def parse_paste_delims(spec: str) -> list[bytes]:
     return delims
 
 
-@command("paste")
-def paste(proc: Process, argv: list[str]):
+@command("paste", Grammar("s", valued="d"))
+def paste(proc: Process, opts: dict, operands: list[str]):
     """paste [-s] [-d LIST] [FILE...]: merge lines column-wise, or with
     -s serialize each file onto one line; -d delimiters cycle."""
     try:
-        opts, operands = parse_flags(argv, "s", with_value="d")
         delims = parse_paste_delims(opts.get("d", "\t"))
     except UsageError as err:
-        yield from write_err(proc, f"paste: {err}")
-        return 2
+        return (yield from usage_error(proc, "paste", err))
     serial = bool(opts.get("s"))
     coeff = cpu_coeff("paste")
     out = OutBuf(proc, 1)

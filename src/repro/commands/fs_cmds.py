@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from ..vos.errors import VosError
 from ..vos.process import CHUNK, Process
-from .base import UsageError, command, parse_flags, write_err
+from .base import Grammar, UsageError, command, usage_error, write_err
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +117,7 @@ def test_cmd(proc: Process, argv: list[str]):
     try:
         return 0 if eval_test(list(argv), proc.fs, proc.cwd) else 1
     except UsageError as err:
-        yield from write_err(proc, f"test: {err}")
-        return 2
+        return (yield from usage_error(proc, "test", err))
 
 
 @command("[")
@@ -134,13 +133,8 @@ def bracket_cmd(proc: Process, argv: list[str]):
 # ---------------------------------------------------------------------------
 
 
-@command("ls")
-def ls(proc: Process, argv: list[str]):
-    try:
-        opts, operands = parse_flags(argv, "la1")
-    except UsageError as err:
-        yield from write_err(proc, f"ls: {err}")
-        return 2
+@command("ls", Grammar("la1"))
+def ls(proc: Process, opts: dict, operands: list[str]):
     paths = operands or ["."]
     status = 0
     lines: list[str] = []
@@ -168,13 +162,8 @@ def ls(proc: Process, argv: list[str]):
     return status
 
 
-@command("mkdir")
-def mkdir(proc: Process, argv: list[str]):
-    try:
-        opts, operands = parse_flags(argv, "p")
-    except UsageError as err:
-        yield from write_err(proc, f"mkdir: {err}")
-        return 2
+@command("mkdir", Grammar("p"))
+def mkdir(proc: Process, opts: dict, operands: list[str]):
     yield from proc.cpu(1e-6)
     status = 0
     for path in operands:
@@ -187,13 +176,8 @@ def mkdir(proc: Process, argv: list[str]):
     return status
 
 
-@command("rm")
-def rm(proc: Process, argv: list[str]):
-    try:
-        opts, operands = parse_flags(argv, "rf")
-    except UsageError as err:
-        yield from write_err(proc, f"rm: {err}")
-        return 2
+@command("rm", Grammar("rf"))
+def rm(proc: Process, opts: dict, operands: list[str]):
     yield from proc.cpu(1e-6)
     status = 0
     fs = proc.fs
@@ -230,13 +214,8 @@ def mv(proc: Process, argv: list[str]):
     return 0
 
 
-@command("cp")
-def cp(proc: Process, argv: list[str]):
-    try:
-        opts, operands = parse_flags(argv, "r")
-    except UsageError as err:
-        yield from write_err(proc, f"cp: {err}")
-        return 2
+@command("cp", Grammar("r"))
+def cp(proc: Process, opts: dict, operands: list[str]):
     if len(operands) != 2:
         yield from write_err(proc, "cp: need source and destination")
         return 2
@@ -299,13 +278,8 @@ def dirname(proc: Process, argv: list[str]):
     return 0
 
 
-@command("du")
-def du(proc: Process, argv: list[str]):
-    try:
-        opts, operands = parse_flags(argv, "sb")
-    except UsageError as err:
-        yield from write_err(proc, f"du: {err}")
-        return 2
+@command("du", Grammar("sb"))
+def du(proc: Process, opts: dict, operands: list[str]):
     yield from proc.cpu(1e-5)
     fs = proc.fs
     lines = []
@@ -336,13 +310,8 @@ def date(proc: Process, argv: list[str]):
     return 0
 
 
-@command("stat")
-def stat_cmd(proc: Process, argv: list[str]):
-    try:
-        opts, operands = parse_flags(argv, "", with_value="cf")
-    except UsageError as err:
-        yield from write_err(proc, f"stat: {err}")
-        return 2
+@command("stat", Grammar(valued="cf"))
+def stat_cmd(proc: Process, opts: dict, operands: list[str]):
     yield from proc.cpu(1e-6)
     status = 0
     for path in operands:

@@ -8,25 +8,19 @@ import re
 from ..vos.process import CHUNK, Process
 from ..vos.syscalls import SpliceReq
 from .base import (
+    Grammar,
     LineStream,
-    OutBuf,
-    UsageError,
     command,
     cpu_coeff,
     open_input,
     open_operand,
-    parse_flags,
+    usage_error,
     write_err,
 )
 
 
-@command("cat")
-def cat(proc: Process, argv: list[str]):
-    try:
-        opts, operands = parse_flags(argv, "u")
-    except UsageError as err:
-        yield from write_err(proc, f"cat: {err}")
-        return 2
+@command("cat", Grammar("u"))
+def cat(proc: Process, opts: dict, operands: list[str]):
     files = operands or ["-"]
     coeff = cpu_coeff("cat")
     status = 0
@@ -43,13 +37,8 @@ def cat(proc: Process, argv: list[str]):
     return status
 
 
-@command("tee")
-def tee(proc: Process, argv: list[str]):
-    try:
-        opts, operands = parse_flags(argv, "a")
-    except UsageError as err:
-        yield from write_err(proc, f"tee: {err}")
-        return 2
+@command("tee", Grammar("a"))
+def tee(proc: Process, opts: dict, operands: list[str]):
     mode = "a" if opts.get("a") else "w"
     out_fds = []
     for path in operands:
@@ -83,14 +72,12 @@ def _parse_count(opts: dict, default_lines: int = 10) -> tuple[str, int, bool, b
     return unit, count, from_start, from_end
 
 
-@command("head")
-def head(proc: Process, argv: list[str]):
+@command("head", Grammar("q", valued="nc#"))
+def head(proc: Process, opts: dict, operands: list[str]):
     try:
-        opts, operands = parse_flags(argv, "q", with_value="nc#")
         unit, count, _, from_end = _parse_count(opts)
-    except (UsageError, ValueError) as err:
-        yield from write_err(proc, f"head: {err}")
-        return 2
+    except ValueError as err:
+        return (yield from usage_error(proc, "head", err))
     files = operands or ["-"]
     coeff = cpu_coeff("head")
     for path in files:
@@ -156,14 +143,12 @@ def head(proc: Process, argv: list[str]):
     return 0
 
 
-@command("tail")
-def tail(proc: Process, argv: list[str]):
+@command("tail", Grammar("q", valued="nc#"))
+def tail(proc: Process, opts: dict, operands: list[str]):
     try:
-        opts, operands = parse_flags(argv, "q", with_value="nc#")
         unit, count, from_start, _ = _parse_count(opts)
-    except (UsageError, ValueError) as err:
-        yield from write_err(proc, f"tail: {err}")
-        return 2
+    except ValueError as err:
+        return (yield from usage_error(proc, "tail", err))
     files = operands or ["-"]
     coeff = cpu_coeff("tail")
     for path in files:
@@ -188,18 +173,13 @@ def tail(proc: Process, argv: list[str]):
     return 0
 
 
-@command("split")
-def split_cmd(proc: Process, argv: list[str]):
+@command("split", Grammar(valued="lbn"))
+def split_cmd(proc: Process, opts: dict, operands: list[str]):
     """split -l N [-b BYTES] [file [prefix]]: materialize chunks to files.
 
     This is the materializing splitter PaSh-style AOT compilation leans on
     ("lots of available storage space for buffering", §3.2).
     """
-    try:
-        opts, operands = parse_flags(argv, "", with_value="lbn")
-    except UsageError as err:
-        yield from write_err(proc, f"split: {err}")
-        return 2
     path = operands[0] if operands else "-"
     prefix = operands[1] if len(operands) > 1 else "x"
     coeff = cpu_coeff("split")

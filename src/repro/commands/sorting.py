@@ -20,6 +20,8 @@ from itertools import accumulate, groupby, repeat
 from ..vos.errors import FileNotFound, IsADirectory
 from ..vos.process import CHUNK, Process
 from .base import (
+    Args,
+    Grammar,
     LineStream,
     OutBuf,
     SORT_CMP_COST,
@@ -27,7 +29,8 @@ from .base import (
     command,
     cpu_coeff,
     open_input,
-    parse_flags,
+    parse_args,
+    usage_error,
     write_err,
 )
 
@@ -194,8 +197,8 @@ def _open_operand(proc: Process, path: str):
         raise UsageError(f"cannot read: {path}: {err.strerror}") from err
 
 
-@command("sort")
-def sort_cmd(proc: Process, argv: list[str]):
+@command("sort", Grammar("rnumcf", valued="kto"))
+def sort_cmd(proc: Process, opts: dict, operands: list[str]):
     """sort [-rnumf] [-u] [-k N[,M]] [-t DELIM] [-o FILE] [-c] [FILE...]
 
     GNU/POSIX semantics: -k N keys on the text from the start of field N
@@ -207,10 +210,9 @@ def sort_cmd(proc: Process, argv: list[str]):
     and a second operand to -c exit 2 loudly.
     """
     try:
-        return (yield from _sort(proc, argv))
+        return (yield from _sort(proc, opts, operands))
     except UsageError as err:
-        yield from write_err(proc, f"sort: {err}")
-        return 2
+        return (yield from usage_error(proc, "sort", err))
 
 
 def _ordering(opts: dict):
@@ -226,8 +228,7 @@ def _ordering(opts: dict):
             bool(opts.get("r")), unique)
 
 
-def _sort(proc: Process, argv: list[str]):
-    opts, operands = parse_flags(argv, "rnumcf", with_value="kto")
+def _sort(proc: Process, opts: dict, operands: list[str]):
     order_key, primary, reverse, unique = _ordering(opts)
     coeff = cpu_coeff("sort")
     files = operands or ["-"]
@@ -518,19 +519,14 @@ def kway_merge(proc: Process, in_fds: list[int], key, reverse: bool,
 def merge_fds(proc: Process, in_fds: list[int], flags: list[str]):
     """The SORT_MERGE aggregator over open fds: ``kway_merge`` under
     ``sort``'s own reading of ``flags`` (-m itself is accepted)."""
-    opts, _ = parse_flags(list(flags), "rnumcf", with_value="kto")
+    opts = parse_args("sort", list(flags)).opts
     order_key, primary, reverse, unique = _ordering(opts)
     return (yield from kway_merge(proc, in_fds, order_key, reverse, unique,
                                   cpu_coeff("sort"), eq_key=primary))
 
 
-@command("uniq")
-def uniq(proc: Process, argv: list[str]):
-    try:
-        opts, operands = parse_flags(argv, "cdu")
-    except UsageError as err:
-        yield from write_err(proc, f"uniq: {err}")
-        return 2
+@command("uniq", Grammar("cdu"))
+def uniq(proc: Process, opts: dict, operands: list[str]):
     count = bool(opts.get("c"))
     dup_only = bool(opts.get("d"))
     uniq_only = bool(opts.get("u"))
@@ -639,17 +635,23 @@ def _uniq_plain(proc: Process, fd: int, coeff: float):
     return 0
 
 
-@command("comm")
-def comm(proc: Process, argv: list[str]):
+def comm_args(argv: list[str]) -> Args:
+    """comm's own argv reading: a word of dash and column digits 1-3
+    suppresses those columns; every other word is an operand."""
+    opts: dict = {}
+    at = []
+    for i, arg in enumerate(argv):
+        if arg.startswith("-") and arg != "-" and all(c in "123" for c in arg[1:]):
+            opts.update(dict.fromkeys(arg[1:], True))
+        else:
+            at.append(i)
+    return Args(list(argv), opts, [argv[i] for i in at], tuple(at))
+
+
+@command("comm", comm_args)
+def comm(proc: Process, suppress: dict, operands: list[str]):
     """comm [-123] file1 file2 — three-column set comparison of sorted
     inputs; the spell pipeline's last stage is ``comm -13 dict -``."""
-    suppress = set()
-    operands: list[str] = []
-    for arg in argv:
-        if arg.startswith("-") and arg != "-" and all(c in "123" for c in arg[1:]):
-            suppress |= set(arg[1:])
-        else:
-            operands.append(arg)
     if len(operands) != 2:
         yield from write_err(proc, "comm: need exactly two files")
         return 2
@@ -690,14 +692,9 @@ def comm(proc: Process, argv: list[str]):
     return 0
 
 
-@command("join")
-def join_cmd(proc: Process, argv: list[str]):
+@command("join", Grammar(valued="t12"))
+def join_cmd(proc: Process, opts: dict, operands: list[str]):
     """join [-t DELIM] [-1 F] [-2 F] file1 file2 (sorted on join fields)."""
-    try:
-        opts, operands = parse_flags(argv, "", with_value="t12")
-    except UsageError as err:
-        yield from write_err(proc, f"join: {err}")
-        return 2
     if len(operands) != 2:
         yield from write_err(proc, "join: need exactly two files")
         return 2
@@ -749,19 +746,29 @@ def join_cmd(proc: Process, argv: list[str]):
     return 0
 
 
-@command("shuf")
-def shuf(proc: Process, argv: list[str]):
-    """shuf [--seed N] [FILE] — seeded for reproducibility."""
-    seed = 42
-    operands: list[str] = []
+def shuf_args(argv: list[str]) -> Args:
+    """shuf's own argv reading: ``--seed N`` anywhere, every other word
+    an operand."""
+    opts: dict = {}
+    at = []
     i = 0
     while i < len(argv):
         if argv[i] == "--seed":
-            seed = int(argv[i + 1])
+            try:
+                opts["seed"] = int(argv[i + 1])
+            except (IndexError, ValueError):
+                raise UsageError("option --seed requires an integer") from None
             i += 2
         else:
-            operands.append(argv[i])
+            at.append(i)
             i += 1
+    return Args(list(argv), opts, [argv[i] for i in at], tuple(at))
+
+
+@command("shuf", shuf_args)
+def shuf(proc: Process, opts: dict, operands: list[str]):
+    """shuf [--seed N] [FILE] — seeded for reproducibility."""
+    seed = opts.get("seed", 42)
     path = operands[0] if operands else "-"
     fd, needs_close = yield from open_input(proc, path)
     data = yield from proc.read_all(fd)
@@ -788,8 +795,7 @@ def seq(proc: Process, argv: list[str]):
         else:
             raise ValueError("wrong number of operands")
     except ValueError as err:
-        yield from write_err(proc, f"seq: {err}")
-        return 2
+        return (yield from usage_error(proc, "seq", err))
     out = OutBuf(proc, 1)
     coeff = cpu_coeff("seq")
     value = start

@@ -9,7 +9,7 @@ orchestration tools" of U2 are xargs -P / GNU parallel style).
 from __future__ import annotations
 
 from ..vos.process import Process
-from .base import UsageError, command, cpu_coeff, lookup, parse_flags, write_err
+from .base import UsageError, command, cpu_coeff, lookup, usage_error, write_err
 
 
 @command("xargs")
@@ -45,8 +45,7 @@ def xargs(proc: Process, argv: list[str]):
         batch_size = int(opts["n"]) if "n" in opts else 0
         parallel = max(1, int(opts.get("P", "1")))
     except (UsageError, ValueError) as err:
-        yield from write_err(proc, f"xargs: {err}")
-        return 2
+        return (yield from usage_error(proc, "xargs", err))
     operands = argv[i:]
     utility = operands[0] if operands else "echo"
     base_args = operands[1:]

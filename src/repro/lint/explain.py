@@ -9,6 +9,7 @@ from typing import Optional
 
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import ParClass, SpecLibrary
+from ..commands.base import UsageError, parse_args
 from ..parser import parse_one
 from ..parser.ast_nodes import Pipeline, SimpleCommand
 from .checks import DIAGNOSTIC_CHECKS
@@ -193,7 +194,9 @@ FLAG_DESCRIPTIONS = {
     ("wc", "c"): "count bytes",
     ("head", "n"): "number of lines",
     ("head", "c"): "number of bytes",
+    ("head", "#"): "number of lines",
     ("tail", "n"): "number of lines",
+    ("tail", "#"): "number of lines",
     ("comm", "1"): "suppress lines unique to file1",
     ("comm", "2"): "suppress lines unique to file2",
     ("comm", "3"): "suppress lines common to both",
@@ -222,16 +225,19 @@ def explain_command(argv: list[str], library: Optional[SpecLibrary] = None) -> s
     library = library or DEFAULT_LIBRARY
     name = argv[0]
     lines = [f"{name}: {COMMAND_SUMMARIES.get(name, 'no summary available')}"]
-    for arg in argv[1:]:
-        if arg.startswith("-") and arg != "-" and not arg.startswith("--"):
-            for flag in arg[1:]:
-                desc = FLAG_DESCRIPTIONS.get((name, flag))
-                if desc:
-                    lines.append(f"  -{flag}: {desc}")
-                elif not flag.isdigit():
-                    lines.append(f"  -{flag}: (undocumented flag)")
-        elif arg == "-":
-            lines.append("  -: read standard input")
+    try:  # the options as the command itself reads them
+        args = parse_args(name, argv[1:])
+    except UsageError as err:
+        lines.append(f"  ⇒ rejected: {name}: {err} (the command exits 2)")
+        return "\n".join(lines)
+    for flag, value in args.opts.items():
+        desc = FLAG_DESCRIPTIONS.get((name, flag), "(undocumented flag)")
+        if value is not True:
+            values = value if isinstance(value, list) else [value]
+            desc += " (" + ", ".join(map(repr, values)) + ")"
+        lines.append(f"  -{'NUM' if flag == '#' else flag}: {desc}")
+    if "-" in args.operands:
+        lines.append("  -: read standard input")
     spec = library.classify(name, list(argv[1:]))
     if spec is not None:
         lines.append(f"  ⇒ {PAR_EXPLANATIONS[spec.par_class]}")

@@ -19,32 +19,12 @@ from typing import Optional
 
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import SpecLibrary
-from ..commands.base import REGISTRY
+from ..commands.base import REGISTRY, UsageError, parse_args
 from ..dfg.from_ast import clobbered_sink, operands
 from ..jit.frontend import expand_stage_words, pipeline_stages, purity_reason
 from ..parser.ast_nodes import Command
 from ..parser.unparse import unparse
 from ..vos.fs import normalize
-
-#: flags each command understands (operand-level misuse detection)
-KNOWN_FLAGS: dict[str, set[str]] = {
-    "cat": set("u"),
-    "tr": set("cCsd"),
-    "grep": set("vicnqFlxem"),
-    "cut": set("scfd"),
-    "sort": set("rnumckto"),
-    "uniq": set("cdu"),
-    "head": set("qnc"),
-    "tail": set("qnc"),
-    "wc": set("lwc"),
-    "comm": set("123"),
-    "rm": set("rf"),
-    "mkdir": set("p"),
-    "ls": set("la1"),
-    "sed": set("ne"),
-    "awk": set("Fv"),
-}
-
 
 @dataclass
 class Finding:
@@ -113,19 +93,14 @@ class MisuseGuard:
                     text,
                 ))
                 return False
-        known = KNOWN_FLAGS.get(name)
-        if known is not None:
-            for arg in argv[1:]:
-                if (arg.startswith("-") and not arg.startswith("--")
-                        and not arg[1:].isdigit()):
-                    bad = set(arg[1:]) - known - set("0123456789")
-                    if bad:
-                        self.findings.append(Finding(
-                            "JM002", "warning",
-                            f"{name}: unrecognized flag(s) "
-                            f"{''.join(sorted(bad))!r}", text,
-                        ))
-        # missing input files: fail before spawning the pipeline
+        # the command's own grammar: what it would refuse, in its words
+        try:
+            parse_args(name, argv[1:])
+        except UsageError as err:
+            self.findings.append(Finding("JM002", "warning",
+                                         f"{name}: {err}", text))
+        # missing input files (the operands the spec reads), before
+        # the pipeline is spawned
         for path in operands(argv, spec) if spec is not None else ():
             if path != "-" and not proc.fs.exists(normalize(path, cwd)):
                 self.findings.append(Finding(

@@ -35,8 +35,8 @@ from typing import Optional
 
 from ..analysis.paths import literal, may_alias
 from ..annotations.library import DEFAULT_LIBRARY
-from ..commands.base import UsageError, parse_flags
-from ..commands.filters import TrPlan, _tr_plan
+from ..commands.base import UsageError, parse_args
+from ..commands.filters import TrPlan, tr_plan
 from ..dfg.from_ast import extract_region
 from ..parser.ast_nodes import CommandList
 
@@ -67,10 +67,8 @@ class RegionPlan:
 
 def _tr_spec(argv: list[str]) -> Optional[TrPlan]:
     try:
-        opts, operands = parse_flags(argv[1:], "cCsd")
-        return _tr_plan(tuple(operands),
-                        bool(opts.get("c") or opts.get("C")),
-                        bool(opts.get("s")), bool(opts.get("d")))
+        args = parse_args("tr", argv[1:])
+        return tr_plan(args.opts, args.operands)
     except UsageError:
         return None
 
@@ -113,10 +111,10 @@ def match_region(node) -> Optional[RegionPlan]:
     has_sort = reverse = unique = False
     if i < len(argvs) and argvs[i][0] == "sort":
         try:
-            opts, operands = parse_flags(argvs[i][1:], "rnumcf",
-                                         with_value="kto")
+            args = parse_args("sort", argvs[i][1:])
         except UsageError:
             return None
+        opts, operands = args.opts, args.operands
         if set(opts) - {"r", "u"}:
             return None
         if i == 0:

@@ -323,7 +323,7 @@ class Kernel:
                 break
             t = self._next_event_time()
             if t is None:
-                raise RuntimeError(
+                raise KernelStall(
                     f"deadlock: {proc} cannot make progress "
                     f"(blocked processes: {self._live()})"
                 )

@@ -95,9 +95,9 @@ class TestLibraryClassification:
         assert classify("sed", "s/a/b/", "/f", "/g").input_operands == (1, 2)
         spec = classify("sed", "-n", "-e", "s/a/b/p", "-e", "s/b/c/", "/f")
         assert spec.input_operands == (5,) and not spec.reads_stdin
-        # a script sed refuses is not split either
-        assert classify("sed", "s/a/b/w out").par_class is \
-            ParClass.NON_PARALLELIZABLE
+        # a script sed refuses is not classified: the interpreter runs
+        # it and sed reports the error
+        assert classify("sed", "s/a/b/w out") is None
 
     def test_tr_tokenizing_detection(self):
         assert classify("tr", "-cs", "A-Za-z", "\\n").tokenizing
@@ -118,8 +118,8 @@ class TestSpecModel:
     def test_rule_order(self):
         lib = SpecLibrary()
 
-        def special_rule(argv):
-            if "-z" in argv:
+        def special_rule(args):
+            if "-z" in args.argv:
                 return InstanceSpec("t", ParClass.NON_PARALLELIZABLE)
             return None
 

@@ -239,6 +239,12 @@ class TestSeqShuf:
         b = out_of("seq 10 | shuf --seed 5")
         assert a == b
 
+    @pytest.mark.parametrize("script", ["shuf --seed", "shuf --seed x /f"])
+    def test_shuf_bad_seed_is_a_usage_error(self, sh_run, script):
+        result = sh_run(script)
+        assert (result.status, result.err) == (
+            2, "shuf: option --seed requires an integer\n")
+
 
 # ---------------------------------------------------------------------------
 # differential properties

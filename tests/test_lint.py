@@ -116,11 +116,30 @@ class TestMisuseGuard:
         shell.run("grep pat /not/there | wc -l")
         assert any(f.code == "JM003" for f in guard.findings)
 
-    def test_unknown_flag(self):
+    # JM002 is the command's own grammar refusing the argv, in the
+    # body's words; JM003 reads only the operands the spec reads
+    @pytest.mark.parametrize("script,message", [
+        ("sort -Z /f", "sort: unknown option -Z"),
+        ("uniq -s 2 /f", "uniq: unknown option -s"),
+    ])
+    def test_unknown_flag(self, script, message):
         shell, guard = self.make_shell(enforce=False)
         shell.fs.write_bytes("/f", b"x\n")
-        shell.run("sort -Z /f")
-        assert any(f.code == "JM002" for f in guard.findings)
+        result = shell.run(script)
+        assert [(f.code, f.message) for f in guard.findings] == [
+            ("JM002", message)]
+        assert result.stderr == message.encode() + b"\n"
+
+    @pytest.mark.parametrize("script", [
+        "sort -t: -k2 /f",
+        "grep -E a /f",
+        "sort -f /f",
+    ])
+    def test_accepted_options_no_false_positive(self, script):
+        shell, guard = self.make_shell(enforce=False)
+        shell.fs.write_bytes("/f", b"a:1\nb:2\n")
+        assert shell.run(script).status == 0
+        assert guard.findings == []
 
     def test_unknown_command(self):
         shell, guard = self.make_shell(enforce=False)
@@ -158,9 +177,20 @@ class TestExplain:
         text = explain("cat $FILES | sort")
         assert "JIT" in text
 
-    def test_unknown_flag_marked(self):
-        text = explain_command(["grep", "-Z", "x"])
-        assert "undocumented" in text
+    # options as the command reads them: each once, with its value; an
+    # argv the body refuses gets no parallelizability verdict
+    @pytest.mark.parametrize("argv,shown,absent", [
+        (["grep", "-x", "a"], ["  -x: (undocumented flag)"], []),
+        (["grep", "-Z", "x"], ["rejected: grep: unknown option -Z"],
+         ["undocumented", "⇒ stateless"]),
+        (["sort", "-t:", "-k2", "/f"],
+         ["  -t: field delimiter (':')", "  -k: sort by field KEY ('2')",
+          "aggregator: sort -m -t : -k 2"], ["-::"]),
+    ])
+    def test_flags_marked(self, argv, shown, absent):
+        text = explain_command(argv)
+        assert all(line in text for line in shown), text
+        assert not any(line in text for line in absent), text
 
     def test_stdin_dash(self):
         text = explain_command(["comm", "-13", "dict", "-"])

@@ -1,5 +1,6 @@
 """One region reader, every engine: each redirect shape a region may
-carry gives the interpreter's stdout, status and files.
+carry, and each argv a command reads differently from a flag-letter
+scan, gives the interpreter's stdout, stderr, status and files.
 
 Jash, the incremental engine and the misuse guard read expanded words,
 PaSh and the host pool literal ones; all meet the one rule set in
@@ -42,6 +43,14 @@ SHAPES = [
     ("2> e", "sort /in.txt 2> /e", set()),
     ("sink = input", "sort /in.txt > /in.txt", set()),
     ("sink = input via cat", "cat /in.txt | tr a-z A-Z > /in.txt", set()),
+    # argvs read by the command's own grammar: `-ec` is `-e c`, not
+    # `-e -c`; a usage error is the body's, once; `-tc` is `-t c`
+    # (Jash's cost model keeps a stateless grep interpreted here)
+    ("grep -ec", "grep -ec /in.txt | wc -l", {"pash", "inc"}),
+    ("cat | grep -ec", "cat /in.txt | grep -ec | wc -l", {"pash", "inc"}),
+    ("sort --unique", "sort --unique /in.txt", set()),
+    ("uniq -s 2", "uniq -s 2 /in.txt", set()),
+    ("sort -tc -k2", "sort -tc -k2 /in.txt", {"jash", "pash", "inc"}),
 ]
 ENGINES = ("jash", "pash", "inc", "jobs2")
 
@@ -93,7 +102,7 @@ def run_rows(engine: str, script: str, edit: bool = False):
         shell.fs.write_bytes("/in.txt", EDITED)
         results.append(shell.run(script))
     files = {path: shell.fs.read_bytes(path) for path in shell.fs.walk()}
-    return [(r.stdout, r.status) for r in results], files, shell
+    return [(r.stdout, r.stderr, r.status) for r in results], files, shell
 
 
 def interpreted(script: str, edit: bool = False):

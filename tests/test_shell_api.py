@@ -213,6 +213,30 @@ class TestCliTypedFailures:
         assert line.startswith("jash: kernel stalled at virtual time 20000.")
         assert err.endswith(line + "\n")
 
+    def test_deadlock_is_a_failure_not_a_traceback(self, capsys,
+                                                   monkeypatch):
+        """A SUM merge drains its inputs one after another, so branches
+        that each write more than a pipe buffer block it for ever.  A
+        grep annotated by hand as SUM-merged builds that graph."""
+        from repro.annotations import (DEFAULT_LIBRARY, AggKind, Aggregator,
+                                       CommandSpec, InstanceSpec, ParClass)
+
+        def sum_rule(args):
+            return InstanceSpec(
+                "grep", ParClass.PARALLELIZABLE_PURE, Aggregator(AggKind.SUM),
+                input_operands=args.at[1:], reads_stdin=False,
+                selectivity=0.001, blocking=True)
+
+        monkeypatch.setitem(DEFAULT_LIBRARY._specs, "grep",
+                            CommandSpec("grep", [sum_rule]))
+        script = "seq 1 300000 > /f; grep 1 /f | wc -l"
+        assert cli_main(["run", "--engine", "jash", "-c", script]) == 70
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [ln for ln in err.splitlines() if ln.startswith("jash:")]
+        assert line.startswith("jash: deadlock: ")
+        assert "dfg:sum_merge" in line
+
     @pytest.mark.parametrize("cmd", ["run", "stat", "profile"])
     def test_syntax_error_is_status_2(self, cmd, capsys):
         assert cli_main([cmd, "-c", 'echo "unterminated']) == 2

@@ -391,7 +391,7 @@ class TestProcessLifecycle:
             return 0
 
         root = kernel.create_process(stuck, fds={0: reader, 1: writer})
-        with pytest.raises(RuntimeError, match="deadlock"):
+        with pytest.raises(KernelStall, match="^deadlock:"):
             kernel.run_until_process_done(root)
 
     @pytest.mark.parametrize("loop", ["run", "run_until_process_done"])

@@ -1457,7 +1457,8 @@ def _cut_per_batch(proc, argv):
     """``cut`` as it ran before LIST was compiled: range, extend and join
     rebuilt for every line (argv: ``-c LIST`` or ``-d D -f LIST``, then
     ``[FILE]``; cut always charged per batch)."""
-    opts, operands = base.parse_flags(argv, "s", with_value="cfd")
+    args = base.parse_args("cut", argv)
+    opts, operands = args.opts, args.operands
     ranges = filters.parse_cut_list(opts.get("c") or opts.get("f"))
     delim = opts.get("d", "\t").encode()
     coeff = base.cpu_coeff("cut")
