@@ -140,8 +140,11 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
         ops = args.at
         if args.opts.keys() & set("mco"):
             # merge/check modes and -o output files: keep simple, refuse
+            out = args.opts.get("o")
             return InstanceSpec("sort", ParClass.NON_PARALLELIZABLE,
-                                input_operands=ops, blocking=True)
+                                input_operands=ops, blocking=True,
+                                writes_stdout=out is None,
+                                output_files=(out,) if out else ())
         # the merge orders as the stage does: its every option, in order
         return InstanceSpec(
             "sort", ParClass.PARALLELIZABLE_PURE,
@@ -153,7 +156,15 @@ def build_default_library(strict_tr_squeeze: bool = False) -> SpecLibrary:
 
     # -- uniq --------------------------------------------------------------------
     def uniq_rule(args: Args):
-        ops = args.at[:1]  # uniq reads its first operand only
+        ops = args.at[:1]  # uniq reads its first operand, writes its second
+        if len(args.operands) > 2:
+            return None  # uniq itself will refuse to run
+        if len(args.operands) == 2 and args.operands[1] != "-":
+            # like sort -o: an output file is not a stream to merge
+            return InstanceSpec("uniq", ParClass.NON_PARALLELIZABLE,
+                                input_operands=ops, reads_stdin=not ops,
+                                writes_stdout=False,
+                                output_files=(args.operands[1],))
         if args.opts.keys() & set("cdu"):
             # counting / filtering needs cross-chunk state at boundaries
             return InstanceSpec("uniq", ParClass.NON_PARALLELIZABLE,

@@ -210,6 +210,12 @@ class OutBuf:
             if self._size >= self.threshold:
                 yield from self.flush()
 
+    def put_each(self, lines: list[bytes]):
+        """``put`` of each line in turn: a flush wherever one trips."""
+        for line in lines:
+            if self.add(line):
+                yield from self.flush()
+
     def put_lines(self, lines: list[bytes]):
         self._chunks.extend(lines)
         self._size += sum(map(len, lines))

@@ -80,7 +80,7 @@ class TrPlan(NamedTuple):
     delete: Optional[bytes]       # bytes to drop (``-d``), else None
     table: Optional[bytes]        # 256-entry translation table, else None
     squeeze: bytes                # bytes whose runs collapse (``-s``)
-    squeeze_re: Optional[re.Pattern]
+    squeeze_re: Optional[re.Pattern]  # their runs, for two bytes or more
 
 
 @lru_cache(maxsize=128)
@@ -131,7 +131,7 @@ def _tr_plan(operands: tuple, complement: bool, squeeze: bool,
         squeeze_set = set2 if squeeze else b""
     # a run of any squeeze-set byte collapses to a single occurrence
     squeeze_re = (re.compile(b"([" + re.escape(squeeze_set) + b"])\\1+")
-                  if squeeze_set else None)
+                  if len(squeeze_set) > 1 else None)
     return TrPlan(delete_chars, table, squeeze_set, squeeze_re)
 
 
@@ -148,12 +148,16 @@ def tr_block(data: bytes, plan: TrPlan, carry: int) -> tuple[bytes, int]:
     if plan.squeeze and data:
         # continue a squeeze run that straddled the block boundary
         if carry >= 0 and carry in plan.squeeze:
-            i, n = 0, len(data)
-            while i < n and data[i] == carry:
-                i += 1
-            data = data[i:]
+            data = data.lstrip(bytes((carry,)))
         if data:
-            data = plan.squeeze_re.sub(b"\\1", data)
+            if plan.squeeze_re is None:
+                # one byte: a run of k halves per C replace pass, so it
+                # takes ceil(log2 k) passes (past ~30 bytes the regex wins)
+                pair = plan.squeeze * 2
+                while pair in data:
+                    data = data.replace(pair, plan.squeeze)
+            else:
+                data = plan.squeeze_re.sub(b"\\1", data)
             carry = data[-1]
     return data, carry
 

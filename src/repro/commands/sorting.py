@@ -15,7 +15,7 @@ import random
 import re
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, compress, groupby, islice, repeat
 
 from ..vos.errors import FileNotFound, IsADirectory
 from ..vos.process import CHUNK, Process
@@ -525,114 +525,100 @@ def merge_fds(proc: Process, in_fds: list[int], flags: list[str]):
                                   cpu_coeff("sort"), eq_key=primary))
 
 
+#: a galloped run shorter than this many lines is short; after
+#: ``_SHORT_RUNS`` of them a blob's remainder is split and grouped
+_SHORT_RUN = 4
+_SHORT_RUNS = 8
+
+
+def _line_runs(blob: bytes) -> tuple[list[bytes], list[int]]:
+    """The runs of adjacent equal lines in ``blob`` (complete lines), as
+    parallel lists of their bodies (no newline) and line counts.
+    ``_runs_of`` gallops over a long run in O(log n) compares but pays a
+    Python step per run, ~6x what a split + compare pays per line, so
+    once the blob has shown ``_SHORT_RUNS`` short runs its remainder is
+    split and its run starts found by one C-level pairwise compare."""
+    keys: list[bytes] = []
+    counts: list[int] = []
+    pos = short = 0
+    for line, n in _runs_of(blob):
+        keys.append(line[:-1])
+        counts.append(n)
+        pos += len(line) * n
+        short += n < _SHORT_RUN
+        if short == _SHORT_RUNS:
+            break
+    bodies = blob[pos:].split(b"\n")
+    bodies.pop()  # the trailing b"" after the final newline
+    if bodies:
+        starts = [0, *compress(range(1, len(bodies)), map(
+            operator.ne, bodies, islice(bodies, 1, None)))]
+        ends = starts[1:]
+        ends.append(len(bodies))
+        keys += map(bodies.__getitem__, starts)
+        counts += map(operator.sub, ends, starts)
+    return keys, counts
+
+
 @command("uniq", Grammar("cdu"))
 def uniq(proc: Process, opts: dict, operands: list[str]):
-    count = bool(opts.get("c"))
-    dup_only = bool(opts.get("d"))
-    uniq_only = bool(opts.get("u"))
+    """One body for plain, -c, -d and -u: each ``CHUNK`` read's complete
+    lines are one blob, charged as one CPU request (zero for a read with
+    no newline; the bare tail at EOF is a blob of its own), parsed into
+    runs, and each group put the moment a later run (or EOF) ends it —
+    the reads, charges and puts of a line-at-a-time loop."""
+    if len(operands) > 2:
+        return (yield from usage_error(
+            proc, "uniq", UsageError(f"extra operand '{operands[2]}'")))
+    flags = [bool(opts.get(flag)) for flag in "cdu"]
     coeff = cpu_coeff("uniq")
-    path = operands[0] if operands else "-"
-    fd, needs_close = yield from open_input(proc, path)
-    if not count and not dup_only and not uniq_only:
-        status = yield from _uniq_plain(proc, fd, coeff)
-    else:
-        status = yield from _uniq_lines(proc, fd, count, dup_only, uniq_only, coeff)
+    fd, needs_close = yield from open_input(
+        proc, operands[0] if operands else "-")
+    out_fd = (yield from proc.open(operands[1], "w")) \
+        if len(operands) > 1 and operands[1] != "-" else 1
+    out = OutBuf(proc, out_fd)
+    carry: bytes | None = None  # body of the still-open trailing group
+    carried = 0  # its line count so far
+    tail = b""
+    eof = False
+    while not eof:
+        data = yield from proc.read(fd, CHUNK)
+        eof = not data
+        buf = tail + data if tail else data
+        # the complete lines, or at EOF the unterminated last one
+        nl = len(buf) if eof else buf.rfind(b"\n") + 1
+        if not nl:
+            tail = buf
+            continue
+        blob, tail = buf[:nl], buf[nl:]
+        keys, counts = _line_runs(blob if data else blob + b"\n")
+        yield from proc.cpu(len(blob) * coeff)
+        if carry is not None:
+            if keys[0] == carry:
+                counts[0] += carried
+            else:
+                keys.insert(0, carry)
+                counts.insert(0, carried)
+        carry, carried = keys.pop(), counts.pop()
+        yield from out.put_each(_uniq_out(keys, counts, *flags))
+    if carry is not None:
+        yield from out.put_each(_uniq_out([carry], [carried], *flags))
+    yield from out.flush()
     if needs_close:
         yield from proc.close(fd)
-    return status
-
-
-def _uniq_lines(proc: Process, fd: int, count: bool, dup_only: bool, uniq_only: bool, coeff: float):
-    """Line-at-a-time uniq; handles the -c/-d/-u variants."""
-    stream = LineStream(proc, fd)
-    out = OutBuf(proc, 1)
-    prev: bytes | None = None
-    repeat = 0
-
-    def emit(line: bytes, n: int):
-        if dup_only and n < 2:
-            return
-        if uniq_only and n > 1:
-            return
-        if count:
-            yield from out.put(f"{n:7d} ".encode() + line)
-        else:
-            yield from out.put(line)
-
-    while True:
-        batch = yield from stream.next_batch()
-        if batch is None:
-            break
-        if not batch:
-            continue
-        yield from proc.cpu(sum(map(len, batch)) * coeff)
-        for line in batch:
-            body = line.rstrip(b"\n") + b"\n"
-            if prev is not None and body == prev:
-                repeat += 1
-            else:
-                if prev is not None:
-                    yield from emit(prev, repeat)
-                prev = body
-                repeat = 1
-    if prev is not None:
-        yield from emit(prev, repeat)
-    yield from out.flush()
+    if out_fd != 1:
+        yield from proc.close(out_fd)
     return 0
 
 
-def _uniq_plain(proc: Process, fd: int, coeff: float):
-    """Flagless uniq over raw chunks: groupby collapses runs in C instead
-    of a Python compare per line.  Virtual cost is preserved exactly — the
-    reads are the same CHUNK reads LineStream would issue, the CPU charge
-    per read is the same complete-lines byte count (zero for a chunk with
-    no newline, the bare tail at EOF), and a group's first line is emitted
-    via the same ``out.put`` the moment the group ends."""
-    # S21: a host-pool oracle may hold the sorted stream's run table;
-    # each complete-lines blob is validated byte-for-byte and its
-    # groupby keys come from the table instead of a split + groupby
-    oracle = getattr(proc, "host_oracle", None)
-    if oracle is not None and getattr(oracle, "kind", "") != "uniq":
-        oracle = None
-    out = OutBuf(proc, 1)
-    carry: bytes | None = None  # body of the still-open trailing group
-    tail = b""
-    done = False
-    while not done:
-        data = yield from proc.read(fd, CHUNK)
-        if not data:
-            if not tail:
-                break
-            blob, tail, done = tail, b"", True
-            yield from proc.cpu(len(blob) * coeff)
-            bodies = [blob]
-        else:
-            buf = tail + data if tail else data
-            nl = buf.rfind(b"\n")
-            if nl < 0:
-                tail = buf
-                continue
-            blob, tail = buf[: nl + 1], buf[nl + 1 :]
-            yield from proc.cpu(len(blob) * coeff)
-            bodies = None
-        keys = oracle.feed_blob(blob) if oracle is not None and not done \
-            else None
-        if keys is None:
-            if bodies is None:
-                bodies = blob.split(b"\n")
-                bodies.pop()  # trailing b"" after the final newline
-            keys = [k for k, _ in groupby(bodies)]
-        if carry is not None and (not keys or keys[0] != carry):
-            keys.insert(0, carry)
-        for body in keys[:-1]:
-            yield from out.put(body + b"\n")
-        carry = keys[-1]
-    if oracle is not None:
-        oracle.finish()
-    if carry is not None:
-        yield from out.put(carry + b"\n")
-    yield from out.flush()
-    return 0
+def _uniq_out(keys: list[bytes], counts: list[int], count: bool,
+              dup_only: bool, uniq_only: bool) -> list[bytes]:
+    """The output lines of ended groups under uniq's -c, -d and -u."""
+    if not (count or dup_only or uniq_only):
+        return [key + b"\n" for key in keys]
+    return [b"%7d %s\n" % (n, key) if count else key + b"\n"
+            for key, n in zip(keys, counts)
+            if not (dup_only and n < 2 or uniq_only and n > 1)]
 
 
 def comm_args(argv: list[str]) -> Args:

@@ -113,7 +113,9 @@ class IncrementalOptimizer:
         if region.clobbered_input(cwd) is not None:
             self._note(text, "interpreted", "output sink is also an input")
             return None
-        if not all(s.spec.pure for s in region.stages):
+        # a replay writes only the region's stdout
+        if not all(s.spec.pure and not s.spec.output_files
+                   for s in region.stages):
             self._note(text, "interpreted", "region not pure")
             return None
         input_files = region_input_files(region, proc.fs, cwd)

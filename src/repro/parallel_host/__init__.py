@@ -5,8 +5,7 @@ virtual op (reads, CPU charges, writes, faults) executes in the
 coordinator process, which is what makes ``--jobs N`` trivially
 byte-identical in *virtual* time.  What a worker pool can buy is the
 *host* cost of the data plane: the byte crunching command kernels do
-(tr translation tables, sort comparisons, uniq run collapse) over real
-buffers.
+(tr translation and squeeze, sort's line counts) over real buffers.
 
 ``repro.parallel_host`` ships certificate-gated dataflow regions to a
 persistent pool of forked workers, one wave of part tasks per region.
@@ -25,8 +24,8 @@ behaviour.
 
 Layering:
 
-* :mod:`.kernels`     — the one part task and its columnar compute
-                        (numpy-gated with pure-Python fallbacks)
+* :mod:`.kernels`     — the one part task: ``tr_block`` per grid
+                        block and the sort's own line counter
 * :mod:`.pool`        — a ``ProcessPoolExecutor`` on the fork context,
                         the scratch directory, watchdog, crash retry
 * :mod:`.regions`     — static region detection + S16/S20 gating

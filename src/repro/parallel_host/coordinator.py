@@ -29,7 +29,6 @@ import os
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate
 from pathlib import Path
 from typing import Optional
 
@@ -111,10 +110,9 @@ def merge_counts(counts: list, trims: list[int]) -> Counter:
 
 
 def sorted_table(table: Counter, reverse: bool, unique: bool):
-    """``(sorted stream, end offset of every run of equal lines, total
-    line count)`` of a count table — the in-process sort's own kernel."""
-    runs = sorted_runs(table, reverse, unique)
-    return (b"".join(runs), array("q", accumulate(map(len, runs))),
+    """``(sorted stream, total line count)`` of a count table — the
+    in-process sort's own kernel."""
+    return (b"".join(sorted_runs(table, reverse, unique)),
             sum(table.values()))
 
 
@@ -131,7 +129,6 @@ class RegionState:
         self.streams: list[bytes] = []
         self.grids: list[tuple[array, array]] = []
         self.sorted_stream: bytes = b""
-        self.run_ends: array = array("q")
         self.n_lines: int = 0
 
 
@@ -292,7 +289,7 @@ class HostCoordinator:
             self.stats["bytes_returned"] += sum(out_lens)
             in_lens = out_lens
         if plan.has_sort:
-            state.sorted_stream, state.run_ends, state.n_lines = sorted_table(
+            state.sorted_stream, state.n_lines = sorted_table(
                 merge_counts([r["count"] for r in results], trims),
                 plan.sort_reverse, plan.sort_unique)
             self.stats["bytes_returned"] += len(state.sorted_stream)
@@ -326,7 +323,7 @@ class HostCoordinator:
             self._dispatch(state)
         if state.status == FAILED:
             return None
-        make = {"tr": TrOracle, "sort": SortOracle, "uniq": UniqOracle}
+        make = {"tr": TrOracle, "sort": SortOracle}
         return [make[stage.kind](self, state, stage.tr_index)
                 if stage.kind in make else None
                 for stage in state.plan.stages]
@@ -446,33 +443,6 @@ class SortOracle(_Oracle):
             return None
         super().finish()
         return self.state.sorted_stream, self.state.n_lines
-
-
-class UniqOracle(_Oracle):
-    """Replays uniq's per-blob group keys from the sort run table."""
-
-    kind = "uniq"
-    run_idx = 0
-
-    def _expected(self) -> bytes:
-        return self.state.sorted_stream
-
-    def feed_blob(self, blob: bytes) -> Optional[list[bytes]]:
-        """The groupby keys for one complete-lines blob, or None (fall
-        back to computing them; subsequent blobs also fall back)."""
-        if not self._accept(blob):
-            return None
-        stream, runs = self.state.sorted_stream, self.state.run_ends
-        a, b = self.in_pos - len(blob), self.in_pos
-        while self.run_idx < len(runs) and runs[self.run_idx] <= a:
-            self.run_idx += 1
-        keys: list[bytes] = []
-        for j in range(self.run_idx, len(runs)):
-            start = runs[j - 1] if j else 0
-            keys.append(stream[start : stream.index(b"\n", start)])
-            if runs[j] >= b:
-                break
-        return keys
 
 
 def render_pool_stats(stats: dict, crashes: int) -> str:

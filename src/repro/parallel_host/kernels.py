@@ -4,9 +4,9 @@ Everything here runs in a forked worker against spill files; nothing
 touches the virtual OS.  Each kernel is the *exact* byte-level semantics
 of the corresponding command body in ``repro.commands`` — not an
 approximation — because the coordinator's oracles emit these streams
-verbatim into the simulation: ``tr`` is ``tr_block`` block by block
-(its squeeze a numpy reformulation as boolean run masks when numpy is
-there), and line counting is the in-process sort's own ``LineCounter``.
+verbatim into the simulation: ``tr`` is ``tr_block`` block by block,
+the same code on every host, and line counting is the in-process
+sort's own ``LineCounter``.
 
 Grid tables: a tr stage's oracle needs "output offset at input offset
 a" for arbitrary a (pipe reads land on arbitrary boundaries).  Workers
@@ -25,11 +25,6 @@ from ..commands.filters import TrPlan, tr_block
 from ..commands.sorting import LineCounter
 from ..vos.process import CHUNK
 
-try:  # the container bakes numpy in; everything degrades without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less hosts
-    _np = None
-
 #: grid granularity for tr input->output offset tables
 GRID_STEP = 4096
 #: how much of a sorting region's input the coordinator tries in-process
@@ -37,7 +32,12 @@ GRID_STEP = 4096
 PROBE = 4 * CHUNK
 
 
-def _tr_part_python(data: bytes, spec: TrPlan) -> tuple[bytes, array]:
+def tr_part(data: bytes, spec: TrPlan) -> tuple[bytes, array]:
+    """Transform one input part (no incoming carry: the coordinator
+    resolves squeeze seams between parts) with ``tr_block`` one
+    GRID_STEP block at a time.  Returns the output stream and the
+    input-offset -> output-offset grid table: the kept-byte prefix count
+    at every GRID_STEP boundary and at the end."""
     out_blocks: list[bytes] = []
     grid = array("q", [0])
     carry = -1
@@ -46,43 +46,6 @@ def _tr_part_python(data: bytes, spec: TrPlan) -> tuple[bytes, array]:
         out_blocks.append(block)
         grid.append(grid[-1] + len(block))
     return b"".join(out_blocks), grid
-
-
-def tr_part(data: bytes, spec: TrPlan) -> tuple[bytes, array]:
-    """Transform one input part (no incoming carry: the coordinator
-    resolves squeeze seams between parts).  Returns the output stream
-    and the input-offset -> output-offset grid table: the kept-byte
-    prefix count at every GRID_STEP boundary and at the end."""
-    delete, table, squeeze, _ = spec
-    if _np is None or not squeeze or not data:
-        # translate/delete run at C speed block by block already; only
-        # the squeeze regex is worth vectorizing (~2x on the spell stage)
-        return _tr_part_python(data, spec)
-    kept = None  # which input bytes survive; None = all so far
-    if delete is not None:
-        kept = _np.ones(256, dtype=bool)
-        kept[_np.frombuffer(delete, dtype=_np.uint8)] = False
-        kept = kept[_np.frombuffer(data, dtype=_np.uint8)]
-        comp = data.translate(None, delete)
-    else:
-        comp = data.translate(table) if table is not None else data
-    comp = _np.frombuffer(comp, dtype=_np.uint8)
-    insq = _np.zeros(256, dtype=bool)
-    insq[_np.frombuffer(squeeze, dtype=_np.uint8)] = True
-    keep = _np.ones(len(comp), dtype=bool)
-    keep[1:] = ~(insq[comp[1:]] & (comp[1:] == comp[:-1]))
-    if kept is None:
-        kept = keep
-    else:
-        kept[_np.flatnonzero(kept)] = keep
-    # prefix kept-byte counts sampled at GRID_STEP boundaries
-    pad = (-len(data)) % GRID_STEP
-    if pad:
-        kept = _np.concatenate([kept, _np.zeros(pad, dtype=bool)])
-    per_block = kept.reshape(-1, GRID_STEP).sum(axis=1, dtype=_np.int64)
-    grid = array("q", [0])
-    grid.extend(_np.cumsum(per_block).tolist())
-    return comp[keep].tobytes(), grid
 
 
 def count_part(data: bytes):

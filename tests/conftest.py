@@ -8,7 +8,14 @@ from unittest import mock
 
 import pytest
 
-from repro.commands.base import REGISTRY
+from repro.commands.base import (
+    REGISTRY,
+    LineStream,
+    OutBuf,
+    cpu_coeff,
+    open_input,
+    parse_args,
+)
 from repro.shell import Shell
 from repro.vos import SpliceReq, VosError
 from repro.vos.devices import DiskSpec
@@ -110,6 +117,65 @@ def reference_copy():
     up by name)."""
     looped = {name: with_copy_loop(REGISTRY[name]) for name in ("cat", "tee")}
     with mock.patch.dict(REGISTRY, looped):
+        yield
+
+
+# -- the reference the run-based uniq is held to (DESIGN.md §11) --------------
+
+
+def uniq_line_loop(proc, argv):
+    """What ``uniq`` must be indistinguishable from: a line at a time
+    through ``LineStream`` batches, one CPU request per batch, each
+    group's line put the moment a different line (or EOF) ends it.
+    Reads its first operand and writes stdout."""
+    args = parse_args("uniq", argv)
+    count, dup_only, uniq_only = (bool(args.opts.get(f)) for f in "cdu")
+    coeff = cpu_coeff("uniq")
+    fd, needs_close = yield from open_input(
+        proc, args.operands[0] if args.operands else "-")
+    stream = LineStream(proc, fd)
+    out = OutBuf(proc, 1)
+    prev: bytes | None = None
+    repeat = 0
+
+    def emit(line: bytes, n: int):
+        if dup_only and n < 2:
+            return
+        if uniq_only and n > 1:
+            return
+        if count:
+            yield from out.put(f"{n:7d} ".encode() + line)
+        else:
+            yield from out.put(line)
+
+    while True:
+        batch = yield from stream.next_batch()
+        if batch is None:
+            break
+        if not batch:
+            continue
+        yield from proc.cpu(sum(map(len, batch)) * coeff)
+        for line in batch:
+            body = line.rstrip(b"\n") + b"\n"
+            if prev is not None and body == prev:
+                repeat += 1
+            else:
+                if prev is not None:
+                    yield from emit(prev, repeat)
+                prev = body
+                repeat = 1
+    if prev is not None:
+        yield from emit(prev, repeat)
+    yield from out.flush()
+    if needs_close:
+        yield from proc.close(fd)
+    return 0
+
+
+@contextmanager
+def reference_uniq():
+    """``uniq`` runs as :func:`uniq_line_loop` inside a ``with`` block."""
+    with mock.patch.dict(REGISTRY, {"uniq": uniq_line_loop}):
         yield
 
 

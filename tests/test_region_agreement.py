@@ -51,6 +51,9 @@ SHAPES = [
     ("sort --unique", "sort --unique /in.txt", set()),
     ("uniq -s 2", "uniq -s 2 /in.txt", set()),
     ("sort -tc -k2", "sort -tc -k2 /in.txt", {"jash", "pash", "inc"}),
+    # output files, not stdout: uniq's second operand, sort -o
+    ("uniq IN OUT", "uniq /in.txt /out.txt", set()),
+    ("sort -o", "sort -o /out.txt /in.txt", set()),
 ]
 ENGINES = ("jash", "pash", "inc", "jobs2")
 

@@ -7,7 +7,8 @@ Three layers of guarantees:
    while moving whole producer chunks by reference.
 2. The kernel pump and the vectorized coreutils kernels are *observably
    identical* to per-chunk/per-line loops (``conftest.copy_loop`` is the
-   pump's reference): same bytes, same exit status, and — because they
+   pump's reference, ``conftest.uniq_line_loop`` the run-based uniq's):
+   same bytes, same exit status, and — because they
    replay the same virtual syscall sequence — the same virtual elapsed
    time.  One handler per direction: ``write(join(parts))`` and
    ``writev(parts)``, ``read`` and ``read_all`` are the same virtual ops.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -45,7 +47,7 @@ from repro.vos.machines import MachineSpec, laptop
 from repro.vos.pipes import Pipe
 from repro.vos.process import CHUNK, FdTable
 
-from .conftest import reference_copy
+from .conftest import reference_copy, reference_uniq
 
 import repro.commands.awk_lite as awk_lite
 import repro.commands.base as base
@@ -458,6 +460,29 @@ class TestVectorizedEquivalence:
         assert status == 0
         assert out == b"x" * (CHUNK - 3) + b"sys"
 
+    @given(data=st.binary(max_size=300), squeeze=st.sampled_from(
+        [b"\n", b"s", b"\n s"]), carry=st.sampled_from([-1, 10, 32, 120]),
+        cuts=st.lists(st.integers(0, 300), max_size=4))
+    @example(data=b"\n\n\n\n\n", squeeze=b"\n", carry=10, cuts=[2])
+    @settings(deadline=None, max_examples=200)
+    def test_tr_squeeze_matches_regex(self, data, squeeze, carry, cuts):
+        """``tr_block``'s squeeze is the regex's, carry in or out of the
+        set included, and blocks cut anywhere compose through it."""
+        plan = filters._tr_plan(("A-Za-z", squeeze.decode()), True, True,
+                                False)
+        runs = re.compile(b"([" + re.escape(squeeze) + b"])\\1+")
+        text = data.translate(plan.table)
+        lead = bytes([carry]) if carry >= 0 else b""
+        want = runs.sub(b"\\1", lead + text)[len(lead):]
+        out, last = filters.tr_block(data, plan, carry)
+        assert out == want
+        assert last == (want[-1] if want else carry)
+        pieces = []
+        for a, b in itertools.pairwise([0, *sorted(cuts), len(data)]):
+            piece, carry = filters.tr_block(data[a:b], plan, carry)
+            pieces.append(piece)
+        assert b"".join(pieces) == want
+
     def test_sort_plain_matches_python_sorted(self):
         rng = random.Random(3)
         lines = [bytes([rng.randrange(33, 127)]) * rng.randrange(1, 9)
@@ -471,24 +496,29 @@ class TestVectorizedEquivalence:
         assert status == 0
         assert out == b"\n".join(sorted(set(lines), reverse=True)) + b"\n"
 
-    def test_uniq_fast_path_matches_line_loop(self, monkeypatch):
+    @pytest.mark.parametrize("flags", ["", "-c", "-d", "-u", "-cd", "-cu"])
+    def test_uniq_fast_path_matches_line_loop(self, flags):
+        rng = random.Random(7)
+        mixed = b"".join(b"w%d\n" % i * rng.choice([1, 1, 2, 3, 9, 40])
+                         for i in range(20_000))
         cases = [
             b"a\na\nb\nb\nb\nc\n",
             b"q" * (CHUNK - 1) + b"\n" + b"q" * (CHUNK - 1) + b"\n",  # run
             b"\n\n\nx\n\n",  # empty-line groups
             b"last no newline",
+            b"x\n" * (CHUNK // 2 - 5) + b"run\n" * 40 + b"y\n",  # at CHUNK
+            b"".join(b"%07d\n" % i for i in range(30_000)),  # all distinct
+            b"a\r\na\r\nb\r\nb\nb\n" * 3000 + b"b\r",  # \r\n lines
+            mixed,  # galloped runs, then short ones split in one blob
         ]
         for data in cases:
-            fast = _run_script("uniq /in.txt", {"/in.txt": data})
-
-            def forced(proc, fd, coeff):
-                return (yield from sorting._uniq_lines(
-                    proc, fd, False, False, False, coeff))
-
-            monkeypatch.setattr(sorting, "_uniq_plain", forced)
-            slow = _run_script("uniq /in.txt", {"/in.txt": data})
-            monkeypatch.undo()
-            assert fast == slow  # bytes AND virtual time
+            for script in (f"uniq {flags} /in.txt",
+                           f"cat /in.txt | uniq {flags}"):
+                fast = _observe(script, {"/in.txt": data})
+                with reference_uniq():
+                    slow = _observe(script, {"/in.txt": data})
+                # status, bytes, virtual time and dispatches
+                assert fast[:4] == slow[:4], (script, data[:40])
 
     def test_grep_blob_scan_matches_line_loop(self, monkeypatch):
         rng = random.Random(9)
