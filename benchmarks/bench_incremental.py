@@ -57,7 +57,7 @@ def incr_results():
         fresh.fs.read_bytes("/data/bad_hosts.txt") == delta_output
     )
     results["_cold_nonempty"] = bool(cold_output)
-    results["_stats"] = inc.stats()
+    results["_stats"] = inc.cache.stats()
     return results
 
 

@@ -47,7 +47,7 @@ def main() -> None:
     assert (fresh.fs.read_bytes("/data/bad_hosts.txt")
             == shell.fs.read_bytes("/data/bad_hosts.txt"))
     print("\nincremental output verified against full recomputation.")
-    print(f"cache stats: {inc.stats()}")
+    print(f"cache stats: {inc.cache.stats()}")
 
 
 if __name__ == "__main__":

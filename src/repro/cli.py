@@ -194,11 +194,7 @@ def _main(argv=None) -> int:
         metrics = _make_metrics(args)
         if args.supervise:
             return _supervise(args, text, machine, metrics=metrics)
-        tracer = None
-        if args.trace:
-            from .obs import Tracer
-
-            tracer = Tracer()
+        tracer = _make_tracer(args)
         shell = _make_shell(args, machine, tracer=tracer, metrics=metrics,
                             jobs=args.jobs)
         _warn_jobs_idle(text, shell)
@@ -207,7 +203,7 @@ def _main(argv=None) -> int:
         sys.stderr.write(result.err)
         print(f"[virtual time: {result.elapsed:.4f}s on {machine.name}]",
               file=sys.stderr)
-        if args.report and hasattr(shell.optimizer, "report"):
+        if args.report and shell.optimizer is not None:
             print(shell.optimizer.report(), file=sys.stderr)
         if tracer is not None:
             _export_trace(tracer, args.trace)
@@ -321,6 +317,14 @@ def _export_trace(tracer, path: str, to_stdout: bool = False) -> None:
           file=sys.stdout if to_stdout else sys.stderr)
 
 
+def _make_tracer(args):
+    if not getattr(args, "trace", None):
+        return None
+    from .obs import Tracer
+
+    return Tracer()
+
+
 def _make_metrics(args):
     if not getattr(args, "metrics", None):
         return None
@@ -349,11 +353,7 @@ def _supervise(args, text: str, machine, metrics=None,
         print("jash run --supervise requires --checkpoint DIR",
               file=sys.stderr)
         return 2
-    tracer = None
-    if getattr(args, "trace", None):
-        from .obs import Tracer
-
-        tracer = Tracer()
+    tracer = _make_tracer(args)
     source = (FileTailSource(args.tail) if args.tail
               else SyntheticSource(seed=args.seed))
     config = SuperviseConfig(script=text, checkpoint_dir=args.checkpoint,
@@ -374,6 +374,10 @@ def _supervise(args, text: str, machine, metrics=None,
               f"{report.attempts} attempt(s), {report.mode} commit, "
               f"output {report.output_len}B, saved {report.saved_bytes}B]",
               file=sys.stderr)
+    if getattr(args, "report", False):
+        from .compiler.decisions import render_decisions
+
+        print(render_decisions(*supervisor.logs), file=sys.stderr)
     if emit_output:
         sys.stdout.buffer.write(supervisor.committed_output())
         sys.stdout.flush()

@@ -12,7 +12,7 @@ from .cost import (
 from .driver import execute_plan, fs_file_sizes
 from .optimizer import Decision, OptimizerConfig, ResourceAwareOptimizer
 from .parallel import Plan, baseline_plan, find_parallel_run, parallelize
-from .pash_aot import AotEvent, PashConfig, PashOptimizer
+from .pash_aot import PashConfig, PashOptimizer
 from .runtime import execute_graph
 from .transactional import (
     DEFAULT_REGION_POLICY,
@@ -24,7 +24,7 @@ __all__ = [
     "CostEstimate", "DiskProbe", "Probe", "estimate_baseline",
     "estimate_parallel", "execute_plan", "fs_file_sizes", "Decision",
     "OptimizerConfig", "ResourceAwareOptimizer", "Plan", "baseline_plan",
-    "find_parallel_run", "parallelize", "AotEvent", "PashConfig",
+    "find_parallel_run", "parallelize", "PashConfig",
     "PashOptimizer", "execute_graph", "DEFAULT_REGION_POLICY",
     "RecoveryReport", "execute_plan_transactional",
 ]

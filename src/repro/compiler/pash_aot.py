@@ -24,6 +24,7 @@ from ..dfg.from_ast import Region, extract_region
 from ..distributed.retry import RetryPolicy
 from ..parser.ast_nodes import Command, Pipeline, SimpleCommand
 from ..parser.unparse import unparse
+from .decisions import DecisionLog
 from .driver import fs_file_sizes
 from .parallel import parallelize
 from .transactional import DEFAULT_REGION_POLICY, run_region
@@ -31,16 +32,6 @@ from .transactional import DEFAULT_REGION_POLICY, run_region
 
 _NOT_EXTRACTABLE = ("region not extractable ahead-of-time (dynamic words, "
                     "unknown commands, or unsupported redirects)")
-
-
-@dataclass
-class AotEvent:
-    node_text: str
-    decision: str  # "optimized" | "degraded" | "skipped" | "interpreted"
-    reason: str
-    plan_description: str = ""
-    #: staged attempts rolled back on a suspected fault (transactional)
-    fault_failures: int = 0
 
 
 @dataclass
@@ -57,7 +48,7 @@ class PashConfig:
     retry: RetryPolicy = DEFAULT_REGION_POLICY
 
 
-class PashOptimizer:
+class PashOptimizer(DecisionLog):
     """AOT compiler pass + interpreter hook.
 
     ``compile_program`` runs before execution (the preprocessing step a
@@ -67,17 +58,16 @@ class PashOptimizer:
     are *not* re-analyzed, because an AOT system never sees them as
     standalone commands."""
 
+    engine = "pash"
+
     def __init__(self, config: Optional[PashConfig] = None):
+        super().__init__()
         self.config = config or PashConfig()
-        self.events: list[AotEvent] = []
         #: id -> (node, its region); holding the node keeps its id unique
         self._approved: dict[int, tuple[Command, Region]] = {}
-        self._compiled = False
         self._analysis = None
-        self.cert_hits = 0
 
-    def compile_program(self, program: Command, tracer=None,
-                        now: float = 0.0, metrics=None) -> None:
+    def compile_program(self, program: Command, kernel=None) -> None:
         """The ahead-of-time pass: walk the static AST and mark the
         statement-level pipelines/commands whose regions extract.
         The S16 certificates are checked first: an ``unsafe`` one rejects
@@ -90,19 +80,17 @@ class PashOptimizer:
         check it would fall through to region extraction and could be
         approved.  The facts hold for any file system: the pass sees
         none ("an ahead-of-time compiler has no knowledge of the input
-        files")."""
+        files"), and no process runs it: its skips are recorded, not told."""
         from ..analysis import analyze_program
         from ..parser.ast_nodes import walk
 
-        self._compiled = True
+        self.analysed = True
         self._analysis = analyze_program(program, self.config.library)
         certs = self._analysis.certificates
         dead = self._analysis.dead_nodes()
-        if tracer is not None:
-            tracer.instant("analysis", "analysis.run", now,
-                           engine="pash", **self._analysis.stats())
-            tracer.span("analysis", "analysis.absint", now, now,
-                        engine="pash", **self._analysis.absint.stats())
+        if kernel is not None and kernel.observer is not None:
+            kernel.observer.on_analysis(kernel.now, self.engine,
+                                        self._analysis)
         inside_pipeline = {id(stage) for node in walk(program)
                            if isinstance(node, Pipeline)
                            for stage in node.commands}
@@ -112,45 +100,39 @@ class PashOptimizer:
                 and id(node) not in inside_pipeline
             ):
                 if id(node) in dead:
-                    self.events.append(AotEvent(
-                        unparse(node), "skipped",
-                        "provably unreachable (S20 dead-branch fact)",
-                    ))
+                    self.decide(None, unparse(node), "skipped",
+                                "provably unreachable (S20 dead-branch fact)")
                     continue
                 if id(node) in certs:
                     self.cert_hits += 1
                     if certs[id(node)] is not None:
-                        self.events.append(AotEvent(
-                            unparse(node), "skipped",
-                            f"static certificate: {certs[id(node)]}",
-                        ))
+                        self.decide(None, unparse(node), "skipped",
+                                    f"static certificate: {certs[id(node)]}")
                         continue
                 region = extract_region(node, self.config.library)
                 if region is None:
-                    self.events.append(AotEvent(unparse(node), "skipped",
-                                                _NOT_EXTRACTABLE))
+                    self.decide(None, unparse(node), "skipped",
+                                _NOT_EXTRACTABLE)
                 elif not region.parallelizable:
-                    self.events.append(AotEvent(unparse(node), "skipped",
-                                                "no parallelizable stage"))
+                    self.decide(None, unparse(node), "skipped",
+                                "no parallelizable stage")
                 else:
                     self._approved[id(node)] = (node, region)
 
     def try_execute(self, interp, proc, node: Command):
         region = self._approved.get(id(node), (node, None))[1]
-        if region is None and not self._compiled:
+        if region is None and not self.analysed:
             # no compile pass ran: read the node now
             region = extract_region(node, self.config.library)
             if region is None:
-                self.events.append(AotEvent(unparse(node), "skipped",
-                                            _NOT_EXTRACTABLE))
+                self.decide(proc, unparse(node), "skipped", _NOT_EXTRACTABLE)
         if region is None or not region.parallelizable:
             return None
             yield  # pragma: no cover - keep generator shape
         text = unparse(node)
         if region.clobbered_input(interp.state.cwd) is not None:
-            self.events.append(AotEvent(text, "skipped",
-                                        "output sink is also an input"))
-            return None
+            return self.decide(proc, text, "skipped",
+                               "output sink is also an input")
         file_sizes = fs_file_sizes(proc.fs, interp.state.cwd)
         plan = None
         for mode in self.config.modes:
@@ -159,12 +141,8 @@ class PashOptimizer:
             if plan is not None:
                 break
         if plan is None:
-            self.events.append(AotEvent(text, "skipped",
-                                        "no applicable split mode"))
-            return None
-        metrics = getattr(proc.kernel, "metrics", None)
-        if metrics is not None:
-            metrics.counter("aot.regions").inc()
+            return self.decide(proc, text, "skipped",
+                               "no applicable split mode")
         # no width ladder: the resource-oblivious compiler goes straight
         # from its fixed width to the interpreter
         run = yield from run_region(
@@ -172,22 +150,14 @@ class PashOptimizer:
             policy=self.config.retry if self.config.transactional else None)
         faulted = run.report.fault_failures
         if run.status is None:
-            self.events.append(AotEvent(
-                text, "interpreted",
-                f"fault fallback to interpreter after {run.report.attempts} "
-                "attempts", plan.description, fault_failures=faulted))
-            return None
-        self.events.append(AotEvent(
-            text,
-            "degraded" if faulted else "optimized",
-            f"fixed width {self.config.width}"
-            + (f", {faulted} fault-suspected attempts "
-               "rolled back" if faulted else ""),
-            plan.description, fault_failures=faulted))
+            return self.decide(proc, text, "interpreted",
+                               f"fault fallback to interpreter after "
+                               f"{run.report.attempts} attempts",
+                               plan_description=plan.description,
+                               fault_failures=faulted)
+        self.decide(proc, text, "degraded" if faulted else "optimized",
+                    f"fixed width {self.config.width}"
+                    + (f", {faulted} fault-suspected attempts "
+                       "rolled back" if faulted else ""),
+                    plan_description=plan.description, fault_failures=faulted)
         return run.status
-
-    # convenience for benchmarks
-    @property
-    def optimized_count(self) -> int:
-        return sum(1 for e in self.events
-                   if e.decision in ("optimized", "degraded"))

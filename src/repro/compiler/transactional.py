@@ -57,16 +57,12 @@ class RecoveryReport:
 
     attempts: int = 0
     fault_failures: int = 0
-    retries: int = 0
     gave_up: bool = False
-    last_status: int = 0
 
     def merge(self, other: "RecoveryReport") -> None:
         self.attempts += other.attempts
         self.fault_failures += other.fault_failures
-        self.retries += other.retries
         self.gave_up = other.gave_up
-        self.last_status = other.last_status
 
 
 def plan_reads_stdin(plan: Plan) -> bool:
@@ -89,12 +85,6 @@ def _sink_stream(plan: Plan):
     if final.sink is None:
         return None
     return final.streams.get(final.sink)
-
-
-def _rollback(proc: Process, plan: Plan, staged_path: Optional[str], cwd: str) -> None:
-    unlink_quiet(proc, plan.temp_files, cwd)
-    if staged_path is not None:
-        unlink_quiet(proc, [staged_path], cwd)
 
 
 def _commit(proc: Process, staging: Optional[Collector],
@@ -125,12 +115,11 @@ def execute_plan_transactional(plan: Plan, proc: Process, cwd: str = "/",
     policy = policy or DEFAULT_REGION_POLICY
     report = report if report is not None else RecoveryReport()
     kernel = proc.kernel
-    tracer = getattr(kernel, "tracer", None)
+    ob = kernel.observer
     faults = getattr(kernel, "faults", None)
     if faults is None:
         status = yield from execute_plan(plan, proc, cwd=cwd)
         report.attempts += 1
-        report.last_status = status
         return status
 
     sink_stream = _sink_stream(plan)
@@ -159,29 +148,22 @@ def execute_plan_transactional(plan: Plan, proc: Process, cwd: str = "/",
         finally:
             if sink_path is not None:
                 sink_stream.path = sink_path
-        report.last_status = status
         suspected = status in FAULT_STATUSES or (status != 0 and faults.fired > mark)
-        if tracer is not None:
-            tracer.span("tx", "tx.attempt", attempt_start, kernel.now, proc,
-                        attempt=report.attempts, status=status,
-                        suspected=suspected,
-                        faults_fired=faults.fired - mark)
-        metrics = getattr(kernel, "metrics", None)
-        if metrics is not None:
-            metrics.counter("tx.attempts").inc()
+        if ob is not None:
+            ob.on_tx(kernel.now, proc, "attempt", attempt_start,
+                     attempt=report.attempts, status=status,
+                     suspected=suspected, faults_fired=faults.fired - mark)
         if not suspected:
             yield from _commit(proc, staging, staged_path, sink_path, cwd)
             unlink_quiet(proc, plan.temp_files, cwd)
-            if tracer is not None:
-                tracer.instant("tx", "tx.commit", kernel.now, proc,
-                               attempt=report.attempts, status=status,
-                               sink=tracer.canon_path(sink_path)
-                               if sink_path is not None else "stdout")
-            if metrics is not None:
-                metrics.counter("tx.commits").inc()
+            if ob is not None:
+                ob.on_tx(kernel.now, proc, "commit", attempt=report.attempts,
+                         status=status, sink=sink_path)
             return status
         report.fault_failures += 1
-        _rollback(proc, plan, staged_path, cwd)
+        # roll back: the attempt's temp chunks and its staged sink
+        unlink_quiet(proc, plan.temp_files if staged_path is None
+                     else plan.temp_files + [staged_path], cwd)
         if uses_stdin and stdin_offset is not None:
             stdin_handle.offset = stdin_offset
         retry_no += 1
@@ -189,16 +171,12 @@ def execute_plan_transactional(plan: Plan, proc: Process, cwd: str = "/",
         # elapsed budget (max_elapsed_s) live in the policy, not here
         delay = policy.next_delay(retry_no,
                                   elapsed_s=kernel.now - first_attempt_start)
-        if tracer is not None:
-            tracer.instant("tx", "tx.rollback", kernel.now, proc,
-                           attempt=report.attempts, status=status,
-                           retrying=retryable and delay is not None)
-        if metrics is not None:
-            metrics.counter("tx.rollbacks").inc()
+        if ob is not None:
+            ob.on_tx(kernel.now, proc, "rollback", attempt=report.attempts,
+                     status=status, retrying=retryable and delay is not None)
         if not retryable or delay is None:
             report.gave_up = True
             return status
-        report.retries += 1
         if delay > 0:
             yield from proc.sleep(delay)
 
@@ -230,24 +208,15 @@ def run_region(plan: Plan, proc: Process, cwd: str, category: str, text: str,
     ladder (Jash halves until the width is below 2; PaSh passes None: no
     ladder).  With the ladder exhausted the caller interprets the node —
     sound, since the purity gate admitted the region and every failed
-    attempt was rolled back.  ``category`` (``"jit"``/``"aot"``) prefixes
-    the ``.region`` span, the ``.degrade``/``.fallback`` instants and
-    the ``.degrade_steps``/``.fallbacks`` counters."""
+    attempt was rolled back.  ``category`` (``"jit"``/``"aot"``) names
+    the engine to the observer's region and degrade hooks."""
     kernel = proc.kernel
-    tracer = getattr(kernel, "tracer", None)
-    metrics = getattr(kernel, "metrics", None)
+    ob = kernel.observer
     start = kernel.now
-    snapshot = tracer.region_begin() if tracer is not None else None
+    if ob is not None:
+        ob.on_region_begin(start, proc, category)
     report = RecoveryReport()
-    widths = [plan.width]
-
-    def region_end(degraded, **args):
-        if policy is not None:
-            args["fault_failures"] = report.fault_failures
-            if narrower is not None:
-                args["degraded"] = degraded
-        tracer.region_end(category, f"{category}.region", start, kernel.now,
-                          snapshot, proc, command=text, **args)
+    widths: list = [plan.width]  # the trail, ending in "interpreter"
 
     while True:
         if policy is None:
@@ -259,33 +228,36 @@ def run_region(plan: Plan, proc: Process, cwd: str, category: str, text: str,
         report.merge(rung)
         if not rung.gave_up:
             break
-        if metrics is not None:
-            metrics.counter(f"{category}.fallbacks" if narrower is None
-                            else f"{category}.degrade_steps").inc()
         next_plan = narrower(plan) if narrower is not None else None
-        if tracer is not None:
-            if narrower is None:
-                tracer.instant(category, f"{category}.fallback", kernel.now,
-                               proc, command=text, attempts=report.attempts,
-                               fault_failures=report.fault_failures)
-            else:
-                last = next_plan is None
-                tracer.instant(category, f"{category}.degrade", kernel.now,
-                               proc, command=text, from_width=plan.width,
-                               to="interpreter" if last else next_plan.width,
-                               fault_failures=(report if last
-                                               else rung).fault_failures)
+        if ob is not None and narrower is None:
+            ob.on_degrade(kernel.now, proc, category, "fallback", command=text,
+                          attempts=report.attempts,
+                          fault_failures=report.fault_failures)
+        elif ob is not None:
+            last = next_plan is None
+            ob.on_degrade(kernel.now, proc, category, "degrade", command=text,
+                          from_width=plan.width,
+                          to="interpreter" if last else next_plan.width,
+                          fault_failures=(report if last
+                                          else rung).fault_failures)
         if next_plan is None:
-            degraded = " -> ".join(map(str, widths)) + " -> interpreter"
-            if tracer is not None:
-                region_end(degraded, decision="interpreted", width=widths[0])
-            return RegionRun(None, plan, report, degraded)
+            widths.append("interpreter")
+            status = None
+            break
         plan = next_plan
         widths.append(plan.width)
 
     degraded = " -> ".join(map(str, widths)) if len(widths) > 1 else ""
-    if tracer is not None:
-        region_end(degraded, decision="degraded" if report.fault_failures
-                   else "optimized",
-                   width=plan.width, mode=plan.mode, status=status)
+    if ob is not None:
+        args = ({"decision": "interpreted", "width": widths[0]}
+                if status is None else
+                {"decision": "degraded" if report.fault_failures
+                 else "optimized", "width": plan.width, "mode": plan.mode,
+                 "status": status})
+        if policy is not None:
+            args["fault_failures"] = report.fault_failures
+            if narrower is not None:
+                args["degraded"] = degraded
+        ob.on_region_end(kernel.now, proc, category, start, command=text,
+                         **args)
     return RegionRun(status, plan, report, degraded)

@@ -120,7 +120,7 @@ class DistributedShell:
         retries_box = {"count": 0}
 
         shell = self
-        tracer = getattr(kernel, "tracer", None)
+        ob = kernel.observer
 
         def main(proc: Process):
             # fault injection reapers
@@ -132,16 +132,21 @@ class DistributedShell:
                 yield from proc.spawn(reaper, name=f"reaper:{node_name}")
             staged: dict[str, Collector] = {}
             pending: list[tuple[str, str, list[int], Collector]] = []
-            for path in paths:
-                node_name = placement.assignments[path]
+
+            def dispatch(path, node_name, attempt=0, **failed):
+                """Place a branch; a retry names the node it ``failed_on``."""
                 branch = yield from shell._spawn_branch(
                     proc, stages, path, node_name
                 )
                 yield from shell._arm_watchdog(proc, branch[0], policy)
-                if tracer is not None:
-                    tracer.instant("dshell", "dshell.dispatch", kernel.now,
-                                   proc, path=path, node=node_name, attempt=0)
+                if ob is not None:
+                    ob.on_dshell(kernel.now, proc,
+                                 "retry" if failed else "dispatch", path=path,
+                                 node=node_name, attempt=attempt, **failed)
                 pending.append((path, node_name) + branch)
+
+            for path in paths:
+                yield from dispatch(path, placement.assignments[path])
             attempt = 0
             while pending:
                 failed: list[tuple[str, str]] = []
@@ -174,23 +179,15 @@ class DistributedShell:
                         others = [r for r in replicas if r != bad_node]
                         pool = others or replicas
                         node_name = self.head if self.head in pool else pool[0]
-                        branch = yield from shell._spawn_branch(
-                            proc, stages, path, node_name
-                        )
-                        yield from shell._arm_watchdog(proc, branch[0], policy)
-                        if tracer is not None:
-                            tracer.instant("dshell", "dshell.retry",
-                                           kernel.now, proc, path=path,
-                                           node=node_name, failed_on=bad_node,
-                                           attempt=attempt)
-                        pending.append((path, node_name) + branch)
+                        yield from dispatch(path, node_name, attempt,
+                                            failed_on=bad_node)
             merge_start = kernel.now
             status = yield from shell._merge(proc, staged, paths,
                                              agg_kind, agg_argv, out)
-            if tracer is not None:
-                tracer.span("dshell", "dshell.merge", merge_start, kernel.now,
-                            proc, node=shell.head, branches=len(paths),
-                            agg=agg_kind.name.lower(), status=status)
+            if ob is not None:
+                ob.on_dshell(kernel.now, proc, "merge", merge_start,
+                             node=shell.head, branches=len(paths),
+                             agg=agg_kind.name.lower(), status=status)
             return status
 
         root = kernel.create_process(main, "dshell",

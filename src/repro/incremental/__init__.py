@@ -2,11 +2,11 @@
 specifications + JIT runtime information (paper §4)."""
 
 from .cache import CacheEntry, IncrementalCache
-from .engine import IncEvent, IncrementalConfig, IncrementalOptimizer
+from .engine import IncrementalConfig, IncrementalOptimizer
 from .fingerprint import PrefixHasher, digest, file_fingerprint, region_key
 
 __all__ = [
-    "CacheEntry", "IncrementalCache", "IncEvent", "IncrementalConfig",
+    "CacheEntry", "IncrementalCache", "IncrementalConfig",
     "IncrementalOptimizer", "PrefixHasher", "digest", "file_fingerprint",
     "region_key",
 ]

@@ -28,6 +28,7 @@ from typing import Optional
 
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import AggKind, SpecLibrary
+from ..compiler.decisions import DecisionLog
 from ..compiler.driver import run_phases, unlink_quiet
 from ..compiler.parallel import (
     Plan,
@@ -47,14 +48,6 @@ from ..vos.faults import FAULT_STATUSES
 from ..vos.handles import Collector
 from .cache import CacheEntry, IncrementalCache
 from .fingerprint import PrefixHasher, digest, region_key
-
-
-@dataclass
-class IncEvent:
-    node_text: str
-    decision: str  # "replayed" | "extended" | "computed" | "interpreted"
-    reason: str
-    saved_bytes: int = 0
 
 
 @dataclass
@@ -78,55 +71,52 @@ class IncrementalConfig:
                 f"got {self.delta_verify!r}")
 
 
-class IncrementalOptimizer:
+class IncrementalOptimizer(DecisionLog):
     """Interpreter hook giving scripts make-style, line-level reuse."""
+
+    engine = "inc"
 
     def __init__(self, config: Optional[IncrementalConfig] = None,
                  cache: Optional[IncrementalCache] = None):
+        super().__init__()
         self.config = config or IncrementalConfig()
         self.cache = cache if cache is not None else IncrementalCache()
-        self.events: list[IncEvent] = []
-        #: the metrics registry of the kernel currently executing us
-        #: (refreshed at every try_execute; _note folds decisions in)
-        self._metrics = None
         #: numbers the temp files of aggregator merges
         self._merge_seq = 0
 
     # -- the hook ---------------------------------------------------------------
 
     def try_execute(self, interp, proc, node: Command):
-        self._metrics = getattr(proc.kernel, "metrics", None)
         text, cwd = unparse(node), interp.state.cwd
         stages = pipeline_stages(node)
         if stages is None:
             return None
             yield  # pragma: no cover - generator shape
         if purity_reason(stages) is not None:
-            self._note(text, "interpreted", "unsafe early expansion")
-            return None
+            return self.decide(proc, text, "interpreted",
+                               "unsafe early expansion")
         region = yield from expand_region(interp, proc, stages,
                                           self.config.library)
         # the engine's own rule: a replay opens its sink for truncation
         if region is None or region.stages[-1].stdout_append:
-            self._note(text, "interpreted", "not a dataflow region")
-            return None
+            return self.decide(proc, text, "interpreted",
+                               "not a dataflow region")
         if region.clobbered_input(cwd) is not None:
-            self._note(text, "interpreted", "output sink is also an input")
-            return None
+            return self.decide(proc, text, "interpreted",
+                               "output sink is also an input")
         # a replay writes only the region's stdout
         if not all(s.spec.pure and not s.spec.output_files
                    for s in region.stages):
-            self._note(text, "interpreted", "region not pure")
-            return None
+            return self.decide(proc, text, "interpreted", "region not pure")
         input_files = region_input_files(region, proc.fs, cwd)
         if input_files is None:
-            self._note(text, "interpreted", "input not file-backed")
-            return None
+            return self.decide(proc, text, "interpreted",
+                               "input not file-backed")
         fs = proc.fs
         total = sum(fs.size(p) for p in input_files)
         if total < self.config.min_input_bytes:
-            self._note(text, "interpreted", "input too small to cache")
-            return None
+            return self.decide(proc, text, "interpreted",
+                               "input too small to cache")
 
         argvs = [s.argv for s in region.stages]
         fps = [f"{p}:{fs.size(p)}:{fs.mtime(p):.9f}" for p in input_files]
@@ -145,8 +135,8 @@ class IncrementalOptimizer:
             entry = None
         if entry is not None:
             yield from self._replay(region, proc, entry.output, cwd)
-            self._note(text, "replayed", "inputs unchanged",
-                       saved_bytes=total)
+            self.decide(proc, text, "replayed", "inputs unchanged",
+                        saved_bytes=total)
             return entry.status
 
         prev = self.cache.latest(argv_sig, input_files)
@@ -167,8 +157,8 @@ class IncrementalOptimizer:
             yield from self._replay(region, proc, prev.output, cwd)
             self._store(key, argv_sig, prev.output, prev.status,
                         input_files, fs)
-            self._note(text, "replayed", "content unchanged (digest)",
-                       saved_bytes=total)
+            self.decide(proc, text, "replayed", "content unchanged (digest)",
+                        saved_bytes=total)
             return prev.status
 
         # Snapshot the fault counter: POSIX pipeline status can mask an
@@ -214,9 +204,9 @@ class IncrementalOptimizer:
                 if self._fired(proc) == fired_before:
                     self._store(key, argv_sig, output, status, input_files,
                                 fs, appended_from=old_size)
-                self._note(text, "extended",
-                           f"{reason}: reused {old_size} bytes",
-                           saved_bytes=old_size)
+                self.decide(proc, text, "extended",
+                            f"{reason}: reused {old_size} bytes",
+                            saved_bytes=old_size)
                 return status
             # a fault killed the suffix run or the merge: recompute
 
@@ -226,22 +216,13 @@ class IncrementalOptimizer:
         yield from self._replay(region, proc, output, cwd)
         if self._fired(proc) == fired_before:
             self._store(key, argv_sig, output, status, input_files, fs)
-            self._note(text, "computed", "cache miss; result stored")
+            self.decide(proc, text, "computed", "cache miss; result stored")
         else:
-            self._note(text, "computed", "fault fired mid-region; "
-                                         "result not cached")
+            self.decide(proc, text, "computed",
+                        "fault fired mid-region; result not cached")
         return status
 
     # -- helpers -------------------------------------------------------------------
-
-    def _note(self, text: str, decision: str, reason: str,
-              saved_bytes: int = 0) -> None:
-        self.events.append(IncEvent(text, decision, reason, saved_bytes))
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.counter("inc.decisions", decision=decision).inc()
-            if saved_bytes:
-                metrics.counter("inc.saved_bytes").inc(float(saved_bytes))
 
     def _fired(self, proc) -> int:
         """Total faults the kernel's plan has injected so far (0 when
@@ -250,14 +231,11 @@ class IncrementalOptimizer:
         return plan.fired if plan is not None else 0
 
     def _invalid(self, proc, key: str, reason: str) -> None:
-        """Drop a failed-integrity entry and leave a trace breadcrumb."""
+        """Drop a failed-integrity entry and tell the observer."""
         self.cache.invalidate(key)
-        tracer = getattr(proc.kernel, "tracer", None)
-        if tracer is not None:
-            tracer.instant("inc", "inc.cache_invalid", proc.kernel.now, proc,
-                           key=key[:16], reason=reason)
-        if self._metrics is not None:
-            self._metrics.counter("inc.cache_invalid", reason=reason).inc()
+        ob = proc.kernel.observer
+        if ob is not None:
+            ob.on_cache_invalid(proc.kernel.now, proc, key, reason)
 
     def _store(self, key: str, argv_sig: str, output: bytes, status: int,
                input_files, fs, appended_from: Optional[int] = None) -> None:
@@ -364,8 +342,3 @@ class IncrementalOptimizer:
             yield from proc.close(fd)
         else:
             yield from proc.write(1, output)
-
-    # -- reporting ----------------------------------------------------------------------
-
-    def stats(self) -> dict:
-        return self.cache.stats()

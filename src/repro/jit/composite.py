@@ -8,13 +8,11 @@ class CompositeOptimizer:
     def __init__(self, *hooks):
         self.hooks = [h for h in hooks if h is not None]
 
-    def compile_program(self, program, tracer=None, now: float = 0.0,
-                        metrics=None) -> None:
+    def compile_program(self, program, kernel=None) -> None:
         """Forward the compile-once pass to hooks that preprocess."""
         for hook in self.hooks:
             if hasattr(hook, "compile_program"):
-                hook.compile_program(program, tracer=tracer, now=now,
-                                     metrics=metrics)
+                hook.compile_program(program, kernel)
 
     def try_execute(self, interp, proc, node):
         for hook in self.hooks:

@@ -4,10 +4,9 @@ Every tracer hook folds its measurement into a :class:`ResourceAccounting`
 as it fires, so profiles can answer "where did the time go" without
 post-processing the event list: per-process virtual CPU seconds, disk
 bytes/IOPS/service time, pipe backpressure stalls, child-wait time, and
-network bytes.  Engines (Jash/PaSh/transactional) additionally record
-per-region deltas of the same totals via
-:meth:`~repro.obs.tracer.Tracer.region_begin` /
-:meth:`~repro.obs.tracer.Tracer.region_end`.
+network bytes.  The engines' plan regions additionally record deltas
+of the same totals (the tracer's ``on_region_begin``/``on_region_end``
+hooks).
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ class ProcStats:
     splice_bytes: int = 0       # moved by kernel-side splice pumps
     splice_chunks: int = 0
     pipes_read: set = field(default_factory=set)     # canonical pipe keys
-    pipes_written: set = field(default_factory=set)
     waited_on: set = field(default_factory=set)      # child pids
 
     @property
@@ -81,7 +79,6 @@ class PipeStats:
     readers: set = field(default_factory=set)
     bytes_written: int = 0
     bytes_read: int = 0
-    peak_depth: int = 0
 
 
 @dataclass

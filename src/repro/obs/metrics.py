@@ -125,8 +125,8 @@ class MetricsRegistry(CanonNames):
 
     ``interval`` is the sampling window in virtual seconds.  The kernel
     calls :meth:`on_tick` as the clock advances (one guarded call per
-    event-loop step); engines and the supervisor update instruments
-    through the same get-or-create accessors user code uses.
+    event-loop step); the engine hooks below update instruments through
+    the same get-or-create accessors user code uses.
     """
 
     #: class-wide count of instrument updates ever applied — the
@@ -275,6 +275,70 @@ class MetricsRegistry(CanonNames):
 
     def on_fault(self, now: float, event, op: int) -> None:
         self.counter("faults.fired", kind=event.kind).inc()
+
+    # -- engine hooks --------------------------------------------------------
+
+    def on_decision(self, now: float, proc, record) -> None:
+        if record.engine == "inc":
+            self.counter("inc.decisions", decision=record.decision).inc()
+            if record.saved_bytes:
+                self.counter("inc.saved_bytes").inc(float(record.saved_bytes))
+        elif (record.engine == "jash" and record.decision == "interpreted"
+              and not record.baseline_s):
+            # never costed; on_compile counted the compiled candidates
+            self.counter("jit.decisions", decision="interpreted").inc()
+
+    def on_analysis(self, now: float, engine: str, analysis) -> None:
+        if engine == "jash":  # PaSh's pass is traced, not counted
+            stats = analysis.absint.stats()
+            for name, key in (("nodes", "absint_nodes"),
+                              ("widenings", "absint_widenings"),
+                              ("dead_branches", "dead_branches")):
+                self.counter(f"analysis.absint.{name}").inc(stats[key])
+
+    def on_cert_lookup(self, now: float, proc, text, verdict=None) -> None:
+        self.counter("jit.cert_misses" if verdict is None
+                     else "jit.cert_hits").inc()
+
+    def on_compile(self, now: float, proc, start, text, decision,
+                   _input_bytes) -> None:
+        self.counter("jit.compiles").inc()
+        self.counter("jit.decisions", decision="optimized"
+                     if decision.transformed else "declined").inc()
+
+    def on_region_begin(self, now: float, proc, cat: str) -> None:
+        if cat == "aot":  # Jash counts its plans as jit.compiles
+            self.counter("aot.regions").inc()
+
+    def on_tx(self, now: float, proc, event, *_args, **_kw) -> None:
+        self.counter(f"tx.{event}s").inc()
+
+    def on_degrade(self, now: float, proc, cat, kind, **_args) -> None:
+        self.counter(f"{cat}.degrade_steps" if kind == "degrade"
+                     else f"{cat}.fallbacks").inc()
+
+    def on_cache_invalid(self, now: float, proc, key, reason) -> None:
+        self.counter("inc.cache_invalid", reason=reason).inc()
+
+    def on_supervise(self, now: float, event, start=None, **args) -> None:
+        if event == "round":
+            self.counter("supervise.rounds", engine=args["engine"]).inc()
+            self.counter("supervise.attempts").inc(args["attempts"])
+            self.on_tick(now)
+        elif event == "commit":
+            self.counter("supervise.journal_bytes").inc(args["seg_bytes"])
+            self.counter("supervise.commits", mode=args["mode"]).inc()
+            self.gauge("supervise.checkpoint_age_s").set(args["age_s"])
+            self.gauge("supervise.checkpoint_lag_bytes").set(
+                args["lag_bytes"])
+        else:
+            self.counter("supervise.events", event=event).inc()
+
+    def on_pool_end(self, now: float, delta, *_args) -> None:
+        if delta["regions_dispatched"]:
+            for key, n in delta.items():
+                if n:
+                    self.counter(f"pool.{key}").inc(n)
 
     # -- snapshot / export ---------------------------------------------------
 

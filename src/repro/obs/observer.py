@@ -1,20 +1,23 @@
-"""One observer per kernel event (DESIGN.md §13).
+"""One observer per event (DESIGN.md §13).
 
-The kernel and the fault plan tell each event once, to
+The kernel, the fault plan and the engines tell each event once, to
 ``kernel.observer``: None when no consumer is installed, else an
 :class:`Observer` over the tracer and the metrics registry.
 """
 
 from __future__ import annotations
 
-#: Every kernel and fault-plan event.  Each hook takes the virtual time
-#: first; a consumer defines only the hooks it reads.
+#: Every kernel, fault-plan and engine event.  Each hook takes the
+#: virtual time first; a consumer defines only the hooks it reads.
 HOOKS = (
     "on_dispatch", "on_spawn", "on_exit", "on_cpu_begin", "on_cpu_end",
     "on_cpu_killed", "on_disk_submit", "on_disk_complete", "on_pipe_read",
     "on_pipe_write", "on_pipe_stall_begin", "on_pipe_stall_end",
     "on_splice_begin", "on_splice_chunk", "on_splice_end", "on_wait_edge",
     "on_wait_begin", "on_wait_end", "on_net", "on_tick", "on_fault",
+    "on_decision", "on_analysis", "on_cert_lookup", "on_compile",
+    "on_region_begin", "on_region_end", "on_tx", "on_degrade",
+    "on_cache_invalid", "on_supervise", "on_dshell", "on_pool_end",
 )
 
 

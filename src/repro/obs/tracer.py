@@ -10,8 +10,9 @@ receives callbacks from every layer of the stack:
   ticks, and network sends;
 * :mod:`repro.vos.faults` — every injected fault, inline, with the
   plan's op counter;
-* the engines — Jash JIT compile/decide/degrade, PaSh-AOT regions,
-  transactional attempts/rollbacks/commits, and distributed dispatch.
+* the engines, through the same observer — Jash JIT compile/decide/
+  degrade, PaSh-AOT regions, transactional attempts/rollbacks/commits,
+  supervision, distributed dispatch and the host pool's end of run.
 
 Tracing is **zero-cost when disabled**: no tracer installed means every
 call site is a single ``is not None`` guard and no record object is ever
@@ -79,6 +80,7 @@ class Tracer(CanonNames):
         self._wait: dict[int, tuple[float, int]] = {}     # start, child pid
         self._splice: dict[int, tuple[float, str, list]] = {}  # start, src, dsts
         self._credits_exhausted: set[str] = set()
+        self._region: dict[int, dict[str, float]] = {}  # accounting totals
 
     # -- emission ------------------------------------------------------------------
 
@@ -92,7 +94,7 @@ class Tracer(CanonNames):
         accounting can surface kernel-level counters like dispatches."""
         self.accounting.attach(kernel)
 
-    # -- generic hooks for engine layers ---------------------------------------------
+    # -- record constructors ------------------------------------------------------------
 
     def span(self, cat: str, name: str, start: float, end: float,
              proc=None, **args) -> None:
@@ -112,24 +114,6 @@ class Tracer(CanonNames):
     def counter(self, cat: str, name: str, now: float, node: str = "",
                 **values) -> None:
         self._emit(TraceRecord(name, cat, COUNTER, now, node=node, args=values))
-
-    # -- per-region accounting (engines) ----------------------------------------------
-
-    def region_begin(self) -> dict[str, float]:
-        """Snapshot the accounting totals; pass to :meth:`region_end`."""
-        return self.accounting.totals()
-
-    def region_end(self, cat: str, name: str, start: float, end: float,
-                   snapshot: dict[str, float], proc=None, **args) -> None:
-        """Close a region: emit a span whose args carry the resource
-        delta consumed while the region ran."""
-        totals = self.accounting.totals()
-        delta = {k: totals[k] - snapshot.get(k, 0.0) for k in totals}
-        self.accounting.regions.append(
-            RegionStats(cat, name, start, end, args=dict(args), delta=delta))
-        shown = {k: round(v, 9) for k, v in delta.items()
-                 if k != "processes" and v}
-        self.span(cat, name, start, end, proc=proc, **args, delta=shown)
 
     # -- kernel hooks: processes ---------------------------------------------------------
 
@@ -238,12 +222,8 @@ class Tracer(CanonNames):
         ps = self.accounting.pipe(key)
         ps.writers.add(proc.pid)
         ps.bytes_written += nbytes
-        depth = pipe.size
-        if depth > ps.peak_depth:
-            ps.peak_depth = depth
-        self.accounting.proc(proc).pipes_written.add(key)
         self.counter("pipe", f"pipe.depth:{key}", now, node=proc.node.name,
-                     depth=depth)
+                     depth=pipe.size)
 
     def on_pipe_stall_begin(self, now: float, proc, pipe, kind: str) -> None:
         self._stall[proc.pid] = (now, kind, self.pipe_key(pipe))
@@ -327,6 +307,91 @@ class Tracer(CanonNames):
         self.instant("fault", f"fault.{event.kind}", now,
                      target=self.canon_path(event.target),
                      source=event.source, op=op)
+
+    # -- engine hooks ------------------------------------------------------------------------
+
+    def _fact(self, cat, name, now, proc, start=None, **args) -> None:
+        """An engine fact: a span when it has a ``start``, else an instant."""
+        if start is None:
+            self.instant(cat, name, now, proc, **args)
+        else:
+            self.span(cat, name, start, now, proc, **args)
+
+    def on_decision(self, now: float, proc, record) -> None:
+        # Jash's candidates that ran no plan; other records are not traced
+        if record.engine == "jash" and record.decision == "interpreted" \
+                and not record.degraded:
+            self.instant("jit", "jit.skip", now, proc,
+                         command=record.node_text, reason=record.reason)
+
+    def on_analysis(self, now: float, engine: str, analysis) -> None:
+        tag = {"engine": engine} if engine != "jash" else {}
+        self.instant("analysis", "analysis.run", now, **tag,
+                     **analysis.stats())
+        self.span("analysis", "analysis.absint", now, now, **tag,
+                  **analysis.absint.stats())
+
+    def on_cert_lookup(self, now: float, proc, text, verdict=None) -> None:
+        # a hit's verdict is a thunk: it needs value flow, read only here
+        if verdict is None:
+            self.instant("jit", "jit.cert_miss", now, proc, command=text)
+        else:
+            self.instant("jit", "jit.cert_hit", now, proc, command=text,
+                         verdict=verdict())
+
+    def on_compile(self, now: float, proc, start: float, text: str,
+                   decision, input_bytes: int) -> None:
+        self.span("jit", "jit.compile", start, now, proc, command=text,
+                  transformed=decision.transformed,
+                  width=decision.plan.width if decision.transformed else 1,
+                  input_bytes=input_bytes, reason=decision.reason,
+                  estimate_s=round(decision.estimate.seconds, 6),
+                  baseline_s=round(decision.baseline.seconds, 6))
+
+    def on_region_begin(self, now: float, proc, cat: str) -> None:
+        self._region[proc.pid] = self.accounting.totals()
+
+    def on_region_end(self, now: float, proc, cat, start, **args) -> None:
+        """A span whose args carry the resource delta the region used."""
+        before = self._region.pop(proc.pid)
+        totals = self.accounting.totals()
+        delta = {k: totals[k] - before.get(k, 0.0) for k in totals}
+        self.accounting.regions.append(RegionStats(
+            cat, f"{cat}.region", start, now, args=args, delta=delta))
+        shown = {k: round(v, 9) for k, v in delta.items()
+                 if k != "processes" and v}
+        self.span(cat, f"{cat}.region", start, now, proc, **args,
+                  delta=shown)
+
+    def on_tx(self, now: float, proc, event, start=None, **args) -> None:
+        if "sink" in args:  # a commit's; None is stdout
+            sink = args["sink"]
+            args["sink"] = "stdout" if sink is None else self.canon_path(sink)
+        self._fact("tx", f"tx.{event}", now, proc, start, **args)
+
+    def on_degrade(self, now: float, proc, cat, kind, **args) -> None:
+        self.instant(cat, f"{cat}.{kind}", now, proc, **args)
+
+    def on_cache_invalid(self, now: float, proc, key, reason) -> None:
+        self.instant("inc", "inc.cache_invalid", now, proc, key=key[:16],
+                     reason=reason)
+
+    def on_supervise(self, now: float, event, start=None, **args) -> None:
+        if event != "commit":  # a commit is counted, not traced
+            self._fact("supervise", f"supervise.{event}", now, None, start,
+                       **args)
+
+    def on_dshell(self, now: float, proc, event, start=None, **args) -> None:
+        self._fact("dshell", f"dshell.{event}", now, proc, start, **args)
+
+    def on_pool_end(self, now: float, delta, detect_error, regions) -> None:
+        # no host wall times here: the trace stream, like the metrics
+        # snapshot, must be byte-identical across reruns
+        if detect_error is not None:
+            self.instant("pool", "pool.detect_error", now, error=detect_error)
+        for no, status, nbytes, parts in regions:
+            self.instant("pool", f"region{no}", now, status=status,
+                         bytes=nbytes, parts=parts)
 
 
 def format_record(record: TraceRecord) -> str:

@@ -183,27 +183,13 @@ class HostCoordinator:
                 self._dispatch(state)
 
     def end_run(self, kernel) -> None:
-        """Report the run to its planes: pool counters through the
-        metrics registry (so ``total_updates`` witnesses them), region
-        outcomes to the tracer."""
-        metrics, tracer, now = kernel.metrics, kernel.tracer, kernel.now
-        delta = {k: self.stats[k] - self._mark[k] for k in STATS}
-        if metrics is not None and delta["regions_dispatched"]:
-            for key in STATS[1:]:
-                if delta[key]:
-                    metrics.counter(f"pool.{key}").inc(delta[key])
-        if tracer is not None:
-            if self._detect_error is not None:
-                tracer.instant("pool", "pool.detect_error", now,
-                               error=self._detect_error)
-            for state in self._regions.values():
-                if state.status != PENDING:
-                    # no host wall times here: the trace stream, like the
-                    # metrics snapshot, must be byte-identical across reruns
-                    tracer.instant("pool", f"region{state.no}", now,
-                                   status=state.status,
-                                   bytes=len(state.snapshot),
-                                   parts=len(state.ranges))
+        """Tell the observer the run's pool counters and region outcomes."""
+        ob = kernel.observer
+        if ob is not None:
+            delta = {k: self.stats[k] - self._mark[k] for k in STATS[1:]}
+            ob.on_pool_end(kernel.now, delta, self._detect_error, [
+                (s.no, s.status, len(s.snapshot), len(s.ranges))
+                for s in self._regions.values() if s.status != PENDING])
         self._regions = {}
 
     # -- dispatch ----------------------------------------------------------

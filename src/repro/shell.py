@@ -122,9 +122,7 @@ class Shell:
         if self.optimizer is not None and hasattr(self.optimizer, "compile_program"):
             # compile-once engines (PaSh AOT, Jash static analysis)
             # preprocess the script before it runs
-            self.optimizer.compile_program(program, tracer=self.kernel.tracer,
-                                           now=self.kernel.now,
-                                           metrics=self.kernel.metrics)
+            self.optimizer.compile_program(program, self.kernel)
         if self.persist_state and self._state is not None:
             state = self._state
             if args is not None:

@@ -31,8 +31,8 @@ Failure handling layers, innermost first:
   manifest's restart counter and penalised with exponentially capped
   virtual backoff before the first resumed round.
 
-Everything the supervisor does is visible as ``supervise.*`` tracer
-spans and instants.
+Everything the supervisor does is told to the shell's observer, and
+is visible as ``supervise.*`` tracer spans and instants and metrics.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from ..distributed.retry import RetryPolicy, arm_watchdog
 from ..incremental import IncrementalConfig, IncrementalOptimizer
 from ..jit.composite import CompositeOptimizer
 from ..jit.engine import JashConfig, JashOptimizer
+from ..obs.observer import observer
 from ..shell import Shell
 from ..vos.process import DONE
 from .checkpoint import load_cache, load_manifest, save_cache, save_manifest
@@ -150,6 +151,8 @@ class Supervisor:
             delta_verify=config.delta_verify))
         self.shell: Optional[Shell] = None
         self.reports: list[RoundReport] = []
+        #: every engine that decided for a round, for ``run --report``
+        self.logs: list = [self._inc]
         self.ladder_level = 0
         self.round = 0
         self.resume_backoff_s = 0.0
@@ -173,6 +176,7 @@ class Supervisor:
         width = 2 if level == "jash-narrow" else None
         jash = JashOptimizer(JashConfig(optimizer=OptimizerConfig(
             min_input_bytes=self.config.min_input_bytes, max_width=width)))
+        self.logs.append(jash)
         return CompositeOptimizer(self._inc, jash)
 
     def _ensure_shell(self) -> Shell:
@@ -187,14 +191,14 @@ class Supervisor:
                                       mtime=self.shell.kernel.now)
         return self.shell
 
-    def _instant(self, name: str, **args) -> None:
-        tracer = self.shell.tracer if self.shell is not None else None
-        if tracer is not None:
-            tracer.instant("supervise", name, self.shell.kernel.now, **args)
-        metrics = self.config.metrics
-        if metrics is not None:
-            metrics.counter("supervise.events",
-                            event=name.split(".", 1)[-1]).inc()
+    def _tell(self, event: str, start=None, **args) -> None:
+        """Tell the shell's observer (no shell yet: the registry alone)."""
+        shell = self.shell
+        ob = (shell.kernel.observer if shell is not None
+              else observer(None, self.config.metrics))
+        if ob is not None:
+            now = shell.kernel.now if shell is not None else 0.0
+            ob.on_supervise(now, event, start, **args)
 
     def _sleep(self, delay: float) -> None:
         """Advance virtual time (backoff lives on the vOS clock)."""
@@ -228,7 +232,7 @@ class Supervisor:
         for path in staged:
             shell.fs.unlink(path)
         if staged:
-            self._instant("supervise.reseal", count=len(staged))
+            self._tell("reseal", count=len(staged))
         return len(staged)
 
     # -- one round ------------------------------------------------------------------
@@ -244,16 +248,9 @@ class Supervisor:
         result = self._attempt_with_recovery(report)
         report.status = result.status
         self._commit(result.stdout, report, crash)
-        if shell.tracer is not None:
-            shell.tracer.span("supervise", "supervise.round", start,
-                              shell.kernel.now, round=report.round,
-                              engine=report.engine, attempts=report.attempts,
-                              committed=report.committed, mode=report.mode)
-        metrics = self.config.metrics
-        if metrics is not None:
-            metrics.counter("supervise.rounds", engine=report.engine).inc()
-            metrics.counter("supervise.attempts").inc(report.attempts)
-            metrics.on_tick(shell.kernel.now)
+        self._tell("round", start, round=report.round, engine=report.engine,
+                   attempts=report.attempts, committed=report.committed,
+                   mode=report.mode)
         self.reports.append(report)
         self.round += 1
         return report
@@ -285,16 +282,16 @@ class Supervisor:
                 # death (the killed stage's status is not the pipeline's)
                 # — a clean exit during which faults fired is suspect;
                 # never commit it.  The storm budget bounds this loop.
-                self._instant("supervise.suspect", round=report.round,
-                              fired=fired, engine=self.engine)
+                self._tell("suspect", round=report.round, fired=fired,
+                           engine=self.engine)
             report.resealed += self._reseal()
             retry_no += 1
             delay = policy.next_delay(retry_no,
                                       elapsed_s=shell.kernel.now - first_start)
             if delay is not None:
-                self._instant("supervise.retry", round=report.round,
-                              retry=retry_no, status=result.status,
-                              delay_s=delay, engine=self.engine)
+                self._tell("retry", round=report.round, retry=retry_no,
+                           status=result.status, delay_s=delay,
+                           engine=self.engine)
                 self._sleep(delay)
                 continue
             # budget exhausted at this rung: degrade and start over
@@ -304,8 +301,8 @@ class Supervisor:
                     f"({' -> '.join(LADDER)}) exhausted its retry budget "
                     f"(last status {result.status})")
             self.ladder_level += 1
-            self._instant("supervise.degrade", round=report.round,
-                          engine=self.engine, status=result.status)
+            self._tell("degrade", round=report.round, engine=self.engine,
+                       status=result.status)
             shell.optimizer = self._make_optimizer(self.engine)
             retry_no = 0
             first_start = shell.kernel.now
@@ -341,17 +338,12 @@ class Supervisor:
         report.output_len = len(output)
         report.mode = mode
         report.committed = True
-        metrics = self.config.metrics
-        if metrics is not None:
-            now = self.shell.kernel.now if self.shell is not None else 0.0
-            metrics.counter("supervise.journal_bytes").inc(len(seg))
-            metrics.counter("supervise.commits", mode=mode).inc()
-            metrics.gauge("supervise.checkpoint_age_s").set(
-                now - self._last_commit_t)
-            metrics.gauge("supervise.checkpoint_lag_bytes").set(
-                self._fed - self._last_commit_offset)
-            self._last_commit_t = now
-            self._last_commit_offset = self._fed
+        now = self.shell.kernel.now if self.shell is not None else 0.0
+        self._tell("commit", mode=mode, seg_bytes=len(seg),
+                   age_s=now - self._last_commit_t,
+                   lag_bytes=self._fed - self._last_commit_offset)
+        self._last_commit_t = now
+        self._last_commit_offset = self._fed
         if where == "post-commit":
             raise SimulatedCrash(f"round {report.round}: crash after commit")
 
@@ -385,10 +377,9 @@ class Supervisor:
             "restarts_without_progress": stuck,
         })
         self._ensure_shell()
-        self._instant("supervise.resume", records=repairs["records"],
-                      torn_tail_bytes=repairs["torn_tail_bytes"],
-                      orphan_segs=repairs["orphan_segs"],
-                      input_offset=self._fed)
+        self._tell("resume", records=repairs["records"],
+                   torn_tail_bytes=repairs["torn_tail_bytes"],
+                   orphan_segs=repairs["orphan_segs"], input_offset=self._fed)
         self.resume_backoff_s = 0.0
         if stuck >= self.config.crash_loop_threshold:
             backoff = min(
@@ -396,8 +387,7 @@ class Supervisor:
                 self.config.crash_loop_base_s
                 * 2.0 ** (stuck - self.config.crash_loop_threshold))
             self.resume_backoff_s = backoff
-            self._instant("supervise.crash_loop", restarts=stuck,
-                          backoff_s=backoff)
+            self._tell("crash_loop", restarts=stuck, backoff_s=backoff)
             self._sleep(backoff)
         repairs["restarts_without_progress"] = stuck
         repairs["backoff_s"] = self.resume_backoff_s

@@ -466,9 +466,18 @@ class TestProfileFeedback:
     def test_engine_counters(self):
         reg = MetricsRegistry()
         _result, optimizer, shell = self.run_jit(metrics=reg)
-        # every decision is counted (some skip paths count without
-        # appending a JitEvent, so >=)
-        assert reg.sum_by_name("jit.decisions") >= len(optimizer.events)
+        # one count per candidate, under the JIT's verdict: declined and
+        # optimized candidates were costed (they carry a baseline), the
+        # interpreted ones never reached the cost model
+        events = optimizer.events
+        assert reg.sum_by_name("jit.decisions") == len(events)
+        assert reg.value("jit.decisions", decision="interpreted") == sum(
+            not e.baseline_s for e in events)
+        assert reg.value("jit.decisions", decision="declined") == sum(
+            e.baseline_s > 0 and e.decision == "interpreted"
+            and not e.degraded for e in events) > 0
+        assert reg.value("jit.decisions", decision="optimized") == \
+            optimizer.optimized_count
         assert reg.value("jit.compiles") >= 1
         assert (reg.value("jit.cert_hits") + reg.value("jit.cert_misses")
                 ) > 0

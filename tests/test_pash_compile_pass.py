@@ -64,5 +64,5 @@ class TestCompositeForwarding:
         pash = PashOptimizer()
         combo = CompositeOptimizer(None, pash)
         combo.compile_program(parse("cat /f | sort"))
-        assert pash._compiled
+        assert pash.analysed
         assert len(pash._approved) == 1

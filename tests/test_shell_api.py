@@ -187,6 +187,66 @@ class TestCli:
             assert cli_main(["run", "-c", "true", "--machine", name]) == 0
 
 
+#: ``jash run --report`` for a 200 000-line input: the decisions each
+#: engine made, one renderer over the decision record for all three
+REPORT_SCRIPT = "cat /in.txt | grep 1 | wc -l; cat /in.txt | sort -n > /o.txt"
+REPORTS = {
+    "jash": """\
+[static analysis] 5 certificate hits, 0 misses (hit rate 100%)
+[interpreted] cat /in.txt | grep 1 | wc -l
+              no candidate beat the baseline margin
+[interpreted] grep 1
+              input is not file-backed (size unknown)
+[interpreted] wc -l
+              input is not file-backed (size unknown)
+[interpreted] cat /in.txt
+              no candidate beat the baseline margin
+[  optimized] cat /in.txt | sort -n >/o.txt
+              estimated 0.19s vs baseline 0.51s
+              plan: width=4 mode=rr run=[0:2] agg=sort_merge
+""",
+    "pash": """\
+[static analysis] 2 certificate hits, 0 misses (hit rate 100%)
+[  optimized] cat /in.txt | grep 1 | wc -l
+              fixed width 8
+              plan: width=8 mode=materialize run=[0:3] agg=sum
+[  optimized] cat /in.txt | sort -n >/o.txt
+              fixed width 8
+              plan: width=8 mode=materialize run=[0:2] agg=sort_merge
+""",
+}
+
+
+class TestRunReport:
+    @pytest.fixture
+    def numbers(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"".join(b"%d\n" % i for i in range(200000)))
+        return path
+
+    @pytest.mark.parametrize("engine", sorted(REPORTS))
+    def test_every_engine_reports(self, engine, numbers, capsys):
+        assert cli_main(["run", "--engine", engine, "--report", "--file",
+                         f"{numbers}:/in.txt", "-c", REPORT_SCRIPT]) == 0
+        err = capsys.readouterr().err
+        assert err[err.index("[static analysis]"):] == REPORTS[engine]
+
+    def test_supervised_rounds_report(self, tmp_path, capsys):
+        assert cli_main(["run", "--supervise", "--checkpoint",
+                         str(tmp_path / "ck"), "--rounds", "2", "--report",
+                         "-c", "cat /stream.log | tr a-z A-Z"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[err.index("[engine inc]"):] == [
+            "[engine inc]",
+            "[   computed] cat /stream.log | tr a-z A-Z",
+            "              cache miss; result stored",
+            "[   extended] cat /stream.log | tr a-z A-Z",
+            "              append-only delta: reused 65555 bytes",
+            "[engine jash]",
+            "[static analysis] 0 certificate hits, 0 misses (hit rate 0%)",
+        ]
+
+
 class TestCliTypedFailures:
     """`jash run/stat/profile` end in a one-line `jash:` diagnostic and a
     documented status, never a traceback."""
