@@ -63,7 +63,7 @@ def make_optimizer(engine: str):
     if engine == "bash":
         return None
     if engine == "pash-tx":
-        return PashOptimizer(PashConfig(width=4, transactional=True))
+        return PashOptimizer(PashConfig(width=4))
     if engine == "jash-tx":
         return JashOptimizer(JashConfig(optimizer=opt_config))
     raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")

@@ -109,7 +109,7 @@ def make_supervisor(root: str, script: str, seed: int, faults=None):
     config = SuperviseConfig(
         script=script, checkpoint_dir=root, machine=fast_machine(),
         min_input_bytes=16, faults=faults,
-        policy=RetryPolicy(max_retries=6))
+        policy=RetryPolicy(max_retries=6, timeout_s=120.0))
     return Supervisor(config, SyntheticSource(seed=seed))
 
 

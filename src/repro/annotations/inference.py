@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from ..commands.base import UsageError, lookup, parse_args
 from ..vos.handles import Collector, StringSource
@@ -97,13 +97,6 @@ class InferenceResult:
     aggregator: Optional[Aggregator] = None
     trials: int = 0
     evidence: list[str] = field(default_factory=list)
-
-    def agrees_with(self, spec: InstanceSpec) -> bool:
-        """Inference result consistent with a hand-written spec?  An
-        inferred STATELESS for a spec'd PARALLELIZABLE_PURE counts as a
-        disagreement; NON_PARALLELIZABLE inferred for a parallelizable
-        spec is the dangerous direction."""
-        return self.par_class is spec.par_class
 
 
 #: candidate aggregators tried, most-specific first

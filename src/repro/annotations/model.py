@@ -144,9 +144,6 @@ class SpecLibrary:
             return None
         return spec.classify(args)
 
-    def known_commands(self) -> list[str]:
-        return sorted(self._specs)
-
     def __contains__(self, name: str) -> bool:
         return name in self._specs
 

@@ -21,13 +21,12 @@ from typing import Optional
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import SpecLibrary
 from ..dfg.from_ast import Region, extract_region
-from ..distributed.retry import RetryPolicy
 from ..parser.ast_nodes import Command, Pipeline, SimpleCommand
 from ..parser.unparse import unparse
 from .decisions import DecisionLog
 from .driver import fs_file_sizes
 from .parallel import parallelize
-from .transactional import DEFAULT_REGION_POLICY, run_region
+from .transactional import UNREPLAYABLE, run_region
 
 
 _NOT_EXTRACTABLE = ("region not extractable ahead-of-time (dynamic words, "
@@ -40,12 +39,6 @@ class PashConfig:
     #: split modes in preference order; materialize first (batch PaSh)
     modes: tuple[str, ...] = ("materialize", "rr")
     library: SpecLibrary = field(default_factory=lambda: DEFAULT_LIBRARY)
-    #: execute plans transactionally and fall back to interpretation when
-    #: retries are exhausted ("PaSh-AOT-with-fallback").  Unlike Jash,
-    #: the resource-oblivious AOT compiler has no width ladder: it goes
-    #: straight from its fixed width to the interpreter.
-    transactional: bool = False
-    retry: RetryPolicy = DEFAULT_REGION_POLICY
 
 
 class PashOptimizer(DecisionLog):
@@ -145,9 +138,7 @@ class PashOptimizer(DecisionLog):
                                "no applicable split mode")
         # no width ladder: the resource-oblivious compiler goes straight
         # from its fixed width to the interpreter
-        run = yield from run_region(
-            plan, proc, interp.state.cwd, "aot", text,
-            policy=self.config.retry if self.config.transactional else None)
+        run = yield from run_region(plan, proc, interp.state.cwd, "aot", text)
         faulted = run.report.fault_failures
         if run.status is None:
             return self.decide(proc, text, "interpreted",
@@ -156,6 +147,7 @@ class PashOptimizer(DecisionLog):
                                plan_description=plan.description,
                                fault_failures=faulted)
         self.decide(proc, text, "degraded" if faulted else "optimized",
+                    UNREPLAYABLE if run.report.unreplayable else
                     f"fixed width {self.config.width}"
                     + (f", {faulted} fault-suspected attempts "
                        "rolled back" if faulted else ""),

@@ -20,13 +20,17 @@ A failure is *fault-suspected* when the plan's status is 74
 the kernel's :class:`~repro.vos.faults.FaultPlan` recorded new firings
 during a non-zero attempt.  Suspected attempts are rolled back (staged
 output and temp chunk files unlinked, region stdin rewound) and
-re-executed under a :class:`~repro.distributed.retry.RetryPolicy` —
-the same policy vocabulary the distributed shell uses.
+re-executed under :data:`DEFAULT_REGION_POLICY`, a
+:class:`~repro.distributed.retry.RetryPolicy` — the same policy
+vocabulary the distributed shell and the supervisor use.  A region fed
+by a pipe cannot rewind its stdin: its failed attempt ends the region
+with the fault status.
 
-Staging is only engaged when a fault plan is installed on the kernel;
-without one the executor is byte-for-byte the plain
-:func:`~repro.compiler.driver.execute_plan` (so fault-free workloads
-pay nothing, and nested regions keep streaming into their consumers).
+Both engines run every region through here.  Staging is only engaged
+when a fault plan is installed on the kernel; without one the executor
+is byte-for-byte the plain :func:`~repro.compiler.driver.execute_plan`
+(so fault-free workloads pay nothing, and nested regions keep
+streaming into their consumers).
 stderr is never staged: diagnostics stream through even from attempts
 that are later rolled back, like a real shell re-running a job.
 """
@@ -44,11 +48,15 @@ from ..vos.process import Process
 from .driver import execute_plan, run_phases, unlink_quiet
 from .parallel import Plan
 
-#: default policy for region re-execution: two retries, no virtual-time
+#: the one policy for region re-execution: two retries, no virtual-time
 #: backoff (the vOS clock should not drift for fault-free comparisons)
 DEFAULT_REGION_POLICY = RetryPolicy(max_retries=2)
 
 STAGED_SUFFIX = ".staged"
+
+#: the decision reason when a fault ends a region that read piped stdin
+UNREPLAYABLE = ("fault in an attempt reading piped stdin: the bytes are "
+                "gone, so the region fails with the fault status")
 
 
 @dataclass
@@ -58,11 +66,15 @@ class RecoveryReport:
     attempts: int = 0
     fault_failures: int = 0
     gave_up: bool = False
+    #: the failed attempt read piped stdin it cannot rewind: no retry,
+    #: no narrower rung and no interpreter run can see those bytes again
+    unreplayable: bool = False
 
     def merge(self, other: "RecoveryReport") -> None:
         self.attempts += other.attempts
         self.fault_failures += other.fault_failures
         self.gave_up = other.gave_up
+        self.unreplayable = other.unreplayable
 
 
 def plan_reads_stdin(plan: Plan) -> bool:
@@ -103,16 +115,17 @@ def _commit(proc: Process, staging: Optional[Collector],
 
 
 def execute_plan_transactional(plan: Plan, proc: Process, cwd: str = "/",
-                               policy: Optional[RetryPolicy] = None,
                                report: Optional[RecoveryReport] = None):
-    """Run ``plan`` with staged output and fault retry.
+    """Run ``plan`` with staged output and fault retry under
+    :data:`DEFAULT_REGION_POLICY`.
 
     A vOS sub-generator (drive with ``yield from``).  Returns the exit
     status of the last attempt; ``report.gave_up`` tells the caller
     (Jash's degradation ladder, PaSh's fallback) that the retry budget
-    is exhausted and the plan is still faulting.
+    is exhausted and the plan is still faulting, and
+    ``report.unreplayable`` that the attempt drained piped stdin, so
+    nothing may run the region again.
     """
-    policy = policy or DEFAULT_REGION_POLICY
     report = report if report is not None else RecoveryReport()
     kernel = proc.kernel
     ob = kernel.observer
@@ -169,13 +182,14 @@ def execute_plan_transactional(plan: Plan, proc: Process, cwd: str = "/",
         retry_no += 1
         # the unified retry decision point: counts AND the virtual
         # elapsed budget (max_elapsed_s) live in the policy, not here
-        delay = policy.next_delay(retry_no,
-                                  elapsed_s=kernel.now - first_attempt_start)
+        delay = DEFAULT_REGION_POLICY.next_delay(
+            retry_no, elapsed_s=kernel.now - first_attempt_start)
         if ob is not None:
             ob.on_tx(kernel.now, proc, "rollback", attempt=report.attempts,
                      status=status, retrying=retryable and delay is not None)
         if not retryable or delay is None:
             report.gave_up = True
+            report.unreplayable = not retryable
             return status
         if delay > 0:
             yield from proc.sleep(delay)
@@ -197,19 +211,21 @@ class RegionRun:
 
 
 def run_region(plan: Plan, proc: Process, cwd: str, category: str, text: str,
-               policy: Optional[RetryPolicy] = None, narrower=None):
+               narrower=None):
     """The one "run ``plan`` for this region" routine behind both
     engines' ``try_execute`` (a vOS sub-generator; returns a
     :class:`RegionRun`).
 
-    ``policy`` None runs the plain :func:`execute_plan`; otherwise the
-    plan runs transactionally under ``policy`` and, each time that gives
-    up, ``narrower(plan)`` supplies the next rung of the caller's width
+    The plan runs transactionally and, each time that gives up,
+    ``narrower(plan)`` supplies the next rung of the caller's width
     ladder (Jash halves until the width is below 2; PaSh passes None: no
     ladder).  With the ladder exhausted the caller interprets the node —
     sound, since the purity gate admitted the region and every failed
-    attempt was rolled back.  ``category`` (``"jit"``/``"aot"``) names
-    the engine to the observer's region and degrade hooks."""
+    attempt was rolled back.  An attempt that drained piped stdin cannot
+    be rolled back that far: the region ends with that attempt's fault
+    status, with no rung and no interpreter run over the emptied pipe.
+    ``category`` (``"jit"``/``"aot"``) names the engine to the
+    observer's region and degrade hooks."""
     kernel = proc.kernel
     ob = kernel.observer
     start = kernel.now
@@ -219,14 +235,11 @@ def run_region(plan: Plan, proc: Process, cwd: str, category: str, text: str,
     widths: list = [plan.width]  # the trail, ending in "interpreter"
 
     while True:
-        if policy is None:
-            status = yield from execute_plan(plan, proc, cwd=cwd)
-            break
         rung = RecoveryReport()
-        status = yield from execute_plan_transactional(
-            plan, proc, cwd=cwd, policy=policy, report=rung)
+        status = yield from execute_plan_transactional(plan, proc, cwd=cwd,
+                                                       report=rung)
         report.merge(rung)
-        if not rung.gave_up:
+        if not rung.gave_up or rung.unreplayable:
             break
         next_plan = narrower(plan) if narrower is not None else None
         if ob is not None and narrower is None:
@@ -254,10 +267,9 @@ def run_region(plan: Plan, proc: Process, cwd: str, category: str, text: str,
                 {"decision": "degraded" if report.fault_failures
                  else "optimized", "width": plan.width, "mode": plan.mode,
                  "status": status})
-        if policy is not None:
-            args["fault_failures"] = report.fault_failures
-            if narrower is not None:
-                args["degraded"] = degraded
+        args["fault_failures"] = report.fault_failures
+        if narrower is not None:
+            args["degraded"] = degraded
         ob.on_region_end(kernel.now, proc, category, start, command=text,
                          **args)
     return RegionRun(status, plan, report, degraded)

@@ -4,11 +4,10 @@ data-aware placement over a simulated cluster."""
 from .cluster import Cluster, Network
 from .dshell import DistributedError, DistributedResult, DistributedShell
 from .placement import Placement, PlacementError, bytes_moved, central, data_aware
-from .retry import NO_RETRY, RetryPolicy, policy_from_max_retries
+from .retry import RetryPolicy
 
 __all__ = [
     "Cluster", "Network", "DistributedError", "DistributedResult",
     "DistributedShell", "Placement", "PlacementError", "bytes_moved",
-    "central", "data_aware", "NO_RETRY", "RetryPolicy",
-    "policy_from_max_retries",
+    "central", "data_aware", "RetryPolicy",
 ]

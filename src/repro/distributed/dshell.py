@@ -16,7 +16,7 @@ aggregator, and failed branches are retried on surviving replicas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..annotations.library import DEFAULT_LIBRARY
@@ -29,8 +29,8 @@ from ..vos.faults import FAULT_STATUSES
 from ..vos.handles import Collector, NullHandle, StringSource, make_pipe
 from ..vos.process import CHUNK, Process
 from .cluster import Cluster
-from .placement import Placement, PlacementError, central, data_aware
-from .retry import RetryPolicy, policy_from_max_retries, spawn_watchdog
+from .placement import Placement, central, data_aware
+from .retry import RetryPolicy, watchdog
 
 
 @dataclass
@@ -92,22 +92,19 @@ class DistributedShell:
     def run(self, pipeline_text: str, paths: list[str],
             strategy: str = "data-aware",
             selectivity: float = 1.0,
-            max_retries: int = 1,
-            retry: Optional[RetryPolicy] = None,
+            retry: RetryPolicy = RetryPolicy(max_retries=1),
             fail: Optional[dict[str, float]] = None) -> DistributedResult:
         """Execute the chain over ``paths`` across the cluster.
 
         ``retry`` is the :class:`RetryPolicy` governing failed branches
         (backoff delays, retry budget, optional per-attempt timeout
-        watchdog); ``max_retries`` is the legacy shorthand for
-        ``RetryPolicy(max_retries=N)``.  ``fail`` maps node names to
-        virtual times at which they crash (fault injection for the
-        recovery experiments); injected vOS faults (a ``FaultPlan`` on
-        the cluster kernel) are detected the same way, via the branch
-        exit statuses 137 (crash) and 74 (injected I/O error).
+        watchdog).  ``fail`` maps node names to virtual times at which
+        they crash (fault injection for the recovery experiments);
+        injected vOS faults (a ``FaultPlan`` on the cluster kernel) are
+        detected the same way, via the branch exit statuses 137 (crash)
+        and 74 (injected I/O error).
         """
         stages, (agg_kind, agg_argv) = self.parse_chain(pipeline_text)
-        policy = retry if retry is not None else policy_from_max_retries(max_retries)
         cluster = self.cluster
         kernel = cluster.kernel
         if strategy == "central":
@@ -138,7 +135,11 @@ class DistributedShell:
                 branch = yield from shell._spawn_branch(
                     proc, stages, path, node_name
                 )
-                yield from shell._arm_watchdog(proc, branch[0], policy)
+                if retry.timeout_s is not None:
+                    # a stalled branch (e.g. a disk brown-out) surfaces
+                    # as status 137 and is retried like any other failure
+                    yield from proc.spawn(watchdog(retry.timeout_s, branch[0]),
+                                          name="watchdog")
                 if ob is not None:
                     ob.on_dshell(kernel.now, proc,
                                  "retry" if failed else "dispatch", path=path,
@@ -163,8 +164,8 @@ class DistributedShell:
                 pending = []
                 if failed:
                     attempt += 1
-                    delay = policy.next_delay(attempt,
-                                              elapsed_s=kernel.now - start)
+                    delay = retry.next_delay(attempt,
+                                             elapsed_s=kernel.now - start)
                     if delay is None:
                         return 1
                     if delay > 0:
@@ -201,20 +202,6 @@ class DistributedShell:
             retries=retries_box["count"],
             placement=placement,
         )
-
-    # -- watchdog ------------------------------------------------------------------
-
-    def _arm_watchdog(self, proc: Process, pids: list[int], policy: RetryPolicy):
-        """When the policy sets a timeout, arm the shared retry-layer
-        watchdog (:func:`repro.distributed.retry.spawn_watchdog`) over
-        the branch's processes — a stalled branch (e.g. a disk
-        brown-out) then surfaces as status 137 and is retried like any
-        other failure."""
-        if policy.timeout_s is None:
-            return
-            yield  # pragma: no cover - keep generator shape
-        yield from spawn_watchdog(proc, self.cluster.kernel, pids,
-                                  policy.timeout_s)
 
     # -- branch construction -------------------------------------------------------
 

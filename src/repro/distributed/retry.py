@@ -2,20 +2,17 @@
 
 One policy vocabulary shared by every recovery layer: the distributed
 shell re-runs failed per-file branches under a :class:`RetryPolicy`,
-and the transactional region executor
-(:mod:`repro.compiler.transactional`) re-runs rolled-back dataflow
-plans under the same object.  This replaces dshell's ad-hoc attempt
-counting.
+the transactional region executor (:mod:`repro.compiler.transactional`)
+re-runs rolled-back dataflow plans under the same object, and the
+supervisor re-runs faulted rounds and backs off crash loops with it.
 
 Delays are *virtual* seconds (slept on the vOS clock) and default to
-zero so fault-free timings are unchanged; backoff is exponential with
-a cap and optional deterministic jitter (seeded, so fault schedules
-stay reproducible).
+zero so fault-free timings are unchanged; backoff doubles per retry up
+to a cap.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,116 +22,68 @@ class RetryPolicy:
     """How (and whether) to re-execute failed work.
 
     ``max_retries`` counts *re*-executions: 2 means up to three total
-    attempts.  ``timeout_s`` arms a watchdog over each attempt where
-    the caller supports one (dshell branches); ``None`` disables it.
+    attempts.  ``timeout_s`` arms a :func:`watchdog` over each attempt
+    (dshell branches, supervised rounds); ``None`` disables it.
     """
 
     max_retries: int = 2
     base_delay_s: float = 0.0
-    backoff: float = 2.0
     max_delay_s: float = 1.0
-    jitter: float = 0.0  # fraction of the delay, drawn deterministically
-    seed: int = 0
     timeout_s: Optional[float] = None
     #: total virtual seconds (attempt time + backoff) after which no
     #: further retry is started; None = unbounded
     max_elapsed_s: Optional[float] = None
 
-    def should_retry(self, retry_index: int,
-                     elapsed_s: float = 0.0) -> bool:
-        """May we start re-execution number ``retry_index`` (1-based)?
-        ``elapsed_s`` is virtual time spent since the first attempt
-        began — once it exceeds ``max_elapsed_s`` the budget is gone
-        regardless of the retry count."""
-        if not 1 <= retry_index <= self.max_retries:
-            return False
-        if self.max_elapsed_s is not None and elapsed_s >= self.max_elapsed_s:
-            return False
-        return True
-
     def delay(self, retry_index: int) -> float:
-        """Virtual seconds to back off before re-execution ``retry_index``."""
+        """Virtual seconds to back off before re-execution ``retry_index``
+        (1-based): ``base_delay_s`` doubled per retry, capped at
+        ``max_delay_s``."""
         if self.base_delay_s <= 0.0 or retry_index < 1:
             return 0.0
-        d = min(self.max_delay_s,
-                self.base_delay_s * self.backoff ** (retry_index - 1))
-        if self.jitter > 0.0:
-            rng = random.Random(self.seed * 1_000_003 + retry_index)
-            d *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return max(0.0, d)
+        return min(self.max_delay_s,
+                   self.base_delay_s * 2.0 ** (retry_index - 1))
 
     def next_delay(self, retry_index: int,
                    elapsed_s: float = 0.0) -> Optional[float]:
         """The single retry decision point: ``None`` means give up
         (count or elapsed budget exhausted), otherwise the virtual
-        backoff before re-execution ``retry_index``.  Every recovery
-        layer (transactional regions, dshell branches, the supervisor)
-        must route its loop through here rather than hand-rolling
-        sleep/attempt arithmetic."""
-        if not self.should_retry(retry_index, elapsed_s):
+        backoff before re-execution ``retry_index`` (1-based).
+        ``elapsed_s`` is virtual time spent since the first attempt
+        began.  Every recovery layer (transactional regions, dshell
+        branches, the supervisor) routes its loop through here rather
+        than hand-rolling sleep/attempt arithmetic."""
+        if not 1 <= retry_index <= self.max_retries:
             return None
-        d = self.delay(retry_index)
-        if self.max_elapsed_s is not None:
-            # never sleep past the elapsed budget
-            d = min(d, max(0.0, self.max_elapsed_s - elapsed_s))
-        return d
-
-    def attempts(self) -> int:
-        """Total executions allowed (first try + retries)."""
-        return 1 + max(0, self.max_retries)
+        if self.max_elapsed_s is None:
+            return self.delay(retry_index)
+        if elapsed_s >= self.max_elapsed_s:
+            return None
+        # never sleep past the elapsed budget
+        return min(self.delay(retry_index), self.max_elapsed_s - elapsed_s)
 
 
-NO_RETRY = RetryPolicy(max_retries=0)
-
-
-def policy_from_max_retries(max_retries: int) -> RetryPolicy:
-    """Adapter for the legacy ``max_retries=N`` keyword arguments."""
-    return RetryPolicy(max_retries=max(0, max_retries))
-
-
-def spawn_watchdog(proc, kernel, pids, timeout_s: Optional[float],
-                   name: str = "watchdog"):
-    """Arm a virtual-time watchdog over ``pids`` (generator; use with
-    ``yield from``).  After ``timeout_s`` virtual seconds any still-
-    running victim is SIGKILLed (status 137), so a stalled branch or
-    region surfaces as an ordinary fault-suspected failure and is
-    retried by whatever :class:`RetryPolicy` loop owns it.  This is the
-    one watchdog implementation shared by dshell and the supervisor.
-    No-op when ``timeout_s`` is None."""
-    if timeout_s is None:
-        return None
+def watchdog(timeout_s: float, pids=None):
+    """The body of a virtual-time watchdog process: after ``timeout_s``
+    virtual seconds it SIGKILLs (status 137) each still-running process
+    in ``pids`` — or, when ``pids`` is None, every other live process.
+    A stalled branch or run then surfaces as an ordinary fault-suspected
+    failure, retried by whatever :class:`RetryPolicy` loop owns it.
+    The caller spawns it (``proc.spawn`` from inside a vOS process,
+    ``kernel.create_process`` from the host) and may disarm it with
+    ``kernel.kill_process`` once the guarded work finished."""
     from ..vos.process import DONE
 
-    def watchdog(wproc, pids=tuple(pids), timeout=timeout_s):
-        yield from wproc.sleep(timeout)
-        for pid in pids:
-            victim = kernel.processes.get(pid)
-            if victim is not None and victim.state != DONE:
+    pids = tuple(pids) if pids is not None else None
+
+    def body(wproc):
+        yield from wproc.sleep(timeout_s)
+        kernel = wproc.kernel
+        victims = ([kernel.processes.get(pid) for pid in pids]
+                   if pids is not None else list(kernel.processes.values()))
+        for victim in victims:
+            if (victim is not None and victim is not wproc
+                    and victim.state != DONE):
                 kernel.kill_process(victim)
         return 0
 
-    pid = yield from proc.spawn(watchdog, name=name)
-    return pid
-
-
-def arm_watchdog(kernel, timeout_s: Optional[float],
-                 name: str = "watchdog"):
-    """Host-side variant of :func:`spawn_watchdog` for callers outside
-    any vOS process (the supervisor arming a whole-script timeout):
-    creates the watchdog process directly on ``kernel``.  After
-    ``timeout_s`` virtual seconds every *other* still-running process
-    is SIGKILLed.  Returns the watchdog Process — disarm it with
-    ``kernel.kill_process`` once the guarded run finished (a killed
-    watchdog's pending timer is inert).  None timeout = no-op."""
-    if timeout_s is None:
-        return None
-    from ..vos.process import DONE
-
-    def watchdog(wproc, timeout=timeout_s):
-        yield from wproc.sleep(timeout)
-        for victim in list(kernel.processes.values()):
-            if victim is not wproc and victim.state != DONE:
-                kernel.kill_process(victim)
-        return 0
-
-    return kernel.create_process(watchdog, name=name)
+    return body

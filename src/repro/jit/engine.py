@@ -34,8 +34,7 @@ from ..compiler.decisions import DecisionLog
 from ..compiler.driver import fs_file_sizes
 from ..compiler.optimizer import Decision, OptimizerConfig, ResourceAwareOptimizer
 from ..compiler.parallel import parallelize
-from ..compiler.transactional import DEFAULT_REGION_POLICY, run_region
-from ..distributed.retry import RetryPolicy
+from ..compiler.transactional import UNREPLAYABLE, run_region
 from ..parser.ast_nodes import Command
 from ..parser.unparse import unparse
 from .runtime_info import measure_input, probe_machine, region_input_files
@@ -57,12 +56,6 @@ class JashConfig:
     #: "Jash can determine in the moment whether it is even worth trying
     #: to optimize on small inputs" (§3.2)
     compile_cost_s: float = 0.0008
-    #: execute plans transactionally (staged output, rollback + retry on
-    #: injected faults, width degradation).  A no-op unless a FaultPlan
-    #: is installed on the kernel.
-    transactional: bool = True
-    #: per-width retry policy for transactional execution
-    retry: RetryPolicy = DEFAULT_REGION_POLICY
 
 
 class JashOptimizer(DecisionLog):
@@ -195,7 +188,6 @@ class JashOptimizer(DecisionLog):
 
         run = yield from run_region(
             decision.plan, proc, interp.state.cwd, "jit", text,
-            policy=self.config.retry if self.config.transactional else None,
             narrower=narrower)
         faulted = run.report.fault_failures
         if run.status is None:
@@ -205,7 +197,9 @@ class JashOptimizer(DecisionLog):
                                baseline_s=decision.baseline.seconds,
                                fault_failures=faulted, degraded=run.degraded)
         self.decide(proc, text, "degraded" if faulted else "optimized",
-                    decision.reason, plan_description=run.plan.description,
+                    UNREPLAYABLE if run.report.unreplayable
+                    else decision.reason,
+                    plan_description=run.plan.description,
                     estimate_s=decision.estimate.seconds,
                     baseline_s=decision.baseline.seconds,
                     fault_failures=faulted, degraded=run.degraded)

@@ -13,9 +13,9 @@ Failure handling layers, innermost first:
   :class:`~repro.distributed.retry.RetryPolicy` (the same object dshell
   branches and transactional regions use), with partially-staged
   ``*.staged`` sinks re-sealed between attempts;
-* a watchdog (``repro.distributed.retry.arm_watchdog``) SIGKILLs a
-  stalled run after ``watchdog_s`` virtual seconds, turning a hang into
-  an ordinary retryable failure;
+* the shared watchdog (``repro.distributed.retry.watchdog``) SIGKILLs
+  a stalled run after the policy's ``timeout_s`` virtual seconds,
+  turning a hang into an ordinary retryable failure;
 * when a round exhausts its retry budget the engine is *degraded* one
   rung down the ladder (parallel jash → narrow jash → incremental-only
   → plain interpreter) and the round is retried with a fresh budget —
@@ -28,8 +28,8 @@ Failure handling layers, innermost first:
   from the last *committed* offset — final output is byte-identical to
   a crash-free run;
 * repeated crashes without progress (crash looping) are detected via the
-  manifest's restart counter and penalised with exponentially capped
-  virtual backoff before the first resumed round.
+  manifest's restart counter and penalised before the first resumed
+  round with the backoff of :data:`CRASH_LOOP`.
 
 Everything the supervisor does is told to the shell's observer, and
 is visible as ``supervise.*`` tracer spans and instants and metrics.
@@ -38,22 +38,30 @@ is visible as ``supervise.*`` tracer spans and instants and metrics.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..compiler.optimizer import OptimizerConfig
-from ..distributed.retry import RetryPolicy, arm_watchdog
+from ..distributed.retry import RetryPolicy, watchdog
 from ..incremental import IncrementalConfig, IncrementalOptimizer
 from ..jit.composite import CompositeOptimizer
 from ..jit.engine import JashConfig, JashOptimizer
 from ..obs.observer import observer
 from ..shell import Shell
-from ..vos.process import DONE
 from .checkpoint import load_cache, load_manifest, save_cache, save_manifest
 from .journal import Journal, JournalRecord
 
 #: the engine degradation ladder, strongest first
 LADDER = ("jash", "jash-narrow", "inc", "interp")
+
+#: restarts without a new committed round before declaring a crash loop
+CRASH_LOOP_THRESHOLD = 3
+#: the crash-loop backoff: 1 s at the threshold, doubling per further
+#: restart, capped at 60 s (only :meth:`RetryPolicy.delay` is read)
+CRASH_LOOP = RetryPolicy(base_delay_s=1.0, max_delay_s=60.0)
+#: delta validation of resumed/streaming rounds: the O(delta)
+#: continuous-ingestion mode of the incremental engine
+DELTA_VERIFY = "sampled"
 
 
 class SimulatedCrash(RuntimeError):
@@ -98,20 +106,12 @@ class SuperviseConfig:
     script: str
     checkpoint_dir: str
     input_path: str = "/stream.log"
-    policy: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(max_retries=3, base_delay_s=0.01,
-                                            max_elapsed_s=300.0))
-    #: SIGKILL a run after this many virtual seconds (None = no watchdog)
-    watchdog_s: Optional[float] = 120.0
-    #: restarts without a new committed round before declaring a crash loop
-    crash_loop_threshold: int = 3
-    crash_loop_base_s: float = 1.0
-    crash_loop_cap_s: float = 60.0
+    #: per-round retries; ``timeout_s`` SIGKILLs a run after that many
+    #: virtual seconds (None = no watchdog)
+    policy: RetryPolicy = RetryPolicy(max_retries=3, base_delay_s=0.01,
+                                      timeout_s=120.0, max_elapsed_s=300.0)
     #: forwarded to the incremental engine (tests use small inputs)
     min_input_bytes: int = 4096
-    #: delta validation mode for resumed/streaming rounds ("sampled" is
-    #: the O(delta) continuous-ingestion mode; "full" is exact)
-    delta_verify: str = "sampled"
     machine: Optional[object] = None  # MachineSpec
     faults: Optional[object] = None  # FaultPlan, installed on every shell
     tracer: Optional[object] = None  # obs.Tracer, installed on every shell
@@ -148,7 +148,7 @@ class Supervisor:
         self.journal = Journal(config.checkpoint_dir)
         self._inc = IncrementalOptimizer(IncrementalConfig(
             min_input_bytes=config.min_input_bytes,
-            delta_verify=config.delta_verify))
+            delta_verify=DELTA_VERIFY))
         self.shell: Optional[Shell] = None
         self.reports: list[RoundReport] = []
         #: every engine that decided for a round, for ``run --report``
@@ -259,17 +259,19 @@ class Supervisor:
         """The retry + watchdog + degradation loop around one round."""
         shell = self._ensure_shell()
         policy = self.config.policy
-        first_start = shell.kernel.now
+        kernel = shell.kernel
+        first_start = kernel.now
         retry_no = 0
         plan = shell.faults
         while True:
             mark = len(self._inc.events)
             fired_before = plan.fired if plan is not None else 0
-            watchdog = arm_watchdog(shell.kernel, self.config.watchdog_s,
-                                    name="supervise-watchdog")
+            dog = (None if policy.timeout_s is None else
+                   kernel.create_process(watchdog(policy.timeout_s),
+                                         name="supervise-watchdog"))
             result = shell.run(self.config.script)
-            if watchdog is not None and watchdog.state != DONE:
-                shell.kernel.kill_process(watchdog)
+            if dog is not None:
+                kernel.kill_process(dog)
             report.attempts += 1
             fired = (plan.fired - fired_before) if plan is not None else 0
             if result.status == 0 and fired == 0:
@@ -287,7 +289,7 @@ class Supervisor:
             report.resealed += self._reseal()
             retry_no += 1
             delay = policy.next_delay(retry_no,
-                                      elapsed_s=shell.kernel.now - first_start)
+                                      elapsed_s=kernel.now - first_start)
             if delay is not None:
                 self._tell("retry", round=report.round, retry=retry_no,
                            status=result.status, delay_s=delay,
@@ -305,7 +307,7 @@ class Supervisor:
                        status=result.status)
             shell.optimizer = self._make_optimizer(self.engine)
             retry_no = 0
-            first_start = shell.kernel.now
+            first_start = kernel.now
 
     # -- durable commit -------------------------------------------------------------
 
@@ -381,11 +383,8 @@ class Supervisor:
                    torn_tail_bytes=repairs["torn_tail_bytes"],
                    orphan_segs=repairs["orphan_segs"], input_offset=self._fed)
         self.resume_backoff_s = 0.0
-        if stuck >= self.config.crash_loop_threshold:
-            backoff = min(
-                self.config.crash_loop_cap_s,
-                self.config.crash_loop_base_s
-                * 2.0 ** (stuck - self.config.crash_loop_threshold))
+        if stuck >= CRASH_LOOP_THRESHOLD:
+            backoff = CRASH_LOOP.delay(stuck - CRASH_LOOP_THRESHOLD + 1)
             self.resume_backoff_s = backoff
             self._tell("crash_loop", restarts=stuck, backoff_s=backoff)
             self._sleep(backoff)

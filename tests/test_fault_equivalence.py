@@ -37,7 +37,7 @@ def make_optimizer(engine: str):
     if engine == "interp":
         return None
     if engine == "pash-tx":
-        return PashOptimizer(PashConfig(width=4, transactional=True))
+        return PashOptimizer(PashConfig(width=4))
     return JashOptimizer(JashConfig(
         optimizer=OptimizerConfig(min_input_bytes=4096)))
 
@@ -134,7 +134,7 @@ def _make_supervisor(root: str, script: str, seed: int, rate: float):
     config = SuperviseConfig(
         script=script, checkpoint_dir=root, machine=fast_machine(),
         min_input_bytes=16, faults=plan,
-        policy=RetryPolicy(max_retries=6))
+        policy=RetryPolicy(max_retries=6, timeout_s=120.0))
     return Supervisor(config, SyntheticSource(seed=seed))
 
 

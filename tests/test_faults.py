@@ -1,6 +1,6 @@
 """Fault-injection layer tests: FaultSpec/FaultPlan matching, kernel
 dispatch of each fault kind, determinism of seeded schedules, and the
-retry-policy objects shared by the recovery layers."""
+retry policy and watchdog shared by the recovery layers."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from contextlib import nullcontext
 import pytest
 
 from repro import FaultPlan, FaultSpec, RetryPolicy, Shell, run_script
-from repro.distributed.retry import NO_RETRY, policy_from_max_retries
+from repro.distributed.retry import watchdog
 from repro.vos.errors import BrokenPipe, InjectedDiskError, InjectedFault, VosError
 from repro.vos.faults import (
     CRASH_STATUS,
@@ -233,19 +233,15 @@ class TestKernelInjection:
 
 
 class TestRetryPolicy:
-    def test_should_retry_is_one_based(self):
+    def test_next_delay_is_one_based(self):
         policy = RetryPolicy(max_retries=2)
-        assert policy.should_retry(1)
-        assert policy.should_retry(2)
-        assert not policy.should_retry(3)
-        assert policy.attempts() == 3
-
-    def test_no_retry(self):
-        assert not NO_RETRY.should_retry(1)
-        assert NO_RETRY.attempts() == 1
+        assert policy.next_delay(0) is None
+        assert policy.next_delay(1) == 0.0
+        assert policy.next_delay(2) == 0.0
+        assert policy.next_delay(3) is None
 
     def test_exponential_backoff_with_cap(self):
-        policy = RetryPolicy(max_retries=5, base_delay_s=0.1, backoff=2.0,
+        policy = RetryPolicy(max_retries=5, base_delay_s=0.1,
                              max_delay_s=0.35)
         assert policy.delay(1) == pytest.approx(0.1)
         assert policy.delay(2) == pytest.approx(0.2)
@@ -255,23 +251,10 @@ class TestRetryPolicy:
     def test_zero_base_delay_stays_zero(self):
         assert RetryPolicy().delay(1) == 0.0
 
-    def test_jitter_is_deterministic_per_seed(self):
-        a = RetryPolicy(base_delay_s=0.1, jitter=0.5, seed=4)
-        b = RetryPolicy(base_delay_s=0.1, jitter=0.5, seed=4)
-        c = RetryPolicy(base_delay_s=0.1, jitter=0.5, seed=5)
-        assert a.delay(1) == b.delay(1)
-        assert a.delay(1) != c.delay(1)
-        assert a.delay(1) >= 0.0
-
-    def test_policy_from_max_retries(self):
-        policy = policy_from_max_retries(4)
-        assert policy.max_retries == 4
-        assert policy.attempts() == 5
-
     def test_max_elapsed_caps_the_budget(self):
         policy = RetryPolicy(max_retries=10, max_elapsed_s=5.0)
-        assert policy.should_retry(1, elapsed_s=0.0)
-        assert not policy.should_retry(1, elapsed_s=5.0)
+        assert policy.next_delay(1, elapsed_s=0.0) == 0.0
+        assert policy.next_delay(1, elapsed_s=5.0) is None
         assert policy.next_delay(1, elapsed_s=6.0) is None
 
     def test_next_delay_is_the_single_decision_point(self):
@@ -285,6 +268,36 @@ class TestRetryPolicy:
                              max_delay_s=10.0, max_elapsed_s=1.5)
         # 1.2s elapsed of a 1.5s budget: the 2s backoff is clamped to 0.3
         assert policy.next_delay(2, elapsed_s=1.2) == pytest.approx(0.3)
+
+
+class TestWatchdog:
+    """One timer, two victim rules: the given pids (dshell branches) or
+    every other live process (a supervised run)."""
+
+    @staticmethod
+    def sleepers(kernel, *seconds):
+        def body(proc, s):
+            yield from proc.sleep(s)
+            return 0
+        return [kernel.create_process(lambda proc, s=s: body(proc, s))
+                for s in seconds]
+
+    def test_kills_only_the_given_pids(self):
+        kernel = Shell(laptop()).kernel
+        stalled, healthy = self.sleepers(kernel, 10.0, 10.0)
+        kernel.create_process(watchdog(1.0, [stalled.pid]))
+        assert kernel.run_until_process_done(healthy) == 0
+        assert stalled.exit_status == CRASH_STATUS
+        assert kernel.now == pytest.approx(10.0)
+
+    def test_no_pids_kills_every_other_live_process(self):
+        kernel = Shell(laptop()).kernel
+        done, a, b = self.sleepers(kernel, 0.5, 10.0, 10.0)
+        dog = kernel.create_process(watchdog(1.0))
+        assert kernel.run_until_process_done(dog) == 0
+        assert done.exit_status == 0
+        assert a.exit_status == b.exit_status == CRASH_STATUS
+        assert kernel.now == pytest.approx(1.0)
 
 
 class TestPartialWrite:

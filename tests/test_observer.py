@@ -73,10 +73,10 @@ def jash():
 
 
 def engine_runs(tracer, metrics):
-    """Jash and a transactional PaSh under fault plans, then the
-    incremental engine computing, replaying, extending and dropping a
-    corrupted entry; returns each installed consumer's export, the two
-    witnesses' deltas and every run's result and decisions."""
+    """Jash and PaSh under fault plans, then the incremental engine
+    computing, replaying, extending and dropping a corrupted entry;
+    returns each installed consumer's export, the two witnesses' deltas
+    and every run's result and decisions."""
     records, updates = Tracer.total_records, MetricsRegistry.total_updates
     runs = []
 
@@ -85,12 +85,8 @@ def engine_runs(tracer, metrics):
         runs.append((result.status, result.stdout, repr(result.elapsed)))
 
     for optimizer, spec in ((jash(), ALWAYS),
-                            (PashOptimizer(PashConfig(width=4,
-                                                      transactional=True)),
-                             ONCE),
-                            (PashOptimizer(PashConfig(width=4,
-                                                      transactional=True)),
-                             ALWAYS)):
+                            (PashOptimizer(PashConfig(width=4)), ONCE),
+                            (PashOptimizer(PashConfig(width=4)), ALWAYS)):
         shell = Shell(laptop(), optimizer=optimizer, tracer=tracer,
                       metrics=metrics, faults=FaultPlan(specs=(spec,)))
         shell.fs.write_bytes("/w.txt", WORDS)

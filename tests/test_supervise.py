@@ -235,27 +235,27 @@ class TestCrashRecovery:
         sup, _ = make_supervisor(tmp_path)
         sup.run_rounds(1, 2048)
         backoffs = []
-        for _ in range(5):
-            nxt, _ = make_supervisor(tmp_path, crash_loop_threshold=2,
-                                     crash_loop_base_s=1.0,
-                                     crash_loop_cap_s=4.0)
+        for _ in range(10):
+            nxt, _ = make_supervisor(tmp_path)
             repairs = nxt.resume()
             backoffs.append(repairs["backoff_s"])
         # consecutive restarts without a new committed round escalate:
-        # below threshold, then exponential 1, 2, 4, capped at 4
-        assert backoffs == [0.0, 1.0, 2.0, 4.0, 4.0]
+        # below the threshold of 3, then 1 s doubling, capped at 60 s
+        assert backoffs == [0.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0,
+                            60.0, 60.0]
 
     def test_progress_resets_crash_loop_counter(self, tmp_path):
         sup, _ = make_supervisor(tmp_path)
         sup.run_rounds(1, 2048)
         for _ in range(3):
-            nxt, _ = make_supervisor(tmp_path, crash_loop_threshold=2)
+            nxt, _ = make_supervisor(tmp_path)
             nxt.resume()
+        assert nxt.resume_backoff_s == 1.0  # the third one is a loop
         # a committed round is progress: the counter starts over
         # (1 = first restart since that commit, well below threshold)
         nxt.source.grow(2048)
         nxt.run_round()
-        fresh, _ = make_supervisor(tmp_path, crash_loop_threshold=2)
+        fresh, _ = make_supervisor(tmp_path)
         repairs = fresh.resume()
         assert repairs["restarts_without_progress"] == 1
         assert repairs["backoff_s"] == 0.0
@@ -288,8 +288,7 @@ class TestFaultsUnderSupervision:
         tracer = Tracer()
         sup, _ = make_supervisor(
             tmp_path, script="sleep 600",
-            watchdog_s=1.0, tracer=tracer,
-            policy=RetryPolicy(max_retries=1))
+            tracer=tracer, policy=RetryPolicy(max_retries=1, timeout_s=1.0))
         sup.source.grow(64)
         with pytest.raises(SuperviseError, match="exhausted"):
             sup.run_round()

@@ -1,18 +1,31 @@
 """Transactional recovery tests: staged region execution, Jash's
-degradation ladder, PaSh's interpreter fallback, the branch-group
-fault fix, and dshell's policy-driven retry/backoff/watchdog."""
+degradation ladder, PaSh's interpreter fallback, pipe-fed regions that
+cannot be replayed, the branch-group fault fix, and dshell's
+policy-driven retry/backoff/watchdog."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import FaultPlan, FaultSpec, RetryPolicy, Shell
+from repro.annotations import DEFAULT_LIBRARY
 from repro.bench.workloads import access_log, words_text
 from repro.compiler import OptimizerConfig, PashConfig, PashOptimizer
-from repro.compiler.transactional import STAGED_SUFFIX
+from repro.compiler.driver import execute_plan
+from repro.compiler.parallel import parallelize
+from repro.compiler.transactional import (
+    STAGED_SUFFIX,
+    UNREPLAYABLE,
+    RecoveryReport,
+    execute_plan_transactional,
+)
+from repro.dfg.from_ast import extract_region
 from repro.distributed import Cluster, DistributedShell
 from repro.jit import JashConfig, JashOptimizer
+from repro.obs import Tracer
+from repro.parser import parse_one
 from repro.vos.faults import FAULT_STATUSES
+from repro.vos.handles import Collector, make_pipe
 from repro.vos.machines import laptop
 
 WORDS = words_text(1_000_000, seed=3)
@@ -29,8 +42,8 @@ def jash():
         optimizer=OptimizerConfig(min_input_bytes=4096)))
 
 
-def pash_tx():
-    return PashOptimizer(PashConfig(width=4, transactional=True))
+def pash():
+    return PashOptimizer(PashConfig(width=4))
 
 
 def run_with(optimizer, plan=None, script=PIPE_SCRIPT):
@@ -50,15 +63,25 @@ def reference():
 
 class TestFastPath:
     def test_no_plan_means_no_staging_overhead(self):
-        # transactional on (the default) but no FaultPlan installed:
-        # timings must be identical to the plain executor
-        _, tx = run_with(jash())
-        _, plain = run_with(JashOptimizer(JashConfig(
-            optimizer=OptimizerConfig(min_input_bytes=4096),
-            transactional=False)))
-        assert tx.status == plain.status == 0
-        assert tx.stdout == plain.stdout
-        assert tx.elapsed == plain.elapsed
+        # no FaultPlan installed: the transactional executor is the
+        # plain one, to the virtual nanosecond
+        plan = parallelize(extract_region(parse_one(PIPE_SCRIPT),
+                                          DEFAULT_LIBRARY), 4, "materialize",
+                           file_sizes={"/w.txt": len(WORDS)}.get)
+        runs = []
+        for executor in (execute_plan, execute_plan_transactional):
+            kernel = Shell(laptop()).kernel
+            kernel.main_node.fs.write_bytes("/w.txt", WORDS)
+            out = Collector()
+
+            def main(proc, executor=executor):
+                return (yield from executor(plan, proc))
+
+            root = kernel.create_process(main, fds={1: out})
+            status = kernel.run_until_process_done(root)
+            runs.append((status, out.getvalue(), kernel.now))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and len(runs[0][1]) == len(WORDS)
 
     def test_zero_rate_plan_still_commits(self, reference):
         opt = jash()
@@ -184,7 +207,7 @@ class TestDownstreamClose:
 
 class TestPashFallback:
     def test_fallback_to_interpreter(self, reference):
-        opt = pash_tx()
+        opt = pash()
         _, result = run_with(opt, FaultPlan(specs=(DFG_DISK_SPEC,)))
         assert result.status == 0
         assert result.stdout == reference.stdout
@@ -193,7 +216,7 @@ class TestPashFallback:
         assert fallback and fallback[0].fault_failures >= 1
 
     def test_recovers_within_retry_budget(self, reference):
-        opt = pash_tx()
+        opt = pash()
         plan = FaultPlan(specs=(
             FaultSpec("disk-error", at=0.0, proc="dfg:", times=1),))
         _, result = run_with(opt, plan)
@@ -202,16 +225,68 @@ class TestPashFallback:
         assert any(e.decision == "degraded" for e in opt.events)
 
 
+class TestPipeFedRegion:
+    """A region reading piped stdin cannot rewind it: a faulted attempt
+    must fail the region, not hand an emptied pipe to a retry or to the
+    interpreter (which used to exit 0 with no output)."""
+
+    SCRIPT = "cat /w.txt | { tr a-z A-Z | sort; }"
+    DATA = words_text(400_000, seed=3)
+
+    def run(self, optimizer, plan=None):
+        shell = Shell(laptop(), optimizer=optimizer, faults=plan)
+        shell.fs.write_bytes("/w.txt", self.DATA)
+        return shell.run(self.SCRIPT)
+
+    @pytest.mark.parametrize("kind", ["pipe-break", "disk-error"])
+    def test_fault_fails_loudly_or_matches(self, kind):
+        reference = self.run(None)
+        assert reference.status == 0 and len(reference.stdout) == 400_001
+        opt = pash()
+        result = self.run(opt, FaultPlan(specs=(
+            FaultSpec(kind, at=0.005, times=1),)))
+        assert result.status != 0 or result.stdout == reference.stdout
+        assert [e.reason for e in opt.events
+                if e.fault_failures] == [UNREPLAYABLE]
+
+    def test_executor_reports_unreplayable(self):
+        plan = parallelize(extract_region(parse_one("tr a-z A-Z | sort"),
+                                          DEFAULT_LIBRARY), 4, "rr")
+        kernel = Shell(laptop(), faults=FaultPlan(specs=(
+            FaultSpec("crash", at=0.0, proc="dfg:", times=1),))).kernel
+        reader, writer = make_pipe()
+        out, report = Collector(), RecoveryReport()
+
+        def feed(proc):
+            yield from proc.write(1, self.DATA)
+            return 0
+
+        def main(proc):
+            return (yield from execute_plan_transactional(plan, proc,
+                                                          report=report))
+
+        kernel.create_process(feed, fds={1: writer})
+        root = kernel.create_process(main, fds={0: reader, 1: out})
+        writer.release()  # the feeder holds the only write end
+        assert kernel.run_until_process_done(root) in FAULT_STATUSES
+        assert out.getvalue() == b""  # the rolled-back attempt emitted nothing
+        assert (report.attempts, report.gave_up, report.unreplayable) == (
+            1, True, True)
+
+
 class TestBranchGroupFault:
     def test_faulted_copy_fails_plan_loudly(self):
         """Regression: a killed parallel copy must fail the plan (it
         produced no data) even when sibling copies exited 0 — silent
         truncation is the bug the chaos layer exists to catch."""
-        opt = PashOptimizer(PashConfig(width=4, transactional=False))
-        plan = FaultPlan(specs=(
-            FaultSpec("crash", at=0.0, proc="dfg:", times=1),))
-        _, result = run_with(opt, plan)
-        assert result.status in FAULT_STATUSES
+        tracer = Tracer()
+        shell = Shell(laptop(), optimizer=pash(), tracer=tracer,
+                      faults=FaultPlan(specs=(
+                          FaultSpec("crash", at=0.0, proc="dfg:", times=1),)))
+        shell.fs.write_bytes("/w.txt", WORDS)
+        assert shell.run(PIPE_SCRIPT).status == 0  # the retry recovered
+        first = next(r for r in tracer.records if r.name == "tx.attempt")
+        assert first.args["status"] in FAULT_STATUSES
 
 
 class TestDshellPolicies:
@@ -280,12 +355,3 @@ class TestDshellPolicies:
         assert run.retries >= 1
         assert int(run.out.split()[0]) == self.expected_count(contents)
         assert run.elapsed < 10.0
-
-    def test_legacy_max_retries_still_works(self):
-        cluster, contents = self.build()
-        cluster.kernel.faults = FaultPlan(
-            specs=(FaultSpec("disk-error", at=0.0, path="/logs/part0.log",
-                             times=1),))
-        run = self.run(cluster, contents, max_retries=2)
-        assert run.status == 0
-        assert int(run.out.split()[0]) == self.expected_count(contents)
