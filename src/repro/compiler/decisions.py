@@ -7,11 +7,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..parser.unparse import unparse
+
 
 @dataclass
 class DecisionRecord:
     engine: str  # "jash" | "pash" | "inc"
-    node_text: str
+    #: the candidate's text, or its AST node until :attr:`node_text` is
+    #: first read (Jash decides thousands of candidates no report reads)
+    node: object
     #: "optimized" | "degraded" | "interpreted"; PaSh also "skipped", the
     #: incremental engine "replayed" | "extended" | "computed"
     decision: str
@@ -23,6 +27,12 @@ class DecisionRecord:
     fault_failures: int = 0
     degraded: str = ""  # the trail under faults: "8 -> 4 -> interpreter"
     saved_bytes: int = 0  # input a replay or extension did not recompute
+
+    @property
+    def node_text(self) -> str:
+        if not isinstance(self.node, str):
+            self.node = unparse(self.node)
+        return self.node
 
 
 class DecisionLog:
@@ -36,9 +46,10 @@ class DecisionLog:
         self.cert_hits = 0
         self.cert_misses = 0
 
-    def decide(self, proc, text: str, decision: str, reason: str,
+    def decide(self, proc, text, decision: str, reason: str,
                **fields) -> None:
-        """Record a decision; tell it unless made at compile time."""
+        """Record a decision about a candidate (its text or its node); tell
+        it unless made at compile time."""
         record = DecisionRecord(self.engine, text, decision, reason, **fields)
         self.events.append(record)
         ob = proc.kernel.observer if proc is not None else None

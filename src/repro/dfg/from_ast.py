@@ -78,12 +78,9 @@ class RegionRefusal(Exception):
 
 def literal_argv(node: SimpleCommand) -> Optional[list[str]]:
     """argv when every word is static (no expansions); else None."""
-    argv: list[str] = []
-    for word in node.words:
-        if not word.is_literal():
-            return None
-        argv.append(word.literal_value())
-    return argv if argv else None
+    if not node.words or not all(word.is_literal() for word in node.words):
+        return None
+    return [word.literal_value() for word in node.words]
 
 
 #: one stage as strings: its argv, and each redirect with its target
@@ -146,9 +143,8 @@ def clobbered_sink(words: list[StageWords],
 
 def read_region(node: Command, library: SpecLibrary) -> Region:
     """The AST -> region reader for literal words: a flat pipeline
-    (:func:`~repro.analysis.candidates.pipeline_stages`) whose words and
-    redirect targets are all literal, read by :func:`region_from_words`.
-    Raises :class:`RegionRefusal` otherwise."""
+    (:func:`~repro.analysis.candidates.pipeline_stages`) read by
+    :func:`region_from_words`; else :class:`RegionRefusal`."""
     commands = pipeline_stages(node)
     if commands is None:
         raise RegionRefusal("shape")
@@ -157,10 +153,12 @@ def read_region(node: Command, library: SpecLibrary) -> Region:
         if not all(r.target.is_literal() for r in cmd.redirects):
             raise RegionRefusal("redirect")
         argv = literal_argv(cmd)
-        if argv is None:
+        targets = [(r, r.target.constant) for r in cmd.redirects]
+        # a glob or tilde word is literal, but expansion decides it
+        if argv is None or None in [w.constant for w in cmd.words] + [
+                target for _, target in targets]:
             raise RegionRefusal("dynamic" if cmd.words else "shape")
-        words.append((argv, [(r, r.target.literal_value())
-                             for r in cmd.redirects]))
+        words.append((argv, targets))
     return region_from_words(words, library)
 
 

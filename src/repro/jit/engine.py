@@ -98,7 +98,8 @@ class JashOptimizer(DecisionLog):
 
         kernel = proc.kernel
         ob = kernel.observer
-        text = unparse(node)
+        # a record unparses its node when first read; a trace reads it now
+        text = node if ob is None else unparse(node)
         stages_ast = pipeline_stages(node)
         if stages_ast is None:
             return self.decide(proc, text, "interpreted",
@@ -187,7 +188,7 @@ class JashOptimizer(DecisionLog):
             return None
 
         run = yield from run_region(
-            decision.plan, proc, interp.state.cwd, "jit", text,
+            decision.plan, proc, interp.state.cwd, "jit", unparse(node),
             narrower=narrower)
         faulted = run.report.fault_failures
         if run.status is None:

@@ -103,6 +103,10 @@ class Word:
     """A shell word: a non-empty sequence of parts (empty for null word)."""
 
     parts: tuple[WordPart, ...] = ()
+    #: the one field the word expands to when expansion is the identity,
+    #: else None; set by the lexer (:func:`repro.parser.lexer.constant_of`),
+    #: ignored by equality, hashing, repr and unparse
+    constant: Optional[str] = field(default=None, compare=False, repr=False)
 
     def is_literal(self) -> bool:
         """True when the word expands to a single known string statically."""

@@ -1,12 +1,16 @@
 """Recursive-descent parser for the POSIX Shell Command Language.
 
-Implements the grammar of POSIX.1-2017 XCU 2.10 over the tokens produced
-by :mod:`repro.parser.lexer`.  ``parse(src)`` returns a
+Implements the grammar of POSIX.1-2017 XCU 2.10 over the token lines
+produced by :mod:`repro.parser.lexer`: the parser holds the current line
+and an index into it (a token is a ``(kind, value, word, pos)`` tuple),
+and asks the lexer for the next line when it consumes the newline or
+``)`` that ends one.  ``parse(src)`` returns a
 :class:`~repro.parser.ast_nodes.CommandList`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from .ast_nodes import (
@@ -32,14 +36,19 @@ from .ast_nodes import (
     While,
     Word,
 )
-from .lexer import Lexer, ShellSyntaxError, Token, _PendingHeredoc, is_name
+from .lexer import EOF, IO_NUMBER, NEWLINE, WORD, Lexer, ShellSyntaxError, is_name
 
 RESERVED = {
     "if", "then", "else", "elif", "fi", "do", "done",
     "case", "esac", "while", "until", "for", "in", "{", "}", "!",
 }
 
-REDIR_OPERATORS = {"<", ">", ">>", "<&", ">&", "<>", ">|", "<<", "<<-"}
+REDIR_OPERATORS = frozenset(("<", ">", ">>", "<&", ">&", "<>", ">|", "<<", "<<-"))
+_REDIRECT_START = REDIR_OPERATORS | {IO_NUMBER}
+
+#: Reserved words that terminate an enclosing body; a command can never
+#: begin with one of these, so list parsing stops there.
+STOP_KEYWORDS = ("then", "else", "elif", "fi", "do", "done", "esac", "}")
 
 
 def word_literal(word: Word) -> Optional[str]:
@@ -69,7 +78,9 @@ def split_assignment(word: Word) -> Optional[tuple[str, Word]]:
     value_parts = list(word.parts[1:])
     if rest_text:
         value_parts.insert(0, Lit(rest_text))
-    return name, Word(tuple(value_parts))
+    constant = word.constant
+    return name, Word(tuple(value_parts),
+                      None if constant is None else constant[eq + 1:])
 
 
 class Parser:
@@ -81,152 +92,123 @@ class Parser:
         #: A side-table: the frozen AST nodes stay position-free so value
         #: equality and unparse round-trips are unaffected.
         self.positions: dict[int, tuple[int, int]] = {}
-        self.lexer = Lexer(src, parse_command=_parse_substitution)
-        self.lexer.pos = 0
-        if offset:
-            self.lexer._advance(offset)
+        self.lexer = Lexer(src, _parse_substitution, offset)
+        self.toks = self.lexer.line()  # the current line of tokens
+        self.i = 0  # the current token's index in it
 
-    def _mark(self, node: Command, tok: Token) -> Command:
+    def _mark(self, node: Command, tok) -> Command:
         if id(node) not in self.positions:
-            nl = self.src.rfind("\n", 0, tok.pos)
-            self.positions[id(node)] = (tok.line, tok.pos - nl)
+            pos = tok[3]
+            self.positions[id(node)] = (self.lexer.line_at(pos),
+                                        pos - self.src.rfind("\n", 0, pos))
         return node
 
     # -- token helpers --------------------------------------------------------
 
-    def _peek(self) -> Token:
-        return self.lexer.peek()
+    def _error(self, msg: str) -> ShellSyntaxError:
+        pos = self.toks[self.i][3]
+        return ShellSyntaxError(msg, pos=pos, line=self.lexer.line_at(pos))
 
-    def _next(self) -> Token:
-        return self.lexer.next()
+    def _expect(self, text: str) -> None:
+        """Consume operator or reserved word ``text``."""
+        tok = self.toks[self.i]
+        if tok[1] != text:
+            raise self._error(f"expected {text!r}, found {self._describe(tok)}")
+        self.i += 1
+        if text == ")":
+            self._next_line()
 
-    def _error(self, msg: str, tok: Optional[Token] = None) -> ShellSyntaxError:
-        tok = tok or self._peek()
-        return ShellSyntaxError(msg, pos=tok.pos, line=tok.line)
-
-    def _at_op(self, *ops: str) -> bool:
-        tok = self._peek()
-        return tok.kind == "OP" and tok.value in ops
-
-    def _expect_op(self, op: str) -> Token:
-        tok = self._peek()
-        if tok.kind != "OP" or tok.value != op:
-            raise self._error(f"expected {op!r}, found {self._describe(tok)}")
-        return self._next()
-
-    def _at_keyword(self, *names: str) -> Optional[str]:
-        tok = self._peek()
-        if tok.kind != "WORD":
-            return None
-        lit = word_literal(tok.word)
-        return lit if lit in names else None
-
-    def _expect_keyword(self, name: str) -> None:
-        if self._at_keyword(name) is None:
-            raise self._error(f"expected {name!r}, found {self._describe(self._peek())}")
-        self._next()
+    def _next_line(self) -> None:
+        self.toks = self.lexer.line()
+        self.i = 0
 
     @staticmethod
-    def _describe(tok: Token) -> str:
-        if tok.kind == "WORD":
-            lit = word_literal(tok.word)
-            return repr(lit) if lit is not None else "word"
-        if tok.kind == "EOF":
+    def _describe(tok) -> str:
+        if tok[0] == WORD:
+            return repr(tok[1]) if tok[1] is not None else "word"
+        if tok[0] == EOF:
             return "end of input"
-        if tok.kind == "NEWLINE":
+        if tok[0] == NEWLINE:
             return "newline"
-        return repr(tok.value)
+        return repr(tok[1])
 
     def _skip_newlines(self) -> None:
-        while self._peek().kind == "NEWLINE":
-            self._next()
-
-    def _linebreak(self) -> None:
-        self._skip_newlines()
+        # a newline ends its line of tokens: consuming it reads the queued
+        # here-document bodies, then the next line
+        while self.toks[self.i][0] == NEWLINE:
+            if self.lexer.heredocs:
+                self.lexer.read_heredocs()
+            self._next_line()
 
     # -- entry points ---------------------------------------------------------
 
     def parse_program(self) -> CommandList:
-        items: list[ListItem] = []
-        self._skip_newlines()
-        while self._peek().kind != "EOF":
-            items.extend(self._parse_list_items(until_ops=()))
-            self._skip_newlines()
-        return CommandList(tuple(items))
+        return self.parse_until(None)[0]
 
-    def parse_until(self, close_op: Optional[str]) -> tuple[Command, int]:
-        """Parse a command list terminated by ``close_op`` (an operator such
-        as ``)``) or EOF when None; consume the terminator.  Returns the
-        parsed command and the source offset just past the terminator."""
+    def parse_until(self, close: Optional[str]) -> tuple[Command, int]:
+        """Parse a command list terminated by operator ``close`` (such as
+        ``)``), or by EOF when None; consume the terminator, which ends its
+        line of tokens.  Returns the parsed command and the source offset
+        just past the terminator."""
         self._skip_newlines()
         items: list[ListItem] = []
+        until = (close,) if close else ()
         while True:
-            tok = self._peek()
-            if tok.kind == "EOF":
-                if close_op is not None:
-                    raise self._error(f"expected {close_op!r} before end of input")
-                break
-            if close_op is not None and tok.kind == "OP" and tok.value == close_op:
-                self._next()
-                break
-            items.extend(self._parse_list_items(until_ops=(close_op,) if close_op else ()))
+            tok = self.toks[self.i]
+            if tok[0] == EOF:
+                if close is not None:
+                    raise self._error(f"expected {close!r} before end of input")
+                return CommandList(tuple(items)), tok[3]
+            if tok[0] == close:
+                self.i += 1
+                return CommandList(tuple(items)), tok[3] + 1
+            items.extend(self._parse_list_items(until))
             self._skip_newlines()
-        return CommandList(tuple(items)), self.lexer.pos
 
     # -- lists ---------------------------------------------------------------
-
-    #: Reserved words that terminate an enclosing body; a command can never
-    #: begin with one of these, so list parsing stops there.
-    STOP_KEYWORDS = ("then", "else", "elif", "fi", "do", "done", "esac", "}")
 
     def _parse_list_items(self, until_ops: tuple) -> list[ListItem]:
         """Parse ``and_or ((';'|'&') and_or)*`` up to a newline/terminator."""
         items: list[ListItem] = []
         while True:
             cmd = self._parse_and_or()
-            is_async = False
-            separated = False
-            if self._at_op("&"):
-                self._next()
-                is_async = True
-                separated = True
-            elif self._at_op(";"):
-                self._next()
-                separated = True
-            items.append(ListItem(cmd, is_async))
-            tok = self._peek()
-            if tok.kind in ("EOF", "NEWLINE"):
+            kind = self.toks[self.i][0]
+            separated = kind == "&" or kind == ";"
+            if separated:
+                self.i += 1
+            items.append(ListItem(cmd, kind == "&"))
+            tok = self.toks[self.i]
+            kind = tok[0]
+            if kind in (EOF, NEWLINE, ")", ";;") or kind in until_ops:
                 break
-            if tok.kind == "OP" and (tok.value in until_ops or tok.value in (")", ";;")):
-                break
-            if tok.kind == "OP" and tok.value in ("&", ";"):
+            if kind == "&" or kind == ";":
                 raise self._error("unexpected separator")
             if not separated:
                 raise self._error(f"expected separator, found {self._describe(tok)}")
-            if self._at_keyword(*self.STOP_KEYWORDS):
+            if tok[1] in STOP_KEYWORDS and kind == WORD:
                 break
         return items
 
     def _parse_and_or(self) -> Command:
-        start = self._peek()
+        start = self.toks[self.i]
         left = self._parse_pipeline()
-        while self._at_op("&&", "||"):
-            op = self._next().value
-            self._linebreak()
+        while self.toks[self.i][0] in ("&&", "||"):
+            op = self.toks[self.i][0]
+            self.i += 1
+            self._skip_newlines()
             right = self._parse_pipeline()
             left = self._mark(AndOr(left, op, right), start)
         return left
 
     def _parse_pipeline(self) -> Command:
-        start = self._peek()
-        negated = False
-        if self._at_keyword("!"):
-            self._next()
-            negated = True
+        start = self.toks[self.i]
+        negated = start[1] == "!" and start[0] == WORD
+        if negated:
+            self.i += 1
         commands = [self._parse_command()]
-        while self._at_op("|"):
-            self._next()
-            self._linebreak()
+        while self.toks[self.i][0] == "|":
+            self.i += 1
+            self._skip_newlines()
             commands.append(self._parse_command())
         if len(commands) == 1 and not negated:
             return commands[0]
@@ -235,65 +217,65 @@ class Parser:
     # -- commands --------------------------------------------------------------
 
     def _parse_command(self) -> Command:
-        start = self._peek()
-        return self._mark(self._parse_command_inner(), start)
-
-    def _parse_command_inner(self) -> Command:
-        tok = self._peek()
-        if tok.kind == "OP" and tok.value == "(":
-            return self._parse_subshell()
-        if tok.kind == "WORD":
-            kw = word_literal(tok.word)
-            if kw == "{":
-                return self._parse_brace_group()
-            if kw == "if":
-                return self._parse_if()
-            if kw in ("while", "until"):
-                return self._parse_while(until=(kw == "until"))
-            if kw == "for":
-                return self._parse_for()
-            if kw == "case":
-                return self._parse_case()
-            if kw in RESERVED and kw not in ("!", "in"):
-                raise self._error(f"unexpected reserved word {kw!r}")
-        return self._parse_simple_command()
+        start = self.toks[self.i]
+        kw = start[1]
+        if start[0] == "(":
+            node = self._parse_subshell()
+        elif start[0] != WORD or kw not in RESERVED:
+            node = self._parse_simple_command()
+        elif kw == "{":
+            self.i += 1
+            body, __ = self._parse_body_until_keywords("}")
+            node = BraceGroup(body, self._parse_redirect_suffix())
+        elif kw == "if":
+            node = self._parse_if()
+        elif kw in ("while", "until"):
+            self.i += 1
+            cond, __ = self._parse_body_until_keywords("do")
+            body, __ = self._parse_body_until_keywords("done")
+            node = While(cond, body, until=kw == "until",
+                         redirects=self._parse_redirect_suffix())
+        elif kw == "for":
+            node = self._parse_for()
+        elif kw == "case":
+            node = self._parse_case()
+        elif kw not in ("!", "in"):
+            raise self._error(f"unexpected reserved word {kw!r}")
+        else:
+            node = self._parse_simple_command()
+        return self._mark(node, start)
 
     def _parse_redirect_suffix(self) -> tuple[Redirect, ...]:
         redirects = []
-        while True:
-            redirect = self._try_parse_redirect()
-            if redirect is None:
-                return tuple(redirects)
-            redirects.append(redirect)
+        while self.toks[self.i][0] in _REDIRECT_START:
+            redirects.append(self._parse_redirect())
+        return tuple(redirects)
 
-    def _try_parse_redirect(self) -> Optional[Redirect]:
-        tok = self._peek()
+    def _parse_redirect(self) -> Redirect:
+        """The redirect at the current token, an io-number or an operator."""
+        tok = self.toks[self.i]
         fd: Optional[int] = None
-        if tok.kind == "IO_NUMBER":
-            fd = int(tok.value)
-            self._next()
-            tok = self._peek()
-            if tok.kind != "OP" or tok.value not in REDIR_OPERATORS:
+        if tok[0] == IO_NUMBER:
+            fd = int(tok[1])
+            self.i += 1
+            tok = self.toks[self.i]
+            if tok[0] not in REDIR_OPERATORS:
                 raise self._error("expected redirection operator after io-number")
-        if tok.kind != "OP" or tok.value not in REDIR_OPERATORS:
-            return None
-        op = self._next().value
-        target_tok = self._peek()
-        if target_tok.kind != "WORD":
+        op = tok[0]
+        self.i += 1
+        target = self.toks[self.i]
+        if target[0] != WORD:
             raise self._error(f"expected word after {op!r}")
-        self._next()
-        target = target_tok.word
+        self.i += 1
         if op in ("<<", "<<-"):
-            return self._make_heredoc(op, target, fd)
-        return Redirect(op, target, fd)
+            return self._make_heredoc(op, target[2], fd)
+        return Redirect(op, target[2], fd)
 
     def _make_heredoc(self, op: str, delim_word: Word, fd: Optional[int]) -> Redirect:
         quoted = not all(isinstance(p, Lit) for p in delim_word.parts)
         delim_text_parts: list[str] = []
         for part in delim_word.parts:
-            if isinstance(part, Lit):
-                delim_text_parts.append(part.text)
-            elif isinstance(part, SingleQuoted):
+            if isinstance(part, (Lit, SingleQuoted)):
                 delim_text_parts.append(part.text)
             elif isinstance(part, Escaped):
                 delim_text_parts.append(part.char)
@@ -307,45 +289,19 @@ class Parser:
                         raise self._error("here-doc delimiter must be static")
             else:
                 raise self._error("here-doc delimiter must be static")
-        delimiter = "".join(delim_text_parts)
-        box: dict = {}
-
-        def resolve(body: Word) -> None:
-            box["body"] = body
-
-        self.lexer.push_heredoc(
-            _PendingHeredoc(delimiter, quoted, op == "<<-", resolve)
-        )
-        # The body isn't read yet; we fix it up lazily via a mutable closure
-        # captured by _HeredocProxy below.
-        return _HeredocRedirect(op, delim_word, fd, box)
+        # the lexer installs the body when the newline after it is consumed
+        redirect = Redirect(op, delim_word, fd)
+        self.lexer.heredocs.append(
+            (redirect, "".join(delim_text_parts), quoted, op == "<<-"))
+        return redirect
 
     # -- compound commands -------------------------------------------------------
 
     def _parse_subshell(self) -> Command:
-        self._expect_op("(")
-        body, __ = self._parse_compound_body(close_op=")")
-        redirects = self._parse_redirect_suffix()
-        return Subshell(body, redirects)
-
-    def _parse_compound_body(self, close_op: Optional[str] = None, close_kw: Optional[str] = None):
-        """Parse a command list until an operator or keyword terminator;
-        consumes the terminator."""
-        self._skip_newlines()
-        items: list[ListItem] = []
-        while True:
-            tok = self._peek()
-            if close_op is not None and tok.kind == "OP" and tok.value == close_op:
-                self._next()
-                return CommandList(tuple(items)), None
-            if close_kw is not None and self._at_keyword(close_kw):
-                self._next()
-                return CommandList(tuple(items)), close_kw
-            if tok.kind == "EOF":
-                want = close_op or close_kw
-                raise self._error(f"expected {want!r} before end of input")
-            items.extend(self._parse_list_items(until_ops=(close_op,) if close_op else ()))
-            self._skip_newlines()
+        self.i += 1  # (
+        body, __ = self.parse_until(")")
+        self._next_line()
+        return Subshell(body, self._parse_redirect_suffix())
 
     def _parse_body_until_keywords(self, *keywords: str):
         """Parse a command list until one of several keywords; consume it and
@@ -353,23 +309,17 @@ class Parser:
         self._skip_newlines()
         items: list[ListItem] = []
         while True:
-            for kw in keywords:
-                if self._at_keyword(kw):
-                    self._next()
-                    return CommandList(tuple(items)), kw
-            if self._peek().kind == "EOF":
+            tok = self.toks[self.i]
+            if tok[1] in keywords and tok[0] == WORD:
+                self.i += 1
+                return CommandList(tuple(items)), tok[1]
+            if tok[0] == EOF:
                 raise self._error(f"expected one of {keywords} before end of input")
-            items.extend(self._parse_list_items(until_ops=()))
+            items.extend(self._parse_list_items(()))
             self._skip_newlines()
 
-    def _parse_brace_group(self) -> Command:
-        self._expect_keyword("{")
-        body, __ = self._parse_body_until_keywords("}")
-        redirects = self._parse_redirect_suffix()
-        return BraceGroup(body, redirects)
-
     def _parse_if(self) -> Command:
-        self._expect_keyword("if")
+        self.i += 1  # if
         cond, __ = self._parse_body_until_keywords("then")
         then_body, kw = self._parse_body_until_keywords("elif", "else", "fi")
         elifs: list[tuple[Command, Command]] = []
@@ -383,93 +333,90 @@ class Parser:
         redirects = self._parse_redirect_suffix()
         return If(cond, then_body, tuple(elifs), else_body, redirects)
 
-    def _parse_while(self, until: bool) -> Command:
-        self._next()  # while/until
-        cond, __ = self._parse_body_until_keywords("do")
-        body, __ = self._parse_body_until_keywords("done")
-        redirects = self._parse_redirect_suffix()
-        return While(cond, body, until=until, redirects=redirects)
-
     def _parse_for(self) -> Command:
-        self._expect_keyword("for")
-        name_tok = self._peek()
-        if name_tok.kind != "WORD":
+        self.i += 1  # for
+        tok = self.toks[self.i]
+        if tok[0] != WORD:
             raise self._error("expected name after 'for'")
-        name = word_literal(name_tok.word)
+        name = tok[1]
         if name is None or not is_name(name):
             raise self._error("bad for-loop variable name")
-        self._next()
+        self.i += 1
         self._skip_newlines()
         words: Optional[tuple[Word, ...]] = None
-        if self._at_keyword("in"):
-            self._next()
+        tok = self.toks[self.i]
+        if tok[1] == "in" and tok[0] == WORD:
+            self.i += 1
             collected: list[Word] = []
-            while self._peek().kind == "WORD":
-                collected.append(self._next().word)
+            while self.toks[self.i][0] == WORD:
+                collected.append(self.toks[self.i][2])
+                self.i += 1
             words = tuple(collected)
-            if self._at_op(";"):
-                self._next()
-            elif self._peek().kind == "NEWLINE":
+            kind = self.toks[self.i][0]
+            if kind == ";":
+                self.i += 1
+            elif kind == NEWLINE:
                 self._skip_newlines()
             else:
                 raise self._error("expected ';' or newline after for-words")
-        elif self._at_op(";"):
-            self._next()
+        elif tok[0] == ";":
+            self.i += 1
         self._skip_newlines()
-        self._expect_keyword("do")
+        self._expect("do")
         body, __ = self._parse_body_until_keywords("done")
         redirects = self._parse_redirect_suffix()
         return For(name, words, body, redirects)
 
     def _parse_case(self) -> Command:
-        self._expect_keyword("case")
-        subject_tok = self._peek()
-        if subject_tok.kind != "WORD":
+        self.i += 1  # case
+        subject = self.toks[self.i]
+        if subject[0] != WORD:
             raise self._error("expected word after 'case'")
-        self._next()
+        self.i += 1
         self._skip_newlines()
-        self._expect_keyword("in")
+        self._expect("in")
         self._skip_newlines()
         items: list[CaseItem] = []
-        while not self._at_keyword("esac"):
-            if self._peek().kind == "EOF":
+        while not self._at_esac():
+            if self.toks[self.i][0] == EOF:
                 raise self._error("expected 'esac' before end of input")
-            if self._at_op("("):
-                self._next()
+            if self.toks[self.i][0] == "(":
+                self.i += 1
             patterns = [self._read_pattern_word()]
-            while self._at_op("|"):
-                self._next()
+            while self.toks[self.i][0] == "|":
+                self.i += 1
                 patterns.append(self._read_pattern_word())
-            self._expect_op(")")
+            self._expect(")")
             self._skip_newlines()
             body: Optional[Command] = None
-            if not self._at_op(";;") and not self._at_keyword("esac"):
+            if self.toks[self.i][0] != ";;" and not self._at_esac():
                 body_items: list[ListItem] = []
                 while True:
-                    tok = self._peek()
-                    if tok.kind == "OP" and tok.value == ";;":
+                    if self.toks[self.i][0] == ";;" or self._at_esac():
                         break
-                    if self._at_keyword("esac"):
-                        break
-                    if tok.kind == "EOF":
+                    if self.toks[self.i][0] == EOF:
                         raise self._error("expected ';;' or 'esac'")
-                    body_items.extend(self._parse_list_items(until_ops=(";;",)))
+                    body_items.extend(self._parse_list_items((";;",)))
                     self._skip_newlines()
                 body = CommandList(tuple(body_items))
-            if self._at_op(";;"):
-                self._next()
+            if self.toks[self.i][0] == ";;":
+                self.i += 1
             self._skip_newlines()
             items.append(CaseItem(tuple(patterns), body))
-        self._expect_keyword("esac")
+        self.i += 1  # esac
         redirects = self._parse_redirect_suffix()
-        return Case(subject_tok.word, tuple(items), redirects)
+        return Case(subject[2], tuple(items), redirects)
+
+    def _at_esac(self) -> bool:
+        tok = self.toks[self.i]
+        return tok[1] == "esac" and tok[0] == WORD
 
     def _read_pattern_word(self) -> Word:
-        tok = self._peek()
-        if tok.kind != "WORD":
+        tok = self.toks[self.i]
+        if tok[0] != WORD:
             raise self._error("expected case pattern")
-        self._next()
-        return tok.word
+        self.i += 1
+        return tok[2]
 
     # -- simple commands -----------------------------------------------------------
 
@@ -477,33 +424,28 @@ class Parser:
         assigns: list[Assign] = []
         words: list[Word] = []
         redirects: list[Redirect] = []
-        seen_command_word = False
         while True:
-            redirect = self._try_parse_redirect()
-            if redirect is not None:
-                redirects.append(redirect)
+            tok = self.toks[self.i]
+            if tok[0] != WORD:
+                if tok[0] not in _REDIRECT_START:
+                    break
+                redirects.append(self._parse_redirect())
                 continue
-            tok = self._peek()
-            if tok.kind != "WORD":
-                break
-            if not seen_command_word:
-                assignment = split_assignment(tok.word)
+            # a literal word without "=" is no assignment
+            if not words and (tok[1] is None or "=" in tok[1]):
+                assignment = split_assignment(tok[2])
                 if assignment is not None:
-                    self._next()
+                    self.i += 1
                     assigns.append(Assign(*assignment))
                     continue
-            self._next()
+            self.i += 1
             # function definition: name ( ) body
-            if (
-                not seen_command_word
-                and not assigns
-                and not redirects
-                and self._at_op("(")
-            ):
-                name = word_literal(tok.word)
+            if (not words and not assigns and not redirects
+                    and self.toks[self.i][0] == "("):
+                name = tok[1]
                 if name is not None and is_name(name) and name not in RESERVED:
-                    self._next()  # (
-                    self._expect_op(")")
+                    self.i += 1  # (
+                    self._expect(")")
                     self._skip_newlines()
                     body = self._parse_command()
                     # trailing redirects attach to the function body
@@ -511,54 +453,14 @@ class Parser:
                     if extra:
                         body = _attach_redirects(body, extra)
                     return FuncDef(name, body)
-            words.append(tok.word)
-            seen_command_word = True
+            words.append(tok[2])
         if not assigns and not words and not redirects:
-            raise self._error(f"expected a command, found {self._describe(self._peek())}")
+            raise self._error(
+                f"expected a command, found {self._describe(self.toks[self.i])}")
         return SimpleCommand(tuple(assigns), tuple(words), tuple(redirects))
 
 
-class _HeredocRedirect(Redirect):
-    """A Redirect whose heredoc body is filled in after the next newline.
-
-    The lexer resolves the body into ``box['body']``; we expose it through
-    the ``heredoc`` attribute.  Instances otherwise behave as (and compare
-    like) plain Redirects once resolved.
-    """
-
-    def __init__(self, op: str, target: Word, fd: Optional[int], box: dict):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "fd", fd)
-        object.__setattr__(self, "_box", box)
-
-    @property
-    def heredoc(self) -> Optional[Word]:  # type: ignore[override]
-        return self._box.get("body")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Redirect):
-            return NotImplemented
-        return (
-            self.op == other.op
-            and self.target == other.target
-            and self.fd == other.fd
-            and self.heredoc == other.heredoc
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.op, self.target, self.fd, self.heredoc))
-
-    def __repr__(self) -> str:
-        return (
-            f"Redirect(op={self.op!r}, target={self.target!r}, fd={self.fd!r}, "
-            f"heredoc={self.heredoc!r})"
-        )
-
-
 def _attach_redirects(cmd: Command, redirects: tuple[Redirect, ...]) -> Command:
-    from dataclasses import replace
-
     if hasattr(cmd, "redirects"):
         return replace(cmd, redirects=tuple(cmd.redirects) + redirects)
     return Subshell(cmd, redirects)
@@ -566,8 +468,7 @@ def _attach_redirects(cmd: Command, redirects: tuple[Redirect, ...]) -> Command:
 
 def _parse_substitution(src: str, offset: int, close_op: Optional[str]):
     """Hook installed into the lexer: parse a $(...) / `...` body."""
-    parser = Parser(src, offset)
-    return parser.parse_until(close_op)
+    return Parser(src, offset).parse_until(close_op)
 
 
 def parse(src: str) -> CommandList:

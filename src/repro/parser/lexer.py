@@ -1,17 +1,28 @@
 """POSIX shell lexer.
 
-Produces operator / word / newline tokens on demand.  Words are lexed with
-their internal structure (quoting, parameter/command/arithmetic
+The lexer hands the grammar one line of tokens at a time:
+:meth:`Lexer.line` returns the tokens through the next newline (or
+``)``, or the end of input), and the grammar indexes into that list.
+Each lexer mode — between tokens, an unquoted word, double quotes, a
+``${...}`` operand, an arithmetic expansion, a here-document body — is
+driven by one compiled pattern, so each byte of a script is looked at a
+constant number of times.  Words are
+lexed with their internal structure (quoting, parameter/command/arithmetic
 substitution) already resolved into :mod:`repro.parser.ast_nodes` word
-parts, which is how dash (and therefore libdash) structures its reader.
+parts, which is how dash (and therefore libdash) structures its reader,
+and a word whose expansion is the identity carries its one field
+(:attr:`~repro.parser.ast_nodes.Word.constant`).
 
-Here-documents are gathered when the newline that follows their redirection
-operators is consumed, per POSIX XCU 2.7.4.
+The list is cut where the grammar must act before lexing goes on: at a
+newline, whose consumption first gathers the here-document bodies queued
+on that line (POSIX XCU 2.7.4), and at ``)``, which may close a ``$(``
+body that a nested parser reads from the same source: that parser
+returns where the body ended, and lexes nothing past it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
 from typing import Callable, Optional
 
 from .ast_nodes import (
@@ -23,7 +34,6 @@ from .ast_nodes import (
     Param,
     SingleQuoted,
     Word,
-    WordPart,
 )
 
 
@@ -36,19 +46,49 @@ class ShellSyntaxError(SyntaxError):
         self.line = line
 
 
-#: Multi-character operators, longest first (POSIX token recognition rule 2/3).
-OPERATORS = [
-    "<<-", "<<", ">>", "<&", ">&", "<>", ">|",
-    "&&", "||", ";;",
-    "<", ">", "|", "&", ";", "(", ")",
-]
-
-OPERATOR_START = set("<>|&;()")
-
-#: Characters that terminate an unquoted word.
-WORD_TERMINATORS = set(" \t\n") | OPERATOR_START
-
 SPECIAL_PARAMS = set("@*#?-$!0123456789")
+
+#: A token is a tuple ``(kind, value, word, pos)``.  ``kind`` is
+#: WORD, IO_NUMBER, NEWLINE, EOF or the operator itself; ``value`` is a
+#: word's text when it is one unquoted literal (what a reserved word is
+#: matched against), else None, and an operator's or io-number's text;
+#: ``word`` is the word's :class:`Word`.
+WORD, IO_NUMBER, NEWLINE, EOF = "WORD", "IO_NUMBER", "\n", ""
+
+#: between tokens: blanks, line continuations and a comment, then an
+#: io-number, a whole word that is one plain literal (a constant one
+#: first), or a newline or operator (longest first, POSIX token
+#: recognition rules 2/3); anything else starts a word that
+#: :meth:`Lexer._parts` reads
+_TOKEN = re.compile(
+    r"(?:[ \t]|\\\n)*(?:#[^\n]*)?"
+    r"(?:(?P<io>\d+)(?=[<>])"
+    r"|(?P<const>[^ \t\n<>|&;()'\"\\$`*?[~\x00-\x03]+)(?=[ \t\n<>|&;()]|\Z)"
+    r"|(?P<lit>[^ \t\n<>|&;()'\"\\$`]+)(?=[ \t\n<>|&;()]|\Z)"
+    r"|(?P<op><<-|<<|>>|<&|>&|<>|>\||&&|\|\||;;|[<>|&;()\n]))?")
+
+#: one pattern per word mode: the run of characters that mode takes as is
+_RUNS = {
+    "word": re.compile(r"[^ \t\n<>|&;()'\"\\$`]+"),
+    "dq": re.compile(r"[^\"\\$`]+"),
+    "operand": re.compile(r"[^{}'\"\\$`]+"),
+    "arith": re.compile(r"[^()'\"\\$`]+"),
+    "heredoc": re.compile(r"[^\\$`]+"),
+}
+#: what a backslash quotes in each mode (None: any character)
+_ESCAPES = {"word": None, "operand": None, "dq": '$`"\\', "heredoc": "$`\\",
+            "arith": ""}
+#: the error at the end of input, for the modes a closer must end
+_UNTERMINATED = {"dq": "unterminated double quote",
+                 "operand": "unterminated ${...}",
+                 "arith": "unterminated arithmetic expansion"}
+_BACKQUOTED = re.compile(r"(?:[^`\\]+|\\[$`\\]|\\)*")
+_BACKSLASHED = re.compile(r"\\([$`\\])")
+_NAME_TAIL = re.compile(r"\w*")
+#: unquoted text that expansion does not leave as is (pathname and tilde
+#: expansion), and the expander's internal marks
+_ACTIVE = re.compile("[*?[~\x00-\x03]")
+_MARKS = re.compile("[\x00-\x03]")
 
 
 def is_name(s: str) -> bool:
@@ -60,520 +100,309 @@ def is_name(s: str) -> bool:
     return all(c.isalnum() or c == "_" for c in s[1:])
 
 
-@dataclass
-class Token:
-    kind: str  # "WORD" | "OP" | "NEWLINE" | "EOF" | "IO_NUMBER"
-    value: str = ""  # operator text, or io-number digits
-    word: Optional[Word] = None
-    pos: int = 0
-    line: int = 1
+def constant_of(parts) -> Optional[str]:
+    """The one field a word made of ``parts`` expands to when expansion is
+    the identity — no parameter, command or arithmetic part, no unquoted
+    ``*``, ``?``, ``[`` or ``~`` — else None.  A word holding one of the
+    expander's internal marks (``\x00``–``\x03``) is left to the tree
+    expander, which reads them as marks."""
+    out: list[str] = []
+    for part in parts:
+        kind = type(part)
+        if kind is Lit:
+            if _ACTIVE.search(part.text):
+                return None
+            out.append(part.text)
+        elif kind is SingleQuoted:
+            out.append(part.text)
+        elif kind is Escaped:
+            out.append(part.char)
+        elif kind is DoubleQuoted:
+            for inner in part.parts:
+                if type(inner) is Lit:
+                    out.append(inner.text)
+                elif type(inner) is Escaped:
+                    out.append(inner.char)
+                else:
+                    return None
+        else:
+            return None
+    text = "".join(out)
+    return None if _MARKS.search(text) else text
 
 
-@dataclass
-class _PendingHeredoc:
-    """A here-doc whose body must be read at the next newline."""
+class Fault:
+    """The token at which lexing failed.  Reading it raises the error, so
+    the grammar meets the error exactly where it would meet the token."""
 
-    delimiter: str
-    quoted: bool  # delimiter contained quoting -> body is literal
-    strip_tabs: bool  # <<- operator
-    resolve: Callable[[Word], None]  # callback installing the body word
+    __slots__ = ("error",)
+
+    def __init__(self, error: ShellSyntaxError):
+        self.error = error
+
+    def __getitem__(self, index: int):
+        raise self.error
 
 
 class Lexer:
-    """On-demand tokenizer over a shell source string."""
+    """Tokenizer over a shell source string, one line of tokens a call."""
 
-    def __init__(self, src: str, parse_command: Optional[Callable] = None):
-        """``parse_command`` parses a command substitution body: called with
-        (source, offset) and returning (Command, new_offset).  The parser
-        installs it; tests may lex without substitutions resolving."""
+    def __init__(self, src: str, parse_command: Callable, pos: int = 0):
+        """``parse_command(source, offset, close)`` parses a command
+        substitution body and returns ``(Command, end_offset)``."""
         self.src = src
-        self.pos = 0
-        self.line = 1
-        self._peeked: Optional[Token] = None
-        self._pending_heredocs: list[_PendingHeredoc] = []
+        self.pos = pos
         self._parse_command = parse_command
+        #: (redirect, delimiter, quoted, strip_tabs) queued by the grammar;
+        #: :meth:`read_heredocs` reads the bodies when it consumes the
+        #: newline that ends their line
+        self.heredocs: list[tuple] = []
+        self._line, self._at = 1 + src.count("\n", 0, pos), pos
 
-    # -- public interface ---------------------------------------------------
+    def _error(self, msg: str, pos: int) -> ShellSyntaxError:
+        return ShellSyntaxError(msg, pos=pos, line=self.line_at(pos))
 
-    def peek(self) -> Token:
-        if self._peeked is None:
-            self._peeked = self._lex()
-        return self._peeked
+    # -- tokens -----------------------------------------------------------------
 
-    def next(self) -> Token:
-        tok = self.peek()
-        self._peeked = None
-        if tok.kind == "NEWLINE":
-            self._gather_heredocs()
-        return tok
+    def line(self) -> list:
+        """The tokens through the next newline, ``)`` or the end of input;
+        the list ends early at a :class:`Fault`."""
+        toks: list = []
+        src, n, pos = self.src, len(self.src), self.pos
+        try:
+            while True:
+                m = _TOKEN.match(src, pos)
+                kind = m.lastgroup
+                if kind == "const" or kind == "lit":
+                    start, pos = m.span(kind)
+                    text = src[start:pos]
+                    word = Word((Lit(text),), text if kind == "const" else None)
+                    toks.append((WORD, text, word, start))
+                elif kind == "op":
+                    start, pos = m.span(kind)
+                    text = src[start:pos]
+                    toks.append((text, text, None, start))
+                    if text == "\n" or text == ")":
+                        break
+                elif kind == "io":
+                    start, pos = m.span(kind)
+                    toks.append((IO_NUMBER, src[start:pos], None, start))
+                elif m.end() >= n:
+                    toks.append((EOF, "", None, n))
+                    break
+                else:
+                    start = m.end()
+                    parts, pos = self._parts(start, "word")
+                    text = (parts[0].text if len(parts) == 1
+                            and type(parts[0]) is Lit else None)
+                    word = Word(parts, constant_of(parts))
+                    toks.append((WORD, text, word, start))
+            self.pos = pos
+        except ShellSyntaxError as err:
+            toks.append(Fault(err))
+        return toks
 
-    def push_heredoc(self, pending: "_PendingHeredoc") -> None:
-        self._pending_heredocs.append(pending)
+    def line_at(self, pos: int) -> int:
+        """The 1-based line of offset ``pos``, counted from the offset asked
+        about last (the grammar asks in nearly increasing order)."""
+        if pos >= self._at:
+            self._line += self.src.count("\n", self._at, pos)
+        else:
+            self._line -= self.src.count("\n", pos, self._at)
+        self._at = pos
+        return self._line
 
-    def at_eof(self) -> bool:
-        return self.peek().kind == "EOF"
+    # -- words ------------------------------------------------------------------
 
-    # -- core scanning ------------------------------------------------------
-
-    def _error(self, msg: str) -> ShellSyntaxError:
-        return ShellSyntaxError(msg, pos=self.pos, line=self.line)
-
-    def _advance(self, n: int = 1) -> None:
-        self.line += self.src.count("\n", self.pos, self.pos + n)
-        self.pos += n
-
-    def _skip_blanks_and_comments(self) -> None:
+    def _parts(self, pos: int, mode: str):
+        """Read word parts from ``pos`` until ``mode`` ends: an unquoted
+        word at a terminator (not consumed), double quotes at ``"``, an
+        operand at its unmatched ``}``, an arithmetic expansion at ``))``
+        and a here-document body at the end of input.  Returns
+        ``(parts, end)``; an arithmetic expansion that closes with one
+        ``)`` was ``$( (...) )`` and returns ``(None, pos)``."""
         src, n = self.src, len(self.src)
-        while self.pos < n:
-            c = src[self.pos]
-            if c in " \t":
-                self.pos += 1
-            elif c == "\\" and self.pos + 1 < n and src[self.pos + 1] == "\n":
-                self._advance(2)  # line continuation
-            elif c == "#":
-                while self.pos < n and src[self.pos] != "\n":
-                    self.pos += 1
-            else:
-                return
-
-    def _lex(self) -> Token:
-        self._skip_blanks_and_comments()
-        start, line = self.pos, self.line
-        if self.pos >= len(self.src):
-            return Token("EOF", pos=start, line=line)
-        c = self.src[self.pos]
-        if c == "\n":
-            self._advance()
-            return Token("NEWLINE", "\n", pos=start, line=line)
-        if c in OPERATOR_START:
-            for op in OPERATORS:
-                if self.src.startswith(op, self.pos):
-                    self._advance(len(op))
-                    return Token("OP", op, pos=start, line=line)
-            raise self._error(f"unrecognized operator at {c!r}")
-        # IO_NUMBER: digits directly followed by < or >
-        if c.isdigit():
-            j = self.pos
-            while j < len(self.src) and self.src[j].isdigit():
-                j += 1
-            if j < len(self.src) and self.src[j] in "<>":
-                digits = self.src[self.pos : j]
-                self._advance(j - self.pos)
-                return Token("IO_NUMBER", digits, pos=start, line=line)
-        word = self._read_word()
-        return Token("WORD", word=word, pos=start, line=line)
-
-    # -- word reading -------------------------------------------------------
-
-    def _read_word(self) -> Word:
-        parts: list[WordPart] = []
+        run, escapes = _RUNS[mode].match, _ESCAPES[mode]
+        parts: list = []
         lit: list[str] = []
-
-        def flush() -> None:
-            if lit:
-                parts.append(Lit("".join(lit)))
-                lit.clear()
-
-        src, n = self.src, len(self.src)
-        while self.pos < n:
-            c = src[self.pos]
-            if c in WORD_TERMINATORS:
-                break
-            if c == "'":
-                flush()
-                parts.append(self._read_single_quoted())
-            elif c == '"':
-                flush()
-                parts.append(self._read_double_quoted())
-            elif c == "\\":
-                if self.pos + 1 >= n:
-                    raise self._error("trailing backslash")
-                if src[self.pos + 1] == "\n":
-                    self._advance(2)  # line continuation
-                    continue
-                flush()
-                parts.append(Escaped(src[self.pos + 1]))
-                self._advance(2)
-            elif c == "$":
-                flush()
-                parts.append(self._read_dollar(in_dquotes=False))
-            elif c == "`":
-                flush()
-                parts.append(self._read_backtick())
-            else:
-                lit.append(c)
-                self._advance()
-        flush()
-        if not parts:
-            raise self._error("empty word")
-        return Word(tuple(parts))
-
-    def _read_single_quoted(self) -> SingleQuoted:
-        assert self.src[self.pos] == "'"
-        end = self.src.find("'", self.pos + 1)
-        if end < 0:
-            raise self._error("unterminated single quote")
-        text = self.src[self.pos + 1 : end]
-        self._advance(end + 1 - self.pos)
-        return SingleQuoted(text)
-
-    def _read_double_quoted(self) -> DoubleQuoted:
-        assert self.src[self.pos] == '"'
-        self._advance()
-        parts: list[WordPart] = []
-        lit: list[str] = []
-
-        def flush() -> None:
-            if lit:
-                parts.append(Lit("".join(lit)))
-                lit.clear()
-
-        src, n = self.src, len(self.src)
-        while True:
-            if self.pos >= n:
-                raise self._error("unterminated double quote")
-            c = src[self.pos]
-            if c == '"':
-                self._advance()
-                break
-            if c == "\\":
-                if self.pos + 1 >= n:
-                    raise self._error("unterminated double quote")
-                nxt = src[self.pos + 1]
-                if nxt == "\n":
-                    self._advance(2)
-                elif nxt in '$`"\\':
-                    flush()
-                    parts.append(Escaped(nxt))
-                    self._advance(2)
-                else:  # backslash stays literal inside dquotes
-                    lit.append("\\")
-                    self._advance()
-            elif c == "$":
-                flush()
-                parts.append(self._read_dollar(in_dquotes=True))
-            elif c == "`":
-                flush()
-                parts.append(self._read_backtick())
-            else:
-                lit.append(c)
-                self._advance()
-        flush()
-        return DoubleQuoted(tuple(parts))
-
-    # -- $ expansions ---------------------------------------------------------
-
-    def _read_dollar(self, in_dquotes: bool) -> WordPart:
-        assert self.src[self.pos] == "$"
-        src, n = self.src, len(self.src)
-        if self.pos + 1 >= n:
-            self._advance()
-            return Lit("$")
-        nxt = src[self.pos + 1]
-        if nxt == "(":
-            if src.startswith("$((", self.pos):
-                arith = self._try_read_arith()
-                if arith is not None:
-                    return arith
-            return self._read_cmdsub_paren()
-        if nxt == "{":
-            return self._read_braced_param()
-        if nxt in SPECIAL_PARAMS and not nxt.isdigit():
-            self._advance(2)
-            return Param(nxt)
-        if nxt.isdigit():
-            self._advance(2)
-            return Param(nxt)
-        if nxt.isalpha() or nxt == "_":
-            j = self.pos + 1
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            name = src[self.pos + 1 : j]
-            self._advance(j - self.pos)
-            return Param(name)
-        # lone $ is literal
-        self._advance()
-        return Lit("$")
-
-    def _try_read_arith(self) -> Optional[ArithSub]:
-        """Read ``$((expr))``.  Returns None when it is really ``$( (...)``
-        (a command substitution containing a subshell): we detect that by
-        scanning for the matching ``))`` with paren balancing; if the
-        balance closes as a single ``)`` first, it was a cmdsub."""
-        save_pos, save_line = self.pos, self.line
-        self._advance(3)  # "$(("
-        parts: list[WordPart] = []
-        lit: list[str] = []
-
-        def flush() -> None:
-            if lit:
-                parts.append(Lit("".join(lit)))
-                lit.clear()
-
         depth = 0
-        src, n = self.src, len(self.src)
-        while self.pos < n:
-            c = src[self.pos]
-            if c == "(":
+        while True:
+            m = run(src, pos)
+            if m is not None:
+                lit.append(m.group())
+                pos = m.end()
+            if pos >= n:
+                if mode in _UNTERMINATED:
+                    raise self._error(_UNTERMINATED[mode], pos)
+                break
+            c = src[pos]
+            if c == "\\":
+                nxt = src[pos + 1:pos + 2]
+                if nxt == "\n":  # line continuation
+                    pos += 2
+                    continue
+                if not nxt and mode in ("word", "operand", "dq"):
+                    raise self._error("trailing backslash" if mode == "word"
+                                      else _UNTERMINATED[mode], pos)
+                if nxt and (escapes is None or nxt in escapes):
+                    part, end = Escaped(nxt), pos + 2
+                else:  # the backslash stays literal
+                    lit.append(c)
+                    pos += 1
+                    continue
+            elif c == "$":
+                part, end = self._dollar(pos)
+            elif c == "`":
+                part, end = self._backquoted(pos)
+            elif c == "'":
+                end = src.find("'", pos + 1)
+                if end < 0:
+                    raise self._error("unterminated single quote", pos)
+                part, end = SingleQuoted(src[pos + 1:end]), end + 1
+            elif c == '"':
+                if mode == "dq":
+                    pos += 1
+                    break
+                inner, end = self._parts(pos + 1, "dq")
+                part = DoubleQuoted(tuple(inner))
+            elif c == "{":
                 depth += 1
                 lit.append(c)
-                self._advance()
-            elif c == ")":
-                if depth == 0:
-                    if self.pos + 1 < n and src[self.pos + 1] == ")":
-                        self._advance(2)
-                        flush()
-                        return ArithSub(tuple(parts))
-                    # single close paren: it was $( (...) ...) -- back off
-                    self.pos, self.line = save_pos, save_line
-                    return None
+                pos += 1
+                continue
+            elif c == "}":
+                pos += 1
+                if not depth:
+                    break
                 depth -= 1
                 lit.append(c)
-                self._advance()
-            elif c == "$":
-                flush()
-                parts.append(self._read_dollar(in_dquotes=False))
-            elif c == "`":
-                flush()
-                parts.append(self._read_backtick())
-            elif c == "'":
-                flush()
-                parts.append(self._read_single_quoted())
-            elif c == '"':
-                flush()
-                parts.append(self._read_double_quoted())
-            elif c == "\\" and self.pos + 1 < n and src[self.pos + 1] == "\n":
-                self._advance(2)
-            else:
+                continue
+            elif mode == "arith":
+                if c == "(":
+                    depth += 1
+                elif depth:
+                    depth -= 1
+                elif src.startswith("))", pos):
+                    pos += 2
+                    break
+                else:
+                    return None, pos
                 lit.append(c)
-                self._advance()
-        raise self._error("unterminated arithmetic expansion")
-
-    def _read_cmdsub_paren(self) -> CmdSub:
-        if self._parse_command is None:
-            raise self._error("command substitution requires a parser")
-        self._advance(2)  # "$("
-        command, new_pos = self._parse_command(self.src, self.pos, ")")
-        self.line += self.src.count("\n", self.pos, new_pos)
-        self.pos = new_pos
-        return CmdSub(command)
-
-    def _read_backtick(self) -> CmdSub:
-        assert self.src[self.pos] == "`"
-        self._advance()
-        raw: list[str] = []
-        src, n = self.src, len(self.src)
-        while True:
-            if self.pos >= n:
-                raise self._error("unterminated backquote")
-            c = src[self.pos]
-            if c == "`":
-                self._advance()
+                pos += 1
+                continue
+            else:  # a word terminator
                 break
-            if c == "\\" and self.pos + 1 < n and src[self.pos + 1] in "$`\\":
-                raw.append(src[self.pos + 1])
-                self._advance(2)
-            else:
-                raw.append(c)
-                self._advance()
-        if self._parse_command is None:
-            raise self._error("command substitution requires a parser")
-        body = "".join(raw)
-        command, end = self._parse_command(body, 0, None)
-        if end < len(body):
-            raise self._error("trailing characters in backquote substitution")
-        return CmdSub(command, backtick=True)
+            if lit:
+                parts.append(Lit("".join(lit)))
+                lit.clear()
+            parts.append(part)
+            pos = end
+        if lit:
+            parts.append(Lit("".join(lit)))
+        return tuple(parts), pos
 
-    def _read_braced_param(self) -> Param:
-        assert self.src.startswith("${", self.pos)
-        self._advance(2)
+    def _dollar(self, pos: int):
+        src = self.src
+        nxt = src[pos + 1:pos + 2]
+        if nxt == "(":
+            if src.startswith("$((", pos):
+                parts, end = self._parts(pos + 3, "arith")
+                if parts is not None:
+                    return ArithSub(parts), end
+            command, end = self._parse_command(src, pos + 2, ")")
+            return CmdSub(command), end
+        if nxt == "{":
+            return self._braced(pos + 2)
+        if nxt and (nxt in SPECIAL_PARAMS or nxt.isdigit()):
+            return Param(nxt), pos + 2
+        if nxt and (nxt.isalpha() or nxt == "_"):
+            end = _NAME_TAIL.match(src, pos + 2).end()
+            return Param(src[pos + 1:end]), end
+        return Lit("$"), pos + 1  # a lone $ is literal
+
+    def _backquoted(self, pos: int):
+        end = _BACKQUOTED.match(self.src, pos + 1).end()
+        if end >= len(self.src):
+            raise self._error("unterminated backquote", end)
+        body = _BACKSLASHED.sub(r"\1", self.src[pos + 1:end])
+        command, __ = self._parse_command(body, 0, None)
+        return CmdSub(command, backtick=True), end + 1
+
+    def _braced(self, pos: int):
+        """``${...}`` from just after the brace."""
         src, n = self.src, len(self.src)
-        if self.pos < n and src[self.pos] == "#":
-            # ${#x} length -- but ${#} is $# and ${#-} etc. are ops on '#'
-            j = self.pos + 1
-            if j < n and (src[j].isalnum() or src[j] == "_" or src[j] in "@*"):
-                name = self._read_param_name(j)
-                if self.pos < n and src[self.pos] == "}":
-                    self._advance()
-                    return Param(name, "length")
-                raise self._error("bad ${#name} expansion")
-        name_start = self.pos
-        if self.pos < n and (src[self.pos] in SPECIAL_PARAMS and not src[self.pos].isalnum()):
-            name = src[self.pos]
-            self._advance()
-        elif self.pos < n and src[self.pos].isdigit():
-            j = self.pos
-            while j < n and src[j].isdigit():
-                j += 1
-            name = src[self.pos : j]
-            self._advance(j - self.pos)
+        c = src[pos:pos + 1]
+        if c == "#" and pos + 1 < n and (src[pos + 1].isalnum()
+                                         or src[pos + 1] in "_@*"):
+            name, end = self._param_name(pos + 1, pos)  # ${#x}: the length
+            if src[end:end + 1] != "}":
+                raise self._error("bad ${#name} expansion", end)
+            return Param(name, "length"), end + 1
+        if c and c in SPECIAL_PARAMS and not c.isalnum():
+            name, pos = c, pos + 1
+        elif c.isdigit():
+            end = pos
+            while end < n and src[end].isdigit():
+                end += 1
+            name, pos = src[pos:end], end
         else:
-            name = self._read_param_name(self.pos)
-        if name_start == self.pos and not name:
-            raise self._error("bad parameter expansion")
-        if self.pos >= n:
-            raise self._error("unterminated ${")
-        c = src[self.pos]
+            name, pos = self._param_name(pos, pos)
+        if pos >= n:
+            raise self._error("unterminated ${", pos)
+        c = src[pos]
         if c == "}":
-            self._advance()
-            return Param(name)
-        # operator
-        op = ""
+            return Param(name), pos + 1
         if c == ":":
-            if self.pos + 1 >= n or src[self.pos + 1] not in "-=?+":
-                raise self._error("bad ':' in parameter expansion")
-            op = ":" + src[self.pos + 1]
-            self._advance(2)
+            if src[pos + 1:pos + 2] not in ("-", "=", "?", "+"):
+                raise self._error("bad ':' in parameter expansion", pos)
+            op = src[pos:pos + 2]
         elif c in "-=?+":
             op = c
-            self._advance()
         elif c in "%#":
-            if self.pos + 1 < n and src[self.pos + 1] == c:
-                op = c * 2
-                self._advance(2)
-            else:
-                op = c
-                self._advance()
+            op = c * 2 if src[pos + 1:pos + 2] == c else c
         else:
-            raise self._error(f"bad parameter operator {c!r}")
-        operand = self._read_param_operand()
-        return Param(name, op, operand)
+            raise self._error(f"bad parameter operator {c!r}", pos)
+        parts, end = self._parts(pos + len(op), "operand")
+        return Param(name, op, Word(parts)), end
 
-    def _read_param_name(self, start: int) -> str:
-        src, n = self.src, len(self.src)
-        j = start
-        while j < n and (src[j].isalnum() or src[j] == "_"):
-            j += 1
-        name = src[start:j]
+    def _param_name(self, start: int, at: int):
+        end = _NAME_TAIL.match(self.src, start).end()
+        name = self.src[start:end]
         if not is_name(name):
-            raise self._error(f"bad parameter name {name!r}")
-        self.line += src.count("\n", self.pos, j)
-        self.pos = j
-        return name
+            raise self._error(f"bad parameter name {name!r}", at)
+        return name, end
 
-    def _read_param_operand(self) -> Word:
-        """Read the word operand of ``${name<op>word}`` up to the matching
-        unquoted ``}``."""
-        parts: list[WordPart] = []
-        lit: list[str] = []
+    # -- here-documents -----------------------------------------------------------
 
-        def flush() -> None:
-            if lit:
-                parts.append(Lit("".join(lit)))
-                lit.clear()
-
+    def read_heredocs(self) -> None:
+        """Read the bodies queued on the line whose newline was consumed."""
         src, n = self.src, len(self.src)
-        depth = 0
-        while True:
-            if self.pos >= n:
-                raise self._error("unterminated ${...}")
-            c = src[self.pos]
-            if c == "}" and depth == 0:
-                self._advance()
-                break
-            if c == "{":
-                depth += 1
-                lit.append(c)
-                self._advance()
-            elif c == "}":
-                depth -= 1
-                lit.append(c)
-                self._advance()
-            elif c == "'":
-                flush()
-                parts.append(self._read_single_quoted())
-            elif c == '"':
-                flush()
-                parts.append(self._read_double_quoted())
-            elif c == "\\":
-                if self.pos + 1 >= n:
-                    raise self._error("unterminated ${...}")
-                if src[self.pos + 1] == "\n":
-                    self._advance(2)
-                    continue
-                flush()
-                parts.append(Escaped(src[self.pos + 1]))
-                self._advance(2)
-            elif c == "$":
-                flush()
-                parts.append(self._read_dollar(in_dquotes=False))
-            elif c == "`":
-                flush()
-                parts.append(self._read_backtick())
+        while self.heredocs:
+            redirect, delimiter, quoted, strip_tabs = self.heredocs.pop(0)
+            lines: list[str] = []
+            while True:
+                if self.pos >= n:
+                    raise self._error("here-document delimited by EOF "
+                                      f"(wanted {delimiter!r})", self.pos)
+                eol = src.find("\n", self.pos)
+                if eol < 0:
+                    eol = n
+                line = src[self.pos:eol]
+                self.pos = min(eol + 1, n)
+                if strip_tabs:
+                    line = line.lstrip("\t")
+                if line == delimiter:
+                    break
+                lines.append(line)
+            text = "".join(line + "\n" for line in lines)
+            if quoted:
+                body = Word((SingleQuoted(text),), text)
             else:
-                lit.append(c)
-                self._advance()
-        flush()
-        return Word(tuple(parts))
-
-    # -- here-documents -------------------------------------------------------
-
-    def _gather_heredocs(self) -> None:
-        while self._pending_heredocs:
-            pending = self._pending_heredocs.pop(0)
-            body = self._read_heredoc_body(pending)
-            pending.resolve(body)
-
-    def _read_heredoc_body(self, pending: _PendingHeredoc) -> Word:
-        src, n = self.src, len(self.src)
-        lines: list[str] = []
-        while True:
-            if self.pos >= n:
-                raise self._error(f"here-document delimited by EOF (wanted {pending.delimiter!r})")
-            eol = src.find("\n", self.pos)
-            if eol < 0:
-                eol = n
-            line = src[self.pos : eol]
-            self._advance(min(eol + 1, n) - self.pos)
-            check = line.lstrip("\t") if pending.strip_tabs else line
-            if check == pending.delimiter:
-                break
-            lines.append(line.lstrip("\t") if pending.strip_tabs else line)
-        text = "".join(line + "\n" for line in lines)
-        if pending.quoted:
-            return Word((SingleQuoted(text),)) if text else Word((SingleQuoted(""),))
-        return self._parse_heredoc_expansions(text)
-
-    def _parse_heredoc_expansions(self, text: str) -> Word:
-        """Here-doc bodies expand $, backticks, and backslash before
-        ``$ \\` \\\\`` and newline -- like double quotes without the quotes."""
-        sub = Lexer(text, parse_command=self._parse_command)
-        parts: list[WordPart] = []
-        lit: list[str] = []
-
-        def flush() -> None:
-            if lit:
-                parts.append(Lit("".join(lit)))
-                lit.clear()
-
-        n = len(text)
-        while sub.pos < n:
-            c = text[sub.pos]
-            if c == "\\":
-                if sub.pos + 1 >= n:
-                    lit.append("\\")
-                    sub.pos += 1
-                    continue
-                nxt = text[sub.pos + 1]
-                if nxt == "\n":
-                    sub._advance(2)
-                elif nxt in "$`\\":
-                    flush()
-                    parts.append(Escaped(nxt))
-                    sub._advance(2)
-                else:
-                    lit.append("\\")
-                    sub._advance()
-            elif c == "$":
-                flush()
-                parts.append(sub._read_dollar(in_dquotes=True))
-            elif c == "`":
-                flush()
-                parts.append(sub._read_backtick())
-            else:
-                lit.append(c)
-                sub._advance()
-        flush()
-        if not parts:
-            parts.append(Lit(""))
-        return Word((DoubleQuoted(tuple(parts)),))
+                # $, backquotes and backslash before $ ` \ and newline
+                # expand, as in double quotes without the quotes
+                inner, __ = Lexer(text, self._parse_command)._parts(
+                    0, "heredoc")
+                parts = (DoubleQuoted(inner or (Lit(""),)),)
+                body = Word(parts, constant_of(parts))
+            # the one write to a frozen node, made while it is being built
+            object.__setattr__(redirect, "heredoc", body)

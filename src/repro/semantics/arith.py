@@ -1,8 +1,9 @@
 """POSIX shell arithmetic ($((...))) — XCU 2.6.4.
 
-Signed integer arithmetic with the C operator set, assignment, and the
-ternary conditional.  Variables resolve through get/set callbacks so the
-evaluator is shared by the interpreter and the symbolic analyses.
+Signed 64-bit integer arithmetic (dash's intmax_t) with the C operator
+set, assignment, and the ternary conditional.  Variables resolve
+through get/set callbacks so the evaluator is shared by the interpreter
+and the symbolic analyses.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class _Parser:
         tok = self.peek()
         if tok == "-":
             self.take()
-            return -self.parse_unary()
+            return _wrap(-self.parse_unary())
         if tok == "+":
             self.take()
             return self.parse_unary()
@@ -177,32 +178,48 @@ class _Parser:
             raise ArithError(f"non-numeric value for {name}: {raw!r}")
 
 
+_INT64_MIN = -1 << 63
+
+
+def _wrap(value: int) -> int:
+    """``value`` modulo 2**64, as a signed 64-bit integer."""
+    return (value - _INT64_MIN) % (1 << 64) + _INT64_MIN
+
+
 def _parse_int(text: str) -> int:
+    """A number as strtoimax reads it: out-of-range values saturate."""
     try:
         if text.lower().startswith("0x"):
-            return int(text, 16)
-        if text.startswith("0") and len(text) > 1 and text.isdigit():
-            return int(text, 8)
-        return int(text)
+            value = int(text, 16)
+        elif text.startswith("0") and len(text) > 1 and text.isdigit():
+            value = int(text, 8)
+        else:
+            value = int(text)
     except ValueError:
         raise ArithError(f"bad number {text!r}") from None
+    return max(_INT64_MIN, min(value, -1 - _INT64_MIN))
 
 
 def _apply_binop(op: str, a: int, b: int) -> int:
+    if op in ("/", "%"):
+        if b == 0:
+            raise ArithError("division by zero")
+        quotient = abs(a) // abs(b)  # C semantics: truncate toward zero
+        if (a < 0) != (b < 0):
+            quotient = -quotient
+        return _wrap(quotient if op == "/" else a - quotient * b)
+    if op in ("<<", ">>"):
+        b &= 63  # the shift count, as the hardware takes it
+    return _wrap(_binop(op, a, b))
+
+
+def _binop(op: str, a: int, b: int) -> int:
     if op == "+":
         return a + b
     if op == "-":
         return a - b
     if op == "*":
         return a * b
-    if op == "/":
-        if b == 0:
-            raise ArithError("division by zero")
-        return int(a / b)  # C semantics: truncate toward zero
-    if op == "%":
-        if b == 0:
-            raise ArithError("division by zero")
-        return a - int(a / b) * b
     if op == "<<":
         return a << b
     if op == ">>":

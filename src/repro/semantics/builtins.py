@@ -203,7 +203,7 @@ def exec_b(interp, proc, argv):
         from ..parser.ast_nodes import Lit, SimpleCommand, Word
 
         cmd = SimpleCommand(
-            words=tuple(Word((Lit(a),)) for a in argv)
+            words=tuple(Word((Lit(a),), a) for a in argv)
         )
         status = yield from interp.exec(cmd, proc)
         raise ShellExit(status)
@@ -556,6 +556,6 @@ def command_b(interp, proc, argv):
         return 0
     from ..parser.ast_nodes import Lit, SimpleCommand, Word
 
-    cmd = SimpleCommand(words=tuple(Word((Lit(a),)) for a in argv))
+    cmd = SimpleCommand(words=tuple(Word((Lit(a),), a) for a in argv))
     status = yield from interp.exec_simple(cmd, proc, skip_functions=True)
     return status

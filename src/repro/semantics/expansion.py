@@ -378,28 +378,6 @@ def _finalize(marked: str) -> str:
     return strip_quote_marks(marked).replace(EMPTY_QUOTE, "")
 
 
-def _drop_split_marks(marked: str) -> str:
-    """Remove SPLIT_MARK tags while preserving QUOTE_MARK pairs."""
-    if SPLIT_MARK not in marked:
-        return marked
-    out: list[str] = []
-    i = 0
-    n = len(marked)
-    while i < n:
-        c = marked[i]
-        if c == QUOTE_MARK:
-            out.append(c)
-            if i + 1 < n:
-                out.append(marked[i + 1])
-            i += 2
-        elif c == SPLIT_MARK:
-            i += 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
 # ---------------------------------------------------------------------------
 # tilde expansion
 # ---------------------------------------------------------------------------
@@ -427,35 +405,38 @@ def _tilde_expand(marked: str, state) -> str:
 # ---------------------------------------------------------------------------
 
 
-def expand_word(interp, proc, word: Word, split: bool = True, glob: bool = True):
-    """Full expansion of one word into zero or more fields."""
+def expand_word(interp, proc, word: Word):
+    """Full expansion of one word into zero or more fields; a constant
+    word is its one field."""
+    if word.constant is not None:
+        return [word.constant]
     marked = yield from _expand_parts(interp, proc, word.parts, False)
-    marked = _tilde_expand(marked, interp.state)
-    if split:
-        fields = split_fields(marked, interp.state.ifs)
-    else:
-        unsplit = _drop_split_marks(marked).replace(FIELD_BREAK, " ")
-        fields = [unsplit] if unsplit else []
-    if glob and not interp.state.options.get("noglob"):
-        out: list[str] = []
-        for field in fields:
-            out.extend(expand_pathnames(field, proc.fs, interp.state.cwd))
-        return out
-    return [_finalize(f) for f in fields]
+    fields = split_fields(_tilde_expand(marked, interp.state), interp.state.ifs)
+    if interp.state.options.get("noglob"):
+        return [_finalize(f) for f in fields]
+    out: list[str] = []
+    for field in fields:
+        out.extend(expand_pathnames(field, proc.fs, interp.state.cwd))
+    return out
 
 
 def expand_word_single(interp, proc, word: Word):
     """Expansion producing exactly one field (assignments, redirect
     targets, case subjects, here-docs): no splitting, no globbing."""
+    if word.constant is not None:
+        return word.constant
     marked = yield from _expand_parts(interp, proc, word.parts, False)
     marked = _tilde_expand(marked, interp.state)
     return _finalize(marked.replace(FIELD_BREAK, " "))
 
 
 def expand_words(interp, proc, words):
-    """Expand a word sequence into an argv field list."""
+    """Expand a word sequence into an argv field list; a constant word
+    costs no generator."""
     fields: list[str] = []
     for word in words:
-        result = yield from expand_word(interp, proc, word)
-        fields.extend(result)
+        if word.constant is not None:
+            fields.append(word.constant)
+        else:
+            fields.extend((yield from expand_word(interp, proc, word)))
     return fields

@@ -31,7 +31,6 @@ from ..parser.ast_nodes import (
     Pipeline,
     Redirect,
     SimpleCommand,
-    SingleQuoted,
     Subshell,
     While,
     Word,
@@ -45,7 +44,6 @@ from .expansion import (
     ExpansionError,
     _expand_parts,
     _finalize,
-    expand_word,
     expand_word_single,
     expand_words,
 )
@@ -287,11 +285,8 @@ class Interpreter:
         op = redirect.op
         if op in ("<<", "<<-"):
             body = redirect.heredoc
-            if body is None:
-                text = ""
-            elif len(body.parts) == 1 and isinstance(body.parts[0], SingleQuoted):
-                text = body.parts[0].text
-            else:
+            text = "" if body is None else body.constant
+            if text is None:
                 marked = yield from _expand_parts(self, proc, body.parts, False)
                 text = _finalize(marked)
             fds[fd] = StringSource(text.encode())

@@ -35,6 +35,37 @@ class TestBasics:
         assert ev("1 ? 0 ? 5 : 6 : 7")[0] == 6
 
 
+class TestInt64:
+    """dash's intmax_t: results wrap, shift counts are taken mod 64, and
+    / and % are exact (the first five rows printed 9223372036854775808,
+    18446744073709551616, a ValueError traceback, 9007199254740992 and
+    -513 before)."""
+
+    @pytest.mark.parametrize("expr,value", [
+        ("9223372036854775807+1", -9223372036854775808),
+        ("1<<64", 1),
+        ("1<<99999999", -9223372036854775808),
+        ("9007199254740993/1", 9007199254740993),
+        ("9223372036854775807%10", 7),
+        ("-(-9223372036854775807-1)", -9223372036854775808),
+        ("0x7fffffffffffffff*2", -2),
+        ("1<<-1", -9223372036854775808),
+        ("-8>>1", -4),
+        ("-7%2", -1),
+        ("7%-2", 1),
+    ])
+    def test_value(self, expr, value):
+        assert ev(expr)[0] == value
+
+    def test_constants_saturate_as_strtoimax(self):
+        assert ev("9223372036854775808")[0] == 9223372036854775807
+        assert ev("0xffffffffffffffff")[0] == 9223372036854775807
+
+    def test_through_the_shell(self, out_of):
+        assert out_of("echo $((9223372036854775807+1)) $((1<<99999999))"
+                      ) == "-9223372036854775808 -9223372036854775808\n"
+
+
 class TestVariables:
     def test_read(self):
         assert ev("x+1", {"x": "41"})[0] == 42

@@ -1,11 +1,23 @@
 """Word expansion semantics: parameter ops, field splitting, quoting,
 $@/$*, IFS, pathname expansion, tilde — via end-to-end script runs."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.semantics.expansion import mark_splittable, split_fields
+from .conftest import tree_expand_word_single, tree_expand_words
+from repro.parser import parse_one
+from repro.semantics.expansion import (
+    expand_word_single,
+    expand_words,
+    mark_splittable,
+    split_fields,
+)
+from repro.semantics.interp import Interpreter
 from repro.semantics.patterns import quote_literal
+from repro.semantics.state import ShellState
+from repro.vos.fs import FileSystem
 
 
 class TestParameterOps:
@@ -256,3 +268,58 @@ def test_split_roundtrip_on_space_join(fields):
     re-splitting the marked result recovers the fields."""
     joined = " ".join(fields)
     assert split_fields(mark_splittable(joined, " \t\n"), " \t\n") == fields
+
+
+# -- constant words (fixed at parse time) against the tree expander ---------
+
+#: pieces of one word: plain text, IFS characters that are literal or
+#: quoted, glob and tilde characters (bare and quoted), empty quotes and
+#: a parameter now and then (a non-constant word keeps the tree path)
+_PIECES = ["a", "b", "x.y", "/", "-", ":", "=", "*", "?", "[ab]", "[", "~",
+           "~/a", "'a b'", "''", '""', '"x:y"', '"*"', "'~'", "\\*", "\\ ",
+           "\\~", '"a\\$"', "$v", '"$v"', "${v:-d}"]
+
+
+def _drive(gen):
+    """Run an expansion generator that must not touch the kernel."""
+    try:
+        next(gen)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("expansion yielded to the kernel")
+
+
+@given(words=st.lists(st.lists(st.sampled_from(_PIECES), min_size=1,
+                               max_size=4).map("".join),
+                      min_size=1, max_size=4),
+       ifs=st.sampled_from([" \t\n", ":", "", " :", "a"]),
+       noglob=st.booleans(),
+       names=st.sets(st.sampled_from(["a", "ab", "b", "x.y", ".h", "a b",
+                                      "*", "[ab]", "~"]), max_size=5),
+       cwd=st.sampled_from(["/w", "/"]))
+@settings(max_examples=300, deadline=None)
+def test_constant_words_expand_as_the_tree_expander(words, ifs, noglob,
+                                                    names, cwd):
+    """A word the lexer marks constant expands, with no pass over its
+    parts, to exactly the fields the tree expander gives it, under any
+    IFS, ``set -f`` and directory contents."""
+    command = parse_one("echo " + " ".join(words))
+    state = ShellState()
+    state.set("IFS", ifs)
+    state.set("v", "p q:r")
+    state.set("HOME", "/home/u")
+    state.options["noglob"] = noglob
+    state.cwd = cwd
+    fs = FileSystem()
+    for name in names:
+        fs.write_bytes(f"{cwd.rstrip('/')}/{name}", b"")
+    interp, proc = Interpreter(state), SimpleNamespace(fs=fs)
+    argv = command.words[1:]
+    assert (_drive(expand_words(interp, proc, argv))
+            == _drive(tree_expand_words(interp, proc, argv)))
+    for word in argv:
+        assert (_drive(expand_word_single(interp, proc, word))
+                == _drive(tree_expand_word_single(interp, proc, word)))
+        if word.constant is not None:
+            assert _drive(tree_expand_words(interp, proc, [word])) == [
+                word.constant]

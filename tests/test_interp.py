@@ -128,6 +128,13 @@ class TestFunctions:
     def test_command_builtin_skips_function(self, out_of):
         assert out_of("true() { false; }; command true; echo $?") == "0\n"
 
+    def test_command_and_exec_run_their_fields_unexpanded(self, out_of):
+        # the fields were expanded once, as `command`'s and `exec`'s own
+        # words: a glob, a ~ or a space among them is plain text
+        script = ('touch /a1 /a2; command echo "/a*" "~" "x  y"; '
+                  'exec echo "/a*"')
+        assert out_of(script) == "/a* ~ x  y\n/a*\n"
+
     def test_function_redirect(self, sh_run):
         result = sh_run("f() { echo data; } > /tmp/fout; f; cat /tmp/fout")
         assert result.stdout == b"data\n"

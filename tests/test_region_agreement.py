@@ -54,6 +54,14 @@ SHAPES = [
     # output files, not stdout: uniq's second operand, sort -o
     ("uniq IN OUT", "uniq /in.txt /out.txt", set()),
     ("sort -o", "sort -o /out.txt /in.txt", set()),
+    # a glob or tilde word is literal but not constant: the engines that
+    # read words as written refuse it (a file is named `/d/*.txt`, and
+    # one `/~/w.txt`, so reading them literally shows)
+    ("glob operand", "cat /d/*.txt | tr a-z A-Z | sort > /o",
+     {"jash", "inc"}),
+    ("tilde operand", "cat ~/w.txt | tr a-z A-Z | sort > /o",
+     {"jash", "inc"}),
+    ("tilde < source", "tr a-z A-Z < ~/w.txt | sort > /o", {"jash", "inc"}),
 ]
 ENGINES = ("jash", "pash", "inc", "jobs2")
 
@@ -98,12 +106,15 @@ def run_rows(engine: str, script: str, edit: bool = False):
     file edited in between, when ``edit``) and the shell it ran in."""
     shell = make_shell(engine)
     for path, data in (("/in.txt", DATA), ("/other.txt", OTHER),
-                       ("/o", b"old\n")):
+                       ("/o", b"old\n"), ("/d/a.txt", DATA),
+                       ("/d/b.txt", OTHER), ("/d/*.txt", b"zzz\n"),
+                       ("/home/w.txt", DATA), ("/~/w.txt", b"zzz\n")):
         shell.fs.write_bytes(path, data)
-    results = [shell.run(script)]
+    env = {"HOME": "/home"}
+    results = [shell.run(script, env=env)]
     if edit:
         shell.fs.write_bytes("/in.txt", EDITED)
-        results.append(shell.run(script))
+        results.append(shell.run(script, env=env))
     files = {path: shell.fs.read_bytes(path) for path in shell.fs.walk()}
     return [(r.stdout, r.stderr, r.status) for r in results], files, shell
 
