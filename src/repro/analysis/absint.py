@@ -68,6 +68,7 @@ from ..parser.ast_nodes import (
     Word,
     walk,
 )
+from ..parser.lexer import ACTIVE
 from ..parser.unparse import unparse
 from ..semantics import arith
 from .envflow import _SPECIAL, EnvFlow
@@ -82,6 +83,14 @@ EXIT = "exit"
 RETURN = "return"
 
 _ONLY_NORMAL = frozenset((NORMAL,))
+#: the case pattern that matches anything: an unquoted lone ``*``
+_CATCH_ALL = Word((Lit("*"),))
+
+
+def _inert(word: Word) -> bool:
+    """Does expansion leave ``word``'s unquoted text as is (the lexer's test)?"""
+    return not ACTIVE.search("".join(p.text for p in word.parts
+                                     if type(p) is Lit))
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +535,8 @@ class ValueFlow:
         not model (external signals, exec, sourced scripts)?"""
         names: set[str] = set()
         for sub in walk(body):
-            if isinstance(sub, SimpleCommand) and sub.words and \
-                    sub.words[0].is_literal():
-                names.add(sub.words[0].literal_value())
+            if isinstance(sub, SimpleCommand) and sub.words:
+                names.add(sub.words[0].constant)
         if names & _LOOP_ESCAPES:
             return True
         for name in names & set(self.functions):
@@ -635,16 +643,11 @@ class ValueFlow:
 
     def _word_fields(self, word: Word, st: _State, emit: bool, stmt):
         """Field cardinality of one word: (lo, hi, values|None)."""
-        from ..semantics.expansion import has_glob_chars
-
-        if not word.parts:
-            return 1, 1, [vconst("")]  # explicit null word
-        if word.is_literal():
-            unquoted = "".join(p.text for p in word.parts
-                               if isinstance(p, Lit))
-            if has_glob_chars(unquoted):
-                return 1, None, None  # ≥1: no match stays literal
-            return 1, 1, [vconst(word.literal_value())]
+        if not _inert(word):  # ≥1: a glob with no match stays as it is
+            self._abs_word(word, st, emit, stmt)
+            return 1, None, None
+        if word.constant is not None:
+            return 1, 1, [vconst(word.constant)]
         if len(word.parts) == 1:
             part = word.parts[0]
             if isinstance(part, Param) and part.op == "":
@@ -671,7 +674,7 @@ class ValueFlow:
 
     def _cmdsub_fields(self, part: CmdSub, st: _State, emit: bool):
         """Static cardinality for ``$(seq ...)`` / ``$(echo ...)``."""
-        argv = self._cmdsub_literal_argv(part.command)
+        argv = self._cmdsub_argv(part.command)
         self._visit(part.command, st.copy(), emit, True)
         if argv is None:
             return 0, None, None
@@ -689,8 +692,8 @@ class ValueFlow:
         return 0, None, None
 
     @staticmethod
-    def _cmdsub_literal_argv(command: Command) -> Optional[list[str]]:
-        """argv of a single literal simple command inside ``$(...)``."""
+    def _cmdsub_argv(command: Command) -> Optional[list[str]]:
+        """argv of a single constant simple command inside ``$(...)``."""
         node = command
         while True:
             if isinstance(node, CommandList) and len(node.items) == 1 and \
@@ -704,9 +707,8 @@ class ValueFlow:
         if not isinstance(node, SimpleCommand) or node.assigns or \
                 node.redirects or not node.words:
             return None
-        if not all(w.is_literal() for w in node.words):
-            return None
-        return [w.literal_value() for w in node.words]
+        argv = [w.constant for w in node.words]
+        return None if None in argv else argv
 
     @staticmethod
     def _seq_count(args: list[str]) -> Optional[int]:
@@ -733,17 +735,10 @@ class ValueFlow:
               guard: bool) -> tuple[AbsStatus, frozenset]:
         self._redirects(node.redirects, node, st, emit)
         subject = self._abs_word(node.word, st, emit, node)
-        literal_patterns = all(
-            all(p.is_literal() for p in item.patterns)
-            for item in node.items)
-        if subject.kind == "const" and literal_patterns:
-            from ..semantics.expansion import has_glob_chars
-            plain = all(
-                pat == "*" or not has_glob_chars(pat)
-                for item in node.items
-                for pat in (p.literal_value() for p in item.patterns))
-            if plain:
-                return self._case_const(node, subject.text, st, emit, guard)
+        if subject.kind == "const" and all(
+                p == _CATCH_ALL or p.constant is not None
+                for item in node.items for p in item.patterns):
+            return self._case_const(node, subject.text, st, emit, guard)
         statuses = [S_ZERO]  # no pattern may match: status 0
         flow_acc: set[str] = {NORMAL}
         states = [st.copy()]
@@ -770,8 +765,8 @@ class ValueFlow:
                     guard: bool) -> tuple[AbsStatus, frozenset]:
         chosen = None
         for item in node.items:
-            pats = [p.literal_value() for p in item.patterns]
-            if chosen is None and (subject in pats or "*" in pats):
+            if chosen is None and any(p == _CATCH_ALL or p.constant == subject
+                                      for p in item.patterns):
                 chosen = item
             elif item.body is not None:
                 self._mark_dead(item.body,
@@ -963,11 +958,13 @@ class ValueFlow:
 
     def _abs_word(self, word: Word, st: _State, emit: bool,
                   stmt) -> AbsValue:
+        if word.constant is not None:
+            return vconst(word.constant)
         result = vconst("")
         for part in word.parts:
             piece = self._part_value(part, st, emit, stmt)
             result = self._concat(result, piece)
-        return result
+        return result if _inert(word) else TOP
 
     @staticmethod
     def _concat(left: AbsValue, right: AbsValue) -> AbsValue:
@@ -1068,11 +1065,11 @@ class ValueFlow:
             return TOP
         if opn in ("#", "##", "%", "%%"):
             self._use(name, st, emit, stmt)
-            from ..semantics.expansion import has_glob_chars
             if base is not None and base.kind == "const" and \
                     part.word is not None:
+                # a constant pattern has no active character
                 pat = self._abs_word(part.word, st, emit, stmt)
-                if pat.kind == "const" and not has_glob_chars(pat.text):
+                if pat.kind == "const":
                     text = base.text
                     if opn in ("#", "##"):
                         return vconst(text[len(pat.text):]

@@ -12,8 +12,17 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..parser.ast_nodes import Command, Pipeline, SimpleCommand
+from ..parser.ast_nodes import Command, Pipeline, SimpleCommand, Word
 from ..semantics.purity import check_word, check_words
+
+#: :func:`placeholder_argv`'s field for a word only expansion decides
+DYNAMIC = "\x00dyn"
+
+
+def placeholder_argv(words: tuple[Word, ...]) -> list[str]:
+    """Each word's ``constant``, a dynamic word as :data:`DYNAMIC` (not a
+    flag, so operand positions line up): an argv before anything runs."""
+    return [DYNAMIC if w.constant is None else w.constant for w in words]
 
 
 def pipeline_stages(node: Command) -> Optional[list[SimpleCommand]]:

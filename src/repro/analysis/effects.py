@@ -44,6 +44,7 @@ from ..parser.ast_nodes import (
     Word,
 )
 from ..semantics.builtins import REGULAR_BUILTINS, SPECIAL_BUILTINS
+from .candidates import placeholder_argv
 from .paths import AbstractPath, may_alias, word_to_path
 
 #: commands whose filesystem effects the library does not itemize
@@ -202,18 +203,16 @@ class EffectAnalyzer:
         self._redirects(node.redirects, s)
         if not node.words:
             return
-        head = node.words[0]
-        name = head.literal_value() if head.is_literal() else None
+        name = node.words[0].constant
         if name is None:
             s.opaque = True  # dynamically-named command: anything goes
             return
         if name in self.functions:
             self._call(name, s)
             return
-        operands = [w for w in node.words[1:]
-                    if not (w.is_literal()
-                            and w.literal_value().startswith("-")
-                            and w.literal_value() != "-")]
+        argv = placeholder_argv(node.words)
+        operands = [w for w, arg in zip(node.words[1:], argv[1:])
+                    if not arg.startswith("-") or arg == "-"]
         if name in _WRITES_OPERANDS:
             s.writes.update(word_to_path(w) for w in operands)
             return
@@ -233,7 +232,7 @@ class EffectAnalyzer:
             return
         if name in SPECIAL_BUILTINS or name in REGULAR_BUILTINS:
             return  # no file effects beyond redirects
-        spec = self.library.classify(name, self._placeholder_argv(node))
+        spec = self.library.classify(name, argv[1:])
         if spec is None:
             s.opaque = True
             return
@@ -244,7 +243,7 @@ class EffectAnalyzer:
             # output_files come back as argv strings; re-abstract them
             # through the matching word when one exists
             for w in node.words[1:]:
-                if w.is_literal() and w.literal_value() == out:
+                if w.constant == out:
                     s.writes.add(word_to_path(w))
                     break
 
@@ -257,13 +256,6 @@ class EffectAnalyzer:
             s.merge(self.compute(self.functions[name]))
         finally:
             self._stack.pop()
-
-    @staticmethod
-    def _placeholder_argv(node: SimpleCommand) -> list[str]:
-        """argv for classification: literal words verbatim, dynamic words
-        as a non-flag placeholder (so operand positions line up)."""
-        return [w.literal_value() if w.is_literal() else "\x00dyn"
-                for w in node.words[1:]]
 
     # -- shared helpers -----------------------------------------------------------
 

@@ -168,11 +168,11 @@ class EnvFlow:
         for word in node.words:
             self._word(word, node, defined, emit)
         self._redirect_uses(node.redirects, node, defined, emit)
-        if not node.words or not node.words[0].is_literal():
+        name = node.words[0].constant if node.words else None
+        if name is None:
             return
-        name = node.words[0].literal_value()
-        operands = [w.literal_value() for w in node.words[1:]
-                    if w.is_literal() and not w.literal_value().startswith("-")]
+        operands = [arg for arg in (w.constant for w in node.words[1:])
+                    if arg is not None and not arg.startswith("-")]
         if name in ("read", "export", "readonly", "unset", "local", "getopts"):
             for op in operands:
                 var = op.partition("=")[0]

@@ -99,13 +99,14 @@ def may_alias(a: AbstractPath, b: AbstractPath) -> bool:
 
 
 def word_to_path(word: Word) -> AbstractPath:
-    """Abstract the file path a word denotes.
-
-    Walks the word's parts left to right accumulating the literal
-    prefix; the first glob metacharacter demotes the result to ``glob``
-    and the first runtime expansion (parameter, command substitution,
-    arithmetic) demotes it to ``prefix``.
-    """
+    """Abstract the file path a word denotes: a constant word is its one
+    field, an unquoted leading ``~`` some absolute path (⊤ would drop out
+    of conflict reports), any other word its literal prefix up to the
+    first glob character (``glob``) or runtime expansion (``prefix``)."""
+    if word.constant is not None:
+        return literal(word.constant)
+    if type(word.parts[0]) is Lit and word.parts[0].text.startswith("~"):
+        return prefix("/")
     out: list[str] = []
     for part in word.parts:
         if isinstance(part, Lit):

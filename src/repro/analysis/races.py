@@ -57,8 +57,7 @@ class RaceFinding:
 
 def _is_wait(node: Command) -> bool:
     return (isinstance(node, SimpleCommand) and node.words
-            and node.words[0].is_literal()
-            and node.words[0].literal_value() == "wait")
+            and node.words[0].constant == "wait")
 
 
 def detect_races(program: Command,

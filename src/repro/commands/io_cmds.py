@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 
+from ..vos.handles import FileHandle
 from ..vos.process import CHUNK, Process
 from ..vos.syscalls import SpliceReq
 from .base import (
@@ -24,14 +25,18 @@ def cat(proc: Process, opts: dict, operands: list[str]):
     files = operands or ["-"]
     coeff = cpu_coeff("cat")
     status = 0
+    out = getattr(proc.fds.get(1), "node", None)  # fd 1's file, if one
     for path in files:
         fd, needs_close = yield from open_operand(proc, "cat", path)
+        src = proc.fds.get(fd)
         if fd is None:
             status = 1
-            continue
-        # kernel pass-through pump: one dispatch for the whole file, the
-        # read/cpu/write virtual-op sequence of a CHUNK copy loop
-        yield SpliceReq(fd, (1,), coeff, CHUNK)
+        elif isinstance(src, FileHandle) and src.node is out \
+                and src.offset < out.size:  # GNU's rule: `cat f >> f`
+            yield from write_err(proc, f"cat: {path}: input file is output file")
+            status = 1
+        else:  # the kernel pump: one dispatch for the whole file
+            yield SpliceReq(fd, (1,), coeff, CHUNK)
         if needs_close:
             yield from proc.close(fd)
     return status
@@ -42,8 +47,7 @@ def tee(proc: Process, opts: dict, operands: list[str]):
     mode = "a" if opts.get("a") else "w"
     out_fds = []
     for path in operands:
-        fd = yield from proc.open(path, mode)
-        out_fds.append(fd)
+        out_fds.append((yield from proc.open(path, mode)))
     yield SpliceReq(0, (1, *out_fds), cpu_coeff("tee"), CHUNK)
     return 0
 

@@ -6,7 +6,6 @@ from .from_ast import (
     RegionStage,
     build_dfg,
     extract_region,
-    literal_argv,
     read_region,
     region_from_argvs,
     region_from_words,
@@ -29,7 +28,7 @@ from .graph import (
 
 __all__ = [
     "Region", "RegionRefusal", "RegionStage", "build_dfg", "extract_region",
-    "literal_argv", "read_region", "region_from_argvs", "region_from_words",
+    "read_region", "region_from_argvs", "region_from_words",
     "to_shell",
     "CMD", "CONCAT_MERGE", "EAGER", "FILE_READ", "INTERNAL_KINDS",
     "RANGE_READ", "RR_SPLIT", "SORT_KWAY", "SUM_MERGE",

@@ -2,7 +2,7 @@
 
 One rule set, :func:`region_from_words`, turns a pipeline's words and
 redirect targets, as strings, into a :class:`Region`.  Two word sources
-feed it: :func:`read_region` passes literal words only — the AOT
+feed it: :func:`read_region` passes constant words only — the AOT
 compiler (PaSh role) cannot extract ``cat $FILES | ...``, the paper's
 spell-script argument — and :func:`repro.jit.frontend.expand_region`
 passes words the JIT (Jash role) expanded early, soundly, via the purity
@@ -17,7 +17,7 @@ from typing import Optional
 
 from ..analysis.candidates import pipeline_stages
 from ..annotations.model import InstanceSpec, ParClass, SpecLibrary
-from ..parser.ast_nodes import Command, Redirect, SimpleCommand
+from ..parser.ast_nodes import Command, Redirect
 from ..vos.fs import normalize
 from .graph import CMD, DataflowGraph
 
@@ -76,20 +76,13 @@ class RegionRefusal(Exception):
         self.kind, self.name = kind, name
 
 
-def literal_argv(node: SimpleCommand) -> Optional[list[str]]:
-    """argv when every word is static (no expansions); else None."""
-    if not node.words or not all(word.is_literal() for word in node.words):
-        return None
-    return [word.literal_value() for word in node.words]
-
-
 #: one stage as strings: its argv, and each redirect with its target
 StageWords = tuple[list[str], list[tuple[Redirect, str]]]
 
 
 def region_from_words(words: list[StageWords],
                       library: SpecLibrary) -> Region:
-    """The one rule set between a pipeline's words, literal or expanded,
+    """The one rule set between a pipeline's words, constant or expanded,
     and a :class:`Region`.  A redirect is read only when it is its fd's
     one redirect (the shell would still open, or fail on, the first of
     two) and it is ``<`` on the first stage, which then names no file
@@ -142,7 +135,7 @@ def clobbered_sink(words: list[StageWords],
 
 
 def read_region(node: Command, library: SpecLibrary) -> Region:
-    """The AST -> region reader for literal words: a flat pipeline
+    """The AST -> region reader for constant words: a flat pipeline
     (:func:`~repro.analysis.candidates.pipeline_stages`) read by
     :func:`region_from_words`; else :class:`RegionRefusal`."""
     commands = pipeline_stages(node)
@@ -150,20 +143,18 @@ def read_region(node: Command, library: SpecLibrary) -> Region:
         raise RegionRefusal("shape")
     words: list[StageWords] = []
     for cmd in commands:
-        if not all(r.target.is_literal() for r in cmd.redirects):
-            raise RegionRefusal("redirect")
-        argv = literal_argv(cmd)
         targets = [(r, r.target.constant) for r in cmd.redirects]
-        # a glob or tilde word is literal, but expansion decides it
-        if argv is None or None in [w.constant for w in cmd.words] + [
-                target for _, target in targets]:
-            raise RegionRefusal("dynamic" if cmd.words else "shape")
+        if None in [target for _, target in targets]:
+            raise RegionRefusal("redirect")
+        argv = [w.constant for w in cmd.words]
+        if None in argv:
+            raise RegionRefusal("dynamic")
         words.append((argv, targets))
     return region_from_words(words, library)
 
 
 def extract_region(node: Command, library: SpecLibrary) -> Optional[Region]:
-    """AOT extraction: region from a literal-only pipeline/simple command."""
+    """AOT extraction: region from a constant-only pipeline/simple command."""
     try:
         return read_region(node, library)
     except RegionRefusal:

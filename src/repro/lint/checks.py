@@ -11,21 +11,18 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from ..annotations.library import DEFAULT_LIBRARY
-from ..dfg.from_ast import literal_argv
+from ..analysis.candidates import DYNAMIC, placeholder_argv
+from ..dfg.from_ast import clobbered_sink
 from ..parser import parse
 from ..parser.ast_nodes import (
     AndOr,
-    Assign,
     CmdSub,
     Command,
     CommandList,
-    DoubleQuoted,
     For,
     If,
-    Lit,
     Param,
     Pipeline,
-    Redirect,
     SimpleCommand,
     While,
     Word,
@@ -98,8 +95,8 @@ def check_dangerous_unquoted(program: Command) -> Iterator[Diagnostic]:
     for node in walk(program):
         if not isinstance(node, SimpleCommand) or not node.words:
             continue
-        argv0 = node.words[0].literal_value() if node.words[0].is_literal() else None
-        if argv0 is None or not _is_dangerous_command(argv0):
+        argv0 = node.words[0].constant
+        if not _is_dangerous_command(argv0):
             continue
         for word in node.words[1:]:
             name = _word_has_unquoted_param(word)
@@ -121,10 +118,8 @@ def check_useless_cat(program: Command) -> Iterator[Diagnostic]:
         first = node.commands[0]
         if not isinstance(first, SimpleCommand) or not first.words:
             continue
-        if not first.words[0].is_literal():
-            continue
-        if (first.words[0].literal_value() == "cat" and len(first.words) == 2
-                and first.words[1].is_literal()):
+        if (first.words[0].constant == "cat" and len(first.words) == 2
+                and first.words[1].constant is not None):
             # a dynamic operand ($FILES) may expand to several files, in
             # which case cat is doing real concatenation work
             yield Diagnostic(
@@ -141,12 +136,9 @@ def check_read_without_r(program: Command) -> Iterator[Diagnostic]:
     for node in walk(program):
         if not isinstance(node, SimpleCommand) or not node.words:
             continue
-        if not node.words[0].is_literal():
+        if node.words[0].constant != "read":
             continue
-        if node.words[0].literal_value() != "read":
-            continue
-        flags = [w.literal_value() for w in node.words[1:] if w.is_literal()]
-        if "-r" not in flags:
+        if "-r" not in [w.constant for w in node.words[1:]]:
             yield Diagnostic(
                 "JS2162", "info",
                 "read without -r will mangle backslashes",
@@ -164,7 +156,7 @@ def check_cd_no_guard(program: Command) -> Iterator[Diagnostic]:
             yield from ()  # both sides guarded enough for this heuristic
             return
         if isinstance(node, SimpleCommand) and node.words:
-            if node.words[0].is_literal() and node.words[0].literal_value() == "cd":
+            if node.words[0].constant == "cd":
                 yield Diagnostic(
                     "JS2164", "info",
                     "cd without a guard: use `cd ... || exit` "
@@ -184,10 +176,17 @@ def check_cd_no_guard(program: Command) -> Iterator[Diagnostic]:
     yield from guarded(program)
 
 
+#: the cwd a script runs in is unknown: relative paths meet one another,
+#: never an absolute path
+_UNKNOWN_CWD = "/\x00cwd"
+
+
 @check
 def check_clobber_input(program: Command) -> Iterator[Diagnostic]:
     """JS2094 (the classic `sort f > f`): redirecting output onto a file
-    read in the same pipeline truncates it before it is read."""
+    read in the same pipeline truncates it before it is read — the rule
+    every engine and the misuse guard's JM001 apply
+    (:func:`~repro.dfg.from_ast.clobbered_sink`)."""
     for node in walk(program):
         if isinstance(node, Pipeline):
             commands = node.commands
@@ -195,28 +194,21 @@ def check_clobber_input(program: Command) -> Iterator[Diagnostic]:
             commands = (node,)
         else:
             continue
-        reads: set[str] = set()
-        writes: set[str] = set()
+        words, specs = [], []
         for cmd in commands:
-            if not isinstance(cmd, SimpleCommand):
-                continue
-            for word in cmd.words[1:]:
-                if word.is_literal():
-                    reads.add(word.literal_value())
-            for redirect in cmd.redirects:
-                if not redirect.target.is_literal():
-                    continue
-                target = redirect.target.literal_value()
-                if redirect.op == "<":
-                    reads.add(target)
-                elif redirect.op in (">", ">>", ">|"):
-                    writes.add(target)
-        for path in sorted(reads & writes):
+            if isinstance(cmd, SimpleCommand) and cmd.words:
+                argv = placeholder_argv(cmd.words)
+                targets = [(r, r.target.constant) for r in cmd.redirects
+                           if r.target.constant is not None]
+                words.append((argv, targets))
+                specs.append(DEFAULT_LIBRARY.classify(argv[0], argv[1:]))
+        sink = clobbered_sink(words, specs, _UNKNOWN_CWD)
+        if sink is not None:
             yield Diagnostic(
                 "JS2094", "error",
-                f"{path!r} is both read and truncated by this pipeline: "
+                f"{sink!r} is both read and truncated by this pipeline: "
                 f"the input is destroyed before it is fully read",
-                path, node=node,
+                sink, node=node,
             )
 
 
@@ -246,8 +238,7 @@ def check_glob_in_for(program: Command) -> Iterator[Diagnostic]:
                     inner = part.command
                     for sub in walk(inner):
                         if (isinstance(sub, SimpleCommand) and sub.words
-                                and sub.words[0].is_literal()
-                                and sub.words[0].literal_value() == "ls"):
+                                and sub.words[0].constant == "ls"):
                             yield Diagnostic(
                                 "JS2045", "warning",
                                 "for x in $(ls ...): filenames with spaces "
@@ -263,27 +254,24 @@ def check_var_assigned_spaces(program: Command) -> Iterator[Diagnostic]:
     for node in walk(program):
         if not isinstance(node, SimpleCommand) or len(node.words) < 3:
             continue
-        w0, w1 = node.words[0], node.words[1]
-        if (w0.is_literal() and w1.is_literal() and w1.literal_value() == "="
-                and w0.literal_value().isidentifier()):
+        name = node.words[0].constant
+        if node.words[1].constant == "=" and name and name.isidentifier():
             yield Diagnostic(
                 "JS1068", "error",
-                f"`{w0.literal_value()} = ...` runs the command "
-                f"{w0.literal_value()!r}; remove the spaces to assign",
+                f"`{name} = ...` runs the command "
+                f"{name!r}; remove the spaces to assign",
                 node=node,
             )
-
-
-def _literal_argv(node: Command) -> Optional[list[str]]:
-    return literal_argv(node) if isinstance(node, SimpleCommand) else None
 
 
 def _sets_errexit_or_pipefail(program: Command) -> bool:
     """Does the script ever run ``set -e`` / ``set -o pipefail`` (in any
     combined-flag spelling)?"""
     for node in walk(program):
-        argv = _literal_argv(node)
-        if not argv or argv[0] != "set":
+        if not isinstance(node, SimpleCommand) or not node.words:
+            continue
+        argv = placeholder_argv(node.words)
+        if argv[0] != "set":
             continue
         for i, arg in enumerate(argv[1:], start=1):
             if arg.startswith("-") and arg != "-" and "e" in arg[1:]:
@@ -333,8 +321,10 @@ def check_unchecked_failure(program: Command) -> Iterator[Diagnostic]:
         if id(node) in checked:
             continue
         for cmd in node.commands[:-1]:
-            argv = _literal_argv(cmd)
-            if argv is None:
+            if not isinstance(cmd, SimpleCommand) or not cmd.words:
+                continue
+            argv = placeholder_argv(cmd.words)
+            if DYNAMIC in argv:
                 continue
             spec = DEFAULT_LIBRARY.classify(argv[0], argv[1:])
             if spec is None or not spec.input_operands:

@@ -265,15 +265,14 @@ def explain(pipeline_text: str, library: Optional[SpecLibrary] = None) -> str:
         if not isinstance(cmd, SimpleCommand) or not cmd.words:
             sections.append("(compound stage)")
             continue
-        if not all(w.is_literal() for w in cmd.words):
+        argv = [w.constant for w in cmd.words]
+        if None in argv:
             sections.append("(stage with runtime expansions — the JIT will "
                             "analyze it once values are known)")
             continue
-        argv = [w.literal_value() for w in cmd.words]
         sections.append(explain_command(argv, library))
         spec = library.classify(argv[0], argv[1:])
-        if spec is not None and spec.parallelizable:
-            parallelizable += 1
+        parallelizable += spec is not None and spec.parallelizable
     footer = (f"\n{parallelizable}/{len(commands)} stages are "
               f"parallelizable by annotation.")
     return "\n\n".join(sections) + footer

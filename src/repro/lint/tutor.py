@@ -17,6 +17,7 @@ from typing import Optional
 
 from ..annotations.library import DEFAULT_LIBRARY
 from ..annotations.model import ParClass, SpecLibrary
+from ..analysis.candidates import DYNAMIC, placeholder_argv
 from ..dfg.from_ast import extract_region
 from ..parser import parse, unparse
 from ..parser.ast_nodes import (
@@ -90,17 +91,15 @@ def _advise_statement(node: Command, library: SpecLibrary) -> StatementAdvice:
     for cmd in commands:
         if not cmd.words:
             continue
-        if not cmd.words[0].is_literal():
+        argv = placeholder_argv(cmd.words)
+        name = argv[0]
+        if name == DYNAMIC:
             advice.summary.append("· (dynamic command name — resolved at run time)")
             dynamic_stage = True
             continue
-        name = cmd.words[0].literal_value()
         summary = COMMAND_SUMMARIES.get(name, "external command")
-        literal = all(w.is_literal() for w in cmd.words)
-        argv = ([w.literal_value() for w in cmd.words[1:]] if literal else [])
-        spec = library.classify(name, argv) if literal else library.classify(name, [])
-        if not literal:
-            dynamic_stage = True
+        spec = library.classify(name, argv[1:])
+        dynamic_stage |= DYNAMIC in argv
         line = f"· {name}: {summary}"
         if spec is not None:
             if spec.parallelizable:
@@ -144,43 +143,25 @@ def _advise_statement(node: Command, library: SpecLibrary) -> StatementAdvice:
         advice.optimization = "not parallelizable: " + "; ".join(blockers[:2])
 
     # rewrite suggestions
-    if commands and commands[0].words and commands[0].words[0].is_literal():
-        first = commands[0]
-        if (first.words[0].literal_value() == "cat"
-                and len(first.words) == 2 and len(commands) > 1):
-            nxt = commands[1]
-            if nxt.words and nxt.words[0].is_literal():
-                advice.suggestions.append(
-                    f"`cat X | {nxt.words[0].literal_value()}` can be "
-                    f"`{nxt.words[0].literal_value()} < X` — one fewer "
-                    "process, and the optimizer sees the input file"
-                )
-    for cmd in commands:
-        if not cmd.words or not cmd.words[0].is_literal():
-            continue
-        name = cmd.words[0].literal_value()
-        argv = [w.literal_value() for w in cmd.words[1:] if w.is_literal()]
-        if name == "sort" and "-u" not in argv:
-            idx = commands.index(cmd)
-            if idx + 1 < len(commands):
-                nxt = commands[idx + 1]
-                if (nxt.words and nxt.words[0].is_literal()
-                        and nxt.words[0].literal_value() == "uniq"
-                        and len(nxt.words) == 1):
-                    advice.suggestions.append(
-                        "`sort | uniq` is `sort -u` — fewer processes and "
-                        "a cheaper parallel merge"
-                    )
-        if name == "grep" and argv and commands.index(cmd) + 1 < len(commands):
-            nxt = commands[commands.index(cmd) + 1]
-            if (nxt.words and nxt.words[0].is_literal()
-                    and nxt.words[0].literal_value() == "wc"
-                    and [w.literal_value() for w in nxt.words[1:]
-                         if w.is_literal()] == ["-l"]):
-                advice.suggestions.append(
-                    "`grep PAT | wc -l` is `grep -c PAT` — and -c "
-                    "aggregates with a cheap sum when parallelized"
-                )
+    argvs = [placeholder_argv(cmd.words) for cmd in commands]
+    if len(argvs) > 1 and argvs[0] and argvs[0][0] == "cat" \
+            and len(argvs[0]) == 2 and argvs[1] and argvs[1][0] != DYNAMIC:
+        nxt = argvs[1][0]
+        advice.suggestions.append(
+            f"`cat X | {nxt}` can be `{nxt} < X` — one fewer "
+            "process, and the optimizer sees the input file"
+        )
+    for argv, nxt in zip(argvs, argvs[1:]):
+        if argv[:1] == ["sort"] and "-u" not in argv and nxt == ["uniq"]:
+            advice.suggestions.append(
+                "`sort | uniq` is `sort -u` — fewer processes and "
+                "a cheaper parallel merge"
+            )
+        if argv[:1] == ["grep"] and len(argv) > 1 and nxt == ["wc", "-l"]:
+            advice.suggestions.append(
+                "`grep PAT | wc -l` is `grep -c PAT` — and -c "
+                "aggregates with a cheap sum when parallelized"
+            )
     return advice
 
 

@@ -104,43 +104,10 @@ class Word:
 
     parts: tuple[WordPart, ...] = ()
     #: the one field the word expands to when expansion is the identity,
-    #: else None; set by the lexer (:func:`repro.parser.lexer.constant_of`),
+    #: else None; set by the lexer (:func:`repro.parser.lexer.constant_of`)
+    #: and the one static reading of the word that every analysis makes;
     #: ignored by equality, hashing, repr and unparse
     constant: Optional[str] = field(default=None, compare=False, repr=False)
-
-    def is_literal(self) -> bool:
-        """True when the word expands to a single known string statically."""
-        return all(isinstance(p, (Lit, SingleQuoted, Escaped)) for p in self.parts) and all(
-            self._dq_literal(p) for p in self.parts
-        )
-
-    @staticmethod
-    def _dq_literal(part: WordPart) -> bool:
-        if isinstance(part, DoubleQuoted):
-            return all(isinstance(q, (Lit, Escaped)) for q in part.parts)
-        return True
-
-    def literal_value(self) -> str:
-        """The static string value; only valid when :meth:`is_literal`."""
-        out: list[str] = []
-        for part in self.parts:
-            if isinstance(part, Lit):
-                out.append(part.text)
-            elif isinstance(part, SingleQuoted):
-                out.append(part.text)
-            elif isinstance(part, Escaped):
-                out.append(part.char)
-            elif isinstance(part, DoubleQuoted):
-                for q in part.parts:
-                    if isinstance(q, Lit):
-                        out.append(q.text)
-                    elif isinstance(q, Escaped):
-                        out.append(q.char)
-                    else:  # pragma: no cover - guarded by is_literal
-                        raise ValueError("word is not literal")
-            else:  # pragma: no cover - guarded by is_literal
-                raise ValueError("word is not literal")
-        return "".join(out)
 
 
 # ---------------------------------------------------------------------------

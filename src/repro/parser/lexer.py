@@ -56,14 +56,12 @@ SPECIAL_PARAMS = set("@*#?-$!0123456789")
 WORD, IO_NUMBER, NEWLINE, EOF = "WORD", "IO_NUMBER", "\n", ""
 
 #: between tokens: blanks, line continuations and a comment, then an
-#: io-number, a whole word that is one plain literal (a constant one
-#: first), or a newline or operator (longest first, POSIX token
-#: recognition rules 2/3); anything else starts a word that
-#: :meth:`Lexer._parts` reads
+#: io-number, a whole word that is one plain literal, or a newline or
+#: operator (longest first, POSIX token recognition rules 2/3); anything
+#: else starts a word that :meth:`Lexer._parts` reads
 _TOKEN = re.compile(
     r"(?:[ \t]|\\\n)*(?:#[^\n]*)?"
     r"(?:(?P<io>\d+)(?=[<>])"
-    r"|(?P<const>[^ \t\n<>|&;()'\"\\$`*?[~\x00-\x03]+)(?=[ \t\n<>|&;()]|\Z)"
     r"|(?P<lit>[^ \t\n<>|&;()'\"\\$`]+)(?=[ \t\n<>|&;()]|\Z)"
     r"|(?P<op><<-|<<|>>|<&|>&|<>|>\||&&|\|\||;;|[<>|&;()\n]))?")
 
@@ -86,8 +84,9 @@ _BACKQUOTED = re.compile(r"(?:[^`\\]+|\\[$`\\]|\\)*")
 _BACKSLASHED = re.compile(r"\\([$`\\])")
 _NAME_TAIL = re.compile(r"\w*")
 #: unquoted text that expansion does not leave as is (pathname and tilde
-#: expansion), and the expander's internal marks
-_ACTIVE = re.compile("[*?[~\x00-\x03]")
+#: expansion; a ``[`` with no later ``]`` opens no bracket expression, so
+#: it matches only itself), and the expander's internal marks
+ACTIVE = re.compile(r"[*?~\x00-\x03]|\[[^]]*\]")
 _MARKS = re.compile("[\x00-\x03]")
 
 
@@ -102,16 +101,17 @@ def is_name(s: str) -> bool:
 
 def constant_of(parts) -> Optional[str]:
     """The one field a word made of ``parts`` expands to when expansion is
-    the identity — no parameter, command or arithmetic part, no unquoted
-    ``*``, ``?``, ``[`` or ``~`` — else None.  A word holding one of the
+    the identity — no parameter, command or arithmetic part, and unquoted
+    text (all of it: a bracket expression may span quotes) with no ``*``,
+    ``?``, ``~`` or ``[`` … ``]`` — else None.  A word holding one of the
     expander's internal marks (``\x00``–``\x03``) is left to the tree
     expander, which reads them as marks."""
     out: list[str] = []
+    bare = ""
     for part in parts:
         kind = type(part)
         if kind is Lit:
-            if _ACTIVE.search(part.text):
-                return None
+            bare += part.text
             out.append(part.text)
         elif kind is SingleQuoted:
             out.append(part.text)
@@ -128,7 +128,7 @@ def constant_of(parts) -> Optional[str]:
         else:
             return None
     text = "".join(out)
-    return None if _MARKS.search(text) else text
+    return None if ACTIVE.search(bare) or _MARKS.search(text) else text
 
 
 class Fault:
@@ -173,11 +173,11 @@ class Lexer:
             while True:
                 m = _TOKEN.match(src, pos)
                 kind = m.lastgroup
-                if kind == "const" or kind == "lit":
+                if kind == "lit":
                     start, pos = m.span(kind)
                     text = src[start:pos]
-                    word = Word((Lit(text),), text if kind == "const" else None)
-                    toks.append((WORD, text, word, start))
+                    const = None if ACTIVE.search(text) else text
+                    toks.append((WORD, text, Word((Lit(text),), const), start))
                 elif kind == "op":
                     start, pos = m.span(kind)
                     text = src[start:pos]

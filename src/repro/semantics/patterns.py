@@ -163,14 +163,15 @@ def match(pattern: str, value: str) -> bool:
 
 
 def has_glob_chars(pattern: str) -> bool:
-    """Does the (marked) pattern contain active metacharacters?"""
+    """Does the (marked) pattern contain active metacharacters?  A ``[``
+    that opens no bracket expression matches only itself."""
     i = 0
     while i < len(pattern):
         c = pattern[i]
         if c == QUOTE_MARK or c == "\\":
             i += 2
             continue
-        if c in "*?[":
+        if c in "*?" or c == "[" and _translate_bracket(pattern, i)[0] >= 0:
             return True
         i += 1
     return False

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import Shell
 from repro.analysis.absint import (
     ABSINT_VERSION,
     AbsStatus,
@@ -137,6 +138,24 @@ class TestDeadBranches:
         result = flow("for f in /nosuch/*.txt; do echo $f; done")
         assert not result.dead
         assert "JS4006" not in [f.code for f in result.findings]
+
+    # a word reads as the expander reads it: a quoted `*` pattern is no
+    # catch-all, `~` and a glob beside a parameter are not their text
+    @pytest.mark.parametrize("src,live", [
+        ("case a in '*') exit 1;; esac; echo after", "echo after"),
+        ('x=~/a; if [ "$x" = "~/a" ]; then echo same; else echo home; fi',
+         "echo home"),
+        ('e=; for f in /d/*.txt$e; do if [ "$f" = /d/b.txt ]; '
+         'then echo hit; fi; done', "echo hit"),
+    ])
+    def test_expanded_word_is_no_dead_fact(self, src, live):
+        shell = Shell()
+        shell.fs.write_bytes("/d/a.txt", b"")
+        shell.fs.write_bytes("/d/b.txt", b"")
+        out = live.removeprefix("echo ").encode() + b"\n"
+        assert shell.run(src).stdout == out
+        assert live not in dead_texts(src)
+        assert not {"JS4001", "JS4002"} & set(codes(src))
 
     def test_dead_set_covers_descendants(self):
         result = flow("exit 0\nif true; then echo a; fi")

@@ -16,6 +16,7 @@ from repro.analysis import (
     word_to_path,
 )
 from repro.analysis.paths import glob_prefix, literal, prefix
+from repro.lint import lint
 from repro.parser import parse, parse_one
 
 
@@ -64,6 +65,12 @@ class TestPathLattice:
         word = parse_one("x /out/$name").words[1]
         path = word_to_path(word)
         assert path.kind == "prefix" and path.text == "/out/"
+
+    def test_word_to_path_constant_and_tilde(self):
+        assert word_to_path(parse_one('x "/da"ta/f').words[1]) == \
+            literal("/data/f")
+        assert word_to_path(parse_one("x ~/o").words[1]) == prefix("/")
+        assert word_to_path(parse_one("x a[b").words[1]) == literal("a[b")
 
     def test_word_to_path_fully_dynamic_is_top(self):
         word = parse_one("x $f").words[1]
@@ -220,6 +227,13 @@ class TestRaceDetection:
         # literal under that prefix — conservatively a conflict
         kinds = self.kinds("tee /logs/$name &\nrm /logs/old")
         assert any(kind == "write-write" for kind, _path in kinds), kinds
+
+    def test_tilde_target_is_not_a_file_named_tilde(self):
+        # `~/o` is $HOME/o: it may be the file the next statement reads
+        src = "HOME=/h; echo hi > ~/o & cat /h/o; wait"
+        kinds = self.kinds(src)
+        assert any(kind == "read-before-seal" for kind, _path in kinds), kinds
+        assert "JS3003" in [d.code for d in lint(src)]
 
     def test_opaque_job_redirect_still_caught(self):
         assert ("write-write", "/out") in self.kinds(

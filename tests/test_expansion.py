@@ -273,11 +273,12 @@ def test_split_roundtrip_on_space_join(fields):
 # -- constant words (fixed at parse time) against the tree expander ---------
 
 #: pieces of one word: plain text, IFS characters that are literal or
-#: quoted, glob and tilde characters (bare and quoted), empty quotes and
-#: a parameter now and then (a non-constant word keeps the tree path)
-_PIECES = ["a", "b", "x.y", "/", "-", ":", "=", "*", "?", "[ab]", "[", "~",
-           "~/a", "'a b'", "''", '""', '"x:y"', '"*"', "'~'", "\\*", "\\ ",
-           "\\~", '"a\\$"', "$v", '"$v"', "${v:-d}"]
+#: quoted, glob and tilde characters (bare and quoted; a bracket may open
+#: in one piece and close in another), empty quotes and a parameter now
+#: and then (a non-constant word keeps the tree path)
+_PIECES = ["a", "b", "x.y", "/", "-", ":", "=", "*", "?", "[ab]", "[", "]",
+           "~", "~/a", "'a b'", "''", '""', '"x:y"', '"*"', "'~'", "\\*",
+           "\\ ", "\\~", '"a\\$"', "$v", '"$v"', "${v:-d}"]
 
 
 def _drive(gen):
@@ -295,7 +296,8 @@ def _drive(gen):
        ifs=st.sampled_from([" \t\n", ":", "", " :", "a"]),
        noglob=st.booleans(),
        names=st.sets(st.sampled_from(["a", "ab", "b", "x.y", ".h", "a b",
-                                      "*", "[ab]", "~"]), max_size=5),
+                                      "*", "[ab]", "~", "[", "]"]),
+                     max_size=5),
        cwd=st.sampled_from(["/w", "/"]))
 @settings(max_examples=300, deadline=None)
 def test_constant_words_expand_as_the_tree_expander(words, ifs, noglob,

@@ -77,22 +77,32 @@ class TestMisuseGuard:
 
     # the check does not need the pipeline to be a region: a second
     # `>`, `<` beside an operand, a `2>` or an unknown stage is still a
-    # truncated input
-    @pytest.mark.parametrize("script", [
-        "sort /data/f > /data/f",
-        "sort /data/f > /a > /data/f",
-        "sort /data/f < /g > /data/f",
-        "sort /data/f 2> /data/f",
-        "cat /data/f | no_such_tool > /data/f",
-    ])
+    # truncated input; `>>` truncates nothing and `-e f` names a pattern.
+    # Lint's JS2094 applies the same rule before anything runs.
+    CLOBBERED = {
+        "sort /data/f > /data/f": "/data/f",
+        "sort /data/f > /a > /data/f": "/data/f",
+        "sort /data/f < /g > /data/f": "/data/f",
+        "sort /data/f 2> /data/f": "/data/f",
+        "cat /data/f | no_such_tool > /data/f": "/data/f",
+        "sort /data/f >> /data/f": None,
+        "grep -e f g > f": None,
+        'sort "data.txt" > data.txt': "/data.txt",
+    }
+
+    @pytest.mark.parametrize("script", list(CLOBBERED))
     def test_blocks_self_clobber(self, script):
+        clobbered = self.CLOBBERED[script]
         shell, guard = self.make_shell()
-        shell.fs.write_bytes("/data/f", b"b\na\n")
-        shell.fs.write_bytes("/g", b"g\n")
+        for path in ("/data/f", "/data.txt", "/g", "/f"):
+            shell.fs.write_bytes(path, b"b\na\n")
         result = shell.run(script)
-        assert result.status == 125
-        assert shell.fs.read_bytes("/data/f") == b"b\na\n"  # preserved!
-        assert any(f.code == "JM001" for f in guard.findings)
+        assert (result.status == 125) == (clobbered is not None)
+        if clobbered is not None:
+            assert shell.fs.read_bytes(clobbered) == b"b\na\n"  # preserved!
+        assert any(f.code == "JM001" for f in guard.findings) == \
+            (clobbered is not None)
+        assert ("JS2094" in codes(script)) == (clobbered is not None)
 
     def test_reports_without_enforce(self):
         shell, guard = self.make_shell(enforce=False)

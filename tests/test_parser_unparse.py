@@ -141,8 +141,7 @@ def test_single_quote_inside_single_quotes():
     rendered = unparse_word(word)
     assert rendered == "'a'\\''b'"
     reparsed = parse_one("x " + rendered).words[1]
-    assert reparsed.is_literal()
-    assert reparsed.literal_value() == "a'b"
+    assert reparsed.constant == "a'b"
 
 
 # random small scripts assembled from known-good fragments

@@ -73,6 +73,14 @@ class TestHasGlobChars:
         assert not has_glob_chars(quote_literal("*.txt"))
         assert not has_glob_chars("a\\*b")
 
+    def test_bracket_that_opens_nothing_is_plain(self):
+        # `[` with no closing `]` matches only itself: no pathname
+        # expansion, so `[/` stays `[/` even beside a file named `[`
+        assert not has_glob_chars("[")
+        assert not has_glob_chars("a[b/")
+        assert not has_glob_chars("[" + quote_literal("]"))
+        assert has_glob_chars("a[b]")
+
 
 class TestQuoteMarks:
     def test_strip(self):

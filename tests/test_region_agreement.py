@@ -62,6 +62,9 @@ SHAPES = [
     ("tilde operand", "cat ~/w.txt | tr a-z A-Z | sort > /o",
      {"jash", "inc"}),
     ("tilde < source", "tr a-z A-Z < ~/w.txt | sort > /o", {"jash", "inc"}),
+    # a double-quoted word with nothing to expand is constant: PaSh
+    # reads it too (Jash's cost model keeps this grep interpreted)
+    ("double-quoted operand", 'grep -c "a" /in.txt > /o', {"pash", "inc"}),
 ]
 ENGINES = ("jash", "pash", "inc", "jobs2")
 
