@@ -7,7 +7,8 @@ recursion guard).  Three cooperating domains:
 
 * a **value domain** for variables — ``unset`` / constant string / ⊤ —
   flowing through assignments, parameter expansions (``${x:-d}``,
-  ``${x#p}``, quoting) and ``$((...))`` arithmetic;
+  ``${x#p}``, quoting) and ``$((...))`` arithmetic, split into fields
+  by the expander's own splitter;
 * an **exit-status domain** — an integer interval over 0..255 — flowing
   through pipelines, ``&&``/``||``, ``!``, ``if``/``while`` guards and
   ``set -e`` implications;
@@ -71,6 +72,8 @@ from ..parser.ast_nodes import (
 from ..parser.lexer import ACTIVE
 from ..parser.unparse import unparse
 from ..semantics import arith
+from ..semantics.expansion import known_segments, split_fields
+from ..semantics.patterns import has_glob_chars, text_of
 from .envflow import _SPECIAL, EnvFlow
 
 ABSINT_VERSION = "s20.1"
@@ -643,34 +646,38 @@ class ValueFlow:
 
     def _word_fields(self, word: Word, st: _State, emit: bool, stmt):
         """Field cardinality of one word: (lo, hi, values|None)."""
-        if not _inert(word):  # ≥1: a glob with no match stays as it is
-            self._abs_word(word, st, emit, stmt)
-            return 1, None, None
-        if word.constant is not None:
-            return 1, 1, [vconst(word.constant)]
-        if len(word.parts) == 1:
-            part = word.parts[0]
-            if isinstance(part, Param) and part.op == "":
-                value = self._param_value(part, st, emit, stmt)
-                if value.kind == "const":
-                    fields = value.text.split()
-                    return len(fields), len(fields), [vconst(f) for f in fields]
-                if value.kind == "unset":
-                    return 0, 0, []
-                return 0, None, None
-            if isinstance(part, CmdSub):
-                return self._cmdsub_fields(part, st, emit)
-            if isinstance(part, DoubleQuoted):
-                value = self._abs_word(word, st, emit, stmt)
-                if value.kind == "const":
-                    return 1, 1, [value]
-                return 1, 1, None  # quoted: exactly one field
-        # general case: evaluate for uses/effects, cardinality unknown
-        value = self._abs_word(word, st, emit, stmt)
-        if value.kind == "const":
-            fields = value.text.split()
+        if len(word.parts) == 1 and isinstance(word.parts[0], CmdSub):
+            return self._cmdsub_fields(word.parts[0], st, emit)
+        fields = self._fields(word, st, emit, stmt)
+        if fields is not None:
             return len(fields), len(fields), [vconst(f) for f in fields]
+        if not _inert(word):  # ≥1: a glob with no match stays as it is
+            return 1, None, None
+        if len(word.parts) == 1 and isinstance(word.parts[0], DoubleQuoted):
+            return 1, 1, None  # quoted: exactly one field
         return 0, None, None
+
+    def _fields(self, word: Word, st: _State, emit: bool,
+                stmt) -> Optional[list[str]]:
+        """The fields ``word`` expands to, split by the expander's own
+        :func:`split_fields` under the state's ``IFS``; None when a part,
+        ``IFS``, a tilde or a pathname match is unknown."""
+        if word.constant is not None:
+            return [word.constant]
+        values = [self._part_value(part, st, emit, stmt) for part in word.parts]
+        ifs = st.vars.get("IFS", UNSET)  # the shell starts with the default
+        ifs = " \t\n" if ifs is UNSET else ifs.text if ifs.kind == "const" \
+            else None
+        if ifs is None or not _inert(word) or \
+                any(value.kind != "const" for value in values):
+            return None
+        segments = known_segments(word.parts, [v.text for v in values])
+        if segments is None:
+            return None
+        fields = split_fields(segments, ifs)
+        if any(has_glob_chars(field) for field in fields):
+            return None
+        return [text_of(field) for field in fields]
 
     def _cmdsub_fields(self, part: CmdSub, st: _State, emit: bool):
         """Static cardinality for ``$(seq ...)`` / ``$(echo ...)``."""
@@ -744,7 +751,7 @@ class ValueFlow:
         states = [st.copy()]
         for item in node.items:
             for pat in item.patterns:
-                self._word_uses(pat, st, emit, node)
+                self._abs_word(pat, st, emit, node)
             if item.body is None:
                 continue
             branch = st.copy()
@@ -797,9 +804,9 @@ class ValueFlow:
         # assignment prefixes on a command are temporary env: not persisted
         argv: list[Optional[str]] = []
         for word in node.words:
-            value = self._abs_word(word, st, emit, node)
-            argv.append(value.text if value.kind == "const" else None)
-        name = argv[0]
+            fields = self._fields(word, st, emit, node)
+            argv.extend([None] if fields is None else fields)
+        name = argv[0] if argv else None
         status, flows = self._command_status(name, argv[1:], node, st, emit,
                                              guard)
         # `set -e`: an unguarded, provably-failing command exits the shell
@@ -949,12 +956,9 @@ class ValueFlow:
     def _redirects(self, redirects: tuple[Redirect, ...], stmt, st: _State,
                    emit: bool) -> None:
         for redirect in redirects:
-            self._word_uses(redirect.target, st, emit, stmt)
+            self._abs_word(redirect.target, st, emit, stmt)
             if redirect.heredoc is not None:
-                self._word_uses(redirect.heredoc, st, emit, stmt)
-
-    def _word_uses(self, word: Word, st: _State, emit: bool, stmt) -> None:
-        self._abs_word(word, st, emit, stmt)
+                self._abs_word(redirect.heredoc, st, emit, stmt)
 
     def _abs_word(self, word: Word, st: _State, emit: bool,
                   stmt) -> AbsValue:

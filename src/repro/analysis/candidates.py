@@ -15,8 +15,20 @@ from typing import Optional
 from ..parser.ast_nodes import Command, Pipeline, SimpleCommand, Word
 from ..semantics.purity import check_word, check_words
 
+class _Placeholder(str):
+    """A field that equals only itself, whatever text a word holds."""
+
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    def __ne__(self, other: object) -> bool:
+        return self is not other
+
+    __hash__ = str.__hash__
+
+
 #: :func:`placeholder_argv`'s field for a word only expansion decides
-DYNAMIC = "\x00dyn"
+DYNAMIC = _Placeholder("\x00dyn")
 
 
 def placeholder_argv(words: tuple[Word, ...]) -> list[str]:

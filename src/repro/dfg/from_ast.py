@@ -12,6 +12,7 @@ no ``< file`` source, no redirect at all).
 
 from __future__ import annotations
 
+import posixpath
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -117,10 +118,12 @@ def region_from_words(words: list[StageWords],
 
 def clobbered_sink(words: list[StageWords],
                    specs: list[Optional[InstanceSpec]],
-                   cwd: str) -> Optional[str]:
+                   cwd: Optional[str]) -> Optional[str]:
     """The first ``>``/``>|`` target (any stage, any fd) that the shell
     truncates before it is read: a ``<`` target, or a file operand of a
-    stage whose spec (``specs``, one per stage) is known, under ``cwd``."""
+    stage whose spec (``specs``, one per stage) is known, under ``cwd``.
+    Under an unknown ``cwd`` (None) relative paths meet one another,
+    never an absolute path."""
     reads, sinks = set(), []
     for (argv, redirects), spec in zip(words, specs):
         if spec is not None:
@@ -130,8 +133,13 @@ def clobbered_sink(words: list[StageWords],
                 reads.add(target)
             elif redirect.op in (">", ">|"):
                 sinks.append(target)
-    paths = {normalize(path, cwd) for path in reads - {"-"}}
-    return next((s for s in sinks if normalize(s, cwd) in paths), None)
+    def resolve(path: str) -> str:
+        if cwd is None and not path.startswith("/"):
+            return posixpath.normpath(path)
+        return normalize(path, cwd or "/")
+
+    paths = {resolve(path) for path in reads - {"-"}}
+    return next((s for s in sinks if resolve(s) in paths), None)
 
 
 def read_region(node: Command, library: SpecLibrary) -> Region:

@@ -176,11 +176,6 @@ def check_cd_no_guard(program: Command) -> Iterator[Diagnostic]:
     yield from guarded(program)
 
 
-#: the cwd a script runs in is unknown: relative paths meet one another,
-#: never an absolute path
-_UNKNOWN_CWD = "/\x00cwd"
-
-
 @check
 def check_clobber_input(program: Command) -> Iterator[Diagnostic]:
     """JS2094 (the classic `sort f > f`): redirecting output onto a file
@@ -202,7 +197,7 @@ def check_clobber_input(program: Command) -> Iterator[Diagnostic]:
                            if r.target.constant is not None]
                 words.append((argv, targets))
                 specs.append(DEFAULT_LIBRARY.classify(argv[0], argv[1:]))
-        sink = clobbered_sink(words, specs, _UNKNOWN_CWD)
+        sink = clobbered_sink(words, specs, None)  # the cwd is unknown
         if sink is not None:
             yield Diagnostic(
                 "JS2094", "error",

@@ -85,9 +85,8 @@ _BACKSLASHED = re.compile(r"\\([$`\\])")
 _NAME_TAIL = re.compile(r"\w*")
 #: unquoted text that expansion does not leave as is (pathname and tilde
 #: expansion; a ``[`` with no later ``]`` opens no bracket expression, so
-#: it matches only itself), and the expander's internal marks
-ACTIVE = re.compile(r"[*?~\x00-\x03]|\[[^]]*\]")
-_MARKS = re.compile("[\x00-\x03]")
+#: it matches only itself)
+ACTIVE = re.compile(r"[*?~]|\[[^]]*\]")
 
 
 def is_name(s: str) -> bool:
@@ -103,9 +102,7 @@ def constant_of(parts) -> Optional[str]:
     """The one field a word made of ``parts`` expands to when expansion is
     the identity — no parameter, command or arithmetic part, and unquoted
     text (all of it: a bracket expression may span quotes) with no ``*``,
-    ``?``, ``~`` or ``[`` … ``]`` — else None.  A word holding one of the
-    expander's internal marks (``\x00``–``\x03``) is left to the tree
-    expander, which reads them as marks."""
+    ``?``, ``~`` or ``[`` … ``]`` — else None."""
     out: list[str] = []
     bare = ""
     for part in parts:
@@ -128,7 +125,7 @@ def constant_of(parts) -> Optional[str]:
         else:
             return None
     text = "".join(out)
-    return None if ACTIVE.search(bare) or _MARKS.search(text) else text
+    return None if ACTIVE.search(bare) else text
 
 
 class Fault:

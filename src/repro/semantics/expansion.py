@@ -4,14 +4,21 @@ arithmetic expansion, field splitting, pathname expansion, quote removal.
 Expansion functions are generators (command substitution spawns a
 subshell process), driven with ``yield from`` inside the interpreter.
 
-Internal representation: a *marked string* where each quoted character is
-preceded by QUOTE_MARK; FIELD_BREAK separates "$@" positionals and
-EMPTY_QUOTE records an empty quoted string (which must survive as an
-empty field).
+Between its steps a word is a list of *segments*, ``(text, kind)`` pairs
+(Smoosh keeps the same structure): quoted text, the word's own unquoted
+text, unquoted expansion output, the break between two positionals of
+``"$@"``, and an empty quote (which must survive as an empty field).
+Field splitting splits only expansion output, tilde expansion reads only
+the word's own text, and a field handed to pathname expansion is a tuple
+of ``(text, quoted)`` pieces, the form :mod:`.patterns` matches.  Quote
+removal joins the texts.  Structure never travels inside the text, so a
+value may hold any character.
 """
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from typing import Optional
 
 from ..parser.ast_nodes import (
@@ -25,103 +32,113 @@ from ..parser.ast_nodes import (
     Word,
     WordPart,
 )
+from ..vos.fs import normalize
 from . import arith
-from .patterns import (
-    EMPTY_MARK,
-    QUOTE_MARK,
-    SPLIT_MARK,
-    glob_match_names,
-    has_glob_chars,
-    quote_literal,
-    strip_quote_marks,
-)
+from .patterns import glob_match_names, has_glob_chars, remove_affix, text_of
 from .state import ShellError
 
-FIELD_BREAK = "\x01"
-EMPTY_QUOTE = EMPTY_MARK  # shared with the pattern matcher
+#: segment kinds
+QUOTED = "quoted"  # never split; literal in a pattern
+LITERAL = "literal"  # the word's own unquoted text: never split
+EXPANDED = "expanded"  # unquoted expansion output: split by IFS
+BREAK = "break"  # between two positionals of "$@"; a space in one field
+EMPTY = "empty"  # '' or "": keeps an otherwise empty field
 
-
-def mark_splittable(text: str, ifs: str) -> str:
-    """Tag every unquoted IFS character of an expansion result with
-    SPLIT_MARK.  Field splitting (XCU 2.6.5) applies only to the results
-    of parameter/command/arithmetic expansion — literal text in the word
-    never splits — so marking happens exactly where expansion output is
-    stitched into the word."""
-    if not ifs or not text:
-        return text
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in (QUOTE_MARK, SPLIT_MARK):
-            out.append(c)
-            if i + 1 < n:
-                out.append(text[i + 1])
-            i += 2
-            continue
-        if c in ifs:
-            out.append(SPLIT_MARK)
-        out.append(c)
-        i += 1
-    return "".join(out)
+_BREAK = (" ", BREAK)
+_EMPTY = ("", EMPTY)
 
 
 class ExpansionError(ShellError):
     """Expansion failures (bad substitution, ${x:?msg}, nounset)."""
 
 
+def _output(text: str, in_dquotes: bool) -> list:
+    """An expansion's result as segments (none when it is empty)."""
+    return [(text, QUOTED if in_dquotes else EXPANDED)] if text else []
+
+
+def part_segments(part: WordPart, text: str, in_dquotes: bool = False) -> list:
+    """The segments of one word part that expanded to ``text``: a literal
+    part is the word's own text (quoted inside double quotes), a quote is
+    quoted text that keeps an otherwise empty field, and an expansion's
+    output splits unless it is double-quoted."""
+    if isinstance(part, Lit):
+        return [(text, QUOTED if in_dquotes else LITERAL)]
+    if isinstance(part, (SingleQuoted, Escaped, DoubleQuoted)):
+        return [(text, QUOTED) if text else _EMPTY]
+    return _output(text, in_dquotes)
+
+
+def known_segments(parts, texts) -> Optional[list]:
+    """The segments of an unquoted word whose ``parts`` expanded to
+    ``texts`` (static readers split known values with it), or None when
+    the texts do not fix them: ``${x:-word}`` or ``${x+word}`` may have
+    taken its text from a ``word`` holding quotes or a leading ``~``."""
+    out: list = []
+    for part, text in zip(parts, texts):
+        if isinstance(part, Param) and not _operand_is_output(part):
+            return None
+        out.extend(part_segments(part, text))
+    return out
+
+
+def _operand_is_output(param: Param) -> bool:
+    """Is an unquoted ``param`` expansion output whichever of its value
+    and its operand word it gives?"""
+    word = param.word
+    if word is None or param.op[-1] not in "-+":
+        return True
+    first = word.parts[0] if word.parts else None
+    if isinstance(first, Lit) and first.text.startswith("~"):
+        return False
+    return all(isinstance(part, (Lit, CmdSub, ArithSub))
+               or isinstance(part, Param) and _operand_is_output(part)
+               for part in word.parts)
+
+
+def _pattern(segments) -> tuple:
+    """Segments as the ``(text, quoted)`` pieces a pattern is made of."""
+    return tuple((text, kind is not LITERAL and kind is not EXPANDED)
+                 for text, kind in segments if text)
+
+
 # ---------------------------------------------------------------------------
-# part expansion -> marked string
+# part expansion -> segments
 # ---------------------------------------------------------------------------
 
 
 def _expand_parts(interp, proc, parts: tuple[WordPart, ...], in_dquotes: bool):
-    """Expand a sequence of word parts into one marked string."""
-    out: list[str] = []
+    """Expand a sequence of word parts into a list of segments."""
+    out: list = []
     for part in parts:
         if isinstance(part, Lit):
-            out.append(quote_literal(part.text) if in_dquotes else part.text)
+            out.extend(part_segments(part, part.text, in_dquotes))
         elif isinstance(part, SingleQuoted):
-            out.append(quote_literal(part.text) if part.text else EMPTY_QUOTE)
+            out.extend(part_segments(part, part.text))
         elif isinstance(part, Escaped):
-            out.append(QUOTE_MARK + part.char)
+            out.extend(part_segments(part, part.char))
         elif isinstance(part, DoubleQuoted):
             inner = yield from _expand_parts(interp, proc, part.parts, True)
-            out.append(inner if inner else EMPTY_QUOTE)
+            out.extend(inner or part_segments(part, ""))
         elif isinstance(part, Param):
-            text = yield from _expand_param(interp, proc, part, in_dquotes)
-            if not in_dquotes:
-                text = mark_splittable(text, interp.state.ifs)
-            out.append(text)
+            out.extend((yield from _expand_param(interp, proc, part, in_dquotes)))
         elif isinstance(part, CmdSub):
             raw = yield from interp.command_substitution(proc, part.command)
-            text = raw.rstrip("\n")
-            out.append(
-                quote_literal(text)
-                if in_dquotes
-                else mark_splittable(text, interp.state.ifs)
-            )
+            out.extend(part_segments(part, raw.rstrip("\n"), in_dquotes))
         elif isinstance(part, ArithSub):
-            expr_marked = yield from _expand_parts(interp, proc, part.parts, False)
-            expr = strip_quote_marks(expr_marked)
+            expr = yield from _expand_parts(interp, proc, part.parts, False)
             try:
                 value = arith.evaluate(
-                    expr,
+                    text_of(expr),
                     get=interp.state.get,
                     set_=lambda n, v: interp.state.set(n, v),
                 )
             except arith.ArithError as err:
                 raise ExpansionError(f"arithmetic: {err}") from None
-            text = str(value)
-            out.append(
-                quote_literal(text)
-                if in_dquotes
-                else mark_splittable(text, interp.state.ifs)
-            )
+            out.extend(part_segments(part, str(value), in_dquotes))
         else:
             raise ExpansionError(f"unknown word part {part!r}")
-    return "".join(out)
+    return out
 
 
 def _expand_param(interp, proc, param: Param, in_dquotes: bool):
@@ -129,19 +146,19 @@ def _expand_param(interp, proc, param: Param, in_dquotes: bool):
     name, op = param.name, param.op
 
     if name in ("@", "*") and op in ("", "length"):
-        return (yield from _expand_at_star(interp, name, op, in_dquotes))
+        return _expand_at_star(state, name, op, in_dquotes)
 
     value = state.get(name)
 
     if op == "length":
-        return _mark(str(len(value or "")), in_dquotes)
+        return _output(str(len(value or "")), in_dquotes)
 
     if op == "":
         if value is None:
             if state.options.get("nounset") and not _is_special(name):
                 raise ExpansionError(f"{name}: unbound variable")
-            return ""
-        return _mark(value, in_dquotes)
+            return []
+        return _output(value, in_dquotes)
 
     # test operators: ':' variants also treat empty as unset
     colon = op.startswith(":")
@@ -151,66 +168,63 @@ def _expand_param(interp, proc, param: Param, in_dquotes: bool):
         unset_or_null = value is None or (colon and value == "")
         if base_op == "+":
             if unset_or_null:
-                return ""
+                return []
             operand = yield from _expand_operand(interp, proc, param.word, in_dquotes)
             return operand
         if not unset_or_null:
-            return _mark(value, in_dquotes)
+            return _output(value, in_dquotes)
         operand = yield from _expand_operand(interp, proc, param.word, in_dquotes)
         if base_op == "-":
             return operand
         if base_op == "=":
-            assigned = strip_quote_marks(operand).replace(EMPTY_QUOTE, "")
+            assigned = text_of(operand)
             state.set(name, assigned)
-            return _mark(assigned, in_dquotes)
+            return _output(assigned, in_dquotes)
         if base_op == "?":
-            message = strip_quote_marks(operand).replace(EMPTY_QUOTE, "") or "parameter null or not set"
+            message = text_of(operand) or "parameter null or not set"
             raise ExpansionError(f"{name}: {message}")
 
     if base_op in ("#", "##", "%", "%%"):
-        if value is None:
-            value = ""
-        pattern_marked = ""
+        pattern = []
         if param.word is not None:
-            pattern_marked = yield from _expand_parts(
-                interp, proc, param.word.parts, False
-            )
-        from .patterns import remove_affix
-
-        result = remove_affix(value, pattern_marked.replace(EMPTY_QUOTE, ""), base_op)
-        return _mark(result, in_dquotes)
+            pattern = yield from _expand_parts(interp, proc, param.word.parts, False)
+        result = remove_affix(value or "", _pattern(pattern), base_op)
+        return _output(result, in_dquotes)
 
     raise ExpansionError(f"bad substitution ${{{name}{op}...}}")
 
 
 def _expand_operand(interp, proc, word: Optional[Word], in_dquotes: bool):
+    """The operand word of ``${x:-word}`` and kin.  Outside double quotes
+    it is tilde-expanded and its own unquoted text is expansion output:
+    it splits and globs like the value it stands in for."""
     if word is None:
-        return ""
+        return []
     result = yield from _expand_parts(interp, proc, word.parts, in_dquotes)
-    return result
+    if in_dquotes:
+        return result
+    return [(text, EXPANDED if kind is LITERAL else kind)
+            for text, kind in _tilde_expand(result, interp.state)]
 
 
-def _expand_at_star(interp, name: str, op: str, in_dquotes: bool):
-    state = interp.state
+def _expand_at_star(state, name: str, op: str, in_dquotes: bool) -> list:
     positionals = state.positionals
     if op == "length":
-        return _mark(str(len(positionals)), in_dquotes)
-        yield  # pragma: no cover - make this a generator
-    if in_dquotes:
-        if name == "@":
-            # empty positionals must survive as empty fields, so record
-            # them as EMPTY_QUOTE rather than a zero-length piece
-            pieces = [quote_literal(p) if p else EMPTY_QUOTE for p in positionals]
-            return FIELD_BREAK.join(pieces) if pieces else ""
-        sep = (state.ifs[:1]) if state.ifs else ""
-        return quote_literal(sep.join(positionals)) if positionals else EMPTY_QUOTE
-    # unquoted $@ / $*: each positional subject to field splitting
-    return FIELD_BREAK.join(positionals)
-    yield  # pragma: no cover - make this a generator
-
-
-def _mark(text: str, in_dquotes: bool) -> str:
-    return quote_literal(text) if in_dquotes else text
+        return _output(str(len(positionals)), in_dquotes)
+    if in_dquotes and name == "*":
+        sep = state.ifs[:1]
+        return _output(sep.join(positionals), True) if positionals else [_EMPTY]
+    # "$@": one field per positional, empty ones included; unquoted $@ and
+    # $*: each positional subject to field splitting
+    out: list = []
+    for i, value in enumerate(positionals):
+        if i:
+            out.append(_BREAK)
+        if in_dquotes and not value:
+            out.append(_EMPTY)
+        else:
+            out.extend(_output(value, in_dquotes))
+    return out
 
 
 def _is_special(name: str) -> bool:
@@ -222,75 +236,57 @@ def _is_special(name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def split_fields(marked: str, ifs: str) -> list[str]:
-    """Split a marked string into fields (XCU 2.6.5).
+@lru_cache(maxsize=64)
+def _ifs_runs(ifs: str) -> re.Pattern:
+    return re.compile("([" + re.escape(ifs) + "]+)")
 
-    Only SPLIT_MARK-tagged characters (expansion output, see
-    ``mark_splittable``) participate in splitting; literal and quoted
-    text never does.  A run of adjacent tagged IFS characters containing
-    ``h`` non-whitespace ("hard") delimiters separates ``h`` times —
-    whitespace around a hard delimiter merges into it — while an
+
+def split_fields(segments, ifs: str) -> list[tuple]:
+    """Split segments into fields (XCU 2.6.5), each a tuple of ``(text,
+    quoted)`` pieces.  Pure: absint splits known values with it too.
+
+    Only expansion output splits; the word's own text and quoted text
+    never do.  A run of IFS characters (it may span adjacent expansions)
+    holding ``h`` non-whitespace ("hard") delimiters separates ``h``
+    times — whitespace around a hard delimiter merges into it — while an
     all-whitespace run separates once without forcing an empty field.
     """
-    fields: list[str] = []
-    current: list[str] = []
-    has_content = False  # current field contains quoted-or-real material
-
-    def end_field(force: bool = False) -> None:
-        nonlocal current, has_content
-        if has_content or force:
-            fields.append("".join(current))
-        current = []
-        has_content = False
-
-    i = 0
-    n = len(marked)
+    fields: list[tuple] = []
+    pieces: list = []
+    has_content = False  # the field holds quoted or real material
+    i, n = 0, len(segments)
     while i < n:
-        c = marked[i]
-        if c == FIELD_BREAK:
-            # "$@" positional boundary: zero-length unquoted positionals
-            # vanish (empty quoted ones arrive as EMPTY_QUOTE pieces)
-            end_field()
-            i += 1
-            continue
-        if c == QUOTE_MARK:
-            current.append(c)
-            if i + 1 < n:
-                current.append(marked[i + 1])
-            has_content = True
-            i += 2
-            continue
-        if c == EMPTY_QUOTE:
-            has_content = True
-            current.append(c)
-            i += 1
-            continue
-        if c == SPLIT_MARK:
-            tagged = marked[i + 1] if i + 1 < n else ""
-            if ifs and tagged in ifs:
-                hards = 0
-                while i < n and marked[i] == SPLIT_MARK:
-                    nxt = marked[i + 1] if i + 1 < n else ""
-                    if nxt not in ifs:
-                        break
-                    if nxt not in " \t\n":
-                        hards += 1
-                    i += 2
-                if hards == 0:
-                    end_field()
-                else:
-                    for _ in range(hards):
-                        end_field(force=True)
-                continue
-            # tagged char no longer in the active IFS: plain content
-            current.append(tagged)
-            has_content = True
-            i += 2
-            continue
-        current.append(c)
-        has_content = True
+        text, kind = segments[i]
         i += 1
-    end_field()
+        if kind is BREAK:
+            if has_content:
+                fields.append(tuple(pieces))
+            pieces, has_content = [], False
+        elif kind is EXPANDED and ifs:
+            while i < n and segments[i][1] is EXPANDED:
+                text += segments[i][0]
+                i += 1
+            chunks = _ifs_runs(ifs).split(text)
+            for j, chunk in enumerate(chunks):
+                if not j % 2:
+                    if chunk:
+                        pieces.append((chunk, False))
+                        has_content = True
+                    continue
+                hards = len(chunk) - sum(map(chunk.count, " \t\n"))
+                if hards == 0:
+                    if has_content:
+                        fields.append(tuple(pieces))
+                    pieces, has_content = [], False
+                for _ in range(hards):
+                    fields.append(tuple(pieces))
+                    pieces, has_content = [], False
+        else:  # quoted or literal text, an empty quote, or no IFS
+            if kind is not EMPTY:
+                pieces.append((text, kind is QUOTED))
+            has_content = True
+    if has_content:
+        fields.append(tuple(pieces))
     return fields
 
 
@@ -299,83 +295,44 @@ def split_fields(marked: str, ifs: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def expand_pathnames(field_marked: str, fs, cwd: str) -> list[str]:
+def expand_pathnames(field: tuple, fs, cwd: str) -> list[str]:
     """Glob one field against the virtual filesystem; no match -> the
-    pattern itself (POSIX default)."""
-    if not has_glob_chars(field_marked):
-        return [_finalize(field_marked)]
-    # split into components on '/' (quoted slashes still separate paths)
-    comps: list[str] = []
-    current: list[str] = []
-    i = 0
-    n = len(field_marked)
-    while i < n:
-        c = field_marked[i]
-        if c == QUOTE_MARK and i + 1 < n:
-            if field_marked[i + 1] == "/":
-                comps.append("".join(current))
-                current = []
-            else:
-                current.append(c)
-                current.append(field_marked[i + 1])
-            i += 2
-            continue
-        if c == "/":
-            comps.append("".join(current))
-            current = []
-            i += 1
-            continue
-        current.append(c)
-        i += 1
-    comps.append("".join(current))
-
-    is_abs = comps and comps[0] == ""
-    if is_abs:
-        comps = comps[1:]
-        bases = [("/", "/")]
-    else:
-        bases = [("", cwd)]
-
-    from ..vos.fs import normalize
-
-    for comp in comps:
-        if comp == "":
-            continue
-        new_bases = []
-        if not has_glob_chars(comp):
-            literal = _finalize(comp)
-            for display, absdir in bases:
-                child_abs = normalize(literal, absdir if absdir else cwd) \
-                    if literal.startswith("/") else normalize(
-                        (absdir.rstrip("/") + "/" + literal) if absdir != "/" else "/" + literal)
-                child_display = (display.rstrip("/") + "/" + literal) if display else literal
-                if display == "/":
-                    child_display = "/" + literal
-                if fs.exists(child_abs):
-                    new_bases.append((child_display, child_abs))
-        else:
-            for display, absdir in bases:
-                listdir_base = absdir if absdir else cwd
-                if not fs.is_dir(listdir_base):
-                    continue
-                names = fs.listdir(listdir_base)
-                for name in glob_match_names(comp, names):
-                    child_abs = (listdir_base.rstrip("/") + "/" + name)
-                    child_display = (
-                        (display.rstrip("/") + "/" + name) if display and display != "/"
-                        else ("/" + name if display == "/" else name)
-                    )
-                    new_bases.append((child_display, child_abs))
-        bases = new_bases
-        if not bases:
-            return [_finalize(field_marked)]
-    results = sorted(display for display, _abs in bases if display)
-    return results if results else [_finalize(field_marked)]
-
-
-def _finalize(marked: str) -> str:
-    """Quote removal on a marked field."""
-    return strip_quote_marks(marked).replace(EMPTY_QUOTE, "")
+    field's own text (POSIX default).  Each path keeps the field's text
+    for every component it does not match: ``//`` stays, and a trailing
+    ``/`` keeps only directories."""
+    if not has_glob_chars(field):
+        return [text_of(field)]
+    # components on '/' (quoted slashes separate paths too)
+    comps: list[list] = [[]]
+    for text, quoted in field:
+        first, *rest = text.split("/")
+        if first:
+            comps[-1].append((first, quoted))
+        comps.extend([(piece, quoted)] if piece else [] for piece in rest)
+    # (the path as shown, its absolute form)
+    matches = [("", cwd if comps[0] else "/")]
+    for i, comp in enumerate(map(tuple, comps)):
+        if not comp and not i:
+            continue  # the root of an absolute path
+        step = []
+        for shown, path in matches:
+            if i:
+                shown += "/"
+            if not comp:
+                if fs.is_dir(path):
+                    step.append((shown, path))
+            elif not has_glob_chars(comp):
+                name = text_of(comp)
+                child = normalize(name, path)
+                if fs.exists(child):
+                    step.append((shown + name, child))
+            elif fs.is_dir(path):
+                for name in glob_match_names(comp, fs.listdir(path)):
+                    step.append((shown + name, path.rstrip("/") + "/" + name))
+        matches = step
+        if not matches:
+            return [text_of(field)]
+    return sorted(shown for shown, _ in matches)
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +340,25 @@ def _finalize(marked: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _tilde_expand(marked: str, state) -> str:
-    if not marked.startswith("~"):
-        return marked
-    # up to the first unquoted '/'
-    end = 0
-    while end < len(marked) and marked[end] != "/":
-        if marked[end] in (QUOTE_MARK, EMPTY_QUOTE, SPLIT_MARK):
-            return marked  # quoted/expanded char in the prefix: no expansion
-        end += 1
-    user = marked[1:end]
-    if user == "":
-        home = state.get("HOME") or "/"
-        return quote_literal(home) + marked[end:]
+def _tilde_expand(segments: list, state) -> list:
+    """A leading ``~`` of the word's own text, up to its first ``/``
+    (XCU 2.6.1); quoted or expanded text in the prefix leaves it be."""
+    if not segments or segments[0][1] is not LITERAL \
+            or not segments[0][0].startswith("~"):
+        return segments
+    user, rest = "", []
+    for i, (text, kind) in enumerate(segments):
+        if kind is not LITERAL:
+            return segments
+        slash = text.find("/")
+        if slash >= 0:
+            user += text[:slash]
+            rest = [(text[slash:], LITERAL)] + segments[i + 1:]
+            break
+        user += text
     # named users resolve to /home/<user> in the virtual OS
-    return quote_literal("/home/" + user) + marked[end:]
+    home = (state.get("HOME") or "/") if user == "~" else "/home/" + user[1:]
+    return [(home, QUOTED)] + rest
 
 
 # ---------------------------------------------------------------------------
@@ -410,24 +371,38 @@ def expand_word(interp, proc, word: Word):
     word is its one field."""
     if word.constant is not None:
         return [word.constant]
-    marked = yield from _expand_parts(interp, proc, word.parts, False)
-    fields = split_fields(_tilde_expand(marked, interp.state), interp.state.ifs)
-    if interp.state.options.get("noglob"):
-        return [_finalize(f) for f in fields]
+    segments = yield from _expand_parts(interp, proc, word.parts, False)
+    state = interp.state
+    fields = split_fields(_tilde_expand(segments, state), state.ifs)
+    if state.options.get("noglob"):
+        return [text_of(field) for field in fields]
     out: list[str] = []
     for field in fields:
-        out.extend(expand_pathnames(field, proc.fs, interp.state.cwd))
+        out.extend(expand_pathnames(field, proc.fs, state.cwd))
     return out
 
 
 def expand_word_single(interp, proc, word: Word):
     """Expansion producing exactly one field (assignments, redirect
-    targets, case subjects, here-docs): no splitting, no globbing."""
+    targets, case subjects): no splitting, no globbing."""
     if word.constant is not None:
         return word.constant
-    marked = yield from _expand_parts(interp, proc, word.parts, False)
-    marked = _tilde_expand(marked, interp.state)
-    return _finalize(marked.replace(FIELD_BREAK, " "))
+    segments = yield from _expand_parts(interp, proc, word.parts, False)
+    return text_of(_tilde_expand(segments, interp.state))
+
+
+def expand_text(interp, proc, word: Word):
+    """A here-document body: parameter, command and arithmetic expansion
+    and quote removal only."""
+    segments = yield from _expand_parts(interp, proc, word.parts, False)
+    return text_of(segments)
+
+
+def expand_pattern(interp, proc, word: Word):
+    """A case pattern as ``(text, quoted)`` pieces: no splitting, no
+    globbing, quoted characters stay literal."""
+    segments = yield from _expand_parts(interp, proc, word.parts, False)
+    return _pattern(segments)
 
 
 def expand_words(interp, proc, words):

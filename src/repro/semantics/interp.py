@@ -42,8 +42,8 @@ from .builtins import REGULAR_BUILTINS, SPECIAL_BUILTINS
 from .control import FuncReturn, LoopBreak, LoopContinue, ShellExit
 from .expansion import (
     ExpansionError,
-    _expand_parts,
-    _finalize,
+    expand_pattern,
+    expand_text,
     expand_word_single,
     expand_words,
 )
@@ -287,8 +287,7 @@ class Interpreter:
             body = redirect.heredoc
             text = "" if body is None else body.constant
             if text is None:
-                marked = yield from _expand_parts(self, proc, body.parts, False)
-                text = _finalize(marked)
+                text = yield from expand_text(self, proc, body)
             fds[fd] = StringSource(text.encode())
             return
         target = yield from expand_word_single(self, proc, redirect.target)
@@ -616,10 +615,8 @@ class Interpreter:
             subject = yield from expand_word_single(self, proc, node.word)
             for item in node.items:
                 for pattern_word in item.patterns:
-                    marked = yield from _expand_parts(
-                        self, proc, pattern_word.parts, False
-                    )
-                    if match(marked, subject):
+                    pattern = yield from expand_pattern(self, proc, pattern_word)
+                    if match(pattern, subject):
                         if item.body is None:
                             self.state.last_status = 0
                             return 0
@@ -653,7 +650,8 @@ class Interpreter:
                 proc.kernel._handle_closed(reader)
         status = yield from proc.wait(pid)
         self._last_cmdsub_status = status
-        return b"".join(chunks).decode("utf-8", "replace")
+        # a shell string holds no NUL byte: sh drops them from the output
+        return b"".join(chunks).replace(b"\0", b"").decode("utf-8", "replace")
 
     def _read_pipe(self, proc: Process, reader):
         """Read from a pipe handle not installed in our fd table."""

@@ -1,9 +1,10 @@
 """Shell pattern matching (XCU 2.13): case patterns, pathname expansion,
 and the prefix/suffix removal of ``${x#pat}`` / ``${x%pat}``.
 
-Patterns arrive as (text, quoted) fragment lists so that quoted
-metacharacters stay literal: ``case $x in "*") ...`` matches only a
-literal asterisk.
+A pattern is a hashable tuple of ``(text, quoted)`` pieces, the form
+expansion hands over, so that quoted metacharacters stay literal:
+``case $x in "*") ...`` matches only a literal asterisk.  An unquoted
+backslash (from expansion output) escapes the character after it.
 """
 
 from __future__ import annotations
@@ -27,48 +28,35 @@ _CLASS_NAMES = {
     "cntrl": r"\x00-\x1f\x7f",
 }
 
-#: sentinel prefixing characters that must be treated literally
-QUOTE_MARK = "\x00"
-#: sentinel recording an empty quoted string ('' / ""): matches nothing
-EMPTY_MARK = "\x02"
-#: sentinel prefixing characters produced by an expansion: only these are
-#: candidates for field splitting (XCU 2.6.5 splits expansion results,
-#: never literal text)
-SPLIT_MARK = "\x03"
+
+def text_of(pieces) -> str:
+    """Quote removal: the text of ``(text, ...)`` pairs — a pattern's
+    pieces, a field's, or a word's expansion segments."""
+    return "".join([text for text, _ in pieces])
 
 
-def quote_literal(text: str) -> str:
-    """Mark every character of ``text`` as literal (quoted)."""
-    return "".join(QUOTE_MARK + c for c in text)
+def _chars(pattern) -> list[tuple[str, bool]]:
+    return [(c, quoted) for text, quoted in pattern for c in text]
 
 
-def translate(pattern: str) -> str:
-    """Translate a shell pattern (possibly containing QUOTE_MARK-escaped
-    literal characters and backslash escapes) into a Python regex."""
+def translate(pattern) -> str:
+    """Translate a shell pattern, given as ``(text, quoted)`` pieces, into
+    a Python regex.  Quoted characters and those an unquoted backslash
+    escapes match only themselves."""
+    chars = _chars(pattern)
     out: list[str] = []
     i = 0
-    n = len(pattern)
+    n = len(chars)
     while i < n:
-        c = pattern[i]
-        if c == EMPTY_MARK:
-            i += 1  # '' contributes nothing to the pattern
-            continue
-        if c == SPLIT_MARK:
-            i += 1  # the following char stays active (unquoted expansion)
-            continue
-        if c == QUOTE_MARK:
+        c, quoted = chars[i]
+        if quoted:
+            out.append(re.escape(c))
             i += 1
-            if i < n:
-                out.append(re.escape(pattern[i]))
-                i += 1
             continue
         if c == "\\":
             i += 1
-            if i < n:
-                out.append(re.escape(pattern[i]))
-                i += 1
-            else:
-                out.append(re.escape("\\"))
+            out.append(re.escape(chars[i][0] if i < n else "\\"))
+            i += 1
             continue
         if c == "*":
             out.append(".*")
@@ -77,7 +65,7 @@ def translate(pattern: str) -> str:
             out.append(".")
             i += 1
         elif c == "[":
-            closing, expr = _translate_bracket(pattern, i)
+            closing, expr = _translate_bracket(chars, i)
             if closing < 0:
                 out.append(re.escape("["))
                 i += 1
@@ -90,56 +78,49 @@ def translate(pattern: str) -> str:
     return "".join(out)
 
 
-def _translate_bracket(pattern: str, start: int) -> tuple[int, str]:
-    """Translate a bracket expression starting at pattern[start] == '['.
+def _translate_bracket(chars: list, start: int) -> tuple[int, str]:
+    """Translate a bracket expression starting at an unquoted ``[``.
     Returns (index of closing ']', regex) or (-1, '') when unterminated."""
+    n = len(chars)
     i = start + 1
     negate = False
-    if i < len(pattern) and pattern[i] in "!^":
+    if i < n and chars[i] in (("!", False), ("^", False)):
         negate = True
         i += 1
     items: list[str] = []
     first = True
-    while i < len(pattern):
-        c = pattern[i]
-        if c == "]" and not first:
+    while i < n:
+        c, quoted = chars[i]
+        if c == "]" and not quoted and not first:
             inner = "".join(items)
             if not inner:
                 return -1, ""
             return i, "[" + ("^" if negate else "") + inner + "]"
         first = False
-        if pattern.startswith("[:", i):
-            end = pattern.find(":]", i + 2)
+        if quoted:
+            items.append(re.escape(c))
+            i += 1
+            continue
+        if c == "[" and i + 1 < n and chars[i + 1] == (":", False):
+            end = text_of(chars).find(":]", i + 2)
             if end < 0:
                 return -1, ""
-            name = pattern[i + 2 : end]
-            cls = _CLASS_NAMES.get(name)
+            cls = _CLASS_NAMES.get(text_of(chars[i + 2 : end]))
             if cls is None:
                 return -1, ""
             items.append(cls)
             i = end + 2
             continue
-        if c == SPLIT_MARK:
-            i += 1
-            continue
-        if c == QUOTE_MARK and i + 1 < len(pattern):
-            items.append(re.escape(pattern[i + 1]))
+        if c == "\\" and i + 1 < n:
+            items.append(re.escape(chars[i + 1][0]))
             i += 2
             continue
-        if c == "\\" and i + 1 < len(pattern):
-            items.append(re.escape(pattern[i + 1]))
-            i += 2
-            continue
-        if (
-            i + 2 < len(pattern)
-            and pattern[i + 1] == "-"
-            and pattern[i + 2] not in "]"
-        ):
-            if ord(c) > ord(pattern[i + 2]):
+        if i + 2 < n and chars[i + 1] == ("-", False) and chars[i + 2][0] != "]":
+            if ord(c) > ord(chars[i + 2][0]):
                 # reversed range (e.g. [o-n]): not a valid bracket
                 # expression; shells treat the '[' literally
                 return -1, ""
-            items.append(re.escape(c) + "-" + re.escape(pattern[i + 2]))
+            items.append(re.escape(c) + "-" + re.escape(chars[i + 2][0]))
             i += 3
             continue
         items.append(re.escape(c))
@@ -148,36 +129,43 @@ def _translate_bracket(pattern: str, start: int) -> tuple[int, str]:
 
 
 @lru_cache(maxsize=4096)
-def _compiled(pattern: str) -> re.Pattern:
+def _compiled(pattern) -> re.Pattern:
     try:
         return re.compile(translate(pattern), re.DOTALL)
     except re.error:
         # pathological bracket contents: degrade to a literal match,
         # which is what shells do with malformed patterns
-        return re.compile(re.escape(strip_quote_marks(pattern)), re.DOTALL)
+        return re.compile(re.escape(text_of(pattern)), re.DOTALL)
 
 
-def match(pattern: str, value: str) -> bool:
+def match(pattern, value: str) -> bool:
     """Full-string shell pattern match."""
     return _compiled(pattern).fullmatch(value) is not None
 
 
-def has_glob_chars(pattern: str) -> bool:
-    """Does the (marked) pattern contain active metacharacters?  A ``[``
-    that opens no bracket expression matches only itself."""
+def has_glob_chars(pattern) -> bool:
+    """Does the pattern contain active metacharacters?  A ``[`` that
+    opens no bracket expression matches only itself."""
+    if not any(not quoted and ("*" in text or "?" in text or "[" in text)
+               for text, quoted in pattern):
+        return False
+    chars = _chars(pattern)
     i = 0
-    while i < len(pattern):
-        c = pattern[i]
-        if c == QUOTE_MARK or c == "\\":
+    while i < len(chars):
+        c, quoted = chars[i]
+        if quoted:
+            i += 1
+            continue
+        if c == "\\":
             i += 2
             continue
-        if c in "*?" or c == "[" and _translate_bracket(pattern, i)[0] >= 0:
+        if c in "*?" or c == "[" and _translate_bracket(chars, i)[0] >= 0:
             return True
         i += 1
     return False
 
 
-def remove_affix(value: str, pattern: str, op: str) -> str:
+def remove_affix(value: str, pattern, op: str) -> str:
     """Implement ``${x#pat}`` (op '#'), ``##``, ``%``, ``%%``."""
     if op in ("#", "##"):
         indices: Iterable[int] = range(len(value) + 1)
@@ -210,35 +198,16 @@ def remove_affix(value: str, pattern: str, op: str) -> str:
     raise ValueError(f"bad affix op {op!r}")
 
 
-def strip_quote_marks(text: str) -> str:
-    """Quote removal: drop QUOTE_MARK/SPLIT_MARK sentinels, keep the
-    characters they tag."""
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        if text[i] == QUOTE_MARK:
-            i += 1
-            if i < len(text):
-                out.append(text[i])
-                i += 1
-        elif text[i] == SPLIT_MARK:
-            i += 1  # drop the mark; the tagged char is handled normally
-        else:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
-
-
-def glob_match_names(pattern: str, names: Iterable[str],
+def glob_match_names(pattern, names: Iterable[str],
                      include_hidden: bool = False) -> list[str]:
     """Match one path component's pattern against candidate names."""
     regex = _compiled(pattern)
+    # a leading dot must be matched explicitly
+    hidden = include_hidden or text_of(pattern).startswith(".")
     out = []
     for name in names:
-        if name.startswith(".") and not include_hidden:
-            # leading dot must be matched explicitly
-            if not (pattern.startswith(".") or pattern.startswith(QUOTE_MARK + ".")):
-                continue
+        if name.startswith(".") and not hidden:
+            continue
         if regex.fullmatch(name):
             out.append(name)
     return sorted(out)

@@ -32,7 +32,6 @@ from ..parser.ast_nodes import (
     Word,
 )
 from .arith import has_side_effects
-from .patterns import strip_quote_marks
 
 
 @dataclass

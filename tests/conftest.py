@@ -17,13 +17,12 @@ from repro.commands.base import (
     parse_args,
 )
 from repro.semantics.expansion import (
-    FIELD_BREAK,
     _expand_parts,
-    _finalize,
     _tilde_expand,
     expand_pathnames,
     split_fields,
 )
+from repro.semantics.patterns import text_of
 from repro.shell import Shell
 from repro.vos import SpliceReq, VosError
 from repro.vos.devices import DiskSpec
@@ -191,25 +190,24 @@ def reference_uniq():
 
 
 def tree_expand_words(interp, proc, words):
-    """What every word went through before constant words: parts into a
-    marked string, tilde, field splitting, then pathname expansion (or
-    quote removal under ``set -f``), whatever the word."""
+    """What every word went through before constant words: parts into
+    segments, tilde, field splitting, then pathname expansion (or quote
+    removal under ``set -f``), whatever the word."""
     fields: list[str] = []
     state = interp.state
     for word in words:
-        marked = yield from _expand_parts(interp, proc, word.parts, False)
-        split = split_fields(_tilde_expand(marked, state), state.ifs)
+        segments = yield from _expand_parts(interp, proc, word.parts, False)
+        split = split_fields(_tilde_expand(segments, state), state.ifs)
         for field in split:
-            fields.extend([_finalize(field)] if state.options.get("noglob")
+            fields.extend([text_of(field)] if state.options.get("noglob")
                           else expand_pathnames(field, proc.fs, state.cwd))
     return fields
 
 
 def tree_expand_word_single(interp, proc, word):
     """The one-field reference (assignments, redirect targets)."""
-    marked = yield from _expand_parts(interp, proc, word.parts, False)
-    marked = _tilde_expand(marked, interp.state)
-    return _finalize(marked.replace(FIELD_BREAK, " "))
+    segments = yield from _expand_parts(interp, proc, word.parts, False)
+    return text_of(_tilde_expand(segments, interp.state))
 
 
 # -- inputs that cross a split on purpose (ROADMAP "right across a seam") -----

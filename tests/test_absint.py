@@ -157,6 +157,26 @@ class TestDeadBranches:
         assert live not in dead_texts(src)
         assert not {"JS4001", "JS4002"} & set(codes(src))
 
+    # argv words split into fields as the interpreter splits them: the
+    # expander's own splitter, under the state's IFS
+    @pytest.mark.parametrize("src,stdin,out,guard", [
+        ('x="a = b"; if [ $x ]; then echo yes; else echo no; fi', b"",
+         b"no\n", "guard is always false"),
+        ('IFS=:; x="a:=:b"; if [ $x ]; then echo yes; else echo no; fi', b"",
+         b"no\n", "guard is always false"),
+        ('x=" a "; if [ $x = a ]; then echo yes; else echo no; fi', b"",
+         b"yes\n", "guard is always true"),
+        # an unknown IFS gives unknown fields
+        ('read IFS; x="a=b"; if [ $x ]; then echo yes; else echo no; fi',
+         b"=\n", b"no\n", None),
+    ])
+    def test_argv_fields_split_by_ifs(self, src, stdin, out, guard):
+        assert Shell().run(src, stdin=stdin).stdout == out
+        guards = [f.message for f in flow(src).findings if f.code == "JS4002"]
+        assert guards == ([guard] if guard else [])
+        live = out.decode().strip()
+        assert f"echo {live}" not in dead_texts(src)
+
     def test_dead_set_covers_descendants(self):
         result = flow("exit 0\nif true; then echo a; fi")
         # every node inside the dead `if` is in the id-set
@@ -270,6 +290,14 @@ class TestCardinality:
         assert "guard is always true" in self.after_loop(
             'v="a b c d"\nfor f in $v; do')
         assert "JS4006" in codes('v=""\nfor f in $v; do echo $f; done')
+
+    def test_split_by_ifs(self):
+        assert "guard is always true" in self.after_loop(
+            'IFS=:\nv="a:b"\nfor f in $v; do')
+        # quoted text never splits: one field, not two
+        assert "guard is always true" in self.after_loop(
+            'e=\nfor f in "a b"$e; do')
+        assert "JS4006" in codes('IFS=" "\nv=" "\nfor f in $v; do echo; done')
 
     def test_unbounded_loop(self):
         # may run zero times: the value before the loop joins in

@@ -7,15 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from .conftest import tree_expand_word_single, tree_expand_words
+from repro.difftest import run_host, run_virtual
+from repro.difftest.runner import HOST_SH
 from repro.parser import parse_one
 from repro.semantics.expansion import (
+    BREAK,
+    EMPTY,
+    EXPANDED,
+    LITERAL,
+    QUOTED,
     expand_word_single,
     expand_words,
-    mark_splittable,
     split_fields,
 )
 from repro.semantics.interp import Interpreter
-from repro.semantics.patterns import quote_literal
+from repro.semantics.patterns import text_of
 from repro.semantics.state import ShellState
 from repro.vos.fs import FileSystem
 
@@ -198,6 +204,13 @@ class TestPathnameExpansion:
         result = sh_run("cd /w; p='*.txt'; echo $p", files=self.FILES)
         assert result.stdout == b"a.txt b.txt\n"
 
+    def test_unmatched_components_keep_their_text(self, sh_run):
+        # `/` holds the dirs d, dev and tmp and the file e: a trailing
+        # `/` keeps only directories, and `//` stays as written
+        result = sh_run("echo */; echo /d//*.txt; echo /./d/../d/*.txt",
+                        files={"/d/a.txt": b"", "/e": b""})
+        assert result.stdout == b"d/ dev/ tmp/\n/d//a.txt\n/./d/../d/a.txt\n"
+
 
 class TestTilde:
     def test_home(self, out_of):
@@ -221,43 +234,57 @@ class TestTilde:
 # ---------------------------------------------------------------------------
 
 
+def _split(ifs, *segments):
+    return [text_of(field) for field in split_fields(list(segments), ifs)]
+
+
 class TestSplitFields:
-    """split_fields splits only SPLIT_MARK-tagged characters — the
-    output of ``mark_splittable`` on expansion results.  Untagged
-    (literal) text must pass through unsplit."""
+    """split_fields splits only expansion-output segments; the word's own
+    text and quoted text pass through unsplit."""
 
     def test_default_whitespace(self):
-        ifs = " \t\n"
-        marked = mark_splittable("a b  c", ifs)
-        assert split_fields(marked, ifs) == ["a", "b", "c"]
+        assert _split(" \t\n", ("a b  c", EXPANDED)) == ["a", "b", "c"]
 
     def test_leading_trailing(self):
-        ifs = " \t\n"
-        assert split_fields(mark_splittable("  a  ", ifs), ifs) == ["a"]
+        assert _split(" \t\n", ("  a  ", EXPANDED)) == ["a"]
 
     def test_hard_delimiters(self):
-        assert split_fields(mark_splittable("a::b", ":"), ":") == ["a", "", "b"]
+        assert _split(":", ("a::b", EXPANDED)) == ["a", "", "b"]
 
     def test_trailing_hard_delimiter_no_empty(self):
-        assert split_fields(mark_splittable("a:", ":"), ":") == ["a"]
+        assert _split(":", ("a:", EXPANDED)) == ["a"]
 
     def test_leading_hard_delimiter_empty_field(self):
-        assert split_fields(mark_splittable(":b", ":"), ":") == ["", "b"]
+        assert _split(":", (":b", EXPANDED)) == ["", "b"]
 
     def test_ws_around_hard_merges(self):
-        ifs = ": "
-        marked = mark_splittable("a : b", ifs)
-        assert split_fields(marked, ifs) == ["a", "b"]
+        assert _split(": ", ("a : b", EXPANDED)) == ["a", "b"]
+
+    def test_delimiter_run_spans_adjacent_expansions(self):
+        # `$a$b` with a="x " and b=": y" holds one run, " : "
+        assert _split(": ", ("x ", EXPANDED), (": y", EXPANDED)) == ["x", "y"]
 
     def test_quoted_chars_never_split(self):
-        marked = quote_literal("a b")
-        assert split_fields(marked, " \t\n") == [marked]
+        assert split_fields([("a b", QUOTED)], " \t\n") == [(("a b", True),)]
 
     def test_literal_text_never_splits(self):
-        # untagged literal IFS characters stay in one field (XCU 2.6.5:
-        # only expansion results are subject to field splitting)
-        assert split_fields("a b  c", " \t\n") == ["a b  c"]
-        assert split_fields("a:b", ":") == ["a:b"]
+        # XCU 2.6.5: only expansion results are subject to field splitting
+        assert _split(" \t\n", ("a b  c", LITERAL)) == ["a b  c"]
+        assert _split(":", ("a:b", LITERAL)) == ["a:b"]
+
+    def test_empty_quote_keeps_a_field(self):
+        assert split_fields([("", EMPTY)], " ") == [()]
+        assert _split(" ", ("a ", EXPANDED), ("", EMPTY)) == ["a", ""]
+
+    def test_positional_breaks(self):
+        assert _split(" ", ("a", EXPANDED), (" ", BREAK), ("b c", EXPANDED)) \
+            == ["a", "b", "c"]
+        assert _split(" ", (" ", BREAK), ("b", EXPANDED)) == ["b"]
+
+    def test_control_bytes_are_data(self):
+        assert _split(" ", ("a\x01b\x02\x00 \x03", EXPANDED)) \
+            == ["a\x01b\x02\x00", "\x03"]
+        assert _split("\x03", ("a\x03b", EXPANDED)) == ["a", "b"]
 
 
 @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=4),
@@ -265,20 +292,21 @@ class TestSplitFields:
 @settings(max_examples=200, deadline=None)
 def test_split_roundtrip_on_space_join(fields):
     """Joining non-empty IFS-free fields with single spaces and
-    re-splitting the marked result recovers the fields."""
-    joined = " ".join(fields)
-    assert split_fields(mark_splittable(joined, " \t\n"), " \t\n") == fields
+    re-splitting the expansion output recovers the fields."""
+    assert _split(" \t\n", (" ".join(fields), EXPANDED)) == fields
 
 
 # -- constant words (fixed at parse time) against the tree expander ---------
 
 #: pieces of one word: plain text, IFS characters that are literal or
 #: quoted, glob and tilde characters (bare and quoted; a bracket may open
-#: in one piece and close in another), empty quotes and a parameter now
-#: and then (a non-constant word keeps the tree path)
+#: in one piece and close in another), empty quotes, control bytes
+#: ``\x00``–``\x03`` (data like any other) and a parameter now and then
+#: (a non-constant word keeps the tree path)
 _PIECES = ["a", "b", "x.y", "/", "-", ":", "=", "*", "?", "[ab]", "[", "]",
            "~", "~/a", "'a b'", "''", '""', '"x:y"', '"*"', "'~'", "\\*",
-           "\\ ", "\\~", '"a\\$"', "$v", '"$v"', "${v:-d}"]
+           "\\ ", "\\~", '"a\\$"', "$v", '"$v"', "${v:-d}",
+           "\x00", "a\x01b", "'\x02'", '"\x03*"', "\\\x01", "$w", '"$w"']
 
 
 def _drive(gen):
@@ -293,10 +321,10 @@ def _drive(gen):
 @given(words=st.lists(st.lists(st.sampled_from(_PIECES), min_size=1,
                                max_size=4).map("".join),
                       min_size=1, max_size=4),
-       ifs=st.sampled_from([" \t\n", ":", "", " :", "a"]),
+       ifs=st.sampled_from([" \t\n", ":", "", " :", "a", "\x03", "\x01 "]),
        noglob=st.booleans(),
        names=st.sets(st.sampled_from(["a", "ab", "b", "x.y", ".h", "a b",
-                                      "*", "[ab]", "~", "[", "]"]),
+                                      "*", "[ab]", "~", "[", "]", "a\x01b"]),
                      max_size=5),
        cwd=st.sampled_from(["/w", "/"]))
 @settings(max_examples=300, deadline=None)
@@ -309,6 +337,7 @@ def test_constant_words_expand_as_the_tree_expander(words, ifs, noglob,
     state = ShellState()
     state.set("IFS", ifs)
     state.set("v", "p q:r")
+    state.set("w", "\x01 \x03:\x00")
     state.set("HOME", "/home/u")
     state.options["noglob"] = noglob
     state.cwd = cwd
@@ -325,3 +354,35 @@ def test_constant_words_expand_as_the_tree_expander(words, ifs, noglob,
         if word.constant is not None:
             assert _drive(tree_expand_words(interp, proc, [word])) == [
                 word.constant]
+
+
+# -- expansion against /bin/sh, with any byte in the data --------------------
+
+#: any byte 0x00-0x7f, IFS characters and the expander's old marks often
+_BYTES = st.text(alphabet=st.one_of(st.sampled_from(" \t\n:\x00\x01\x02\x03a*"),
+                                    st.characters(max_codepoint=0x7f)),
+                 max_size=6)
+
+
+def _printf(text: str) -> str:
+    """A printf call writing ``text`` (every byte an octal escape)."""
+    return "printf '" + "".join(f"\\{ord(c):03o}" for c in text) + "'"
+
+
+@pytest.mark.skipif(HOST_SH is None, reason="no host /bin/sh available")
+@given(value=_BYTES, output=_BYTES, ifs=_BYTES)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_fields_agree_with_sh(value, output, ifs):
+    """Variable values, command-substitution output and IFS drawn from
+    bytes 0x00-0x7f split into the fields /bin/sh gives them (sh drops a
+    NUL from substitution output; so does the virtual shell), and so do
+    the operands of ``${u:-word}`` and ``${x:+word}``, quoted or not.
+    ``set -f``: the two shells run in different directories."""
+    script = (f"set -f; x=$({_printf(value)}; echo .); x=${{x%.}}\n"
+              f"IFS=$({_printf(ifs)}; echo .); IFS=${{IFS%.}}\n"
+              f"printf '%s|' $x \"$x\" $({_printf(output)}) a$x\n"
+              "unset u; printf '%s|' ${u:-a:b c$x} ${x:+$x d} ${u:-\"$x\"e}\n"
+              "echo; set -- $x; echo $#")
+    want = run_host(script, {})
+    got = run_virtual(script, {})
+    assert (got.stdout, got.status) == (want.stdout, want.status)

@@ -45,6 +45,14 @@ class TestStaticChecks:
     def test_clobber_via_pipeline(self):
         assert "JS2094" in codes("grep x log | sort > log")
 
+    def test_word_text_never_reads_as_a_placeholder(self):
+        """A constant word may hold any byte: no text of it reads as a
+        dynamic word or as a path under the unknown cwd."""
+        assert "JS2094" not in codes("sort a > '/\x00cwd/a'")
+        assert "JS2094" not in codes("sort ../a > /a")
+        assert "JS2094" in codes("sort ./b/../a > a")
+        assert "JS2250" in codes("cat '\x00dyn' | wc -l")
+
     def test_backticks(self):
         assert "JS2006" in codes("echo `date`")
         assert "JS2006" not in codes("echo $(date)")
