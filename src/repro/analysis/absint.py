@@ -5,10 +5,15 @@ the same structured CFG discipline as :mod:`repro.analysis.envflow`
 (branch unions, two-pass loop fixpoints, function inlining with a
 recursion guard).  Three cooperating domains:
 
-* a **value domain** for variables — ``unset`` / constant string / ⊤ —
-  flowing through assignments, parameter expansions (``${x:-d}``,
-  ``${x#p}``, quoting) and ``$((...))`` arithmetic, split into fields
-  by the expander's own splitter;
+* a **value domain** for variables — ``unset`` / constant string / ⊤.
+  A word's value is the interpreter's own expander
+  (:mod:`repro.semantics.expansion`) run over an abstract world
+  (:class:`_World`): a known value reads as its text, and a ⊤ value, a
+  special parameter, a positional, a command substitution's output or
+  the file system stops the expansion with :class:`_Unknown`, so the
+  word is ⊤.  ``test``/``[`` is ``eval_test``, a ``case`` pattern is
+  ``patterns.match``, ``set`` is ``builtins.parse_set``: a constant
+  input gives the interpreter's answer;
 * an **exit-status domain** — an integer interval over 0..255 — flowing
   through pipelines, ``&&``/``||``, ``!``, ``if``/``while`` guards and
   ``set -e`` implications;
@@ -33,18 +38,26 @@ Outputs (see :class:`AbsintResult`):
   code, constant guards, infinite loops, provably-unset reads under
   ``set -u``, dead ``&&``/``||`` arms, empty loop word lists).
 
+A command whose name is unknown, ``eval`` and ``.`` run text the
+analysis does not read: every value and option becomes ⊤.
+
 Caveats (documented unsoundness, acceptable because consumers only use
 the dead set to *skip optimization*, never to skip execution): plain
 assignments are treated as status 0 (a ``readonly`` violation would
-abort), and external commands that signal the shell (``kill $$``) are
-only screened syntactically for the infinite-loop fact.
+abort), an expansion error's abort is not followed, and external
+commands that signal the shell (``kill $$``) are only screened
+syntactically for the infinite-loop fact.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
+from ..commands.base import UsageError
+from ..commands.fs_cmds import bracket_expression, eval_test
 from ..parser.ast_nodes import (
     AndOr,
     ArithSub,
@@ -54,7 +67,6 @@ from ..parser.ast_nodes import (
     Command,
     CommandList,
     DoubleQuoted,
-    Escaped,
     For,
     FuncDef,
     If,
@@ -63,18 +75,26 @@ from ..parser.ast_nodes import (
     Pipeline,
     Redirect,
     SimpleCommand,
-    SingleQuoted,
     Subshell,
     While,
     Word,
     walk,
 )
-from ..parser.lexer import ACTIVE
 from ..parser.unparse import unparse
 from ..semantics import arith
-from ..semantics.expansion import known_segments, split_fields
-from ..semantics.patterns import has_glob_chars, text_of
-from .envflow import _SPECIAL, EnvFlow
+from ..semantics.builtins import parse_set
+from ..semantics.expansion import (
+    ExpansionError,
+    UnsetError,
+    at_only,
+    expand_parts,
+    pattern_of,
+    word_fields,
+    word_text,
+)
+from ..semantics.patterns import match
+from ..semantics.state import OPTIONS
+from .envflow import EnvFlow
 
 ABSINT_VERSION = "s20.1"
 
@@ -86,14 +106,6 @@ EXIT = "exit"
 RETURN = "return"
 
 _ONLY_NORMAL = frozenset((NORMAL,))
-#: the case pattern that matches anything: an unquoted lone ``*``
-_CATCH_ALL = Word((Lit("*"),))
-
-
-def _inert(word: Word) -> bool:
-    """Does expansion leave ``word``'s unquoted text as is (the lexer's test)?"""
-    return not ACTIVE.search("".join(p.text for p in word.parts
-                                     if type(p) is Lit))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +167,6 @@ class AbsStatus:
 S_ZERO = AbsStatus(0, 0)
 S_ONE = AbsStatus(1, 1)
 S_TOP = AbsStatus(0, 255)
-S_NONZERO = AbsStatus(1, 255)
 
 
 def sjoin(a: AbsStatus, b: AbsStatus) -> AbsStatus:
@@ -239,29 +250,124 @@ class _State:
         self.vars: dict[str, AbsValue] = vars if vars is not None else {}
         self.options: dict[str, Optional[bool]] = (
             options if options is not None
-            else {"errexit": False, "nounset": False})
+            else dict.fromkeys(OPTIONS, False))
 
     def copy(self) -> "_State":
         return _State(dict(self.vars), dict(self.options))
 
     def join(self, other: "_State") -> None:
         """In-place join: a variable known on only one side becomes ⊤."""
-        for name in list(self.vars):
-            if name in other.vars:
-                self.vars[name] = join_value(self.vars[name],
-                                             other.vars[name])
-            else:
-                self.vars[name] = TOP
-        for name, val in other.vars.items():
-            if name not in self.vars:
-                self.vars[name] = TOP
+        for name in {**self.vars, **other.vars}:  # self's order, then other's
+            self.vars[name] = join_value(self.vars.get(name, TOP),
+                                         other.vars.get(name, TOP))
         for opt in self.options:
             if self.options[opt] != other.options.get(opt):
                 self.options[opt] = None
 
 
+def _join_arms(st: _State, arms: list) -> tuple[AbsStatus, frozenset]:
+    """Join the ``(status, flows, state)`` of the arms that may run; the
+    joined state becomes ``st``'s."""
+    merged = arms[0][2]
+    for _, _, other in arms[1:]:
+        merged.join(other)
+    st.vars, st.options = merged.vars, merged.options
+    return (reduce(sjoin, [status for status, _, _ in arms]),
+            frozenset().union(*[flows for _, flows, _ in arms]))
+
+
 class _Unknown(Exception):
-    """A variable the static arithmetic evaluator cannot resolve."""
+    """A read whose answer the analysis does not know."""
+
+
+class _World:
+    """What the expander and ``test`` read, over one abstract state: the
+    interpreter's ``state`` and ``command_substitution``, and the file
+    system.  A constant reads as its text and ``unset`` as None; ⊤, a
+    name never assigned on this path (it may come from the environment),
+    a special parameter, a positional, a substitution's output and every
+    file-system read raise :class:`_Unknown`.  Under a constant ``set
+    -u`` a name the script assigns somewhere is taken to be absent from
+    the environment, so reading it before its first assignment is the
+    expander's ``parameter not set`` (JS4004)."""
+
+    #: read only on the way to the file system, which raises
+    cwd = "/"
+
+    def __init__(self, flow: "ValueFlow", st: _State, emit: bool):
+        self.flow, self.st, self.emit = flow, st, emit
+        self.state = self
+        self.options = st.options
+        #: ids of the substitution bodies the expander ran
+        self.visited: set[int] = set()
+
+    def get(self, name: str) -> Optional[str]:
+        value = self.st.vars.get(name)
+        if value is UNSET or (value is None and self.options["nounset"] is True
+                              and name in self.flow.all_defs):
+            return None
+        if value is None or value.kind != "const":
+            raise _Unknown(name)
+        return value.text
+
+    def set(self, name: str, value: str) -> None:
+        self.st.vars[name] = vconst(value)
+
+    @property
+    def positionals(self):
+        raise _Unknown("$@")
+
+    @property
+    def ifs(self) -> str:
+        if self.st.vars.get("IFS", UNSET) is UNSET:
+            return " \t\n"  # the shell starts with the default
+        return self.get("IFS")
+
+    def command_substitution(self, proc, command: Command):
+        """Visit the body as the subshell it is; its output is unknown."""
+        self.visited.add(id(command))
+        self.flow._visit(command, self.st.copy(), self.emit, True)
+        raise _Unknown("$(...)")
+        yield  # a generator, as the interpreter's is
+
+    def exists(self, path: str):
+        raise _Unknown(path)
+
+    is_file = is_dir = size = listdir = exists
+
+
+def _run(expansion):
+    """Drive an expansion generator: over a world it never blocks."""
+    try:
+        expansion.send(None)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("an abstract expansion yielded")
+
+
+def _nested(part):
+    """``part`` and every part inside it, short of a substitution's body."""
+    yield part
+    if isinstance(part, Param):
+        inner = part.word.parts if part.word is not None else ()
+    else:  # a quote or $((...)) has parts; $(...) has a command
+        inner = getattr(part, "parts", ())
+    for sub in inner:
+        yield from _nested(sub)
+
+
+def _assignable(part) -> set[str]:
+    """The names expanding ``part`` could assign: ``${x=w}``, ``${x:=w}``
+    and the names of an arithmetic expression that assigns."""
+    names = set()
+    for sub in _nested(part):
+        if isinstance(sub, Param) and sub.op in ("=", ":="):
+            names.add(sub.name)
+        elif isinstance(sub, ArithSub):
+            text = "".join(p.text for p in sub.parts if isinstance(p, Lit))
+            if arith.has_side_effects(text):
+                names.update(re.findall(r"\b[A-Za-z_]\w*", text))
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +511,12 @@ class ValueFlow:
             status, flows = self._visit(node.commands[0], st, emit,
                                         guard or node.negated)
         else:
-            status = S_TOP
-            for cmd in node.commands:
-                # each stage runs in a subshell; nothing escapes
-                stage_status, _ = self._visit(cmd, st.copy(), emit, True)
-                status = stage_status  # POSIX: pipeline status = last stage
+            # each stage runs in a subshell; nothing escapes
+            statuses = [self._visit(cmd, st.copy(), emit, True)[0]
+                        for cmd in node.commands]
+            status = statuses[-1]  # POSIX: pipeline status = last stage
+            if st.options["pipefail"] is not False:  # or the last failing one
+                status = reduce(sjoin, statuses)
             flows = _ONLY_NORMAL
         if node.negated:
             status = snot(status)
@@ -453,73 +560,44 @@ class ValueFlow:
     def _if(self, node: If, st: _State, emit: bool,
             guard: bool) -> tuple[AbsStatus, frozenset]:
         self._redirects(node.redirects, node, st, emit)
-        arms = [(node.cond, node.then_body)] + list(node.elifs)
-        taken_states: list[_State] = []
-        statuses: list[AbsStatus] = []
-        flow_acc: set[str] = set()
+        arms: list = []  # (status, flows, state) of each body that may run
+        escapes: set[str] = set()  # what the guards themselves may do
         decided = False
-        fell_through = True
-        for cond, body in arms:
+        for cond, body in [(node.cond, node.then_body)] + list(node.elifs):
             if decided:
                 self._mark_dead(cond, "an earlier guard is always true", emit)
                 self._mark_dead(body, "an earlier guard is always true", emit)
                 continue
             cond_status, cond_flows = self._visit(cond, st, emit, True)
+            escapes |= set(cond_flows) - {NORMAL}
             if NORMAL not in cond_flows:
                 self._mark_dead(body, "the guard never falls through", emit)
-                flow_acc |= set(cond_flows) - {NORMAL}
                 decided = True
-                fell_through = False
-                continue
-            flow_acc |= set(cond_flows) - {NORMAL}
-            if cond_status.is_zero:
+            elif cond_status.is_zero:
                 self._finding("JS4002", "guard is always true", cond, emit,
                               context=unparse(cond))
-                body_status, body_flows = self._visit(body, st, emit, guard)
-                taken_states.append(st)
-                statuses.append(body_status)
-                flow_acc |= set(body_flows)
+                arms.append((*self._visit(body, st, emit, guard), st))
                 decided = True
-                fell_through = False
             elif cond_status.is_nonzero:
                 self._finding("JS4002", "guard is always false", cond, emit,
                               context=unparse(cond))
                 self._mark_dead(body, "guard is always false", emit)
             else:
                 branch = st.copy()
-                body_status, body_flows = self._visit(body, branch, emit,
-                                                      guard)
-                taken_states.append(branch)
-                statuses.append(body_status)
-                flow_acc |= set(body_flows)
+                arms.append((*self._visit(body, branch, emit, guard), branch))
         if decided:
-            for_else_dead = node.else_body
-            if for_else_dead is not None:
-                self._mark_dead(for_else_dead,
-                                "an earlier guard decides this `if`", emit)
+            self._mark_dead(node.else_body,
+                            "an earlier guard decides this `if`", emit)
         elif node.else_body is not None:
-            else_state = st.copy()
-            else_status, else_flows = self._visit(node.else_body, else_state,
-                                                  emit, guard)
-            taken_states.append(else_state)
-            statuses.append(else_status)
-            flow_acc |= set(else_flows)
-            fell_through = False
-        if fell_through and not decided:
-            statuses.append(S_ZERO)  # no branch taken: status 0
-            taken_states.append(st.copy())
-            flow_acc.add(NORMAL)
-        if not taken_states:
-            return S_TOP, frozenset(flow_acc) or frozenset((EXIT,))
-        merged = taken_states[0]
-        for other in taken_states[1:]:
-            merged.join(other)
-        st.vars = merged.vars
-        st.options = merged.options
-        status = statuses[0]
-        for s in statuses[1:]:
-            status = sjoin(status, s)
-        return status, frozenset(flow_acc) or frozenset((EXIT,))
+            branch = st.copy()
+            arms.append((*self._visit(node.else_body, branch, emit, guard),
+                         branch))
+        else:
+            arms.append((S_ZERO, _ONLY_NORMAL, st.copy()))  # no branch taken
+        if not arms:
+            return S_TOP, frozenset(escapes) or frozenset((EXIT,))
+        status, flows = _join_arms(st, arms)
+        return status, (flows | escapes) or frozenset((EXIT,))
 
     # -- loops ---------------------------------------------------------------------
 
@@ -603,13 +681,9 @@ class ValueFlow:
                 node, emit)
             self._mark_dead(node.body, "loop word list is provably empty",
                             emit)
-            st.vars.setdefault(node.var, st.vars.get(node.var, TOP))
+            st.vars.setdefault(node.var, TOP)
             return S_ZERO, _ONLY_NORMAL
-        var_value = TOP
-        if values is not None and values:
-            var_value = values[0]
-            for v in values[1:]:
-                var_value = join_value(var_value, v)
+        var_value = reduce(join_value, values) if values else TOP
         st.vars[node.var] = var_value
         if trip_lo == trip_hi == 1:
             body_status, body_flows = self._visit(node.body, st, emit, guard)
@@ -651,33 +725,22 @@ class ValueFlow:
         fields = self._fields(word, st, emit, stmt)
         if fields is not None:
             return len(fields), len(fields), [vconst(f) for f in fields]
-        if not _inert(word):  # ≥1: a glob with no match stays as it is
-            return 1, None, None
-        if len(word.parts) == 1 and isinstance(word.parts[0], DoubleQuoted):
+        only = word.parts[0] if len(word.parts) == 1 else None
+        if isinstance(only, DoubleQuoted) and not at_only(only):
             return 1, 1, None  # quoted: exactly one field
+        if any(isinstance(part, Lit) for part in word.parts):
+            return 1, None, None  # its own text never splits away
         return 0, None, None
 
     def _fields(self, word: Word, st: _State, emit: bool,
                 stmt) -> Optional[list[str]]:
-        """The fields ``word`` expands to, split by the expander's own
-        :func:`split_fields` under the state's ``IFS``; None when a part,
-        ``IFS``, a tilde or a pathname match is unknown."""
+        """The fields ``word`` expands to, as the interpreter splits and
+        globs them; None when something they depend on is unknown."""
         if word.constant is not None:
             return [word.constant]
-        values = [self._part_value(part, st, emit, stmt) for part in word.parts]
-        ifs = st.vars.get("IFS", UNSET)  # the shell starts with the default
-        ifs = " \t\n" if ifs is UNSET else ifs.text if ifs.kind == "const" \
-            else None
-        if ifs is None or not _inert(word) or \
-                any(value.kind != "const" for value in values):
-            return None
-        segments = known_segments(word.parts, [v.text for v in values])
-        if segments is None:
-            return None
-        fields = split_fields(segments, ifs)
-        if any(has_glob_chars(field) for field in fields):
-            return None
-        return [text_of(field) for field in fields]
+        return self._expand(word, st, emit, stmt,
+                            lambda segments, world:
+                            word_fields(segments, world, world))
 
     def _cmdsub_fields(self, part: CmdSub, st: _State, emit: bool):
         """Static cardinality for ``$(seq ...)`` / ``$(echo ...)``."""
@@ -740,48 +803,32 @@ class ValueFlow:
 
     def _case(self, node: Case, st: _State, emit: bool,
               guard: bool) -> tuple[AbsStatus, frozenset]:
+        """An arm is dead when each of its patterns is known not to match
+        a known subject, or when an earlier arm's known pattern matches."""
         self._redirects(node.redirects, node, st, emit)
         subject = self._abs_word(node.word, st, emit, node)
-        if subject.kind == "const" and all(
-                p == _CATCH_ALL or p.constant is not None
-                for item in node.items for p in item.patterns):
-            return self._case_const(node, subject.text, st, emit, guard)
-        statuses = [S_ZERO]  # no pattern may match: status 0
-        flow_acc: set[str] = {NORMAL}
-        states = [st.copy()]
+        arms: list[tuple[AbsStatus, frozenset, _State]] = []
+        matched = False
         for item in node.items:
-            for pat in item.patterns:
-                self._abs_word(pat, st, emit, node)
-            if item.body is None:
+            verdicts = set()
+            for pat in () if matched else item.patterns:
+                pattern = self._expand(pat, st, emit, node,
+                                       lambda segs, _: pattern_of(segs))
+                verdicts.add(None if pattern is None or subject.kind != "const"
+                             else match(pattern, subject.text))
+            if matched or verdicts == {False}:
+                self._mark_dead(item.body, "case subject is constant and "
+                                "selects another arm", emit)
                 continue
-            branch = st.copy()
-            s, fl = self._visit(item.body, branch, emit, guard)
-            statuses.append(s)
-            flow_acc |= set(fl)
-            states.append(branch)
-        merged = states[0]
-        for other in states[1:]:
-            merged.join(other)
-        st.vars, st.options = merged.vars, merged.options
-        status = statuses[0]
-        for s in statuses[1:]:
-            status = sjoin(status, s)
-        return status, frozenset(flow_acc)
-
-    def _case_const(self, node: Case, subject: str, st: _State, emit: bool,
-                    guard: bool) -> tuple[AbsStatus, frozenset]:
-        chosen = None
-        for item in node.items:
-            if chosen is None and any(p == _CATCH_ALL or p.constant == subject
-                                      for p in item.patterns):
-                chosen = item
-            elif item.body is not None:
-                self._mark_dead(item.body,
-                                "case subject is constant and selects "
-                                "another arm", emit)
-        if chosen is None or chosen.body is None:
-            return S_ZERO, _ONLY_NORMAL
-        return self._visit(chosen.body, st, emit, guard)
+            matched = True in verdicts
+            # the first arm that may run, and surely does, runs in place
+            branch = st if matched and not arms else st.copy()
+            status, flows = (S_ZERO, _ONLY_NORMAL) if item.body is None \
+                else self._visit(item.body, branch, emit, guard)
+            arms.append((status, flows, branch))
+        if not matched:
+            arms.append((S_ZERO, _ONLY_NORMAL, st.copy()))  # no arm matches
+        return _join_arms(st, arms)
 
     # -- simple commands -----------------------------------------------------------
 
@@ -806,9 +853,10 @@ class ValueFlow:
         for word in node.words:
             fields = self._fields(word, st, emit, node)
             argv.extend([None] if fields is None else fields)
-        name = argv[0] if argv else None
-        status, flows = self._command_status(name, argv[1:], node, st, emit,
-                                             guard)
+        if not argv:  # every word expanded to nothing: no command runs
+            return S_TOP, _ONLY_NORMAL
+        status, flows = self._command_status(argv[0], argv[1:], node, st,
+                                             emit, guard)
         # `set -e`: an unguarded, provably-failing command exits the shell
         if NORMAL in flows and not guard and status.is_nonzero and \
                 st.options.get("errexit") is True:
@@ -818,7 +866,9 @@ class ValueFlow:
     def _command_status(self, name: Optional[str],
                         args: list[Optional[str]], node, st: _State,
                         emit: bool, guard: bool) -> tuple[AbsStatus, frozenset]:
-        if name is None:
+        if name in (None, "eval", "."):  # may run text the analysis cannot see
+            st.vars.update(dict.fromkeys(st.vars, TOP))
+            st.options.update(dict.fromkeys(st.options))
             return S_TOP, _ONLY_NORMAL
         if name in ("true", ":"):
             return S_ZERO, _ONLY_NORMAL
@@ -826,35 +876,38 @@ class ValueFlow:
             return S_ONE, _ONLY_NORMAL
         if name in ("exit", "return"):
             status = S_TOP
-            if args and args[0] is not None:
+            if args and args[0] is not None:  # else $? of the last command
                 try:
                     n = int(args[0]) & 255
                     status = AbsStatus(n, n)
                 except ValueError:
                     pass
-            elif not args:
-                status = S_TOP  # $? of the previous command
             return status, frozenset((EXIT if name == "exit" else RETURN,))
         if name == "break":
             return S_ZERO, frozenset((BREAK,))
         if name == "continue":
             return S_ZERO, frozenset((CONTINUE,))
         if name in ("test", "["):
-            return self._eval_test(name, args), _ONLY_NORMAL
+            return self._test(name, args, st, emit), _ONLY_NORMAL
         if name == "set":
-            self._apply_set(args, st)
+            # a dynamic argument may toggle anything
+            options = dict.fromkeys(st.options) if None in args \
+                else parse_set(args)[0]
+            st.options.update((opt, on) for opt, on in options.items()
+                              if opt in st.options)
             return S_ZERO, _ONLY_NORMAL
-        if name == "unset":
-            for arg in args:
-                if arg and arg.isidentifier():
-                    st.vars[arg] = UNSET
-            return S_ZERO, _ONLY_NORMAL
-        if name in ("export", "readonly", "local"):
-            for arg in args:
-                if arg and "=" in arg:
-                    var, _, val = arg.partition("=")
-                    if var.isidentifier():
+        if name in ("unset", "export", "readonly", "local"):
+            if name == "local" and not self._stack:  # not in a function
+                return S_ONE, _ONLY_NORMAL
+            if None in args:  # any name may move
+                st.vars.update(dict.fromkeys(st.vars, TOP))
+            elif name != "unset":  # a bare name local, or unset, becomes ""
+                for var, eq, val in (arg.partition("=") for arg in args):
+                    if var.isidentifier() and (eq or name == "local" or
+                                               st.vars.get(var) is UNSET):
                         st.vars[var] = vconst(val)
+            elif "-f" not in args:  # `unset -f` drops functions
+                st.vars.update((a, UNSET) for a in args if a.isidentifier())
             return S_ZERO, _ONLY_NORMAL
         if name in ("read", "getopts"):
             for arg in args:
@@ -878,78 +931,19 @@ class ValueFlow:
                     frozenset(out))
         return S_TOP, _ONLY_NORMAL
 
-    def _apply_set(self, args: list[Optional[str]], st: _State) -> None:
-        tracked = {"e": "errexit", "u": "nounset"}
-        for arg in args:
-            if arg is None:  # dynamic: anything may have been toggled
-                st.options["errexit"] = None
-                st.options["nounset"] = None
-                return
-            if arg == "--":
-                return
-            if arg in ("-o", "+o"):
-                continue  # the option name follows; handled below
-            if arg in ("errexit", "nounset"):
-                # follows -o/+o; sign unknown without lookbehind — handle
-                # via index pass below instead
-                continue
-            if arg.startswith("-") or arg.startswith("+"):
-                value = arg.startswith("-")
-                for ch in arg[1:]:
-                    if ch in tracked:
-                        st.options[tracked[ch]] = value
-            else:
-                return  # positional parameters begin: no more flags
-        # second pass for `-o errexit` style pairs
-        concrete = [a for a in args if a is not None]
-        for i, arg in enumerate(concrete[:-1]):
-            if arg in ("-o", "+o"):
-                opt = concrete[i + 1]
-                if opt in ("errexit", "nounset"):
-                    st.options[opt] = arg == "-o"
-
-    def _eval_test(self, name: str, args: list[Optional[str]]) -> AbsStatus:
-        if name == "[":
-            if not args or args[-1] != "]":
-                return S_TOP
-            args = args[:-1]
-        if any(a is None for a in args):
+    def _test(self, name: str, args: list[Optional[str]], st: _State,
+              emit: bool) -> AbsStatus:
+        """``test``/``[`` as the command runs it; a file test is ⊤."""
+        if None in args:
             return S_TOP
-        return self._test_value(args)
-
-    def _test_value(self, args: list[str]) -> AbsStatus:
-        if not args:
-            return S_ONE
-        if args[0] == "!" and len(args) > 1:
-            return snot(self._test_value(args[1:]))
-        if len(args) == 1:
-            return S_ONE if args[0] == "" else S_ZERO
-        if len(args) == 2:
-            op, operand = args
-            if op == "-z":
-                return S_ZERO if operand == "" else S_ONE
-            if op == "-n":
-                return S_ONE if operand == "" else S_ZERO
-            return S_TOP  # file tests etc: runtime state
-        if len(args) == 3:
-            a, op, b = args
-            if op == "=":
-                return S_ZERO if a == b else S_ONE
-            if op == "!=":
-                return S_ZERO if a != b else S_ONE
-            int_ops = {"-eq": "==", "-ne": "!=", "-gt": ">", "-ge": ">=",
-                       "-lt": "<", "-le": "<="}
-            if op in int_ops:
-                try:
-                    x, y = int(a), int(b)
-                except ValueError:
-                    return S_TOP  # test would error (status 2)
-                result = {
-                    "-eq": x == y, "-ne": x != y, "-gt": x > y,
-                    "-ge": x >= y, "-lt": x < y, "-le": x <= y,
-                }[op]
-                return S_ZERO if result else S_ONE
-        return S_TOP
+        try:
+            expression = bracket_expression(args) if name == "[" else args
+            world = _World(self, st, emit)
+            return S_ZERO if eval_test(expression, world, world.cwd) else S_ONE
+        except UsageError:
+            return AbsStatus(2, 2)
+        except _Unknown:
+            return S_TOP
 
     # -- words and expansions ------------------------------------------------------
 
@@ -962,192 +956,48 @@ class ValueFlow:
 
     def _abs_word(self, word: Word, st: _State, emit: bool,
                   stmt) -> AbsValue:
+        """The one field of an assignment, a redirect target, a case
+        subject or a here-document (only its substitutions matter)."""
         if word.constant is not None:
             return vconst(word.constant)
-        result = vconst("")
+        text = self._expand(word, st, emit, stmt, word_text)
+        return TOP if text is None else vconst(text)
+
+    def _expand(self, word: Word, st: _State, emit: bool, stmt, finish):
+        """``finish(segments, world)`` of ``word``'s segments, or None when
+        an expansion or ``finish`` reads something unknown.
+
+        Each top-level part expands on its own, so the parts after an
+        unknown one still run their substitutions and reads.  A part that
+        stops leaves every name it could assign ⊤ and reports ``set -u``'s
+        abort (JS4004).  Every substitution in the word is visited once,
+        those the expansion did not reach too."""
+        world = _World(self, st, emit)
+        segments: Optional[list] = []
         for part in word.parts:
-            piece = self._part_value(part, st, emit, stmt)
-            result = self._concat(result, piece)
-        return result if _inert(word) else TOP
-
-    @staticmethod
-    def _concat(left: AbsValue, right: AbsValue) -> AbsValue:
-        if left.kind == "const" and right.kind == "const":
-            return vconst(left.text + right.text)
-        return TOP
-
-    def _part_value(self, part, st: _State, emit: bool, stmt) -> AbsValue:
-        if isinstance(part, Lit):
-            return vconst(part.text)
-        if isinstance(part, SingleQuoted):
-            return vconst(part.text)
-        if isinstance(part, Escaped):
-            return vconst(part.char)
-        if isinstance(part, DoubleQuoted):
-            result = vconst("")
-            for sub in part.parts:
-                result = self._concat(result,
-                                      self._part_value(sub, st, emit, stmt))
-            return result
-        if isinstance(part, Param):
-            return self._param_value(part, st, emit, stmt)
-        if isinstance(part, ArithSub):
-            return self._arith_value(part, st, emit, stmt)
-        if isinstance(part, CmdSub):
-            self._visit(part.command, st.copy(), emit, True)  # subshell
-            return TOP
-        return TOP  # pragma: no cover
-
-    def _use(self, name: str, st: _State, emit: bool, stmt) -> None:
-        """Record a variable read; flag JS4004 under a constant `set -u`."""
-        if name in _SPECIAL or not name.isidentifier():
-            return
-        if st.options.get("nounset") is not True:
-            return
-        value = st.vars.get(name)
-        provably_unset = value is UNSET or (
-            value is None and name in self.all_defs)
-        if provably_unset:
-            self._finding(
-                "JS4004",
-                f"`{name}` is provably unset here: under `set -u` the "
-                "shell aborts", stmt, emit, context=name)
-
-    def _param_value(self, part: Param, st: _State, emit: bool,
-                     stmt) -> AbsValue:
-        name = part.name
-        if name in _SPECIAL or not name.isidentifier():
-            return TOP
-        base = st.vars.get(name)
-        op = part.op
-        opn = op.lstrip(":")
-        colon = op.startswith(":")
-        if op == "":
-            self._use(name, st, emit, stmt)
-            if base is None:
-                return TOP
-            if base is UNSET:
-                return vconst("")  # without nounset, unset expands empty
-            return base
-        if op == "length":
-            self._use(name, st, emit, stmt)
-            if base is not None and base.kind == "const":
-                return vconst(str(len(base.text)))
-            return TOP
-        default = (self._abs_word(part.word, st, emit, stmt)
-                   if part.word is not None else vconst(""))
-        if opn == "-":
-            if base is UNSET:
-                return default
-            if base is not None and base.kind == "const":
-                if colon and base.text == "":
-                    return default
-                return base
-            return TOP
-        if opn == "=":
-            if base is UNSET or (colon and base is not None
-                                 and base.kind == "const"
-                                 and base.text == ""):
-                st.vars[name] = default
-                return default
-            if base is None:
-                st.vars[name] = TOP
-                return TOP
-            return base if base.kind == "const" else TOP
-        if opn == "+":
-            if base is UNSET:
-                return vconst("")
-            if base is not None and base.kind == "const":
-                if colon and base.text == "":
-                    return vconst("")
-                return default
-            return TOP
-        if opn == "?":
-            self._use(name, st, emit, stmt)
-            if base is not None and base.kind == "const":
-                return base
-            return TOP
-        if opn in ("#", "##", "%", "%%"):
-            self._use(name, st, emit, stmt)
-            if base is not None and base.kind == "const" and \
-                    part.word is not None:
-                # a constant pattern has no active character
-                pat = self._abs_word(part.word, st, emit, stmt)
-                if pat.kind == "const":
-                    text = base.text
-                    if opn in ("#", "##"):
-                        return vconst(text[len(pat.text):]
-                                      if text.startswith(pat.text) else text)
-                    return vconst(text[:-len(pat.text)]
-                                  if pat.text and text.endswith(pat.text)
-                                  else text)
-            if base is not None and base.kind == "const" and \
-                    part.word is None:
-                return base
-            return TOP
-        return TOP  # pragma: no cover - PARAM_OPS is exhaustive
-
-    def _arith_value(self, part: ArithSub, st: _State, emit: bool,
-                     stmt) -> AbsValue:
-        pieces: list[str] = []
-        resolvable = True
-        for sub in part.parts:
-            if isinstance(sub, Lit):
-                pieces.append(sub.text)
-            elif isinstance(sub, (SingleQuoted,)):
-                pieces.append(sub.text)
-            elif isinstance(sub, Escaped):
-                pieces.append(sub.char)
-            elif isinstance(sub, Param) and sub.op == "":
-                self._use(sub.name, st, emit, stmt)
-                value = st.vars.get(sub.name)
-                if value is not None and value.kind == "const":
-                    pieces.append(value.text)
-                elif value is UNSET:
-                    pieces.append("")
-                else:
-                    resolvable = False
-            else:
-                if isinstance(sub, CmdSub):
+            try:
+                expanded = _run(expand_parts(world, None, (part,)))
+            except (_Unknown, ExpansionError) as err:
+                if isinstance(err, UnsetError):
+                    self._finding(
+                        "JS4004", f"`{err.name}` is provably unset here: "
+                        "under `set -u` the shell aborts", stmt, emit,
+                        context=err.name)
+                for name in _assignable(part):
+                    st.vars[name] = TOP
+                expanded = segments = None
+            for sub in _nested(part):
+                if isinstance(sub, CmdSub) and \
+                        id(sub.command) not in world.visited:
                     self._visit(sub.command, st.copy(), emit, True)
-                resolvable = False
-        expr = "".join(pieces)
-        if not resolvable:
-            self._invalidate_arith_names(expr, st)
-            return TOP
-
-        def get(name: str) -> str:
-            value = st.vars.get(name)
-            if value is UNSET or (value is None
-                                  and name not in self.all_defs):
-                return ""  # unset/environmentally-absent reads as 0
-            if value is not None and value.kind == "const":
-                return value.text
-            raise _Unknown(name)
-
-        def set_(name: str, value: str) -> None:
-            st.vars[name] = vconst(value)
-
+            if segments is not None:
+                segments.extend(expanded)
+        if segments is None:
+            return None
         try:
-            n = arith.evaluate(expr, get, set_)
-        except (_Unknown, arith.ArithError):
-            self._invalidate_arith_names(expr, st)
-            return TOP
-        return vconst(str(n))
-
-    def _invalidate_arith_names(self, expr: str, st: _State) -> None:
-        """A failed/partial evaluation may still have assigned: drop every
-        name the expression mentions to ⊤ when it could assign."""
-        try:
-            if not arith.has_side_effects(expr):
-                return
-            tokens = arith.tokenize(expr)
-        except arith.ArithError:
-            return
-        for tok in tokens:
-            if tok and (tok[0].isalpha() or tok[0] == "_") and \
-                    tok.isidentifier():
-                st.vars[tok] = TOP
+            return finish(segments, world)
+        except _Unknown:
+            return None
 
 
 def analyze_value_flow(program: Command) -> AbsintResult:

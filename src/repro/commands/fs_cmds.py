@@ -3,7 +3,10 @@ basename, dirname, du, date, stat."""
 
 from __future__ import annotations
 
+import operator
+
 from ..vos.errors import VosError
+from ..vos.fs import normalize
 from ..vos.process import CHUNK, Process
 from .base import Grammar, UsageError, command, usage_error, write_err
 
@@ -13,14 +16,37 @@ from .base import Grammar, UsageError, command, usage_error, write_err
 # ---------------------------------------------------------------------------
 
 
+#: test's comparisons: of strings, then of integers
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "-eq": operator.eq,
+            "-ne": operator.ne, "-gt": operator.gt, "-ge": operator.ge,
+            "-lt": operator.lt, "-le": operator.le}
+
+
+def _binary(left: str, op: str, right: str) -> bool:
+    if not op.startswith("-"):
+        return _COMPARE[op](left, right)
+    try:
+        return _COMPARE[op](int(left), int(right))
+    except ValueError:
+        raise UsageError(f"integer expression expected: {left} {op} {right}")
+
+
 def eval_test(args: list[str], fs, cwd: str) -> bool:
-    """Evaluate a test(1) expression; raises UsageError on bad syntax."""
+    """Evaluate a test(1) expression; raises UsageError on bad syntax.
 
-    def resolve(path: str) -> str:
-        from ..vos.fs import normalize
-
-        return normalize(path, cwd)
-
+    Up to four arguments follow POSIX's argument-count rules, so an
+    operand that looks like an operator is a string (``[ -n ]`` is
+    true, ``[ ! = x ]`` compares); longer expressions go through the
+    precedence parser.  The file system is read only by file tests."""
+    n = len(args)
+    if n < 2:
+        return n == 1 and args[0] != ""
+    if n == 3 and args[1] in _COMPARE:
+        return _binary(*args)
+    if n <= 4 and args[0] == "!":
+        return not eval_test(args[1:], fs, cwd)
+    if n in (3, 4) and args[0] == "(" and args[-1] == ")":
+        return eval_test(args[1:-1], fs, cwd)
     pos = 0
 
     def peek():
@@ -66,42 +92,26 @@ def eval_test(args: list[str], fs, cwd: str) -> bool:
             take()
             return value
         if tok in ("-f", "-e", "-d", "-s", "-r", "-w", "-x", "-n", "-z"):
-            op = take()
+            take()
             operand = take() if peek() is not None else ""
-            if op == "-e":
-                return fs.exists(resolve(operand))
-            if op == "-f":
-                return fs.is_file(resolve(operand))
-            if op == "-d":
-                return fs.is_dir(resolve(operand))
-            if op == "-s":
-                return fs.is_file(resolve(operand)) and fs.size(resolve(operand)) > 0
-            if op in ("-r", "-w", "-x"):
-                return fs.exists(resolve(operand))  # permissions not modelled
-            if op == "-n":
-                return operand != ""
-            if op == "-z":
-                return operand == ""
+            if tok in ("-n", "-z"):
+                return (operand != "") == (tok == "-n")
+            path = normalize(operand, cwd)
+            if tok == "-f":
+                return fs.is_file(path)
+            if tok == "-d":
+                return fs.is_dir(path)
+            if tok == "-s":
+                return fs.is_file(path) and fs.size(path) > 0
+            return fs.exists(path)  # -e; -r, -w, -x: no permissions modelled
         # binary operators
         left = take()
         op = peek()
-        if op in ("=", "!=", "-eq", "-ne", "-gt", "-ge", "-lt", "-le"):
+        if op in _COMPARE:
             take()
             if peek() is None:
                 raise UsageError(f"missing operand after {op}")
-            right = take()
-            if op == "=":
-                return left == right
-            if op == "!=":
-                return left != right
-            try:
-                a, b = int(left), int(right)
-            except ValueError:
-                raise UsageError(f"integer expression expected: {left} {op} {right}")
-            return {
-                "-eq": a == b, "-ne": a != b, "-gt": a > b,
-                "-ge": a >= b, "-lt": a < b, "-le": a <= b,
-            }[op]
+            return _binary(left, op, take())
         # single string: true iff non-empty
         return left != ""
 
@@ -120,12 +130,20 @@ def test_cmd(proc: Process, argv: list[str]):
         return (yield from usage_error(proc, "test", err))
 
 
+def bracket_expression(argv: list[str]) -> list[str]:
+    """The expression of ``[ ... ]``; raises UsageError without ``]``."""
+    if not argv or argv[-1] != "]":
+        raise UsageError("missing ']'")
+    return argv[:-1]
+
+
 @command("[")
 def bracket_cmd(proc: Process, argv: list[str]):
-    if not argv or argv[-1] != "]":
-        yield from write_err(proc, "[: missing ']'")
-        return 2
-    return (yield from test_cmd(proc, argv[:-1]))
+    try:
+        expression = bracket_expression(argv)
+    except UsageError as err:
+        return (yield from usage_error(proc, "[", err))
+    return (yield from test_cmd(proc, expression))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from ..parser.ast_nodes import (
     walk,
 )
 from ..parser.unparse import unparse_word
+from ..semantics.builtins import parse_set
 
 
 @dataclass
@@ -260,18 +261,15 @@ def check_var_assigned_spaces(program: Command) -> Iterator[Diagnostic]:
 
 
 def _sets_errexit_or_pipefail(program: Command) -> bool:
-    """Does the script ever run ``set -e`` / ``set -o pipefail`` (in any
-    combined-flag spelling)?"""
+    """Does the script ever turn on ``errexit`` or ``pipefail`` (as the
+    ``set`` built-in reads its arguments)?"""
     for node in walk(program):
         if not isinstance(node, SimpleCommand) or not node.words:
             continue
         argv = placeholder_argv(node.words)
-        if argv[0] != "set":
-            continue
-        for i, arg in enumerate(argv[1:], start=1):
-            if arg.startswith("-") and arg != "-" and "e" in arg[1:]:
-                return True
-            if arg == "-o" and i + 1 < len(argv) and argv[i + 1] == "pipefail":
+        if argv[0] == "set":
+            options = parse_set(argv[1:])[0]
+            if options.get("errexit") or options.get("pipefail"):
                 return True
     return False
 

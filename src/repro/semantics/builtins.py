@@ -6,6 +6,8 @@ the *current* shell process (that is the point of built-ins).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..vos.fs import normalize
 from .control import FuncReturn, LoopBreak, LoopContinue, ShellExit
 from .state import ShellError
@@ -117,39 +119,43 @@ def unset_b(interp, proc, argv):
     return 0
 
 
-@special("set")
-def set_b(interp, proc, argv):
-    yield from proc.cpu(1e-7)
-    state = interp.state
-    flag_map = {"e": "errexit", "u": "nounset", "x": "xtrace", "f": "noglob",
-                "n": "noexec"}
+_SET_FLAGS = {"e": "errexit", "u": "nounset", "x": "xtrace", "f": "noglob",
+              "n": "noexec"}
+
+
+def parse_set(argv: list[str]) -> tuple[dict[str, bool], Optional[list[str]]]:
+    """``set``'s arguments as (option name -> on, the last setting
+    winning; the new positional parameters, or None when they stay).  An
+    ``-o`` name the shell does not have is the caller's to ignore."""
+    options: dict[str, bool] = {}
     i = 0
     while i < len(argv):
         arg = argv[i]
         if arg == "--":
-            state.positionals = list(argv[i + 1 :])
-            return 0
+            return options, argv[i + 1:]
         if arg == "-o" or arg == "+o":
-            i += 1
-            if i < len(argv):
-                opt = argv[i]
-                if opt in state.options:
-                    state.options[opt] = arg == "-o"
-            i += 1
-            continue
-        if arg.startswith("-") and len(arg) > 1:
+            if i + 1 < len(argv):
+                options[argv[i + 1]] = arg == "-o"
+            i += 2
+        elif len(arg) > 1 and arg[0] in "-+":
             for ch in arg[1:]:
-                if ch in flag_map:
-                    state.options[flag_map[ch]] = True
-            i += 1
-        elif arg.startswith("+") and len(arg) > 1:
-            for ch in arg[1:]:
-                if ch in flag_map:
-                    state.options[flag_map[ch]] = False
+                if ch in _SET_FLAGS:
+                    options[_SET_FLAGS[ch]] = arg[0] == "-"
             i += 1
         else:
-            state.positionals = list(argv[i:])
-            return 0
+            return options, argv[i:]
+    return options, None
+
+
+@special("set")
+def set_b(interp, proc, argv):
+    yield from proc.cpu(1e-7)
+    state = interp.state
+    options, positionals = parse_set(argv)
+    state.options.update((name, on) for name, on in options.items()
+                         if name in state.options)
+    if positionals is not None:
+        state.positionals = list(positionals)
     return 0
 
 

@@ -52,51 +52,20 @@ class ExpansionError(ShellError):
     """Expansion failures (bad substitution, ${x:?msg}, nounset)."""
 
 
+class UnsetError(ExpansionError):
+    """A read of an unset parameter under ``set -u``."""
+
+    def __init__(self, name: str):
+        super().__init__(f"{name}: parameter not set")
+        self.name = name
+
+
 def _output(text: str, in_dquotes: bool) -> list:
     """An expansion's result as segments (none when it is empty)."""
     return [(text, QUOTED if in_dquotes else EXPANDED)] if text else []
 
 
-def part_segments(part: WordPart, text: str, in_dquotes: bool = False) -> list:
-    """The segments of one word part that expanded to ``text``: a literal
-    part is the word's own text (quoted inside double quotes), a quote is
-    quoted text that keeps an otherwise empty field, and an expansion's
-    output splits unless it is double-quoted."""
-    if isinstance(part, Lit):
-        return [(text, QUOTED if in_dquotes else LITERAL)]
-    if isinstance(part, (SingleQuoted, Escaped, DoubleQuoted)):
-        return [(text, QUOTED) if text else _EMPTY]
-    return _output(text, in_dquotes)
-
-
-def known_segments(parts, texts) -> Optional[list]:
-    """The segments of an unquoted word whose ``parts`` expanded to
-    ``texts`` (static readers split known values with it), or None when
-    the texts do not fix them: ``${x:-word}`` or ``${x+word}`` may have
-    taken its text from a ``word`` holding quotes or a leading ``~``."""
-    out: list = []
-    for part, text in zip(parts, texts):
-        if isinstance(part, Param) and not _operand_is_output(part):
-            return None
-        out.extend(part_segments(part, text))
-    return out
-
-
-def _operand_is_output(param: Param) -> bool:
-    """Is an unquoted ``param`` expansion output whichever of its value
-    and its operand word it gives?"""
-    word = param.word
-    if word is None or param.op[-1] not in "-+":
-        return True
-    first = word.parts[0] if word.parts else None
-    if isinstance(first, Lit) and first.text.startswith("~"):
-        return False
-    return all(isinstance(part, (Lit, CmdSub, ArithSub))
-               or isinstance(part, Param) and _operand_is_output(part)
-               for part in word.parts)
-
-
-def _pattern(segments) -> tuple:
+def pattern_of(segments) -> tuple:
     """Segments as the ``(text, quoted)`` pieces a pattern is made of."""
     return tuple((text, kind is not LITERAL and kind is not EXPANDED)
                  for text, kind in segments if text)
@@ -107,26 +76,30 @@ def _pattern(segments) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _expand_parts(interp, proc, parts: tuple[WordPart, ...], in_dquotes: bool):
-    """Expand a sequence of word parts into a list of segments."""
+def expand_parts(interp, proc, parts: tuple[WordPart, ...],
+                 in_dquotes: bool = False):
+    """Expand word parts into segments.  ``interp`` is the interpreter
+    or an abstract world with the same ``state`` and
+    ``command_substitution``.  A quote keeps an otherwise empty field."""
     out: list = []
     for part in parts:
         if isinstance(part, Lit):
-            out.extend(part_segments(part, part.text, in_dquotes))
+            out.append((part.text, QUOTED if in_dquotes else LITERAL))
         elif isinstance(part, SingleQuoted):
-            out.extend(part_segments(part, part.text))
+            out.append((part.text, QUOTED) if part.text else _EMPTY)
         elif isinstance(part, Escaped):
-            out.extend(part_segments(part, part.char))
+            out.append((part.char, QUOTED))
         elif isinstance(part, DoubleQuoted):
-            inner = yield from _expand_parts(interp, proc, part.parts, True)
-            out.extend(inner or part_segments(part, ""))
+            inner = yield from expand_parts(interp, proc, part.parts, True)
+            if inner or not at_only(part):  # "$@" may give no field
+                out.extend(inner or [_EMPTY])
         elif isinstance(part, Param):
             out.extend((yield from _expand_param(interp, proc, part, in_dquotes)))
         elif isinstance(part, CmdSub):
             raw = yield from interp.command_substitution(proc, part.command)
-            out.extend(part_segments(part, raw.rstrip("\n"), in_dquotes))
+            out.extend(_output(raw.rstrip("\n"), in_dquotes))
         elif isinstance(part, ArithSub):
-            expr = yield from _expand_parts(interp, proc, part.parts, False)
+            expr = yield from expand_parts(interp, proc, part.parts)
             try:
                 value = arith.evaluate(
                     text_of(expr),
@@ -135,7 +108,7 @@ def _expand_parts(interp, proc, parts: tuple[WordPart, ...], in_dquotes: bool):
                 )
             except arith.ArithError as err:
                 raise ExpansionError(f"arithmetic: {err}") from None
-            out.extend(part_segments(part, str(value), in_dquotes))
+            out.extend(_output(str(value), in_dquotes))
         else:
             raise ExpansionError(f"unknown word part {part!r}")
     return out
@@ -149,20 +122,20 @@ def _expand_param(interp, proc, param: Param, in_dquotes: bool):
         return _expand_at_star(state, name, op, in_dquotes)
 
     value = state.get(name)
+    colon = op.startswith(":")
+    base_op = op.lstrip(":") if colon else op
+    # set -u rejects an unset value read, not a test whether it is set
+    if value is None and base_op in ("", "length", "#", "##", "%", "%%") \
+            and state.options.get("nounset") and not _is_special(name):
+        raise UnsetError(name)
 
     if op == "length":
         return _output(str(len(value or "")), in_dquotes)
 
     if op == "":
-        if value is None:
-            if state.options.get("nounset") and not _is_special(name):
-                raise ExpansionError(f"{name}: unbound variable")
-            return []
-        return _output(value, in_dquotes)
+        return [] if value is None else _output(value, in_dquotes)
 
     # test operators: ':' variants also treat empty as unset
-    colon = op.startswith(":")
-    base_op = op.lstrip(":") if colon else op
     use_word = base_op in ("-", "=", "?", "+")
     if use_word:
         unset_or_null = value is None or (colon and value == "")
@@ -187,8 +160,8 @@ def _expand_param(interp, proc, param: Param, in_dquotes: bool):
     if base_op in ("#", "##", "%", "%%"):
         pattern = []
         if param.word is not None:
-            pattern = yield from _expand_parts(interp, proc, param.word.parts, False)
-        result = remove_affix(value or "", _pattern(pattern), base_op)
+            pattern = yield from expand_parts(interp, proc, param.word.parts)
+        result = remove_affix(value or "", pattern_of(pattern), base_op)
         return _output(result, in_dquotes)
 
     raise ExpansionError(f"bad substitution ${{{name}{op}...}}")
@@ -200,7 +173,7 @@ def _expand_operand(interp, proc, word: Optional[Word], in_dquotes: bool):
     it splits and globs like the value it stands in for."""
     if word is None:
         return []
-    result = yield from _expand_parts(interp, proc, word.parts, in_dquotes)
+    result = yield from expand_parts(interp, proc, word.parts, in_dquotes)
     if in_dquotes:
         return result
     return [(text, EXPANDED if kind is LITERAL else kind)
@@ -229,6 +202,13 @@ def _expand_at_star(state, name: str, op: str, in_dquotes: bool) -> list:
 
 def _is_special(name: str) -> bool:
     return name in ("@", "*", "#", "?", "-", "$", "!") or name.isdigit()
+
+
+def at_only(part: DoubleQuoted) -> bool:
+    """Is ``part`` ``"$@"``, no field when there are no positionals?"""
+    return bool(part.parts) and all(
+        isinstance(sub, Param) and sub.name == "@" and sub.op == ""
+        for sub in part.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +346,31 @@ def _tilde_expand(segments: list, state) -> list:
 # ---------------------------------------------------------------------------
 
 
-def expand_word(interp, proc, word: Word):
-    """Full expansion of one word into zero or more fields; a constant
-    word is its one field."""
-    if word.constant is not None:
-        return [word.constant]
-    segments = yield from _expand_parts(interp, proc, word.parts, False)
-    state = interp.state
+def word_fields(segments: list, state, fs) -> list[str]:
+    """The fields of an expanded word: tilde expansion, field splitting
+    and pathname expansion (``fs`` is read only for a pattern)."""
     fields = split_fields(_tilde_expand(segments, state), state.ifs)
     if state.options.get("noglob"):
         return [text_of(field) for field in fields]
     out: list[str] = []
     for field in fields:
-        out.extend(expand_pathnames(field, proc.fs, state.cwd))
+        out.extend(expand_pathnames(field, fs, state.cwd))
     return out
+
+
+def word_text(segments: list, state) -> str:
+    """The one field of an expanded word that is not split or globbed:
+    tilde expansion and quote removal."""
+    return text_of(_tilde_expand(segments, state))
+
+
+def expand_word(interp, proc, word: Word):
+    """Full expansion of one word into zero or more fields; a constant
+    word is its one field."""
+    if word.constant is not None:
+        return [word.constant]
+    segments = yield from expand_parts(interp, proc, word.parts)
+    return word_fields(segments, interp.state, proc.fs)
 
 
 def expand_word_single(interp, proc, word: Word):
@@ -387,22 +378,22 @@ def expand_word_single(interp, proc, word: Word):
     targets, case subjects): no splitting, no globbing."""
     if word.constant is not None:
         return word.constant
-    segments = yield from _expand_parts(interp, proc, word.parts, False)
-    return text_of(_tilde_expand(segments, interp.state))
+    segments = yield from expand_parts(interp, proc, word.parts)
+    return word_text(segments, interp.state)
 
 
 def expand_text(interp, proc, word: Word):
     """A here-document body: parameter, command and arithmetic expansion
     and quote removal only."""
-    segments = yield from _expand_parts(interp, proc, word.parts, False)
+    segments = yield from expand_parts(interp, proc, word.parts)
     return text_of(segments)
 
 
 def expand_pattern(interp, proc, word: Word):
     """A case pattern as ``(text, quoted)`` pieces: no splitting, no
     globbing, quoted characters stay literal."""
-    segments = yield from _expand_parts(interp, proc, word.parts, False)
-    return _pattern(segments)
+    segments = yield from expand_parts(interp, proc, word.parts)
+    return pattern_of(segments)
 
 
 def expand_words(interp, proc, words):

@@ -41,7 +41,6 @@ from ..vos.process import Process
 from .builtins import REGULAR_BUILTINS, SPECIAL_BUILTINS
 from .control import FuncReturn, LoopBreak, LoopContinue, ShellExit
 from .expansion import (
-    ExpansionError,
     expand_pattern,
     expand_text,
     expand_word_single,
@@ -346,13 +345,8 @@ class Interpreter:
     def exec_simple(self, node: SimpleCommand, proc: Process,
                     skip_functions: bool = False):
         self._last_cmdsub_status = self.state.last_status
-        try:
-            argv = yield from expand_words(self, proc, node.words)
-        except ExpansionError as err:
-            yield from self.write_err(proc, f"jash: {err}")
-            self.state.last_status = 1
-            self.maybe_errexit(1)
-            return 1
+        # an expansion error ends a non-interactive shell (XCU 2.8.1)
+        argv = yield from expand_words(self, proc, node.words)
 
         if self.state.options.get("xtrace") and (argv or node.assigns):
             ps4 = self.state.get("PS4") or "+ "

@@ -20,6 +20,11 @@ class Variable:
     readonly: bool = False
 
 
+#: the shell's options, each off at start: -e, -u, -x, -f, -n, and
+#: pipefail (a widely implemented extension)
+OPTIONS = ("errexit", "nounset", "xtrace", "noglob", "noexec", "pipefail")
+
+
 class ShellError(Exception):
     """Fatal shell errors (bad substitution, readonly assignment, ...)."""
 
@@ -33,14 +38,7 @@ class ShellState:
         self.last_status = 0
         self.last_async_pid = 0
         self.cwd = "/"
-        self.options: dict[str, bool] = {
-            "errexit": False,   # -e
-            "nounset": False,   # -u
-            "xtrace": False,    # -x
-            "noglob": False,    # -f
-            "noexec": False,    # -n
-            "pipefail": False,  # (widely implemented extension)
-        }
+        self.options: dict[str, bool] = dict.fromkeys(OPTIONS, False)
         self.ifs_default = " \t\n"
         # defaults present in any environment
         self.set("PWD", "/", export=True)

@@ -16,13 +16,7 @@ from repro.commands.base import (
     open_input,
     parse_args,
 )
-from repro.semantics.expansion import (
-    _expand_parts,
-    _tilde_expand,
-    expand_pathnames,
-    split_fields,
-)
-from repro.semantics.patterns import text_of
+from repro.semantics.expansion import expand_parts, word_fields, word_text
 from repro.shell import Shell
 from repro.vos import SpliceReq, VosError
 from repro.vos.devices import DiskSpec
@@ -194,20 +188,16 @@ def tree_expand_words(interp, proc, words):
     segments, tilde, field splitting, then pathname expansion (or quote
     removal under ``set -f``), whatever the word."""
     fields: list[str] = []
-    state = interp.state
     for word in words:
-        segments = yield from _expand_parts(interp, proc, word.parts, False)
-        split = split_fields(_tilde_expand(segments, state), state.ifs)
-        for field in split:
-            fields.extend([text_of(field)] if state.options.get("noglob")
-                          else expand_pathnames(field, proc.fs, state.cwd))
+        segments = yield from expand_parts(interp, proc, word.parts)
+        fields.extend(word_fields(segments, interp.state, proc.fs))
     return fields
 
 
 def tree_expand_word_single(interp, proc, word):
     """The one-field reference (assignments, redirect targets)."""
-    segments = yield from _expand_parts(interp, proc, word.parts, False)
-    return text_of(_tilde_expand(segments, interp.state))
+    segments = yield from expand_parts(interp, proc, word.parts)
+    return word_text(segments, interp.state)
 
 
 # -- inputs that cross a split on purpose (ROADMAP "right across a seam") -----

@@ -241,6 +241,71 @@ class TestDiagnostics:
         src = "true | exit 1\necho after"
         assert "echo after" not in dead_texts(src)
 
+    def test_pipefail_status_is_any_stage(self):
+        src = ("set -o pipefail\n"
+               "if false | true; then echo y; else echo n; fi")
+        assert Shell().run(src).stdout == b"n\n"
+        assert dead_texts(src) == set()
+
+
+# ---------------------------------------------------------------------------
+# One semantics: each row runs in the interpreter and in value flow
+# ---------------------------------------------------------------------------
+
+
+#: (script, interpreter status and stdout, dead roots, JS4002 verdicts,
+#: other codes).  Value flow runs the interpreter's own expander, `test`,
+#: case matcher and `set` parse, so a constant input gets the
+#: interpreter's answer and anything else is ⊤.
+AGREEMENT = [
+    ("if [ -n ]; then echo yes; else echo no; fi",
+     (0, b"yes\n"), {"echo no"}, ["guard is always true"], set()),
+    ("case abc in x*) echo x;; a*) echo a;; *) echo other;; esac",
+     (0, b"a\n"), {"echo x", "echo other"}, [], set()),
+    ('x=\n: ${x:=a}\nif [ "$x" = a ]; then echo set; else echo unset; fi',
+     (0, b"set\n"), {"echo unset"}, ["guard is always true"], set()),
+    # a name never assigned may come from the environment: ⊤, not 0
+    ("if [ $((i+1)) -eq 1 ]; then echo one; else echo other; fi",
+     (0, b"one\n"), set(), [], set()),
+    ("set -f; x=*\nfor f in $x; do echo \"[$f]\"; done\n"
+     'if [ $x = "*" ]; then echo star; else echo files; fi',
+     (0, b"[*]\nstar\n"), {"echo files"}, ["guard is always true"], set()),
+    ("set -u\nunset x\necho ${#x}\necho after", (2, b""), set(), [],
+     {"JS4004"}),
+    # text the analysis does not read may assign anything
+    ('x=1; eval "x=2"\nif [ $x = 1 ]; then echo one; else echo two; fi',
+     (0, b"two\n"), set(), [], set()),
+    # `local x` sets x to ""; `unset -f` leaves variables be
+    ('x=1\nf() { local x; if [ "$x" = 1 ]; then echo one; '
+     'else echo empty; fi; }\nf', (0, b"empty\n"), {"echo one"},
+     ["guard is always false"], set()),
+    ('f=1; f() { :; }; unset -f f\n'
+     'if [ "$f" = 1 ]; then echo one; else echo gone; fi',
+     (0, b"one\n"), {"echo gone"}, ["guard is always true"], set()),
+    # outside a function `local` fails and assigns nothing
+    ('local x=1\nif [ "$x" = 1 ]; then echo one; else echo none; fi',
+     (0, b"none\n"), set(), [], set()),
+    # an unknown part still has the substitution after it visited
+    ('echo "$1$(exit 0; echo gone)"', (0, b"\n"), {"echo gone"}, [],
+     {"JS4001"}),
+]
+
+
+@pytest.mark.parametrize("src,run,dead,guards,others", AGREEMENT)
+def test_value_flow_agrees_with_the_interpreter(src, run, dead, guards,
+                                                others):
+    shell = Shell()
+    shell.fs.write_bytes("/a.txt", b"")  # a glob would match it
+    result = shell.run(src)
+    assert (result.status, result.stdout) == run
+    out = result.stdout.decode().split()
+    for text in dead_texts(src):  # what is dead never prints
+        assert text.removeprefix("echo ") not in out
+    assert dead_texts(src) == dead
+    found = flow(src).findings
+    assert [f.message for f in found if f.code == "JS4002"] == guards
+    assert {f.code for f in found} - {"JS4002"} == others
+
 
 class TestLintPositions:
     def test_js_codes_carry_line_and_col(self):
