@@ -257,9 +257,15 @@ class _State:
 
     def join(self, other: "_State") -> None:
         """In-place join: a variable known on only one side becomes ⊤."""
-        for name in {**self.vars, **other.vars}:  # self's order, then other's
-            self.vars[name] = join_value(self.vars.get(name, TOP),
-                                         other.vars.get(name, TOP))
+        for name in list(self.vars):
+            if name in other.vars:
+                self.vars[name] = join_value(self.vars[name],
+                                             other.vars[name])
+            else:
+                self.vars[name] = TOP
+        for name, val in other.vars.items():
+            if name not in self.vars:
+                self.vars[name] = TOP
         for opt in self.options:
             if self.options[opt] != other.options.get(opt):
                 self.options[opt] = None
@@ -286,10 +292,7 @@ class _World:
     system.  A constant reads as its text and ``unset`` as None; ⊤, a
     name never assigned on this path (it may come from the environment),
     a special parameter, a positional, a substitution's output and every
-    file-system read raise :class:`_Unknown`.  Under a constant ``set
-    -u`` a name the script assigns somewhere is taken to be absent from
-    the environment, so reading it before its first assignment is the
-    expander's ``parameter not set`` (JS4004)."""
+    file-system read raise :class:`_Unknown`."""
 
     #: read only on the way to the file system, which raises
     cwd = "/"
@@ -303,8 +306,7 @@ class _World:
 
     def get(self, name: str) -> Optional[str]:
         value = self.st.vars.get(name)
-        if value is UNSET or (value is None and self.options["nounset"] is True
-                              and name in self.flow.all_defs):
+        if value is UNSET:
             return None
         if value is None or value.kind != "const":
             raise _Unknown(name)
@@ -334,6 +336,22 @@ class _World:
         raise _Unknown(path)
 
     is_file = is_dir = size = listdir = exists
+
+
+class _ScriptNamesUnset(_World):
+    """The world JS4004 asks under a constant ``set -u``: a name the script
+    assigns somewhere, read before its first assignment on this path, is
+    taken to be absent from the environment.  Only its abort is read,
+    never a value, and it visits no substitution."""
+
+    def get(self, name: str) -> Optional[str]:
+        if name not in self.st.vars and name in self.flow.all_defs:
+            return None
+        return super().get(name)
+
+    def command_substitution(self, proc, command: Command):
+        raise _Unknown("$(...)")
+        yield
 
 
 def _run(expansion):
@@ -681,9 +699,13 @@ class ValueFlow:
                 node, emit)
             self._mark_dead(node.body, "loop word list is provably empty",
                             emit)
-            st.vars.setdefault(node.var, TOP)
+            st.vars.setdefault(node.var, st.vars.get(node.var, TOP))
             return S_ZERO, _ONLY_NORMAL
-        var_value = reduce(join_value, values) if values else TOP
+        var_value = TOP
+        if values is not None and values:
+            var_value = values[0]
+            for v in values[1:]:
+                var_value = join_value(var_value, v)
         st.vars[node.var] = var_value
         if trip_lo == trip_hi == 1:
             body_status, body_flows = self._visit(node.body, st, emit, guard)
@@ -876,12 +898,14 @@ class ValueFlow:
             return S_ONE, _ONLY_NORMAL
         if name in ("exit", "return"):
             status = S_TOP
-            if args and args[0] is not None:  # else $? of the last command
+            if args and args[0] is not None:
                 try:
                     n = int(args[0]) & 255
                     status = AbsStatus(n, n)
                 except ValueError:
                     pass
+            elif not args:
+                status = S_TOP  # $? of the previous command
             return status, frozenset((EXIT if name == "exit" else RETURN,))
         if name == "break":
             return S_ZERO, frozenset((BREAK,))
@@ -890,9 +914,12 @@ class ValueFlow:
         if name in ("test", "["):
             return self._test(name, args, st, emit), _ONLY_NORMAL
         if name == "set":
-            # a dynamic argument may toggle anything
-            options = dict.fromkeys(st.options) if None in args \
-                else parse_set(args)[0]
+            # the options come before `--` or the first positional; a
+            # dynamic argument in their place may toggle anything
+            cut = args.index(None) if None in args else len(args)
+            options, positionals = parse_set(args[:cut])
+            if cut < len(args) and positionals is None:
+                options = dict.fromkeys(st.options)
             st.options.update((opt, on) for opt, on in options.items()
                               if opt in st.options)
             return S_ZERO, _ONLY_NORMAL
@@ -963,6 +990,24 @@ class ValueFlow:
         text = self._expand(word, st, emit, stmt, word_text)
         return TOP if text is None else vconst(text)
 
+    def _report_unset(self, err: Exception, part, st: _State, emit: bool,
+                      stmt) -> None:
+        """JS4004 where ``set -u`` aborts ``part``: the expander's own
+        ``UnsetError``, or the one it raises when the names the script
+        assigns but has not yet assigned here are absent from the
+        environment (that run's values are dropped)."""
+        if isinstance(err, _Unknown) and st.options["nounset"] is True:
+            try:
+                _run(expand_parts(_ScriptNamesUnset(self, st.copy(), emit),
+                                  None, (part,)))
+            except (_Unknown, ExpansionError) as again:
+                err = again
+        if isinstance(err, UnsetError):
+            self._finding(
+                "JS4004", f"`{err.name}` is provably unset here: "
+                "under `set -u` the shell aborts", stmt, emit,
+                context=err.name)
+
     def _expand(self, word: Word, st: _State, emit: bool, stmt, finish):
         """``finish(segments, world)`` of ``word``'s segments, or None when
         an expansion or ``finish`` reads something unknown.
@@ -978,11 +1023,7 @@ class ValueFlow:
             try:
                 expanded = _run(expand_parts(world, None, (part,)))
             except (_Unknown, ExpansionError) as err:
-                if isinstance(err, UnsetError):
-                    self._finding(
-                        "JS4004", f"`{err.name}` is provably unset here: "
-                        "under `set -u` the shell aborts", stmt, emit,
-                        context=err.name)
+                self._report_unset(err, part, st, emit, stmt)
                 for name in _assignable(part):
                     st.vars[name] = TOP
                 expanded = segments = None

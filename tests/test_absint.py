@@ -267,11 +267,19 @@ AGREEMENT = [
     # a name never assigned may come from the environment: ⊤, not 0
     ("if [ $((i+1)) -eq 1 ]; then echo one; else echo other; fi",
      (0, b"one\n"), set(), [], set()),
+    # ... under `set -u` too: the environment may supply the default
+    ('set -u\nX=${X:-d}\nif [ "$X" = d ]; then echo d; else echo env; fi',
+     (0, b"d\n"), set(), [], set()),
+    ('set -u\n: "${X:=d}"\nif [ "$X" = d ]; then echo d; else echo env; fi',
+     (0, b"d\n"), set(), [], set()),
     ("set -f; x=*\nfor f in $x; do echo \"[$f]\"; done\n"
      'if [ $x = "*" ]; then echo star; else echo files; fi',
      (0, b"[*]\nstar\n"), {"echo files"}, ["guard is always true"], set()),
     ("set -u\nunset x\necho ${#x}\necho after", (2, b""), set(), [],
      {"JS4004"}),
+    # the options end at `--`: the dynamic positionals toggle none
+    ('set -e; set -- "$@"; false; echo dead', (1, b""), {"echo dead"}, [],
+     {"JS4001"}),
     # text the analysis does not read may assign anything
     ('x=1; eval "x=2"\nif [ $x = 1 ]; then echo one; else echo two; fi',
      (0, b"two\n"), set(), [], set()),
