@@ -24,8 +24,9 @@ run) rather than answered wrongly: ``function`` definitions, ``getline``,
 
 Coercion follows POSIX awk: fields and ``-v`` values that look numeric
 compare numerically, string constants as strings, uninitialized values
-are "" / 0.  The program is parsed to a small AST and lowered once to
-closures (:class:`AwkRuntime`); per record, awk only calls them.
+are "" / 0.  The program is parsed to a small AST and compiled, once per
+program text, to Python source (:func:`compile_awk`): one generated
+function runs the main rules over a whole batch of records.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from functools import lru_cache
 from typing import Optional
 
 from ..vos.process import Process
-from .base import (Grammar, LineStream, OutBuf, UsageError, command,
-                   cpu_coeff, open_operand, usage_error)
+from .base import (Grammar, OutBuf, UsageError, command, compile_program,
+                   cpu_coeff, each_batch, emit, indent, open_operand,
+                   record_loop, usage_error)
 from .bre import posix_sub
 
 # ---------------------------------------------------------------------------
@@ -346,13 +348,15 @@ class _Parser:
 
     def parse_postfix(self):
         node = self.parse_primary()
-        while True:
+        # only what can be assigned takes a postfix: ``1 ++x`` is 1 (++x)
+        while node.kind in ("var", "field", "index"):
             if self.accept("op", "++"):
                 node = Node("postincr", node, 1)
             elif self.accept("op", "--"):
                 node = Node("postincr", node, -1)
             else:
-                return node
+                break
+        return node
 
     #: the built-in functions: name -> (fewest, most) arguments
     FUNCTIONS = {"length": (0, 1), "substr": (2, 3), "index": (2, 2),
@@ -417,7 +421,7 @@ def parse_awk(src: str):
 
 
 # ---------------------------------------------------------------------------
-# evaluator: the AST lowered, once per program, to plain Python closures
+# the compiler: a program as Python source, compiled once per program text
 # ---------------------------------------------------------------------------
 
 
@@ -439,300 +443,408 @@ class _Table(dict):
         return ""
 
 
-_FALSE = (0.0, "")  # ``value not in _FALSE`` is awk truth, without a call
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")  # a name the lexer reads
+#: what always has a float value, and what a str (a call: by its name)
+_NUMERIC = {"num", "arith", "neg", "not", "cmp", "match", "nomatch", "and",
+            "or", "regex", "preincr", "postincr", "call"}
+_STRING = {"str", "concat", "field", "substr", "toupper", "tolower", "sprintf"}
+_COMPARE = {op: op for op in ("==", "!=", "<", "<=", ">", ">=")}
 
 
-def _raise(exc: Exception):
-    raise exc
+class _Compiler:
+    """A program as the source of ``begin(V, A, F, P)``, ``end`` and
+    ``records`` (a :func:`record_loop` of the main rules) over variables
+    ``V``, arrays ``A``, fields ``F`` ($0 first) and the text printed
+    ``P``.  Each keeps every variable the program names in a local
+    ``v_NAME`` (an array in ``a_NAME``), loaded from ``V`` on entry and
+    written back however it is left.  Program text becomes source only
+    as a constant's ``repr`` or in such a name; regexes, operators and
+    numbers without a literal are bound in the namespace as ``kN``."""
+
+    def __init__(self, items):
+        self.items, self.namespace, self.temps = items, dict(_RUNTIME), 0
+        self.scalars: set[str] = {"FS"}  # the variables named
+        self.splits = False  # is a field past $0 used?
+        nodes = list(_walk_nodes(items))
+        self.arrays = {n.a for n in nodes if n.kind == "index"} | {
+            n.b for n in nodes if n.kind == "forin"} | {
+            n.b[1].a for n in nodes if n.kind == "call" and n.a == "split"}
+
+    def source(self) -> str:
+        bodies: dict = {"BEGIN": [], "END": [], None: []}
+        for pattern, action in self.items:
+            where, lines = getattr(pattern, "kind", None), self.stmts(action)
+            if where == "expr_pattern":
+                where, lines = None, [f"if {self.cond(pattern.a)}:",
+                                      *indent(lines, 1)]
+            bodies[where] += lines
+        if "raise _Next()" in (line.strip() for where in ("BEGIN", "END")
+                               for line in bodies[where]):
+            raise AwkSyntaxError("improper use of next")  # as awk says
+        main = bodies[None]
+        if "raise _Next()" in (line.strip() for line in main):
+            main = ["try:", *indent(main, 1), "except _Next:", "    pass"]
+        if any(line.lstrip().startswith("put(") for line in main):
+            main += ["if P:", "    data = b''.join(P)", "    P.clear()",
+                     *indent(emit("data"), 1)]
+        head = [f"v_NR = {self.num_of('v_NR')} + 1.0"] * ("NR" in self.scalars)
+        head += ["if v_FS is not fs_seen:", "    fs_seen = v_FS",
+                 "    S, RS = _splitter(to_str(v_FS))"]
+        if self.splits or "NF" in self.scalars:  # a list per record
+            head += ["F = R.split(S) if RS is None else RS(R)",
+                     "F.insert(0, R)"]
+            if "NF" in self.scalars:
+                head.append("v_NF = len(F) - 1.0")
+        else:
+            head.append("F[0] = R")
+        if not all(map(_NAME_RE.match, self.scalars | self.arrays)):
+            raise AwkSyntaxError("bad name")  # the lexer reads none
+        load = [f"v_{n} = V[{n!r}]" for n in sorted(self.scalars)] + [
+            f"a_{n} = A[{n!r}]" for n in sorted(self.arrays)] + ["put = P.append"]
+        store = [f"V[{n!r}] = v_{n}" for n in sorted(self.scalars)]
+        lines = []
+        for name, where in (("begin", "BEGIN"), ("end", "END")):
+            lines += [f"def {name}(V, A, F, P):", *indent(load, 1), "    try:",
+                      *indent(bodies[where], 2), "    finally:",
+                      *indent(store, 2)]
+        return "\n".join(lines) + "\n" + record_loop(
+            "records", ", V, A, fields, P", ["F = fields", *load,
+                                             "fs_seen = None"],
+            head + main, [*store, "fields[:] = F"], text=True)
+
+    def name(self, name: str, prefix: str = "v_") -> str:
+        """The local holding variable (prefix ``a_``: array) ``name``."""
+        if prefix == "v_":
+            self.scalars.add(name)
+        return prefix + name
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def bind(self, value) -> str:
+        name = f"k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def regex(self, node: Node) -> str:
+        """The regex an operand means: a literal compiled now, other text
+        when evaluated (cached)."""
+        if node.kind == "regex":
+            return self.bind(re.compile(node.a))
+        return f"_regex({self.str_(node)})"
+
+    def kind(self, node: Node) -> Optional[str]:
+        """"num" or "str" when the node's value is always a float or a str."""
+        if (node.a if node.kind == "call" else node.kind) in _STRING:
+            return "str"
+        if node.kind in _NUMERIC or node.kind == "assign" and node.a != "=":
+            return "num"
+        if node.kind == "assign" or node.kind == "ternary" and \
+                self.kind(node.b) == self.kind(node.c):
+            return self.kind(node.c)
+        return None
+
+    @staticmethod
+    def num_of(local: str) -> str:
+        return f"({local} if {local}.__class__ is float else to_num({local}))"
+
+    def num(self, node: Node) -> str:
+        code, kind = self.expr(node), self.kind(node)
+        if kind == "num":
+            return code
+        if kind is None:
+            return self.num_of(code) if node.kind == "var" else f"to_num({code})"
+        t = self.temp()  # a str: to_num's digits case inline, the test first
+        return f"(float({t}) if ({t} := {code}).isdecimal() else to_num({t}))"
+
+    def str_(self, node: Node) -> str:
+        code = self.expr(node)
+        return code if self.kind(node) == "str" else f"to_str({code})"
+
+    def arith(self, op: str, left: str, right: str) -> str:
+        if op in "+-*":
+            return f"({left} {op} {right})"
+        return f"{self.bind(_ARITH[op])}({left}, {right})"
+
+    def expr(self, node: Node) -> str:
+        kind, a, b, c = node.kind, node.a, node.b, node.c
+        if kind == "num":
+            return repr(a) if math.isfinite(a) else self.bind(a)
+        if kind == "str":
+            return repr(a)
+        if kind == "var":
+            return self.name(a)
+        if kind == "field":
+            return self.field(a)
+        if kind == "index":
+            return f"{self.name(a, 'a_')}[{self.str_(b)}]"
+        if kind in ("assign", "preincr", "postincr"):
+            return self.assign(node)
+        if kind == "neg":
+            return f"(-{self.num(a)})"
+        if kind == "arith":
+            return self.arith(a, self.num(b), self.num(c))
+        if kind == "concat":
+            return f"({self.str_(a)} + {self.str_(b)})"
+        if kind == "ternary":
+            return f"({self.expr(b)} if {self.cond(a)} else {self.expr(c)})"
+        if kind == "call":
+            return self.call(a, b)
+        return f"(1.0 if {self.cond(node)} else 0.0)"
+
+    def field(self, index: Node) -> str:
+        n = int(index.a) if index.kind == "num" else None  # a constant
+        if n == 0:
+            return "F[0]"
+        self.splits = True
+        if n is not None:
+            return f'(F[{n:d}] if {n:d} < len(F) else "")'
+        if index.kind == "var" and index.a == "NF":
+            return "F[-1]"  # F is NF + 1 long
+        t = self.temp()
+        return (f'(F[{t}] if 0 <= ({t} := int({self.num(index)})) < len(F)'
+                ' else "")')
+
+    def cond(self, node: Node) -> str:
+        """The node as a Python test: awk truth is a float's or a str's."""
+        kind, a, b, c = node.kind, node.a, node.b, node.c
+        if kind == "cmp" and {b.kind, c.kind} & {"str", "concat"}:
+            # a string constant or concatenation never compares as a number
+            return f"({self.str_(b)} {_COMPARE[a]} {self.str_(c)})"
+        if kind == "cmp" and self.kind(b) == self.kind(c) == "num":
+            return f"({self.expr(b)} {_COMPARE[a]} {self.expr(c)})"
+        if kind == "cmp":
+            t = self.temp()
+            return (f"(({t} := _coerce({self.expr(b)}, {self.expr(c)}))[0] "
+                    f"{_COMPARE[a]} {t}[1])")
+        if kind in ("match", "nomatch"):  # the regex first, as awk
+            test = f"{self.regex(b)}.search({self.str_(a)})"
+            return test if kind == "match" else f"(not {test})"
+        if kind == "regex":  # a bare /re/ means $0 ~ /re/
+            return f"{self.regex(node)}.search(F[0])"
+        if kind == "not":
+            return f"(not {self.cond(a)})"
+        if kind in ("and", "or"):
+            return f"({self.cond(a)} {kind} {self.cond(b)})"
+        return self.expr(node)
+
+    def target(self, node: Node) -> tuple[str, str, str, str]:
+        """An assignable node's ``(box, key, read, args)``: a variable's
+        local (``box`` "") or where :func:`_store` writes it, ``key`` its
+        subscript's source, ``read`` its value given the key in local
+        ``{k}``, ``args`` what _store needs besides."""
+        if node.kind == "var" and node.a != "NF":
+            return "", "", self.name(node.a), ""
+        if node.kind == "index":
+            table = self.name(node.a, "a_")
+            return table, self.str_(node.b), f"{table}[{{k}}]", ""
+        if node.kind not in ("field", "var"):
+            raise AwkSyntaxError(f"cannot assign to {node.kind}")
+        self.splits, nf = True, self.name("NF")
+        rest = f", {self.str_(Node('var', 'OFS'))}, v_FS"
+        if node.kind == "var":  # NF: the fields cut or padded
+            return "F", "None", nf, f"{rest}, {nf}"
+        return ("F", f"int({self.num(node.a)})",
+                '(F[{k}] if 0 <= {k} < len(F) else "")', rest)
+
+    def assign(self, node: Node) -> str:
+        """An assignment, ``++`` or ``--``; the value is evaluated first,
+        then the subscript, as awk."""
+        incr = node.kind != "assign"
+        box, key, read, args = self.target(node.a if incr else node.b)
+        op = "+" if incr else None if node.a == "=" else node.a[0]
+        if not box:  # a variable: its local
+            if incr and node.kind == "postincr":
+                t = self.temp()
+                return f"(({t} := to_num({read})), ({read} := {t} + {node.b:d}))[0]"
+            if incr:
+                return f"({read} := {self.num_of(read)} + {node.b:d})"
+            if op is None:
+                return f"({read} := {self.expr(node.c)})"
+            if not any(n.kind in ("assign", "preincr", "postincr", "call")
+                       for n in _walk_nodes(node.c)):  # nothing to order
+                return (f"({read} := "
+                        f"{self.arith(op, self.num_of(read), self.num(node.c))})")
+            t = self.temp()
+            return (f"(({t} := {self.expr(node.c)}), ({read} := "
+                    f"{self.arith(op, self.num_of(read), f'to_num({t})')}))[1]")
+        value = f"{node.b:d}.0" if incr else self.expr(node.c)
+        code = (f"_store({value}, {box}, {key}, "
+                f"{'None' if op is None else self.bind(_ARITH[op])}, "
+                f"{node.kind == 'postincr'}{args})")
+        return code if box != "F" else f"({code}, (v_NF := len(F) - 1.0))[0]"
+
+    def call(self, name: str, args: list) -> str:
+        if name == "length" and not args:
+            return "(len(F[0]) + 0.0)"
+        if name == "length" and args[0].kind == "var" and \
+                args[0].a in self.arrays:  # of an array
+            return f"(len({self.name(args[0].a, 'a_')}) + 0.0)"
+        if name in _PURE:
+            return f"{self.bind(_PURE[name])}([{', '.join(map(self.expr, args))}])"
+        if name == "split":
+            if args[1].kind != "var":
+                raise AwkSyntaxError("split needs an array name")
+            sep = self.str_(args[2]) if len(args) > 2 else "to_str(v_FS)"
+            return (f"_split_into({self.name(args[1].a, 'a_')}, "
+                    f"{self.str_(args[0])}, {sep})")
+        t, r = self.temp(), self.temp()
+        if name == "match":  # the text first, then the regex
+            return (f"(({t} := _match({self.str_(args[0])}, "
+                    f"{self.regex(args[1])})), ({self.name('RSTART')} := "
+                    f"{t}[0]), ({self.name('RLENGTH')} := {t}[1]))[1]")
+        # sub(re, repl [, target]) / gsub: in-place substitution on the
+        # target (default $0); the regex, the text, the subscript, in turn
+        target = args[2] if len(args) > 2 else Node("field", Node("num", 0.0))
+        box, key, read, rest = self.target(target)
+        k = f"{r}[2]"
+        store = f"({read} := {t}[0])" if not box else \
+            f"_store({t}[0], {box}, {k}, None, False{rest})"
+        if box == "F":
+            store = f"({store}, (v_NF := len(F) - 1.0))"
+        return (f"(({r} := ({self.regex(args[0])}, {self.str_(args[1])}, "
+                f"{key or 'None'})), ({t} := _sub({r}[0], {r}[1], "
+                f"to_str({read.format(k=k)}), {name == 'gsub'})), "
+                f"({t}[1] and {store}), {t}[1] + 0.0)[-1]")
+
+    def stmts(self, node: Node) -> list[str]:
+        kind, a = node.kind, node.a
+        if kind == "block":
+            return [line for stmt in a for line in self.stmts(stmt)]
+        if kind == "print":
+            ofs, ors = (self.str_(Node("var", name)) for name in ("OFS", "ORS"))
+            text = (f"{ofs}.join([{', '.join(map(self.str_, a))}])"
+                    if len(a) > 1 else self.str_(a[0]) if a else "F[0]")
+            return [f"put(({text} + {ors}).encode())"]
+        if kind == "printf":
+            return [f"put(_sprintf([{', '.join(map(self.expr, a))}]).encode())"]
+        if kind == "exprstmt":  # a value no one reads: x++ is ++x
+            return [self.expr(Node("preincr", a.a, a.b)
+                              if a.kind == "postincr" else a)]
+        if kind == "if":
+            lines = [f"if {self.cond(a)}:", *indent(self.stmts(node.b), 1)]
+            if node.c is not None:
+                lines += ["else:", *indent(self.stmts(node.c), 1)]
+            return lines
+        if kind == "while":
+            guard = self.temp()
+            return [f"{guard} = 0", f"while {self.cond(a)}:",
+                    *indent(self.stmts(node.b), 1), f"    {guard} += 1",
+                    f"    if {guard} > 10_000_000:  # runaway protection",
+                    "        raise UsageError('while loop exceeded limit')"]
+        if kind == "forin":
+            return [f"for {self.name(a)} in list({self.name(node.b, 'a_')}):",
+                    *indent(self.stmts(node.c), 1)]
+        if kind == "next":
+            return ["raise _Next()"]
+        if kind == "exit":
+            return [f"raise _Exit({'None' if a is None else f'int({self.num(a)})'})"]
+        raise UsageError(f"cannot compile {kind}")
+
+
+@lru_cache(maxsize=128)
+def compile_awk(src: str) -> tuple:
+    """``(begin, records, end, arrays, reads_input)`` of ``src``, compiled
+    once per program text (see :class:`_Compiler`)."""
+    items = parse_awk(src)
+    compiler = _Compiler(items)
+    space = compile_program(compiler.source(), compiler.namespace, "<awk>")
+    return (space["begin"], space["records"], space["end"],
+            sorted(compiler.arrays),
+            any(getattr(pattern, "kind", "") != "BEGIN" for pattern, _ in items))
 
 
 class AwkRuntime:
-    """Interpreter state plus the lowering pass: ``compile(node)`` turns
-    an expression or statement node into a zero-argument closure over
-    this runtime, once per node, deciding there what is static (constant
-    field numbers, regex literals, operators, the kind of an lvalue)."""
+    """One run of a program: its variables, arrays, the current record's
+    fields and the text printed but not yet written (``out``)."""
 
-    def __init__(self, fs: str = " ", assigns: Optional[dict] = None):
+    def __init__(self, src: str, fs: str = " ", assigns: Optional[dict] = None):
+        self._begin, self._records, self._end, arrays, self.reads_input = \
+            compile_awk(src)
         self.vars = _Table({"FS": fs, "OFS": " ", "ORS": "\n", "NR": 0.0,
                             "NF": 0.0, "FILENAME": "", "SUBSEP": "\x1c"})
         self.vars.update(assigns or {})
-        self.arrays: dict[str, _Table] = {}
+        self.arrays = {name: _Table() for name in arrays}
         self.fields: list[str] = [""]  # always NF + 1 long
         self.out: list[bytes] = []
-        self._fs = None  # the FS value ``_split`` was built for
-        self._memo: dict[int, object] = {}
+        self._state = (self.vars, self.arrays, self.fields, self.out)
 
-    # -- records -------------------------------------------------------------
+    def begin(self) -> None:
+        self._begin(*self._state)
 
-    def set_record(self, line: str) -> None:
-        nr = self.vars["NR"]
-        self.vars["NR"] = (nr if nr.__class__ is float else to_num(nr)) + 1.0
-        self._split_record(line)
+    def records(self, batch: list[bytes], out: OutBuf, charge_all, coeff):
+        """The main rules over ``batch``: a :func:`record_loop`."""
+        return self._records(batch, out, charge_all, coeff, *self._state)
 
-    def _split_record(self, line: str) -> None:
-        fs = self.vars["FS"]
-        if fs is not self._fs:  # assigned since the last record
-            self._fs, sep = fs, to_str(fs)
-            self._split = (str.split if sep == " "
-                           else (lambda text: text.split(sep)) if len(sep) == 1
-                           else re.compile(sep).split)
-        parts = self._split(line)
-        self.fields = [line, *parts]
-        self.vars["NF"] = len(parts) + 0.0
+    def end(self) -> None:
+        self._end(*self._state)
 
-    def __getitem__(self, n):  # the runtime is the box of $n and NF lvalues
-        if n == "NF":
-            return self.vars["NF"]
-        return self.fields[n] if 0 <= n < len(self.fields) else ""
 
-    def __setitem__(self, n, value) -> None:
-        """``$n = value``, or ``NF = value`` for n "NF": $0 is rebuilt."""
-        fields = self.fields
-        if n == "NF":
-            nf = max(0, int(to_num(value)))
-            self.fields = fields = (fields + [""] * nf)[: nf + 1]
-        elif n < 0:
-            raise UsageError(f"attempt to access field {n}")
+def _coerce(left, right) -> tuple:
+    """What a comparison compares: two numbers if both look numeric."""
+    x = left if left.__class__ is float else _strnum(left)
+    y = right if right.__class__ is float else _strnum(right)
+    if x is None or y is None:
+        return to_str(left), to_str(right)
+    return x, y
+
+
+@lru_cache(maxsize=64)
+def _splitter(fs: str) -> tuple:
+    """``(sep, split)`` for field separator ``fs``: a record's fields are
+    ``text.split(sep)`` when ``split`` is None, else ``split(text)``."""
+    if fs == " " or len(fs) == 1:
+        return (None if fs == " " else fs), None
+    return None, re.compile(fs).split
+
+
+def _store(value, box, key, op, post, ofs=" ", fs=" ", nf=0.0):
+    """``box[key] = value`` for an array element, a field (``box`` the
+    fields) or NF (``key`` None, its value ``nf``): $0 re-split by ``fs``
+    or rebuilt with ``ofs``.  With ``op`` the value is ``op(old, value)``;
+    the value stored, or with ``post`` the old one."""
+    fields = box.__class__ is list
+    if op is not None:
+        old = nf if key is None else box[key] if not fields else \
+            box[key] if 0 <= key < len(box) else ""
+        value = op(old := to_num(old), to_num(value))
+    if not fields:
+        box[key] = value
+    elif key is None:  # NF
+        n = max(0, int(to_num(value)))
+        box[:] = (box + [""] * n)[: n + 1]
+        box[0] = ofs.join(box[1:])
+    elif key < 0:
+        raise UsageError(f"attempt to access field {key}")
+    else:
+        box.extend([""] * (key + 1 - len(box)))
+        box[key] = text = to_str(value)
+        if key:
+            box[0] = ofs.join(box[1:])
         else:
-            fields.extend([""] * (n + 1 - len(fields)))
-            fields[n] = to_str(value)
-            if n == 0:
-                return self._split_record(fields[0])
-        self.vars["NF"] = len(fields) - 1.0
-        fields[0] = to_str(self.vars["OFS"]).join(fields[1:])
+            sep, split = _splitter(to_str(fs))
+            box[1:] = text.split(sep) if split is None else split(text)
+    return old if post else value
 
-    # -- entry points ----------------------------------------------------------
 
-    def compile(self, node: Node):
-        fn = self._memo.get(id(node))
-        if fn is None:
-            fn = self._memo[id(node)] = self._lower(node)
-        return fn
+def _split_into(array: _Table, text: str, sep: str) -> float:
+    parts = text.split() if sep == " " else text.split(sep)
+    array.clear()
+    array.update((str(i), part) for i, part in enumerate(parts, 1))
+    return len(parts) + 0.0
 
-    def eval(self, node: Node):
-        return self.compile(node)()
 
-    exec_block = eval
+def _match(text: str, regex) -> tuple[float, float]:
+    """``(RSTART, RLENGTH)`` of ``match(text, regex)``."""
+    m = regex.search(text)
+    return (m.start() + 1.0, m.end() - m.start() + 0.0) if m else (0.0, -1.0)
 
-    def rules(self, items) -> tuple[list, list, list]:
-        """(BEGIN actions, main rules, END actions) as closures; a main
-        rule tests its own pattern."""
-        begin, main, end = [], [], []
-        for pattern, action in items:
-            run = self.compile(action)
-            if pattern is None:
-                main.append(run)
-            elif pattern.kind == "expr_pattern":
-                main.append(self._lower(Node("if", pattern.a, action)))
-            else:
-                (begin if pattern.kind == "BEGIN" else end).append(run)
-        return begin, main, end
 
-    # -- the lowering pass --------------------------------------------------------
-
-    def _lvalue(self, node: Node):
-        """``(box, key, name)`` of an assignable node: the value lives at
-        ``box[key()]``, or at ``box[name]`` when ``key`` is None — a
-        subscript is evaluated once per assignment."""
-        if node.kind == "var":
-            return (self if node.a == "NF" else self.vars), None, node.a
-        index = self.compile(node.a if node.kind == "field" else node.b)
-        if node.kind == "field":
-            return self, (lambda: int(to_num(index()))), None
-        return (self.arrays.setdefault(node.a, _Table()),
-                (lambda: to_str(index())), None)
-
-    def _pattern(self, node: Node):
-        """``() -> compiled regex``: a literal here, dynamic text cached."""
-        if node.kind == "regex":
-            pattern = re.compile(node.a)
-            return lambda: pattern
-        text = self.compile(node)
-        return lambda: _regex(to_str(text()))
-
-    def _lower(self, node: Node):
-        rt, vars, emit, kind = self, self.vars, self.out.append, node.kind
-        # child nodes lowered (an lvalue or regex operand: never called)
-        a, b, c = (self.compile(x) if isinstance(x, Node) else x
-                   for x in (node.a, node.b, node.c))
-        if kind in ("num", "str"):
-            return lambda: a
-        if kind == "regex":  # a bare /re/ means $0 ~ /re/
-            search = re.compile(a).search
-            return lambda: 1.0 if search(rt.fields[0]) else 0.0
-        if kind == "var":
-            return lambda: vars[a]
-        if kind == "field":
-            if node.a.kind == "var" and node.a.a == "NF":
-                return lambda: rt.fields[-1]  # fields is NF + 1 long
-            if node.a.kind != "num":
-                return lambda: rt[int(to_num(a()))]
-            n = int(node.a.a)
-            if n == 0:
-                return lambda: rt.fields[0]
-            return lambda: rt.fields[n] if n < len(rt.fields) else ""
-        if kind == "index":
-            arr = self.arrays.setdefault(a, _Table())
-            return lambda: arr[to_str(b())]
-        if kind in ("assign", "preincr", "postincr"):
-            box, key, name = self._lvalue(
-                node.b if kind == "assign" else node.a)
-            op = _ARITH.get(a[0]) if kind == "assign" else None
-
-            def assign():  # the value first, then the subscript, as awk
-                value = c()
-                k = key() if key else name
-                if op:
-                    old = box[k]
-                    value = op(old if old.__class__ is float else to_num(old),
-                               to_num(value))
-                box[k] = value
-                return value
-
-            pre = kind == "preincr"
-
-            def incr():  # node.b is +1 or -1
-                k = key() if key else name
-                old = to_num(box[k])
-                box[k] = new = old + b
-                return new if pre else old
-            return assign if kind == "assign" else incr
-        if kind == "neg":
-            return lambda: -to_num(a())
-        if kind == "not":
-            return lambda: 1.0 if a() in _FALSE else 0.0
-        if kind == "arith":
-            op = _ARITH[a]
-            return lambda: op(to_num(b()), to_num(c()))
-        if kind == "concat":
-            return lambda: to_str(a()) + to_str(b())
-        if kind == "cmp":
-            op = _COMPARE[a]
-            # a string constant or concatenation never compares as a number
-            stringy = any(n.kind in ("str", "concat") for n in (node.b, node.c))
-
-            def cmp():
-                left, right = b(), c()
-                if not stringy:
-                    x = _strnum(left)
-                    y = _strnum(right) if x is not None else None
-                    if y is not None:
-                        return 1.0 if op(x, y) else 0.0
-                return 1.0 if op(to_str(left), to_str(right)) else 0.0
-            return cmp
-        if kind in ("match", "nomatch"):
-            pattern = self._pattern(node.b)
-            hit, miss = (1.0, 0.0) if kind == "match" else (0.0, 1.0)
-            return lambda: hit if pattern().search(to_str(a())) else miss
-        if kind == "and":
-            return lambda: 1.0 if (a() not in _FALSE
-                                   and b() not in _FALSE) else 0.0
-        if kind == "or":
-            return lambda: 0.0 if a() in _FALSE and b() in _FALSE else 1.0
-        if kind == "ternary":
-            return lambda: b() if a() not in _FALSE else c()
-        if kind == "call":
-            return self._builtin(a, b)
-        # -- statements
-        if kind in ("block", "print", "printf"):
-            parts = [self.compile(part) for part in a]
-        if kind == "block" and len(parts) != 1:
-            def block():
-                for stmt in parts:
-                    stmt()
-            return block
-        if kind == "block":
-            return parts[0]
-        if kind == "print" and not parts:
-            return lambda: emit((rt.fields[0] + to_str(vars["ORS"])).encode())
-        if kind == "print":
-            return lambda: emit(
-                (to_str(vars["OFS"]).join([to_str(arg()) for arg in parts])
-                 + to_str(vars["ORS"])).encode())
-        if kind == "printf":
-            return lambda: emit(_sprintf([arg() for arg in parts]).encode())
-        if kind == "exprstmt":
-            return a
-        if kind == "if":
-            def if_():
-                if a() not in _FALSE:
-                    b()
-                elif c is not None:
-                    c()
-            return if_
-        if kind == "while":
-            def while_():
-                guard = 0
-                while a() not in _FALSE:
-                    b()
-                    guard += 1
-                    if guard > 10_000_000:  # runaway protection
-                        raise UsageError("while loop exceeded limit")
-            return while_
-        if kind == "forin":
-            arr = self.arrays.setdefault(b, _Table())
-
-            def forin():
-                for key in list(arr):
-                    vars[a] = key
-                    c()
-            return forin
-        if kind == "next":
-            return lambda: _raise(_Next())
-        if kind == "exit":
-            return lambda: _raise(
-                _Exit(None if a is None else int(to_num(a()))))
-        raise UsageError(f"cannot compile {kind}")
-
-    def _builtin(self, name: str, raw: list):
-        rt, vars, arrays = self, self.vars, self.arrays
-        args = [self.compile(arg) for arg in raw]
-        if name in _PURE:
-            fn = _PURE[name]
-            return lambda: fn([arg() for arg in args])
-        if name == "length" and not raw:
-            return lambda: len(rt.fields[0]) + 0.0
-        if name == "length":  # of an array, when the name is one by then
-            array = raw[0].a if raw[0].kind == "var" else None
-            return lambda: len(arrays[array] if array in arrays
-                               else to_str(args[0]())) + 0.0
-        if name == "split":
-            if raw[1].kind != "var":
-                raise AwkSyntaxError("split needs an array name")
-            arr = arrays.setdefault(raw[1].a, _Table())
-
-            def split():
-                text = to_str(args[0]())
-                sep = to_str(args[2]() if len(args) > 2 else vars["FS"])
-                parts = text.split() if sep == " " else text.split(sep)
-                arr.clear()
-                arr.update((str(i), part) for i, part in enumerate(parts, 1))
-                return len(parts) + 0.0
-            return split
-        pattern = self._pattern(raw[0 if name != "match" else 1])
-        if name == "match":
-            def match():
-                text = to_str(args[0]())
-                m = pattern().search(text)
-                vars["RSTART"] = m.start() + 1.0 if m else 0.0
-                vars["RLENGTH"] = m.end() - m.start() + 0.0 if m else -1.0
-                return vars["RSTART"]
-            return match
-        # sub(re, repl [, target]) / gsub: in-place substitution on the
-        # target lvalue (default $0); returns the substitution count
-        box, key, lname = self._lvalue(
-            raw[2] if len(raw) > 2 else Node("field", Node("num", 0.0)))
-
-        def sub():
-            regex, pieces = pattern(), _sub_pieces(to_str(args[1]()))
-            k = key() if key else lname
-            # the matched text joins the literals around each &
-            new, n = posix_sub(regex, lambda m: m[0].join(pieces),
-                               to_str(box[k]), every=name == "gsub")
-            if n:
-                box[k] = new
-            return n + 0.0
-        return sub
+def _sub(regex, repl: str, text: str, every: bool) -> tuple[str, int]:
+    """sub/gsub: the matched text joins the literals around each ``&``."""
+    pieces = _sub_pieces(repl)
+    return posix_sub(regex, lambda m: m[0].join(pieces), text, every=every)
 
 
 _regex = lru_cache(maxsize=64)(re.compile)
@@ -777,20 +889,11 @@ def to_str(value) -> str:
     return f"{value:.6g}"
 
 
-def truthy(value) -> bool:
-    return value not in _FALSE
-
-
 def _div(a: float, b: float, op=operator.truediv) -> float:
     if b == 0:
         raise UsageError("division by zero")
     return op(a, b)
 
-
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "/": _div, "%": lambda a, b: _div(a, b, math.fmod)}
-_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
-            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 _SPEC_RE = re.compile(r"%[-+ 0#]*\d*(\.\d+)?[diouxXeEfgGcs%]")
 
@@ -817,8 +920,12 @@ def _substr(args: list) -> str:
     return to_str(args[0])[start:stop]
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": _div, "%": lambda a, b: _div(a, b, math.fmod)}
+
 #: built-ins that are functions of their argument values alone
 _PURE = {
+    "length": lambda args: len(to_str(args[0])) + 0.0,
     "substr": _substr,
     "index": lambda args: to_str(args[0]).find(to_str(args[1])) + 1.0,
     "toupper": lambda args: to_str(args[0]).upper(),
@@ -826,6 +933,13 @@ _PURE = {
     "int": lambda args: float(int(to_num(args[0]))),
     "sprintf": _sprintf,
 }
+
+#: what generated source calls, by name
+_RUNTIME = {"to_num": to_num, "to_str": to_str, "_coerce": _coerce,
+            "_splitter": _splitter, "_store": _store, "_split_into": _split_into,
+            "_match": _match, "_sub": _sub, "_regex": _regex,
+            "_sprintf": _sprintf, "_Next": _Next, "_Exit": _Exit,
+            "UsageError": UsageError}
 
 # ---------------------------------------------------------------------------
 # program analysis (for the annotation library)
@@ -893,15 +1007,14 @@ def awk(proc: Process, opts: dict, operands: list[str]):
             raise UsageError("-v requires name=value" if operands
                              else "missing program")
         fs = opts.get("F", " ")
-        runtime = AwkRuntime("\t" if fs == "\\t" else fs,
+        runtime = AwkRuntime(operands.pop(0), "\t" if fs == "\\t" else fs,
                              {name: value for name, _, value in assigns})
-        begin, main, end = runtime.rules(parse_awk(operands.pop(0)))
     except (UsageError, re.error) as err:
         return (yield from usage_error(proc, "awk", err))
 
     coeff = cpu_coeff("default") * 6  # awk interprets: slower per byte
     out = OutBuf(proc, 1)
-    charge, set_record, printed = proc.charge, runtime.set_record, runtime.out
+    printed = runtime.out
 
     # a ``name=value`` operand is an assignment made when it is reached;
     # with no file among the operands the input is stdin
@@ -912,12 +1025,11 @@ def awk(proc: Process, opts: dict, operands: list[str]):
     status = 0
     try:
         try:
-            for action in begin:
-                action()
+            runtime.begin()
             yield from out.put(b"".join(printed))
             printed.clear()
 
-            for path in operands if main or end else ():
+            for path in operands if runtime.reads_input else ():
                 assign = _ASSIGN_RE.match(path)
                 if assign:
                     runtime.vars[assign[1]] = assign[2]
@@ -927,33 +1039,15 @@ def awk(proc: Process, opts: dict, operands: list[str]):
                     status = 2
                     continue
                 runtime.vars["FILENAME"] = path if path != "-" else ""
-                stream = LineStream(proc, fd)
-                while True:
-                    batch = yield from stream.next_batch()
-                    if batch is None:
-                        break
-                    for line in batch:
-                        charge(len(line) * coeff)
-                        text = line.decode("utf-8", "replace")
-                        set_record(text[:-1] if text[-1] == "\n" else text)
-                        try:
-                            for rule in main:
-                                rule()
-                        except _Next:
-                            pass
-                        if printed:
-                            data = b"".join(printed)
-                            printed.clear()
-                            if out.add(data):  # flush on this record
-                                yield from out.flush()
+                yield from each_batch(proc, fd, runtime.records, out,
+                                      proc.charge_all, coeff)
                 if needs_close:
                     yield from proc.close(fd)
         except _Exit as stop:
             status = stop.status or 0
 
         try:
-            for action in end:
-                action()
+            runtime.end()
         except _Exit as stop:
             if stop.status is not None:
                 status = stop.status

@@ -236,6 +236,79 @@ class OutBuf:
             yield from self.proc.writev(self.fd, chunks)
 
 
+# ---------------------------------------------------------------------------
+# Record loops: awk and sed programs as generated Python source
+# ---------------------------------------------------------------------------
+
+#: the bursts of records ``start`` to ``i``: a line's length times coeff
+_CHARGE = "charge_all([n * coeff for n in map(len, batch[start:i + 1])])"
+
+#: one batch through a program: ``{body}`` runs per record ``R`` (a line
+#: without its newline, record ``i``) and writes what :func:`emit` writes;
+#: ``{leave}`` runs however the loop is left.  The bursts reach the process
+#: one list per stretch between two flushes, each flush on the record that
+#: trips it: bursts, writes and their order are a per-line loop's.
+_RECORD_LOOP = f"""\
+def {{name}}(batch, out, charge_all, coeff{{params}}):
+    yield from ()  # a generator, even with nothing to flush
+    recs = b"".join(batch){{decode}}.split({{newline}})
+    if not recs[-1]:  # the newline that ends the batch
+        del recs[-1]
+    chunks, size, threshold = out._chunks, out._size, out.threshold
+    start = 0
+    i = -1
+{{enter}}
+    try:
+        for i, R in enumerate(recs):
+{{body}}
+    finally:
+        {_CHARGE}
+        out._size = size
+{{leave}}
+"""
+
+
+def record_loop(name: str, params: str, enter: list[str], body: list[str],
+                leave: list[str], text: bool) -> str:
+    """The source of a record loop; records are UTF-8 decoded (errors
+    replaced) when ``text``, else bytes."""
+    return _RECORD_LOOP.format(
+        name=name, params=params, decode=".decode('utf-8', 'replace')" * text,
+        newline="'\\n'" if text else "b'\\n'",
+        enter="\n".join(indent(enter, 1)), body="\n".join(indent(body, 3)),
+        leave="\n".join(indent(leave, 2)))
+
+
+def emit(value: str) -> list[str]:
+    """Source of ``OutBuf.add(value)`` in a record loop (``value`` a local),
+    the flush it trips preceded by the bursts so far."""
+    return [f"chunks.append({value})", f"size += len({value})",
+            "if size >= threshold:", f"    {_CHARGE}", "    start = i + 1",
+            "    yield from out.flush()", "    chunks, size = out._chunks, 0"]
+
+
+def indent(lines: list[str], depth: int) -> list[str]:
+    """Source lines as a block ``depth`` levels in; no lines: ``pass``."""
+    return ["    " * depth + line for line in lines or ["pass"]]
+
+
+def compile_program(source: str, namespace: dict, filename: str) -> dict:
+    """The one place generated source becomes code: its definitions, run
+    in ``namespace``, which holds every object it uses besides constants."""
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+def each_batch(proc: Process, fd: int, run: Callable, *args):
+    """``run(batch, *args)``, a record loop, over each batch read from
+    ``fd``; True once it returned True (stop reading)."""
+    stream = LineStream(proc, fd)
+    while (batch := (yield from stream.next_batch())) is not None:
+        if batch and (yield from run(batch, *args)):
+            return True
+    return False
+
+
 def write_err(proc: Process, message: str):
     """Write an error line to stderr (fd 2), tolerating a missing fd."""
     if 2 in proc.fds:

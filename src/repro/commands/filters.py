@@ -13,9 +13,14 @@ from .base import (
     OutBuf,
     UsageError,
     command,
+    compile_program,
     cpu_coeff,
+    each_batch,
+    emit,
+    indent,
     open_input,
     open_operand,
+    record_loop,
     usage_error,
     write_err,
 )
@@ -509,11 +514,11 @@ _SED_ESCAPES = {"n": "\n", "t": "\t"}
 _SED_PIECE = re.compile(r"\\([1-9])|(&)|\\(.)|([^\\&]+|\\)", re.DOTALL)
 
 
-def _sed_template(repl: str, groups: int):
+def _sed_template(repl: str, groups: int) -> tuple:
     """An ``s`` replacement parsed once, by our own rules (``re``'s
     template parser is private and reads ``\\&`` and ``\\\\`` differently),
-    into ``match -> replacement bytes`` (and those bytes, if constant):
-    ``&`` and ``\\1``-``\\9`` are the match and its groups, ``\\n`` a newline,
+    into its pieces: ``bytes`` to copy, or the number of the group to copy
+    (0 for ``&``, the match).  ``\\1``-``\\9`` are groups, ``\\n`` a newline,
     any other escaped character (``\\&``, ``\\\\``, the separator) itself."""
     pieces: list = []
     for group, whole, escaped, text in _SED_PIECE.findall(repl):
@@ -521,79 +526,32 @@ def _sed_template(repl: str, groups: int):
             raise UsageError(f"invalid reference \\{group} on s command's RHS")
         pieces.append(int(group or 0) if group or whole else
                       (_SED_ESCAPES.get(escaped, escaped) or text).encode())
-    if not any(isinstance(piece, int) for piece in pieces):
-        literal = b"".join(pieces)
-        return (lambda match: literal), literal
-    if len(pieces) == 1:  # an unmatched group is empty
-        return (lambda match: match[pieces[0]] or b""), None
-    return (lambda match: b"".join([piece if piece.__class__ is bytes
-                                    else match[piece] or b""
-                                    for piece in pieces])), None
-
-
-class _SedQuit(Exception):
-    """``Nq`` reached line N; ``args[0]`` is the body left to autoprint."""
+    return tuple(pieces)
 
 
 class _SedCmd:
-    def __init__(self, kind: str, regex=None, expand=None, literal=None,
-                 global_: bool = False, print_: bool = False, nth: int = 1):
+    def __init__(self, kind: str, regex=None, pieces: tuple = (),
+                 global_: bool = False, print_: bool = False, nth: int = 1,
+                 literal: bool = False):
         self.kind = kind  # "s" | "d" | "p" | "q"
         self.regex = regex
-        self.expand = expand  # s: match -> replacement
+        self.pieces = pieces  # s: the replacement (see _sed_template)
         self.global_ = global_
         self.print_ = print_
         self.nth = nth  # s///N: first match substituted; Nq: the line
-        if literal is not None and global_ and nth == 1:
+        if literal and global_ and nth == 1:
             # s/re/literal/g where re cannot match empty (the parser
             # vouches): re.subn agrees with sed, and stays in C
-            self.substitute = partial(regex.subn, literal)
+            self.substitute = partial(regex.subn, b"".join(pieces))
+
+    def expand(self, match) -> bytes:
+        """The replacement of one match (an unmatched group is empty)."""
+        return b"".join([piece if piece.__class__ is bytes
+                         else match[piece] or b"" for piece in self.pieces])
 
     def substitute(self, body: bytes) -> tuple[bytes, int]:
         """Apply an ``s`` command: (new body, substitutions made)."""
         return posix_sub(self.regex, self.expand, body, self.nth, self.global_)
-
-    def before(self, rest):
-        """This command in front of ``rest``, the script's later commands
-        (None at its end): a step ``(body, lineno, outs) -> body`` returns
-        what is left to autoprint — None once deleted — and appends what
-        the line prints on the way to ``outs``; ``q`` raises _SedQuit."""
-        kind, nth, print_, expand = self.kind, self.nth, self.print_, self.expand
-        search = self.regex.search if self.regex else None
-        substitute = self.substitute
-
-        def quit_(body, lineno, outs):
-            if lineno == nth:
-                raise _SedQuit(body)
-            return rest(body, lineno, outs) if rest else body
-
-        def delete(body, lineno, outs):
-            if not search(body):
-                return rest(body, lineno, outs) if rest else body
-
-        def print_if(body, lineno, outs):
-            if search(body):
-                outs.append(body + b"\n")
-            return rest(body, lineno, outs) if rest else body
-
-        def first(body, lineno, outs):  # s/re/repl/: search and splice
-            match = search(body)
-            if match:
-                start, end = match.span()
-                body = body[:start] + expand(match) + body[end:]
-                if print_:
-                    outs.append(body + b"\n")
-            return rest(body, lineno, outs) if rest else body
-
-        def general(body, lineno, outs):  # s///g, s///N
-            body, n = substitute(body)
-            if n and print_:
-                outs.append(body + b"\n")
-            return rest(body, lineno, outs) if rest else body
-
-        if kind == "s":
-            return first if nth == 1 and not self.global_ else general
-        return {"q": quit_, "d": delete, "p": print_if}[kind]
 
 
 def _parse_s_flags(flags: str) -> tuple[bool, bool, int]:
@@ -637,11 +595,15 @@ def parse_sed_script(script: str) -> tuple[_SedCmd, ...]:
             flags, i = _sed_field(script, i, ";\n", False)
             regex = re.compile(
                 bre_to_python(pat.replace("\\" + sep, sep)).encode())
-            expand, literal = _sed_template(repl, regex.groups)
-            if not pat or set(pat) & set("*^$\\") or b"\\" in (literal or b""):
-                literal = None  # re may match empty, or re.subn would read \\
-            cmds.append(_SedCmd("s", regex, expand, literal,
-                                *_parse_s_flags(flags.strip())))
+            pieces = _sed_template(repl, regex.groups)
+            # re.subn may take the pieces as they are unless re may match
+            # empty or a piece is a group or holds a \\ (re.subn reads it)
+            literal = bool(pat) and not set(pat) & set("*^$\\") and all(
+                piece.__class__ is bytes and b"\\" not in piece
+                for piece in pieces)
+            cmds.append(_SedCmd("s", regex, pieces,
+                                *_parse_s_flags(flags.strip()),
+                                literal=literal))
         elif c == "/":
             pat, i = _sed_field(script, i + 1, "/")
             action, i = _sed_field(script, i, ";\n", False)
@@ -671,60 +633,72 @@ def parse_sed_args(opts: dict, operands: list[str]) -> tuple[bool, tuple, list[s
     return bool(opts.get("n")), parse_sed_script(script), files
 
 
+@lru_cache(maxsize=128)
+def compile_sed(cmds: tuple, quiet: bool):
+    """A parsed script as a :func:`record_loop` over line bodies ``R``:
+    ``run(batch, out, charge_all, coeff, state)``, ``state[0]`` the line
+    number across files; True once ``q`` quit."""
+    return compile_program(*sed_source(cmds, quiet), "<sed>")["run"]
+
+
+def sed_source(cmds: tuple, quiet: bool) -> tuple[str, dict]:
+    """:func:`compile_sed`'s source and namespace: command K's regex (its
+    substitution, for ``s///g`` and ``s///N``) bound as ``cmdK``."""
+    namespace, body = {}, ["lineno += 1"]
+    printed = ["line = R + b'\\n'", *emit("line")]
+    for k, cmd in enumerate(cmds):
+        name, general = f"cmd{k}", cmd.global_ or cmd.nth > 1
+        namespace[name] = cmd.substitute if cmd.kind == "s" and general \
+            else cmd.regex
+        if cmd.kind == "q":
+            body += [f"if lineno == {cmd.nth:d}:",
+                     *indent(printed * (not quiet), 1), "    return True"]
+        elif cmd.kind in ("d", "p"):
+            body += [f"if {name}.search(R):", *indent(
+                ["continue"] if cmd.kind == "d" else printed, 1)]
+        elif general:
+            body += [f"R, n = {name}(R)"]
+            if cmd.print_:
+                body += ["if n:", *indent(printed, 1)]
+        else:  # s/re/repl/: search and splice
+            repl = " + ".join(repr(piece) if piece.__class__ is bytes
+                              else f"(m[{piece:d}] or b'')"
+                              for piece in cmd.pieces) or "b''"
+            body += [f"m = {name}.search(R)", "if m:", "    ms, me = m.span()",
+                     f"    R = R[:ms] + {repl} + R[me:]"]
+            if cmd.print_:
+                body += indent(printed, 1)
+    body += printed * (not quiet)
+    return record_loop("run", ", state", ["lineno = state[0]"], body,
+                       ["state[0] = lineno"], text=False), namespace
+
+
 @command("sed", Grammar("n", valued="e", repeat="e"))
 def sed(proc: Process, opts: dict, operands: list[str]):
+    """The script runs as one generated function per batch of lines
+    (:func:`compile_sed`, once per script); ``q`` ends the input."""
     try:
         quiet, cmds, operands = parse_sed_args(opts, operands)
     except (UsageError, RegexTranslationError, re.error) as err:
         return (yield from usage_error(proc, "sed", err))
 
-    # the script as one function of a line, last command first
-    run = None
-    for cmd in reversed(cmds):
-        run = cmd.before(run)
-    run = run or (lambda body, lineno, outs: body)
+    run = compile_sed(cmds, quiet)
     coeff = cpu_coeff("sed")
-    charge = proc.charge
-
     status = 0
-    quit_now = False
-    lineno = 0
-    outs: list[bytes] = []  # what p and s///p print, ahead of the autoprint
+    state = [0]  # the line number, counted across files
     for path in operands or ["-"]:
-        if quit_now:
-            break
         fd, needs_close = yield from open_operand(proc, "sed", path)
         if fd is None:
             status = 2
             continue
-        stream = LineStream(proc, fd)
         out = OutBuf(proc, 1)
-        add = out.add
-        while not quit_now:
-            batch = yield from stream.next_batch()
-            if batch is None:
-                break
-            for line in batch:
-                charge(len(line) * coeff)
-                lineno += 1
-                try:
-                    body = run(line[:-1] if line[-1] == 10 else line,
-                               lineno, outs)
-                except _SedQuit as stop:
-                    body, quit_now = stop.args[0], True
-                if outs:
-                    for text in outs:
-                        if add(text):
-                            yield from out.flush()
-                    outs.clear()
-                # the flush falls on the line that trips it, not the batch's end
-                if body is not None and not quiet and add(body + b"\n"):
-                    yield from out.flush()
-                if quit_now:
-                    break
+        quit_now = yield from each_batch(proc, fd, run, out, proc.charge_all,
+                                         coeff, state)
         yield from out.flush()
         if needs_close:
             yield from proc.close(fd)
+        if quit_now:
+            break
     return status
 
 

@@ -101,8 +101,9 @@ def eval_test(args: list[str], fs, cwd: str) -> bool:
                 return fs.is_file(path)
             if tok == "-d":
                 return fs.is_dir(path)
-            if tok == "-s":
-                return fs.is_file(path) and fs.size(path) > 0
+            if tok == "-s":  # a directory's size is never zero
+                return fs.is_dir(path) or (fs.is_file(path)
+                                           and fs.size(path) > 0)
             return fs.exists(path)  # -e; -r, -w, -x: no permissions modelled
         # binary operators
         left = take()

@@ -77,9 +77,6 @@ class ShellState:
         var = self.vars.get(name)
         return var.value if var is not None else None
 
-    def is_set(self, name: str) -> bool:
-        return self.get(name) is not None
-
     def set(self, name: str, value: str, export: bool = False) -> None:
         var = self.vars.get(name)
         if var is not None:

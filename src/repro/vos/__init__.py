@@ -57,7 +57,6 @@ from .syscalls import (
     CloseReq,
     CpuReq,
     CpuVReq,
-    DupReq,
     KillReq,
     NetSendReq,
     OpenReq,
@@ -86,7 +85,7 @@ __all__ = [
     "MachineSpec", "PROFILES", "aws_c5_2xlarge_gp2", "aws_c5_2xlarge_gp3",
     "laptop", "profile", "raspberry_pi", "supercomputer_node",
     "Pipe", "CHUNK", "Process",
-    "CloseReq", "CpuReq", "CpuVReq", "DupReq", "KillReq", "NetSendReq",
+    "CloseReq", "CpuReq", "CpuVReq", "KillReq", "NetSendReq",
     "OpenReq", "ReadReq", "ReadVReq", "SleepReq", "SpawnReq", "SpliceReq",
     "WaitReq", "WriteReq", "WriteVReq",
 ]

@@ -59,7 +59,6 @@ from .syscalls import (
     CloseReq,
     CpuReq,
     CpuVReq,
-    DupReq,
     KillReq,
     NetSendReq,
     OpenReq,
@@ -429,8 +428,6 @@ class Kernel:
         elif isinstance(request, CloseReq):
             self._close_fd(proc, request.fd)
             self._ready.append((proc, None, None))
-        elif isinstance(request, DupReq):
-            self._sys_dup(proc, request)
         elif isinstance(request, SpawnReq):
             self._sys_spawn(proc, request)
         elif isinstance(request, WaitReq):
@@ -979,17 +976,6 @@ class Kernel:
         fd = proc.next_fd()
         proc.fds[fd] = handle.dup()
         self._ready.append((proc, fd, None))
-
-    def _sys_dup(self, proc: Process, request: DupReq) -> None:
-        try:
-            handle = proc.handle(request.src_fd)
-        except VosError as err:
-            self._ready.append((proc, None, err))
-            return
-        if request.dst_fd in proc.fds:
-            self._close_fd(proc, request.dst_fd)
-        proc.fds[request.dst_fd] = handle.dup()
-        self._ready.append((proc, None, None))
 
     # spawn/wait -----------------------------------------------------------------------------
 

@@ -28,7 +28,6 @@ from .handles import Handle
 from .syscalls import (
     CloseReq,
     CpuReq,
-    DupReq,
     KillReq,
     NetSendReq,
     OpenReq,
@@ -147,6 +146,16 @@ class Process:
             else:
                 self._charges.append(seconds)
 
+    def charge_all(self, bursts: list) -> None:
+        """``charge`` of each burst of ``bursts`` (each > 0) in turn; the
+        list is the caller's to give away."""
+        if not bursts:
+            return
+        if self._charges is None:
+            self._charges = bursts
+        else:
+            self._charges.extend(bursts)
+
     def cpu(self, seconds: float):
         if seconds > 0:
             yield CpuReq(seconds)
@@ -202,9 +211,6 @@ class Process:
 
     def close(self, fd: int):
         yield CloseReq(fd)
-
-    def dup2(self, src_fd: int, dst_fd: int):
-        yield DupReq(src_fd, dst_fd)
 
     def spawn(self, target: Callable, name: str = "proc", fds: Optional[dict] = None,
               cwd: Optional[str] = None, node: Optional[str] = None):

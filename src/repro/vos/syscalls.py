@@ -86,14 +86,6 @@ class CloseReq:
 
 
 @dataclass
-class DupReq:
-    """Duplicate ``src_fd`` onto ``dst_fd`` (dup2 semantics)."""
-
-    src_fd: int
-    dst_fd: int
-
-
-@dataclass
 class SpawnReq:
     """Start a child process running ``target(proc)``.
 
@@ -142,6 +134,6 @@ class NetSendReq:
 
 Syscall = (
     CpuReq, CpuVReq, ReadReq, WriteReq, ReadVReq, WriteVReq, SpliceReq,
-    OpenReq, CloseReq, DupReq, SpawnReq, WaitReq, KillReq, SleepReq,
+    OpenReq, CloseReq, SpawnReq, WaitReq, KillReq, SleepReq,
     NetSendReq,
 )

@@ -293,6 +293,13 @@ AGREEMENT = [
     # outside a function `local` fails and assigns nothing
     ('local x=1\nif [ "$x" = 1 ]; then echo one; else echo none; fi',
      (0, b"none\n"), set(), [], set()),
+    # echo's output is split and globbed, not counted by its operands
+    ('for f in $(echo "a b"); do\n'
+     'if [ "$f" = "a b" ]; then echo whole; else echo part; fi; done',
+     (0, b"part\npart\n"), set(), [], set()),
+    ('for f in $(echo "*"); do\n'
+     'if [ "$f" = "*" ]; then echo star; else echo file; fi; done',
+     (0, b"file\nfile\nfile\n"), set(), [], set()),
     # an unknown part still has the substitution after it visited
     ('echo "$1$(exit 0; echo gone)"', (0, b"\n"), {"echo gone"}, [],
      {"JS4001"}),

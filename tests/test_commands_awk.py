@@ -384,19 +384,18 @@ class TestGoldenTable:
         assert run_awk(["BEGIN{a[i++]++; a[j++] += 2; print i, j, a[0]}"]) \
             == (0, b"1 1 3\n")
 
-    def test_one_compile_per_node(self):
-        from repro.commands.awk_lite import AwkRuntime
+    def test_one_compile_per_program(self):
+        from repro.commands.awk_lite import AwkRuntime, compile_awk
+        from repro.commands.base import OutBuf
 
-        items = parse_awk("$1 > 1 {n += $1} END{print n}")
-        runtime = AwkRuntime()
-        pattern, action = items[0]
-        assert runtime.compile(action) is runtime.compile(action)
-        for line in ("1", "2", "3"):
-            runtime.set_record(line)
-            if runtime.eval(pattern.a):
-                runtime.exec_block(action)
-        runtime.exec_block(items[1][1])
-        assert runtime.out == [b"5\n"]
+        src = "$1 > 1 {n += $1} END{print n}"
+        assert compile_awk(src) is compile_awk(src)
+        runtime = AwkRuntime(src)
+        held, bursts = OutBuf(None, 1, threshold=1 << 30), []
+        list(runtime.records([b"1\n", b"2\n", b"3"], held, bursts.extend, 0.5))
+        runtime.end()
+        # one burst per line, its length times the coefficient
+        assert runtime.out == [b"5\n"] and bursts == [1.0, 1.0, 0.5]
 
 
 class TestRefusals:
@@ -432,7 +431,9 @@ class TestRefusals:
                        b"2\n") == (0, b"1 y\n")
 
     @pytest.mark.parametrize("program", ["{print substr($0)}", "{print int()}",
-                                         "{split($0)}", "/[/", '$1 ~ "("'])
+                                         "{split($0)}", "/[/", '$1 ~ "("',
+                                         "BEGIN { next }",
+                                         "END { if (1) next }"])
     def test_bad_arity_and_bad_regex_are_typed_failures(self, sh_run, program):
         result = sh_run(f"echo a | awk '{program}'")
         assert (result.status, result.stdout) == (2, b"")
@@ -440,6 +441,12 @@ class TestRefusals:
 
 
 class TestSmallFixes:
+    def test_postfix_only_after_an_lvalue(self):
+        # as awk reads them: 1 ++x is 1 (++x), y ++y is (y++) y
+        program = "BEGIN { x = 1; print 1 ++x, x; y = 5; print y ++y, y; " \
+                  "print 2 --x, x }"
+        assert run_awk([program]) == (0, b"12 2\n56 6\n21 1\n")
+
     def test_length_without_parentheses(self):
         assert run_awk(["{print length}"], b"abc\n") == (0, b"3\n")
         assert run_awk(["length > 2"], b"ab\nabc\n") == (0, b"abc\n")

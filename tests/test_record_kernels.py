@@ -3,13 +3,15 @@
 Host seconds are too noisy to gate in tier-1; Python function calls per
 record are not.  Each script runs over a 3000-line access log under
 ``cProfile`` and ``total_calls / 3000`` — the shell's fixed start-up calls
-included — must stay under a literal: the value measured when awk, sed
-and cut were compiled once per program (PR 18), plus one.  The tree
-walker, the per-line ``cmds`` loop and the per-line LIST walk they
-replaced cost 38.8 / 37.6 / 20.0 / 13.2 / 13.4 / 12.9 / 9.4 calls per
-record on the same scripts; a budget trips when per-record interpretation
-creeps back in (a ``re.search(str, ...)`` per record, a generator per
-output line, a kind dispatch per node).
+included — must stay under a literal: the value measured when the kernel
+took its present form, plus one.  awk and sed programs are compiled to
+one Python function per batch of records; the second column holds their
+budgets when each program was a tree of closures called per record
+(13.47 / 17.48 / 12.25 / 11.31 measured), cut's and the run kernels' the
+per-line loops they replaced.  The tree walker and the per-line ``cmds``
+loop before the closures cost 38.8 / 37.6 / 20.0 / 13.2.  A budget trips
+when per-record interpretation creeps back in (a ``re.search(str, ...)``
+per record, a generator per output line, a call per node).
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from repro.vos.machines import laptop
 
 LINES = 3000
 
-#: script -> (calls per record allowed, calls per record before PR 18)
+#: script -> (calls per record allowed, calls per record allowed before)
 BUDGETS = {
-    "awk '{s+=$NF} END{print s}' access.log": (14.6, 38.8),
-    "awk '$9 == 500 {print $1, $NF}' access.log": (18.7, 37.6),
+    "awk '{s+=$NF} END{print s}' access.log": (4.3, 14.6),
+    "awk '$9 == 500 {print $1, $NF}' access.log": (7.3, 18.7),
     "sed -n 's/.*resource\\/\\([0-9]*\\) HTTP.*/\\1/p' access.log":
-        (13.5, 20.0),
-    "sed 's/GET/PUT/;s/HTTP/http/g' access.log": (12.5, 13.2),
+        (5.3, 13.5),
+    "sed 's/GET/PUT/;s/HTTP/http/g' access.log": (5.4, 12.5),
     "cut -d' ' -f6 access.log": (4.5, 13.4),
     "cut -d' ' -f1,6-7 access.log": (6.5, 12.9),
     "cut -c1-20 access.log": (1.4, 9.4),

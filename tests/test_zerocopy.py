@@ -1038,37 +1038,38 @@ def _sed_per_line(proc, argv):
 
 
 def _awk_per_line(proc, argv):
-    """``awk`` as it charged before CpuVReq (argv: ``PROGRAM [FILE]``,
-    main items and END only)."""
-    items = awk_lite.parse_awk(argv[0])
-    runtime = awk_lite.AwkRuntime()
+    """``awk`` as it charged before CpuVReq (argv: ``[-v NAME=VALUE]...
+    PROGRAM [FILE | NAME=VALUE]...``, main items and END only): one
+    ``proc.cpu`` and one ``put`` per line, each line run as a batch of its
+    own."""
+    assigns = {}
+    while argv[0] == "-v":
+        name, _, value = argv[1].partition("=")
+        assigns[name], argv = value, argv[2:]
+    runtime = awk_lite.AwkRuntime(argv[0], assigns=assigns)
     coeff = base.cpu_coeff("default") * 6
     out = base.OutBuf(proc, 1)
     status = 0
-    fd, _ = yield from base.open_input(proc, argv[1] if argv[1:] else "-")
-    stream = base.LineStream(proc, fd)
     try:
-        while True:
-            line = yield from stream.next_line()
-            if line is None:
-                break
-            yield from proc.cpu(len(line) * coeff)
-            runtime.set_record(line.decode().rstrip("\n"))
-            try:
-                for pattern, action in items:
-                    if pattern is None or (
-                            pattern.kind == "expr_pattern"
-                            and awk_lite.truthy(runtime.eval(pattern.a))):
-                        runtime.exec_block(action)
-            except awk_lite._Next:
-                pass
-            yield from out.put(b"".join(runtime.out))
-            runtime.out.clear()
+        for path in argv[1:] or ["-"]:
+            if "=" in path:
+                name, _, value = path.partition("=")
+                runtime.vars[name] = value
+                continue
+            fd, _ = yield from base.open_input(proc, path)
+            stream = base.LineStream(proc, fd)
+            while True:
+                line = yield from stream.next_line()
+                if line is None:
+                    break
+                yield from proc.cpu(len(line) * coeff)
+                held = base.OutBuf(proc, 1, threshold=1 << 62)  # never flushes
+                yield from runtime.records([line], held, lambda bursts: None,
+                                           coeff)
+                yield from out.put(b"".join(held._chunks))
     except awk_lite._Exit as stop:
         status = stop.status or 0
-    for pattern, action in items:
-        if pattern is not None and pattern.kind == "END":
-            runtime.exec_block(action)
+    runtime.end()
     yield from out.put(b"".join(runtime.out))
     yield from out.flush()
     return status
@@ -1133,6 +1134,10 @@ CHARGED_SCRIPTS = [
     "sed 1700q access.log | wc -l",
     "awk '$9 == 500 {print $1, $NF}' access.log",
     "awk '{print}' access.log | wc -c",  # the flush falls mid-batch
+    # compiled to one function per program: FS assigned in a main rule,
+    # and variables written back between two files
+    "awk 'NR == 1500 {FS = \"/\"} {n += NF} END{print n, FS}' access.log",
+    "awk -v x=1 '{s += x} END{print s, x}' access.log x=2 access.log",
 ]
 
 
