@@ -58,7 +58,6 @@ from typing import Optional
 
 from ..commands.base import UsageError
 from ..commands.fs_cmds import bracket_expression, eval_test
-from ..commands.sorting import seq_numbers
 from ..parser.ast_nodes import (
     AndOr,
     ArithSub,
@@ -772,22 +771,16 @@ class ValueFlow:
         if argv is None:
             return 0, None, None
         name, args = argv[0], argv[1:]
-        if name == "seq":
-            try:
-                count = len(seq_numbers(args))
-            except (ValueError, OverflowError):
-                return 0, None, None
+        count = self._seq_count(args) if name == "seq" else None
+        if count is not None:
             return count, count, [] if count == 0 else None
-        if name == "echo":
+        if name == "echo" and st.vars.get("IFS", UNSET) is UNSET:
             text = " ".join(a for a in args if not (
                 a.startswith("-") and set(a[1:]) <= set("neE") and len(a) > 1))
-            # echo's output is split and globbed: known for printable text
-            # with no glob or escape, under the default IFS
-            if st.vars.get("IFS", UNSET) is not UNSET or \
-                    not text.isprintable() or set(text) & set("*?[\\"):
-                return 0, None, None
+            # split and globbed: known for printable text, no glob or escape
             fields = text.split()
-            return len(fields), len(fields), [vconst(f) for f in fields]
+            if text.isprintable() and not set(text) & set("*?[\\"):
+                return len(fields), len(fields), [vconst(f) for f in fields]
         return 0, None, None
 
     @staticmethod
@@ -808,6 +801,25 @@ class ValueFlow:
             return None
         argv = [w.constant for w in node.words]
         return None if None in argv else argv
+
+    @staticmethod
+    def _seq_count(args: list[str]) -> Optional[int]:
+        """How many numbers ``seq`` prints for constant arguments."""
+        try:
+            nums = [int(a) for a in args]
+        except ValueError:
+            return None
+        if len(nums) == 1:
+            first, incr, last = 1, 1, nums[0]
+        elif len(nums) == 2:
+            first, incr, last = nums[0], 1, nums[1]
+        elif len(nums) == 3:
+            first, incr, last = nums[0], nums[1], nums[2]
+        else:
+            return None
+        if incr == 0:
+            return None
+        return max(0, (last - first) // incr + 1)
 
     # -- case ----------------------------------------------------------------------
 

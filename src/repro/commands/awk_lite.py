@@ -34,13 +34,13 @@ from __future__ import annotations
 import math
 import operator
 import re
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import Optional
 
 from ..vos.process import Process
-from .base import (Grammar, OutBuf, UsageError, command, compile_program,
-                   cpu_coeff, each_batch, emit, indent, open_operand,
-                   record_loop, usage_error)
+from .base import (Grammar, OutBuf, UsageError, command, cpu_coeff,
+                   each_batch, emit, indent, open_operand, record_loop,
+                   usage_error)
 from .bre import posix_sub
 
 # ---------------------------------------------------------------------------
@@ -57,6 +57,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<op>\+\+|--|\+=|-=|\*\*|\*=|/=|%=|==|!=|<=|>>|>=|&&|\|\||!~|[-+*/%<>=!~?:;{}()\[\],$^|])
 """, re.VERBOSE)
 
+_REGEX_RE = re.compile(r"/((?:\\.|[^\\/])*)/", re.DOTALL)
 KEYWORDS = {"BEGIN", "END", "print", "printf", "if", "else", "while",
             "for", "in", "next", "exit"}
 #: words and operators of awk this subset refuses by name
@@ -73,25 +74,16 @@ def tokenize(src: str) -> list[tuple[str, str]]:
     while pos < len(src):
         # regex literal: a '/' in operand position
         if src[pos] == "/" and _regex_position(tokens):
-            end = pos + 1
-            while end < len(src):
-                if src[end] == "\\":
-                    end += 2
-                    continue
-                if src[end] == "/":
-                    break
-                end += 1
-            if end >= len(src):
+            m = _REGEX_RE.match(src, pos)
+            if m is None:
                 raise AwkSyntaxError("unterminated /regex/")
-            tokens.append(("regex", src[pos + 1 : end]))
-            pos = end + 1
+            tokens.append(("regex", m[1]))
+            pos = m.end()
             continue
         m = _TOKEN_RE.match(src, pos)
         if m is None:
             raise AwkSyntaxError(f"bad awk token at {src[pos:pos+10]!r}")
-        kind = m.lastgroup
-        text = m.group()
-        pos = m.end()
+        kind, text, pos = m.lastgroup, m.group(), m.end()
         if kind in ("ws", "comment"):
             continue
         if text in UNSUPPORTED:
@@ -131,19 +123,12 @@ class Node:
     __slots__ = ("kind", "a", "b", "c")
 
     def __init__(self, kind, a=None, b=None, c=None):
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self.c = c
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Node({self.kind}, {self.a!r}, {self.b!r}, {self.c!r})"
+        self.kind, self.a, self.b, self.c = kind, a, b, c
 
 
 class _Parser:
     def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+        self.tokens, self.pos = tokens, 0
         self.parenthesised = None  # the node the last ( ... ) held
 
     def peek(self):
@@ -189,12 +174,9 @@ class _Parser:
             pattern = Node(text)
         elif not (kind == "op" and text == "{"):
             pattern = Node("expr_pattern", self.parse_expr())
-        action = None
         if self.peek() == ("op", "{"):
-            action = self.parse_block()
-        if action is None:
-            action = Node("block", [Node("print", [])])
-        return (pattern, action)
+            return pattern, self.parse_block()
+        return pattern, Node("block", [Node("print", [])])
 
     # -- statements --------------------------------------------------------------
 
@@ -219,11 +201,8 @@ class _Parser:
             return Node("exprstmt", self.parse_expr())
         self.take()
         if text in ("print", "printf"):
-            args = []
-            if text == "printf" or self.peek()[1] not in (";", "}", ">", None):
-                args.append(self.parse_expr())
-                while self.accept("op", ","):
-                    args.append(self.parse_expr())
+            args = self.parse_list() if text == "printf" or \
+                self.peek()[1] not in (";", "}", ">", None) else []
             # a bare > closing the list is a redirection, not a test
             if self.peek() == ("op", ">") or (
                     args and args[-1].kind == "cmp" and args[-1].a == ">"
@@ -260,15 +239,19 @@ class _Parser:
 
     # -- expressions (precedence climbing) ----------------------------------------
 
-    def parse_expr(self):
-        return self.parse_ternary()
+    def parse_list(self) -> list:
+        """``expr (, expr)*``."""
+        items = [self.parse_expr()]
+        while self.accept("op", ","):
+            items.append(self.parse_expr())
+        return items
 
-    def parse_ternary(self):
+    def parse_expr(self):  # the ternary, loosest of all
         cond = self.parse_or()
         if self.accept("op", "?"):
-            then = self.parse_ternary()
+            then = self.parse_expr()
             self.expect("op", ":")
-            other = self.parse_ternary()
+            other = self.parse_expr()
             return Node("ternary", cond, then, other)
         return cond
 
@@ -312,9 +295,8 @@ class _Parser:
         node = self.parse_additive()
         while True:
             kind, text = self.peek()
-            if kind is None or (kind == "op" and text in self._CONCAT_STOP):
-                return node
-            if kind == "keyword":
+            if kind in (None, "keyword") or (kind == "op"
+                                             and text in self._CONCAT_STOP):
                 return node
             node = Node("concat", node, self.parse_additive())
 
@@ -331,10 +313,9 @@ class _Parser:
             return self.parse_unary()
         if self.accept("op", "!"):
             return Node("not", self.parse_unary())
-        if self.accept("op", "++"):
-            return Node("preincr", self.parse_postfix(), 1)
-        if self.accept("op", "--"):
-            return Node("preincr", self.parse_postfix(), -1)
+        if self.peek() in (("op", "++"), ("op", "--")):
+            step = 1 if self.take()[1] == "++" else -1
+            return Node("preincr", self.parse_postfix(), step)
         return self.parse_assignment_or_postfix()
 
     def parse_assignment_or_postfix(self):
@@ -349,13 +330,9 @@ class _Parser:
     def parse_postfix(self):
         node = self.parse_primary()
         # only what can be assigned takes a postfix: ``1 ++x`` is 1 (++x)
-        while node.kind in ("var", "field", "index"):
-            if self.accept("op", "++"):
-                node = Node("postincr", node, 1)
-            elif self.accept("op", "--"):
-                node = Node("postincr", node, -1)
-            else:
-                break
+        while node.kind in ("var", "field", "index") and \
+                self.peek() in (("op", "++"), ("op", "--")):
+            node = Node("postincr", node, 1 if self.take()[1] == "++" else -1)
         return node
 
     #: the built-in functions: name -> (fewest, most) arguments
@@ -366,15 +343,10 @@ class _Parser:
 
     def parse_primary(self):
         kind, text = self.peek()
-        if kind == "number":
+        if kind in ("number", "string", "regex"):
             self.take()
-            return Node("num", float(text))
-        if kind == "string":
-            self.take()
-            return Node("str", text)
-        if kind == "regex":
-            self.take()
-            return Node("regex", text)
+            return Node("num", float(text)) if kind == "number" else \
+                Node("str" if kind == "string" else "regex", text)
         if kind == "op" and text == "(":
             self.take()
             node = self.parse_expr()
@@ -390,11 +362,7 @@ class _Parser:
             self.take()
             if text in self.FUNCTIONS and self.peek() == ("op", "("):
                 self.take()
-                args = []
-                if self.peek() != ("op", ")"):
-                    args.append(self.parse_expr())
-                    while self.accept("op", ","):
-                        args.append(self.parse_expr())
+                args = self.parse_list() if self.peek() != ("op", ")") else []
                 self.expect("op", ")")
                 low, high = self.FUNCTIONS[text]
                 if not low <= len(args) <= high:
@@ -404,12 +372,8 @@ class _Parser:
                 return Node("call", text, [])
             if self.peek() == ("op", "["):
                 self.take()
-                subscript = self.parse_expr()
-                while self.accept("op", ","):
-                    rhs = self.parse_expr()
-                    subscript = Node("concat",
-                                     Node("concat", subscript,
-                                          Node("str", "\x1c")), rhs)
+                subscript = reduce(lambda key, rhs: Node("concat", Node(
+                    "concat", key, Node("str", "\x1c")), rhs), self.parse_list())
                 self.expect("op", "]")
                 return Node("index", text, subscript)
             return Node("var", text)
@@ -448,18 +412,20 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")  # a name the lexer reads
 _NUMERIC = {"num", "arith", "neg", "not", "cmp", "match", "nomatch", "and",
             "or", "regex", "preincr", "postincr", "call"}
 _STRING = {"str", "concat", "field", "substr", "toupper", "tolower", "sprintf"}
-_COMPARE = {op: op for op in ("==", "!=", "<", "<=", ">", ">=")}
+
+
+def _steps(steps: list[str], at: int = -1) -> str:
+    """Source running ``steps`` in turn (empty ones skipped): step ``at``."""
+    return f"({', '.join(filter(None, steps))})[{at}]"
 
 
 class _Compiler:
-    """A program as the source of ``begin(V, A, F, P)``, ``end`` and
-    ``records`` (a :func:`record_loop` of the main rules) over variables
-    ``V``, arrays ``A``, fields ``F`` ($0 first) and the text printed
-    ``P``.  Each keeps every variable the program names in a local
-    ``v_NAME`` (an array in ``a_NAME``), loaded from ``V`` on entry and
-    written back however it is left.  Program text becomes source only
-    as a constant's ``repr`` or in such a name; regexes, operators and
-    numbers without a literal are bound in the namespace as ``kN``."""
+    """A program as ``begin(V, A, F, P)``, ``end`` and ``records`` (a
+    :func:`record_loop` of the main rules) over variables ``V``, arrays
+    ``A``, fields ``F`` ($0 first) and the text printed ``P``, with each
+    variable (array) in a local ``v_NAME`` (``a_NAME``) between entry and
+    exit (DESIGN.md §11).  Regexes, operators and numbers without a
+    literal are bound in the namespace as ``kN``."""
 
     def __init__(self, items):
         self.items, self.namespace, self.temps = items, dict(_RUNTIME), 0
@@ -470,53 +436,48 @@ class _Compiler:
             n.b for n in nodes if n.kind == "forin"} | {
             n.b[1].a for n in nodes if n.kind == "call" and n.a == "split"}
 
-    def source(self) -> str:
+    def build(self) -> tuple:
+        """``(begin, records, end, arrays, reads_input)``."""
         bodies: dict = {"BEGIN": [], "END": [], None: []}
         for pattern, action in self.items:
             where, lines = getattr(pattern, "kind", None), self.stmts(action)
             if where == "expr_pattern":
                 where, lines = None, [f"if {self.cond(pattern.a)}:",
                                       *indent(lines, 1)]
+            elif where and any(n.kind == "next" for n in _walk_nodes(action)):
+                raise AwkSyntaxError("improper use of next")  # as awk says
             bodies[where] += lines
-        if "raise _Next()" in (line.strip() for where in ("BEGIN", "END")
-                               for line in bodies[where]):
-            raise AwkSyntaxError("improper use of next")  # as awk says
-        main = bodies[None]
-        if "raise _Next()" in (line.strip() for line in main):
-            main = ["try:", *indent(main, 1), "except _Next:", "    pass"]
+        main = ["try:", *indent(bodies[None], 1), "except _Next:", "    pass"]
         if any(line.lstrip().startswith("put(") for line in main):
             main += ["if P:", "    data = b''.join(P)", "    P.clear()",
                      *indent(emit("data"), 1)]
-        head = [f"v_NR = {self.num_of('v_NR')} + 1.0"] * ("NR" in self.scalars)
+        head = [f"v_NR = {self.num(Node('var', 'NR'))} + 1.0"] \
+            if "NR" in self.scalars else []
         head += ["if v_FS is not fs_seen:", "    fs_seen = v_FS",
                  "    S, RS = _splitter(to_str(v_FS))"]
-        if self.splits or "NF" in self.scalars:  # a list per record
-            head += ["F = R.split(S) if RS is None else RS(R)",
-                     "F.insert(0, R)"]
-            if "NF" in self.scalars:
-                head.append("v_NF = len(F) - 1.0")
-        else:
-            head.append("F[0] = R")
+        head += ["F = R.split(S) if RS is None else RS(R)", "F.insert(0, R)"] \
+            if self.splits or "NF" in self.scalars else ["F[0] = R"]
+        head += ["v_NF = len(F) - 1.0"] * ("NF" in self.scalars)
         if not all(map(_NAME_RE.match, self.scalars | self.arrays)):
             raise AwkSyntaxError("bad name")  # the lexer reads none
         load = [f"v_{n} = V[{n!r}]" for n in sorted(self.scalars)] + [
             f"a_{n} = A[{n!r}]" for n in sorted(self.arrays)] + ["put = P.append"]
         store = [f"V[{n!r}] = v_{n}" for n in sorted(self.scalars)]
-        lines = []
-        for name, where in (("begin", "BEGIN"), ("end", "END")):
-            lines += [f"def {name}(V, A, F, P):", *indent(load, 1), "    try:",
-                      *indent(bodies[where], 2), "    finally:",
-                      *indent(store, 2)]
-        return "\n".join(lines) + "\n" + record_loop(
-            "records", ", V, A, fields, P", ["F = fields", *load,
-                                             "fs_seen = None"],
-            head + main, [*store, "fields[:] = F"], text=True)
+        ends = [line for where in ("BEGIN", "END") for line in [
+            f"def {where.lower()}(V, A, F, P):", *indent(load, 1), "    try:",
+            *indent(bodies[where], 2), "    finally:", *indent(store, 2)]]
+        space = record_loop("records", "V, A, fields, P, ",
+                            ["F = fields", *load, "fs_seen = None"], head + main,
+                            [*store, "fields[:] = F"], True, self.namespace,
+                            "\n".join(ends) + "\n")
+        return (space["begin"], space["records"], space["end"],
+                sorted(self.arrays), any(getattr(pattern, "kind", "") != "BEGIN"
+                                         for pattern, _ in self.items))
 
-    def name(self, name: str, prefix: str = "v_") -> str:
-        """The local holding variable (prefix ``a_``: array) ``name``."""
-        if prefix == "v_":
-            self.scalars.add(name)
-        return prefix + name
+    def name(self, name: str) -> str:
+        """The local holding variable ``name`` (array ``X``: ``a_X``)."""
+        self.scalars.add(name)
+        return "v_" + name
 
     def temp(self) -> str:
         self.temps += 1
@@ -530,9 +491,8 @@ class _Compiler:
     def regex(self, node: Node) -> str:
         """The regex an operand means: a literal compiled now, other text
         when evaluated (cached)."""
-        if node.kind == "regex":
-            return self.bind(re.compile(node.a))
-        return f"_regex({self.str_(node)})"
+        return self.bind(re.compile(node.a)) if node.kind == "regex" else \
+            f"_regex({self.str_(node)})"
 
     def kind(self, node: Node) -> Optional[str]:
         """"num" or "str" when the node's value is always a float or a str."""
@@ -540,21 +500,16 @@ class _Compiler:
             return "str"
         if node.kind in _NUMERIC or node.kind == "assign" and node.a != "=":
             return "num"
-        if node.kind == "assign" or node.kind == "ternary" and \
-                self.kind(node.b) == self.kind(node.c):
-            return self.kind(node.c)
-        return None
-
-    @staticmethod
-    def num_of(local: str) -> str:
-        return f"({local} if {local}.__class__ is float else to_num({local}))"
+        return self.kind(node.c) if node.kind == "assign" else None
 
     def num(self, node: Node) -> str:
         code, kind = self.expr(node), self.kind(node)
         if kind == "num":
             return code
+        if kind is None and node.kind == "var":  # a local: test it inline
+            return f"({code} if {code}.__class__ is float else to_num({code}))"
         if kind is None:
-            return self.num_of(code) if node.kind == "var" else f"to_num({code})"
+            return f"to_num({code})"
         t = self.temp()  # a str: to_num's digits case inline, the test first
         return f"(float({t}) if ({t} := {code}).isdecimal() else to_num({t}))"
 
@@ -578,7 +533,7 @@ class _Compiler:
         if kind == "field":
             return self.field(a)
         if kind == "index":
-            return f"{self.name(a, 'a_')}[{self.str_(b)}]"
+            return f"a_{a}[{self.str_(b)}]"
         if kind in ("assign", "preincr", "postincr"):
             return self.assign(node)
         if kind == "neg":
@@ -611,13 +566,13 @@ class _Compiler:
         kind, a, b, c = node.kind, node.a, node.b, node.c
         if kind == "cmp" and {b.kind, c.kind} & {"str", "concat"}:
             # a string constant or concatenation never compares as a number
-            return f"({self.str_(b)} {_COMPARE[a]} {self.str_(c)})"
+            return f"({self.str_(b)} {a} {self.str_(c)})"
         if kind == "cmp" and self.kind(b) == self.kind(c) == "num":
-            return f"({self.expr(b)} {_COMPARE[a]} {self.expr(c)})"
+            return f"({self.expr(b)} {a} {self.expr(c)})"
         if kind == "cmp":
             t = self.temp()
             return (f"(({t} := _coerce({self.expr(b)}, {self.expr(c)}))[0] "
-                    f"{_COMPARE[a]} {t}[1])")
+                    f"{a} {t}[1])")
         if kind in ("match", "nomatch"):  # the regex first, as awk
             test = f"{self.regex(b)}.search({self.str_(a)})"
             return test if kind == "match" else f"(not {test})"
@@ -629,65 +584,64 @@ class _Compiler:
             return f"({self.cond(a)} {kind} {self.cond(b)})"
         return self.expr(node)
 
-    def target(self, node: Node) -> tuple[str, str, str, str]:
-        """An assignable node's ``(box, key, read, args)``: a variable's
-        local (``box`` "") or where :func:`_store` writes it, ``key`` its
-        subscript's source, ``read`` its value given the key in local
-        ``{k}``, ``args`` what _store needs besides."""
+    def lvalue(self, node: Node) -> tuple:
+        """An assignable node's ``(key, read, write)``: ``key`` puts its
+        subscript in a temporary ("" if none), ``read`` is its value then
+        and ``write(code)`` stores the value of ``code`` and gives it."""
         if node.kind == "var" and node.a != "NF":
-            return "", "", self.name(node.a), ""
+            local = self.name(node.a)
+            return "", local, lambda value: f"({local} := {value})"
+        t, u = self.temp(), self.temp()
         if node.kind == "index":
-            table = self.name(node.a, "a_")
-            return table, self.str_(node.b), f"{table}[{{k}}]", ""
+            table = f"a_{node.a}"
+            return (f"({t} := {self.str_(node.b)})", f"{table}[{t}]", lambda value:
+                    f"({table}.__setitem__({t}, ({u} := {value})) or {u})")
         if node.kind not in ("field", "var"):
             raise AwkSyntaxError(f"cannot assign to {node.kind}")
-        self.splits, nf = True, self.name("NF")
-        rest = f", {self.str_(Node('var', 'OFS'))}, v_FS"
+        self.splits, nf, ofs = True, self.name("NF"), self.str_(Node("var", "OFS"))
         if node.kind == "var":  # NF: the fields cut or padded
-            return "F", "None", nf, f"{rest}, {nf}"
-        return ("F", f"int({self.num(node.a)})",
-                '(F[{k}] if 0 <= {k} < len(F) else "")', rest)
+            key, read, t = "", nf, "None"
+        else:
+            key = f"({t} := int({self.num(node.a)}))"
+            read = f'(F[{t}] if 0 <= {t} < len(F) else "")'
+        return key, read, lambda value: _steps(
+            [f"_set_field(F, {t}, {value}, {ofs}, v_FS)",
+             "(v_NF := len(F) - 1.0)"], 0)
 
     def assign(self, node: Node) -> str:
         """An assignment, ``++`` or ``--``; the value is evaluated first,
         then the subscript, as awk."""
         incr = node.kind != "assign"
-        box, key, read, args = self.target(node.a if incr else node.b)
+        target = node.a if incr else node.b
+        key, read, write = self.lvalue(target)
         op = "+" if incr else None if node.a == "=" else node.a[0]
-        if not box:  # a variable: its local
-            if incr and node.kind == "postincr":
-                t = self.temp()
-                return f"(({t} := to_num({read})), ({read} := {t} + {node.b:d}))[0]"
-            if incr:
-                return f"({read} := {self.num_of(read)} + {node.b:d})"
+        if target.kind == "var" and target.a != "NF":  # a local
+            if node.kind == "preincr":
+                return write(f"{self.num(target)} + {node.b:d}")
             if op is None:
-                return f"({read} := {self.expr(node.c)})"
-            if not any(n.kind in ("assign", "preincr", "postincr", "call")
-                       for n in _walk_nodes(node.c)):  # nothing to order
-                return (f"({read} := "
-                        f"{self.arith(op, self.num_of(read), self.num(node.c))})")
-            t = self.temp()
-            return (f"(({t} := {self.expr(node.c)}), ({read} := "
-                    f"{self.arith(op, self.num_of(read), f'to_num({t})')}))[1]")
-        value = f"{node.b:d}.0" if incr else self.expr(node.c)
-        code = (f"_store({value}, {box}, {key}, "
-                f"{'None' if op is None else self.bind(_ARITH[op])}, "
-                f"{node.kind == 'postincr'}{args})")
-        return code if box != "F" else f"({code}, (v_NF := len(F) - 1.0))[0]"
+                return write(self.expr(node.c))
+            if not incr and not any(
+                    n.kind in ("assign", "preincr", "postincr", "call")
+                    for n in _walk_nodes(node.c)):  # nothing to order
+                return write(self.arith(op, self.num(target), self.num(node.c)))
+        value, old = self.temp(), self.temp()
+        new = value if op is None else self.arith(op, old, f"to_num({value})")
+        return _steps([f"({value} := "
+                       f"{f'{node.b:d}.0' if incr else self.expr(node.c)})",
+                       key, op and f"({old} := to_num({read}))", write(new)],
+                      -2 if node.kind == "postincr" else -1)
 
     def call(self, name: str, args: list) -> str:
-        if name == "length" and not args:
-            return "(len(F[0]) + 0.0)"
-        if name == "length" and args[0].kind == "var" and \
-                args[0].a in self.arrays:  # of an array
-            return f"(len({self.name(args[0].a, 'a_')}) + 0.0)"
+        if name == "length" and (not args or args[0].kind == "var"
+                                 and args[0].a in self.arrays):  # $0, array
+            return f"(len({f'a_{args[0].a}' if args else 'F[0]'}) + 0.0)"
         if name in _PURE:
             return f"{self.bind(_PURE[name])}([{', '.join(map(self.expr, args))}])"
         if name == "split":
             if args[1].kind != "var":
                 raise AwkSyntaxError("split needs an array name")
             sep = self.str_(args[2]) if len(args) > 2 else "to_str(v_FS)"
-            return (f"_split_into({self.name(args[1].a, 'a_')}, "
+            return (f"_split_into(a_{args[1].a}, "
                     f"{self.str_(args[0])}, {sep})")
         t, r = self.temp(), self.temp()
         if name == "match":  # the text first, then the regex
@@ -696,17 +650,13 @@ class _Compiler:
                     f"{t}[0]), ({self.name('RLENGTH')} := {t}[1]))[1]")
         # sub(re, repl [, target]) / gsub: in-place substitution on the
         # target (default $0); the regex, the text, the subscript, in turn
-        target = args[2] if len(args) > 2 else Node("field", Node("num", 0.0))
-        box, key, read, rest = self.target(target)
-        k = f"{r}[2]"
-        store = f"({read} := {t}[0])" if not box else \
-            f"_store({t}[0], {box}, {k}, None, False{rest})"
-        if box == "F":
-            store = f"({store}, (v_NF := len(F) - 1.0))"
-        return (f"(({r} := ({self.regex(args[0])}, {self.str_(args[1])}, "
-                f"{key or 'None'})), ({t} := _sub({r}[0], {r}[1], "
-                f"to_str({read.format(k=k)}), {name == 'gsub'})), "
-                f"({t}[1] and {store}), {t}[1] + 0.0)[-1]")
+        regex, repl = self.regex(args[0]), self.str_(args[1])
+        key, read, write = self.lvalue(
+            args[2] if len(args) > 2 else Node("field", Node("num", 0.0)))
+        return _steps([f"({r} := ({regex}, {repl}))", key,
+                       f"({t} := _sub({r}[0], {r}[1], to_str({read}), "
+                       f"{name == 'gsub'}))", f"({t}[1] and {write(f'{t}[0]')})",
+                       f"{t}[1] + 0.0"])
 
     def stmts(self, node: Node) -> list[str]:
         kind, a = node.kind, node.a
@@ -734,7 +684,7 @@ class _Compiler:
                     f"    if {guard} > 10_000_000:  # runaway protection",
                     "        raise UsageError('while loop exceeded limit')"]
         if kind == "forin":
-            return [f"for {self.name(a)} in list({self.name(node.b, 'a_')}):",
+            return [f"for {self.name(a)} in list(a_{node.b}):",
                     *indent(self.stmts(node.c), 1)]
         if kind == "next":
             return ["raise _Next()"]
@@ -747,42 +697,30 @@ class _Compiler:
 def compile_awk(src: str) -> tuple:
     """``(begin, records, end, arrays, reads_input)`` of ``src``, compiled
     once per program text (see :class:`_Compiler`)."""
-    items = parse_awk(src)
-    compiler = _Compiler(items)
-    space = compile_program(compiler.source(), compiler.namespace, "<awk>")
-    return (space["begin"], space["records"], space["end"],
-            sorted(compiler.arrays),
-            any(getattr(pattern, "kind", "") != "BEGIN" for pattern, _ in items))
+    return _Compiler(parse_awk(src)).build()
 
 
 class AwkRuntime:
     """One run of a program: its variables, arrays, the current record's
-    fields and the text printed but not yet written (``out``)."""
+    fields and the text printed but not yet written (``out``);
+    ``begin()``, ``end()`` and ``records(batch, out, charge_all, coeff)``,
+    a :func:`record_loop` of the main rules, run over them."""
 
     def __init__(self, src: str, fs: str = " ", assigns: Optional[dict] = None):
-        self._begin, self._records, self._end, arrays, self.reads_input = \
-            compile_awk(src)
-        self.vars = _Table({"FS": fs, "OFS": " ", "ORS": "\n", "NR": 0.0,
-                            "NF": 0.0, "FILENAME": "", "SUBSEP": "\x1c"})
-        self.vars.update(assigns or {})
+        begin, records, end, arrays, self.reads_input = compile_awk(src)
+        self.vars = _Table({"FS": fs, "OFS": " ", "ORS": "\n", "NR": 0.0, "NF": 0.0,
+                            "FILENAME": "", "SUBSEP": "\x1c", **(assigns or {})})
         self.arrays = {name: _Table() for name in arrays}
         self.fields: list[str] = [""]  # always NF + 1 long
         self.out: list[bytes] = []
-        self._state = (self.vars, self.arrays, self.fields, self.out)
-
-    def begin(self) -> None:
-        self._begin(*self._state)
-
-    def records(self, batch: list[bytes], out: OutBuf, charge_all, coeff):
-        """The main rules over ``batch``: a :func:`record_loop`."""
-        return self._records(batch, out, charge_all, coeff, *self._state)
-
-    def end(self) -> None:
-        self._end(*self._state)
+        state = (self.vars, self.arrays, self.fields, self.out)
+        self.begin, self.records, self.end = (partial(run, *state) for run in
+                                              (begin, records, end))
 
 
 def _coerce(left, right) -> tuple:
-    """What a comparison compares: two numbers if both look numeric."""
+    """What a comparison compares: two numbers if each is a float or a
+    string that looks like one from end to end, else two strings."""
     x = left if left.__class__ is float else _strnum(left)
     y = right if right.__class__ is float else _strnum(right)
     if x is None or y is None:
@@ -799,33 +737,23 @@ def _splitter(fs: str) -> tuple:
     return None, re.compile(fs).split
 
 
-def _store(value, box, key, op, post, ofs=" ", fs=" ", nf=0.0):
-    """``box[key] = value`` for an array element, a field (``box`` the
-    fields) or NF (``key`` None, its value ``nf``): $0 re-split by ``fs``
-    or rebuilt with ``ofs``.  With ``op`` the value is ``op(old, value)``;
-    the value stored, or with ``post`` the old one."""
-    fields = box.__class__ is list
-    if op is not None:
-        old = nf if key is None else box[key] if not fields else \
-            box[key] if 0 <= key < len(box) else ""
-        value = op(old := to_num(old), to_num(value))
-    if not fields:
-        box[key] = value
-    elif key is None:  # NF
+def _set_field(fields: list, key, value, ofs: str, fs):
+    """``$key = value``, or with ``key`` None ``NF = value`` (the fields cut
+    or padded): $0 re-split by ``fs`` or rebuilt with ``ofs``; the value."""
+    if key is None:
         n = max(0, int(to_num(value)))
-        box[:] = (box + [""] * n)[: n + 1]
-        box[0] = ofs.join(box[1:])
+        fields[:] = (fields + [""] * n)[: n + 1]
     elif key < 0:
         raise UsageError(f"attempt to access field {key}")
     else:
-        box.extend([""] * (key + 1 - len(box)))
-        box[key] = text = to_str(value)
-        if key:
-            box[0] = ofs.join(box[1:])
-        else:
-            sep, split = _splitter(to_str(fs))
-            box[1:] = text.split(sep) if split is None else split(text)
-    return old if post else value
+        fields.extend([""] * (key + 1 - len(fields)))
+        fields[key] = to_str(value)
+    if key == 0:
+        sep, split = _splitter(to_str(fs))
+        fields[1:] = fields[0].split(sep) if split is None else split(fields[0])
+    else:
+        fields[0] = ofs.join(fields[1:])
+    return value
 
 
 def _split_into(array: _Table, text: str, sep: str) -> float:
@@ -871,14 +799,8 @@ def to_num(value) -> float:
     return float(m.group()) if m else 0.0
 
 
-def _strnum(value) -> Optional[float]:
-    """The number a value compares as — a float, or a string that looks
-    like one from end to end — else None."""
-    if value.__class__ is float:
-        return value
-    if value.isdecimal() or _NUMERIC_RE.match(value):
-        return float(value)
-    return None
+def _strnum(text: str) -> Optional[float]:
+    return float(text) if text.isdecimal() or _NUMERIC_RE.match(text) else None
 
 
 def to_str(value) -> str:
@@ -936,10 +858,10 @@ _PURE = {
 
 #: what generated source calls, by name
 _RUNTIME = {"to_num": to_num, "to_str": to_str, "_coerce": _coerce,
-            "_splitter": _splitter, "_store": _store, "_split_into": _split_into,
-            "_match": _match, "_sub": _sub, "_regex": _regex,
-            "_sprintf": _sprintf, "_Next": _Next, "_Exit": _Exit,
-            "UsageError": UsageError}
+            "_splitter": _splitter, "_set_field": _set_field,
+            "_split_into": _split_into, "_match": _match, "_sub": _sub,
+            "_regex": _regex, "_sprintf": _sprintf, "_Next": _Next,
+            "_Exit": _Exit, "UsageError": UsageError}
 
 # ---------------------------------------------------------------------------
 # program analysis (for the annotation library)
@@ -960,35 +882,23 @@ def program_is_stateless(src: str) -> bool:
     """True when the awk program is a pure per-record map: no BEGIN/END,
     no NR, no variable/array state carried across records."""
     try:
-        items = parse_awk(src)
+        return not any(map(_carries_state, _walk_nodes(parse_awk(src))))
     except UsageError:
         return False
-    for pattern, action in items:
-        if pattern is not None and pattern.kind in ("BEGIN", "END"):
-            return False
-        for node in _walk_nodes((pattern, action)):
-            if not isinstance(node, Node):
-                continue
-            if node.kind == "var" and node.a == "NR":
-                return False
-            if node.kind in ("assign", "preincr", "postincr"):
-                target = node.b if node.kind == "assign" else node.a
-                if target.kind in ("var", "index") and (
-                    target.kind == "index"
-                    or target.a not in ("OFS", "ORS", "FS")
-                ):
-                    return False  # cross-record state
-            if node.kind in ("forin", "exit"):
-                return False  # exit: later records depend on earlier ones
-            if node.kind == "call":
-                if node.a == "split":
-                    return False  # writes an array (cross-record state)
-                if node.a in ("sub", "gsub") and len(node.b) > 2 \
-                        and node.b[2].kind != "field":
-                    return False  # substitutes into a variable
-                if node.a == "match":
-                    return False  # sets RSTART/RLENGTH
-    return True
+
+
+def _carries_state(node: Node) -> bool:
+    """Does ``node`` tie a record to those before it: BEGIN, END, NR,
+    ``exit``, or a variable or array written (split and match write one)?"""
+    if node.kind in ("assign", "preincr", "postincr"):
+        target = node.b if node.kind == "assign" else node.a
+        return target.kind == "index" or target.kind == "var" and \
+            target.a not in ("OFS", "ORS", "FS")
+    if node.kind == "call":
+        return node.a in ("split", "match") or node.a in ("sub", "gsub") \
+            and len(node.b) > 2 and node.b[2].kind != "field"
+    return node.kind in ("BEGIN", "END", "forin", "exit") or \
+        node.kind == "var" and node.a == "NR"
 
 
 # ---------------------------------------------------------------------------
@@ -1030,8 +940,7 @@ def awk(proc: Process, opts: dict, operands: list[str]):
             printed.clear()
 
             for path in operands if runtime.reads_input else ():
-                assign = _ASSIGN_RE.match(path)
-                if assign:
+                if assign := _ASSIGN_RE.match(path):
                     runtime.vars[assign[1]] = assign[2]
                     continue
                 fd, needs_close = yield from open_operand(proc, "awk", path)

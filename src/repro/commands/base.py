@@ -249,14 +249,13 @@ _CHARGE = "charge_all([n * coeff for n in map(len, batch[start:i + 1])])"
 #: one list per stretch between two flushes, each flush on the record that
 #: trips it: bursts, writes and their order are a per-line loop's.
 _RECORD_LOOP = f"""\
-def {{name}}(batch, out, charge_all, coeff{{params}}):
+def {{name}}({{params}}batch, out, charge_all, coeff):
     yield from ()  # a generator, even with nothing to flush
     recs = b"".join(batch){{decode}}.split({{newline}})
     if not recs[-1]:  # the newline that ends the batch
         del recs[-1]
     chunks, size, threshold = out._chunks, out._size, out.threshold
-    start = 0
-    i = -1
+    start, i = 0, -1
 {{enter}}
     try:
         for i, R in enumerate(recs):
@@ -269,14 +268,19 @@ def {{name}}(batch, out, charge_all, coeff{{params}}):
 
 
 def record_loop(name: str, params: str, enter: list[str], body: list[str],
-                leave: list[str], text: bool) -> str:
-    """The source of a record loop; records are UTF-8 decoded (errors
-    replaced) when ``text``, else bytes."""
-    return _RECORD_LOOP.format(
+                leave: list[str], text: bool, namespace: dict,
+                prelude: str = "") -> dict:
+    """The record loop ``name``, after ``prelude`` (more definitions), run
+    in ``namespace``, which holds every object the source uses besides
+    its constants; the one place generated source becomes code.  Records
+    are UTF-8 decoded (errors replaced) when ``text``, else bytes."""
+    source = prelude + _RECORD_LOOP.format(
         name=name, params=params, decode=".decode('utf-8', 'replace')" * text,
         newline="'\\n'" if text else "b'\\n'",
         enter="\n".join(indent(enter, 1)), body="\n".join(indent(body, 3)),
         leave="\n".join(indent(leave, 2)))
+    exec(compile(source, f"<{name}>", "exec"), namespace)
+    return namespace
 
 
 def emit(value: str) -> list[str]:
@@ -290,13 +294,6 @@ def emit(value: str) -> list[str]:
 def indent(lines: list[str], depth: int) -> list[str]:
     """Source lines as a block ``depth`` levels in; no lines: ``pass``."""
     return ["    " * depth + line for line in lines or ["pass"]]
-
-
-def compile_program(source: str, namespace: dict, filename: str) -> dict:
-    """The one place generated source becomes code: its definitions, run
-    in ``namespace``, which holds every object it uses besides constants."""
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace
 
 
 def each_batch(proc: Process, fd: int, run: Callable, *args):

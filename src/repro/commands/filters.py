@@ -13,7 +13,6 @@ from .base import (
     OutBuf,
     UsageError,
     command,
-    compile_program,
     cpu_coeff,
     each_batch,
     emit,
@@ -188,10 +187,7 @@ def tr(proc: Process, opts: dict, operands: list[str]):
     if oracle is not None and getattr(oracle, "kind", "") != "tr":
         oracle = None
     last_byte = -1
-    while True:
-        data = yield from proc.read(0, CHUNK)
-        if not data:
-            break
+    while (data := (yield from proc.read(0, CHUNK))):
         yield from proc.cpu(len(data) * coeff)
         if oracle is not None:
             out = oracle.try_chunk(data)
@@ -356,10 +352,7 @@ def grep(proc: Process, opts: dict, operands: list[str]):
                         break
         else:
             stream = LineStream(proc, fd)
-            while True:
-                batch = yield from stream.next_batch()
-                if batch is None:
-                    break
+            while (batch := (yield from stream.next_batch())) is not None:
                 if not batch:
                     continue
                 yield from proc.cpu(sum(map(len, batch)) * coeff)
@@ -474,10 +467,7 @@ def _map_batches(proc: Process, name: str, operands: list[str], fn):
             continue
         stream = LineStream(proc, fd)
         out = OutBuf(proc, 1)
-        while True:
-            batch = yield from stream.next_batch()
-            if batch is None:
-                break
+        while (batch := (yield from stream.next_batch())) is not None:
             if not batch:
                 continue
             yield from proc.cpu(sum(map(len, batch)) * coeff)
@@ -636,14 +626,9 @@ def parse_sed_args(opts: dict, operands: list[str]) -> tuple[bool, tuple, list[s
 @lru_cache(maxsize=128)
 def compile_sed(cmds: tuple, quiet: bool):
     """A parsed script as a :func:`record_loop` over line bodies ``R``:
-    ``run(batch, out, charge_all, coeff, state)``, ``state[0]`` the line
-    number across files; True once ``q`` quit."""
-    return compile_program(*sed_source(cmds, quiet), "<sed>")["run"]
-
-
-def sed_source(cmds: tuple, quiet: bool) -> tuple[str, dict]:
-    """:func:`compile_sed`'s source and namespace: command K's regex (its
-    substitution, for ``s///g`` and ``s///N``) bound as ``cmdK``."""
+    ``run(state, batch, out, charge_all, coeff)``, ``state[0]`` the line
+    number across files; True once ``q`` quit.  Command K's regex (its
+    substitution, for ``s///g`` and ``s///N``) is bound as ``cmdK``."""
     namespace, body = {}, ["lineno += 1"]
     printed = ["line = R + b'\\n'", *emit("line")]
     for k, cmd in enumerate(cmds):
@@ -669,8 +654,8 @@ def sed_source(cmds: tuple, quiet: bool) -> tuple[str, dict]:
             if cmd.print_:
                 body += indent(printed, 1)
     body += printed * (not quiet)
-    return record_loop("run", ", state", ["lineno = state[0]"], body,
-                       ["state[0] = lineno"], text=False), namespace
+    return record_loop("run", "state, ", ["lineno = state[0]"], body,
+                       ["state[0] = lineno"], False, namespace)["run"]
 
 
 @command("sed", Grammar("n", valued="e", repeat="e"))
@@ -682,10 +667,9 @@ def sed(proc: Process, opts: dict, operands: list[str]):
     except (UsageError, RegexTranslationError, re.error) as err:
         return (yield from usage_error(proc, "sed", err))
 
-    run = compile_sed(cmds, quiet)
+    run = partial(compile_sed(cmds, quiet), [0])  # lines read, all files
     coeff = cpu_coeff("sed")
     status = 0
-    state = [0]  # the line number, counted across files
     for path in operands or ["-"]:
         fd, needs_close = yield from open_operand(proc, "sed", path)
         if fd is None:
@@ -693,7 +677,7 @@ def sed(proc: Process, opts: dict, operands: list[str]):
             continue
         out = OutBuf(proc, 1)
         quit_now = yield from each_batch(proc, fd, run, out, proc.charge_all,
-                                         coeff, state)
+                                         coeff)
         yield from out.flush()
         if needs_close:
             yield from proc.close(fd)
@@ -718,10 +702,7 @@ def wc(proc: Process, opts: dict, operands: list[str]):
         fd, needs_close = yield from open_input(proc, path)
         counts = {"l": 0, "w": 0, "c": 0}
         in_word = False
-        while True:
-            data = yield from proc.read(fd, CHUNK)
-            if not data:
-                break
+        while (data := (yield from proc.read(fd, CHUNK))):
             yield from proc.cpu(len(data) * coeff)
             counts["c"] += len(data)
             counts["l"] += data.count(b"\n")
@@ -809,10 +790,7 @@ def paste(proc: Process, opts: dict, operands: list[str]):
             stream = LineStream(proc, fd)
             pieces: list[bytes] = []
             idx = 0
-            while True:
-                line = yield from stream.next_line()
-                if line is None:
-                    break
+            while (line := (yield from stream.next_line())) is not None:
                 if pieces:
                     pieces.append(delims[(idx - 1) % len(delims)])
                 pieces.append(line.rstrip(b"\n"))
@@ -866,10 +844,7 @@ def nl(proc: Process, argv: list[str]):
         fd, needs_close = yield from open_input(proc, path)
         stream = LineStream(proc, fd)
         out = OutBuf(proc, 1)
-        while True:
-            line = yield from stream.next_line()
-            if line is None:
-                break
+        while (line := (yield from stream.next_line())) is not None:
             n += 1
             rendered = f"{n:6d}\t".encode() + line
             yield from proc.cpu(len(rendered) * 2e-9)

@@ -102,8 +102,7 @@ def eval_test(args: list[str], fs, cwd: str) -> bool:
             if tok == "-d":
                 return fs.is_dir(path)
             if tok == "-s":  # a directory's size is never zero
-                return fs.is_dir(path) or (fs.is_file(path)
-                                           and fs.size(path) > 0)
+                return fs.is_dir(path) or fs.is_file(path) and fs.size(path) > 0
             return fs.exists(path)  # -e; -r, -w, -x: no permissions modelled
         # binary operators
         left = take()
@@ -250,10 +249,7 @@ def cp(proc: Process, opts: dict, operands: list[str]):
     # charge real IO: read + write through the disk
     in_fd = yield from proc.open(resolved_src, "r")
     out_fd = yield from proc.open(resolved_dst, "w")
-    while True:
-        data = yield from proc.read(in_fd, CHUNK)
-        if not data:
-            break
+    while (data := (yield from proc.read(in_fd, CHUNK))):
         yield from proc.write(out_fd, data)
     yield from proc.close(in_fd)
     yield from proc.close(out_fd)

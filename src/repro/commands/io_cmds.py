@@ -90,10 +90,7 @@ def head(proc: Process, opts: dict, operands: list[str]):
             # head -c -K: everything but the last K bytes, streamed with a
             # K-byte holdback buffer (-0 keeps everything)
             held = b""
-            while True:
-                data = yield from proc.read(fd, CHUNK)
-                if not data:
-                    break
+            while (data := (yield from proc.read(fd, CHUNK))):
                 yield from proc.cpu(len(data) * coeff)
                 held += data
                 if len(held) > count:
@@ -104,10 +101,7 @@ def head(proc: Process, opts: dict, operands: list[str]):
             # unterminated line counts as a line), K-line lag buffer
             stream = LineStream(proc, fd)
             pending: list[bytes] = []
-            while True:
-                batch = yield from stream.next_batch()
-                if batch is None:
-                    break
+            while (batch := (yield from stream.next_batch())) is not None:
                 pending.extend(batch)
                 if count and len(pending) > count:
                     take = pending[: len(pending) - count]
@@ -121,20 +115,16 @@ def head(proc: Process, opts: dict, operands: list[str]):
                     yield from proc.write(1, line)
         elif unit == "bytes":
             remaining = count
-            while remaining > 0:
-                data = yield from proc.read(fd, min(CHUNK, remaining))
-                if not data:
-                    break
+            while remaining > 0 and (data := (yield from proc.read(
+                    fd, min(CHUNK, remaining)))):
                 yield from proc.cpu(len(data) * coeff)
                 yield from proc.write(1, data)
                 remaining -= len(data)
         else:
             stream = LineStream(proc, fd)
             emitted = 0
-            while emitted < count:
-                batch = yield from stream.next_batch()
-                if batch is None:
-                    break
+            while emitted < count and (
+                    batch := (yield from stream.next_batch())) is not None:
                 if not batch:
                     continue
                 take = batch[: count - emitted]
@@ -198,10 +188,7 @@ def split_cmd(proc: Process, opts: dict, operands: list[str]):
         size = int(opts["b"].rstrip("kKmM")) * (
             1024 if opts["b"][-1:] in "kK" else 1024 * 1024 if opts["b"][-1:] in "mM" else 1
         )
-        while True:
-            data = yield from proc.read(fd, size)
-            if not data:
-                break
+        while (data := (yield from proc.read(fd, size))):
             yield from proc.cpu(len(data) * coeff)
             out = yield from proc.open(prefix + suffix(idx), "w")
             yield from proc.write(out, data)

@@ -244,10 +244,7 @@ def _sort(proc: Process, opts: dict, operands: list[str]):
         prev = None
         lineno = 0
         status = 0
-        while not status:
-            line = yield from stream.next_line()
-            if line is None:
-                break
+        while not status and (line := (yield from stream.next_line())) is not None:
             lineno += 1
             proc.charge(len(line) * coeff)
             k = order_key(line)
@@ -282,10 +279,7 @@ def _sort(proc: Process, opts: dict, operands: list[str]):
     for path in files:
         fd, needs_close = yield from _open_operand(proc, path)
         stream = LineStream(proc, fd)
-        while True:
-            batch = yield from stream.next_batch()
-            if batch is None:
-                break
+        while (batch := (yield from stream.next_batch())) is not None:
             if not batch:
                 continue
             yield from proc.cpu(sum(map(len, batch)) * coeff)
@@ -769,29 +763,26 @@ def shuf(proc: Process, opts: dict, operands: list[str]):
     return 0
 
 
-def seq_numbers(argv: list[str]) -> range:
-    """What ``seq [FIRST [INCR]] LAST`` prints; ValueError if it refuses."""
-    if not 1 <= len(argv) <= 3:
-        raise ValueError("wrong number of operands")
-    nums = [int(arg) for arg in argv]
-    first, step, last = (1, 1, *nums) if len(nums) == 1 else \
-        (nums[0], 1, nums[1]) if len(nums) == 2 else nums
-    if not step:
-        return range(0)
-    return range(first, last + (1 if step > 0 else -1), step)
-
-
 @command("seq")
 def seq(proc: Process, argv: list[str]):
     try:
-        numbers = seq_numbers(argv)
+        if len(argv) == 1:
+            start, step, end = 1, 1, int(argv[0])
+        elif len(argv) == 2:
+            start, step, end = int(argv[0]), 1, int(argv[1])
+        elif len(argv) == 3:
+            start, step, end = int(argv[0]), int(argv[1]), int(argv[2])
+        else:
+            raise ValueError("wrong number of operands")
     except ValueError as err:
         return (yield from usage_error(proc, "seq", err))
     out = OutBuf(proc, 1)
     coeff = cpu_coeff("seq")
-    for value in numbers:
+    value = start
+    while (step > 0 and value <= end) or (step < 0 and value >= end):
         line = str(value).encode() + b"\n"
         proc.charge(len(line) * coeff)
         yield from out.put(line)
+        value += step
     yield from out.flush()
     return 0

@@ -1,23 +1,21 @@
-"""awk and sed programs become Python source (DESIGN.md §11): the text of
-a program reaches that source only as the ``repr`` of a constant or as a
-prefixed name, never as code.  Each program here is awk's or sed's
-answer (checked against the host's awk and GNU sed when written) and
-names, strings and regexes that would be Python — keywords, quotes,
-triple quotes, backslashes, newlines, braces — stay data."""
+"""awk and sed programs become Python code (DESIGN.md §11): the text of
+a program reaches it only as the ``repr`` of a constant or as a prefixed
+name, never as code.  Each program here is awk's or sed's answer
+(checked against the host's awk and GNU sed when written) and names,
+strings and regexes that would be Python — keywords, quotes, triple
+quotes, backslashes, newlines, braces — stay data in the compiled code."""
 
 from __future__ import annotations
 
-import ast
-import io
 import re
-import tokenize
+from types import CodeType
 
 import pytest
 
 from repro import Shell
 from repro.annotations.inference import run_filter
 from repro.commands import awk_lite
-from repro.commands.filters import parse_sed_args, sed_source
+from repro.commands.filters import compile_sed, parse_sed_args
 
 #: (program, stdin, stdout)
 AWK = [
@@ -59,40 +57,50 @@ SED = [
     (["s/a/\\n/"], "cat\n", "c\nt\n"),
 ]
 
-#: the names generated source is made of, besides the program's own
+#: the names generated code is made of, besides the program's own
 #: (``v_NAME``, ``a_NAME``) and numbered ones (temporaries ``tN``,
 #: bound constants ``kN``, sed's commands ``cmdN``)
 VOCABULARY = {
-    "def", "yield", "from", "if", "else", "not", "and", "or", "is", "None",
-    "True", "False", "for", "in", "while", "try", "finally", "except",
-    "raise", "return", "pass", "del", "continue",
-    "len", "map", "enumerate", "float", "int", "list", "str", "isdecimal",
-    "search",
+    "len", "map", "enumerate", "float", "int", "list", "isdecimal", "search",
     "span", "split", "insert", "join", "clear", "append", "flush", "encode",
-    "decode", "find", "upper", "lower", "__class__",
+    "decode", "find", "upper", "lower", "__class__", "__setitem__", "put",
     "batch", "out", "charge_all", "coeff", "recs", "chunks", "size",
     "threshold", "start", "i", "R", "_chunks", "_size", "V", "A",
-    "F", "P", "fields", "S", "RS", "fs_seen", "put",
-    "data", "begin", "end", "records", "run", "state", "lineno", "line", "m",
-    "ms", "me", "n",
+    "F", "P", "fields", "S", "RS", "fs_seen",
+    "data", "state", "lineno", "line", "m", "ms", "me", "n", ".0",
 } | set(awk_lite._RUNTIME)
 NUMBERED = re.compile(r"([va]_\w+|[tk]\d+|cmd\d+)\Z")
 
 
-def assert_safe(source: str) -> None:
-    """Every name of ``source`` is the generator's own or prefixed, every
-    string a plain ``str``/``bytes`` literal."""
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type == tokenize.NAME:
-            assert tok.string in VOCABULARY or NUMBERED.match(tok.string), tok
-        elif tok.type == tokenize.STRING:
-            assert type(ast.literal_eval(tok.string)) in (str, bytes), tok
+def assert_safe(functions) -> None:
+    """Every name the compiled ``functions`` (and the code nested in
+    them) use is the generator's own or prefixed, every constant plain
+    data."""
+    codes = [function.__code__ for function in functions]
+    while codes:
+        code = codes.pop()
+        for name in (code.co_names + code.co_varnames + code.co_cellvars
+                     + code.co_freevars):
+            assert name in VOCABULARY or NUMBERED.match(name), \
+                (name, code.co_name)
+        for const in code.co_consts:
+            if isinstance(const, CodeType):
+                codes.append(const)
+            else:
+                assert plain(const), (const, code.co_name)
+
+
+def plain(value) -> bool:
+    """None, a str, bytes, number or bool, or a tuple of them."""
+    return value is None or type(value) in (str, bytes, int, float, bool) \
+        or type(value) is tuple and all(map(plain, value))
 
 
 @pytest.mark.parametrize("program,stdin,stdout", AWK, ids=lambda v: str(v)[:30])
 def test_awk_program_is_data(program, stdin, stdout):
     assert run_filter(["awk", program], stdin.encode()) == (0, stdout.encode())
-    assert_safe(awk_lite._Compiler(awk_lite.parse_awk(program)).source())
+    begin, records, end, _, _ = awk_lite.compile_awk(program)
+    assert_safe([begin, records, end])
 
 
 @pytest.mark.parametrize("argv,stdin,stdout", SED, ids=lambda v: str(v)[:30])
@@ -100,9 +108,10 @@ def test_sed_script_is_data(argv, stdin, stdout):
     assert run_filter(["sed", *argv], stdin.encode()) == (0, stdout.encode())
     quiet, cmds, _ = parse_sed_args({"n": True} if argv[0] == "-n" else {},
                                     argv[-1:])
-    source, namespace = sed_source(cmds, quiet)
-    assert_safe(source)
-    assert set(namespace) <= {f"cmd{k}" for k in range(len(cmds))}
+    run = compile_sed(cmds, quiet)
+    assert_safe([run])
+    assert set(run.__globals__) - {"__builtins__", "run"} <= {
+        f"cmd{k}" for k in range(len(cmds))}
 
 
 def test_assignments_between_files_reach_the_next_batch():
